@@ -1,0 +1,135 @@
+"""Golden CLI outputs: exit code and stdout of a fixed set of `ladderdet`
+commands, compared byte for byte with `tests/golden/cli.json`.
+
+The set covers every bundled fixture (ladder, ideal, witness and Knutson
+commands) plus one run each of ideal intersect / colon / saturate, Fedder,
+symbolic compare, Schubert and poset checks, and one acceptance criterion.
+Refactors of the engine must leave every recorded output unchanged.
+
+Regenerate (only when an output change is intended) with
+`PYTHONPATH=src python tests/test_golden_cli.py --write`.
+"""
+
+import contextlib
+import functools
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from ladderdet.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "src" / "ladderdet" / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+
+FIXTURE_NAMES = ("full2x2", "full2x3", "full3x3", "full3x4", "staircase10", "staircase_sub4x4")
+
+INPUTS = {
+    "ideal_a.json": {"shape": [2, 3], "gens": ["x[1,1]*x[2,2] - x[1,2]*x[2,1]",
+                                               "x[1,2]*x[2,3] - x[1,3]*x[2,2]"]},
+    "ideal_b.json": {"shape": [2, 3], "gens": ["x[1,2] + x[2,1]", "x[2,2]"]},
+    "ideal_c.json": {"shape": [2, 3], "gens": ["x[1,2]", "x[2,2]"]},
+    "perm.json": {"shape": [3, 3], "ones": [[1, 2], [2, 1]]},
+}
+
+
+def _cases():
+    """(id, argv) pairs; `{fixtures}` and `{inputs}` are path placeholders."""
+    cases = []
+    for name in FIXTURE_NAMES:
+        path = f"{{fixtures}}/{name}.json"
+        t = [] if json.loads((FIXTURES / f"{name}.json").read_text()).get("t") else ["--t", "2"]
+        for action in ("validate", "show", "reduce"):
+            cases.append((f"{name}/ladder-{action}", ["ladder", action, path, *t]))
+        for action in ("gb", "initial"):
+            cases.append((f"{name}/ideal-{action}", ["ideal", action, path, *t]))
+        for action in ("certificate", "f", "g"):
+            cases.append((f"{name}/witness-{action}", ["witness", action, "--ladder", path, *t]))
+        if name != "staircase10":
+            cases.append((f"{name}/knutson-derive",
+                          ["knutson", "derive", "--ladder", path, *t, "--verify"]))
+    a, b, c = ("{inputs}/ideal_a.json", "{inputs}/ideal_b.json", "{inputs}/ideal_c.json")
+    cases += [
+        ("ideal-intersect", ["ideal", "intersect", a, b]),
+        ("ideal-colon", ["ideal", "colon", a, b]),
+        ("ideal-saturate", ["ideal", "saturate", a, c]),
+        ("fedder", ["fedder", "--ladder", "{fixtures}/full3x3.json", "--t", "2", "--p", "2"]),
+        ("symbolic-compare", ["--field", "fp:5", "symbolic", "compare",
+                              "--ladder", "{fixtures}/full2x3.json", "--t", "2", "--n", "2"]),
+        ("schubert-gb", ["schubert", "--perm", "{inputs}/perm.json", "--gb"]),
+        ("poset-check", ["poset", "--shape", "3,3", "--delta", "12|12", "--check"]),
+        ("accept-poset-schubert", ["accept", "run", "poset-schubert"]),
+    ]
+    return [(cid, ["--format", "json", *argv]) for cid, argv in cases]
+
+
+def _normalize(argv, stdout: str) -> str:
+    """Drop the wall-clock `seconds` field from accept JSON."""
+    if "accept" in argv and stdout:
+        rows = json.loads(stdout)
+        return json.dumps([{k: v for k, v in row.items() if k != "seconds"} for row in rows]) + "\n"
+    return stdout
+
+
+def run_case(argv, inputs_dir: Path):
+    argv = [a.replace("{fixtures}", str(FIXTURES)).replace("{inputs}", str(inputs_dir))
+            for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, _normalize(argv, out.getvalue())
+
+
+def write_inputs(directory: Path) -> None:
+    for name, obj in INPUTS.items():
+        (directory / name).write_text(json.dumps(obj))
+
+
+@functools.cache
+def _golden():
+    return {case["id"]: case for case in json.loads(GOLDEN.read_text())["cases"]}
+
+
+CASES = _cases()
+
+
+@pytest.fixture(scope="module")
+def inputs_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden_inputs")
+    write_inputs(directory)
+    return directory
+
+
+def test_golden_covers_every_case():
+    assert sorted(_golden()) == sorted(cid for cid, _ in CASES)
+
+
+@pytest.mark.parametrize("cid,argv", CASES, ids=[cid for cid, _ in CASES])
+def test_golden_cli_output(cid, argv, inputs_dir):
+    expected = _golden()[cid]
+    assert expected["argv"] == argv
+    code, stdout = run_case(argv, inputs_dir)
+    assert code == expected["code"]
+    assert stdout == expected["stdout"]
+
+
+def _write_golden() -> None:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(Path(tmp))
+        cases = []
+        for cid, argv in CASES:
+            code, stdout = run_case(argv, Path(tmp))
+            cases.append({"id": cid, "argv": argv, "code": code, "stdout": stdout})
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({"cases": cases}, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden_cli.py --write")
+    _write_golden()
