@@ -15,17 +15,8 @@ from .groebner import (
     MonomialIdeal,
     Ring,
     buchberger,
-    frobenius_bracket,
-    ideal_colon,
-    ideal_equal,
-    ideal_intersect,
-    initial_ideal,
     is_groebner_basis,
-    monomial_dim,
-    monomial_min_primes,
-    monomial_symbolic_power,
     normal_form,
-    saturate,
     time_limit,
 )
 from .ideals import (
@@ -91,7 +82,3 @@ def load_fixture(name: str):
     text = resources.files(__package__).joinpath("fixtures").joinpath(f"{name}.json").read_text()
     return Ladder.from_json(text)
 
-
-def fixture_names() -> list[str]:
-    root = resources.files(__package__).joinpath("fixtures")
-    return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
+from . import load_fixture
 from .fields import GF, QQ
 from .groebner import Ideal, MonomialIdeal, is_groebner_basis
 from .ideals import (
@@ -41,8 +41,6 @@ DEFAULT_SEED = 0
 
 
 def _fixture_ladders():
-    from . import load_fixture
-
     out = []
     for name in ("full2x2", "full2x3", "full3x3", "full3x4", "staircase10"):
         ladder, t = load_fixture(name)
@@ -123,7 +121,7 @@ def criterion_witness_certificate(seed: int = DEFAULT_SEED):
             good = all(passed for _, passed in cert.checks)
             ok &= good
             details.append(f"{name} t={t}: h={cert.h} counts={cert.counts} ok={good}")
-    staircase10, _ = _named_fixture("staircase10")
+    staircase10, _ = load_fixture("staircase10")
     bounds = [staircase10.subladder(j).max_square_in() for j in range(1, len(staircase10.lower) + 1)]
     tried = passed_count = 0
     for tvec in product(*(range(1, b + 1) for b in bounds)):
@@ -181,7 +179,7 @@ def criterion_fedder(seed: int = DEFAULT_SEED):
     ok &= good
     details.append(f"I2(X3x3): {good}")
 
-    L44, _ = _named_fixture("staircase_sub4x4")
+    L44, _ = load_fixture("staircase_sub4x4")
     ring44 = ladder_ring(F2, L44)
     I44 = mixed_ladder_ideal(L44, 2, F2, ring44)
     good = fedder_check(I44, 2, f_witness(L44, 2, F2))
@@ -212,7 +210,7 @@ def criterion_knutson(seed: int = DEFAULT_SEED):
         ("full2x3", Ladder.full(2, 3)),
         ("full3x3", Ladder.full(3, 3)),
         ("full3x4", Ladder.full(3, 4)),
-        ("staircase_sub4x4", _named_fixture("staircase_sub4x4")[0]),
+        ("staircase_sub4x4", load_fixture("staircase_sub4x4")[0]),
     ]
     for name, L in ladder_cases:
         for t in _legal_unmixed_sizes(L):
@@ -313,12 +311,6 @@ def criterion_poset_schubert(seed: int = DEFAULT_SEED):
     return ok, details
 
 
-def _named_fixture(name: str):
-    from . import load_fixture
-
-    return load_fixture(name)
-
-
 # ---------------------------------------------------------------------------
 # Runner
 
@@ -370,13 +362,9 @@ def run_criterion(key: str, seed: int = DEFAULT_SEED) -> CriterionResult:
     raise KeyError(f"unknown criterion: {key!r} (known: {', '.join(criterion_keys())})")
 
 
-def run_suite(keys=None, seed: int = DEFAULT_SEED, workers: int = 1) -> list[CriterionResult]:
+def run_suite(keys=None, seed: int = DEFAULT_SEED) -> list[CriterionResult]:
     keys = list(keys) if keys else criterion_keys()
     for key in keys:
         if key not in criterion_keys():
             raise KeyError(f"unknown criterion: {key!r}")
-    if workers <= 1:
-        return [run_criterion(key, seed) for key in keys]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {key: pool.submit(run_criterion, key, seed) for key in keys}
-    return [futures[key].result() for key in keys]
+    return [run_criterion(key, seed) for key in keys]

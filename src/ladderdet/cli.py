@@ -32,12 +32,13 @@ from .knutson import (
     ladder_derivation,
     verify as verify_derivation,
 )
-from .ladders import Ladder, LadderError, chamfer, reduce_to_unmixed, validate
+from .ladders import Ladder, chamfer, reduce_to_unmixed, validate
 from .oracle import (
     fedder_check,
     initial_symbolic_compare,
     ladder_symbolic_power,
     minor_product_symbolic_degree,
+    saturation_strategy,
     symbolic_fsplit_certificate,
 )
 from .poly import Minor, parse_order, parse_polynomial, poly_to_str
@@ -67,9 +68,9 @@ def _load_ladder(path: str, t_flag=None):
     try:
         ladder = Ladder(tuple(obj["shape"]), tuple(map(tuple, obj["upper"])),
                         tuple(map(tuple, obj["lower"])))
-    except (KeyError, TypeError, LadderError) as exc:
+        t = tuple(t_flag) if t_flag else (tuple(obj["t"]) if obj.get("t") else None)
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path}: not a valid ladder file ({exc})") from None
-    t = tuple(t_flag) if t_flag else (tuple(obj["t"]) if obj.get("t") else None)
     if t is not None and len(t) == 1:
         t = (t[0],) * len(ladder.lower)
     return ladder, t
@@ -77,7 +78,7 @@ def _load_ladder(path: str, t_flag=None):
 
 def _load_ideal(path: str, field, t_flag=None):
     obj = _load_json(path)
-    if "upper" in obj:
+    if isinstance(obj, dict) and "upper" in obj:
         ladder, t = _load_ladder(path, t_flag)
         if t is None:
             raise UsageError(f"{path}: ladder file has no minor sizes; pass --t")
@@ -276,15 +277,13 @@ def _cmd_symbolic(args) -> int:
             raise UsageError("symbolic compare handles unmixed sizes only")
         ring = ladder_ring(field, ladder)
         I = mixed_ladder_ideal(ladder, t, field, ring)
-        tt = t[0]
-        strategy = (mixed_ladder_ideal(ladder, tt - 1, field, ring)
-                    if tt > 1 else ring.maximal_ideal())
+        strategy = saturation_strategy(ladder, t[0], ring)
         res = initial_symbolic_compare(I, args.n, strategy=strategy)
         from .poly import mono_to_str
 
-        witness = mono_to_str(res.witness) if res.witness else None
+        witness = mono_to_str(res.witness) if res.witness is not None else None
         _emit(args, {"equal": res.equal, "witness": witness},
-              [f"equal={res.equal}"] + ([f"witness={witness}"] if witness else []))
+              [f"equal={res.equal}"] + ([f"witness={witness}"] if witness is not None else []))
         return 0 if res.equal else 1
     raise UsageError(f"unknown symbolic action {args.action!r}")
 
@@ -318,7 +317,10 @@ def _cmd_knutson(args) -> int:
             return 0 if report.ok else 1
         return 0
     if args.action == "verify":
-        deriv = derivation_from_json(_read_text(args.file))
+        try:
+            deriv = derivation_from_json(_read_text(args.file))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"{args.file}: not a valid derivation file ({exc})") from None
         report = verify_derivation(deriv)
         _emit(args, {"verified": report.ok,
                      "checks": [{"node": ln.node, "check": ln.check, "ok": ln.ok}
@@ -354,7 +356,10 @@ def _cmd_poset(args) -> int:
     field = parse_field(args.field)
     k, l = (int(x) for x in args.shape.split(","))
     if args.spec:
-        spec = poset_spec_from_json(_read_text(args.spec))
+        try:
+            spec = poset_spec_from_json(_read_text(args.spec))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"{args.spec}: not a valid poset spec ({exc})") from None
         ideal = poset_ideal(k, l, spec, field)
         basis = ideal.canonical_strings()
         _emit(args, {"basis": basis}, basis)
@@ -377,7 +382,7 @@ def _cmd_accept(args) -> int:
     keys = None
     if args.suite and args.suite != "all":
         keys = [args.suite]
-    results = acceptance.run_suite(keys, seed=args.seed, workers=args.workers)
+    results = acceptance.run_suite(keys, seed=args.seed)
     if args.format == "json":
         print(json.dumps([{"key": r.key, "passed": r.passed, "seconds": round(r.seconds, 2),
                            "details": list(r.details)} for r in results]))
@@ -475,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("run", choices=("run",))
     p.add_argument("suite", nargs="?", default="all",
                    help=f"criterion key or 'all'; known: {', '.join(acceptance.criterion_keys())}")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(handler=_cmd_accept)
 
@@ -496,7 +500,7 @@ def main(argv=None) -> int:
     except InstanceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (LadderError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -62,41 +62,7 @@ def _check_deadline():
 
 
 # ---------------------------------------------------------------------------
-# Division
-
-
-def divide(f: Polynomial, basis, order: TermOrder = ANTIDIAG):
-    """Division with quotients: f = sum(q_i * b_i) + r, no term of r
-    divisible by any basis leading term."""
-    field = f.field
-    quots = [dict() for _ in basis]
-    rem = {}
-    leads = [g.leading_term(order) for g in basis]
-    work = dict(f.terms)
-    native = order.is_native
-    keyfn = order.key
-    while work:
-        m = max(work) if native else max(work, key=keyfn)
-        c = work.pop(m)
-        for gi, (lm, lc) in enumerate(leads):
-            u = mono_div(m, lm)
-            if u is not None:
-                q = field.mul(c, field.inv(lc))
-                quots[gi][u] = field.add(quots[gi].get(u, field.zero), q)
-                g = basis[gi]
-                for tm, tc in g.terms.items():
-                    if tm == lm:
-                        continue
-                    mm = mono_mul(tm, u)
-                    v = field.sub(work.get(mm, field.zero), field.mul(tc, q))
-                    if v:
-                        work[mm] = v
-                    elif mm in work:
-                        del work[mm]
-                break
-        else:
-            rem[m] = c
-    return [Polynomial(field, q) for q in quots], Polynomial(field, rem)
+# Reduction
 
 
 class Reducer:
@@ -192,10 +158,10 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder = ANTIDIAG) -> P
 # Buchberger
 
 
-def _update_pairs(G, lmG, sugars, P, f, order):
-    """Gebauer-Moeller pair update; returns the new pair set after adding f."""
-    lmf = f.leading_term(order)[0]
-    n = len(G)
+def _update_pairs(lmG, P, lmf, order):
+    """Gebauer-Moeller pair update; returns the new pair set after adding
+    an element with lead monomial lmf to a basis with lead monomials lmG."""
+    n = len(lmG)
     keyfn = order.key
 
     kept = set()
@@ -221,6 +187,14 @@ def _update_pairs(G, lmG, sugars, P, f, order):
             continue  # coprime-lead criterion
         kept.add((min(members), n))
     return kept
+
+
+def _initial_pairs(lmG, order):
+    """Pair set of a basis with lead monomials lmG, added one at a time."""
+    P: set = set()
+    for n, lm in enumerate(lmG):
+        P = _update_pairs(lmG[:n], P, lm, order)
+    return P
 
 
 def _pair_key(i, j, lmG, sugars, order):
@@ -259,24 +233,14 @@ class _PairQueue:
 def _buchberger_loop(gens, order):
     """Shared Buchberger driver; returns (G, hit_unit_ideal)."""
     field = gens[0].field
-    G: list[Polynomial] = []
-    lmG: list[tuple] = []
-    sugars: list[int] = []
-    P: set = set()
+    G = [f.monic(order) for f in gens]
+    lmG = [f.leading_term(order)[0] for f in G]
+    if MONO_ONE in lmG:
+        return [Polynomial.one(field)], True
+    sugars = [f.degree() for f in G]
+    reducer = Reducer(G, order)
     queue = _PairQueue()
-    reducer = Reducer((), order)
-    for f in gens:
-        if f.is_zero:
-            continue
-        f = f.monic(order)
-        P = _update_pairs(G, lmG, sugars, P, f, order)
-        G.append(f)
-        reducer.add(f)
-        lmG.append(f.leading_term(order)[0])
-        sugars.append(f.degree())
-        if lmG[-1] == MONO_ONE:
-            return [Polynomial.one(field)], True
-    queue.sync(P, lmG, sugars, order)
+    queue.sync(_initial_pairs(lmG, order), lmG, sugars, order)
 
     while True:
         _check_deadline()
@@ -296,12 +260,13 @@ def _buchberger_loop(gens, order):
         if r.is_zero:
             continue
         r = r.monic(order)
-        if r.leading_term(order)[0] == MONO_ONE:
+        lmr = r.leading_term(order)[0]
+        if lmr == MONO_ONE:
             return [Polynomial.one(field)], True
-        P = _update_pairs(G, lmG, sugars, queue.live, r, order)
+        P = _update_pairs(lmG, queue.live, lmr, order)
         G.append(r)
         reducer.add(r)
-        lmG.append(r.leading_term(order)[0])
+        lmG.append(lmr)
         sugars.append(pair_sugar)
         queue.sync(P, lmG, sugars, order)
 
@@ -347,12 +312,8 @@ def is_groebner_basis(gens, order: TermOrder = ANTIDIAG) -> bool:
         return True
     G = [g.monic(order) for g in gens]
     lmG = [g.leading_term(order)[0] for g in G]
-    sugars = [g.degree() for g in G]
     reducer = Reducer(G, order)
-    P = set()
-    for n in range(len(G)):
-        P = _update_pairs(G[:n], lmG[:n], sugars[:n], P, G[n], order)
-    for i, j in sorted(P):
+    for i, j in sorted(_initial_pairs(lmG, order)):
         _check_deadline()
         if mono_lcm(lmG[i], lmG[j]) == mono_mul(lmG[i], lmG[j]):
             continue
@@ -528,13 +489,7 @@ class Ideal:
         if g.is_zero:
             return Ideal(self.ring, [Polynomial.one(self.ring.field)])
         inter = self.intersect(Ideal(self.ring, [g]))
-        gens = []
-        for h in inter.gens:
-            quots, rem = divide(h, [g], ANTIDIAG)
-            if not rem.is_zero:
-                raise ArithmeticError("intersection element not divisible by g")
-            gens.append(quots[0])
-        return Ideal(self.ring, gens)
+        return Ideal(self.ring, [_exact_quotient(h, g) for h in inter.gens])
 
     def colon(self, other: "Ideal") -> "Ideal":
         """(I : J) as the intersection of (I : g) over generators g of J."""
@@ -590,6 +545,30 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens over {self.ring.field})"
+
+
+def _exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:
+    """h / g; ArithmeticError unless g divides h exactly."""
+    field = g.field
+    lm, lc = g.leading_term(ANTIDIAG)
+    inv = field.inv(lc)
+    work = dict(h.terms)
+    quot = {}
+    while work:
+        m = max(work)
+        u = mono_div(m, lm)
+        if u is None:
+            raise ArithmeticError("intersection element not divisible by g")
+        q = quot[u] = field.mul(work.pop(m), inv)
+        for tm, tc in g.terms.items():
+            if tm != lm:
+                mm = mono_mul(tm, u)
+                v = field.sub(work.get(mm, field.zero), field.mul(tc, q))
+                if v:
+                    work[mm] = v
+                else:
+                    work.pop(mm, None)
+    return Polynomial(field, quot)
 
 
 def _frobenius_power(g: Polynomial, q: int) -> Polynomial:
@@ -772,42 +751,3 @@ def min_cover_size(supports) -> int:
 
     rec(supports, 0)
     return best[0]
-
-
-# Spec-named functional wrappers.
-
-
-def monomial_min_primes(M: MonomialIdeal):
-    return M.min_primes()
-
-
-def monomial_dim(M: MonomialIdeal) -> int:
-    return M.dim()
-
-
-def monomial_symbolic_power(M: MonomialIdeal, n: int) -> MonomialIdeal:
-    return M.symbolic_power(n)
-
-
-def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
-    return I.intersect(J)
-
-
-def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
-    return I.colon(J)
-
-
-def saturate(I: Ideal, J: Ideal) -> tuple[Ideal, int]:
-    return I.saturate(J)
-
-
-def frobenius_bracket(I: Ideal, q: int) -> Ideal:
-    return I.bracket(q)
-
-
-def initial_ideal(I: Ideal, order: TermOrder = ANTIDIAG) -> MonomialIdeal:
-    return I.initial_ideal(order)
-
-
-def ideal_equal(I: Ideal, J: Ideal) -> bool:
-    return I.equal(J)

@@ -63,13 +63,6 @@ def mixed_ladder_ideal(L: Ladder, t, field: Field = QQ, ring: Ring | None = None
     return Ideal(ring, gens)
 
 
-def ladder_ideal(L: Ladder, t: int, field: Field = QQ, ring: Ring | None = None) -> Ideal:
-    """Unmixed I_t(L) on an explicit ring (defaults to k[L])."""
-    ring = ring or ladder_ring(field, L)
-    gens = [expand_minor(m, field) for m in minors_in_ladder(L, t)]
-    return Ideal(ring, gens)
-
-
 # ---------------------------------------------------------------------------
 # Witness polynomials
 
@@ -92,6 +85,15 @@ def _check_expansion_size(factors) -> None:
             )
 
 
+def minor_product(factors, field: Field = QQ) -> Polynomial:
+    """The expanded product of the minors, refused when it could be huge."""
+    _check_expansion_size(factors)
+    result = Polynomial.one(field)
+    for m in factors:
+        result = result * expand_minor(m, field)
+    return result
+
+
 def f_witness_factors(L: Ladder, t) -> tuple[Minor, ...]:
     """The antidiagonal determinant factors det(Y_r), r in B."""
     return antidiagonal_profile(L, t).witness_factors
@@ -99,12 +101,7 @@ def f_witness_factors(L: Ladder, t) -> tuple[Minor, ...]:
 
 def f_witness(L: Ladder, t, field: Field = QQ) -> Polynomial:
     """Product of the profile determinants; lies in I_t(L)^(height)."""
-    factors = f_witness_factors(L, t)
-    _check_expansion_size(factors)
-    result = Polynomial.one(field)
-    for m in factors:
-        result = result * expand_minor(m, field)
-    return result
+    return minor_product(f_witness_factors(L, t), field)
 
 
 def f_of_matrix(k: int, l: int, field: Field = QQ) -> Polynomial:
@@ -113,10 +110,7 @@ def f_of_matrix(k: int, l: int, field: Field = QQ) -> Polynomial:
     Its leading term under any antidiagonal order is the product of every
     grid variable.
     """
-    result = Polynomial.one(field)
-    for m in f_of_matrix_factors(k, l):
-        result = result * expand_minor(m, field)
-    return result
+    return minor_product(f_of_matrix_factors(k, l), field)
 
 
 def f_of_matrix_factors(k: int, l: int) -> tuple[Minor, ...]:
@@ -216,12 +210,7 @@ def g_witness_data(L: Ladder, t) -> GWitnessData:
 
 
 def g_witness(L: Ladder, t, field: Field = QQ) -> Polynomial:
-    data = g_witness_data(L, t)
-    _check_expansion_size(data.factors)
-    result = Polynomial.one(field)
-    for m in data.factors:
-        result = result * expand_minor(m, field)
-    return result
+    return minor_product(g_witness_data(L, t).factors, field)
 
 
 # ---------------------------------------------------------------------------
@@ -428,21 +417,11 @@ def poset_ideal(k: int, l: int, spec: PosetIdealSpec, field: Field = QQ,
                         sorted(omega, key=lambda m: (m.rows, m.cols))])
 
 
-def generalized_poset_ideal(k: int, l: int, minors, field: Field = QQ,
-                            ring: Ring | None = None) -> Ideal:
-    return poset_ideal(k, l, PosetIdealSpec("generalized", tuple(minors)), field, ring)
-
-
 def poset_ideal_brute(k: int, l: int, delta: Minor, field: Field = QQ,
                       ring: Ring | None = None) -> Ideal:
     """Brute-force cogenerated ideal: materialize the complement directly."""
     ring = ring or grid_ring(field, k, l)
     return Ideal(ring, [expand_minor(m, field) for m in omega_delta_set(k, l, delta)])
-
-
-def poset_spec_to_json(spec: PosetIdealSpec) -> str:
-    return json.dumps({spec.kind: [{"rows": list(m.rows), "cols": list(m.cols)}
-                                   for m in spec.minors]})
 
 
 def poset_spec_from_json(text: str) -> PosetIdealSpec:

@@ -226,14 +226,10 @@ def verify(deriv: KnutsonDerivation) -> VerifyReport:
 # Band machinery shared by the ladder and corner theorems
 
 
-def _band(L: Ladder, axis: str, lo: int, hi: int) -> Ladder:
-    return L.band(axis, lo, hi)
-
-
 def _band_minors(L: Ladder, t: int, axis: str, lo: int, hi: int) -> list[Minor]:
     from .ideals import minors_in_ladder
 
-    band = _band(L, axis, lo, hi)
+    band = L.band(axis, lo, hi)
     if band.is_empty:
         return []
     return minors_in_ladder(band, t)
@@ -295,7 +291,7 @@ class _BandDeriver:
 
     def _base(self, axis: str, lo: int, hi: int, claimed):
         t = self.t
-        band = _band(self.L, axis, lo, hi)
+        band = self.L.band(axis, lo, hi)
         levels = []
         for r in range(2, sum(self.L.shape) + 1):
             if len(_level_cells(band, r)) == t:

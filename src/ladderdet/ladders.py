@@ -85,14 +85,6 @@ class Ladder:
     def is_empty(self) -> bool:
         return not self.upper or not self.cells
 
-    @property
-    def num_upper(self) -> int:
-        return len(self.upper)
-
-    @property
-    def num_lower(self) -> int:
-        return len(self.lower)
-
     # -- derived ladders
 
     @classmethod
@@ -520,7 +512,6 @@ class UnmixReduction:
             cur, cur_t = chamfer(cur, cur_t, j)
         k, l = self.original.shape
         ro, co = self.offset
-        cells = {(i - ro, j - co) for i, j in cur.cells}
         return Ladder(
             (k, l),
             tuple((b - ro, a - co) for b, a in cur.upper),

@@ -8,14 +8,13 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .fields import QQ, Field
-from .groebner import Ideal, MonomialIdeal
+from .groebner import Ideal, MonomialIdeal, Ring
 from .ladders import Ladder, antidiagonal_profile, height
 from .poly import (
     ANTIDIAG,
     Minor,
     Polynomial,
     TermOrder,
-    expand_minor,
     mono_is_squarefree,
     mono_mul,
     mono_to_str,
@@ -65,14 +64,9 @@ class SymbolicCertificate:
 
     def witness_polynomial(self, field: Field = QQ) -> Polynomial:
         """The expanded witness f (computed on demand, size-guarded)."""
-        from .ideals import _check_expansion_size
+        from .ideals import minor_product
 
-        minors = [m for m, _, _, _ in self.factors]
-        _check_expansion_size(minors)
-        result = Polynomial.one(field)
-        for m in minors:
-            result = result * expand_minor(m, field)
-        return result
+        return minor_product([m for m, _, _, _ in self.factors], field)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -152,6 +146,16 @@ def symbolic_power_saturation(I: Ideal, n: int, strategy: Ideal) -> Ideal:
     return saturated
 
 
+def saturation_strategy(L: Ladder, t: int, ring: Ring) -> Ideal:
+    """The ideal to saturate powers of I_t(L) by: I_{t-1}(L) for t > 1."""
+    from .ideals import mixed_ladder_ideal
+
+    if t > 1:
+        return mixed_ladder_ideal(L, t - 1, ring.field, ring)
+    # The variable ideal is a complete intersection: nothing to saturate.
+    return Ideal(ring, [Polynomial.one(ring.field)])
+
+
 def ladder_symbolic_power(L: Ladder, t, n: int, field: Field = QQ) -> Ideal:
     """Saturation oracle for an unmixed ladder ideal; refuses mixed sizes."""
     from .ideals import ladder_ring, mixed_ladder_ideal
@@ -163,12 +167,7 @@ def ladder_symbolic_power(L: Ladder, t, n: int, field: Field = QQ) -> Ideal:
         t = tset.pop()
     ring = ladder_ring(field, L)
     I = mixed_ladder_ideal(L, t, field, ring)
-    if t > 1:
-        strategy = mixed_ladder_ideal(L, t - 1, field, ring)
-    else:
-        # The variable ideal is a complete intersection: nothing to saturate.
-        strategy = Ideal(ring, [Polynomial.one(field)])
-    return symbolic_power_saturation(I, n, strategy)
+    return symbolic_power_saturation(I, n, saturation_strategy(L, t, ring))
 
 
 # ---------------------------------------------------------------------------

@@ -203,10 +203,6 @@ def mono_radical(a: tuple) -> tuple:
     return tuple((k, 1) for k, _ in a)
 
 
-def mono_vars(a: tuple) -> tuple[Variable, ...]:
-    return tuple(_BY_KEY[k] for k, _ in a)
-
-
 def mono_pow(a: tuple, n: int) -> tuple:
     if n == 0:
         return MONO_ONE
@@ -357,9 +353,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms) if order.is_native else max(self.terms, key=order.key)
         return m, self.terms[m]
-
-    def leading_monomial(self, order: TermOrder = ANTIDIAG) -> tuple:
-        return self.leading_term(order)[0]
 
     def sorted_terms(self, order: TermOrder = ANTIDIAG):
         """Terms sorted decreasingly under `order` (canonical iteration)."""
@@ -536,10 +529,6 @@ class Minor:
         return f"[{r}|{c}]"
 
 
-def square_minor(row0: int, col0: int, size: int) -> Minor:
-    return Minor(tuple(range(row0, row0 + size)), tuple(range(col0, col0 + size)))
-
-
 def expand_minor(m: Minor, field: Field = QQ) -> Polynomial:
     """Signed Leibniz expansion of the minor as a polynomial."""
     n = m.size
@@ -550,11 +539,6 @@ def expand_minor(m: Minor, field: Field = QQ) -> Polynomial:
         mm = mono_from_vars(grid_var(m.rows[a], m.cols[perm[a]]) for a in range(n))
         terms[mm] = field.coerce(sign)
     return Polynomial(field, terms)
-
-
-def leading_term(order: TermOrder, f: Polynomial):
-    """Module-level alias for Polynomial.leading_term."""
-    return f.leading_term(order)
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +555,6 @@ def mono_to_str(m: tuple) -> str:
     return "*".join(parts)
 
 
-def _coeff_str(c) -> str:
-    return str(c)
-
-
 def poly_to_str(f: Polynomial, order: TermOrder = ANTIDIAG) -> str:
     if f.is_zero:
         return "0"
@@ -585,9 +565,9 @@ def poly_to_str(f: Polynomial, order: TermOrder = ANTIDIAG) -> str:
             sign, c = "-", -c
         body = mono_to_str(m)
         if body == "1":
-            body = _coeff_str(c)
+            body = str(c)
         elif c != 1:
-            body = f"{_coeff_str(c)}*{body}"
+            body = f"{c}*{body}"
         if not out:
             out.append(f"-{body}" if sign else body)
         else:

@@ -36,7 +36,7 @@ def test_criterion(key):
 
 
 def test_suite_runner_collects_everything():
-    results = acceptance.run_suite(["chamfer-descent", "fedder"], workers=2)
+    results = acceptance.run_suite(["chamfer-descent", "fedder"])
     assert [r.key for r in results] == ["chamfer-descent", "fedder"]
     assert all(r.passed for r in results)
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ladderdet.cli import main
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ladderdet" / "fixtures"
@@ -106,6 +108,15 @@ def test_symbolic_commands(capsys):
     assert code == 0 and "equal=True" in out
 
 
+def test_symbolic_compare_t1(capsys):
+    # For t = 1 the ideal is generated by variables, so I^(n) = I^n.
+    code, out = run_cli("--format", "json", "symbolic", "compare",
+                        "--ladder", str(FIXTURES / "full2x2.json"), "--t", "1", "--n", "2",
+                        capsys=capsys)
+    assert code == 0
+    assert json.loads(out) == {"equal": True, "witness": None}
+
+
 def test_knutson_commands(capsys, tmp_path):
     out_file = tmp_path / "deriv.json"
     code, _ = run_cli("knutson", "derive", "--ladder", str(FIXTURES / "full2x3.json"),
@@ -144,6 +155,22 @@ def test_exit_codes_on_bad_input(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     code, _ = run_cli("ladder", "validate", str(missing), capsys=capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,content", [
+    (["knutson", "verify"],
+     {"cells": 5, "field": "q", "f_factors": [], "root": {"kind": "leaf", "factor": "1"}}),
+    (["poset", "--shape", "2,2", "--spec"], {"explicit": [5]}),
+    (["ideal", "gb"], 5),
+], ids=["knutson-verify", "poset-spec", "ideal-gb"])
+def test_malformed_loader_input_exits_2(argv, content, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    proc = subprocess.run([sys.executable, "-m", "ladderdet.cli", *argv, str(bad)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_falsified_identity_exit_code(capsys, tmp_path):

@@ -115,16 +115,6 @@ def test_normal_form_examples():
     assert normal_form(prod, basis).is_zero
 
 
-def test_division_certificate():
-    from ladderdet.groebner import divide
-
-    f = P("x[1,1]^2*x[2,2] + x[1,1]")
-    basis = [P("x[1,1]*x[2,2] - 1")]
-    quots, rem = divide(f, basis)
-    assert quots[0] * basis[0] + rem == f
-    assert rem == P("2*x[1,1]")
-
-
 def test_buchberger_examples():
     x11 = Polynomial.variable(QQ, gv(1, 1))
     assert buchberger([x11]) == [x11]
