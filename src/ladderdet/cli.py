@@ -411,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
                         help="seed for randomized suites")
     parser.add_argument("--timeout", type=float, default=60.0,
-                        help="time budget per Groebner task in seconds")
+                        help="time budget in seconds for the Groebner computations "
+                             "and cover searches of the command")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 

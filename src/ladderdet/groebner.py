@@ -13,6 +13,7 @@ import heapq
 import threading
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -38,27 +39,27 @@ from .poly import (
 
 
 class InstanceTooLarge(RuntimeError):
-    """A Groebner task exceeded its time budget or iteration cap."""
+    """A Groebner task or cover search exceeded its time budget or iteration cap."""
 
 
-_local = threading.local()
+_deadline: ContextVar[float | None] = ContextVar("ladderdet_deadline", default=None)
 
 
 @contextmanager
 def time_limit(seconds: float | None):
-    """Bound the wall-clock time of Groebner tasks on this thread."""
-    old = getattr(_local, "deadline", None)
-    _local.deadline = None if seconds is None else time.monotonic() + seconds
+    """Bound the wall-clock time of Groebner tasks and monomial cover searches
+    in the current context (a new thread starts without a limit)."""
+    token = _deadline.set(None if seconds is None else time.monotonic() + seconds)
     try:
         yield
     finally:
-        _local.deadline = old
+        _deadline.reset(token)
 
 
 def _check_deadline():
-    deadline = getattr(_local, "deadline", None)
+    deadline = _deadline.get()
     if deadline is not None and time.monotonic() > deadline:
-        raise InstanceTooLarge("instance too large: Groebner task exceeded its time budget")
+        raise InstanceTooLarge("instance too large: time budget exceeded")
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +620,8 @@ class MonomialIdeal:
         return all(mono_is_squarefree(g) for g in self.gens)
 
     def radical(self) -> "MonomialIdeal":
+        if self.is_squarefree():
+            return self
         return MonomialIdeal.from_monomials(self.ring, [mono_radical(g) for g in self.gens])
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
@@ -679,75 +682,94 @@ class MonomialIdeal:
         return MonomialIdeal.from_monomials(self.ring, gens)
 
 
+def _cover_bits(supports) -> tuple[list, list[int]]:
+    """The set system as int bitmasks: returns (keys, masks).
+
+    Bit i stands for keys[i], the i-th smallest key, so scanning a mask from
+    low to high bits visits its keys in sorted order.  Duplicate supports and
+    supports that contain another one are dropped: neither changes the
+    minimal covers.  The masks come out in ascending popcount.
+    """
+    sets = {frozenset(s) for s in supports}
+    if frozenset() in sets:
+        raise ValueError("empty support: ideal contains a unit")
+    keys = sorted(set().union(*sets))
+    bit = {k: 1 << i for i, k in enumerate(keys)}
+    masks = []
+    for m in sorted({sum(bit[k] for k in s) for s in sets}, key=int.bit_count):
+        if not any(t & m == t for t in masks):
+            masks.append(m)
+    return keys, masks
+
+
 def minimal_covers(supports) -> list[frozenset]:
     """All minimal covers (minimal primes) of a set system, by splitting."""
-    supports = [s for s in supports]
-    if any(not s for s in supports):
-        raise ValueError("empty support: ideal contains a unit")
+    keys, masks = _cover_bits(supports)
 
     def rec(remaining):
+        _check_deadline()
         if not remaining:
-            return [frozenset()]
-        pivot = min(remaining, key=len)
+            return [0]
+        pivot = remaining[0]  # least popcount: removals keep the order
         out = []
-        for k in sorted(pivot):
-            rest = [s for s in remaining if k not in s]
-            for cover in rec(rest):
-                out.append(cover | {k})
+        while pivot:
+            b = pivot & -pivot
+            pivot ^= b
+            out.extend(cover | b for cover in rec([s for s in remaining if not s & b]))
         return out
 
-    covers = rec(supports)
-    covers.sort(key=lambda c: (len(c), sorted(c)))
+    def indices(c):
+        return [i for i in range(c.bit_length()) if c >> i & 1]
+
+    # Ascending bit indices sort like the sorted keys they stand for.
     minimal = []
-    for c in covers:
-        if not any(m <= c for m in minimal):
+    for c in sorted(set(rec(masks)), key=lambda c: (c.bit_count(), indices(c))):
+        if not any(m & c == m for m in minimal):
             minimal.append(c)
-    return minimal
+    return [frozenset(keys[i] for i in indices(c)) for c in minimal]
 
 
 def min_cover_size(supports) -> int:
     """Exact minimum cover size by branch and bound (no enumeration)."""
-    supports = sorted({frozenset(s) for s in supports}, key=len)
-    if not supports:
-        return 0
-    if any(not s for s in supports):
-        raise ValueError("empty support: ideal contains a unit")
-    supports = [s for s in supports if not any(t < s for t in supports)]
+    _, masks = _cover_bits(supports)
 
     def greedy(remaining):
         chosen = 0
-        rem = remaining
-        while rem:
+        while remaining:
             counts: dict = {}
-            for s in rem:
-                for k in s:
-                    counts[k] = counts.get(k, 0) + 1
-            best = max(counts, key=lambda k: (counts[k], k))
-            rem = [s for s in rem if best not in s]
+            for s in remaining:
+                while s:
+                    b = s & -s
+                    s ^= b
+                    counts[b] = counts.get(b, 0) + 1
+            best = max(counts, key=lambda b: (counts[b], b))
+            remaining = [s for s in remaining if not s & best]
             chosen += 1
         return chosen
 
     def matching_bound(remaining):
-        used: set = set()
-        count = 0
+        used = count = 0
         for s in remaining:
-            if not (s & used):
+            if not s & used:
                 used |= s
                 count += 1
         return count
 
-    best = [greedy(supports)]
+    best = [greedy(masks)]
 
     def rec(remaining, size):
+        _check_deadline()
         if not remaining:
             if size < best[0]:
                 best[0] = size
             return
         if size + matching_bound(remaining) >= best[0]:
             return
-        pivot = min(remaining, key=len)
-        for k in sorted(pivot):
-            rec([s for s in remaining if k not in s], size + 1)
+        pivot = remaining[0]  # least popcount: removals keep the order
+        while pivot:
+            b = pivot & -pivot
+            pivot ^= b
+            rec([s for s in remaining if not s & b], size + 1)
 
-    rec(supports, 0)
+    rec(masks, 0)
     return best[0]

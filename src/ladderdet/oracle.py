@@ -17,6 +17,7 @@ from .poly import (
     TermOrder,
     mono_is_squarefree,
     mono_mul,
+    mono_pow,
     mono_to_str,
 )
 
@@ -83,6 +84,12 @@ class SymbolicCertificate:
         )
 
 
+def outside_frobenius_power_of_m(m: tuple, p: int) -> bool:
+    """True iff the monomial m lies outside m^[p] = (x^p : x a variable),
+    that is, every exponent of m is below p."""
+    return all(e < p for _, e in m)
+
+
 def symbolic_fsplit_certificate(L: Ladder, t, field: Field | None = None) -> SymbolicCertificate:
     """Build and verify the splitting certificate for (L, t).
 
@@ -107,8 +114,11 @@ def symbolic_fsplit_certificate(L: Ladder, t, field: Field | None = None) -> Sym
     checks.append(("lead_squarefree", mono_is_squarefree(lead)))
     checks.append(("counts_nonnegative", all(c >= 0 for _, _, _, c in factors)))
     if field is not None and field.is_modular:
-        # Leibniz sign is a unit mod p, and squarefree exponents stay below p.
-        checks.append(("lead_outside_frobenius_power_of_m", mono_is_squarefree(lead)))
+        # The lead term of f^(p-1) is lead^(p-1) with a unit coefficient (the
+        # Leibniz sign to the p-1), so f^(p-1) avoids m^[p] when lead^(p-1) does.
+        p = field.characteristic
+        checks.append(("lead_outside_frobenius_power_of_m",
+                       outside_frobenius_power_of_m(mono_pow(lead, p - 1), p)))
     cert = SymbolicCertificate(L, t, h, tuple(factors), lead, tuple(checks))
     failed = [name for name, ok in checks if not ok]
     if failed:

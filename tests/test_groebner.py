@@ -1,8 +1,9 @@
 """Groebner engine: division, bases, ideal operations, monomial ideals."""
 
 import random
+import time
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -281,23 +282,81 @@ def test_monomial_ideal_utilities():
         MonomialIdeal.from_monomials(ring, [mono((x, 2))]).symbolic_power(2)
 
 
-def test_minimal_covers_against_bruteforce():
-    rng = random.Random(23)
-    for _ in range(15):
-        nvars = rng.randint(2, 6)
-        supports = [frozenset(rng.sample(range(nvars), rng.randint(1, min(3, nvars))))
-                    for _ in range(rng.randint(1, 5))]
-        covers = minimal_covers(supports)
-        # brute force: all subsets, keep covering ones, minimalize
-        from itertools import chain, combinations
+def _brute_minimal_covers(supports):
+    """Minimal covers by trying every subset of the keys, in output order."""
+    universe = sorted(set().union(*supports))
+    covering = [frozenset(c) for size in range(len(universe) + 1)
+                for c in combinations(universe, size)
+                if all(s & set(c) for s in supports)]
+    return [c for c in covering if not any(o < c for o in covering)]
 
-        universe = sorted(set().union(*supports))
-        covering = [frozenset(c) for size in range(len(universe) + 1)
-                    for c in combinations(universe, size)
-                    if all(s & set(c) for s in supports)]
-        minimal = [c for c in covering if not any(o < c for o in covering)]
-        assert sorted(map(sorted, covers)) == sorted(map(sorted, minimal))
-        assert min_cover_size(supports) == min(len(c) for c in minimal)
+
+def test_minimal_covers_against_bruteforce():
+    # Up to 10 grid-variable keys, supports of size up to 4, with duplicate
+    # and nested (non-minimal) supports mixed in.
+    rng = random.Random(2024)
+    keys = [gv(i, j).key for i in range(1, 4) for j in range(1, 5)]
+    for _ in range(150):
+        pool = rng.sample(keys, rng.randint(1, 10))
+        supports = [frozenset(rng.sample(pool, rng.randint(1, min(4, len(pool)))))
+                    for _ in range(rng.randint(1, 7))]
+        supports += [s | {rng.choice(pool)} for s in supports[:2]]
+        supports += supports[:1]
+        rng.shuffle(supports)
+        expected = _brute_minimal_covers(supports)
+        assert minimal_covers(supports) == expected
+        assert min_cover_size(supports) == len(expected[0])
+
+
+def test_cover_edge_cases():
+    assert min_cover_size([]) == 0
+    assert minimal_covers([]) == [frozenset()]
+    x = gv(1, 1).key
+    for search in (min_cover_size, minimal_covers):
+        with pytest.raises(ValueError):
+            search([frozenset({x}), frozenset()])
+
+
+def test_radical_of_squarefree_ideal_is_itself():
+    ring = Ring.for_grid(QQ, 2, 2)
+    x, y, z = gv(1, 1), gv(1, 2), gv(2, 1)
+    M = MonomialIdeal.from_monomials(ring, [mono((x, 1), (y, 1)), mono((z, 1))])
+    assert M.radical() is M
+    N = MonomialIdeal.from_monomials(ring, [mono((x, 2), (y, 1)), mono((x, 1), (y, 3), (z, 1)),
+                                            mono((z, 2))])
+    assert N.radical() == MonomialIdeal.from_monomials(ring, [mono((x, 1), (y, 1)), mono((z, 1))])
+
+
+def test_time_limit_bounds_dim():
+    # dim of in(I_2) of the generic 6x6 matrix takes several seconds of
+    # cover search; a 1 s budget must stop it.
+    pairs = list(combinations(range(1, 7), 2))
+    ring = Ring.for_grid(QQ, 6, 6)
+    M = MonomialIdeal.from_monomials(
+        ring, [Minor(r, c).antidiagonal_monomial() for r in pairs for c in pairs])
+    start = time.monotonic()
+    with pytest.raises(InstanceTooLarge):
+        with time_limit(1.0):
+            M.dim()
+    assert time.monotonic() - start < 3.0
+
+
+def test_time_limit_nests_and_stays_in_its_thread():
+    import threading
+
+    ring = Ring.for_grid(QQ, 1, 2)
+    M = MonomialIdeal.from_monomials(ring, [mono((gv(1, 1), 1), (gv(1, 2), 1))])
+    with time_limit(1e-9):
+        with time_limit(None):
+            assert M.dim() == 1  # the inner limit replaces the outer one
+        with pytest.raises(InstanceTooLarge):
+            M.dim()  # and the outer one is back
+        results = []
+        worker = threading.Thread(target=lambda: results.append(M.dim()))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive() and results == [1]  # new threads start unlimited
+    assert M.dim() == 1
 
 
 def test_time_limit_raises():

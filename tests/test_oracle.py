@@ -23,10 +23,20 @@ from ladderdet.oracle import (
     initial_symbolic_compare,
     ladder_symbolic_power,
     minor_product_symbolic_degree,
+    outside_frobenius_power_of_m,
     symbolic_fsplit_certificate,
     symbolic_power_saturation,
 )
-from ladderdet.poly import Minor, Polynomial, expand_minor, grid_var, mono_to_str
+from ladderdet.poly import (
+    Minor,
+    Polynomial,
+    expand_minor,
+    grid_var,
+    mono,
+    mono_is_squarefree,
+    mono_pow,
+    mono_to_str,
+)
 
 
 def test_symbolic_degree_examples():
@@ -235,3 +245,20 @@ def test_initial_compare_reports_witness_when_strategy_too_weak():
     assert res.right.contains(res.witness) and not res.left.contains(res.witness)
     det_lead = expand_minor(Minor((1, 2, 3), (1, 2, 3)), F5).leading_term()[0]
     assert res.right.contains(det_lead)
+
+
+def test_frobenius_check_on_non_squarefree_lead():
+    x, y = grid_var(1, 1), grid_var(1, 2)
+    for p in (2, 3, 5):
+        F = GF(p)
+        bracket = Ring.for_grid(F, 1, 2).maximal_ideal().bracket(p)
+        # The predicate is non-membership in m^[p].
+        for m in (mono((x, p - 1), (y, p - 1)), mono((x, p), (y, 1)), mono((x, 1), (y, p + 1))):
+            outside = not bracket.contains(Polynomial(F, {m: F.one}))
+            assert outside_frobenius_power_of_m(m, p) == outside
+        # A non-squarefree lead to the (p-1) fails it, a squarefree one passes.
+        assert not outside_frobenius_power_of_m(mono_pow(mono((x, 2), (y, 1)), p - 1), p)
+        assert outside_frobenius_power_of_m(mono_pow(mono((x, 1), (y, 1)), p - 1), p)
+    # It is not squarefreeness: x^2 avoids m^[3] but is not squarefree.
+    assert outside_frobenius_power_of_m(mono((x, 2)), 3)
+    assert not mono_is_squarefree(mono((x, 2)))
