@@ -10,7 +10,7 @@ from itertools import product
 
 from . import load_fixture
 from .fields import GF, QQ
-from .groebner import Ideal, MonomialIdeal, is_groebner_basis
+from .groebner import Ideal, InstanceTooLarge, MonomialIdeal, is_groebner_basis, time_limit
 from .ideals import (
     PartialPermutation,
     f_of_matrix,
@@ -353,18 +353,28 @@ def criterion_keys() -> list[str]:
     return [key for key, _, _ in CRITERIA]
 
 
-def run_criterion(key: str, seed: int = DEFAULT_SEED) -> CriterionResult:
+def run_criterion(key: str, seed: int = DEFAULT_SEED, seconds: float | None = None) -> CriterionResult:
+    """Run one criterion under a time budget of `seconds` (None: unbounded).
+
+    A criterion that runs out of budget fails, with the reason as its detail.
+    """
     for ckey, title, fn in CRITERIA:
         if ckey == key:
             start = time.monotonic()
-            passed, details = fn(seed)
+            try:
+                with time_limit(seconds):
+                    passed, details = fn(seed)
+            except InstanceTooLarge as exc:
+                elapsed = time.monotonic() - start
+                return CriterionResult(ckey, title, False, elapsed, (f"{exc} after {elapsed:.2f} s",))
             return CriterionResult(ckey, title, passed, time.monotonic() - start, tuple(details))
     raise KeyError(f"unknown criterion: {key!r} (known: {', '.join(criterion_keys())})")
 
 
-def run_suite(keys=None, seed: int = DEFAULT_SEED) -> list[CriterionResult]:
+def run_suite(keys=None, seed: int = DEFAULT_SEED, seconds: float | None = None) -> list[CriterionResult]:
+    """Run the criteria in order, each under its own budget of `seconds`."""
     keys = list(keys) if keys else criterion_keys()
     for key in keys:
         if key not in criterion_keys():
             raise KeyError(f"unknown criterion: {key!r}")
-    return [run_criterion(key, seed) for key in keys]
+    return [run_criterion(key, seed, seconds) for key in keys]

@@ -382,7 +382,7 @@ def _cmd_accept(args) -> int:
     keys = None
     if args.suite and args.suite != "all":
         keys = [args.suite]
-    results = acceptance.run_suite(keys, seed=args.seed)
+    results = acceptance.run_suite(keys, seed=args.seed, seconds=args.timeout)
     if args.format == "json":
         print(json.dumps([{"key": r.key, "passed": r.passed, "seconds": round(r.seconds, 2),
                            "details": list(r.details)} for r in results]))
@@ -412,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized suites")
     parser.add_argument("--timeout", type=float, default=60.0,
                         help="time budget in seconds for the Groebner computations "
-                             "and cover searches of the command")
+                             "and cover searches of the command; accept gives each "
+                             "criterion its own budget and fails one that exceeds it")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -491,8 +492,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "accept":
-            return args.handler(args)
         with time_limit(args.timeout):
             return args.handler(args)
     except UsageError as exc:

@@ -15,6 +15,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .fields import Field
@@ -31,6 +32,7 @@ from .poly import (
     mono_has_aux,
     mono_is_squarefree,
     mono_lcm,
+    mono_mask,
     mono_mul,
     mono_pow,
     mono_radical,
@@ -64,13 +66,63 @@ def _check_deadline():
 
 # ---------------------------------------------------------------------------
 # Reduction
+#
+# Over QQ the reduction loops keep integral coefficients as plain ints
+# (`_exact_terms`), which is most of them: every basis element is monic and
+# minors have coefficients +-1.  Non-integral ones stay Fractions, division
+# always goes through a Fraction, and `_as_polynomial` turns every int back
+# into a Fraction before a Polynomial leaves this module.
+
+
+def _exact_terms(f: Polynomial) -> dict:
+    """The terms of f, with integral rational coefficients as ints."""
+    if f.field.p is not None:
+        return dict(f.terms)
+    return {m: c.numerator if c.denominator == 1 else c for m, c in f.terms.items()}
+
+
+def _as_polynomial(field: Field, terms: dict) -> Polynomial:
+    if field.p is None:
+        terms = {m: c if type(c) is Fraction else Fraction(c) for m, c in terms.items()}
+    return Polynomial(field, terms)
+
+
+def _sub_multiple(work: dict, tail, u: tuple, q, p) -> None:
+    """work -= q * u * tail, in place; `tail` holds (monomial, coefficient) pairs."""
+    if p is None:
+        for tm, tc in tail:
+            mm = mono_mul(tm, u)
+            v = work.get(mm, 0) - tc * q
+            if v:
+                work[mm] = v
+            elif mm in work:
+                del work[mm]
+    else:
+        for tm, tc in tail:
+            mm = mono_mul(tm, u)
+            v = (work.get(mm, 0) - tc * q) % p
+            if v:
+                work[mm] = v
+            elif mm in work:
+                del work[mm]
+
+
+def _quotient(c, lc, p):
+    """c / lc in the field; c itself when lc is 1."""
+    if lc == 1:
+        return c
+    if p is None:
+        q = Fraction(c) / lc
+        return q.numerator if q.denominator == 1 else q
+    return c * pow(lc, -1, p) % p
 
 
 class Reducer:
     """Divisor table for repeated normal forms against a (growing) basis.
 
     Divisors are indexed by the greatest variable of their leading
-    monomial, so candidate lookups touch only entries that can divide.
+    monomial, so candidate lookups touch only entries that can divide, and
+    a lead's support mask rules out most of those before `mono_divides`.
     """
 
     __slots__ = ("field", "order", "by_first", "const")
@@ -85,18 +137,20 @@ class Reducer:
 
     def add(self, g: Polynomial) -> None:
         self.field = g.field
-        lm, lc = g.leading_term(self.order)
-        tail = [(tm, tc) for tm, tc in g.terms.items() if tm != lm]
+        lm = g.leading_term(self.order)[0]
+        terms = _exact_terms(g)
+        lc = terms.pop(lm)
+        entry = (lm, lc, list(terms.items()), mono_mask(lm))
         if lm == MONO_ONE:
-            self.const = (lm, lc, tail)
+            self.const = entry
         else:
-            self.by_first.setdefault(lm[0][0], []).append((lm, lc, tail))
+            self.by_first.setdefault(lm[0][0], []).append(entry)
 
     def reduce(self, f: Polynomial) -> Polynomial:
         field = f.field
         p = field.p
         rem = {}
-        work = dict(f.terms)
+        work = _exact_terms(f)
         native = self.order.is_native
         keyfn = self.order.key
         by_first = self.by_first
@@ -107,9 +161,10 @@ class Reducer:
             c = work.pop(m)
             hit = const
             if hit is None:
+                mask = mono_mask(m)
                 for k, _ in m:
                     for entry in by_first.get(k, ()):
-                        if mono_divides(entry[0], m):
+                        if not entry[3] & ~mask and mono_divides(entry[0], m):
                             hit = entry
                             break
                     if hit:
@@ -117,27 +172,9 @@ class Reducer:
             if hit is None:
                 rem[m] = c
                 continue
-            lm, lc, tail = hit
-            u = mono_div(m, lm)
-            if p is None:
-                q = c / lc
-                for tm, tc in tail:
-                    mm = mono_mul(tm, u)
-                    v = work.get(mm, 0) - tc * q
-                    if v:
-                        work[mm] = v
-                    elif mm in work:
-                        del work[mm]
-            else:
-                q = c * pow(lc, -1, p) % p
-                for tm, tc in tail:
-                    mm = mono_mul(tm, u)
-                    v = (work.get(mm, 0) - tc * q) % p
-                    if v:
-                        work[mm] = v
-                    elif mm in work:
-                        del work[mm]
-        return Polynomial(field, rem)
+            lm, lc, tail, _ = hit
+            _sub_multiple(work, tail, mono_div(m, lm), _quotient(c, lc, p), p)
+        return _as_polynomial(field, rem)
 
 
 def normal_form(f: Polynomial, basis, order: TermOrder = ANTIDIAG) -> Polynomial:
@@ -145,89 +182,112 @@ def normal_form(f: Polynomial, basis, order: TermOrder = ANTIDIAG) -> Polynomial
     return Reducer(basis, order).reduce(f)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder = ANTIDIAG) -> Polynomial:
-    lmf, lcf = f.leading_term(order)
-    lmg, lcg = g.leading_term(order)
-    lcm = mono_lcm(lmf, lmg)
-    field = f.field
-    a = f.mul_term(mono_div(lcm, lmf), field.inv(lcf))
-    b = g.mul_term(mono_div(lcm, lmg), field.inv(lcg))
-    return a - b
+def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder = ANTIDIAG,
+                 lcm: tuple | None = None) -> Polynomial:
+    """S-polynomial of f and g; `lcm` is the lcm of their leads, if known.
+
+    The two leads cancel, so only the scaled tails are formed, in one dict.
+    """
+    p = f.field.p
+    lmf = f.leading_term(order)[0]
+    lmg = g.leading_term(order)[0]
+    if lcm is None:
+        lcm = mono_lcm(lmf, lmg)
+    tf = _exact_terms(f)
+    tg = _exact_terms(g)
+    af = _quotient(1, tf.pop(lmf), p)
+    ag = _quotient(1, tg.pop(lmg), p)
+    out: dict = {}
+    _sub_multiple(out, tf.items(), mono_div(lcm, lmf), -af, p)
+    _sub_multiple(out, tg.items(), mono_div(lcm, lmg), ag, p)
+    return _as_polynomial(f.field, out)
 
 
 # ---------------------------------------------------------------------------
 # Buchberger
+#
+# A pair set is a dict {(i, j): lcm of the leads of i and j}, each lcm
+# computed once, when the pair is made.  `masks` holds the support mask of
+# each lead (`mono_mask`): leads are coprime iff their masks share no bit,
+# and lmf can divide an lcm only if its mask lies inside the lcm's.
 
 
-def _update_pairs(lmG, P, lmf, order):
+def _update_pairs(lmG, masks, P, lmf, order):
     """Gebauer-Moeller pair update; returns the new pair set after adding
     an element with lead monomial lmf to a basis with lead monomials lmG."""
     n = len(lmG)
-    keyfn = order.key
+    maskf = mono_mask(lmf)
+    lcms = [mono_lcm(lm, lmf) for lm in lmG]
 
-    kept = set()
-    for (i, j) in P:
-        lcm_ij = mono_lcm(lmG[i], lmG[j])
+    kept = {}
+    for (i, j), lcm_ij in P.items():
+        # B_k(i, j) drops the pair only when lmf | lcm_ij and lcm_ij differs
+        # from both lcm(lm_i, lmf) and lcm(lm_j, lmf).
         if (
-            not mono_divides(lmf, lcm_ij)
-            or mono_lcm(lmG[i], lmf) == lcm_ij
-            or mono_lcm(lmG[j], lmf) == lcm_ij
+            maskf & ~(masks[i] | masks[j])
+            or lcms[i] == lcm_ij
+            or lcms[j] == lcm_ij
+            or not mono_divides(lmf, lcm_ij)
         ):
-            kept.add((i, j))
+            kept[i, j] = lcm_ij
 
     lcm_groups: dict = {}
-    for i in range(n):
-        lcm_groups.setdefault(mono_lcm(lmG[i], lmf), []).append(i)
+    for i, L in enumerate(lcms):
+        lcm_groups.setdefault(L, []).append(i)
     minimal = []
-    for L in sorted(lcm_groups, key=keyfn):
-        if all(not mono_divides(Lmin, L) for Lmin in minimal):
-            minimal.append(L)
-    for L in minimal:
+    for L in sorted(lcm_groups, key=order.key):
+        mask_L = maskf | masks[lcm_groups[L][0]]
+        for Lmin, mask in minimal:
+            if not mask & ~mask_L and mono_divides(Lmin, L):
+                break
+        else:
+            minimal.append((L, mask_L))
+    for L, _ in minimal:
         members = lcm_groups[L]
-        if any(mono_lcm(lmG[i], lmf) == mono_mul(lmG[i], lmf) for i in members):
+        if any(not masks[i] & maskf for i in members):
             continue  # coprime-lead criterion
-        kept.add((min(members), n))
+        kept[members[0], n] = L
     return kept
 
 
 def _initial_pairs(lmG, order):
     """Pair set of a basis with lead monomials lmG, added one at a time."""
-    P: set = set()
+    masks = [mono_mask(lm) for lm in lmG]
+    P: dict = {}
     for n, lm in enumerate(lmG):
-        P = _update_pairs(lmG[:n], P, lm, order)
+        P = _update_pairs(lmG[:n], masks, P, lm, order)
     return P
 
 
-def _pair_key(i, j, lmG, sugars, order):
-    lcm = mono_lcm(lmG[i], lmG[j])
-    sugar = max(
-        sugars[i] + mono_degree(lcm) - mono_degree(lmG[i]),
-        sugars[j] + mono_degree(lcm) - mono_degree(lmG[j]),
-    )
+def _pair_key(i, j, lcm, lmG, sugars, order):
+    d = mono_degree(lcm)
+    sugar = max(sugars[i] + d - mono_degree(lmG[i]), sugars[j] + d - mono_degree(lmG[j]))
     return (order.key(lcm), sugar, i, j)
 
 
 class _PairQueue:
-    """Normal-selection pair queue: a heap with lazy deletion against the
-    authoritative Gebauer-Moeller pair set."""
+    """Normal-selection pair queue: a heap of `_pair_key`s with lazy
+    deletion against the authoritative Gebauer-Moeller pair set `live`."""
 
     __slots__ = ("heap", "live")
 
     def __init__(self):
         self.heap: list = []
-        self.live: set = set()
+        self.live: dict = {}
 
     def sync(self, pairs, lmG, sugars, order):
-        for pair in pairs - self.live:
-            heapq.heappush(self.heap, (_pair_key(*pair, lmG, sugars, order), pair))
-        self.live = set(pairs)
+        for pair, lcm in pairs.items():
+            if pair not in self.live:
+                heapq.heappush(self.heap, _pair_key(*pair, lcm, lmG, sugars, order))
+        self.live = pairs
 
     def pop(self):
+        """(pair, lcm, sugar) of the next live pair, or None."""
         while self.heap:
-            _, pair = heapq.heappop(self.heap)
-            if pair in self.live:
-                self.live.discard(pair)
-                return pair
+            _, sugar, i, j = heapq.heappop(self.heap)
+            lcm = self.live.pop((i, j), None)
+            if lcm is not None:
+                return (i, j), lcm, sugar
         return None
 
 
@@ -238,6 +298,7 @@ def _buchberger_loop(gens, order):
     lmG = [f.leading_term(order)[0] for f in G]
     if MONO_ONE in lmG:
         return [Polynomial.one(field)], True
+    masks = [mono_mask(lm) for lm in lmG]
     sugars = [f.degree() for f in G]
     reducer = Reducer(G, order)
     queue = _PairQueue()
@@ -245,29 +306,24 @@ def _buchberger_loop(gens, order):
 
     while True:
         _check_deadline()
-        pair = queue.pop()
-        if pair is None:
+        popped = queue.pop()
+        if popped is None:
             return G, False
-        i, j = pair
-        lcm = mono_lcm(lmG[i], lmG[j])
-        if lcm == mono_mul(lmG[i], lmG[j]):
+        (i, j), lcm, pair_sugar = popped
+        if not masks[i] & masks[j]:
             continue  # coprime leads
-        pair_sugar = max(
-            sugars[i] + mono_degree(lcm) - mono_degree(lmG[i]),
-            sugars[j] + mono_degree(lcm) - mono_degree(lmG[j]),
-        )
-        s = s_polynomial(G[i], G[j], order)
-        r = reducer.reduce(s)
+        r = reducer.reduce(s_polynomial(G[i], G[j], order, lcm))
         if r.is_zero:
             continue
         r = r.monic(order)
         lmr = r.leading_term(order)[0]
         if lmr == MONO_ONE:
             return [Polynomial.one(field)], True
-        P = _update_pairs(lmG, queue.live, lmr, order)
+        P = _update_pairs(lmG, masks, queue.live, lmr, order)
         G.append(r)
         reducer.add(r)
         lmG.append(lmr)
+        masks.append(mono_mask(lmr))
         sugars.append(pair_sugar)
         queue.sync(P, lmG, sugars, order)
 
@@ -277,17 +333,21 @@ def interreduce(G, order: TermOrder = ANTIDIAG):
     G = [g.monic(order) for g in G if not g.is_zero]
     G.sort(key=lambda g: order.key(g.leading_term(order)[0]))
     minimal = []
+    leads = []
     for g in G:
         lm = g.leading_term(order)[0]
-        if not any(mono_divides(h.leading_term(order)[0], lm) for h in minimal):
+        mask = mono_mask(lm)
+        if not any(not mh & ~mask and mono_divides(h, lm) for h, mh in leads):
             minimal.append(g)
+            leads.append((lm, mask))
+    # A lead never divides a smaller term, so reducing a tail against all of
+    # `minimal` is reducing it against the other elements.
+    reducer = Reducer(minimal, order)
     out = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others, order) if others else g
-        out.append(r.monic(order))
-    out.sort(key=lambda g: order.key(g.leading_term(order)[0]))
-    return out
+    for g, (lm, _) in zip(minimal, leads):
+        tail = reducer.reduce(Polynomial(g.field, {m: c for m, c in g.terms.items() if m != lm}))
+        out.append(Polynomial(g.field, {lm: g.terms[lm], **tail.terms}))
+    return out  # sorted by lead, as `minimal` is
 
 
 def buchberger(gens, order: TermOrder = ANTIDIAG):
@@ -313,13 +373,13 @@ def is_groebner_basis(gens, order: TermOrder = ANTIDIAG) -> bool:
         return True
     G = [g.monic(order) for g in gens]
     lmG = [g.leading_term(order)[0] for g in G]
+    masks = [mono_mask(lm) for lm in lmG]
     reducer = Reducer(G, order)
-    for i, j in sorted(_initial_pairs(lmG, order)):
+    for (i, j), lcm in sorted(_initial_pairs(lmG, order).items()):
         _check_deadline()
-        if mono_lcm(lmG[i], lmG[j]) == mono_mul(lmG[i], lmG[j]):
-            continue
-        s = s_polynomial(G[i], G[j], order)
-        if not reducer.reduce(s).is_zero:
+        if not masks[i] & masks[j]:
+            continue  # coprime leads
+        if not reducer.reduce(s_polynomial(G[i], G[j], order, lcm)).is_zero:
             return False
     return True
 
@@ -459,6 +519,7 @@ class Ideal:
         for combo in combinations_with_replacement(self.gens, n):
             g = combo[0]
             for h in combo[1:]:
+                _check_deadline()
                 g = g * h
             gens.append(g)
         return Ideal(self.ring, gens)
@@ -550,26 +611,21 @@ class Ideal:
 
 def _exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:
     """h / g; ArithmeticError unless g divides h exactly."""
-    field = g.field
-    lm, lc = g.leading_term(ANTIDIAG)
-    inv = field.inv(lc)
-    work = dict(h.terms)
+    p = g.field.p
+    lm = g.leading_term(ANTIDIAG)[0]
+    terms = _exact_terms(g)
+    lc = terms.pop(lm)
+    tail = list(terms.items())
+    work = _exact_terms(h)
     quot = {}
     while work:
         m = max(work)
         u = mono_div(m, lm)
         if u is None:
             raise ArithmeticError("intersection element not divisible by g")
-        q = quot[u] = field.mul(work.pop(m), inv)
-        for tm, tc in g.terms.items():
-            if tm != lm:
-                mm = mono_mul(tm, u)
-                v = field.sub(work.get(mm, field.zero), field.mul(tc, q))
-                if v:
-                    work[mm] = v
-                else:
-                    work.pop(mm, None)
-    return Polynomial(field, quot)
+        q = quot[u] = _quotient(work.pop(m), lc, p)
+        _sub_multiple(work, tail, u, q, p)
+    return _as_polynomial(g.field, quot)
 
 
 def _frobenius_power(g: Polynomial, q: int) -> Polynomial:

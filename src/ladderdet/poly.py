@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import count, permutations
 
 from .fields import QQ, Field
 
@@ -24,6 +24,8 @@ from .fields import QQ, Field
 _GRID: dict[tuple[int, int], "Variable"] = {}
 _AUX: dict[tuple[str, int], "Variable"] = {}
 _BY_KEY: dict[tuple, "Variable"] = {}
+_BIT: dict[tuple, int] = {}  # variable key -> its support-mask bit
+_BIT_INDEX = count()  # next() is atomic, so racing interners never share a bit
 
 
 class Variable:
@@ -32,7 +34,8 @@ class Variable:
     Auxiliaries sort strictly above every grid variable; grid variables
     follow the antidiagonal-lex convention (row-major, columns descending
     within a row).  Instances are interned: construct via `grid_var` /
-    `aux_var`.
+    `aux_var`.  Each interned variable owns one bit of the support masks
+    (`mono_mask`).
     """
 
     __slots__ = ("kind", "i", "j", "name", "rank", "key")
@@ -64,21 +67,26 @@ class Variable:
         return f"x[{self.i},{self.j}]"
 
 
+def _intern(table: dict, ident, make) -> Variable:
+    v = table.get(ident)
+    if v is None:
+        # setdefault keeps interning atomic under concurrent first use
+        v = table.setdefault(ident, make())
+        _BY_KEY.setdefault(v.key, v)
+        _BIT.setdefault(v.key, 1 << next(_BIT_INDEX))
+    return v
+
+
 def grid_var(i: int, j: int) -> Variable:
     """The generic-matrix entry x[i,j] (1-based, interned)."""
     if i < 1 or j < 1:
         raise ValueError(f"grid indices are 1-based: ({i},{j})")
-    # setdefault keeps interning atomic under concurrent first use
-    v = _GRID.setdefault((i, j), Variable("grid", i=i, j=j))
-    _BY_KEY.setdefault(v.key, v)
-    return v
+    return _intern(_GRID, (i, j), lambda: Variable("grid", i=i, j=j))
 
 
 def aux_var(name: str = "t", rank: int = 0) -> Variable:
     """An auxiliary variable sorting above all grid variables."""
-    v = _AUX.setdefault((name, rank), Variable("aux", name=name, rank=rank))
-    _BY_KEY.setdefault(v.key, v)
-    return v
+    return _intern(_AUX, (name, rank), lambda: Variable("aux", name=name, rank=rank))
 
 
 def var_by_key(key) -> Variable:
@@ -207,6 +215,18 @@ def mono_pow(a: tuple, n: int) -> tuple:
     if n == 0:
         return MONO_ONE
     return tuple((k, e * n) for k, e in a)
+
+
+def mono_mask(a: tuple) -> int:
+    """Support mask: the OR of the bits of the variables in `a`.
+
+    b | a needs ``mono_mask(b) & ~mono_mask(a) == 0``, and a, b are coprime
+    exactly when ``mono_mask(a) & mono_mask(b) == 0``.
+    """
+    mask = 0
+    for k, _ in a:
+        mask |= _BIT[k]
+    return mask
 
 
 def mono_has_aux(a: tuple) -> bool:

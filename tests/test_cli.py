@@ -255,3 +255,12 @@ def test_timeout_diagnostic(capsys):
     code, _ = run_cli("--timeout", "0.000001", "ideal", "gb",
                       str(FIXTURES / "full3x4.json"), "--t", "2", capsys=capsys)
     assert code == 1
+
+
+def test_accept_honours_timeout(capsys):
+    code, out = run_cli("--timeout", "0.000001", "--format", "json", "accept", "run",
+                        "poset-schubert", capsys=capsys)
+    assert code == 1
+    (result,) = json.loads(out)
+    assert result["passed"] is False
+    assert "time budget exceeded after" in result["details"][0]

@@ -2,7 +2,9 @@
 
 sympy's polys module is an independent implementation; agreement of the
 reduced bases on seeded random inputs guards the engine that every other
-check in the suite leans on.
+check in the suite leans on.  The 3x3 cases use exponents up to 2 and
+non-integral coefficients, so the engine's integer fast path over QQ and its
+Fraction fallback (leading coefficients other than 1) both run.
 """
 
 import random
@@ -16,14 +18,18 @@ from ladderdet.fields import GF, QQ
 from ladderdet.groebner import buchberger
 from ladderdet.poly import ANTIDIAG, GREVLEX, Minor, Polynomial, expand_minor, grid_var, mono
 
+SCALARS = (-2, -1, 1, 3, Fraction(2, 3), Fraction(-1, 2))
+PAIRS = [(1, 2), (1, 3), (2, 3)]
 
-def _random_poly(rng, variables, max_terms=4, max_deg=3, field=QQ):
+
+def _random_poly(rng, variables, max_terms=4, max_deg=3, field=QQ,
+                 coeffs=(-3, -2, -1, 1, 2, 3), max_exp=1):
     terms = []
     for _ in range(rng.randint(1, max_terms)):
         m = []
         for _ in range(rng.randint(0, max_deg)):
-            m.append((rng.choice(variables), 1))
-        coeff = rng.choice([-3, -2, -1, 1, 2, 3])
+            m.append((rng.choice(variables), rng.randint(1, max_exp) if max_exp > 1 else 1))
+        coeff = rng.choice(coeffs)
         terms.append((mono(*m), coeff))
     return Polynomial.from_terms(field, terms)
 
@@ -60,6 +66,34 @@ def _basis_as_sets(basis, variables):
     return out
 
 
+def _assert_fraction_coefficients(basis):
+    # The integer fast path must never leak an int into a basis over QQ.
+    assert all(type(c) is Fraction for g in basis for c in g.terms.values())
+
+
+def _grid3_variables():
+    return sorted((grid_var(i, j) for i in (1, 2, 3) for j in (1, 2, 3)),
+                  key=lambda v: v.key, reverse=True)
+
+
+def _minors_plus_noise(rng, variables, field):
+    """Three scaled 2-minors of the generic 3x3 matrix and two random
+    polynomials with exponents up to 2, all with coefficients from SCALARS."""
+    gens = [expand_minor(Minor(rng.choice(PAIRS), rng.choice(PAIRS)), field)
+            * field.coerce(rng.choice(SCALARS)) for _ in range(3)]
+    gens += [_random_poly(rng, variables, max_terms=3, max_deg=2, field=field,
+                          coeffs=SCALARS, max_exp=2) for _ in range(2)]
+    return [g for g in gens if not g.is_zero]
+
+
+def _sympy_groebner(gens, variables, domain, order_name):
+    from sympy.polys.groebnertools import groebner as sympy_groebner
+
+    symbols = sympy.symbols(f"v0:{len(variables)}")
+    sring, *_ = sympy.ring(",".join(str(s) for s in symbols), domain, order_name)
+    return sympy_groebner([_to_sympy(g, variables, symbols, sring) for g in gens], sring)
+
+
 def _sympy_basis_as_sets(basis, nvars, modulus=None):
     out = set()
     for g in basis:
@@ -94,6 +128,7 @@ def test_random_ideals_match_sympy(order_name):
 
         expected = sympy_groebner(sympy_gens, sring)
         got = buchberger(gens, my_order)
+        _assert_fraction_coefficients(got)
         assert _basis_as_sets(got, variables) == _sympy_basis_as_sets(expected, len(variables))
 
 
@@ -111,6 +146,7 @@ def test_determinantal_bases_match_sympy():
 
     expected = sympy_groebner([_to_sympy(g, variables, symbols, sring) for g in gens], sring)
     got = buchberger(gens, ANTIDIAG)
+    _assert_fraction_coefficients(got)
     assert _basis_as_sets(got, variables) == _sympy_basis_as_sets(expected, len(variables))
 
 
@@ -131,4 +167,31 @@ def test_modular_bases_match_sympy():
 
         expected = sympy_groebner([_to_sympy(g, variables, symbols, sring) for g in gens], sring)
         got = buchberger(gens, ANTIDIAG)
+        assert _basis_as_sets(got, variables) == _sympy_basis_as_sets(expected, len(variables), p)
+
+
+@pytest.mark.parametrize("order_name", ["lex", "grevlex"])
+def test_rational_3x3_bases_match_sympy(order_name):
+    rng = random.Random(45 if order_name == "lex" else 46)
+    my_order = ANTIDIAG if order_name == "lex" else GREVLEX
+    variables = _grid3_variables()
+    non_integral = 0
+    for _ in range(8):
+        gens = _minors_plus_noise(rng, variables, QQ)
+        got = buchberger(gens, my_order)
+        _assert_fraction_coefficients(got)
+        non_integral += sum(c.denominator != 1 for g in got for c in g.terms.values())
+        expected = _sympy_groebner(gens, variables, sympy.QQ, order_name)
+        assert _basis_as_sets(got, variables) == _sympy_basis_as_sets(expected, len(variables))
+    assert non_integral > 0
+
+
+def test_modular_3x3_bases_match_sympy():
+    rng = random.Random(47)
+    p = 7
+    variables = _grid3_variables()
+    for _ in range(8):
+        gens = _minors_plus_noise(rng, variables, GF(p))
+        got = buchberger(gens, ANTIDIAG)
+        expected = _sympy_groebner(gens, variables, sympy.GF(p), "lex")
         assert _basis_as_sets(got, variables) == _sympy_basis_as_sets(expected, len(variables), p)

@@ -13,21 +13,30 @@ from ladderdet.groebner import (
     InstanceTooLarge,
     MonomialIdeal,
     Ring,
+    _initial_pairs,
     buchberger,
     interreduce,
     is_groebner_basis,
     min_cover_size,
     minimal_covers,
     normal_form,
+    s_polynomial,
     time_limit,
 )
 from ladderdet.poly import (
     ANTIDIAG,
+    ELIM,
+    GREVLEX,
     Minor,
     Polynomial,
+    aux_var,
     expand_minor,
     grid_var,
     mono,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
     parse_polynomial,
 )
 
@@ -368,6 +377,95 @@ def test_time_limit_raises():
     with pytest.raises(InstanceTooLarge):
         with time_limit(1e-9):
             I.groebner_basis()
+
+
+def test_time_limit_bounds_power():
+    # 3003 products of up to six minors; a 10 ms budget must stop them.
+    ring = Ring.for_grid(QQ, 3, 3)
+    nine = [minor((r1, r2), (c1, c2))
+            for r1, r2 in [(1, 2), (1, 3), (2, 3)]
+            for c1, c2 in [(1, 2), (1, 3), (2, 3)]]
+    start = time.monotonic()
+    with pytest.raises(InstanceTooLarge):
+        with time_limit(0.01):
+            Ideal(ring, nine).power(6)
+    assert time.monotonic() - start < 2.0
+
+
+# -- the Gebauer-Moeller pair update against the set-based reference it replaced
+
+
+def _reference_update_pairs(lmG, P, lmf, order):
+    n = len(lmG)
+    kept = set()
+    for (i, j) in P:
+        lcm_ij = mono_lcm(lmG[i], lmG[j])
+        if (
+            not mono_divides(lmf, lcm_ij)
+            or mono_lcm(lmG[i], lmf) == lcm_ij
+            or mono_lcm(lmG[j], lmf) == lcm_ij
+        ):
+            kept.add((i, j))
+    lcm_groups: dict = {}
+    for i in range(n):
+        lcm_groups.setdefault(mono_lcm(lmG[i], lmf), []).append(i)
+    minimal = []
+    for L in sorted(lcm_groups, key=order.key):
+        if all(not mono_divides(Lmin, L) for Lmin in minimal):
+            minimal.append(L)
+    for L in minimal:
+        members = lcm_groups[L]
+        if any(mono_lcm(lmG[i], lmf) == mono_mul(lmG[i], lmf) for i in members):
+            continue
+        kept.add((min(members), n))
+    return kept
+
+
+def _reference_initial_pairs(lmG, order):
+    P: set = set()
+    for n, lm in enumerate(lmG):
+        P = _reference_update_pairs(lmG[:n], P, lm, order)
+    return P
+
+
+@pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX, ELIM], ids=str)
+def test_initial_pairs_match_set_based_reference(order):
+    rng = random.Random(2025)
+    variables = [gv(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    if order is ELIM:
+        variables.append(aux_var("t"))
+    for _ in range(200):
+        pool = [mono(*((rng.choice(variables), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))))
+                for _ in range(rng.randint(2, 14))]
+        # repeated leads, and leads coprime to most others
+        leads = pool + [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+        leads += [mono((rng.choice(variables), 1)) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(leads)
+        P = _initial_pairs(leads, order)
+        assert set(P) == _reference_initial_pairs(leads, order)
+        assert all(lcm == mono_lcm(leads[i], leads[j]) for (i, j), lcm in P.items())
+
+
+def test_is_groebner_basis_rejects_perturbed_minors():
+    nine = [minor((r1, r2), (c1, c2))
+            for r1, r2 in [(1, 2), (1, 3), (2, 3)]
+            for c1, c2 in [(1, 2), (1, 3), (2, 3)]]
+    assert is_groebner_basis(nine)
+    for k, extra in enumerate(["x[3,3]^2", "x[1,1]*x[3,3]", "2/3*x[2,2]"]):
+        perturbed = nine[:k] + [nine[k] + P(extra)] + nine[k + 1:]
+        assert not is_groebner_basis(perturbed)
+        assert is_groebner_basis(buchberger(perturbed))
+
+
+def test_rational_results_hold_fractions():
+    f = P("2/3*x[1,1]*x[2,2] - x[1,2]*x[2,1] + 5*x[1,1]")
+    g = P("3*x[1,1]*x[1,2] + 1/2*x[2,2]")
+    for h in (s_polynomial(f, g), normal_form(f, [g]), normal_form(P("x[1,2]"), [f])):
+        assert all(type(c) is Fraction for c in h.terms.values())
+    (lmf, lcf), (lmg, lcg) = f.leading_term(), g.leading_term()
+    lcm = mono_lcm(lmf, lmg)
+    assert s_polynomial(f, g) == (f.mul_term(mono_div(lcm, lmf), 1 / lcf)
+                                  - g.mul_term(mono_div(lcm, lmg), 1 / lcg))
 
 
 def test_interreduce_produces_monic_antichain():

@@ -17,6 +17,10 @@ from ladderdet.poly import (
     expand_minor,
     grid_var,
     mono,
+    mono_divides,
+    mono_lcm,
+    mono_mask,
+    mono_mul,
     mono_to_str,
     parse_polynomial,
     poly_to_str,
@@ -202,3 +206,16 @@ def test_distinct_auxiliaries_do_not_collide():
     assert parse_polynomial(poly_to_str(f)) == f
     # higher rank outranks the name, keeping fresh eliminations stacked above
     assert aux_var("a", 1).key > aux_var("z", 0).key
+
+
+def test_support_masks_decide_coprimality_and_reject_non_divisors():
+    rng = random.Random(7)
+    variables = [gv(i, j) for i in range(1, 5) for j in range(1, 5)] + [aux_var("t"), aux_var("t", 1)]
+    assert len({mono_mask(mono((v, 1))) for v in variables}) == len(variables)
+    for _ in range(500):
+        a, b = (mono(*((rng.choice(variables), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))))
+                for _ in range(2))
+        ma, mb = mono_mask(a), mono_mask(b)
+        assert (not ma & mb) == (mono_lcm(a, b) == mono_mul(a, b))
+        if ma & ~mb:
+            assert not mono_divides(a, b)
