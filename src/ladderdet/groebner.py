@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import heapq
 import threading
-import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -23,9 +20,11 @@ from .poly import (
     ANTIDIAG,
     ELIM,
     MONO_ONE,
+    InstanceTooLarge,
     Polynomial,
     TermOrder,
     Variable,
+    _check_deadline,
     mono_degree,
     mono_divides,
     mono_div,
@@ -36,32 +35,9 @@ from .poly import (
     mono_mul,
     mono_pow,
     mono_radical,
+    time_limit,  # re-exported: the budget API lives in poly, below groebner
     var_by_key,
 )
-
-
-class InstanceTooLarge(RuntimeError):
-    """A Groebner task or cover search exceeded its time budget or iteration cap."""
-
-
-_deadline: ContextVar[float | None] = ContextVar("ladderdet_deadline", default=None)
-
-
-@contextmanager
-def time_limit(seconds: float | None):
-    """Bound the wall-clock time of Groebner tasks and monomial cover searches
-    in the current context (a new thread starts without a limit)."""
-    token = _deadline.set(None if seconds is None else time.monotonic() + seconds)
-    try:
-        yield
-    finally:
-        _deadline.reset(token)
-
-
-def _check_deadline():
-    deadline = _deadline.get()
-    if deadline is not None and time.monotonic() > deadline:
-        raise InstanceTooLarge("instance too large: time budget exceeded")
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +422,7 @@ class Ideal:
 
     def __init__(self, ring: Ring, gens):
         self.ring = ring
-        seen = []
+        seen = {}  # a dict dedupes in linear time and keeps first occurrences
         for g in gens:
             if g.is_zero:
                 continue
@@ -454,8 +430,7 @@ class Ideal:
                 raise ValueError("generator field does not match ring")
             if not ring.contains_poly(g):
                 raise ValueError(f"generator uses variables outside the ring: {g}")
-            if g not in seen:
-                seen.append(g)
+            seen.setdefault(g)
         self.gens = tuple(seen)
         self._cache: dict[TermOrder, tuple[Polynomial, ...]] = {}
         self._lock = threading.Lock()
@@ -497,6 +472,15 @@ class Ideal:
         basis = self.groebner_basis(order)
         return len(basis) == 1 and basis[0].leading_term(order)[0] == MONO_ONE
 
+    def _known_unit(self) -> bool:
+        """True when the ideal is visibly (1), without running Buchberger:
+        a generator is a nonzero constant, or a cached basis is (1)."""
+        if any(g.terms.keys() == {MONO_ONE} for g in self.gens):
+            return True
+        with self._lock:
+            cached = list(self._cache.values())
+        return any(len(b) == 1 and b[0].terms.keys() == {MONO_ONE} for b in cached)
+
     def equal(self, other: "Ideal", order: TermOrder = ANTIDIAG) -> bool:
         """Ideal equality via reduced-Groebner-basis comparison."""
         self._require_same_ring(other)
@@ -529,17 +513,21 @@ class Ideal:
         self._require_same_ring(other)
         if self.is_zero or other.is_zero:
             return Ideal(self.ring, [])
-        if self.is_unit():
+        # Only a visibly unit ideal takes the shortcut.  The elimination is
+        # correct for a unit input too, so a Buchberger probe would only
+        # add work.
+        if self._known_unit():
             return Ideal(self.ring, other.gens)
-        if other.is_unit():
+        if other._known_unit():
             return Ideal(self.ring, self.gens)
         aux = self.ring.fresh_aux()
         t = Polynomial.variable(self.ring.field, aux)
         one = Polynomial.one(self.ring.field)
         gens = [t * g for g in self.gens] + [(one - t) * h for h in other.gens]
         basis = buchberger(gens, ELIM)
+        # ELIM is lex with the auxiliaries on top, so an element whose lead
+        # is aux-free has no aux in any term.
         kept = [b for b in basis if not mono_has_aux(b.leading_term(ELIM)[0])]
-        kept = [b for b in kept if not any(mono_has_aux(m) for m in b.terms)]
         out = Ideal(self.ring, kept)
         # The aux-free slice of the reduced elimination basis is the reduced
         # basis of the intersection under the inner (antidiagonal) order.

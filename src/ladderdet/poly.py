@@ -12,11 +12,44 @@ compares.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import count, permutations
 
 from .fields import QQ, Field
+
+# ---------------------------------------------------------------------------
+# Time budgets
+
+
+class InstanceTooLarge(RuntimeError):
+    """A Groebner task, cover search or minor expansion exceeded its time
+    budget, iteration cap or size cap."""
+
+
+_deadline: ContextVar[float | None] = ContextVar("ladderdet_deadline", default=None)
+
+
+@contextmanager
+def time_limit(seconds: float | None):
+    """Bound the wall-clock time of Groebner tasks, monomial cover searches
+    and minor expansions in the current context (a new thread starts
+    without a limit)."""
+    token = _deadline.set(None if seconds is None else time.monotonic() + seconds)
+    try:
+        yield
+    finally:
+        _deadline.reset(token)
+
+
+def _check_deadline():
+    deadline = _deadline.get()
+    if deadline is not None and time.monotonic() > deadline:
+        raise InstanceTooLarge("instance too large: time budget exceeded")
+
 
 # ---------------------------------------------------------------------------
 # Variables
@@ -244,33 +277,35 @@ class TermOrder:
 
     ``elim`` compares the auxiliary-variable block lexicographically first,
     then the grid part under `inner`; auxiliaries always sit above the grid.
+
+    `is_native` is true when monomial tuples compare natively under the
+    order, so that `key` is the identity.  That holds for antidiagonal-lex
+    and for ``elim(antidiag-lex)``: aux keys sort above every grid key, so
+    lex on the aux block, then lex on the grid part, is plain lex on the
+    whole monomial.
     """
 
     kind: str  # "antidiag-lex" | "grevlex" | "elim"
     inner: str = "antidiag-lex"
+    is_native: bool = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("antidiag-lex", "grevlex", "elim"):
             raise ValueError(f"unknown term order kind: {self.kind}")
         if self.kind == "elim" and self.inner not in ("antidiag-lex", "grevlex"):
             raise ValueError(f"unknown inner order: {self.inner}")
-
-    @property
-    def is_native(self) -> bool:
-        """Monomial tuples compare natively under antidiagonal-lex."""
-        return self.kind == "antidiag-lex"
+        native = self.kind == "antidiag-lex" or (self.kind == "elim" and self.inner == "antidiag-lex")
+        object.__setattr__(self, "is_native", native)
 
     def key(self, m: tuple):
-        if self.kind == "antidiag-lex":
+        if self.is_native:
             return m
         if self.kind == "grevlex":
             return _grevlex_key(m)
         split = 0
         while split < len(m) and m[split][0][0] == 1:
             split += 1
-        grid = m[split:]
-        inner = grid if self.inner == "antidiag-lex" else _grevlex_key(grid)
-        return (m[:split], inner)
+        return (m[:split], _grevlex_key(m[split:]))
 
     def __str__(self):
         if self.kind == "elim":
@@ -550,10 +585,15 @@ class Minor:
 
 
 def expand_minor(m: Minor, field: Field = QQ) -> Polynomial:
-    """Signed Leibniz expansion of the minor as a polynomial."""
+    """Signed Leibniz expansion of the minor as a polynomial.
+
+    Checks the `time_limit` deadline once every 256 permutations.
+    """
     n = m.size
     terms = {}
-    for perm in permutations(range(n)):
+    for idx, perm in enumerate(permutations(range(n))):
+        if not idx & 255:
+            _check_deadline()
         inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
         sign = -1 if inversions & 1 else 1
         mm = mono_from_vars(grid_var(m.rows[a], m.cols[perm[a]]) for a in range(n))

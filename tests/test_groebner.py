@@ -189,6 +189,55 @@ def test_ideal_intersection_examples():
     assert I.intersect(J).equal(Ideal(ring, [P("x[1,1]*x[2,2]")]))
 
 
+def _count_buchberger(monkeypatch):
+    from ladderdet import groebner
+
+    calls = []
+    real = groebner.buchberger
+
+    def counted(gens, order=ANTIDIAG):
+        calls.append(order)
+        return real(gens, order)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    return calls
+
+
+def test_intersect_runs_one_elimination(monkeypatch):
+    ring = Ring.for_grid(QQ, 2, 3)
+    I = Ideal(ring, [minor((1, 2), c) for c in [(1, 2), (1, 3), (2, 3)]])
+    J = Ideal(ring, [P("x[1,2]"), P("x[2,2]")])
+    calls = _count_buchberger(monkeypatch)
+    I.intersect(J)
+    assert calls == [ELIM]
+
+
+def test_intersect_with_unit_ideal(monkeypatch):
+    ring = Ring.for_grid(QQ, 2, 2)
+    J = Ideal(ring, [P("x[1,2]*x[2,1]"), P("x[2,2]^2 - x[1,1]")])
+    hidden = Ideal(ring, [P("x[1,1]"), P("x[1,1] + 1")])  # (1), no constant generator
+    assert hidden.intersect(J).equal(J)
+    assert J.intersect(hidden).equal(J)
+    calls = _count_buchberger(monkeypatch)
+    one = Ideal(ring, [P("x[1,1]"), P("3")])
+    assert one.intersect(J).gens == J.gens
+    assert J.intersect(one).gens == J.gens
+    assert hidden.is_unit()  # caches the basis (1) under antidiag-lex
+    assert hidden.intersect(J).gens == J.gens
+    assert calls == [ANTIDIAG]  # only is_unit ran Buchberger
+
+
+def test_intersect_leaves_aux_free_basis():
+    ring = Ring.for_grid(QQ, 3, 3)
+    I = Ideal(ring, [minor((1, 2), (1, 2)), minor((2, 3), (2, 3)), P("x[1,3]^2")])
+    J = Ideal(ring, [P("x[2,2]"), P("x[1,3] - x[3,1]")])
+    for K in (I.intersect(J), J.intersect(I), I.colon_poly(P("x[2,2]"))):
+        assert K.gens
+        assert all(k[0] == 0 for g in K.gens for m in g.terms for k, _ in m)
+        assert K.groebner_basis() == tuple(buchberger(K.gens))
+    assert I.intersect(J).contains_ideal(Ideal(ring, [g * h for g in I.gens for h in J.gens]))
+
+
 def test_band_sum_equals_band_intersection():
     # ([12|12],[12|13],[12|23]) cap (x12, x22) == ([12|12],[12|23]) on 2x3
     ring = Ring.for_grid(QQ, 2, 3)
@@ -366,6 +415,35 @@ def test_time_limit_nests_and_stays_in_its_thread():
         worker.join(timeout=10)
         assert not worker.is_alive() and results == [1]  # new threads start unlimited
     assert M.dim() == 1
+
+
+def _reference_list_dedupe(gens):
+    seen = []
+    for g in gens:
+        if g not in seen:
+            seen.append(g)
+    return seen
+
+
+def test_ideal_dedupes_generators_in_first_occurrence_order():
+    ring = Ring.for_grid(QQ, 3, 3)
+    a, b = P("x[1,1] - x[2,2]"), P("x[1,2]*x[2,1]")
+    same_as_a = P("-x[2,2] + x[1,1]")
+    assert same_as_a is not a and same_as_a == a
+    gens = Ideal(ring, [a, b, same_as_a, P("0"), b]).gens
+    assert gens == (a, b) and gens[0] is a
+    nine = [minor((r1, r2), (c1, c2))
+            for r1, r2 in [(1, 2), (1, 3), (2, 3)]
+            for c1, c2 in [(1, 2), (1, 3), (2, 3)]]
+    I = Ideal(ring, nine)
+    products = []
+    for combo in combinations_with_replacement(I.gens, 5):
+        g = combo[0]
+        for h in combo[1:]:
+            g = g * h
+        products.append(g)
+    assert len(products) == 1287
+    assert I.power(5).gens == tuple(_reference_list_dedupe(products))
 
 
 def test_time_limit_raises():

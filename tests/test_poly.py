@@ -1,6 +1,7 @@
 """Polynomial core: variable order, monomial comparison, minors, formats."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from ladderdet.fields import GF, QQ
 from ladderdet.poly import (
     ANTIDIAG,
+    ELIM,
     GREVLEX,
+    InstanceTooLarge,
     Minor,
     Polynomial,
     TermOrder,
@@ -24,6 +27,7 @@ from ladderdet.poly import (
     mono_to_str,
     parse_polynomial,
     poly_to_str,
+    time_limit,
 )
 
 
@@ -91,6 +95,69 @@ def test_elimination_order_blocks():
     with_aux = mono((t, 1), (gv(2, 2), 1))
     without = mono((gv(1, 3), 4), (gv(1, 1), 4))
     assert compare_monomials(order, with_aux, without) == 1
+
+
+def _reference_block_key(m, inner):
+    """The elimination key as a two-block tuple: aux part, then grid part."""
+    split = 0
+    while split < len(m) and m[split][0][0] == 1:
+        split += 1
+    grid = m[split:]
+    return (m[:split], grid if inner == "antidiag-lex" else GREVLEX.key(grid))
+
+
+def _random_monomials(seed, count):
+    rng = random.Random(seed)
+    variables = [gv(i, j) for i in range(1, 5) for j in range(1, 5)]
+    variables += [aux_var("t"), aux_var("t", 1), aux_var("s")]
+    return [mono(*((rng.choice(variables), rng.randint(1, 3)) for _ in range(rng.randint(0, 5))))
+            for _ in range(count)]
+
+
+def test_elim_antidiag_sorts_as_native_tuples():
+    assert ANTIDIAG.is_native and ELIM.is_native
+    assert not GREVLEX.is_native
+    monos = _random_monomials(11, 500)
+    assert sum(1 for m in monos if m and m[0][0][0] == 1) > 100  # plenty with aux
+    expected = sorted(monos, key=lambda m: _reference_block_key(m, "antidiag-lex"))
+    assert sorted(monos) == expected
+    assert sorted(monos, key=ELIM.key) == expected
+    rng = random.Random(12)
+    for _ in range(500):
+        a, b = rng.choice(monos), rng.choice(monos)
+        ka, kb = _reference_block_key(a, "antidiag-lex"), _reference_block_key(b, "antidiag-lex")
+        assert compare_monomials(ELIM, a, b) == (ka > kb) - (ka < kb)
+
+
+def test_elim_grevlex_keeps_its_block_order():
+    order = TermOrder("elim", "grevlex")
+    assert not order.is_native and order != ELIM
+    monos = _random_monomials(13, 500)
+    assert (sorted(monos, key=order.key)
+            == sorted(monos, key=lambda m: _reference_block_key(m, "grevlex")))
+    # same aux block: grevlex on the grid part puts the higher degree first
+    t = aux_var("t")
+    a = mono((t, 1), (gv(1, 1), 1))
+    b = mono((t, 1), (gv(2, 2), 2))
+    assert a > b and compare_monomials(order, a, b) == -1
+    assert compare_monomials(ELIM, a, b) == 1
+
+
+def test_expand_minor_honours_time_limit():
+    eight = Minor(tuple(range(1, 9)), tuple(range(1, 9)))
+    start = time.monotonic()
+    with pytest.raises(InstanceTooLarge):
+        with time_limit(0.05):
+            expand_minor(eight)
+    assert time.monotonic() - start < 0.5
+
+
+def test_time_limit_is_shared_with_groebner():
+    import ladderdet
+    from ladderdet import groebner
+
+    assert groebner.time_limit is time_limit is ladderdet.time_limit
+    assert groebner.InstanceTooLarge is InstanceTooLarge is ladderdet.InstanceTooLarge
 
 
 def test_expand_minor_examples():
