@@ -1,0 +1,8 @@
+"""`python -m ladderdet`: the ladderdet command line."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

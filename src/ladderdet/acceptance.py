@@ -246,13 +246,18 @@ def criterion_chamfer_descent(seed: int = DEFAULT_SEED):
     details = []
     for _ in range(100):
         L, t = random_valid_ladder(rng, 8, 8, mixed=True)
-        red = reduce_to_unmixed(L, t)
-        good = len(red.moves) <= total_width(t)
-        replayed, rt = red.replay()
-        good &= replayed == L and rt == t
-        good &= len(set(red.start_t)) == 1
-        ok &= good
-        reductions += 1
+        try:
+            red = reduce_to_unmixed(L, t)
+        except ChamferError as exc:
+            ok = False
+            details.append(f"no descent from {L.to_json(t)}: {exc}")
+        else:
+            good = len(red.moves) <= total_width(t)
+            replayed, rt = red.replay()
+            good &= replayed == L and rt == t
+            good &= len(set(red.start_t)) == 1
+            ok &= good
+            reductions += 1
         for j in range(1, len(t) + 1):
             if t[j - 1] < 2:
                 continue

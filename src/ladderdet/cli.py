@@ -411,9 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
                         help="seed for randomized suites")
     parser.add_argument("--timeout", type=float, default=60.0,
-                        help="time budget in seconds for the Groebner computations "
-                             "and cover searches of the command; accept gives each "
-                             "criterion its own budget and fails one that exceeds it")
+                        help="time budget in seconds for the Groebner computations, "
+                             "height/dimension recursions and minimal-prime searches "
+                             "of the command; accept gives each criterion its own "
+                             "budget and fails one that exceeds it")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 

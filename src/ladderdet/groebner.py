@@ -3,8 +3,9 @@
 Normal forms, reduced Groebner bases (normal pair selection with sugar
 tiebreak, coprime-lead and chain criteria via Gebauer-Moeller updates),
 ideal sums / intersections / colons / saturations, Frobenius bracket
-powers, and squarefree monomial-ideal combinatorics (minimal primes,
-dimension, symbolic powers).
+powers, and squarefree monomial-ideal combinatorics (minimal primes by a
+splitting search, height and dimension from the Hilbert series by a pivot
+recursion, symbolic powers).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import heapq
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, zip_longest
 
 from .fields import Field
 from .poly import (
@@ -703,14 +704,8 @@ class MonomialIdeal:
             return self
         result = None
         for prime in sorted(self.min_primes(), key=lambda s: sorted(v.key for v in s)):
-            keys = sorted((v.key for v in prime), reverse=True)
-            gens = []
-            for combo in combinations_with_replacement(keys, n):
-                acc = MONO_ONE
-                for k in combo:
-                    acc = mono_mul(acc, ((k, 1),))
-                gens.append(acc)
-            prime_power = MonomialIdeal.from_monomials(self.ring, gens)
+            gens = [((v.key, 1),) for v in prime]
+            prime_power = MonomialIdeal.from_monomials(self.ring, gens).power(n)
             result = prime_power if result is None else result.intersect(prime_power)
         return result
 
@@ -726,6 +721,15 @@ class MonomialIdeal:
         return MonomialIdeal.from_monomials(self.ring, gens)
 
 
+def _minimal_masks(masks) -> list[int]:
+    """The distinct masks that contain no other one, in ascending popcount."""
+    out = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if not any(t & m == t for t in out):
+            out.append(m)
+    return out
+
+
 def _cover_bits(supports) -> tuple[list, list[int]]:
     """The set system as int bitmasks: returns (keys, masks).
 
@@ -739,11 +743,7 @@ def _cover_bits(supports) -> tuple[list, list[int]]:
         raise ValueError("empty support: ideal contains a unit")
     keys = sorted(set().union(*sets))
     bit = {k: 1 << i for i, k in enumerate(keys)}
-    masks = []
-    for m in sorted({sum(bit[k] for k in s) for s in sets}, key=int.bit_count):
-        if not any(t & m == t for t in masks):
-            masks.append(m)
-    return keys, masks
+    return keys, _minimal_masks(sum(bit[k] for k in s) for s in sets)
 
 
 def minimal_covers(supports) -> list[frozenset]:
@@ -773,47 +773,44 @@ def minimal_covers(supports) -> list[frozenset]:
     return [frozenset(keys[i] for i in indices(c)) for c in minimal]
 
 
+def _add_series(a: list[int], b: list[int]) -> list[int]:
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _hilbert_numerator(masks: list[int]) -> list[int]:
+    """Coefficients of N(t), where H(S/I, t) = N(t)/(1-t)^n for the
+    squarefree monomial ideal I with these minimal support masks.
+
+    Bigatti's pivot recursion N(I) = N(I + (x)) + t N(I : x), with the
+    product of (1 - t^|s|) for pairwise coprime supports as the base case.
+    """
+    _check_deadline()
+    counts: dict = {}
+    for s in masks:
+        if s & (s - 1):  # by minimality, a singleton shares no variable
+            while s:
+                b = s & -s
+                s ^= b
+                counts[b] = counts.get(b, 0) + 1
+    if all(c == 1 for c in counts.values()):  # pairwise coprime
+        num = [1]
+        for s in masks:
+            num = _add_series(num, [0] * s.bit_count() + [-c for c in num])
+        return num
+    x = max(counts, key=lambda b: (counts[b], b))
+    plus = [s for s in masks if not s & x] + [x]
+    colon = _minimal_masks(s & ~x for s in masks)
+    return _add_series(_hilbert_numerator(plus), [0] + _hilbert_numerator(colon))
+
+
 def min_cover_size(supports) -> int:
-    """Exact minimum cover size by branch and bound (no enumeration)."""
+    """Exact minimum cover size: the height of the squarefree monomial ideal
+    with these supports, which is the multiplicity of t = 1 as a root of its
+    Hilbert series numerator N(t)."""
     _, masks = _cover_bits(supports)
-
-    def greedy(remaining):
-        chosen = 0
-        while remaining:
-            counts: dict = {}
-            for s in remaining:
-                while s:
-                    b = s & -s
-                    s ^= b
-                    counts[b] = counts.get(b, 0) + 1
-            best = max(counts, key=lambda b: (counts[b], b))
-            remaining = [s for s in remaining if not s & best]
-            chosen += 1
-        return chosen
-
-    def matching_bound(remaining):
-        used = count = 0
-        for s in remaining:
-            if not s & used:
-                used |= s
-                count += 1
-        return count
-
-    best = [greedy(masks)]
-
-    def rec(remaining, size):
-        _check_deadline()
-        if not remaining:
-            if size < best[0]:
-                best[0] = size
-            return
-        if size + matching_bound(remaining) >= best[0]:
-            return
-        pivot = remaining[0]  # least popcount: removals keep the order
-        while pivot:
-            b = pivot & -pivot
-            pivot ^= b
-            rec([s for s in remaining if not s & b], size + 1)
-
-    rec(masks, 0)
-    return best[0]
+    num = _hilbert_numerator(masks)
+    height = 0
+    while sum(num) == 0:
+        num = list(accumulate(num))[:-1]  # N / (1 - t)
+        height += 1
+    return height

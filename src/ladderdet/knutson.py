@@ -398,27 +398,12 @@ def corner_derivation(k: int, l: int, t: int, r: int, s: int,
 
     def _d1_levels(k, l, m_, M_, which):
         """Levels of the complete-intersection witness factors for D1."""
-        levels = []
-        if which == "nw":
-            # squares anchored NW have level size+1; bands keep k rows.
-            for size in range(m_, min(M_, k, l) + 1):
-                levels.append(1 + size)
-            if k <= l:
-                for j in range(1, M_ - min(M_, k) + 1):
-                    levels.append(1 + j + k)      # det X_{[j+1, k+j]}
-            else:
-                for j in range(1, M_ - min(M_, l) + 1):
-                    levels.append(1 + j + l)      # det of the shifted row band
-        else:
-            for size in range(m_, min(M_, k, l) + 1):
-                levels.append(k + l + 1 - size)
-            if k <= l:
-                for j in range(1, M_ - min(M_, k) + 1):
-                    levels.append(k + l + 1 - (j + k))
-            else:
-                for j in range(1, M_ - min(M_, l) + 1):
-                    levels.append(k + l + 1 - (j + l))
-        return levels
+        # NW: a square of side `size` has level size+1; the j-th band of
+        # min(k, l) rows (or columns), shifted by j, has level 1+j+min(k, l).
+        levels = [1 + size for size in range(m_, min(M_, k, l) + 1)]
+        levels += [1 + j + min(k, l) for j in range(1, M_ - min(M_, k, l) + 1)]
+        # SE mirrors NW position by position.
+        return levels if which == "nw" else [k + l + 2 - v for v in levels]
 
     root = derive(t, r, s)
     return KnutsonDerivation(ring, tuple(level_polys.values()), root,

@@ -201,8 +201,7 @@ def fedder_check(I: Ideal, p: int, candidate: Polynomial) -> bool:
     for g in I.gens:
         if not bracket.contains(candidate * g):
             return False
-    # Outside m^[p]: some term has every exponent below p.
-    return any(all(e < p for _, e in m) for m in candidate.terms)
+    return any(outside_frobenius_power_of_m(m, p) for m in candidate.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from ladderdet import acceptance
 
 BUDGETS = {
     "groebner-squarefree": 120.0,
-    "height-identity": 300.0,
+    "height-identity": 60.0,
     "witness-certificate": 60.0,
     "intersection-identity": 300.0,
     "fedder": 600.0,

@@ -146,6 +146,18 @@ def test_accept_single_criterion(capsys):
     assert "[PASS] chamfer-descent" in out
 
 
+def test_accept_reports_failed_chamfer_descent(capsys):
+    # Seed 200031 draws a ladder on which the greedy descent finds no legal
+    # unchamfer: the criterion fails and names the ladder instead of aborting.
+    code, out = run_cli("--seed", "200031", "--format", "json", "accept", "run",
+                        "chamfer-descent", capsys=capsys)
+    assert code == 1
+    (result,) = json.loads(out)
+    assert result["passed"] is False
+    assert ('no descent from {"shape": [7, 8], "upper": [[1, 3], [3, 8]], '
+            '"lower": [[2, 1], [5, 5], [7, 6]], "t": [2, 3, 3]}') in result["details"][0]
+
+
 def test_exit_codes_on_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -201,6 +213,13 @@ def test_console_script_entrypoint():
     )
     assert proc.returncode == 0
     assert "u=1 v=1" in proc.stdout
+
+
+def test_module_entrypoint():
+    proc = subprocess.run([sys.executable, "-m", "ladderdet", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: ladderdet")
 
 
 def test_poset_spec_file(capsys, tmp_path):

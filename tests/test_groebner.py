@@ -385,13 +385,32 @@ def test_radical_of_squarefree_ideal_is_itself():
     assert N.radical() == MonomialIdeal.from_monomials(ring, [mono((x, 1), (y, 1)), mono((z, 1))])
 
 
+def _generic_initial_ideal(k, l, t):
+    """in(I_t) of the generic k x l matrix under the antidiagonal order.
+
+    Distinct t-minors have distinct squarefree antidiagonal monomials of one
+    degree, so these already form the minimal generators.
+    """
+    rows = list(combinations(range(1, k + 1), t))
+    cols = list(combinations(range(1, l + 1), t))
+    gens = {Minor(r, c).antidiagonal_monomial() for r in rows for c in cols}
+    return MonomialIdeal(Ring.for_grid(QQ, k, l), tuple(sorted(gens)))
+
+
+def test_generic_heights_match_closed_form():
+    # height I_t = (k-t+1)(l-t+1) for the generic k x l matrix; the 7x7 case
+    # at t = 3 alone takes about a second and is left out.
+    for t in (2, 3):
+        for k in range(t, 8):
+            for l in range(k, 8):
+                if (k, l, t) != (7, 7, 3):
+                    assert _generic_initial_ideal(k, l, t).height() == (k - t + 1) * (l - t + 1)
+
+
 def test_time_limit_bounds_dim():
-    # dim of in(I_2) of the generic 6x6 matrix takes several seconds of
-    # cover search; a 1 s budget must stop it.
-    pairs = list(combinations(range(1, 7), 2))
-    ring = Ring.for_grid(QQ, 6, 6)
-    M = MonomialIdeal.from_monomials(
-        ring, [Minor(r, c).antidiagonal_monomial() for r in pairs for c in pairs])
+    # dim of in(I_3) of the generic 8x8 matrix takes over ten seconds of
+    # Hilbert-series recursion; a 1 s budget must stop it.
+    M = _generic_initial_ideal(8, 8, 3)
     start = time.monotonic()
     with pytest.raises(InstanceTooLarge):
         with time_limit(1.0):
