@@ -7,6 +7,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import product
+from math import comb
 
 from . import load_fixture
 from .fields import GF, QQ
@@ -86,9 +87,23 @@ def criterion_groebner_squarefree(seed: int = DEFAULT_SEED):
     return ok, details
 
 
+def _det(rows):
+    """Exact determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, a in enumerate(rows[0]))
+
+
+def generic_multiplicity(k: int, l: int, t: int) -> int:
+    """Multiplicity of R/I_t for the generic k x l matrix:
+    det[C(k+l-i-j, k-i)] over i, j = 1..t-1 (Herzog-Trung, Adv. Math. 96)."""
+    return _det([[comb(k + l - i - j, k - i) for j in range(1, t)] for i in range(1, t)])
+
+
 def criterion_height_identity(seed: int = DEFAULT_SEED):
-    """2. height = #interior cells = #vars - dim(R/in I), and the product
-    formula on full matrices."""
+    """2. height = #interior cells = #vars - dim(R/in I), and on full
+    matrices the product formula and the Herzog-Trung multiplicity."""
     details = []
     ok = True
     cases = [(name, L) for name, L, _ in _fixture_ladders()]
@@ -98,15 +113,19 @@ def criterion_height_identity(seed: int = DEFAULT_SEED):
         full = len(L.cells) == L.shape[0] * L.shape[1]
         for t in _legal_unmixed_sizes(L):
             h = height(L, (t,) * len(L.lower))
-            I = mixed_ladder_ideal(L, t, QQ, ring)
-            dim = I.initial_ideal().dim()
-            engine_h = ring.nvars - dim
+            initial = mixed_ladder_ideal(L, t, QQ, ring).initial_ideal()
+            engine_h = ring.nvars - initial.dim()
             line_ok = engine_h == h
             if full:
                 k, l = L.shape
                 line_ok &= h == (k - t + 1) * (l - t + 1)
             ok &= line_ok
             details.append(f"{name} t={t}: |interior|={h} engine={engine_h} ok={line_ok}")
+            if full:
+                e, expected = initial.multiplicity(), generic_multiplicity(k, l, t)
+                ok &= e == expected
+                details.append(f"{name} t={t}: multiplicity={e} Herzog-Trung={expected} "
+                               f"ok={e == expected}")
     return ok, details
 
 
@@ -335,8 +354,8 @@ class CriterionResult:
 CRITERIA = (
     ("groebner-squarefree", "minors form a Groebner basis with squarefree initial ideal",
      criterion_groebner_squarefree),
-    ("height-identity", "interior size matches the engine height and the product formula",
-     criterion_height_identity),
+    ("height-identity", "interior size matches the engine height and the product formula; "
+     "full matrices have the Herzog-Trung multiplicity", criterion_height_identity),
     ("witness-certificate", "splitting certificates pass, counts sum to the height",
      criterion_witness_certificate),
     ("intersection-identity", "band sums equal the wide/narrow intersections",

@@ -4,8 +4,9 @@ Normal forms, reduced Groebner bases (normal pair selection with sugar
 tiebreak, coprime-lead and chain criteria via Gebauer-Moeller updates),
 ideal sums / intersections / colons / saturations, Frobenius bracket
 powers, and squarefree monomial-ideal combinatorics (minimal primes by a
-splitting search, height and dimension from the Hilbert series by a pivot
-recursion, symbolic powers).
+branching search that reaches each one once; height, dimension and
+multiplicity from the Hilbert series by a memoised pivot recursion;
+symbolic powers).
 """
 
 from __future__ import annotations
@@ -629,11 +630,25 @@ def _frobenius_power(g: Polynomial, q: int) -> Polynomial:
 
 
 def _minimalize_monomials(monos):
-    out = []
-    for m in sorted(set(monos), key=lambda m: (mono_degree(m), m)):
-        if not any(mono_divides(g, m) for g in out):
-            out.append(m)
-    return tuple(sorted(out))
+    """The minimal monomials under divisibility, sorted.
+
+    A divisor of m other than m has lower degree, so each monomial is tested
+    only against the kept ones of lower degree, and against a candidate's
+    full exponents only when its support mask lies inside m's.
+    """
+    by_degree: dict = {}
+    for m in set(monos):
+        by_degree.setdefault(mono_degree(m), []).append(m)
+    kept = []  # (support mask, monomial), all of lower degree than the next
+    for degree in sorted(by_degree):
+        level = []
+        for m in by_degree[degree]:
+            _check_deadline()
+            outside = ~mono_mask(m)
+            if not any(not gm & outside and mono_divides(g, m) for gm, g in kept):
+                level.append((~outside, m))
+        kept += level
+    return tuple(sorted(m for _, m in kept))
 
 
 @dataclass(frozen=True)
@@ -694,6 +709,16 @@ class MonomialIdeal:
         """Krull dimension of ring/ideal (number of variables minus height)."""
         return self.ring.nvars - self.height()
 
+    def multiplicity(self) -> int:
+        """Multiplicity (degree) of ring/ideal, for squarefree input: N(1)
+        once the Hilbert series numerator N(t) that gives the height is
+        divided by (1 - t)^height."""
+        if not self.is_squarefree():
+            raise ValueError("multiplicity is implemented for squarefree monomial ideals")
+        if self.is_unit:
+            raise ValueError("unit ideal has no multiplicity")
+        return _height_and_multiplicity(self.supports())[1]
+
     def symbolic_power(self, n: int) -> "MonomialIdeal":
         """Intersection of the n-th powers of the minimal primes (squarefree input)."""
         if not self.is_squarefree():
@@ -722,12 +747,24 @@ class MonomialIdeal:
 
 
 def _minimal_masks(masks) -> list[int]:
-    """The distinct masks that contain no other one, in ascending popcount."""
-    out = []
+    """The distinct masks that contain no other one, in ascending popcount.
+
+    A mask can only contain one of lower popcount, so each is tested only
+    against the kept masks of lower popcount.
+    """
+    lower, level, size = [], [], 0
     for m in sorted(set(masks), key=int.bit_count):
-        if not any(t & m == t for t in out):
-            out.append(m)
-    return out
+        _check_deadline()
+        if m.bit_count() > size:
+            size = m.bit_count()
+            lower += level
+            level = []
+        for t in lower:
+            if t & m == t:
+                break
+        else:
+            level.append(m)
+    return lower + level
 
 
 def _cover_bits(supports) -> tuple[list, list[int]]:
@@ -747,34 +784,65 @@ def _cover_bits(supports) -> tuple[list, list[int]]:
 
 
 def minimal_covers(supports) -> list[frozenset]:
-    """All minimal covers (minimal primes) of a set system, by splitting."""
-    keys, masks = _cover_bits(supports)
+    """All minimal covers (minimal primes) of a set system, each found once.
 
-    def rec(remaining):
+    The search branches on the free bits of the support with the fewest of
+    them, where a bit is free unless an earlier branch at some pivot tried
+    it: each branch bans the bits tried before it, so no cover is reached
+    twice, and a branch ends as soon as a support lies inside the banned
+    bits.  A cover is kept when each of its bits is the only one it has in
+    some support, which is exactly minimality.  Covers come out by size,
+    then by their sorted keys.
+    """
+    keys, masks = _cover_bits(supports)
+    covers = []
+
+    def rec(remaining, chosen, banned):
+        # No support in `remaining` is hit by `chosen` or lies inside `banned`.
         _check_deadline()
         if not remaining:
-            return [0]
-        pivot = remaining[0]  # least popcount: removals keep the order
-        out = []
-        while pivot:
-            b = pivot & -pivot
-            pivot ^= b
-            out.extend(cover | b for cover in rec([s for s in remaining if not s & b]))
-        return out
+            private = 0
+            for s in masks:
+                hit = s & chosen
+                if not hit & (hit - 1):
+                    private |= hit
+            if private == chosen:
+                covers.append(chosen)
+            return
+        allowed = ~banned
+        free = min((s & allowed for s in remaining), key=int.bit_count)
+        while free:
+            b = free & -free
+            free ^= b
+            rec([s for s in remaining if not s & b], chosen | b, banned)
+            banned |= b
+            allowed = ~banned
+            if any(not s & allowed for s in remaining if s & b):
+                return
+
+    rec(masks, 0, 0)
 
     def indices(c):
-        return [i for i in range(c.bit_length()) if c >> i & 1]
+        out = []
+        while c:
+            b = c & -c
+            c ^= b
+            out.append(b.bit_length() - 1)
+        return out
 
     # Ascending bit indices sort like the sorted keys they stand for.
-    minimal = []
-    for c in sorted(set(rec(masks)), key=lambda c: (c.bit_count(), indices(c))):
-        if not any(m & c == m for m in minimal):
-            minimal.append(c)
-    return [frozenset(keys[i] for i in indices(c)) for c in minimal]
+    found = sorted((len(idx), idx) for idx in map(indices, covers))
+    return [frozenset(keys[i] for i in idx) for _, idx in found]
 
 
 def _add_series(a: list[int], b: list[int]) -> list[int]:
     return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _times_one_minus_t(num: list[int], k: int) -> list[int]:
+    for _ in range(k):
+        num = [x - y for x, y in zip(num + [0], [0] + num)]
+    return num
 
 
 def _hilbert_numerator(masks: list[int]) -> list[int]:
@@ -783,34 +851,75 @@ def _hilbert_numerator(masks: list[int]) -> list[int]:
 
     Bigatti's pivot recursion N(I) = N(I + (x)) + t N(I : x), with the
     product of (1 - t^|s|) for pairwise coprime supports as the base case.
+    A singleton support {y} shares no variable with the others, so it is
+    stripped as a factor (1 - t); then N(I + (x)) = (1 - t) N(J), where J
+    keeps the supports without x.  I : x shrinks only the supports with x,
+    which can then only swallow supports without x.  Subproblems repeat
+    across the two branches, so they are memoised for the call.
     """
-    _check_deadline()
-    counts: dict = {}
-    for s in masks:
-        if s & (s - 1):  # by minimality, a singleton shares no variable
-            while s:
-                b = s & -s
-                s ^= b
-                counts[b] = counts.get(b, 0) + 1
-    if all(c == 1 for c in counts.values()):  # pairwise coprime
-        num = [1]
+    memo: dict = {}
+
+    def rec(masks):  # an antichain without singletons
+        key = frozenset(masks)
+        num = memo.get(key)
+        if num is not None:
+            return num
+        _check_deadline()
+        # planes[i] holds the variables whose support count has bit i set.
+        planes = []
         for s in masks:
-            num = _add_series(num, [0] * s.bit_count() + [-c for c in num])
+            for i, plane in enumerate(planes):
+                planes[i] = plane ^ s
+                s &= plane
+                if not s:
+                    break
+            else:
+                planes.append(s)
+        if len(planes) < 2:  # pairwise coprime
+            num = [1]
+            for s in masks:
+                num = _add_series(num, [0] * s.bit_count() + [-c for c in num])
+        else:
+            # x: the variable in the most supports, ties to the highest bit
+            top = planes.pop()
+            for plane in reversed(planes):
+                if top & plane:
+                    top &= plane
+            x = 1 << top.bit_length() - 1
+            untouched = [s for s in masks if not s & x]
+            shrunk = _minimal_masks(s ^ x for s in masks if s & x)
+            colon = untouched
+            for r in shrunk:
+                _check_deadline()
+                colon = [s for s in colon if s & r != r]
+            wide = [r for r in shrunk if r & (r - 1)]
+            singles = len(shrunk) - len(wide)
+            colon += wide
+            # (1 - t) A + t C = A + t (C - A)
+            a = rec(untouched)
+            c = _times_one_minus_t(rec(colon), singles)
+            num = _add_series(a, [0] + [q - p for p, q in zip_longest(a, c, fillvalue=0)])
+        memo[key] = num
         return num
-    x = max(counts, key=lambda b: (counts[b], b))
-    plus = [s for s in masks if not s & x] + [x]
-    colon = _minimal_masks(s & ~x for s in masks)
-    return _add_series(_hilbert_numerator(plus), [0] + _hilbert_numerator(colon))
+
+    rest = [s for s in masks if s & (s - 1)]
+    return _times_one_minus_t(rec(rest), len(masks) - len(rest))
 
 
-def min_cover_size(supports) -> int:
-    """Exact minimum cover size: the height of the squarefree monomial ideal
-    with these supports, which is the multiplicity of t = 1 as a root of its
-    Hilbert series numerator N(t)."""
+def _height_and_multiplicity(supports) -> tuple[int, int]:
+    """(h, e) for the squarefree monomial ideal with these supports, where
+    its Hilbert series numerator is N(t) = (1 - t)^h Q(t) and e = Q(1)."""
     _, masks = _cover_bits(supports)
     num = _hilbert_numerator(masks)
     height = 0
     while sum(num) == 0:
         num = list(accumulate(num))[:-1]  # N / (1 - t)
         height += 1
-    return height
+    return height, sum(num)
+
+
+def min_cover_size(supports) -> int:
+    """Exact minimum cover size: the height of the squarefree monomial ideal
+    with these supports, which is the multiplicity of t = 1 as a root of its
+    Hilbert series numerator N(t)."""
+    return _height_and_multiplicity(supports)[0]

@@ -7,6 +7,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from ladderdet.acceptance import generic_multiplicity
 from ladderdet.fields import GF, QQ
 from ladderdet.groebner import (
     Ideal,
@@ -38,6 +39,7 @@ from ladderdet.poly import (
     mono_lcm,
     mono_mul,
     parse_polynomial,
+    var_by_key,
 )
 
 
@@ -349,21 +351,99 @@ def _brute_minimal_covers(supports):
     return [c for c in covering if not any(o < c for o in covering)]
 
 
+def _check_against_bruteforce(supports):
+    expected = _brute_minimal_covers(supports)
+    assert minimal_covers(supports) == expected
+    height = len(expected[0])
+    assert min_cover_size(supports) == height
+    # The multiplicity of a squarefree monomial ideal counts its minimal
+    # primes of least height.
+    ring = Ring.for_grid(QQ, 3, 4)
+    M = MonomialIdeal.from_monomials(ring, [mono(*((var_by_key(k), 1) for k in s))
+                                            for s in supports])
+    assert M.multiplicity() == sum(1 for c in expected if len(c) == height)
+
+
+def _random_supports(rng, pool, count, size=4):
+    return [frozenset(rng.sample(pool, rng.randint(1, min(size, len(pool)))))
+            for _ in range(count)]
+
+
+_GRID_KEYS = [gv(i, j).key for i in range(1, 4) for j in range(1, 5)]
+
+
 def test_minimal_covers_against_bruteforce():
     # Up to 10 grid-variable keys, supports of size up to 4, with duplicate
     # and nested (non-minimal) supports mixed in.
     rng = random.Random(2024)
-    keys = [gv(i, j).key for i in range(1, 4) for j in range(1, 5)]
     for _ in range(150):
-        pool = rng.sample(keys, rng.randint(1, 10))
-        supports = [frozenset(rng.sample(pool, rng.randint(1, min(4, len(pool)))))
-                    for _ in range(rng.randint(1, 7))]
+        pool = rng.sample(_GRID_KEYS, rng.randint(1, 10))
+        supports = _random_supports(rng, pool, rng.randint(1, 7))
         supports += [s | {rng.choice(pool)} for s in supports[:2]]
         supports += supports[:1]
         rng.shuffle(supports)
-        expected = _brute_minimal_covers(supports)
-        assert minimal_covers(supports) == expected
-        assert min_cover_size(supports) == len(expected[0])
+        _check_against_bruteforce(supports)
+
+
+def test_covers_of_disconnected_supports():
+    # Two or three blocks of supports on disjoint keys.
+    rng = random.Random(7)
+    for _ in range(60):
+        keys = rng.sample(_GRID_KEYS, 12)
+        blocks = [keys[:4], keys[4:8], keys[8:]][:rng.randint(2, 3)]
+        supports = [s for block in blocks
+                    for s in _random_supports(rng, block, rng.randint(1, 4), size=3)]
+        rng.shuffle(supports)
+        _check_against_bruteforce(supports)
+
+
+def test_covers_with_singleton_supports():
+    # Singletons on their own keys, inside other supports, and repeated.
+    rng = random.Random(11)
+    for _ in range(60):
+        pool = rng.sample(_GRID_KEYS, rng.randint(3, 11))
+        supports = _random_supports(rng, pool, rng.randint(1, 6))
+        singles = [frozenset({k}) for k in rng.sample(pool, rng.randint(1, 3))]
+        supports += singles + singles[:1]
+        rng.shuffle(supports)
+        _check_against_bruteforce(supports)
+    _check_against_bruteforce([frozenset({k}) for k in _GRID_KEYS[:5]])
+
+
+def test_covers_with_repeated_pivot_subproblems():
+    # The 2-minor antidiagonals of full and staircase grids: pivoting on x
+    # and then y reaches the same subproblem as pivoting on y and then x.
+    cells_3x4 = [(i, j) for i in range(1, 4) for j in range(1, 5)]
+    shapes = [cells_3x4, [(i, j) for i, j in cells_3x4 if j <= 3],
+              [(i, j) for i, j in cells_3x4 if j - i <= 1],
+              [(i, j) for i, j in cells_3x4 if i - j <= 1 and j - i <= 2]]
+    for cells in shapes:
+        cell_set = set(cells)
+        supports = [frozenset({gv(i1, j2).key, gv(i2, j1).key})
+                    for (i1, j1) in cells for (i2, j2) in cells
+                    if i1 < i2 and j1 < j2 and (i1, j2) in cell_set and (i2, j1) in cell_set]
+        _check_against_bruteforce(supports)
+    keys = _GRID_KEYS
+    _check_against_bruteforce([frozenset({keys[i], keys[j]})
+                               for i in range(6) for j in range(i + 1, 6)])
+    _check_against_bruteforce([frozenset(keys[i:i + 3]) for i in range(10)])
+
+
+def test_covers_where_a_shrunk_support_swallows_another():
+    # {x} + r shrinks to r under ": x", and r + {y} has no x: the colon must
+    # drop r + {y}, and must keep the supports that contain no shrunk one.
+    rng = random.Random(13)
+    for _ in range(80):
+        x, *pool = rng.sample(_GRID_KEYS, rng.randint(4, 11))
+        shrunk = _random_supports(rng, pool, rng.randint(1, 3), size=3)
+        supports = [r | {x} for r in shrunk]
+        supports += [r | {rng.choice(pool)} for r in shrunk]
+        supports += _random_supports(rng, pool, rng.randint(0, 3))
+        rng.shuffle(supports)
+        _check_against_bruteforce(supports)
+    a, b, c, d, x = _GRID_KEYS[:5]
+    _check_against_bruteforce([frozenset(s) for s in
+                               [{x, a}, {a, b}, {x, b, c}, {b, c, d}, {c, d}, {d, a}]])
 
 
 def test_cover_edge_cases():
@@ -385,37 +465,95 @@ def test_radical_of_squarefree_ideal_is_itself():
     assert N.radical() == MonomialIdeal.from_monomials(ring, [mono((x, 1), (y, 1)), mono((z, 1))])
 
 
+def _generic_antidiagonals(k, l, t):
+    rows = list(combinations(range(1, k + 1), t))
+    cols = list(combinations(range(1, l + 1), t))
+    return [Minor(r, c).antidiagonal_monomial() for r in rows for c in cols]
+
+
 def _generic_initial_ideal(k, l, t):
     """in(I_t) of the generic k x l matrix under the antidiagonal order.
 
     Distinct t-minors have distinct squarefree antidiagonal monomials of one
     degree, so these already form the minimal generators.
     """
-    rows = list(combinations(range(1, k + 1), t))
-    cols = list(combinations(range(1, l + 1), t))
-    gens = {Minor(r, c).antidiagonal_monomial() for r in rows for c in cols}
-    return MonomialIdeal(Ring.for_grid(QQ, k, l), tuple(sorted(gens)))
+    gens = sorted(_generic_antidiagonals(k, l, t))
+    return MonomialIdeal(Ring.for_grid(QQ, k, l), tuple(gens))
 
 
 def test_generic_heights_match_closed_form():
-    # height I_t = (k-t+1)(l-t+1) for the generic k x l matrix; the 7x7 case
-    # at t = 3 alone takes about a second and is left out.
+    # height I_t = (k-t+1)(l-t+1) for the generic k x l matrix.
     for t in (2, 3):
         for k in range(t, 8):
             for l in range(k, 8):
-                if (k, l, t) != (7, 7, 3):
-                    assert _generic_initial_ideal(k, l, t).height() == (k - t + 1) * (l - t + 1)
+                assert _generic_initial_ideal(k, l, t).height() == (k - t + 1) * (l - t + 1)
+
+
+def test_generic_multiplicities_match_herzog_trung():
+    for k in range(1, 6):
+        for l in range(k, 6):
+            for t in range(1, k + 1):
+                M = _generic_initial_ideal(k, l, t)
+                assert M.multiplicity() == generic_multiplicity(k, l, t)
+    assert [generic_multiplicity(2, l, 2) for l in range(2, 6)] == [2, 3, 4, 5]
+    assert generic_multiplicity(3, 3, 2) == 6 and generic_multiplicity(4, 4, 3) == 20
+
+
+def test_multiplicity_edge_cases():
+    ring = Ring.for_grid(QQ, 2, 2)
+    x, y = gv(1, 1), gv(1, 2)
+    assert MonomialIdeal(ring, ()).multiplicity() == 1
+    assert MonomialIdeal.from_monomials(ring, [mono((x, 1)), mono((y, 1))]).multiplicity() == 1
+    with pytest.raises(ValueError):
+        MonomialIdeal.from_monomials(ring, [mono((x, 2))]).multiplicity()
+    with pytest.raises(ValueError):
+        MonomialIdeal(ring, ((),)).multiplicity()
 
 
 def test_time_limit_bounds_dim():
-    # dim of in(I_3) of the generic 8x8 matrix takes over ten seconds of
+    # dim of in(I_3) of the generic 9x9 matrix takes several seconds of
     # Hilbert-series recursion; a 1 s budget must stop it.
-    M = _generic_initial_ideal(8, 8, 3)
+    M = _generic_initial_ideal(9, 9, 3)
     start = time.monotonic()
     with pytest.raises(InstanceTooLarge):
         with time_limit(1.0):
             M.dim()
     assert time.monotonic() - start < 3.0
+
+
+def test_from_monomials_is_fast_on_an_antichain():
+    # 3136 monomials of one degree: none can divide another.
+    monos = _generic_antidiagonals(8, 8, 3)
+    assert len(monos) == 3136
+    start = time.monotonic()
+    M = MonomialIdeal.from_monomials(Ring.for_grid(QQ, 8, 8), monos)
+    assert time.monotonic() - start < 0.5
+    assert M == _generic_initial_ideal(8, 8, 3)
+
+
+def _reference_minimalize(monos):
+    out = []
+    for m in sorted(set(monos), key=lambda m: (sum(e for _, e in m), m)):
+        if not any(mono_divides(g, m) for g in out):
+            out.append(m)
+    return tuple(sorted(out))
+
+
+def test_from_monomials_matches_quadratic_reference():
+    rng = random.Random(17)
+    ring = Ring.for_grid(QQ, 3, 3)
+    variables = [gv(i, j) for i in range(1, 4) for j in range(1, 4)]
+    for _ in range(300):
+        monos = [mono(*((v, rng.randint(1, 3)) for v in rng.sample(variables, rng.randint(0, 4))))
+                 for _ in range(rng.randint(0, 15))]
+        assert MonomialIdeal.from_monomials(ring, monos).gens == _reference_minimalize(monos)
+
+
+def test_from_monomials_honours_time_limit():
+    monos = _generic_antidiagonals(8, 8, 3)
+    with pytest.raises(InstanceTooLarge):
+        with time_limit(1e-9):
+            MonomialIdeal.from_monomials(Ring.for_grid(QQ, 8, 8), monos)
 
 
 def test_time_limit_nests_and_stays_in_its_thread():
