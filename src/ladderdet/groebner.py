@@ -636,19 +636,20 @@ def _minimalize_monomials(monos):
     only against the kept ones of lower degree, and against a candidate's
     full exponents only when its support mask lies inside m's.
     """
-    by_degree: dict = {}
-    for m in set(monos):
-        by_degree.setdefault(mono_degree(m), []).append(m)
-    kept = []  # (support mask, monomial), all of lower degree than the next
-    for degree in sorted(by_degree):
-        level = []
-        for m in by_degree[degree]:
-            _check_deadline()
-            outside = ~mono_mask(m)
-            if not any(not gm & outside and mono_divides(g, m) for gm, g in kept):
-                level.append((~outside, m))
-        kept += level
-    return tuple(sorted(m for _, m in kept))
+    lower, level, degree = [], [], 0  # kept (support mask, monomial) pairs
+    for d, m in sorted((mono_degree(m), m) for m in set(monos)):
+        _check_deadline()
+        if d > degree:
+            degree = d
+            lower += level
+            level = []
+        outside = ~mono_mask(m)
+        for gm, g in lower:
+            if not gm & outside and mono_divides(g, m):
+                break
+        else:
+            level.append((~outside, m))
+    return tuple(sorted(m for _, m in lower + level))
 
 
 @dataclass(frozen=True)
@@ -823,12 +824,7 @@ def minimal_covers(supports) -> list[frozenset]:
     rec(masks, 0, 0)
 
     def indices(c):
-        out = []
-        while c:
-            b = c & -c
-            c ^= b
-            out.append(b.bit_length() - 1)
-        return out
+        return [i for i in range(c.bit_length()) if c >> i & 1]
 
     # Ascending bit indices sort like the sorted keys they stand for.
     found = sorted((len(idx), idx) for idx in map(indices, covers))
@@ -845,6 +841,11 @@ def _times_one_minus_t(num: list[int], k: int) -> list[int]:
     return num
 
 
+# About 10 MB of memo for in(I_3) of the generic 9x9 matrix, which visits
+# 47k distinct subproblems; the benchmark ladders visit far fewer.
+_HILBERT_MEMO_ENTRIES = 1 << 14
+
+
 def _hilbert_numerator(masks: list[int]) -> list[int]:
     """Coefficients of N(t), where H(S/I, t) = N(t)/(1-t)^n for the
     squarefree monomial ideal I with these minimal support masks.
@@ -855,12 +856,14 @@ def _hilbert_numerator(masks: list[int]) -> list[int]:
     stripped as a factor (1 - t); then N(I + (x)) = (1 - t) N(J), where J
     keeps the supports without x.  I : x shrinks only the supports with x,
     which can then only swallow supports without x.  Subproblems repeat
-    across the two branches, so they are memoised for the call.
+    across the two branches, so they are memoised for the call, keyed by
+    their sorted masks; the memo starts over once it holds
+    `_HILBERT_MEMO_ENTRIES` of them, which bounds its memory.
     """
     memo: dict = {}
 
     def rec(masks):  # an antichain without singletons
-        key = frozenset(masks)
+        key = tuple(sorted(masks))
         num = memo.get(key)
         if num is not None:
             return num
@@ -899,6 +902,8 @@ def _hilbert_numerator(masks: list[int]) -> list[int]:
             a = rec(untouched)
             c = _times_one_minus_t(rec(colon), singles)
             num = _add_series(a, [0] + [q - p for p, q in zip_longest(a, c, fillvalue=0)])
+        if len(memo) >= _HILBERT_MEMO_ENTRIES:
+            memo.clear()
         memo[key] = num
         return num
 

@@ -1,6 +1,8 @@
 """Groebner engine: division, bases, ideal operations, monomial ideals."""
 
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -519,6 +521,49 @@ def test_time_limit_bounds_dim():
         with time_limit(1.0):
             M.dim()
     assert time.monotonic() - start < 3.0
+
+
+def test_full_hilbert_memo_starts_over_with_the_same_answers(monkeypatch):
+    from ladderdet import groebner
+
+    monkeypatch.setattr(groebner, "_HILBERT_MEMO_ENTRIES", 3)
+    for k, l, t in [(4, 5, 2), (5, 5, 3), (6, 6, 3)]:
+        M = _generic_initial_ideal(k, l, t)
+        assert M.height() == (k - t + 1) * (l - t + 1)
+        assert M.multiplicity() == generic_multiplicity(k, l, t)
+    test_covers_with_repeated_pivot_subproblems()
+
+
+_HEIGHT_MEMORY_CHILD = """
+import resource
+from itertools import combinations
+from ladderdet.fields import QQ
+from ladderdet.groebner import InstanceTooLarge, MonomialIdeal, Ring, time_limit
+from ladderdet.poly import Minor
+
+rows = list(combinations(range(1, 10), 3))
+gens = sorted(Minor(r, c).antidiagonal_monomial() for r in rows for c in rows)
+M = MonomialIdeal(Ring.for_grid(QQ, 9, 9), tuple(gens))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    with time_limit(3.0):
+        M.height()
+except InstanceTooLarge:
+    pass
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_height_memory_stays_bounded():
+    # Unbounded, the Hilbert-series memo of height() on in(I_3) of the
+    # generic 9x9 matrix raised the peak RSS by 55-70 MB within this 3 s
+    # budget on a 2-CPU machine; bounded, by 3-11 MB.  A fresh process gives
+    # a fresh high-water mark.
+    if sys.platform != "linux":
+        pytest.skip("ru_maxrss is in KiB on Linux only")
+    proc = subprocess.run([sys.executable, "-c", _HEIGHT_MEMORY_CHILD],
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 32 * 1024
 
 
 def test_from_monomials_is_fast_on_an_antichain():
