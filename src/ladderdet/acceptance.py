@@ -53,7 +53,7 @@ def _legal_unmixed_sizes(L: Ladder):
     sizes = []
     for t in range(1, L.max_square_in() + 1):
         try:
-            if validate(L, (t,) * len(L.lower)).valid:
+            if validate(L, t).valid:
                 sizes.append(t)
         except Exception:
             continue
@@ -112,7 +112,7 @@ def criterion_height_identity(seed: int = DEFAULT_SEED):
         ring = ladder_ring(QQ, L)
         full = len(L.cells) == L.shape[0] * L.shape[1]
         for t in _legal_unmixed_sizes(L):
-            h = height(L, (t,) * len(L.lower))
+            h = height(L, t)
             initial = mixed_ladder_ideal(L, t, QQ, ring).initial_ideal()
             engine_h = ring.nvars - initial.dim()
             line_ok = engine_h == h
@@ -136,7 +136,7 @@ def criterion_witness_certificate(seed: int = DEFAULT_SEED):
     ok = True
     for name, L, _ in _fixture_ladders():
         for t in _legal_unmixed_sizes(L):
-            cert = symbolic_fsplit_certificate(L, (t,) * len(L.lower), GF(2))
+            cert = symbolic_fsplit_certificate(L, t, GF(2))
             good = all(passed for _, passed in cert.checks)
             ok &= good
             details.append(f"{name} t={t}: h={cert.h} counts={cert.counts} ok={good}")

@@ -14,11 +14,12 @@ from pathlib import Path
 
 from . import acceptance
 from .fields import GF, parse_field
-from .groebner import Ideal, InstanceTooLarge, Ring, time_limit
+from .groebner import Ideal, InstanceTooLarge, time_limit
 from .ideals import (
     PartialPermutation,
     f_witness,
     g_witness,
+    ideal_from_json,
     ladder_ring,
     mixed_ladder_ideal,
     omega_delta_ideal,
@@ -32,7 +33,7 @@ from .knutson import (
     ladder_derivation,
     verify as verify_derivation,
 )
-from .ladders import Ladder, chamfer, reduce_to_unmixed, validate
+from .ladders import Ladder, LadderError, chamfer, reduce_to_unmixed, size_vector, validate
 from .oracle import (
     fedder_check,
     initial_symbolic_compare,
@@ -64,36 +65,31 @@ def _load_json(path: str):
 
 
 def _load_ladder(path: str, t_flag=None):
-    obj = _load_json(path)
+    """The ladder and size vector of a ladder file; --t overrides the file's t."""
     try:
-        ladder = Ladder(tuple(obj["shape"]), tuple(map(tuple, obj["upper"])),
-                        tuple(map(tuple, obj["lower"])))
-        t = tuple(t_flag) if t_flag else (tuple(obj["t"]) if obj.get("t") else None)
-    except (KeyError, TypeError, ValueError) as exc:
+        ladder, t = Ladder.from_json(_read_text(path))
+    except LadderError as exc:
         raise UsageError(f"{path}: not a valid ladder file ({exc})") from None
-    if t is not None and len(t) == 1:
-        t = (t[0],) * len(ladder.lower)
-    return ladder, t
+    try:
+        return ladder, size_vector(t_flag, len(ladder.lower)) if t_flag else t
+    except LadderError as exc:
+        raise UsageError(f"--t for {path}: {exc}") from None
 
 
 def _load_ideal(path: str, field, t_flag=None):
+    """An ideal file ({shape|cells, gens}), or a ladder file read as I_t(L)."""
     obj = _load_json(path)
-    if isinstance(obj, dict) and "upper" in obj:
-        ladder, t = _load_ladder(path, t_flag)
-        if t is None:
-            raise UsageError(f"{path}: ladder file has no minor sizes; pass --t")
-        ring = ladder_ring(field, ladder)
-        return mixed_ladder_ideal(ladder, t, field, ring), ring
-    try:
-        if "cells" in obj:
-            ring = Ring.for_cells(field, [tuple(c) for c in obj["cells"]])
-        else:
-            k, l = obj["shape"]
-            ring = Ring.for_grid(field, k, l)
-        gens = [parse_polynomial(s, field) for s in obj["gens"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path}: not a valid ideal file ({exc})") from None
-    return Ideal(ring, gens), ring
+    if isinstance(obj, dict) and "gens" in obj:
+        try:
+            I = ideal_from_json(_read_text(path), field)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"{path}: not a valid ideal file ({exc})") from None
+        return I, I.ring
+    ladder, t = _load_ladder(path, t_flag)
+    if t is None:
+        raise UsageError(f"{path}: ladder file has no minor sizes; pass --t")
+    ring = ladder_ring(field, ladder)
+    return mixed_ladder_ideal(ladder, t, field, ring), ring
 
 
 def _parse_minor(text: str) -> Minor:
@@ -129,9 +125,7 @@ def _emit(args, payload: dict, text_lines):
 def _cmd_ladder(args) -> int:
     if args.action == "validate":
         ladder, t = _load_ladder(args.file, args.t)
-        if t is None:
-            t = (1,) * len(ladder.lower)
-        report = validate(ladder, t)
+        report = validate(ladder, 1 if t is None else t)
         _emit(args, {"valid": report.valid, "u": report.u, "v": report.v,
                      "checks": [{"n": c.number, "pass": c.passed, "detail": c.detail}
                                 for c in report.checks]},
@@ -332,10 +326,9 @@ def _cmd_knutson(args) -> int:
 
 def _cmd_schubert(args) -> int:
     field = parse_field(args.field)
-    obj = _load_json(args.perm)
     try:
-        w = PartialPermutation(tuple(obj["shape"]), frozenset(map(tuple, obj["ones"])))
-    except (KeyError, TypeError, ValueError) as exc:
+        w = PartialPermutation.from_json(_read_text(args.perm))
+    except ValueError as exc:
         raise UsageError(f"{args.perm}: not a partial permutation file ({exc})") from None
     I = schubert_ideal(w, field)
     if args.gb:
@@ -411,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
                         help="seed for randomized suites")
     parser.add_argument("--timeout", type=float, default=60.0,
-                        help="time budget in seconds for the Groebner computations, "
+                        help="time budget in seconds for the ladder cell scans, minor "
+                             "enumerations, Groebner computations, Leibniz expansions, "
                              "height/dimension recursions and minimal-prime searches "
                              "of the command; accept gives each criterion its own "
                              "budget and fails one that exceeds it")

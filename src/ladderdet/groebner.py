@@ -12,7 +12,6 @@ symbolic powers).
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, zip_longest
@@ -420,7 +419,7 @@ class Ring:
 class Ideal:
     """An ideal given by generators, with cached reduced Groebner bases."""
 
-    __slots__ = ("ring", "gens", "_cache", "_lock")
+    __slots__ = ("ring", "gens", "_cache")
 
     def __init__(self, ring: Ring, gens):
         self.ring = ring
@@ -435,24 +434,18 @@ class Ideal:
             seen.setdefault(g)
         self.gens = tuple(seen)
         self._cache: dict[TermOrder, tuple[Polynomial, ...]] = {}
-        self._lock = threading.Lock()
 
     # -- basics
 
     def groebner_basis(self, order: TermOrder = ANTIDIAG) -> tuple[Polynomial, ...]:
-        with self._lock:
-            basis = self._cache.get(order)
-        if basis is not None:
-            return basis
-        basis = tuple(buchberger(self.gens, order))
-        with self._lock:
-            self._cache.setdefault(order, basis)
+        basis = self._cache.get(order)
+        if basis is None:
+            basis = self._cache.setdefault(order, tuple(buchberger(self.gens, order)))
         return basis
 
     def _seed_basis(self, order: TermOrder, basis) -> None:
         """Install a known reduced Groebner basis (internal)."""
-        with self._lock:
-            self._cache[order] = tuple(basis)
+        self._cache[order] = tuple(basis)
 
     def normal_form(self, f: Polynomial, order: TermOrder = ANTIDIAG) -> Polynomial:
         basis = self.groebner_basis(order)
@@ -479,9 +472,7 @@ class Ideal:
         a generator is a nonzero constant, or a cached basis is (1)."""
         if any(g.terms.keys() == {MONO_ONE} for g in self.gens):
             return True
-        with self._lock:
-            cached = list(self._cache.values())
-        return any(len(b) == 1 and b[0].terms.keys() == {MONO_ONE} for b in cached)
+        return any(len(b) == 1 and b[0].terms.keys() == {MONO_ONE} for b in self._cache.values())
 
     def equal(self, other: "Ideal", order: TermOrder = ANTIDIAG) -> bool:
         """Ideal equality via reduced-Groebner-basis comparison."""
@@ -579,9 +570,7 @@ class Ideal:
         out = Ideal(self.ring, [_frobenius_power(g, q) for g in self.gens])
         # Frobenius is flat over the polynomial ring: the bracket of a reduced
         # basis is again a reduced basis (q-th powers of terms, termwise).
-        with self._lock:
-            cached = dict(self._cache)
-        for order, basis in cached.items():
+        for order, basis in self._cache.items():
             out._seed_basis(order, tuple(_frobenius_power(g, q) for g in basis))
         return out
 

@@ -10,8 +10,8 @@ from itertools import combinations
 
 from .fields import QQ, Field
 from .groebner import Ideal, Ring
-from .ladders import Ladder, LadderError, antidiagonal_profile, height
-from .poly import Minor, Polynomial, expand_minor, grid_var
+from .ladders import Ladder, LadderError, _int_pair, antidiagonal_profile, height, size_vector
+from .poly import Minor, Polynomial, _check_deadline, expand_minor, grid_var, parse_polynomial
 
 
 def ladder_ring(field: Field, L: Ladder) -> Ring:
@@ -21,6 +21,18 @@ def ladder_ring(field: Field, L: Ladder) -> Ring:
 
 def grid_ring(field: Field, k: int, l: int) -> Ring:
     return Ring.for_grid(field, k, l)
+
+
+def ideal_from_json(text: str, field: Field = QQ) -> Ideal:
+    """An ideal file: "gens", a list of polynomial strings, over the grid
+    "shape" [k, l] or over the listed "cells"."""
+    obj = json.loads(text)
+    if "cells" in obj:
+        ring = Ring.for_cells(field, [tuple(c) for c in obj["cells"]])
+    else:
+        k, l = obj["shape"]
+        ring = grid_ring(field, k, l)
+    return Ideal(ring, [parse_polynomial(s, field) for s in obj["gens"]])
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +48,7 @@ def minors_in_ladder(L: Ladder, t: int) -> list[Minor]:
     cols_present = sorted({j for _, j in L.cells})
     out = []
     for rows in combinations(rows_present, t):
+        _check_deadline()
         for cols in combinations(cols_present, t):
             # NE and SW corner cells bound the whole submatrix in a ladder.
             if (rows[0], cols[-1]) in L.cells and (rows[-1], cols[0]) in L.cells:
@@ -47,10 +60,8 @@ def minors_in_ladder(L: Ladder, t: int) -> list[Minor]:
 
 def mixed_ladder_minors(L: Ladder, t) -> list[Minor]:
     """Deduplicated union of the generating minors over the subladders."""
-    if isinstance(t, int):
-        t = (t,) * len(L.lower)
     seen = {}
-    for j, tj in enumerate(t, start=1):
+    for j, tj in enumerate(size_vector(t, len(L.lower)), start=1):
         for m in minors_in_ladder(L.subladder(j), tj):
             seen[(m.rows, m.cols)] = m
     return [seen[key] for key in sorted(seen)]
@@ -114,21 +125,14 @@ def f_of_matrix(k: int, l: int, field: Field = QQ) -> Polynomial:
 
 
 def f_of_matrix_factors(k: int, l: int) -> tuple[Minor, ...]:
+    if k > l:
+        return tuple(Minor(m.cols, m.rows) for m in f_of_matrix_factors(l, k))
     factors = []
-    if k <= l:
-        for j in range(k - 1):
-            size = j + 1
-            factors.append(Minor(tuple(range(1, size + 1)), tuple(range(1, size + 1))))
-            factors.append(Minor(tuple(range(k - size + 1, k + 1)), tuple(range(l - size + 1, l + 1))))
-        for j in range(1, l - k + 2):
-            factors.append(Minor(tuple(range(1, k + 1)), tuple(range(j, k + j))))
-    else:
-        for j in range(l - 1):
-            size = j + 1
-            factors.append(Minor(tuple(range(1, size + 1)), tuple(range(1, size + 1))))
-            factors.append(Minor(tuple(range(k - size + 1, k + 1)), tuple(range(l - size + 1, l + 1))))
-        for j in range(1, k - l + 2):
-            factors.append(Minor(tuple(range(j, l + j)), tuple(range(1, l + 1))))
+    for size in range(1, k):
+        factors.append(Minor(tuple(range(1, size + 1)), tuple(range(1, size + 1))))
+        factors.append(Minor(tuple(range(k - size + 1, k + 1)), tuple(range(l - size + 1, l + 1))))
+    for j in range(1, l - k + 2):
+        factors.append(Minor(tuple(range(1, k + 1)), tuple(range(j, k + j))))
     return tuple(factors)
 
 
@@ -157,7 +161,7 @@ def g_witness_data(L: Ladder, t) -> GWitnessData:
     from .oracle import minor_product_symbolic_degree
     from .poly import mono_is_squarefree, mono_mul
 
-    t = tuple(t) if not isinstance(t, int) else (t,) * len(L.lower)
+    t = size_vector(t, len(L.lower))
     if t[-1] == 1:
         raise GWitnessError("t_v = 1: the witness construction needs t_v > 1")
     k, l = L.shape
@@ -199,8 +203,8 @@ def g_witness_data(L: Ladder, t) -> GWitnessData:
     avoided = grid_var(k, c_alpha).key
     if any(key == avoided for key, _ in lead):
         raise GWitnessError(f"witness lead divisible by x[{k},{c_alpha}]")
-    count = minor_product_symbolic_degree(list(factors), max(t)) if len(set(t)) == 1 else -1
     if len(set(t)) == 1:
+        count = minor_product_symbolic_degree(list(factors), t[0])
         h = height(L, t)
         if count != h - 1:
             raise GWitnessError(f"witness symbolic degree {count} != height-1 = {h - 1}")
@@ -228,6 +232,8 @@ class PartialPermutation:
         object.__setattr__(self, "shape", tuple(self.shape))
         object.__setattr__(self, "ones", frozenset(map(tuple, self.ones)))
         k, l = self.shape
+        if k < 1 or l < 1:
+            raise ValueError(f"bad shape {self.shape}")
         rows = [i for i, _ in self.ones]
         cols = [j for _, j in self.ones]
         if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
@@ -251,8 +257,13 @@ class PartialPermutation:
 
     @classmethod
     def from_json(cls, text: str) -> "PartialPermutation":
+        """Parse {"shape": [k, l], "ones": [[i, j], ...]}; ValueError on
+        anything else."""
         obj = json.loads(text)
-        return cls(tuple(obj["shape"]), frozenset(map(tuple, obj["ones"])))
+        if not isinstance(obj, dict) or not isinstance(obj.get("ones"), list):
+            raise ValueError('a permutation file holds {"shape": [k, l], "ones": [[i, j], ...]}')
+        return cls(_int_pair(obj.get("shape"), "shape"),
+                   frozenset(_int_pair(one, "one") for one in obj["ones"]))
 
 
 def schubert_rank_conditions(w: PartialPermutation) -> list[tuple[int, int, int]]:

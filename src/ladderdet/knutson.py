@@ -318,7 +318,7 @@ def ladder_derivation(L: Ladder, t: int, field: Field = QQ) -> KnutsonDerivation
     if not minors_in_ladder(L, t):
         raise DerivationError(f"I_{t} of this ladder is the zero ideal")
     ring = ladder_ring(field, L)
-    profile = antidiagonal_profile(L, (t,) * len(L.lower))
+    profile = antidiagonal_profile(L, t)
     factor_polys = {r: expand_minor(m, field)
                     for r, m in zip(profile.b_levels, profile.witness_factors)}
     level_minors = {r: m for r, m in zip(profile.b_levels, profile.witness_factors)}

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .poly import Minor
+from .poly import Minor, _check_deadline
 
 Cell = tuple[int, int]
 
@@ -71,6 +71,7 @@ class Ladder:
         k, l = self.shape
         out = set()
         for i in range(1, k + 1):
+            _check_deadline()
             for j in range(1, l + 1):
                 if self.contains(i, j):
                     out.add((i, j))
@@ -143,16 +144,10 @@ class Ladder:
 
     def interior_cells(self, t) -> frozenset[Cell]:
         """The interior: same upper corners, lower corners shifted by t_j."""
-        t = _as_spec(t, len(self.lower))
+        t = size_vector(t, len(self.lower))
         shifted = [(d - tj + 1, c + tj - 1) for (d, c), tj in zip(self.lower, t)]
-        k, l = self.shape
-        out = set()
-        for i, j in self.cells:
-            if not any(i >= b and j <= a for b, a in self.upper):
-                continue
-            if any(i <= d and j >= c for d, c in shifted):
-                out.add((i, j))
-        return frozenset(out)
+        return frozenset((i, j) for i, j in self.cells
+                         if any(i <= d and j >= c for d, c in shifted))
 
     def interior(self, t) -> "Ladder":
         return Ladder.from_cells(self.shape, self.interior_cells(t))
@@ -200,14 +195,24 @@ class Ladder:
 
     @classmethod
     def from_json(cls, text: str) -> tuple["Ladder", tuple[int, ...] | None]:
-        obj = json.loads(text)
+        """Parse a ladder file: a JSON object with "shape" [k, l], "upper" and
+        "lower" lists of [row, col] corners and an optional "t" (read by
+        `size_vector`; absent or null means no sizes).  Raises LadderError
+        on anything else."""
         try:
-            ladder = cls(tuple(obj["shape"]), tuple(map(tuple, obj["upper"])),
-                         tuple(map(tuple, obj["lower"])))
-        except KeyError as exc:
-            raise LadderError(f"ladder JSON missing field: {exc}") from None
-        t = tuple(obj["t"]) if "t" in obj and obj["t"] is not None else None
-        return ladder, t
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise LadderError(f"malformed JSON at line {exc.lineno} column {exc.colno}") from None
+        if not isinstance(obj, dict):
+            raise LadderError("a ladder file holds a JSON object")
+        corners = {}
+        for key in ("upper", "lower"):
+            if not isinstance(obj.get(key), list):
+                raise LadderError(f"{key!r} must be a list of corners, got {obj.get(key)!r}")
+            corners[key] = tuple(_int_pair(c, f"{key} corner") for c in obj[key])
+        ladder = cls(_int_pair(obj.get("shape"), "shape"), corners["upper"], corners["lower"])
+        t = obj.get("t")
+        return ladder, None if t is None else size_vector(t, len(ladder.lower))
 
     def render(self) -> str:
         k, l = self.shape
@@ -220,15 +225,28 @@ class Ladder:
         return f"Ladder({self.shape}, upper={list(self.upper)}, lower={list(self.lower)})"
 
 
-def _as_spec(t, v: int) -> tuple[int, ...]:
-    if isinstance(t, int):
-        t = (t,) * v
-    t = tuple(int(x) for x in t)
-    if len(t) != v:
-        raise LadderError(f"mixed spec length {len(t)} != number of lower corners {v}")
-    if any(x < 1 for x in t):
-        raise LadderError(f"minor sizes must be positive: {t}")
-    return t
+def _int_pair(x, what: str) -> tuple[int, int]:
+    if not (isinstance(x, list) and len(x) == 2 and all(type(y) is int for y in x)):
+        raise LadderError(f"{what} must be a pair of integers, got {x!r}")
+    return tuple(x)
+
+
+def size_vector(t, v: int) -> tuple[int, ...]:
+    """The minor sizes (t_1, ..., t_v) of a ladder with v lower corners.
+
+    An int, or a sequence with one entry, gives every corner that size;
+    any other sequence needs exactly one entry per corner.  Each size is a
+    positive int (not a bool, float, str or list).  Anything else raises
+    LadderError.
+    """
+    sizes = (t,) if type(t) is int else t
+    if not isinstance(sizes, (list, tuple)) or not all(type(x) is int and x >= 1 for x in sizes):
+        raise LadderError(f"minor sizes must be positive integers: {t!r}")
+    if len(sizes) == 1:
+        return (sizes[0],) * v
+    if len(sizes) != v:
+        raise LadderError(f"mixed spec length {len(sizes)} != number of lower corners {v}")
+    return tuple(sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +280,9 @@ class LadderReport:
 
 def covered_cells(L: Ladder, t) -> frozenset[Cell]:
     """Cells of L hit by a generating minor of the mixed ladder ideal."""
-    from .ideals import minors_in_ladder
+    from .ideals import mixed_ladder_minors
 
-    t = _as_spec(t, len(L.lower))
-    out: set[Cell] = set()
-    for j, tj in enumerate(t, start=1):
-        sub = L.subladder(j)
-        for m in minors_in_ladder(sub, tj):
-            out.update(m.cells())
-    return frozenset(out)
+    return frozenset(cell for m in mixed_ladder_minors(L, t) for cell in m.cells())
 
 
 def validate(L: Ladder, t) -> LadderReport:
@@ -285,7 +297,7 @@ def validate(L: Ladder, t) -> LadderReport:
     if L.is_empty:
         return LadderReport(False, False, 0, 0,
                             (AssumptionCheck(1, False, "ladder has no cells"),))
-    t = _as_spec(t, len(L.lower))
+    t = size_vector(t, len(L.lower))
 
     corner_cells_ok = all(L.contains(b, a) for b, a in L.upper) and all(
         L.contains(d, c) for d, c in L.lower
@@ -395,11 +407,11 @@ def antidiagonal_profile(L: Ladder, t) -> AntidiagonalProfile:
     Verifies the counting identity: the counts over B add up to the number
     of interior cells (= the height of the mixed ladder ideal).
     """
-    t = _as_spec(t, len(L.lower))
+    t = size_vector(t, len(L.lower))
     k, l = L.shape
     interior = L.interior_cells(t)
     subladders = [L.subladder(j) for j in range(1, len(t) + 1)]
-    sub_interiors = [s.interior_cells((tj,) * len(s.lower)) for s, tj in zip(subladders, t)]
+    sub_interiors = [s.interior_cells(tj) for s, tj in zip(subladders, t)]
 
     levels = []
     for r in range(2, k + l + 1):
@@ -444,28 +456,7 @@ def chamfer(L: Ladder, t, j: int) -> tuple[Ladder, tuple[int, ...]]:
     When t_j is already 1 the corner disappears together with its summand;
     this requires the remaining corners to keep every cell covered.
     """
-    t = _as_spec(t, len(L.lower))
-    if not 1 <= j <= len(L.lower):
-        raise ChamferError(f"corner index {j} out of range")
-    d, c = L.lower[j - 1]
-    if t[j - 1] == 1:
-        new_lower = L.lower[: j - 1] + L.lower[j:]
-        new_t = t[: j - 1] + t[j:]
-        if not new_lower:
-            raise ChamferError("cannot chamfer away the only lower corner")
-    else:
-        if d - 1 < 1 or c + 1 > L.shape[1]:
-            raise ChamferError(f"corner ({d},{c}) cannot move NE inside the grid")
-        new_lower = L.lower[: j - 1] + ((d - 1, c + 1),) + L.lower[j:]
-        new_t = t[: j - 1] + (t[j - 1] - 1,) + t[j:]
-    try:
-        out = Ladder(L.shape, L.upper, new_lower)
-    except LadderError as exc:
-        raise ChamferError(f"chamfer at corner {j} breaks the ladder: {exc}") from None
-    report = validate(out, new_t)
-    if not report.valid:
-        raise ChamferError(f"chamfer at corner {j} yields an invalid ladder:\n{report.as_text()}")
-    return out, new_t
+    return _move_corner(L, t, j, -1)
 
 
 def unchamfer(L: Ladder, t, j: int) -> tuple[Ladder, tuple[int, ...]]:
@@ -474,23 +465,36 @@ def unchamfer(L: Ladder, t, j: int) -> tuple[Ladder, tuple[int, ...]]:
     Guaranteed to succeed for some j with t_j minimal; may need a larger
     ambient grid (see `reduce_to_unmixed`, which pre-embeds with a margin).
     """
-    t = _as_spec(t, len(L.lower))
+    return _move_corner(L, t, j, +1)
+
+
+def _move_corner(L: Ladder, t, j: int, step: int) -> tuple[Ladder, tuple[int, ...]]:
+    """Lower corner j one diagonal step (-1 NE, +1 SW) with t_j changed by
+    `step`; a corner whose size reaches 0 is dropped.  The result must
+    validate, else ChamferError."""
+    move = "chamfer" if step < 0 else "unchamfer"
+    t = size_vector(t, len(L.lower))
     if not 1 <= j <= len(L.lower):
         raise ChamferError(f"corner index {j} out of range")
-    d, c = L.lower[j - 1]
-    if d + 1 > L.shape[0] or c - 1 < 1:
-        raise ChamferError(
-            f"corner ({d},{c}) cannot move SW inside the {L.shape} grid; embed with a margin first"
-        )
-    new_lower = L.lower[: j - 1] + ((d + 1, c - 1),) + L.lower[j:]
-    new_t = t[: j - 1] + (t[j - 1] + 1,) + t[j:]
+    (d, c), tj = L.lower[j - 1], t[j - 1] + step
+    if tj == 0:
+        if len(L.lower) == 1:
+            raise ChamferError("cannot chamfer away the only lower corner")
+        moved, new_tj = (), ()
+    else:
+        k, l = L.shape
+        if not (1 <= d + step <= k and 1 <= c - step <= l):
+            raise ChamferError(f"corner ({d},{c}) cannot move {'NE' if step < 0 else 'SW'} "
+                               f"inside the {k}x{l} grid")
+        moved, new_tj = ((d + step, c - step),), (tj,)
+    new_t = t[: j - 1] + new_tj + t[j:]
     try:
-        out = Ladder(L.shape, L.upper, new_lower)
+        out = Ladder(L.shape, L.upper, L.lower[: j - 1] + moved + L.lower[j:])
     except LadderError as exc:
-        raise ChamferError(f"unchamfer at corner {j} breaks the ladder: {exc}") from None
+        raise ChamferError(f"{move} at corner {j} breaks the ladder: {exc}") from None
     report = validate(out, new_t)
     if not report.valid:
-        raise ChamferError(f"unchamfer at corner {j} yields an invalid ladder:\n{report.as_text()}")
+        raise ChamferError(f"{move} at corner {j} yields an invalid ladder:\n{report.as_text()}")
     return out, new_t
 
 
@@ -510,13 +514,8 @@ class UnmixReduction:
         cur, cur_t = self.start, self.start_t
         for j in self.moves:
             cur, cur_t = chamfer(cur, cur_t, j)
-        k, l = self.original.shape
         ro, co = self.offset
-        return Ladder(
-            (k, l),
-            tuple((b - ro, a - co) for b, a in cur.upper),
-            tuple((d - ro, c - co) for d, c in cur.lower),
-        ), cur_t
+        return cur.embed(self.original.shape, -ro, -co), cur_t
 
 
 def unmix_distance(t) -> int:
@@ -537,7 +536,7 @@ def reduce_to_unmixed(L: Ladder, t) -> UnmixReduction:
     Terminates in unmix_distance(t) <= total_width(t) moves.  The ladder
     is first embedded with a margin so corner moves never leave the grid.
     """
-    t = _as_spec(t, len(L.lower))
+    t = size_vector(t, len(L.lower))
     margin = max(t) - min(t)
     k, l = L.shape
     cur = L.embed((k + margin, l + margin), 0, margin)

@@ -9,7 +9,7 @@ from functools import reduce
 
 from .fields import QQ, Field
 from .groebner import Ideal, MonomialIdeal, Ring
-from .ladders import Ladder, antidiagonal_profile, height
+from .ladders import Ladder, antidiagonal_profile, height, size_vector
 from .poly import (
     ANTIDIAG,
     Minor,
@@ -97,9 +97,7 @@ def symbolic_fsplit_certificate(L: Ladder, t, field: Field | None = None) -> Sym
     additionally records that the witness avoids the bracket power of the
     maximal ideal (its lead is squarefree with unit coefficient).
     """
-    if isinstance(t, int):
-        t = (t,) * len(L.lower)
-    t = tuple(t)
+    t = size_vector(t, len(L.lower))
     profile = antidiagonal_profile(L, t)
     h = height(L, t)
     factors = []
@@ -170,11 +168,10 @@ def ladder_symbolic_power(L: Ladder, t, n: int, field: Field = QQ) -> Ideal:
     """Saturation oracle for an unmixed ladder ideal; refuses mixed sizes."""
     from .ideals import ladder_ring, mixed_ladder_ideal
 
-    if not isinstance(t, int):
-        tset = set(t)
-        if len(tset) != 1:
-            raise ValueError("the saturation oracle handles unmixed sizes only")
-        t = tset.pop()
+    sizes = set(size_vector(t, len(L.lower)))
+    if len(sizes) != 1:
+        raise ValueError("the saturation oracle handles unmixed sizes only")
+    (t,) = sizes
     ring = ladder_ring(field, L)
     I = mixed_ladder_ideal(L, t, field, ring)
     return symbolic_power_saturation(I, n, saturation_strategy(L, t, ring))

@@ -26,8 +26,9 @@ from .fields import QQ, Field
 
 
 class InstanceTooLarge(RuntimeError):
-    """A Groebner task, height/dimension recursion, minimal-prime search or
-    minor expansion exceeded its time budget, iteration cap or size cap."""
+    """A ladder cell scan, minor enumeration, Groebner task, height/dimension
+    recursion, minimal-prime search or minor expansion exceeded its time
+    budget, iteration cap or size cap."""
 
 
 _deadline: ContextVar[float | None] = ContextVar("ladderdet_deadline", default=None)
@@ -35,9 +36,10 @@ _deadline: ContextVar[float | None] = ContextVar("ladderdet_deadline", default=N
 
 @contextmanager
 def time_limit(seconds: float | None):
-    """Bound the wall-clock time of Groebner tasks, the height/dimension
-    recursion, minimal-prime searches and minor expansions in the current
-    context (a new thread starts without a limit)."""
+    """Bound the wall-clock time of ladder cell scans, minor enumerations,
+    Groebner tasks, the height/dimension recursion, minimal-prime searches
+    and minor expansions in the current context (a new thread starts
+    without a limit)."""
     token = _deadline.set(None if seconds is None else time.monotonic() + seconds)
     try:
         yield

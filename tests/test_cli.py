@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -174,7 +175,12 @@ def test_exit_codes_on_bad_input(tmp_path, capsys):
      {"cells": 5, "field": "q", "f_factors": [], "root": {"kind": "leaf", "factor": "1"}}),
     (["poset", "--shape", "2,2", "--spec"], {"explicit": [5]}),
     (["ideal", "gb"], 5),
-], ids=["knutson-verify", "poset-spec", "ideal-gb"])
+    (["fedder", "--ladder"],
+     {"shape": [4, 4], "upper": [[1, 4]], "lower": [[2, 1], [4, 2]], "t": [2, "x"]}),
+    (["ideal", "gb"],
+     {"shape": [10, 10], "upper": [[1, 2], [4, 8], [8, 10]],
+      "lower": [[3, 1], [6, 1], [8, 6], [10, 8]], "t": [2, 3]}),
+], ids=["knutson-verify", "poset-spec", "ideal-gb", "fedder-bad-t-entry", "ideal-gb-short-t"])
 def test_malformed_loader_input_exits_2(argv, content, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(content))
@@ -274,6 +280,22 @@ def test_timeout_diagnostic(capsys):
     code, _ = run_cli("--timeout", "0.000001", "ideal", "gb",
                       str(FIXTURES / "full3x4.json"), "--t", "2", capsys=capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("n,action,sizes", [
+    (3000, "show", []),
+    (200, "validate", ["--t", "2"]),
+], ids=["show-3000x3000", "validate-200x200"])
+def test_timeout_reaches_the_ladder_layer(n, action, sizes, tmp_path):
+    big = tmp_path / "full.json"
+    big.write_text(json.dumps({"shape": [n, n], "upper": [[1, n]], "lower": [[n, 1]]}))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "ladderdet", "--timeout", "1", "ladder", action,
+                           str(big), *sizes],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "time budget exceeded" in proc.stderr
+    assert time.monotonic() - start < 3
 
 
 def test_accept_honours_timeout(capsys):

@@ -30,7 +30,7 @@ from ladderdet.ideals import (
     poset_ideal_brute,
     schubert_ideal,
 )
-from ladderdet.ladders import Ladder, random_valid_ladder
+from ladderdet.ladders import Ladder, LadderError, random_valid_ladder
 from ladderdet.poly import ANTIDIAG, Minor, Polynomial, expand_minor, grid_var, mono_is_squarefree, mono_to_str
 
 
@@ -69,6 +69,14 @@ def test_mixed_ladder_ideal_staircase10():
     const = {(m.rows, m.cols) for m in mixed_ladder_minors(L, (2, 2, 2, 2))}
     plain = {(m.rows, m.cols) for m in minors_in_ladder(L, 2)}
     assert const == plain
+
+
+def test_mixed_ladder_sizes_follow_size_vector():
+    L, _ = ladderdet.load_fixture("staircase10")
+    with pytest.raises(LadderError):
+        mixed_ladder_ideal(L, (2, 3))
+    one = {(m.rows, m.cols) for m in mixed_ladder_minors(L, (2,))}
+    assert one == {(m.rows, m.cols) for m in mixed_ladder_minors(L, 2)}
 
 
 def test_f_witness_examples():

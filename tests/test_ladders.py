@@ -1,6 +1,7 @@
 """Ladder combinatorics: membership, validation, interiors, profiles,
 chamfering and width descent."""
 
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from ladderdet.ladders import (
     height,
     random_valid_ladder,
     reduce_to_unmixed,
+    size_vector,
     total_width,
     unchamfer,
     unmix_distance,
@@ -225,6 +227,55 @@ def test_json_roundtrip_and_render():
     assert art == "###\n###"
     block = Ladder((3, 3), ((1, 3),), ((2, 2),))
     assert block.render() == ".##\n.##\n..."
+
+
+def test_size_vector_accepted_forms():
+    assert size_vector(2, 3) == (2, 2, 2)
+    assert size_vector([2], 3) == (2, 2, 2)
+    assert size_vector((2,), 1) == (2,)
+    assert size_vector([2, 3, 1], 3) == (2, 3, 1)
+
+
+@pytest.mark.parametrize("t", [
+    0, -1, True, 2.5, "2", "a", None, {2: 1}, [], [0], [2.5], [True], ["x"], [2, "x"],
+    [[1]], [2, None], [2, 3], [2, 3, 1, 2, 2],
+], ids=repr)
+def test_size_vector_rejects(t):
+    with pytest.raises(LadderError):
+        size_vector(t, 4)
+
+
+STAIRCASE_SUB = {"shape": [4, 4], "upper": [[1, 4]], "lower": [[2, 1], [4, 2]]}
+
+
+def test_from_json_reads_t_through_size_vector():
+    L, t = Ladder.from_json(json.dumps({**STAIRCASE_SUB, "t": [2]}))
+    assert L.lower == ((2, 1), (4, 2)) and t == (2, 2)
+    assert Ladder.from_json(json.dumps({**STAIRCASE_SUB, "t": 3}))[1] == (3, 3)
+    assert Ladder.from_json(json.dumps({**STAIRCASE_SUB, "t": None}))[1] is None
+    assert Ladder.from_json(json.dumps(STAIRCASE_SUB))[1] is None
+
+
+@pytest.mark.parametrize("text", [
+    "{not json", "5", "[]", '"ladder"', "null",
+    *(json.dumps({k: v for k, v in STAIRCASE_SUB.items() if k != drop})
+      for drop in ("shape", "upper", "lower")),
+    json.dumps({**STAIRCASE_SUB, "shape": 4}),
+    json.dumps({**STAIRCASE_SUB, "shape": [4, 4, 4]}),
+    json.dumps({**STAIRCASE_SUB, "shape": [4, 4.5]}),
+    json.dumps({**STAIRCASE_SUB, "shape": ["4", 4]}),
+    json.dumps({**STAIRCASE_SUB, "shape": [0, 4]}),
+    json.dumps({**STAIRCASE_SUB, "upper": [1, 4]}),
+    json.dumps({**STAIRCASE_SUB, "upper": "x"}),
+    json.dumps({**STAIRCASE_SUB, "lower": [[2, 1], [4]]}),
+    json.dumps({**STAIRCASE_SUB, "lower": [[2, 1], [4, True]]}),
+    json.dumps({**STAIRCASE_SUB, "lower": [[2, 1], [5, 2]]}),
+    *(json.dumps({**STAIRCASE_SUB, "t": t})
+      for t in (0, [], [2.5], "a", [2, "x"], [[1]], [2, 3, 1], [2, 0], False)),
+], ids=repr)
+def test_from_json_rejects(text):
+    with pytest.raises(LadderError):
+        Ladder.from_json(text)
 
 
 def test_tighten_and_embed():
