@@ -50,14 +50,7 @@ def _fixture_ladders():
 
 
 def _legal_unmixed_sizes(L: Ladder):
-    sizes = []
-    for t in range(1, L.max_square_in() + 1):
-        try:
-            if validate(L, t).valid:
-                sizes.append(t)
-        except Exception:
-            continue
-    return sizes
+    return [t for t in range(1, L.max_square_in() + 1) if validate(L, t).valid]
 
 
 def _random_unmixed(seed: int, count: int, max_size: int):

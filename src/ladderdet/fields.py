@@ -67,9 +67,6 @@ class Field:
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
 
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
-
     def mul(self, a, b):
         return a * b if self.p is None else (a * b) % self.p
 
@@ -105,6 +102,8 @@ def GF(p: int) -> Field:
 
 def parse_field(tag: str) -> Field:
     """Parse a field tag: ``q`` for the rationals, ``fp:P`` for a prime field."""
+    if not isinstance(tag, str):
+        raise ValueError(f"a field tag is a string, got {tag!r}")
     tag = tag.strip().lower()
     if tag in ("q", "qq"):
         return QQ

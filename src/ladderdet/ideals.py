@@ -11,7 +11,7 @@ from itertools import combinations
 from .fields import QQ, Field
 from .groebner import Ideal, Ring
 from .ladders import Ladder, LadderError, _int_pair, antidiagonal_profile, height, size_vector
-from .poly import Minor, Polynomial, _check_deadline, expand_minor, grid_var, parse_polynomial
+from .poly import Minor, Polynomial, _check_deadline, expand_minor, grid_var, parse_polynomials
 
 
 def ladder_ring(field: Field, L: Ladder) -> Ring:
@@ -23,16 +23,24 @@ def grid_ring(field: Field, k: int, l: int) -> Ring:
     return Ring.for_grid(field, k, l)
 
 
+def cells_from_json(cells) -> list[tuple[int, int]]:
+    """A JSON list of [i, j] cells, each a pair of integers."""
+    if not isinstance(cells, list):
+        raise ValueError(f"cells must be a list of [i, j] pairs, got {cells!r}")
+    return [_int_pair(cell, "cell") for cell in cells]
+
+
 def ideal_from_json(text: str, field: Field = QQ) -> Ideal:
     """An ideal file: "gens", a list of polynomial strings, over the grid
-    "shape" [k, l] or over the listed "cells"."""
+    "shape" [k, l] or over the listed "cells".  ValueError on anything else."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("an ideal file holds a JSON object")
     if "cells" in obj:
-        ring = Ring.for_cells(field, [tuple(c) for c in obj["cells"]])
+        ring = Ring.for_cells(field, cells_from_json(obj["cells"]))
     else:
-        k, l = obj["shape"]
-        ring = grid_ring(field, k, l)
-    return Ideal(ring, [parse_polynomial(s, field) for s in obj["gens"]])
+        ring = grid_ring(field, *_int_pair(obj.get("shape"), "shape"))
+    return Ideal(ring, parse_polynomials(obj.get("gens"), field))
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +444,20 @@ def poset_ideal_brute(k: int, l: int, delta: Minor, field: Field = QQ,
 
 
 def poset_spec_from_json(text: str) -> PosetIdealSpec:
+    """A poset spec: {kind: [{"rows": [...], "cols": [...]}, ...]} for one
+    kind of `PosetIdealSpec`, indices integers.  ValueError on anything else."""
     obj = json.loads(text)
     for kind in ("explicit", "cogenerators", "generalized"):
-        if kind in obj:
-            minors = tuple(Minor(tuple(m["rows"]), tuple(m["cols"])) for m in obj[kind])
-            return PosetIdealSpec(kind, minors)
+        if isinstance(obj, dict) and kind in obj:
+            if not isinstance(obj[kind], list):
+                raise ValueError(f"{kind} must be a list of minors, got {obj[kind]!r}")
+            return PosetIdealSpec(kind, tuple(_minor_from_json(m) for m in obj[kind]))
     raise ValueError("poset spec JSON needs one of: explicit, cogenerators, generalized")
+
+
+def _minor_from_json(m) -> Minor:
+    if not (isinstance(m, dict) and all(
+            isinstance(m.get(key), list) and all(type(x) is int for x in m[key])
+            for key in ("rows", "cols"))):
+        raise ValueError(f'a minor is {{"rows": [...], "cols": [...]}} of integers, got {m!r}')
+    return Minor(tuple(m["rows"]), tuple(m["cols"]))

@@ -18,13 +18,21 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import QQ, Field, parse_field
 from .groebner import Ideal, Ring, is_groebner_basis
+from .ideals import (
+    cells_from_json,
+    corner_minors,
+    f_of_matrix_factors,
+    grid_ring,
+    ladder_ring,
+    minors_in_ladder,
+)
 from .ladders import Ladder, antidiagonal_profile
 from .poly import (
     ANTIDIAG,
-    Minor,
     Polynomial,
     expand_minor,
     parse_polynomial,
+    parse_polynomials,
     poly_to_str,
 )
 
@@ -79,12 +87,6 @@ class KnutsonDerivation:
 
     def eval(self) -> Ideal:
         return eval_node(self.root, self.ring, {})
-
-    def witness(self) -> Polynomial:
-        out = Polynomial.one(self.ring.field)
-        for f in self.f_factors:
-            out = out * f
-        return out
 
 
 def eval_node(node, ring: Ring, cache: dict) -> Ideal:
@@ -226,15 +228,6 @@ def verify(deriv: KnutsonDerivation) -> VerifyReport:
 # Band machinery shared by the ladder and corner theorems
 
 
-def _band_minors(L: Ladder, t: int, axis: str, lo: int, hi: int) -> list[Minor]:
-    from .ideals import minors_in_ladder
-
-    band = L.band(axis, lo, hi)
-    if band.is_empty:
-        return []
-    return minors_in_ladder(band, t)
-
-
 def _level_cells(L: Ladder, r: int):
     k, l = L.shape
     return [(i, r - i) for i in range(max(1, r - l), min(k, r - 1) + 1) if (i, r - i) in L.cells]
@@ -244,13 +237,11 @@ class _BandDeriver:
     """Builds derivations of I_t(L_{[a,b]}) (or row bands) from the t-wide
     base cases, sharing nodes across overlapping windows."""
 
-    def __init__(self, L: Ladder, t: int, field: Field, factor_polys: dict[int, Polynomial],
-                 profile_levels: dict[int, Minor]):
+    def __init__(self, L: Ladder, t: int, field: Field, factor_polys: dict[int, Polynomial]):
         self.L = L
         self.t = t
         self.field = field
         self.factor_polys = factor_polys       # level -> expanded det(Y_r)
-        self.profile_levels = profile_levels   # level -> Y_r minor
         self.memo: dict = {}
 
     def derive(self, axis: str, lo: int, hi: int):
@@ -263,7 +254,7 @@ class _BandDeriver:
 
     def _derive(self, axis: str, lo: int, hi: int):
         t = self.t
-        minors = _band_minors(self.L, t, axis, lo, hi)
+        minors = minors_in_ladder(self.L.band(axis, lo, hi), t)
         if not minors:
             return None
         claimed = tuple(expand_minor(m, self.field) for m in minors)
@@ -278,7 +269,7 @@ class _BandDeriver:
             return left if right is None else right
         summed = Sum((left, right))
         if t > 1:
-            inner = _band_minors(self.L, t - 1, axis, lo + 1, hi - 1)
+            inner = minors_in_ladder(self.L.band(axis, lo + 1, hi - 1), t - 1)
             identity = (
                 "intersect",
                 claimed,
@@ -311,8 +302,6 @@ class _BandDeriver:
 
 def ladder_derivation(L: Ladder, t: int, field: Field = QQ) -> KnutsonDerivation:
     """Derivation of the unmixed ladder ideal from the witness factors."""
-    from .ideals import ladder_ring, minors_in_ladder
-
     if not isinstance(t, int):
         raise DerivationError("the ladder derivation handles unmixed sizes only")
     if not minors_in_ladder(L, t):
@@ -321,8 +310,7 @@ def ladder_derivation(L: Ladder, t: int, field: Field = QQ) -> KnutsonDerivation
     profile = antidiagonal_profile(L, t)
     factor_polys = {r: expand_minor(m, field)
                     for r, m in zip(profile.b_levels, profile.witness_factors)}
-    level_minors = {r: m for r, m in zip(profile.b_levels, profile.witness_factors)}
-    deriver = _BandDeriver(L, t, field, factor_polys, level_minors)
+    deriver = _BandDeriver(L, t, field, factor_polys)
     cols = sorted({j for _, j in L.cells})
     root = deriver.derive("cols", cols[0], cols[-1])
     if root is None:
@@ -334,8 +322,6 @@ def ladder_derivation(L: Ladder, t: int, field: Field = QQ) -> KnutsonDerivation
 def corner_derivation(k: int, l: int, t: int, r: int, s: int,
                       field: Field = QQ, which: str = "nw") -> KnutsonDerivation:
     """Derivation of I_t of a NW or SE corner submatrix of the full grid."""
-    from .ideals import corner_minors, f_of_matrix_factors, grid_ring
-
     if which not in ("nw", "se"):
         raise DerivationError("which must be 'nw' or 'se'")
     if not (1 <= r <= k and 1 <= s <= l) or t < 1 or t > min(r, s):
@@ -343,15 +329,8 @@ def corner_derivation(k: int, l: int, t: int, r: int, s: int,
     ring = grid_ring(field, k, l)
     L = Ladder.full(k, l)
 
-    witness_minors = f_of_matrix_factors(k, l)
-    factor_polys_by_minor = {(m.rows, m.cols): expand_minor(m, field) for m in witness_minors}
     # Full-grid profile levels coincide with the witness factors.
-    level_polys: dict[int, Polynomial] = {}
-    level_minors: dict[int, Minor] = {}
-    for m in witness_minors:
-        level = m.rows[0] + m.cols[-1]
-        level_polys[level] = factor_polys_by_minor[(m.rows, m.cols)]
-        level_minors[level] = m
+    level_polys = {m.rows[0] + m.cols[-1]: expand_minor(m, field) for m in f_of_matrix_factors(k, l)}
 
     memo: dict = {}
 
@@ -364,7 +343,7 @@ def corner_derivation(k: int, l: int, t: int, r: int, s: int,
         return node
 
     def band_node(tt: int, axis: str, lo: int, hi: int):
-        deriver = _BandDeriver(L, tt, field, level_polys, level_minors)
+        deriver = _BandDeriver(L, tt, field, level_polys)
         node = deriver.derive(axis, lo, hi)
         if node is None:
             raise DerivationError(f"zero band ideal for t={tt} {axis}[{lo},{hi}]")
@@ -462,21 +441,21 @@ def _node_from_obj(obj, field: Field):
             if ident["kind"] == "intersect":
                 identity = (
                     "intersect",
-                    tuple(parse_polynomial(g, field) for g in ident["a"]),
-                    tuple(parse_polynomial(g, field) for g in ident["b"]),
+                    tuple(parse_polynomials(ident["a"], field)),
+                    tuple(parse_polynomials(ident["b"], field)),
                 )
             else:
                 identity = ("equal",)
         return MinimalPrimeClaim(
             _node_from_obj(obj["child"], field),
-            tuple(parse_polynomial(g, field) for g in obj["claimed"]),
+            tuple(parse_polynomials(obj["claimed"], field)),
             identity,
             obj.get("label", ""),
         )
     if kind == "colon":
         return Colon(
             _node_from_obj(obj["child"], field),
-            tuple(parse_polynomial(g, field) for g in obj["divisor"]),
+            tuple(parse_polynomials(obj["divisor"], field)),
         )
     raise DerivationError(f"unknown node kind in JSON: {kind}")
 
@@ -495,9 +474,12 @@ def derivation_to_json(deriv: KnutsonDerivation) -> str:
 
 
 def derivation_from_json(text: str) -> KnutsonDerivation:
+    """A derivation file as written by `derivation_to_json`; polynomials are
+    strings and cells pairs of integers.  ValueError, KeyError or TypeError
+    on a malformed file."""
     obj = json.loads(text)
     field = parse_field(obj["field"])
-    ring = Ring.for_cells(field, [tuple(c) for c in obj["cells"]])
-    factors = tuple(parse_polynomial(f, field) for f in obj["f_factors"])
+    ring = Ring.for_cells(field, cells_from_json(obj["cells"]))
+    factors = tuple(parse_polynomials(obj["f_factors"], field))
     root = _node_from_obj(obj["root"], field)
     return KnutsonDerivation(ring, factors, root, obj.get("label", ""))

@@ -8,9 +8,11 @@ corners (d, c) inside a k x l grid.  Cell membership:
                  and  (some lower corner has i <= d, j >= c).
 
 Corner lists are kept as given (lower corners may share a row or column,
-as in ladders whose first two lower corners sit in the same column); the
-canonical minimal corner list is recomputed when a ladder is rebuilt from
-its cell set.
+as in ladders whose first two lower corners sit in the same column).
+Sub-regions are cut out by their corners: the subladder L_j keeps the
+upper corners and the lower corner (d_j, c_j) alone, and a band clips
+every corner to the band.  Their corner lists need not be minimal, so
+ladders are compared by their cells, never by their corners.
 """
 
 from __future__ import annotations
@@ -89,47 +91,21 @@ class Ladder:
     # -- derived ladders
 
     @classmethod
-    def empty(cls, shape) -> "Ladder":
-        return cls(tuple(shape), (), ())
-
-    @classmethod
     def full(cls, k: int, l: int) -> "Ladder":
         return cls((k, l), ((1, l),), ((k, 1),))
-
-    @classmethod
-    def from_cells(cls, shape, cells) -> "Ladder":
-        """Rebuild a ladder from a cell set, recomputing minimal corners."""
-        cells = set(map(tuple, cells))
-        if not cells:
-            return cls.empty(shape)
-        rows = sorted({i for i, _ in cells})
-        lo = {i: min(j for r, j in cells if r == i) for i in rows}
-        hi = {i: max(j for r, j in cells if r == i) for i in rows}
-        for i in rows:
-            for j in range(lo[i], hi[i] + 1):
-                if (i, j) not in cells:
-                    raise LadderError("cell set is not a ladder region (row gap)")
-        upper = []
-        lower = []
-        for idx, i in enumerate(rows):
-            if idx == 0 or hi[i] > hi[rows[idx - 1]]:
-                upper.append((i, hi[i]))
-            if idx == len(rows) - 1 or lo[rows[idx + 1]] > lo[i]:
-                lower.append((i, lo[i]))
-        ladder = cls(tuple(shape), tuple(upper), tuple(lower))
-        if ladder.cells != frozenset(cells):
-            raise LadderError("cell set is not a two-sided ladder region")
-        return ladder
 
     def subladder(self, j: int) -> "Ladder":
         """L_j: the cells with row <= d_j and column >= c_j (1-based j)."""
         if not 1 <= j <= len(self.lower):
             raise LadderError(f"subladder index {j} out of range 1..{len(self.lower)}")
-        d, c = self.lower[j - 1]
-        return Ladder.from_cells(self.shape, {(i, a) for i, a in self.cells if i <= d and a >= c})
+        return Ladder(self.shape, self.upper, (self.lower[j - 1],))
 
     def band(self, axis: str, lo: int, hi: int) -> "Ladder":
-        """Intersection with a column band (axis='cols') or row band ('rows')."""
+        """Intersection with a column band (axis='cols') or row band ('rows').
+
+        Every corner is clipped to the band; where several clip to the same
+        value, the one bounding the most cells is kept.
+        """
         k, l = self.shape
         limit = l if axis == "cols" else k
         if axis not in ("cols", "rows"):
@@ -137,10 +113,21 @@ class Ladder:
         if not (1 <= lo <= hi <= limit):
             raise LadderError(f"band [{lo},{hi}] outside 1..{limit}")
         if axis == "cols":
-            kept = {(i, j) for i, j in self.cells if lo <= j <= hi}
-        else:
-            kept = {(i, j) for i, j in self.cells if lo <= i <= hi}
-        return Ladder.from_cells(self.shape, kept)
+            upper = {}
+            for b, a in reversed(self.upper):
+                upper[min(a, hi)] = b  # the smallest row wins
+            lower = {}
+            for d, c in self.lower:
+                lower[max(c, lo)] = d  # the largest row wins
+            return Ladder(self.shape, sorted((b, a) for a, b in upper.items()),
+                          sorted((d, c) for c, d in lower.items()))
+        upper = {}
+        for b, a in self.upper:
+            upper[max(b, lo)] = a  # the largest column wins
+        lower = {}
+        for d, c in reversed(self.lower):
+            lower[min(d, hi)] = c  # the smallest column wins
+        return Ladder(self.shape, sorted(upper.items()), sorted(lower.items()))
 
     def interior_cells(self, t) -> frozenset[Cell]:
         """The interior: same upper corners, lower corners shifted by t_j."""
@@ -148,9 +135,6 @@ class Ladder:
         shifted = [(d - tj + 1, c + tj - 1) for (d, c), tj in zip(self.lower, t)]
         return frozenset((i, j) for i, j in self.cells
                          if any(i <= d and j >= c for d, c in shifted))
-
-    def interior(self, t) -> "Ladder":
-        return Ladder.from_cells(self.shape, self.interior_cells(t))
 
     def max_square_in(self) -> int:
         """Side of the largest full square submatrix inside the ladder."""
@@ -165,17 +149,6 @@ class Ladder:
                     )
                     best = max(best, size[(i, j)])
         return best
-
-    def tighten(self) -> tuple["Ladder", tuple[int, int]]:
-        """Crop to the bounding box; returns (ladder, (row_offset, col_offset))."""
-        if self.is_empty:
-            return self, (0, 0)
-        r0 = min(i for i, _ in self.cells) - 1
-        c0 = min(j for _, j in self.cells) - 1
-        r1 = max(i for i, _ in self.cells)
-        c1 = max(j for _, j in self.cells)
-        moved = {(i - r0, j - c0) for i, j in self.cells}
-        return Ladder.from_cells((r1 - r0, c1 - c0), moved), (r0, c0)
 
     def embed(self, shape, row_off: int = 0, col_off: int = 0) -> "Ladder":
         """Translate into a (possibly larger) grid."""

@@ -278,41 +278,28 @@ class TermOrder:
     """antidiagonal-lex, graded reverse lex, or an elimination block order.
 
     ``elim`` compares the auxiliary-variable block lexicographically first,
-    then the grid part under `inner`; auxiliaries always sit above the grid.
+    then the grid part under antidiagonal-lex; auxiliaries always sit above
+    the grid.
 
     `is_native` is true when monomial tuples compare natively under the
     order, so that `key` is the identity.  That holds for antidiagonal-lex
-    and for ``elim(antidiag-lex)``: aux keys sort above every grid key, so
-    lex on the aux block, then lex on the grid part, is plain lex on the
-    whole monomial.
+    and for ``elim``: aux keys sort above every grid key, so lex on the aux
+    block, then lex on the grid part, is plain lex on the whole monomial.
     """
 
     kind: str  # "antidiag-lex" | "grevlex" | "elim"
-    inner: str = "antidiag-lex"
     is_native: bool = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("antidiag-lex", "grevlex", "elim"):
             raise ValueError(f"unknown term order kind: {self.kind}")
-        if self.kind == "elim" and self.inner not in ("antidiag-lex", "grevlex"):
-            raise ValueError(f"unknown inner order: {self.inner}")
-        native = self.kind == "antidiag-lex" or (self.kind == "elim" and self.inner == "antidiag-lex")
-        object.__setattr__(self, "is_native", native)
+        object.__setattr__(self, "is_native", self.kind != "grevlex")
 
     def key(self, m: tuple):
-        if self.is_native:
-            return m
-        if self.kind == "grevlex":
-            return _grevlex_key(m)
-        split = 0
-        while split < len(m) and m[split][0][0] == 1:
-            split += 1
-        return (m[:split], _grevlex_key(m[split:]))
+        return m if self.is_native else _grevlex_key(m)
 
     def __str__(self):
-        if self.kind == "elim":
-            return f"elim({self.inner})"
-        return self.kind
+        return "elim(antidiag-lex)" if self.kind == "elim" else self.kind
 
 
 def _grevlex_key(m: tuple):
@@ -326,7 +313,7 @@ def _grevlex_key(m: tuple):
 
 ANTIDIAG = TermOrder("antidiag-lex")
 GREVLEX = TermOrder("grevlex")
-ELIM = TermOrder("elim", "antidiag-lex")
+ELIM = TermOrder("elim")
 
 _ORDER_NAMES = {"antidiag": ANTIDIAG, "antidiag-lex": ANTIDIAG, "grevlex": GREVLEX}
 
@@ -647,6 +634,8 @@ _TOKEN = re.compile(
 
 def parse_polynomial(text: str, field: Field = QQ) -> Polynomial:
     """Parse the canonical textual polynomial grammar."""
+    if not isinstance(text, str):
+        raise ValueError(f"a polynomial is a string, got {text!r}")
     tokens = []
     pos = 0
     text = text.strip()
@@ -706,3 +695,10 @@ def parse_polynomial(text: str, field: Field = QQ) -> Polynomial:
     if not terms:
         raise ValueError("empty polynomial text")
     return Polynomial.from_terms(field, terms)
+
+
+def parse_polynomials(texts, field: Field = QQ) -> list[Polynomial]:
+    """Parse a list of polynomial strings, as held in a JSON array."""
+    if not isinstance(texts, list):
+        raise ValueError(f"expected a list of polynomial strings, got {texts!r}")
+    return [parse_polynomial(text, field) for text in texts]

@@ -9,6 +9,8 @@ lines, or `ladderdet accept run all` for the same suite from the CLI.
 import pytest
 
 from ladderdet import acceptance
+from ladderdet.groebner import InstanceTooLarge, time_limit
+from ladderdet.ladders import Ladder
 
 BUDGETS = {
     "groebner-squarefree": 120.0,
@@ -44,3 +46,13 @@ def test_suite_runner_collects_everything():
 def test_unknown_criterion_rejected():
     with pytest.raises(KeyError):
         acceptance.run_criterion("no-such-criterion")
+
+
+def test_legal_unmixed_sizes_keeps_an_expired_budget():
+    # Every criterion has scanned the cells already (through ladder_ring);
+    # the expired budget must still stop the size scan, not empty it.
+    L = Ladder.full(3, 3)
+    assert L.cells
+    assert acceptance._legal_unmixed_sizes(L) == [1, 2, 3]
+    with time_limit(1e-9), pytest.raises(InstanceTooLarge):
+        acceptance._legal_unmixed_sizes(L)

@@ -180,7 +180,17 @@ def test_exit_codes_on_bad_input(tmp_path, capsys):
     (["ideal", "gb"],
      {"shape": [10, 10], "upper": [[1, 2], [4, 8], [8, 10]],
       "lower": [[3, 1], [6, 1], [8, 6], [10, 8]], "t": [2, 3]}),
-], ids=["knutson-verify", "poset-spec", "ideal-gb", "fedder-bad-t-entry", "ideal-gb-short-t"])
+    (["ideal", "gb"], {"shape": [2, 2], "gens": [5]}),
+    (["ideal", "gb"], {"cells": [[1, 1.5], [1, 1]], "gens": ["x[1,1]"]}),
+    (["knutson", "verify"],
+     {"cells": [[1, 1]], "field": "q", "f_factors": [5], "root": {"kind": "leaf", "factor": "x[1,1]"}}),
+    (["knutson", "verify"],
+     {"cells": [[1, 1]], "field": "q", "f_factors": ["x[1,1]"],
+      "root": {"kind": "min_prime", "child": {"kind": "leaf", "factor": "x[1,1]"}, "claimed": [5]}}),
+    (["poset", "--shape", "2,2", "--spec"], {"cogenerators": [{"rows": [1.5], "cols": [1]}]}),
+], ids=["knutson-verify", "poset-spec", "ideal-gb", "fedder-bad-t-entry", "ideal-gb-short-t",
+        "ideal-gb-int-gen", "ideal-gb-float-cell", "knutson-verify-int-factor",
+        "knutson-verify-int-claimed", "poset-spec-float-index"])
 def test_malformed_loader_input_exits_2(argv, content, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(content))

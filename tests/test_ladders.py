@@ -65,8 +65,6 @@ def test_membership_closure_property():
     for _ in range(25):
         L, _ = random_valid_ladder(rng, 7, 7, mixed=True)
         assert closure_holds(L.cells)
-        rebuilt = Ladder.from_cells(L.shape, L.cells)
-        assert rebuilt.cells == L.cells
 
 
 def test_staircase10_membership_details():
@@ -104,6 +102,50 @@ def test_band_examples():
     assert not empty.is_empty
     gap = Ladder((3, 3), ((1, 1),), ((1, 1),))  # single top-left cell
     assert gap.band("cols", 2, 3).is_empty
+
+
+def _random_corner_ladder(rng):
+    """A ladder from random corner lists: anything the constructor accepts,
+    valid for some t or not."""
+    while True:
+        k, l = rng.randint(1, 7), rng.randint(1, 7)
+        upper = sorted((rng.randint(1, k), rng.randint(1, l)) for _ in range(rng.randint(1, 3)))
+        lower = sorted((rng.randint(1, k), rng.randint(1, l)) for _ in range(rng.randint(1, 4)))
+        try:
+            return Ladder((k, l), upper, lower)
+        except LadderError:
+            continue
+
+
+def _band_reference(cells, axis, lo, hi):
+    at = 1 if axis == "cols" else 0
+    return {cell for cell in cells if lo <= cell[at] <= hi}
+
+
+def test_subregions_cut_by_corners_have_the_filtered_cells():
+    rng = random.Random(9)
+    valid = 0
+    for _ in range(400):
+        L = _random_corner_ladder(rng)
+        k, l = L.shape
+        valid += any(validate(L, t).valid for t in (1, 2))
+        for j, (d, c) in enumerate(L.lower, start=1):
+            expected = {(i, a) for i, a in L.cells if i <= d and a >= c}
+            sub = L.subladder(j)
+            assert sub.cells == expected and sub.is_empty == (not expected)
+        for axis, limit in (("cols", l), ("rows", k)):
+            for lo in range(1, limit + 1):
+                for hi in range(lo, limit + 1):
+                    band = L.band(axis, lo, hi)
+                    expected = _band_reference(L.cells, axis, lo, hi)
+                    assert band.cells == expected and band.is_empty == (not expected)
+                    axis2 = rng.choice(("cols", "rows"))
+                    lo2 = rng.randint(1, l if axis2 == "cols" else k)
+                    hi2 = rng.randint(lo2, l if axis2 == "cols" else k)
+                    twice = band.band(axis2, lo2, hi2)
+                    expected = _band_reference(expected, axis2, lo2, hi2)
+                    assert twice.cells == expected and twice.is_empty == (not expected)
+    assert 0 < valid < 400  # both valid and invalid ladders were drawn
 
 
 def test_interior_examples():
@@ -278,13 +320,12 @@ def test_from_json_rejects(text):
         Ladder.from_json(text)
 
 
-def test_tighten_and_embed():
+def test_embed():
     block = Ladder((3, 3), ((1, 3),), ((2, 2),))
-    tight, offset = block.tighten()
-    assert offset == (0, 1) and tight.shape == (2, 2)
-    assert tight.cells == {(1, 1), (1, 2), (2, 1), (2, 2)}
-    again = tight.embed((3, 3), 0, 1)
-    assert again.cells == block.cells
+    moved = block.embed((4, 5), 1, 2)
+    assert moved.shape == (4, 5)
+    assert moved.cells == {(i + 1, j + 2) for i, j in block.cells}
+    assert moved.embed((3, 3), -1, -2).cells == block.cells
 
 
 def test_validate_reports_nonspanning():

@@ -1,6 +1,6 @@
-"""Seeded fuzzing of the ladder and permutation file loaders through
-`cli.main`: whatever the file holds, a command ends in exit 0, 1 or 2 and
-no exception escapes."""
+"""Seeded fuzzing of the ladder, permutation, ideal, poset-spec and
+derivation file loaders through `cli.main`: whatever the file holds, a
+command ends in exit 0, 1 or 2 and no exception escapes."""
 
 import contextlib
 import copy
@@ -9,6 +9,8 @@ import json
 import random
 
 from ladderdet.cli import main
+from ladderdet.knutson import derivation_to_json, ladder_derivation
+from ladderdet.ladders import Ladder
 
 LADDERS = [
     {"shape": [2, 2], "upper": [[1, 2]], "lower": [[2, 1]]},
@@ -84,6 +86,84 @@ def test_fuzzed_ladder_and_permutation_files_exit_cleanly(tmp_path):
             argv = list(rng.choice(COMMANDS))
             if rng.random() < 0.25:
                 argv += ["--t"] + [str(rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+        path.write_text(json.dumps(doc))
+        argv = [str(path) if a == "{f}" else a for a in argv]
+        try:
+            code = _run(argv)
+        except Exception as exc:  # noqa: BLE001 - every escape is a finding
+            escaped.append((argv, json.dumps(doc), repr(exc)))
+            continue
+        if code not in (0, 1, 2):
+            escaped.append((argv, json.dumps(doc), f"exit {code}"))
+    assert not escaped, "\n".join(map(str, escaped[:10])) + f"\n({len(escaped)} cases)"
+
+
+IDEALS = [
+    {"shape": [2, 2], "gens": ["x[1,1]*x[2,2] - x[1,2]*x[2,1]"]},
+    {"cells": [[1, 1], [1, 2], [2, 2]], "gens": ["x[1,1]", "x[1,2]*x[2,2] - 2"]},
+]
+POSET_SPECS = [
+    {"explicit": [{"rows": [1, 2], "cols": [1, 2]}]},
+    {"cogenerators": [{"rows": [1], "cols": [2]}]},
+    {"generalized": [{"rows": [2], "cols": [1]}, {"rows": [1, 2], "cols": [1, 2]}]},
+]
+DERIVATIONS = [json.loads(derivation_to_json(ladder_derivation(Ladder.full(2, 3), 2))),
+               json.loads(derivation_to_json(ladder_derivation(Ladder.full(2, 2), 1)))]
+TREE_JUNK = JUNK + ["x[1,1]", "x[9,9]", "1", "", "q", "fp:4", "leaf", "sum", [5], [[1, 1.5]],
+                    ["x[1,1]", 5], {"kind": "leaf"}, {"kind": "colon", "child": {}, "divisor": 5}]
+TREE_CASES = 300
+
+
+def _positions(doc, out):
+    """Every (container, key) slot inside a JSON tree."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return out
+    for key, value in list(items):
+        out.append((doc, key))
+        _positions(value, out)
+    return out
+
+
+def _damage(rng, doc):
+    """One random damage anywhere in a JSON tree: a slot replaced by junk,
+    deleted, or a number in it nudged off the integers."""
+    slots = _positions(doc, [])
+    if not slots or rng.random() < 0.05:
+        return rng.choice([[doc], 5, "x", None])
+    container, key = rng.choice(slots)
+    kind = rng.randrange(3)
+    if kind == 0:
+        container[key] = copy.deepcopy(rng.choice(TREE_JUNK))
+    elif kind == 1:
+        del container[key]
+    elif isinstance(container[key], int) and not isinstance(container[key], bool):
+        container[key] = rng.choice([container[key] + 0.5, -container[key], 0, 99])
+    else:
+        container[key] = rng.choice([{}, [], True, 2.5])
+    return doc
+
+
+def test_fuzzed_ideal_poset_and_derivation_files_exit_cleanly(tmp_path):
+    rng = random.Random(20240717)
+    path = tmp_path / "case.json"
+    escaped = []
+    for n in range(TREE_CASES):
+        family = n % 3
+        if family == 0:
+            doc = copy.deepcopy(rng.choice(IDEALS))
+            argv = ["ideal", rng.choice(["gb", "gens", "initial"]), "{f}"]
+        elif family == 1:
+            doc = copy.deepcopy(rng.choice(POSET_SPECS))
+            argv = ["poset", "--shape", rng.choice(["2,2", "2,3"]), "--spec", "{f}"]
+        else:
+            doc = copy.deepcopy(rng.choice(DERIVATIONS))
+            argv = ["knutson", "verify", "{f}"]
+        for _ in range(rng.randint(1, 3)):
+            doc = _damage(rng, doc) if isinstance(doc, (dict, list)) else doc
         path.write_text(json.dumps(doc))
         argv = [str(path) if a == "{f}" else a for a in argv]
         try:

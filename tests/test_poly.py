@@ -91,19 +91,18 @@ def test_grevlex_differs_from_lex():
 
 def test_elimination_order_blocks():
     t = aux_var("t")
-    order = TermOrder("elim", "antidiag-lex")
+    order = TermOrder("elim")
     with_aux = mono((t, 1), (gv(2, 2), 1))
     without = mono((gv(1, 3), 4), (gv(1, 1), 4))
     assert compare_monomials(order, with_aux, without) == 1
 
 
-def _reference_block_key(m, inner):
+def _reference_block_key(m):
     """The elimination key as a two-block tuple: aux part, then grid part."""
     split = 0
     while split < len(m) and m[split][0][0] == 1:
         split += 1
-    grid = m[split:]
-    return (m[:split], grid if inner == "antidiag-lex" else GREVLEX.key(grid))
+    return (m[:split], m[split:])
 
 
 def _random_monomials(seed, count):
@@ -119,28 +118,14 @@ def test_elim_antidiag_sorts_as_native_tuples():
     assert not GREVLEX.is_native
     monos = _random_monomials(11, 500)
     assert sum(1 for m in monos if m and m[0][0][0] == 1) > 100  # plenty with aux
-    expected = sorted(monos, key=lambda m: _reference_block_key(m, "antidiag-lex"))
+    expected = sorted(monos, key=_reference_block_key)
     assert sorted(monos) == expected
     assert sorted(monos, key=ELIM.key) == expected
     rng = random.Random(12)
     for _ in range(500):
         a, b = rng.choice(monos), rng.choice(monos)
-        ka, kb = _reference_block_key(a, "antidiag-lex"), _reference_block_key(b, "antidiag-lex")
+        ka, kb = _reference_block_key(a), _reference_block_key(b)
         assert compare_monomials(ELIM, a, b) == (ka > kb) - (ka < kb)
-
-
-def test_elim_grevlex_keeps_its_block_order():
-    order = TermOrder("elim", "grevlex")
-    assert not order.is_native and order != ELIM
-    monos = _random_monomials(13, 500)
-    assert (sorted(monos, key=order.key)
-            == sorted(monos, key=lambda m: _reference_block_key(m, "grevlex")))
-    # same aux block: grevlex on the grid part puts the higher degree first
-    t = aux_var("t")
-    a = mono((t, 1), (gv(1, 1), 1))
-    b = mono((t, 1), (gv(2, 2), 2))
-    assert a > b and compare_monomials(order, a, b) == -1
-    assert compare_monomials(ELIM, a, b) == 1
 
 
 def test_expand_minor_honours_time_limit():
