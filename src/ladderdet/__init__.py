@@ -28,6 +28,7 @@ from .ideals import (
     g_witness,
     grid_ring,
     ladder_ring,
+    minor_product_symbolic_degree,
     minors_in_ladder,
     mixed_ladder_ideal,
     omega_delta_ideal,
@@ -57,7 +58,6 @@ from .oracle import (
     SymbolicCertificate,
     fedder_check,
     initial_symbolic_compare,
-    minor_product_symbolic_degree,
     symbolic_fsplit_certificate,
     symbolic_power_saturation,
 )

@@ -16,7 +16,9 @@ from .ideals import (
     PartialPermutation,
     f_of_matrix,
     f_witness,
+    grid_ring,
     ladder_ring,
+    minor_poset,
     minors_in_ladder,
     mixed_ladder_ideal,
     omega_delta_ideal,
@@ -290,8 +292,6 @@ def criterion_chamfer_descent(seed: int = DEFAULT_SEED):
 def criterion_poset_schubert(seed: int = DEFAULT_SEED):
     """9. Cogenerated poset ideals match brute force; Schubert ideals match
     the classical determinantal ideals and have squarefree initial ideals."""
-    from .ideals import grid_ring, minor_poset
-
     details = []
     ok = True
     for k in (2, 3):

@@ -21,9 +21,12 @@ from .ideals import (
     g_witness,
     ideal_from_json,
     ladder_ring,
+    minor_product_symbolic_degree,
     mixed_ladder_ideal,
     omega_delta_ideal,
+    poset_ideal,
     poset_ideal_brute,
+    poset_spec_from_json,
     schubert_ideal,
 )
 from .knutson import (
@@ -38,11 +41,10 @@ from .oracle import (
     fedder_check,
     initial_symbolic_compare,
     ladder_symbolic_power,
-    minor_product_symbolic_degree,
     saturation_strategy,
     symbolic_fsplit_certificate,
 )
-from .poly import Minor, parse_order, parse_polynomial, poly_to_str
+from .poly import Minor, mono_to_str, parse_order, parse_polynomial, poly_to_str
 
 
 class UsageError(ValueError):
@@ -56,20 +58,20 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _load_json(path: str):
+def _load_file(path: str, loader, what: str):
+    """`loader` applied to the text of a file.  Its failure, including the
+    RecursionError that deeply nested JSON raises, is a UsageError naming
+    the file."""
     text = _read_text(path)
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}") from None
+        return loader(text)
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise UsageError(f"{path}: not a valid {what} ({exc})") from None
 
 
 def _load_ladder(path: str, t_flag=None):
     """The ladder and size vector of a ladder file; --t overrides the file's t."""
-    try:
-        ladder, t = Ladder.from_json(_read_text(path))
-    except LadderError as exc:
-        raise UsageError(f"{path}: not a valid ladder file ({exc})") from None
+    ladder, t = _load_file(path, Ladder.from_json, "ladder file")
     try:
         return ladder, size_vector(t_flag, len(ladder.lower)) if t_flag else t
     except LadderError as exc:
@@ -78,12 +80,9 @@ def _load_ladder(path: str, t_flag=None):
 
 def _load_ideal(path: str, field, t_flag=None):
     """An ideal file ({shape|cells, gens}), or a ladder file read as I_t(L)."""
-    obj = _load_json(path)
+    obj = _load_file(path, json.loads, "JSON file")
     if isinstance(obj, dict) and "gens" in obj:
-        try:
-            I = ideal_from_json(_read_text(path), field)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"{path}: not a valid ideal file ({exc})") from None
+        I = _load_file(path, lambda text: ideal_from_json(text, field), "ideal file")
         return I, I.ring
     ladder, t = _load_ladder(path, t_flag)
     if t is None:
@@ -198,8 +197,6 @@ def _cmd_ideal(args) -> int:
         _emit(args, {"member": member}, [f"member={member}"])
         return 0 if member else 1
     elif args.action == "initial":
-        from .poly import mono_to_str
-
         init = I.initial_ideal(order)
         monos = [mono_to_str(m) for m in init.gens]
         _emit(args, {"initial": monos, "squarefree": init.is_squarefree()},
@@ -273,8 +270,6 @@ def _cmd_symbolic(args) -> int:
         I = mixed_ladder_ideal(ladder, t, field, ring)
         strategy = saturation_strategy(ladder, t[0], ring)
         res = initial_symbolic_compare(I, args.n, strategy=strategy)
-        from .poly import mono_to_str
-
         witness = mono_to_str(res.witness) if res.witness is not None else None
         _emit(args, {"equal": res.equal, "witness": witness},
               [f"equal={res.equal}"] + ([f"witness={witness}"] if witness is not None else []))
@@ -311,10 +306,9 @@ def _cmd_knutson(args) -> int:
             return 0 if report.ok else 1
         return 0
     if args.action == "verify":
-        try:
-            deriv = derivation_from_json(_read_text(args.file))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"{args.file}: not a valid derivation file ({exc})") from None
+        if not args.file:
+            raise UsageError("knutson verify needs a derivation file")
+        deriv = _load_file(args.file, derivation_from_json, "derivation file")
         report = verify_derivation(deriv)
         _emit(args, {"verified": report.ok,
                      "checks": [{"node": ln.node, "check": ln.check, "ok": ln.ok}
@@ -326,10 +320,7 @@ def _cmd_knutson(args) -> int:
 
 def _cmd_schubert(args) -> int:
     field = parse_field(args.field)
-    try:
-        w = PartialPermutation.from_json(_read_text(args.perm))
-    except ValueError as exc:
-        raise UsageError(f"{args.perm}: not a partial permutation file ({exc})") from None
+    w = _load_file(args.perm, PartialPermutation.from_json, "partial permutation file")
     I = schubert_ideal(w, field)
     if args.gb:
         basis = I.canonical_strings()
@@ -344,15 +335,10 @@ def _cmd_schubert(args) -> int:
 
 
 def _cmd_poset(args) -> int:
-    from .ideals import poset_ideal, poset_spec_from_json
-
     field = parse_field(args.field)
     k, l = (int(x) for x in args.shape.split(","))
     if args.spec:
-        try:
-            spec = poset_spec_from_json(_read_text(args.spec))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"{args.spec}: not a valid poset spec ({exc})") from None
+        spec = _load_file(args.spec, poset_spec_from_json, "poset spec")
         ideal = poset_ideal(k, l, spec, field)
         basis = ideal.canonical_strings()
         _emit(args, {"basis": basis}, basis)

@@ -26,6 +26,8 @@ from .poly import (
     TermOrder,
     Variable,
     _check_deadline,
+    aux_var,
+    grid_var,
     mono_degree,
     mono_divides,
     mono_div,
@@ -36,6 +38,7 @@ from .poly import (
     mono_mul,
     mono_pow,
     mono_radical,
+    poly_to_str,
     time_limit,  # re-exported: the budget API lives in poly, below groebner
     var_by_key,
 )
@@ -381,26 +384,17 @@ class Ring:
 
     @classmethod
     def for_grid(cls, field: Field, k: int, l: int) -> "Ring":
-        from .poly import grid_var
-
         return cls(field, tuple(grid_var(i, j) for i in range(1, k + 1) for j in range(1, l + 1)))
 
     @classmethod
     def for_cells(cls, field: Field, cells) -> "Ring":
-        from .poly import grid_var
-
         return cls(field, tuple(grid_var(i, j) for i, j in cells))
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
 
-    def with_aux(self, v: Variable) -> "Ring":
-        return Ring(self.field, self.variables + (v,))
-
     def fresh_aux(self) -> Variable:
-        from .poly import aux_var
-
         ranks = [v.rank for v in self.variables if v.is_aux]
         return aux_var("t", max(ranks) + 1 if ranks else 0)
 
@@ -580,8 +574,6 @@ class Ideal:
 
     def canonical_strings(self, order: TermOrder = ANTIDIAG) -> list[str]:
         """Reduced basis in the textual format, sorted by leading monomial."""
-        from .poly import poly_to_str
-
         return [poly_to_str(g, order) for g in self.groebner_basis(order)]
 
     def __repr__(self):

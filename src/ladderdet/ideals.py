@@ -1,5 +1,6 @@
-"""Generator construction for the determinantal ideal families and the
-Frobenius-splitting witness polynomials."""
+"""Generator construction for the determinantal ideal families, the
+Frobenius-splitting witness polynomials and their symbolic-power degree
+counts."""
 
 from __future__ import annotations
 
@@ -7,11 +8,21 @@ import json
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
+from math import factorial
 
 from .fields import QQ, Field
-from .groebner import Ideal, Ring
+from .groebner import Ideal, InstanceTooLarge, Ring
 from .ladders import Ladder, LadderError, _int_pair, antidiagonal_profile, height, size_vector
-from .poly import Minor, Polynomial, _check_deadline, expand_minor, grid_var, parse_polynomials
+from .poly import (
+    Minor,
+    Polynomial,
+    _check_deadline,
+    expand_minor,
+    grid_var,
+    mono_is_squarefree,
+    mono_mul,
+    parse_polynomials,
+)
 
 
 def ladder_ring(field: Field, L: Ladder) -> Ring:
@@ -58,11 +69,9 @@ def minors_in_ladder(L: Ladder, t: int) -> list[Minor]:
     for rows in combinations(rows_present, t):
         _check_deadline()
         for cols in combinations(cols_present, t):
-            # NE and SW corner cells bound the whole submatrix in a ladder.
+            # NE and SW corner cells bound the whole submatrix (corner lemma).
             if (rows[0], cols[-1]) in L.cells and (rows[-1], cols[0]) in L.cells:
-                minor = Minor(rows, cols)
-                if all(cell in L.cells for cell in minor.cells()):
-                    out.append(minor)
+                out.append(Minor(rows, cols))
     return out
 
 
@@ -90,10 +99,6 @@ EXPANSION_TERM_CAP = 200_000
 
 
 def _check_expansion_size(factors) -> None:
-    from math import factorial
-
-    from .groebner import InstanceTooLarge
-
     bound = 1
     for m in factors:
         bound *= factorial(m.size)
@@ -111,6 +116,22 @@ def minor_product(factors, field: Field = QQ) -> Polynomial:
     for m in factors:
         result = result * expand_minor(m, field)
     return result
+
+
+def minor_product_symbolic_degree(factors, t: int, ladder: Ladder | None = None) -> int:
+    """Certified symbolic order of a product of minors in I_t.
+
+    Each gamma x gamma determinant lies in the (gamma - t + 1)-st symbolic
+    power, so the product lies in I_t^(n) for n the sum of those counts.
+    Exact for the unmixed generic/ladder witnesses; for mixed sizes this is
+    a sufficient condition only.
+    """
+    total = 0
+    for m in factors:
+        if ladder is not None and not all(cell in ladder.cells for cell in m.cells()):
+            raise ValueError(f"factor {m} not contained in the ladder")
+        total += max(m.size - t + 1, 0)
+    return total
 
 
 def f_witness_factors(L: Ladder, t) -> tuple[Minor, ...]:
@@ -166,9 +187,6 @@ def g_witness_data(L: Ladder, t) -> GWitnessData:
     (beta in B, b_beta = k, p_beta = v) and the construction is verified:
     squarefree lead avoiding x[k, c_alpha], counts adding to height - 1.
     """
-    from .oracle import minor_product_symbolic_degree
-    from .poly import mono_is_squarefree, mono_mul
-
     t = size_vector(t, len(L.lower))
     if t[-1] == 1:
         raise GWitnessError("t_v = 1: the witness construction needs t_v > 1")
@@ -420,6 +438,9 @@ class PosetIdealSpec:
 def poset_ideal(k: int, l: int, spec: PosetIdealSpec, field: Field = QQ,
                 ring: Ring | None = None) -> Ideal:
     """The ideal of k[X] generated by an ideal of the poset of minors."""
+    for m in spec.minors:
+        if m.rows[-1] > k or m.cols[-1] > l:
+            raise ValueError(f"minor {m} lies outside the {k}x{l} grid")
     ring = ring or grid_ring(field, k, l)
     if spec.kind == "explicit":
         omega = list(spec.minors)

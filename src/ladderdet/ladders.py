@@ -13,6 +13,13 @@ Sub-regions are cut out by their corners: the subladder L_j keeps the
 upper corners and the lower corner (d_j, c_j) alone, and a band clips
 every corner to the band.  Their corner lists need not be minimal, so
 ladders are compared by their cells, never by their corners.
+
+Corner lemma: a block with rows R and columns C lies in L iff its NE cell
+(min R, max C) meets some upper corner (b, a) and its SW cell (max R, min C)
+meets some lower corner (d, c), that is iff it fits in the rectangle
+[b, d] x [c, a]: every cell of the block lies SW of its NE cell and NE of
+its SW cell.  Largest squares and the cells covered by t-minors are read
+off these corner rectangles.
 """
 
 from __future__ import annotations
@@ -137,18 +144,9 @@ class Ladder:
                          if any(i <= d and j >= c for d, c in shifted))
 
     def max_square_in(self) -> int:
-        """Side of the largest full square submatrix inside the ladder."""
-        k, l = self.shape
-        best = 0
-        size = {}
-        for i in range(1, k + 1):
-            for j in range(1, l + 1):
-                if (i, j) in self.cells:
-                    size[(i, j)] = 1 + min(
-                        size.get((i - 1, j), 0), size.get((i, j - 1), 0), size.get((i - 1, j - 1), 0)
-                    )
-                    best = max(best, size[(i, j)])
-        return best
+        """Side of the largest full square submatrix inside the ladder: the
+        best corner rectangle [b, d] x [c, a] (corner lemma)."""
+        return max([0] + [min(d - b, a - c) + 1 for b, a in self.upper for d, c in self.lower])
 
     def embed(self, shape, row_off: int = 0, col_off: int = 0) -> "Ladder":
         """Translate into a (possibly larger) grid."""
@@ -252,14 +250,27 @@ class LadderReport:
 
 
 def covered_cells(L: Ladder, t) -> frozenset[Cell]:
-    """Cells of L hit by a generating minor of the mixed ladder ideal."""
-    from .ideals import mixed_ladder_minors
+    """Cells of L hit by a generating minor of the mixed ladder ideal.
 
-    return frozenset(cell for m in mixed_ladder_minors(L, t) for cell in m.cells())
+    By the corner lemma, the t_j-minors of L_j cover the union of the
+    rectangles [b, d_j] x [c_j, a] over the upper corners (b, a) with room
+    for a t_j x t_j block: the cells of the ladder with those upper corners
+    and the single lower corner (d_j, c_j).
+    """
+    out = set()
+    for (d, c), tj in zip(L.lower, size_vector(t, len(L.lower))):
+        upper = tuple((b, a) for b, a in L.upper if d - b >= tj - 1 and a - c >= tj - 1)
+        if upper:
+            out |= Ladder(L.shape, upper, ((d, c),)).cells
+    return frozenset(out)
 
 
 def validate(L: Ladder, t) -> LadderReport:
     """Check the running assumptions (1)-(4) for the pair (L, t).
+
+    (1) reads the cells covered by generating minors off the corner
+    rectangles (`covered_cells`) and (3) the largest square of each L_j
+    (`max_square_in`); neither enumerates minors.
 
     (4), minimality of the ambient grid, is reported but kept out of the
     overall verdict: bands, interiors and chamfer outputs legitimately sit
@@ -278,7 +289,7 @@ def validate(L: Ladder, t) -> LadderReport:
     if not corner_cells_ok:
         notes.append("some listed corner is not a cell of the ladder")
 
-    # (1) every entry appears in a generating minor
+    # (1) every entry appears in a generating minor (the covered rectangles)
     covered = covered_cells(L, t)
     missing = sorted(L.cells - covered)
     checks.append(

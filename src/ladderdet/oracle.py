@@ -1,4 +1,4 @@
-"""Symbolic-power membership counts, splitting certificates, Fedder
+"""Splitting certificates, the saturation oracle for symbolic powers, Fedder
 checks, and the initial-ideal comparison for symbolic powers."""
 
 from __future__ import annotations
@@ -9,6 +9,12 @@ from functools import reduce
 
 from .fields import QQ, Field
 from .groebner import Ideal, MonomialIdeal, Ring
+from .ideals import (  # minor_product_symbolic_degree: also importable from here
+    ladder_ring,
+    minor_product,
+    minor_product_symbolic_degree,
+    mixed_ladder_ideal,
+)
 from .ladders import Ladder, antidiagonal_profile, height, size_vector
 from .poly import (
     ANTIDIAG,
@@ -20,22 +26,6 @@ from .poly import (
     mono_pow,
     mono_to_str,
 )
-
-
-def minor_product_symbolic_degree(factors, t: int, ladder: Ladder | None = None) -> int:
-    """Certified symbolic order of a product of minors in I_t.
-
-    Each gamma x gamma determinant lies in the (gamma - t + 1)-st symbolic
-    power, so the product lies in I_t^(n) for n the sum of those counts.
-    Exact for the unmixed generic/ladder witnesses; for mixed sizes this is
-    a sufficient condition only.
-    """
-    total = 0
-    for m in factors:
-        if ladder is not None and not all(cell in ladder.cells for cell in m.cells()):
-            raise ValueError(f"factor {m} not contained in the ladder")
-        total += max(m.size - t + 1, 0)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +55,6 @@ class SymbolicCertificate:
 
     def witness_polynomial(self, field: Field = QQ) -> Polynomial:
         """The expanded witness f (computed on demand, size-guarded)."""
-        from .ideals import minor_product
-
         return minor_product([m for m, _, _, _ in self.factors], field)
 
     def to_json(self) -> str:
@@ -156,8 +144,6 @@ def symbolic_power_saturation(I: Ideal, n: int, strategy: Ideal) -> Ideal:
 
 def saturation_strategy(L: Ladder, t: int, ring: Ring) -> Ideal:
     """The ideal to saturate powers of I_t(L) by: I_{t-1}(L) for t > 1."""
-    from .ideals import mixed_ladder_ideal
-
     if t > 1:
         return mixed_ladder_ideal(L, t - 1, ring.field, ring)
     # The variable ideal is a complete intersection: nothing to saturate.
@@ -166,8 +152,6 @@ def saturation_strategy(L: Ladder, t: int, ring: Ring) -> Ideal:
 
 def ladder_symbolic_power(L: Ladder, t, n: int, field: Field = QQ) -> Ideal:
     """Saturation oracle for an unmixed ladder ideal; refuses mixed sizes."""
-    from .ideals import ladder_ring, mixed_ladder_ideal
-
     sizes = set(size_vector(t, len(L.lower)))
     if len(sizes) != 1:
         raise ValueError("the saturation oracle handles unmixed sizes only")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import count, permutations
 
-from .fields import QQ, Field
+from .fields import GF, QQ, Field
 
 # ---------------------------------------------------------------------------
 # Time budgets
@@ -413,17 +413,8 @@ class Polynomial:
         mul = self.field.mul
         return Polynomial(self.field, {m: mul(v, inv) for m, v in self.terms.items()})
 
-    def variables(self) -> set[Variable]:
-        out = set()
-        for m in self.terms:
-            for k, _ in m:
-                out.add(_BY_KEY[k])
-        return out
-
     def reduce_mod(self, p: int) -> "Polynomial":
         """Image in GF(p) of a rational polynomial with p-integral coefficients."""
-        from .fields import GF
-
         f = GF(p)
         return Polynomial.from_terms(f, self.terms.items())
 

@@ -170,6 +170,13 @@ def test_exit_codes_on_bad_input(tmp_path, capsys):
     assert code == 2
 
 
+# Nesting deep enough that json.loads raises RecursionError.
+_DEEP_LIST = "[" * 3000 + "]" * 3000
+_DEEP_SUM = ('{"cells": [[1, 1]], "field": "q", "f_factors": ["x[1,1]"], "root": '
+             + '{"kind": "sum", "children": [' * 600 + '{"kind": "leaf", "factor": "x[1,1]"}'
+             + "]}" * 600 + "}")
+
+
 @pytest.mark.parametrize("argv,content", [
     (["knutson", "verify"],
      {"cells": 5, "field": "q", "f_factors": [], "root": {"kind": "leaf", "factor": "1"}}),
@@ -188,12 +195,20 @@ def test_exit_codes_on_bad_input(tmp_path, capsys):
      {"cells": [[1, 1]], "field": "q", "f_factors": ["x[1,1]"],
       "root": {"kind": "min_prime", "child": {"kind": "leaf", "factor": "x[1,1]"}, "claimed": [5]}}),
     (["poset", "--shape", "2,2", "--spec"], {"cogenerators": [{"rows": [1.5], "cols": [1]}]}),
+    (["knutson", "verify"], _DEEP_SUM),
+    (["ladder", "validate"], _DEEP_LIST),
+    (["ideal", "gb"], _DEEP_LIST),
+    (["poset", "--shape", "2,2", "--spec"], _DEEP_LIST),
+    (["schubert", "--perm"], _DEEP_LIST),
+    (["poset", "--shape", "2,2", "--spec"], {"cogenerators": [{"rows": [5], "cols": [5]}]}),
 ], ids=["knutson-verify", "poset-spec", "ideal-gb", "fedder-bad-t-entry", "ideal-gb-short-t",
         "ideal-gb-int-gen", "ideal-gb-float-cell", "knutson-verify-int-factor",
-        "knutson-verify-int-claimed", "poset-spec-float-index"])
+        "knutson-verify-int-claimed", "poset-spec-float-index", "knutson-verify-deep-sum",
+        "ladder-validate-deep", "ideal-gb-deep", "poset-spec-deep", "schubert-deep",
+        "poset-spec-outside-grid"])
 def test_malformed_loader_input_exits_2(argv, content, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(content))
+    bad.write_text(content if isinstance(content, str) else json.dumps(content))
     proc = subprocess.run([sys.executable, "-m", "ladderdet.cli", *argv, str(bad)],
                           capture_output=True, text=True)
     assert proc.returncode == 2
@@ -294,8 +309,8 @@ def test_timeout_diagnostic(capsys):
 
 @pytest.mark.parametrize("n,action,sizes", [
     (3000, "show", []),
-    (200, "validate", ["--t", "2"]),
-], ids=["show-3000x3000", "validate-200x200"])
+    (3000, "validate", ["--t", "2"]),
+], ids=["show-3000x3000", "validate-3000x3000"])
 def test_timeout_reaches_the_ladder_layer(n, action, sizes, tmp_path):
     big = tmp_path / "full.json"
     big.write_text(json.dumps({"shape": [n, n], "upper": [[1, n]], "lower": [[n, 1]]}))

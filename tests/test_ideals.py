@@ -257,6 +257,13 @@ def test_generalized_poset_ideal():
         poset_ideal(2, 2, PosetIdealSpec("generalized", (Minor((2,), (2,)),)), QQ, ring)
 
 
+@pytest.mark.parametrize("kind", ["explicit", "cogenerators", "generalized"])
+def test_poset_ideal_rejects_minors_outside_the_grid(kind):
+    for outside in (Minor((3,), (1,)), Minor((1, 2), (2, 3))):
+        with pytest.raises(ValueError, match="outside the 2x2 grid"):
+            poset_ideal(2, 2, PosetIdealSpec(kind, (Minor((1,), (1,)), outside)))
+
+
 def test_initial_of_principal_full_witness():
     from ladderdet.groebner import Ideal
     from ladderdet.poly import mono_from_vars

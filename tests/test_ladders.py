@@ -3,16 +3,19 @@ chamfering and width descent."""
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 
 import ladderdet
+from ladderdet.ideals import minors_in_ladder, mixed_ladder_minors
 from ladderdet.ladders import (
     ChamferError,
     Ladder,
     LadderError,
     antidiagonal_profile,
     chamfer,
+    covered_cells,
     height,
     random_valid_ladder,
     reduce_to_unmixed,
@@ -22,6 +25,7 @@ from ladderdet.ladders import (
     unmix_distance,
     validate,
 )
+from ladderdet.poly import Minor
 
 def staircase10():
     ladder, t = ladderdet.load_fixture("staircase10")
@@ -146,6 +150,53 @@ def test_subregions_cut_by_corners_have_the_filtered_cells():
                     expected = _band_reference(expected, axis2, lo2, hi2)
                     assert twice.cells == expected and twice.is_empty == (not expected)
     assert 0 < valid < 400  # both valid and invalid ladders were drawn
+
+
+def _max_square_dp(L):
+    """Reference for `max_square_in`: the side of the largest square of
+    cells ending at each cell, by dynamic programming over the grid."""
+    k, l = L.shape
+    size, best = {}, 0
+    for i in range(1, k + 1):
+        for j in range(1, l + 1):
+            if (i, j) in L.cells:
+                size[i, j] = 1 + min(size.get((i - 1, j), 0), size.get((i, j - 1), 0),
+                                     size.get((i - 1, j - 1), 0))
+                best = max(best, size[i, j])
+    return best
+
+
+def _minors_with_all_cells_in(L, t):
+    """Reference for `minors_in_ladder`: every t-minor on the occupied rows
+    and columns whose cells all lie in L."""
+    rows = sorted({i for i, _ in L.cells})
+    cols = sorted({j for _, j in L.cells})
+    return [Minor(r, c) for r in combinations(rows, t) for c in combinations(cols, t)
+            if all((i, j) in L.cells for i in r for j in c)]
+
+
+def test_corner_arithmetic_matches_cell_enumeration():
+    rng = random.Random(10)
+    regions = partial = 0
+    for _ in range(800):
+        L = _random_corner_ladder(rng)
+        k, l = L.shape
+        bands = []
+        for axis, limit in (("rows", k), ("cols", l)):
+            lo = rng.randint(1, limit)
+            bands.append(L.band(axis, lo, rng.randint(lo, limit)))
+        subladders = [L.subladder(j) for j in range(1, len(L.lower) + 1)]
+        for R in [L, *subladders, *bands]:
+            regions += 1
+            assert R.max_square_in() == _max_square_dp(R)
+            t = tuple(rng.randint(1, 4) for _ in R.lower)
+            covered = covered_cells(R, t)
+            assert covered == {cell for m in mixed_ladder_minors(R, t) for cell in m.cells()}
+            partial += bool(covered) and covered != R.cells
+            for region in [R, *(R.subladder(j) for j in range(1, len(R.lower) + 1))]:
+                size = rng.randint(1, 4)
+                assert minors_in_ladder(region, size) == _minors_with_all_cells_in(region, size)
+    assert regions > 3000 and partial > 50  # some regions are only partly covered
 
 
 def test_interior_examples():
