@@ -2,8 +2,10 @@
 commands, compared byte for byte with `tests/golden/cli.json`.
 
 The set covers every bundled fixture (ladder, ideal, witness and Knutson
-commands) plus one run each of ideal intersect / colon / saturate, Fedder,
-symbolic compare, Schubert and poset checks, and one acceptance criterion.
+commands) plus one run each of ideal intersect / colon / saturate / eq / sum /
+gens / member, grevlex bases and initial ideals, an ideal with exponents
+above 1, a certificate over GF(3), Fedder, symbolic compare, Schubert and
+poset checks, and one acceptance criterion.
 Refactors of the engine must leave every recorded output unchanged.
 
 Regenerate (only when an output change is intended) with
@@ -32,6 +34,8 @@ INPUTS = {
                                                "x[1,2]*x[2,3] - x[1,3]*x[2,2]"]},
     "ideal_b.json": {"shape": [2, 3], "gens": ["x[1,2] + x[2,1]", "x[2,2]"]},
     "ideal_c.json": {"shape": [2, 3], "gens": ["x[1,2]", "x[2,2]"]},
+    "ideal_d.json": {"shape": [2, 2], "gens": ["x[1,1]^3*x[2,2] - x[1,2]^2*x[2,1]",
+                                               "x[1,2]^2*x[2,2] - x[2,1]^3"]},
     "perm.json": {"shape": [3, 3], "ones": [[1, 2], [2, 1]]},
 }
 
@@ -52,6 +56,23 @@ def _cases():
             cases.append((f"{name}/knutson-derive",
                           ["knutson", "derive", "--ladder", path, *t, "--verify"]))
     a, b, c = ("{inputs}/ideal_a.json", "{inputs}/ideal_b.json", "{inputs}/ideal_c.json")
+    full3x3 = ["{fixtures}/full3x3.json", "--t", "2"]
+    for action in ("gb", "initial"):
+        cases.append((f"full3x3/grevlex-ideal-{action}",
+                      ["--order", "grevlex", "ideal", action, *full3x3]))
+        cases.append((f"grevlex-ideal-{action}", ["--order", "grevlex", "ideal", action, a]))
+    for name, path in (("a", a), ("b", b)):
+        cases.append((f"ideal-gens-{name}", ["ideal", "gens", path]))
+    cases += [
+        ("ideal-eq", ["ideal", "eq", a, b]),
+        ("ideal-sum", ["ideal", "sum", a, b]),
+        ("ideal-member-true", ["ideal", "member", *full3x3,
+                               "--poly", "x[1,1]*x[2,2] - x[1,2]*x[2,1]"]),
+        ("ideal-member-false", ["ideal", "member", *full3x3, "--poly", "x[1,1]"]),
+        ("full3x4/witness-certificate-fp3", ["--field", "fp:3", "witness", "certificate",
+                                             "--ladder", "{fixtures}/full3x4.json", "--t", "2"]),
+        ("ideal-gb-exponents", ["ideal", "gb", "{inputs}/ideal_d.json"]),
+    ]
     cases += [
         ("ideal-intersect", ["ideal", "intersect", a, b]),
         ("ideal-colon", ["ideal", "colon", a, b]),
