@@ -64,6 +64,7 @@ from .oracle import (
 from .poly import (
     ANTIDIAG,
     GREVLEX,
+    ExponentOverflow,
     Minor,
     Polynomial,
     TermOrder,

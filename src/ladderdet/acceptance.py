@@ -73,7 +73,7 @@ def criterion_groebner_squarefree(seed: int = DEFAULT_SEED):
     for name, L in cases:
         ring = ladder_ring(QQ, L)
         for t in _legal_unmixed_sizes(L):
-            gens = [expand_minor(m, QQ) for m in minors_in_ladder(L, t)]
+            gens = [expand_minor(m, QQ, ring.packing) for m in minors_in_ladder(L, t)]
             gb_ok = is_groebner_basis(gens)
             init = MonomialIdeal.from_monomials(ring, [g.leading_term()[0] for g in gens])
             sq_ok = init.is_squarefree()

@@ -19,7 +19,7 @@ from .ideals import (
     PartialPermutation,
     f_witness,
     g_witness,
-    ideal_from_json,
+    ideal_from_obj,
     ladder_ring,
     minor_product_symbolic_degree,
     mixed_ladder_ideal,
@@ -58,33 +58,44 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _load_file(path: str, loader, what: str):
-    """`loader` applied to the text of a file.  Its failure, including the
-    RecursionError that deeply nested JSON raises, is a UsageError naming
-    the file."""
-    text = _read_text(path)
+def _decode(path: str, build, what: str):
+    """`build()`.  Its failure, including the RecursionError that deeply
+    nested JSON raises, is a UsageError naming the file."""
     try:
-        return loader(text)
+        return build()
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"{path}: not a valid {what} ({exc})") from None
 
 
-def _load_ladder(path: str, t_flag=None):
-    """The ladder and size vector of a ladder file; --t overrides the file's t."""
-    ladder, t = _load_file(path, Ladder.from_json, "ladder file")
+def _load_file(path: str, loader, what: str):
+    """`loader` applied to the text of a file, failing as `_decode` does."""
+    text = _read_text(path)
+    return _decode(path, lambda: loader(text), what)
+
+
+def _with_sizes(path: str, loaded, t_flag):
+    """A loaded (ladder, t) with --t, when given, overriding the file's t."""
+    ladder, t = loaded
     try:
         return ladder, size_vector(t_flag, len(ladder.lower)) if t_flag else t
     except LadderError as exc:
         raise UsageError(f"--t for {path}: {exc}") from None
 
 
+def _load_ladder(path: str, t_flag=None):
+    """The ladder and size vector of a ladder file; --t overrides the file's t."""
+    return _with_sizes(path, _load_file(path, Ladder.from_json, "ladder file"), t_flag)
+
+
 def _load_ideal(path: str, field, t_flag=None):
-    """An ideal file ({shape|cells, gens}), or a ladder file read as I_t(L)."""
+    """An ideal file ({shape|cells, gens}), or a ladder file read as I_t(L).
+    The file is read and decoded once."""
     obj = _load_file(path, json.loads, "JSON file")
     if isinstance(obj, dict) and "gens" in obj:
-        I = _load_file(path, lambda text: ideal_from_json(text, field), "ideal file")
+        I = _decode(path, lambda: ideal_from_obj(obj, field), "ideal file")
         return I, I.ring
-    ladder, t = _load_ladder(path, t_flag)
+    ladder, t = _with_sizes(path, _decode(path, lambda: Ladder.from_obj(obj), "ladder file"),
+                            t_flag)
     if t is None:
         raise UsageError(f"{path}: ladder file has no minor sizes; pass --t")
     ring = ladder_ring(field, ladder)
@@ -198,7 +209,7 @@ def _cmd_ideal(args) -> int:
         return 0 if member else 1
     elif args.action == "initial":
         init = I.initial_ideal(order)
-        monos = [mono_to_str(m) for m in init.gens]
+        monos = [mono_to_str(m, ring.packing) for m in init.gens]
         _emit(args, {"initial": monos, "squarefree": init.is_squarefree()},
               monos + [f"squarefree={init.is_squarefree()}"])
         return 0
@@ -270,7 +281,7 @@ def _cmd_symbolic(args) -> int:
         I = mixed_ladder_ideal(ladder, t, field, ring)
         strategy = saturation_strategy(ladder, t[0], ring)
         res = initial_symbolic_compare(I, args.n, strategy=strategy)
-        witness = mono_to_str(res.witness) if res.witness is not None else None
+        witness = str(res.witness) if res.witness is not None else None
         _emit(args, {"equal": res.equal, "witness": witness},
               [f"equal={res.equal}"] + ([f"witness={witness}"] if witness is not None else []))
         return 0 if res.equal else 1

@@ -12,7 +12,7 @@ symbolic powers).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, zip_longest
 
@@ -20,18 +20,23 @@ from .fields import Field
 from .poly import (
     ANTIDIAG,
     ELIM,
+    FIELD_BITS,
     MONO_ONE,
     InstanceTooLarge,
+    Packing,
     Polynomial,
     TermOrder,
     Variable,
     _check_deadline,
+    _check_fields,
+    _overflow,
+    _packing,
     aux_var,
     grid_var,
+    join_packings,
     mono_degree,
     mono_divides,
     mono_div,
-    mono_has_aux,
     mono_is_squarefree,
     mono_lcm,
     mono_mask,
@@ -40,7 +45,6 @@ from .poly import (
     mono_radical,
     poly_to_str,
     time_limit,  # re-exported: the budget API lives in poly, below groebner
-    var_by_key,
 )
 
 
@@ -61,13 +65,25 @@ def _exact_terms(f: Polynomial) -> dict:
     return {m: c.numerator if c.denominator == 1 else c for m, c in f.terms.items()}
 
 
-def _as_polynomial(field: Field, terms: dict) -> Polynomial:
+def _as_polynomial(field: Field, terms: dict, packing: Packing) -> Polynomial:
     if field.p is None:
         terms = {m: c if type(c) is Fraction else Fraction(c) for m, c in terms.items()}
-    return Polynomial(field, terms)
+    return Polynomial(field, terms, packing)
 
 
-def _sub_multiple(work: dict, tail, u: tuple, q, p) -> None:
+def _one_packing(polys) -> list[Polynomial]:
+    """The polynomials, all in the packing of their joint variables."""
+    polys = list(polys)
+    packings = {f.packing for f in polys}
+    if len(packings) <= 1:
+        return polys
+    target = polys[0].packing
+    for packing in packings:
+        target = join_packings(target, packing)
+    return [f.repack(target) for f in polys]
+
+
+def _sub_multiple(work: dict, tail, u: int, q, p) -> None:
     """work -= q * u * tail, in place; `tail` holds (monomial, coefficient) pairs."""
     if p is None:
         for tm, tc in tail:
@@ -103,84 +119,106 @@ class Reducer:
     Divisors are indexed by the greatest variable of their leading
     monomial, so candidate lookups touch only entries that can divide, and
     a lead's support mask rules out most of those before `mono_divides`.
+    Every term that becomes the leading term of the remainder is checked
+    for an exponent past its field.
     """
 
-    __slots__ = ("field", "order", "by_first", "const")
+    __slots__ = ("field", "order", "packing", "by_top", "const")
 
     def __init__(self, basis=(), order: TermOrder = ANTIDIAG):
         self.order = order
-        self.by_first: dict = {}
+        self.by_top: dict = {}  # bit length of a lead's support mask -> entries
         self.const = None
         self.field = None
+        self.packing = None
         for g in basis:
             self.add(g)
 
     def add(self, g: Polynomial) -> None:
-        self.field = g.field
+        if self.packing is None:
+            self.field, self.packing = g.field, g.packing
+        g = g.repack(self.packing)
         lm = g.leading_term(self.order)[0]
         terms = _exact_terms(g)
         lc = terms.pop(lm)
-        entry = (lm, lc, list(terms.items()), mono_mask(lm))
+        mask = mono_mask(lm, self.packing)
+        entry = (lm, lc, list(terms.items()), mask)
         if lm == MONO_ONE:
             self.const = entry
         else:
-            self.by_first.setdefault(lm[0][0], []).append(entry)
+            self.by_top.setdefault(mask.bit_length(), []).append(entry)
 
     def reduce(self, f: Polynomial) -> Polynomial:
+        packing = self.packing
+        if packing is None:
+            return f
+        f = f.repack(packing)
         field = f.field
         p = field.p
+        guard, low = packing.guard, packing.low
         rem = {}
         work = _exact_terms(f)
         native = self.order.is_native
         keyfn = self.order.key
-        by_first = self.by_first
+        by_top = self.by_top
         const = self.const
         while work:
             _check_deadline()
             m = max(work) if native else max(work, key=keyfn)
             c = work.pop(m)
+            if m & guard:
+                raise _overflow()
             hit = const
             if hit is None:
-                mask = mono_mask(m)
-                for k, _ in m:
-                    for entry in by_first.get(k, ()):
-                        if not entry[3] & ~mask and mono_divides(entry[0], m):
+                mask = (m + low) & guard
+                bits = mask
+                while bits:
+                    top = bits.bit_length()
+                    for entry in by_top.get(top, ()):
+                        if not entry[3] & ~mask and mono_divides(entry[0], m, guard):
                             hit = entry
                             break
                     if hit:
                         break
+                    bits ^= 1 << top - 1
             if hit is None:
                 rem[m] = c
                 continue
             lm, lc, tail, _ = hit
-            _sub_multiple(work, tail, mono_div(m, lm), _quotient(c, lc, p), p)
-        return _as_polynomial(field, rem)
+            _sub_multiple(work, tail, mono_div(m, lm, guard), _quotient(c, lc, p), p)
+        return _as_polynomial(field, rem, packing)
 
 
 def normal_form(f: Polynomial, basis, order: TermOrder = ANTIDIAG) -> Polynomial:
     """Remainder of f on division by `basis` (no quotient bookkeeping)."""
+    f, *basis = _one_packing([f, *basis])
     return Reducer(basis, order).reduce(f)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder = ANTIDIAG,
-                 lcm: tuple | None = None) -> Polynomial:
+                 lcm: int | None = None) -> Polynomial:
     """S-polynomial of f and g; `lcm` is the lcm of their leads, if known.
 
     The two leads cancel, so only the scaled tails are formed, in one dict.
     """
+    if f.packing is not g.packing:
+        f, g = _one_packing([f, g])
+    packing = f.packing
+    guard = packing.guard
     p = f.field.p
     lmf = f.leading_term(order)[0]
     lmg = g.leading_term(order)[0]
     if lcm is None:
-        lcm = mono_lcm(lmf, lmg)
+        lcm = mono_lcm(lmf, lmg, guard)
     tf = _exact_terms(f)
     tg = _exact_terms(g)
     af = _quotient(1, tf.pop(lmf), p)
     ag = _quotient(1, tg.pop(lmg), p)
     out: dict = {}
-    _sub_multiple(out, tf.items(), mono_div(lcm, lmf), -af, p)
-    _sub_multiple(out, tg.items(), mono_div(lcm, lmg), ag, p)
-    return _as_polynomial(f.field, out)
+    _sub_multiple(out, tf.items(), mono_div(lcm, lmf, guard), -af, p)
+    _sub_multiple(out, tg.items(), mono_div(lcm, lmg, guard), ag, p)
+    _check_fields(out, guard)
+    return _as_polynomial(f.field, out, packing)
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +230,13 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder = ANTIDIAG,
 # and lmf can divide an lcm only if its mask lies inside the lcm's.
 
 
-def _update_pairs(lmG, masks, P, lmf, order):
+def _update_pairs(lmG, masks, P, lmf, order, packing):
     """Gebauer-Moeller pair update; returns the new pair set after adding
     an element with lead monomial lmf to a basis with lead monomials lmG."""
     n = len(lmG)
-    maskf = mono_mask(lmf)
-    lcms = [mono_lcm(lm, lmf) for lm in lmG]
+    guard = packing.guard
+    maskf = mono_mask(lmf, packing)
+    lcms = [mono_lcm(lm, lmf, guard) for lm in lmG]
 
     kept = {}
     for (i, j), lcm_ij in P.items():
@@ -207,7 +246,7 @@ def _update_pairs(lmG, masks, P, lmf, order):
             maskf & ~(masks[i] | masks[j])
             or lcms[i] == lcm_ij
             or lcms[j] == lcm_ij
-            or not mono_divides(lmf, lcm_ij)
+            or not mono_divides(lmf, lcm_ij, guard)
         ):
             kept[i, j] = lcm_ij
 
@@ -218,7 +257,7 @@ def _update_pairs(lmG, masks, P, lmf, order):
     for L in sorted(lcm_groups, key=order.key):
         mask_L = maskf | masks[lcm_groups[L][0]]
         for Lmin, mask in minimal:
-            if not mask & ~mask_L and mono_divides(Lmin, L):
+            if not mask & ~mask_L and mono_divides(Lmin, L, guard):
                 break
         else:
             minimal.append((L, mask_L))
@@ -230,12 +269,12 @@ def _update_pairs(lmG, masks, P, lmf, order):
     return kept
 
 
-def _initial_pairs(lmG, order):
+def _initial_pairs(lmG, order, packing):
     """Pair set of a basis with lead monomials lmG, added one at a time."""
-    masks = [mono_mask(lm) for lm in lmG]
+    masks = [mono_mask(lm, packing) for lm in lmG]
     P: dict = {}
     for n, lm in enumerate(lmG):
-        P = _update_pairs(lmG[:n], masks, P, lm, order)
+        P = _update_pairs(lmG[:n], masks, P, lm, order, packing)
     return P
 
 
@@ -272,17 +311,20 @@ class _PairQueue:
 
 
 def _buchberger_loop(gens, order):
-    """Shared Buchberger driver; returns (G, hit_unit_ideal)."""
+    """Shared Buchberger driver over generators of one packing; returns
+    (G, hit_unit_ideal)."""
     field = gens[0].field
+    packing = gens[0].packing
+    unit = [Polynomial(field, {MONO_ONE: field.one}, packing)]
     G = [f.monic(order) for f in gens]
     lmG = [f.leading_term(order)[0] for f in G]
     if MONO_ONE in lmG:
-        return [Polynomial.one(field)], True
-    masks = [mono_mask(lm) for lm in lmG]
+        return unit, True
+    masks = [mono_mask(lm, packing) for lm in lmG]
     sugars = [f.degree() for f in G]
     reducer = Reducer(G, order)
     queue = _PairQueue()
-    queue.sync(_initial_pairs(lmG, order), lmG, sugars, order)
+    queue.sync(_initial_pairs(lmG, order, packing), lmG, sugars, order)
 
     while True:
         _check_deadline()
@@ -298,26 +340,27 @@ def _buchberger_loop(gens, order):
         r = r.monic(order)
         lmr = r.leading_term(order)[0]
         if lmr == MONO_ONE:
-            return [Polynomial.one(field)], True
-        P = _update_pairs(lmG, masks, queue.live, lmr, order)
+            return unit, True
+        P = _update_pairs(lmG, masks, queue.live, lmr, order, packing)
         G.append(r)
         reducer.add(r)
         lmG.append(lmr)
-        masks.append(mono_mask(lmr))
+        masks.append(mono_mask(lmr, packing))
         sugars.append(pair_sugar)
         queue.sync(P, lmG, sugars, order)
 
 
 def interreduce(G, order: TermOrder = ANTIDIAG):
     """Reduced basis from a Groebner basis: minimal, monic, tails reduced."""
-    G = [g.monic(order) for g in G if not g.is_zero]
+    G = [g.monic(order) for g in _one_packing(G) if not g.is_zero]
     G.sort(key=lambda g: order.key(g.leading_term(order)[0]))
     minimal = []
     leads = []
     for g in G:
         lm = g.leading_term(order)[0]
-        mask = mono_mask(lm)
-        if not any(not mh & ~mask and mono_divides(h, lm) for h, mh in leads):
+        guard = g.packing.guard
+        mask = mono_mask(lm, g.packing)
+        if not any(not mh & ~mask and mono_divides(h, lm, guard) for h, mh in leads):
             minimal.append(g)
             leads.append((lm, mask))
     # A lead never divides a smaller term, so reducing a tail against all of
@@ -325,14 +368,16 @@ def interreduce(G, order: TermOrder = ANTIDIAG):
     reducer = Reducer(minimal, order)
     out = []
     for g, (lm, _) in zip(minimal, leads):
-        tail = reducer.reduce(Polynomial(g.field, {m: c for m, c in g.terms.items() if m != lm}))
-        out.append(Polynomial(g.field, {lm: g.terms[lm], **tail.terms}))
+        tail = reducer.reduce(Polynomial(g.field, {m: c for m, c in g.terms.items() if m != lm},
+                                         g.packing))
+        out.append(Polynomial(g.field, {lm: g.terms[lm], **tail.terms}, g.packing))
     return out  # sorted by lead, as `minimal` is
 
 
 def buchberger(gens, order: TermOrder = ANTIDIAG):
-    """Reduced Groebner basis of the ideal generated by `gens`."""
-    gens = [g for g in gens if not g.is_zero]
+    """Reduced Groebner basis of the ideal generated by `gens`, in the
+    packing of their joint variables."""
+    gens = _one_packing(g for g in gens if not g.is_zero)
     if not gens:
         return []
     G, unit = _buchberger_loop(gens, order)
@@ -348,14 +393,15 @@ def is_groebner_basis(gens, order: TermOrder = ANTIDIAG) -> bool:
     discard pairs whose S-polynomials provably reduce to zero) and reports
     whether any nonzero remainder ever appears.
     """
-    gens = [g for g in gens if not g.is_zero]
+    gens = _one_packing(g for g in gens if not g.is_zero)
     if len(gens) <= 1:
         return True
+    packing = gens[0].packing
     G = [g.monic(order) for g in gens]
     lmG = [g.leading_term(order)[0] for g in G]
-    masks = [mono_mask(lm) for lm in lmG]
+    masks = [mono_mask(lm, packing) for lm in lmG]
     reducer = Reducer(G, order)
-    for (i, j), lcm in sorted(_initial_pairs(lmG, order).items()):
+    for (i, j), lcm in sorted(_initial_pairs(lmG, order, packing).items()):
         _check_deadline()
         if not masks[i] & masks[j]:
             continue  # coprime leads
@@ -370,10 +416,12 @@ def is_groebner_basis(gens, order: TermOrder = ANTIDIAG) -> bool:
 
 @dataclass(frozen=True)
 class Ring:
-    """A polynomial ring: coefficient field plus a descending variable tuple."""
+    """A polynomial ring: coefficient field plus a descending variable tuple,
+    whose `packing` lays out the exponent fields of its monomials."""
 
     field: Field
     variables: tuple[Variable, ...]
+    packing: Packing = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         keys = [v.key for v in self.variables]
@@ -381,6 +429,7 @@ class Ring:
             object.__setattr__(
                 self, "variables", tuple(sorted(set(self.variables), key=lambda v: v.key, reverse=True))
             )
+        object.__setattr__(self, "packing", _packing(self.variables))
 
     @classmethod
     def for_grid(cls, field: Field, k: int, l: int) -> "Ring":
@@ -399,12 +448,10 @@ class Ring:
         return aux_var("t", max(ranks) + 1 if ranks else 0)
 
     def maximal_ideal(self) -> "Ideal":
-        gens = [Polynomial.variable(self.field, v) for v in self.variables if not v.is_aux]
+        one, shift = self.field.one, self.packing.shift
+        gens = [Polynomial(self.field, {1 << shift[v]: one}, self.packing)
+                for v in self.variables if not v.is_aux]
         return Ideal(self, gens)
-
-    def contains_poly(self, f: Polynomial) -> bool:
-        allowed = {v.key for v in self.variables}
-        return all(k in allowed for m in f.terms for k, _ in m)
 
     def __repr__(self):
         return f"Ring({self.field}, {len(self.variables)} vars)"
@@ -416,17 +463,22 @@ class Ideal:
     __slots__ = ("ring", "gens", "_cache")
 
     def __init__(self, ring: Ring, gens):
+        """Generators are re-packed into the ring; repeats are dropped,
+        keeping first occurrences."""
         self.ring = ring
-        seen = {}  # a dict dedupes in linear time and keeps first occurrences
+        kept = []
+        seen: dict = {}  # monomial set -> kept generators with those monomials
         for g in gens:
             if g.is_zero:
                 continue
             if g.field != ring.field:
                 raise ValueError("generator field does not match ring")
-            if not ring.contains_poly(g):
-                raise ValueError(f"generator uses variables outside the ring: {g}")
-            seen.setdefault(g)
-        self.gens = tuple(seen)
+            g = g.repack(ring.packing)
+            same = seen.setdefault(frozenset(g.terms), [])
+            if all(h.terms != g.terms for h in same):
+                same.append(g)
+                kept.append(g)
+        self.gens = tuple(kept)
         self._cache: dict[TermOrder, tuple[Polynomial, ...]] = {}
 
     # -- basics
@@ -507,15 +559,20 @@ class Ideal:
             return Ideal(self.ring, other.gens)
         if other._known_unit():
             return Ideal(self.ring, self.gens)
-        aux = self.ring.fresh_aux()
-        t = Polynomial.variable(self.ring.field, aux)
-        one = Polynomial.one(self.ring.field)
-        gens = [t * g for g in self.gens] + [(one - t) * h for h in other.gens]
+        ring = self.ring
+        aux = ring.fresh_aux()
+        # The auxiliary is the greatest variable: its field goes on top, and
+        # the ring's monomials keep their ints.
+        packing = _packing((aux,) + ring.variables)
+        t = 1 << packing.shift[aux]
+        gens = [g.repack(packing).mul_term(t, 1) for g in self.gens]
+        gens += [h - h.mul_term(t, 1) for h in (h.repack(packing) for h in other.gens)]
         basis = buchberger(gens, ELIM)
         # ELIM is lex with the auxiliaries on top, so an element whose lead
         # is aux-free has no aux in any term.
-        kept = [b for b in basis if not mono_has_aux(b.leading_term(ELIM)[0])]
-        out = Ideal(self.ring, kept)
+        kept = [Polynomial(ring.field, b.terms, ring.packing)
+                for b in basis if b.leading_term(ELIM)[0] < t]
+        out = Ideal(ring, kept)
         # The aux-free slice of the reduced elimination basis is the reduced
         # basis of the intersection under the inner (antidiagonal) order.
         out._seed_basis(ANTIDIAG, kept)
@@ -525,7 +582,9 @@ class Ideal:
         """(I : g) via intersect-with-principal and exact division by g."""
         if g.is_zero:
             return Ideal(self.ring, [Polynomial.one(self.ring.field)])
-        inter = self.intersect(Ideal(self.ring, [g]))
+        principal = Ideal(self.ring, [g])
+        g = principal.gens[0]
+        inter = self.intersect(principal)
         return Ideal(self.ring, [_exact_quotient(h, g) for h in inter.gens])
 
     def colon(self, other: "Ideal") -> "Ideal":
@@ -581,8 +640,10 @@ class Ideal:
 
 
 def _exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:
-    """h / g; ArithmeticError unless g divides h exactly."""
+    """h / g, for h and g of one packing; ArithmeticError unless g divides
+    h exactly."""
     p = g.field.p
+    guard = g.packing.guard
     lm = g.leading_term(ANTIDIAG)[0]
     terms = _exact_terms(g)
     lc = terms.pop(lm)
@@ -591,32 +652,37 @@ def _exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:
     quot = {}
     while work:
         m = max(work)
-        u = mono_div(m, lm)
+        if m & guard:
+            raise _overflow()
+        u = mono_div(m, lm, guard)
         if u is None:
             raise ArithmeticError("intersection element not divisible by g")
         q = quot[u] = _quotient(work.pop(m), lc, p)
         _sub_multiple(work, tail, u, q, p)
-    return _as_polynomial(g.field, quot)
+    return _as_polynomial(g.field, quot, g.packing)
 
 
 def _frobenius_power(g: Polynomial, q: int) -> Polynomial:
     """g^q in characteristic p | q: termwise (freshman's dream)."""
     field = g.field
     p = field.p
-    return Polynomial(field, {mono_pow(m, q): pow(c, q, p) for m, c in g.terms.items()})
+    guard = g.packing.guard
+    return Polynomial(field, {mono_pow(m, q, guard): pow(c, q, p) for m, c in g.terms.items()},
+                      g.packing)
 
 
 # ---------------------------------------------------------------------------
 # Monomial ideals
 
 
-def _minimalize_monomials(monos):
+def _minimalize_monomials(monos, packing: Packing):
     """The minimal monomials under divisibility, sorted.
 
     A divisor of m other than m has lower degree, so each monomial is tested
     only against the kept ones of lower degree, and against a candidate's
     full exponents only when its support mask lies inside m's.
     """
+    guard, low = packing.guard, packing.low
     lower, level, degree = [], [], 0  # kept (support mask, monomial) pairs
     for d, m in sorted((mono_degree(m), m) for m in set(monos)):
         _check_deadline()
@@ -624,25 +690,34 @@ def _minimalize_monomials(monos):
             degree = d
             lower += level
             level = []
-        outside = ~mono_mask(m)
+        mask = (m + low) & guard
         for gm, g in lower:
-            if not gm & outside and mono_divides(g, m):
+            if not gm & ~mask and mono_divides(g, m, guard):
                 break
         else:
-            level.append((~outside, m))
+            level.append((mask, m))
     return tuple(sorted(m for _, m in lower + level))
+
+
+def _in_packing(m, packing: Packing) -> int:
+    """An int monomial as it is, a `Monomial` re-packed into `packing`."""
+    return m if type(m) is int else m.packed_in(packing)
 
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal by its minimal (antichain) generator tuple."""
+    """A monomial ideal by its minimal (antichain) generator tuple, each
+    generator packed in the ring's packing."""
 
     ring: Ring
-    gens: tuple[tuple, ...]
+    gens: tuple[int, ...]
 
     @classmethod
     def from_monomials(cls, ring: Ring, monos) -> "MonomialIdeal":
-        return cls(ring, _minimalize_monomials(monos))
+        """Minimal generators of the ideal of `monos`: ints already packed in
+        the ring, or `Monomial`s, which are re-packed into it."""
+        packing = ring.packing
+        return cls(ring, _minimalize_monomials([_in_packing(m, packing) for m in monos], packing))
 
     @property
     def is_zero(self) -> bool:
@@ -652,8 +727,11 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return MONO_ONE in self.gens
 
-    def contains(self, m: tuple) -> bool:
-        return any(mono_divides(g, m) for g in self.gens)
+    def contains(self, m) -> bool:
+        """Whether the monomial m (as in `from_monomials`) lies in the ideal."""
+        packing = self.ring.packing
+        m = _in_packing(m, packing)
+        return any(mono_divides(g, m, packing.guard) for g in self.gens)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         return all(self.contains(g) for g in other.gens)
@@ -664,23 +742,27 @@ class MonomialIdeal:
     def radical(self) -> "MonomialIdeal":
         if self.is_squarefree():
             return self
-        return MonomialIdeal.from_monomials(self.ring, [mono_radical(g) for g in self.gens])
+        packing = self.ring.packing
+        return MonomialIdeal.from_monomials(self.ring, [mono_radical(g, packing) for g in self.gens])
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.is_zero or other.is_zero:
             return MonomialIdeal(self.ring, ())
-        monos = [mono_lcm(a, b) for a in self.gens for b in other.gens]
+        guard = self.ring.packing.guard
+        monos = [mono_lcm(a, b, guard) for a in self.gens for b in other.gens]
         return MonomialIdeal.from_monomials(self.ring, monos)
 
-    def supports(self) -> list[frozenset]:
-        return [frozenset(k for k, _ in g) for g in self.gens]
+    def supports(self) -> list[int]:
+        """The support mask of each generator (`mono_mask`)."""
+        packing = self.ring.packing
+        return [mono_mask(g, packing) for g in self.gens]
 
     def min_primes(self) -> list[frozenset[Variable]]:
         """Minimal primes (as variable sets) by recursive splitting."""
         if self.is_unit:
             raise ValueError("unit ideal has no minimal primes")
         covers = minimal_covers(self.radical().supports())
-        return [frozenset(var_by_key(k) for k in c) for c in covers]
+        return [frozenset(self.ring.packing.variables_of(c)) for c in covers]
 
     def height(self) -> int:
         if self.is_unit:
@@ -709,9 +791,11 @@ class MonomialIdeal:
             raise ValueError("symbolic power wants n >= 1")
         if self.is_zero:
             return self
+        # A minimal prime is a cover mask; its variables are the fields of
+        # its guard bits, taken in ascending order.
         result = None
-        for prime in sorted(self.min_primes(), key=lambda s: sorted(v.key for v in s)):
-            gens = [((v.key, 1),) for v in prime]
+        for cover in sorted(minimal_covers(self.supports()), key=_bit_positions):
+            gens = [1 << b - FIELD_BITS for b in _bit_positions(cover)]
             prime_power = MonomialIdeal.from_monomials(self.ring, gens).power(n)
             result = prime_power if result is None else result.intersect(prime_power)
         return result
@@ -719,13 +803,26 @@ class MonomialIdeal:
     def power(self, n: int) -> "MonomialIdeal":
         if n < 1:
             raise ValueError("power wants n >= 1")
+        guard = self.ring.packing.guard
         gens = []
         for combo in combinations_with_replacement(self.gens, n):
             acc = MONO_ONE
             for g in combo:
                 acc = mono_mul(acc, g)
+                if acc & guard:
+                    raise _overflow()
             gens.append(acc)
         return MonomialIdeal.from_monomials(self.ring, gens)
+
+
+def _bit_positions(mask: int) -> list[int]:
+    """The indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _minimal_masks(masks) -> list[int]:
@@ -749,24 +846,31 @@ def _minimal_masks(masks) -> list[int]:
     return lower + level
 
 
-def _cover_bits(supports) -> tuple[list, list[int]]:
-    """The set system as int bitmasks: returns (keys, masks).
+def _cover_bits(supports) -> tuple[list[int], list[int]]:
+    """The set system re-indexed densely: returns (positions, masks).
 
-    Bit i stands for keys[i], the i-th smallest key, so scanning a mask from
-    low to high bits visits its keys in sorted order.  Duplicate supports and
-    supports that contain another one are dropped: neither changes the
-    minimal covers.  The masks come out in ascending popcount.
+    Dense bit i stands for bit positions[i] of the supports, the i-th
+    lowest bit any support has, so the re-indexing keeps the order of the
+    bits.  Duplicate supports and supports that contain another one are
+    dropped: neither changes the minimal covers.  The masks come out in
+    ascending popcount.
     """
-    sets = {frozenset(s) for s in supports}
-    if frozenset() in sets:
+    sets = set(supports)
+    if 0 in sets:
         raise ValueError("empty support: ideal contains a unit")
-    keys = sorted(set().union(*sets))
-    bit = {k: 1 << i for i, k in enumerate(keys)}
-    return keys, _minimal_masks(sum(bit[k] for k in s) for s in sets)
+    union = 0
+    for s in sets:
+        union |= s
+    positions = _bit_positions(union)
+    index = {b: i for i, b in enumerate(positions)}
+    return positions, _minimal_masks(sum(1 << index[b] for b in _bit_positions(s)) for s in sets)
 
 
-def minimal_covers(supports) -> list[frozenset]:
+def minimal_covers(supports) -> list[int]:
     """All minimal covers (minimal primes) of a set system, each found once.
+
+    Supports and covers are int bitmasks (for a monomial ideal, the support
+    masks of its generators).
 
     The search branches on the free bits of the support with the fewest of
     them, where a bit is free unless an earlier branch at some pivot tried
@@ -774,9 +878,9 @@ def minimal_covers(supports) -> list[frozenset]:
     twice, and a branch ends as soon as a support lies inside the banned
     bits.  A cover is kept when each of its bits is the only one it has in
     some support, which is exactly minimality.  Covers come out by size,
-    then by their sorted keys.
+    then by their ascending bits.
     """
-    keys, masks = _cover_bits(supports)
+    positions, masks = _cover_bits(supports)
     covers = []
 
     def rec(remaining, chosen, banned):
@@ -807,9 +911,9 @@ def minimal_covers(supports) -> list[frozenset]:
     def indices(c):
         return [i for i in range(c.bit_length()) if c >> i & 1]
 
-    # Ascending bit indices sort like the sorted keys they stand for.
+    # Ascending dense indices sort like the bits they stand for.
     found = sorted((len(idx), idx) for idx in map(indices, covers))
-    return [frozenset(keys[i] for i in idx) for _, idx in found]
+    return [sum(1 << positions[i] for i in idx) for _, idx in found]
 
 
 def _add_series(a: list[int], b: list[int]) -> list[int]:

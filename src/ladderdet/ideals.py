@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 from math import factorial
 
@@ -15,12 +14,13 @@ from .groebner import Ideal, InstanceTooLarge, Ring
 from .ladders import Ladder, LadderError, _int_pair, antidiagonal_profile, height, size_vector
 from .poly import (
     Minor,
+    Monomial,
     Polynomial,
     _check_deadline,
     expand_minor,
     grid_var,
+    mono,
     mono_is_squarefree,
-    mono_mul,
     parse_polynomials,
 )
 
@@ -44,7 +44,11 @@ def cells_from_json(cells) -> list[tuple[int, int]]:
 def ideal_from_json(text: str, field: Field = QQ) -> Ideal:
     """An ideal file: "gens", a list of polynomial strings, over the grid
     "shape" [k, l] or over the listed "cells".  ValueError on anything else."""
-    obj = json.loads(text)
+    return ideal_from_obj(json.loads(text), field)
+
+
+def ideal_from_obj(obj, field: Field = QQ) -> Ideal:
+    """The ideal of a decoded ideal file (see `ideal_from_json`)."""
     if not isinstance(obj, dict):
         raise ValueError("an ideal file holds a JSON object")
     if "cells" in obj:
@@ -87,7 +91,7 @@ def mixed_ladder_minors(L: Ladder, t) -> list[Minor]:
 def mixed_ladder_ideal(L: Ladder, t, field: Field = QQ, ring: Ring | None = None) -> Ideal:
     """I_t(L): sum of the t_j-minor ideals of the subladders L_j."""
     ring = ring or ladder_ring(field, L)
-    gens = [expand_minor(m, field) for m in mixed_ladder_minors(L, t)]
+    gens = [expand_minor(m, field, ring.packing) for m in mixed_ladder_minors(L, t)]
     return Ideal(ring, gens)
 
 
@@ -175,7 +179,7 @@ class GWitnessData:
     beta: int
     y_minor: Minor
     factors: tuple[Minor, ...]   # det(Y) first, then det(Y_r) for r in B'
-    lead: tuple
+    lead: Monomial               # product of the factors' antidiagonals
     count: int                   # combinatorial symbolic degree, = height - 1
 
 
@@ -223,11 +227,10 @@ def g_witness_data(L: Ladder, t) -> GWitnessData:
 
     rest = tuple(m for r, m in zip(profile.b_levels, profile.witness_factors) if r != beta)
     factors = (y_minor,) + rest
-    lead = reduce(mono_mul, (m.antidiagonal_monomial() for m in factors))
-    if not mono_is_squarefree(lead):
+    lead = mono(*((grid_var(i, j), 1) for m in factors for i, j in m.antidiagonal_cells()))
+    if not mono_is_squarefree(lead.value):
         raise GWitnessError("witness lead is not squarefree")
-    avoided = grid_var(k, c_alpha).key
-    if any(key == avoided for key, _ in lead):
+    if grid_var(k, c_alpha) in lead.packing.shift:
         raise GWitnessError(f"witness lead divisible by x[{k},{c_alpha}]")
     if len(set(t)) == 1:
         count = minor_product_symbolic_degree(list(factors), t[0])
@@ -322,7 +325,7 @@ def schubert_ideal(w: PartialPermutation, field: Field = QQ) -> Ideal:
         for rows in combinations(range(1, r + 1), size):
             for cols in combinations(range(1, s + 1), size):
                 seen[(rows, cols)] = Minor(rows, cols)
-    gens = [expand_minor(seen[key], field) for key in sorted(seen)]
+    gens = [expand_minor(seen[key], field, ring.packing) for key in sorted(seen)]
     return Ideal(ring, gens)
 
 
@@ -348,7 +351,8 @@ def corner_ideal(k: int, l: int, t: int, r: int, s: int, which: str = "nw",
                  field: Field = QQ, ring: Ring | None = None) -> Ideal:
     """t-minors of the NW (or SE) r x s corner submatrix."""
     ring = ring or grid_ring(field, k, l)
-    return Ideal(ring, [expand_minor(m, field) for m in corner_minors(k, l, t, r, s, which)])
+    return Ideal(ring, [expand_minor(m, field, ring.packing)
+                        for m in corner_minors(k, l, t, r, s, which)])
 
 
 def minor_poset(k: int, l: int) -> list[Minor]:
@@ -418,7 +422,7 @@ def omega_delta_ideal(k: int, l: int, delta: Minor, field: Field = QQ,
         for rows in combinations(range(1, k + 1), r + 1):
             for cols in combinations(range(1, l + 1), r + 1):
                 seen[(rows, cols)] = Minor(rows, cols)
-    return Ideal(ring, [expand_minor(seen[key], field) for key in sorted(seen)])
+    return Ideal(ring, [expand_minor(seen[key], field, ring.packing) for key in sorted(seen)])
 
 
 @dataclass(frozen=True)
@@ -453,7 +457,7 @@ def poset_ideal(k: int, l: int, spec: PosetIdealSpec, field: Field = QQ,
         omega = list(spec.minors)
         if not is_generalized_poset_ideal(k, l, omega):
             raise ValueError("the given set is not a generalized poset ideal")
-    return Ideal(ring, [expand_minor(m, field) for m in
+    return Ideal(ring, [expand_minor(m, field, ring.packing) for m in
                         sorted(omega, key=lambda m: (m.rows, m.cols))])
 
 
@@ -461,7 +465,8 @@ def poset_ideal_brute(k: int, l: int, delta: Minor, field: Field = QQ,
                       ring: Ring | None = None) -> Ideal:
     """Brute-force cogenerated ideal: materialize the complement directly."""
     ring = ring or grid_ring(field, k, l)
-    return Ideal(ring, [expand_minor(m, field) for m in omega_delta_set(k, l, delta)])
+    return Ideal(ring, [expand_minor(m, field, ring.packing)
+                        for m in omega_delta_set(k, l, delta)])
 
 
 def poset_spec_from_json(text: str) -> PosetIdealSpec:

@@ -29,6 +29,7 @@ from .ideals import (
 from .ladders import Ladder, antidiagonal_profile
 from .poly import (
     ANTIDIAG,
+    Packing,
     Polynomial,
     expand_minor,
     parse_polynomial,
@@ -150,7 +151,7 @@ def verify(deriv: KnutsonDerivation) -> VerifyReport:
     ring = deriv.ring
     cache: dict = {}
     lines: list[VerifyLine] = []
-    factor_keys = {frozenset(f.monic(ANTIDIAG).terms.items()) for f in deriv.f_factors}
+    factors = {f.monic(ANTIDIAG) for f in deriv.f_factors}
 
     seen: dict[int, str] = {}
     order_counter = [0]
@@ -177,7 +178,7 @@ def verify(deriv: KnutsonDerivation) -> VerifyReport:
             )
 
         if node.kind == "leaf":
-            ok = frozenset(node.factor.monic(ANTIDIAG).terms.items()) in factor_keys
+            ok = node.factor.monic(ANTIDIAG) in factors
             lines.append(VerifyLine(name, "leaf-is-witness-factor", ok))
         elif node.kind == "sum":
             union = [g for ch in node.children for g in eval_node(ch, ring, cache).groebner_basis(ANTIDIAG)]
@@ -237,11 +238,13 @@ class _BandDeriver:
     """Builds derivations of I_t(L_{[a,b]}) (or row bands) from the t-wide
     base cases, sharing nodes across overlapping windows."""
 
-    def __init__(self, L: Ladder, t: int, field: Field, factor_polys: dict[int, Polynomial]):
+    def __init__(self, L: Ladder, t: int, field: Field, factor_polys: dict[int, Polynomial],
+                 packing: Packing):
         self.L = L
         self.t = t
         self.field = field
         self.factor_polys = factor_polys       # level -> expanded det(Y_r)
+        self.packing = packing                 # of the derivation's ring
         self.memo: dict = {}
 
     def derive(self, axis: str, lo: int, hi: int):
@@ -257,7 +260,7 @@ class _BandDeriver:
         minors = minors_in_ladder(self.L.band(axis, lo, hi), t)
         if not minors:
             return None
-        claimed = tuple(expand_minor(m, self.field) for m in minors)
+        claimed = tuple(expand_minor(m, self.field, self.packing) for m in minors)
         if hi - lo + 1 <= t:
             return self._base(axis, lo, hi, claimed)
         left = self.derive(axis, lo, hi - 1)
@@ -273,7 +276,7 @@ class _BandDeriver:
             identity = (
                 "intersect",
                 claimed,
-                tuple(expand_minor(m, self.field) for m in inner),
+                tuple(expand_minor(m, self.field, self.packing) for m in inner),
             )
         else:
             identity = ("equal",)
@@ -308,9 +311,9 @@ def ladder_derivation(L: Ladder, t: int, field: Field = QQ) -> KnutsonDerivation
         raise DerivationError(f"I_{t} of this ladder is the zero ideal")
     ring = ladder_ring(field, L)
     profile = antidiagonal_profile(L, t)
-    factor_polys = {r: expand_minor(m, field)
+    factor_polys = {r: expand_minor(m, field, ring.packing)
                     for r, m in zip(profile.b_levels, profile.witness_factors)}
-    deriver = _BandDeriver(L, t, field, factor_polys)
+    deriver = _BandDeriver(L, t, field, factor_polys, ring.packing)
     cols = sorted({j for _, j in L.cells})
     root = deriver.derive("cols", cols[0], cols[-1])
     if root is None:
@@ -330,7 +333,8 @@ def corner_derivation(k: int, l: int, t: int, r: int, s: int,
     L = Ladder.full(k, l)
 
     # Full-grid profile levels coincide with the witness factors.
-    level_polys = {m.rows[0] + m.cols[-1]: expand_minor(m, field) for m in f_of_matrix_factors(k, l)}
+    level_polys = {m.rows[0] + m.cols[-1]: expand_minor(m, field, ring.packing)
+                   for m in f_of_matrix_factors(k, l)}
 
     memo: dict = {}
 
@@ -343,14 +347,15 @@ def corner_derivation(k: int, l: int, t: int, r: int, s: int,
         return node
 
     def band_node(tt: int, axis: str, lo: int, hi: int):
-        deriver = _BandDeriver(L, tt, field, level_polys)
+        deriver = _BandDeriver(L, tt, field, level_polys, ring.packing)
         node = deriver.derive(axis, lo, hi)
         if node is None:
             raise DerivationError(f"zero band ideal for t={tt} {axis}[{lo},{hi}]")
         return node
 
     def _derive(tt: int, rr: int, ss: int):
-        claimed = tuple(expand_minor(m, field) for m in corner_minors(k, l, tt, rr, ss, which))
+        claimed = tuple(expand_minor(m, field, ring.packing)
+                        for m in corner_minors(k, l, tt, rr, ss, which))
         if which == "nw":
             if rr == k:
                 return band_node(tt, "cols", 1, ss)

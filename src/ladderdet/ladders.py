@@ -174,6 +174,11 @@ class Ladder:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise LadderError(f"malformed JSON at line {exc.lineno} column {exc.colno}") from None
+        return cls.from_obj(obj)
+
+    @classmethod
+    def from_obj(cls, obj) -> tuple["Ladder", tuple[int, ...] | None]:
+        """The ladder and sizes of a decoded ladder file (see `from_json`)."""
         if not isinstance(obj, dict):
             raise LadderError("a ladder file holds a JSON object")
         corners = {}

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
 
 from .fields import QQ, Field
 from .groebner import Ideal, MonomialIdeal, Ring
@@ -19,12 +18,15 @@ from .ladders import Ladder, antidiagonal_profile, height, size_vector
 from .poly import (
     ANTIDIAG,
     Minor,
+    Monomial,
     Polynomial,
     TermOrder,
+    grid_var,
+    join_packings,
+    mono,
     mono_is_squarefree,
-    mono_mul,
+    mono_max_exponent,
     mono_pow,
-    mono_to_str,
 )
 
 
@@ -46,7 +48,7 @@ class SymbolicCertificate:
     t: tuple[int, ...]
     h: int
     factors: tuple[tuple[Minor, int, int, int], ...]  # (Y_r, gamma_r, t_{p_r}, count)
-    lead: tuple
+    lead: Monomial
     checks: tuple[tuple[str, bool], ...]
 
     @property
@@ -66,16 +68,16 @@ class SymbolicCertificate:
                     {"rows": list(m.rows), "cols": list(m.cols), "gamma": g, "t": tt, "count": c}
                     for m, g, tt, c in self.factors
                 ],
-                "lead": mono_to_str(self.lead),
+                "lead": str(self.lead),
                 "checks": {name: ok for name, ok in self.checks},
             }
         )
 
 
-def outside_frobenius_power_of_m(m: tuple, p: int) -> bool:
-    """True iff the monomial m lies outside m^[p] = (x^p : x a variable),
-    that is, every exponent of m is below p."""
-    return all(e < p for _, e in m)
+def outside_frobenius_power_of_m(m: int, p: int) -> bool:
+    """True iff the packed monomial m lies outside m^[p] = (x^p : x a
+    variable), that is, every exponent of m is below p."""
+    return mono_max_exponent(m) < p
 
 
 def symbolic_fsplit_certificate(L: Ladder, t, field: Field | None = None) -> SymbolicCertificate:
@@ -92,19 +94,20 @@ def symbolic_fsplit_certificate(L: Ladder, t, field: Field | None = None) -> Sym
     for ld in profile.levels:
         if ld.r in profile.b_levels:
             factors.append((ld.minor, ld.gamma, t[ld.p - 1], ld.count))
-    lead = reduce(mono_mul, (m.antidiagonal_monomial() for m, _, _, _ in factors), ())
+    lead = mono(*((grid_var(i, j), 1) for m, _, _, _ in factors for i, j in m.antidiagonal_cells()))
 
     checks = []
     total = sum(c for _, _, _, c in factors)
     checks.append(("counts_sum_to_height", total == h))
-    checks.append(("lead_squarefree", mono_is_squarefree(lead)))
+    checks.append(("lead_squarefree", mono_is_squarefree(lead.value)))
     checks.append(("counts_nonnegative", all(c >= 0 for _, _, _, c in factors)))
     if field is not None and field.is_modular:
         # The lead term of f^(p-1) is lead^(p-1) with a unit coefficient (the
         # Leibniz sign to the p-1), so f^(p-1) avoids m^[p] when lead^(p-1) does.
         p = field.characteristic
         checks.append(("lead_outside_frobenius_power_of_m",
-                       outside_frobenius_power_of_m(mono_pow(lead, p - 1), p)))
+                       outside_frobenius_power_of_m(
+                           mono_pow(lead.value, p - 1, lead.packing.guard), p)))
     cert = SymbolicCertificate(L, t, h, tuple(factors), lead, tuple(checks))
     failed = [name for name, ok in checks if not ok]
     if failed:
@@ -177,6 +180,7 @@ def fedder_check(I: Ideal, p: int, candidate: Polynomial) -> bool:
         raise ValueError("candidate polynomial is over the wrong field")
     if candidate.is_zero:
         return False
+    candidate = candidate.repack(join_packings(candidate.packing, I.ring.packing))
     # Membership in the colon, generator by generator: c*g in I^[p] for all g.
     bracket = I.bracket(p)
     for g in I.gens:
@@ -192,7 +196,7 @@ def fedder_check(I: Ideal, p: int, candidate: Polynomial) -> bool:
 @dataclass(frozen=True)
 class InitialCompareResult:
     equal: bool
-    witness: tuple | None      # a monomial in the gap, when not equal
+    witness: Monomial | None   # a monomial in the gap, when not equal
     left: MonomialIdeal        # in(I^(n)) via the saturation oracle
     right: MonomialIdeal       # in(I)^(n) via monomial symbolic powers
 
@@ -212,10 +216,11 @@ def initial_symbolic_compare(I: Ideal, n: int, order: TermOrder = ANTIDIAG,
     left = symbolic_power_saturation(I, n, strategy).initial_ideal(order)
     if left.gens == right.gens:
         return InitialCompareResult(True, None, left, right)
+    packing = I.ring.packing
     for g in right.gens:
         if not left.contains(g):
-            return InitialCompareResult(False, g, left, right)
+            return InitialCompareResult(False, Monomial(packing, g), left, right)
     for g in left.gens:
         if not right.contains(g):
-            return InitialCompareResult(False, g, left, right)
+            return InitialCompareResult(False, Monomial(packing, g), left, right)
     return InitialCompareResult(True, None, left, right)

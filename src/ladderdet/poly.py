@@ -1,12 +1,15 @@
 """Sparse exact polynomials with matrix-indexed variables and term orders.
 
-Variables are interned once per session.  A monomial is a tuple of
-``(variable_key, exponent)`` pairs sorted with the greatest variable first;
-the keys are built so that native tuple comparison of two monomials *is*
-the antidiagonal-lex comparison (grid variables ordered
-``x[1,l] > ... > x[1,1] > x[2,l] > ... > x[k,1]``, auxiliaries above all
-grid variables).  That keeps the hot Groebner loops on C-speed tuple
-compares.
+Variables are interned once per session and ordered so that grid variables
+run ``x[1,l] > ... > x[1,1] > x[2,l] > ... > x[k,1]``, auxiliaries above all
+grid variables.  A monomial is one int.  A `Packing` (one per descending
+tuple of variables, so one per ring) gives each variable an exponent field
+of `FIELD_BITS` bits with a guard bit above it, the greatest variable in
+the highest field.  Then plain int comparison *is* antidiagonal-lex (and
+``elim(antidiag-lex)``), multiplication is ``+``, division and divisibility
+are one subtraction and a guard-mask test, lcm is a SWAR max, and the
+support mask is one add-and-mask.  An exponent that does not fit in its
+field raises `ExponentOverflow`; it never carries into the next field.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from itertools import count, permutations
+from itertools import permutations
+from weakref import WeakValueDictionary
 
 from .fields import GF, QQ, Field
 
@@ -58,9 +62,6 @@ def _check_deadline():
 
 _GRID: dict[tuple[int, int], "Variable"] = {}
 _AUX: dict[tuple[str, int], "Variable"] = {}
-_BY_KEY: dict[tuple, "Variable"] = {}
-_BIT: dict[tuple, int] = {}  # variable key -> its support-mask bit
-_BIT_INDEX = count()  # next() is atomic, so racing interners never share a bit
 
 
 class Variable:
@@ -69,8 +70,7 @@ class Variable:
     Auxiliaries sort strictly above every grid variable; grid variables
     follow the antidiagonal-lex convention (row-major, columns descending
     within a row).  Instances are interned: construct via `grid_var` /
-    `aux_var`.  Each interned variable owns one bit of the support masks
-    (`mono_mask`).
+    `aux_var`.
     """
 
     __slots__ = ("kind", "i", "j", "name", "rank", "key")
@@ -81,9 +81,9 @@ class Variable:
         self.j = j
         self.name = name
         self.rank = rank
-        # Bigger key == greater variable; native tuple order does the rest.
-        # Aux keys carry the name so distinct auxiliaries never collide;
-        # the leading 1 keeps every auxiliary above every grid variable.
+        # Bigger key == greater variable.  Aux keys carry the name so
+        # distinct auxiliaries never collide; the leading 1 keeps every
+        # auxiliary above every grid variable.
         self.key = (1, rank, name) if kind == "aux" else (0, -i, j)
 
     @property
@@ -107,8 +107,6 @@ def _intern(table: dict, ident, make) -> Variable:
     if v is None:
         # setdefault keeps interning atomic under concurrent first use
         v = table.setdefault(ident, make())
-        _BY_KEY.setdefault(v.key, v)
-        _BIT.setdefault(v.key, 1 << next(_BIT_INDEX))
     return v
 
 
@@ -124,149 +122,304 @@ def aux_var(name: str = "t", rank: int = 0) -> Variable:
     return _intern(_AUX, (name, rank), lambda: Variable("aux", name=name, rank=rank))
 
 
-def var_by_key(key) -> Variable:
-    return _BY_KEY[key]
-
-
 # ---------------------------------------------------------------------------
-# Monomials: tuple[(key, exp), ...], greatest variable first, no zero exps.
+# Packed monomials
 
-MONO_ONE: tuple = ()
+FIELD_BITS = 8
+MAX_EXPONENT = (1 << FIELD_BITS) - 1
+_W = FIELD_BITS + 1  # field width: exponent bits plus the guard bit
+_FIELD = (1 << _W) - 1
+# The degree sums pairs of fields in 2 * _W bits, exact while the degree
+# stays below 2^(2 * _W) - 1, which this many variables guarantee.
+MAX_VARIABLES = 1024
+_PAIR_MOD = (1 << 2 * _W) - 1
+_EVEN_FIELDS = ((1 << 2 * _W * (MAX_VARIABLES // 2)) - 1) // _PAIR_MOD * _FIELD
+_HIGH_BITS = ((1 << _W * MAX_VARIABLES) - 1) // _FIELD * (MAX_EXPONENT - 1)
 
-
-def mono(*pairs) -> tuple:
-    """Build a monomial from (Variable, exponent) pairs."""
-    acc = {}
-    for v, e in pairs:
-        if e < 0:
-            raise ValueError("negative exponent")
-        if e:
-            acc[v.key] = acc.get(v.key, 0) + e
-    return tuple(sorted(acc.items(), reverse=True))
-
-
-def mono_from_vars(variables) -> tuple:
-    return mono(*((v, 1) for v in variables))
+MONO_ONE = 0
 
 
-def mono_mul(a: tuple, b: tuple) -> tuple:
-    if not a:
-        return b
-    if not b:
+class ExponentOverflow(ValueError):
+    """An exponent does not fit in the field of a packed monomial."""
+
+
+def _overflow() -> ExponentOverflow:
+    return ExponentOverflow(f"exponent above {MAX_EXPONENT}: a packed monomial holds "
+                            f"exponents up to {MAX_EXPONENT} per variable")
+
+
+def _ones(n: int) -> int:
+    """The int with a 1 at the bottom of each of n fields."""
+    return ((1 << _W * n) - 1) // _FIELD
+
+
+class Packing:
+    """The exponent fields of the monomials over one descending tuple of
+    variables: the last variable takes bits 0-8, the one before it bits
+    9-17, and so on up to the greatest.  Build one with `packing_of`.
+
+    `guard` has the guard bit of every field, `low` the exponent bits, so
+    ``(m + low) & guard`` is the support mask of m, and a monomial is valid
+    exactly when ``m & guard`` is 0.
+    """
+
+    __slots__ = ("variables", "shift", "guard", "low", "_into", "_joins", "__weakref__")
+
+    def __init__(self, variables: tuple[Variable, ...]):
+        n = len(variables)
+        if n > MAX_VARIABLES:
+            raise InstanceTooLarge(f"instance too large: a ring holds at most {MAX_VARIABLES} "
+                                   f"variables, got {n}")
+        self.variables = variables
+        self.shift = {v: _W * (n - 1 - i) for i, v in enumerate(variables)}
+        ones = _ones(n)
+        self.guard = ones << FIELD_BITS
+        self.low = ones * MAX_EXPONENT
+        self._into: dict = {}   # target packing -> (missing fields, moves or None)
+        self._joins: dict = {}  # other packing -> packing of the union
+
+    def pack(self, pairs) -> int:
+        """The monomial of (Variable, exponent) pairs; ValueError on a
+        variable outside the packing or a negative exponent, and
+        `ExponentOverflow` on an exponent above `MAX_EXPONENT`."""
+        exps: dict = {}
+        for v, e in pairs:
+            if e < 0:
+                raise ValueError("negative exponent")
+            exps[v] = exps.get(v, 0) + e
+        m = 0
+        for v, e in exps.items():
+            if not e:
+                continue
+            if e > MAX_EXPONENT:
+                raise _overflow()
+            try:
+                m |= e << self.shift[v]
+            except KeyError:
+                raise ValueError(f"variable {v} lies outside the ring") from None
+        return m
+
+    def exponents(self, m: int) -> list[tuple[Variable, int]]:
+        """The (Variable, exponent) pairs of m, greatest variable first."""
+        return Monomial(self, m).exponents()
+
+    def variables_of(self, mask: int) -> list[Variable]:
+        """The variables whose field holds a set bit of `mask`, greatest first."""
+        n = len(self.variables)
+        out = []
+        while mask:
+            top = mask.bit_length() - 1
+            out.append(self.variables[n - 1 - top // _W])
+            mask &= ~(_FIELD << top // _W * _W)
+        return out
+
+    def _moves(self, target: "Packing"):
+        """(missing, moves) for re-packing into `target`: the fields of
+        variables that `target` lacks, and the (shift, mask, shift) block
+        moves, or None when the fields already sit where `target` has them."""
+        got = self._into.get(target)
+        if got is None:
+            missing, runs = 0, []
+            for i, v in enumerate(reversed(self.variables)):
+                src, dst = _W * i, target.shift.get(v)
+                if dst is None:
+                    missing |= _FIELD << src
+                elif runs and runs[-1][0] + runs[-1][1] == src and runs[-1][2] + runs[-1][1] == dst:
+                    runs[-1][1] += _W
+                else:
+                    runs.append([src, _W, dst])
+            if not missing and (not runs or (len(runs) == 1 and runs[0][0] == runs[0][2] == 0)):
+                moves = None
+            else:
+                moves = tuple((src, (1 << width) - 1, dst) for src, width, dst in runs)
+            got = self._into[target] = (missing, moves)
+        return got
+
+    def repack(self, m: int, target: "Packing") -> int:
+        """The monomial m of this packing, packed in `target`."""
+        missing, moves = self._moves(target)
+        if m & missing:
+            raise ValueError("monomial uses variables outside the ring")
+        if moves is None:
+            return m
+        out = 0
+        for src, mask, dst in moves:
+            out |= (m >> src & mask) << dst
+        return out
+
+    def __repr__(self):
+        return f"Packing({len(self.variables)} vars)"
+
+
+_PACKINGS: "WeakValueDictionary[tuple, Packing]" = WeakValueDictionary()
+
+
+def _packing(variables: tuple[Variable, ...]) -> Packing:
+    """The packing of a tuple of distinct variables in descending order."""
+    p = _PACKINGS.get(variables)
+    if p is None:
+        p = _PACKINGS.setdefault(variables, Packing(variables))
+    return p
+
+
+def packing_of(variables) -> Packing:
+    """The packing of a set of variables (the ring of exactly these)."""
+    return _packing(tuple(sorted(set(variables), key=_var_key, reverse=True)))
+
+
+def _var_key(v: Variable):
+    return v.key
+
+
+def join_packings(a: Packing, b: Packing) -> Packing:
+    """The packing of the union of the variables of a and b."""
+    if a is b or not b.variables:
         return a
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        ka, ea = a[i]
-        kb, eb = b[j]
-        if ka == kb:
-            out.append((ka, ea + eb))
-            i += 1
-            j += 1
-        elif ka > kb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+    if not a.variables:
+        return b
+    j = a._joins.get(b)
+    if j is None:
+        j = a._joins[b] = packing_of(a.variables + b.variables)
+    return j
 
 
-def mono_div(a: tuple, b: tuple):
+NO_VARIABLES = _packing(())
+
+
+class Monomial:
+    """A packed monomial together with the packing it is read in: the form a
+    monomial takes outside a ring.  Equal when the exponents are, whatever
+    the packings."""
+
+    __slots__ = ("variables", "value", "_packing")
+
+    def __init__(self, packing: Packing, value: int):
+        self.variables = packing.variables
+        self.value = value
+        self._packing = packing
+
+    @classmethod
+    def _of(cls, variables: tuple[Variable, ...], value: int) -> "Monomial":
+        """The monomial `value` over descending `variables`, whose packing is
+        only built when asked for."""
+        m = cls.__new__(cls)
+        m.variables, m.value, m._packing = variables, value, None
+        return m
+
+    @property
+    def packing(self) -> Packing:
+        if self._packing is None:
+            self._packing = _packing(self.variables)
+        return self._packing
+
+    def packed_in(self, target: Packing) -> int:
+        """The same monomial packed in `target`; ValueError when it uses a
+        variable that `target` lacks."""
+        if self._packing is target:
+            return self.value
+        shift, value, out = target.shift, self.value, 0
+        top = _W * (len(self.variables) - 1)
+        for i, v in enumerate(self.variables):
+            e = value >> top - _W * i & _FIELD
+            if e:
+                if v not in shift:
+                    raise ValueError(f"monomial uses variable {v} outside the ring")
+                out |= e << shift[v]
+        return out
+
+    def exponents(self) -> list[tuple[Variable, int]]:
+        n, value = len(self.variables), self.value
+        return [(v, e) for i, v in enumerate(self.variables)
+                if (e := value >> _W * (n - 1 - i) & _FIELD)]
+
+    def __eq__(self, other):
+        if not isinstance(other, Monomial):
+            return NotImplemented
+        if self.variables == other.variables:
+            return self.value == other.value
+        return self.exponents() == other.exponents()
+
+    def __hash__(self):
+        return hash(tuple((v.key, e) for v, e in self.exponents()))
+
+    def __str__(self):
+        return "1" if not self.value else "*".join(
+            str(v) if e == 1 else f"{v}^{e}" for v, e in self.exponents())
+
+    __repr__ = __str__
+
+
+def mono(*pairs) -> Monomial:
+    """The monomial of (Variable, exponent) pairs, packed in the ring of its
+    own variables."""
+    packing = packing_of(v for v, e in pairs if e)
+    return Monomial(packing, packing.pack(pairs))
+
+
+# The four operations the Groebner core calls through the module; `guard`
+# is the guard mask of the packing of the arguments.
+
+
+def mono_mul(a: int, b: int) -> int:
+    """a * b.  A product past an exponent field sets its guard bit, which
+    the caller checks; two valid monomials never carry across fields."""
+    return a + b
+
+
+def mono_div(a: int, b: int, guard: int):
     """a / b, or None when b does not divide a."""
-    if not b:
-        return a
-    out = []
-    i = 0
-    na = len(a)
-    for kb, eb in b:
-        while i < na and a[i][0] > kb:
-            out.append(a[i])
-            i += 1
-        if i >= na or a[i][0] != kb or a[i][1] < eb:
-            return None
-        if a[i][1] > eb:
-            out.append((kb, a[i][1] - eb))
-        i += 1
-    out.extend(a[i:])
-    return tuple(out)
+    d = a - b
+    return None if d & guard else d
 
 
-def mono_divides(b: tuple, a: tuple) -> bool:
-    """True when b | a."""
-    i = 0
-    na = len(a)
-    for kb, eb in b:
-        while i < na and a[i][0] > kb:
-            i += 1
-        if i >= na or a[i][0] != kb or a[i][1] < eb:
-            return False
-        i += 1
-    return True
+def mono_divides(b: int, a: int, guard: int) -> bool:
+    """True when b | a: no field of a - b borrows."""
+    return not (a - b) & guard
 
 
-def mono_lcm(a: tuple, b: tuple) -> tuple:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        ka, ea = a[i]
-        kb, eb = b[j]
-        if ka == kb:
-            out.append((ka, ea if ea >= eb else eb))
-            i += 1
-            j += 1
-        elif ka > kb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+def mono_lcm(a: int, b: int, guard: int) -> int:
+    """lcm(a, b): the fieldwise max of the exponents."""
+    ge = ((a | guard) - b) & guard   # guard bits of the fields where a >= b
+    ge -= ge >> FIELD_BITS            # those fields' exponent bits
+    return b ^ ((a ^ b) & ge)
 
 
-def mono_degree(a: tuple) -> int:
-    return sum(e for _, e in a)
+def mono_degree(a: int) -> int:
+    """Total degree: adjacent fields summed in pairs, then the pair sums
+    summed by a modulus of the form 2^k - 1."""
+    return ((a & _EVEN_FIELDS) + (a >> _W & _EVEN_FIELDS)) % _PAIR_MOD
 
 
-def mono_is_squarefree(a: tuple) -> bool:
-    return all(e == 1 for _, e in a)
+def mono_is_squarefree(a: int) -> bool:
+    return not a & _HIGH_BITS
 
 
-def mono_radical(a: tuple) -> tuple:
-    return tuple((k, 1) for k, _ in a)
+def mono_max_exponent(a: int) -> int:
+    top = 0
+    while a:
+        top = max(top, a & _FIELD)
+        a >>= _W
+    return top
 
 
-def mono_pow(a: tuple, n: int) -> tuple:
-    if n == 0:
-        return MONO_ONE
-    return tuple((k, e * n) for k, e in a)
-
-
-def mono_mask(a: tuple) -> int:
-    """Support mask: the OR of the bits of the variables in `a`.
+def mono_mask(a: int, packing: Packing) -> int:
+    """Support mask: the guard bit of each variable of `a`.
 
     b | a needs ``mono_mask(b) & ~mono_mask(a) == 0``, and a, b are coprime
     exactly when ``mono_mask(a) & mono_mask(b) == 0``.
     """
-    mask = 0
-    for k, _ in a:
-        mask |= _BIT[k]
-    return mask
+    return (a + packing.low) & packing.guard
 
 
-def mono_has_aux(a: tuple) -> bool:
-    # aux keys start with 1 and sort first
-    return bool(a) and a[0][0][0] == 1
+def mono_radical(a: int, packing: Packing) -> int:
+    return mono_mask(a, packing) >> FIELD_BITS
+
+
+def mono_pow(a: int, n: int, guard: int) -> int:
+    """a^n; `ExponentOverflow` when an exponent times n passes the field."""
+    if n and (a + (MAX_EXPONENT - MAX_EXPONENT // n) * (guard >> FIELD_BITS)) & guard:
+        raise _overflow()
+    return a * n
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +434,11 @@ class TermOrder:
     then the grid part under antidiagonal-lex; auxiliaries always sit above
     the grid.
 
-    `is_native` is true when monomial tuples compare natively under the
-    order, so that `key` is the identity.  That holds for antidiagonal-lex
-    and for ``elim``: aux keys sort above every grid key, so lex on the aux
-    block, then lex on the grid part, is plain lex on the whole monomial.
+    `is_native` is true when packed monomials compare as plain ints under
+    the order, so that `key` is the identity.  That holds for
+    antidiagonal-lex and for ``elim``: the auxiliaries' fields sit above
+    every grid field, so lex on the aux block, then lex on the grid part,
+    is lex on the whole monomial.
     """
 
     kind: str  # "antidiag-lex" | "grevlex" | "elim"
@@ -295,20 +449,20 @@ class TermOrder:
             raise ValueError(f"unknown term order kind: {self.kind}")
         object.__setattr__(self, "is_native", self.kind != "grevlex")
 
-    def key(self, m: tuple):
+    def key(self, m: int):
         return m if self.is_native else _grevlex_key(m)
 
     def __str__(self):
         return "elim(antidiag-lex)" if self.kind == "elim" else self.kind
 
 
-def _grevlex_key(m: tuple):
-    deg = 0
+def _grevlex_key(m: int):
+    """Degree, then the negated exponents from the smallest variable up."""
     rev = []
-    for k, e in reversed(m):
-        deg += e
-        rev.append((k, -e))
-    return (deg, tuple(rev))
+    while m:
+        rev.append(-(m & _FIELD))
+        m >>= _W
+    return (-sum(rev), tuple(rev))
 
 
 ANTIDIAG = TermOrder("antidiag-lex")
@@ -325,12 +479,9 @@ def parse_order(name: str) -> TermOrder:
         raise ValueError(f"unknown term order: {name!r}") from None
 
 
-def compare_monomials(order: TermOrder, a: tuple, b: tuple) -> int:
-    """Total comparison under `order`: -1, 0 or 1.
-
-    Monomials over the session's interned variables are always comparable;
-    mixing variable universes cannot arise by construction.
-    """
+def compare_monomials(order: TermOrder, a: int, b: int) -> int:
+    """Total comparison under `order` of two monomials of one packing:
+    -1, 0 or 1."""
     ka, kb = order.key(a), order.key(b)
     return (ka > kb) - (ka < kb)
 
@@ -339,26 +490,39 @@ def compare_monomials(order: TermOrder, a: tuple, b: tuple) -> int:
 # Polynomials
 
 
+def _check_fields(monos, guard: int) -> None:
+    """`ExponentOverflow` when a monomial has passed an exponent field."""
+    for m in monos:
+        if m & guard:
+            raise _overflow()
+
+
 class Polynomial:
-    """Immutable sparse polynomial over QQ or GF(p)."""
+    """Immutable sparse polynomial over QQ or GF(p): a dict from packed
+    monomials to coefficients, with the packing they are read in.
 
-    __slots__ = ("field", "terms", "_hash")
+    Equality and hashing do not depend on the packing; arithmetic on two
+    packings works in the packing of their joint variables.
+    """
 
-    def __init__(self, field: Field, terms: dict):
+    __slots__ = ("field", "terms", "packing", "_hash")
+
+    def __init__(self, field: Field, terms: dict, packing: Packing):
         self.field = field
         self.terms = terms
+        self.packing = packing
         self._hash = None
 
     # -- constructors
 
     @classmethod
     def zero(cls, field: Field) -> "Polynomial":
-        return cls(field, {})
+        return cls(field, {}, NO_VARIABLES)
 
     @classmethod
     def constant(cls, field: Field, c) -> "Polynomial":
         c = field.coerce(c)
-        return cls(field, {MONO_ONE: c} if c else {})
+        return cls(field, {MONO_ONE: c} if c else {}, NO_VARIABLES)
 
     @classmethod
     def one(cls, field: Field) -> "Polynomial":
@@ -366,10 +530,11 @@ class Polynomial:
 
     @classmethod
     def variable(cls, field: Field, v: Variable) -> "Polynomial":
-        return cls(field, {((v.key, 1),): field.one})
+        return cls(field, {1: field.one}, _packing((v,)))
 
     @classmethod
-    def from_terms(cls, field: Field, items) -> "Polynomial":
+    def from_terms(cls, field: Field, items, packing: Packing) -> "Polynomial":
+        """Sum of (monomial of `packing`, coefficient) pairs."""
         terms = {}
         for m, c in items:
             c = field.add(terms.get(m, field.zero), field.coerce(c))
@@ -377,7 +542,7 @@ class Polynomial:
                 terms[m] = c
             elif m in terms:
                 del terms[m]
-        return cls(field, terms)
+        return cls(field, terms, packing)
 
     # -- basics
 
@@ -398,6 +563,10 @@ class Polynomial:
         m = max(self.terms) if order.is_native else max(self.terms, key=order.key)
         return m, self.terms[m]
 
+    def leading_monomial(self, order: TermOrder = ANTIDIAG) -> Monomial:
+        """The leading monomial with this polynomial's packing."""
+        return Monomial(self.packing, self.leading_term(order)[0])
+
     def sorted_terms(self, order: TermOrder = ANTIDIAG):
         """Terms sorted decreasingly under `order` (canonical iteration)."""
         keys = sorted(self.terms, key=order.key, reverse=True)
@@ -411,12 +580,46 @@ class Polynomial:
             return self
         inv = self.field.inv(c)
         mul = self.field.mul
-        return Polynomial(self.field, {m: mul(v, inv) for m, v in self.terms.items()})
+        return Polynomial(self.field, {m: mul(v, inv) for m, v in self.terms.items()},
+                          self.packing)
 
     def reduce_mod(self, p: int) -> "Polynomial":
         """Image in GF(p) of a rational polynomial with p-integral coefficients."""
-        f = GF(p)
-        return Polynomial.from_terms(f, self.terms.items())
+        return Polynomial.from_terms(GF(p), self.terms.items(), self.packing)
+
+    # -- packings
+
+    def repack(self, packing: Packing) -> "Polynomial":
+        """The same polynomial with its monomials packed in `packing`;
+        ValueError when it uses a variable that `packing` lacks."""
+        if self.packing is packing:
+            return self
+        missing, moves = self.packing._moves(packing)
+        terms = self.terms
+        if missing and any(m & missing for m in terms):
+            raise ValueError(f"polynomial uses variables outside the ring: {self}")
+        if moves is not None:
+            new = {}
+            for m, c in terms.items():
+                out = 0
+                for src, mask, dst in moves:
+                    out |= (m >> src & mask) << dst
+                new[out] = c
+            terms = new
+        return Polynomial(self.field, terms, packing)
+
+    def _canonical(self) -> "Polynomial":
+        """This polynomial packed in the ring of exactly its own variables."""
+        packing = self.packing
+        support = 0
+        for m in self.terms:
+            support |= m
+        own = _packing(tuple(packing.variables_of(mono_mask(support, packing))))
+        return self.repack(own)
+
+    def _aligned(self, other: "Polynomial"):
+        packing = join_packings(self.packing, other.packing)
+        return self.repack(packing), other.repack(packing)
 
     # -- arithmetic
 
@@ -429,6 +632,8 @@ class Polynomial:
 
     def __add__(self, other):
         other = self._coerce_other(other)
+        if other.packing is not self.packing:
+            return Polynomial.__add__(*self._aligned(other))
         field = self.field
         terms = dict(self.terms)
         add = field.add
@@ -438,13 +643,13 @@ class Polynomial:
                 terms[m] = v
             elif m in terms:
                 del terms[m]
-        return Polynomial(field, terms)
+        return Polynomial(field, terms, self.packing)
 
     __radd__ = __add__
 
     def __neg__(self):
         neg = self.field.neg
-        return Polynomial(self.field, {m: neg(c) for m, c in self.terms.items()})
+        return Polynomial(self.field, {m: neg(c) for m, c in self.terms.items()}, self.packing)
 
     def __sub__(self, other):
         return self + (-self._coerce_other(other))
@@ -458,8 +663,11 @@ class Polynomial:
             if not c:
                 return Polynomial.zero(self.field)
             mul = self.field.mul
-            return Polynomial(self.field, {m: mul(v, c) for m, v in self.terms.items()})
+            return Polynomial(self.field, {m: mul(v, c) for m, v in self.terms.items()},
+                              self.packing)
         other = self._coerce_other(other)
+        if other.packing is not self.packing:
+            return Polynomial.__mul__(*self._aligned(other))
         field = self.field
         p = field.p
         acc: dict = {}
@@ -470,16 +678,18 @@ class Polynomial:
         if p is None:
             for ma, ca in a_items:
                 for mb, cb in b_items:
-                    m = mono_mul(ma, mb)
+                    m = ma + mb
                     v = acc.get(m)
                     acc[m] = ca * cb if v is None else v + ca * cb
-            return Polynomial(field, {m: c for m, c in acc.items() if c})
-        for ma, ca in a_items:
-            for mb, cb in b_items:
-                m = mono_mul(ma, mb)
-                v = acc.get(m, 0) + ca * cb
-                acc[m] = v
-        return Polynomial(field, {m: c % p for m, c in acc.items() if c % p})
+            terms = {m: c for m, c in acc.items() if c}
+        else:
+            for ma, ca in a_items:
+                for mb, cb in b_items:
+                    m = ma + mb
+                    acc[m] = acc.get(m, 0) + ca * cb
+            terms = {m: c % p for m, c in acc.items() if c % p}
+        _check_fields(terms, self.packing.guard)
+        return Polynomial(field, terms, self.packing)
 
     __rmul__ = __mul__
 
@@ -497,13 +707,15 @@ class Polynomial:
             n = base_needed
         return result
 
-    def mul_term(self, m: tuple, c) -> "Polynomial":
-        """Multiply by the single term c*m."""
+    def mul_term(self, m: int, c) -> "Polynomial":
+        """Multiply by the single term c*m (m packed like this polynomial)."""
         c = self.field.coerce(c)
         if not c:
             return Polynomial.zero(self.field)
         mul = self.field.mul
-        return Polynomial(self.field, {mono_mul(tm, m): mul(tc, c) for tm, tc in self.terms.items()})
+        terms = {tm + m: mul(tc, c) for tm, tc in self.terms.items()}
+        _check_fields(terms, self.packing.guard)
+        return Polynomial(self.field, terms, self.packing)
 
     # -- comparisons
 
@@ -512,11 +724,18 @@ class Polynomial:
             if self.terms and (len(self.terms) > 1 or MONO_ONE not in self.terms):
                 return False
             return self.terms.get(MONO_ONE, self.field.zero) == self.field.coerce(other)
-        return self.field == other.field and self.terms == other.terms
+        if self.field != other.field or len(self.terms) != len(other.terms):
+            return False
+        if self.packing is other.packing:
+            return self.terms == other.terms
+        a, b = self._canonical(), other._canonical()
+        return a.packing is b.packing and a.terms == b.terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field, frozenset(self.terms.items())))
+            own = self._canonical()
+            self._hash = hash((self.field, tuple(v.key for v in own.packing.variables),
+                               frozenset(own.terms.items())))
         return self._hash
 
     def __repr__(self):
@@ -555,8 +774,11 @@ class Minor:
     def antidiagonal_cells(self):
         return [(self.rows[a], self.cols[self.size - 1 - a]) for a in range(self.size)]
 
-    def antidiagonal_monomial(self) -> tuple:
-        return mono_from_vars(grid_var(i, j) for i, j in self.antidiagonal_cells())
+    def antidiagonal_monomial(self) -> Monomial:
+        """The product of the antidiagonal, in the ring of its own variables
+        (rows go down as columns go left, so the cells come greatest first)."""
+        cells = self.antidiagonal_cells()
+        return Monomial._of(tuple(grid_var(i, j) for i, j in cells), _ones(len(cells)))
 
     def __str__(self):
         r = "".join(str(i) for i in self.rows) if max(self.rows + self.cols) < 10 else ",".join(map(str, self.rows))
@@ -564,35 +786,37 @@ class Minor:
         return f"[{r}|{c}]"
 
 
-def expand_minor(m: Minor, field: Field = QQ) -> Polynomial:
-    """Signed Leibniz expansion of the minor as a polynomial.
+def expand_minor(m: Minor, field: Field = QQ, packing: Packing | None = None) -> Polynomial:
+    """Signed Leibniz expansion of the minor as a polynomial, packed in
+    `packing` (one with every cell of the minor), by default in the ring of
+    the minor's cells.
 
     Checks the `time_limit` deadline once every 256 permutations.
     """
     n = m.size
+    if packing is None:
+        # Row by row, columns right to left: the cells in descending order.
+        packing = _packing(tuple(grid_var(i, j) for i in m.rows for j in reversed(m.cols)))
+    try:
+        bit = [[1 << packing.shift[grid_var(i, j)] for j in m.cols] for i in m.rows]
+    except KeyError:
+        raise ValueError(f"minor {m} has cells outside the ring") from None
+    plus, minus = field.coerce(1), field.coerce(-1)
     terms = {}
     for idx, perm in enumerate(permutations(range(n))):
         if not idx & 255:
             _check_deadline()
         inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
-        sign = -1 if inversions & 1 else 1
-        mm = mono_from_vars(grid_var(m.rows[a], m.cols[perm[a]]) for a in range(n))
-        terms[mm] = field.coerce(sign)
-    return Polynomial(field, terms)
+        terms[sum(row[b] for row, b in zip(bit, perm))] = minus if inversions & 1 else plus
+    return Polynomial(field, terms, packing)
 
 
 # ---------------------------------------------------------------------------
 # Canonical textual format: `3*x[1,2]^2*x[3,1]`, auxiliaries by bare name.
 
 
-def mono_to_str(m: tuple) -> str:
-    if not m:
-        return "1"
-    parts = []
-    for k, e in m:
-        v = str(_BY_KEY[k])
-        parts.append(v if e == 1 else f"{v}^{e}")
-    return "*".join(parts)
+def mono_to_str(m: int, packing: Packing) -> str:
+    return str(Monomial(packing, m))
 
 
 def poly_to_str(f: Polynomial, order: TermOrder = ANTIDIAG) -> str:
@@ -603,7 +827,7 @@ def poly_to_str(f: Polynomial, order: TermOrder = ANTIDIAG) -> str:
         sign = ""
         if f.field.p is None and c < 0:
             sign, c = "-", -c
-        body = mono_to_str(m)
+        body = mono_to_str(m, f.packing)
         if body == "1":
             body = str(c)
         elif c != 1:
@@ -624,7 +848,8 @@ _TOKEN = re.compile(
 
 
 def parse_polynomial(text: str, field: Field = QQ) -> Polynomial:
-    """Parse the canonical textual polynomial grammar."""
+    """Parse the canonical textual polynomial grammar into the ring of the
+    variables it uses."""
     if not isinstance(text, str):
         raise ValueError(f"a polynomial is a string, got {text!r}")
     tokens = []
@@ -637,7 +862,7 @@ def parse_polynomial(text: str, field: Field = QQ) -> Polynomial:
         tokens.append(mt)
         pos = mt.end()
 
-    terms: list[tuple[tuple, object]] = []
+    terms: list[tuple[list, object]] = []
     sign = 1
     factors: list[tuple[Variable, int]] = []
     coeff = Fraction(1)
@@ -646,7 +871,7 @@ def parse_polynomial(text: str, field: Field = QQ) -> Polynomial:
     def flush():
         nonlocal factors, coeff, have_term, sign
         if have_term:
-            terms.append((mono(*factors), sign * coeff))
+            terms.append((factors, sign * coeff))
         factors, coeff, have_term, sign = [], Fraction(1), False, 1
 
     idx = 0
@@ -685,7 +910,9 @@ def parse_polynomial(text: str, field: Field = QQ) -> Polynomial:
     flush()
     if not terms:
         raise ValueError("empty polynomial text")
-    return Polynomial.from_terms(field, terms)
+    packing = packing_of(v for factors, _ in terms for v, e in factors if e)
+    return Polynomial.from_terms(field, ((packing.pack(factors), c) for factors, c in terms),
+                                 packing)
 
 
 def parse_polynomials(texts, field: Field = QQ) -> list[Polynomial]:

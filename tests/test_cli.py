@@ -330,3 +330,29 @@ def test_accept_honours_timeout(capsys):
     (result,) = json.loads(out)
     assert result["passed"] is False
     assert "time budget exceeded after" in result["details"][0]
+
+
+def test_ideal_loader_reads_and_decodes_each_file_once(monkeypatch, tmp_path, capsys):
+    from ladderdet import cli
+
+    reads, decodes = [], []
+    real_read, real_loads = cli._read_text, cli.json.loads
+    monkeypatch.setattr(cli, "_read_text", lambda path: reads.append(path) or real_read(path))
+    monkeypatch.setattr(cli.json, "loads", lambda text: decodes.append(text) or real_loads(text))
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps({"shape": [2, 2], "gens": ["x[1,1]*x[2,2] - x[1,2]*x[2,1]"]}))
+    ladder = str(FIXTURES / "full2x2.json")
+    for path in (str(ideal), ladder):
+        reads.clear()
+        decodes.clear()
+        code, out = run_cli("ideal", "gb", path, "--t", "2", capsys=capsys)
+        assert code == 0 and out.strip() == "x[1,2]*x[2,1] - x[1,1]*x[2,2]"
+        assert reads == [path] and len(decodes) == 1
+
+
+def test_exponent_past_the_field_limit_exits_2(capsys):
+    code = main(["ideal", "member", str(FIXTURES / "full3x3.json"), "--t", "2",
+                 "--poly", "x[1,1]^99999999999"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "exponents up to 255" in err and "Traceback" not in err

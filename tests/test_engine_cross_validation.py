@@ -16,7 +16,7 @@ sympy = pytest.importorskip("sympy")
 
 from ladderdet.fields import GF, QQ
 from ladderdet.groebner import buchberger
-from ladderdet.poly import ANTIDIAG, GREVLEX, Minor, Polynomial, expand_minor, grid_var, mono
+from ladderdet.poly import ANTIDIAG, GREVLEX, Minor, Polynomial, expand_minor, grid_var, packing_of
 
 SCALARS = (-2, -1, 1, 3, Fraction(2, 3), Fraction(-1, 2))
 PAIRS = [(1, 2), (1, 3), (2, 3)]
@@ -30,17 +30,18 @@ def _random_poly(rng, variables, max_terms=4, max_deg=3, field=QQ,
         for _ in range(rng.randint(0, max_deg)):
             m.append((rng.choice(variables), rng.randint(1, max_exp) if max_exp > 1 else 1))
         coeff = rng.choice(coeffs)
-        terms.append((mono(*m), coeff))
-    return Polynomial.from_terms(field, terms)
+        terms.append((m, coeff))
+    packing = packing_of(v for m, _ in terms for v, _ in m)
+    return Polynomial.from_terms(field, [(packing.pack(m), c) for m, c in terms], packing)
 
 
 def _to_sympy(f, variables, symbols, sring):
     expr = sring.zero
-    index = {v.key: i for i, v in enumerate(variables)}
+    index = {v: i for i, v in enumerate(variables)}
     for m, c in f.terms.items():
         exps = [0] * len(variables)
-        for k, e in m:
-            exps[index[k]] = e
+        for v, e in f.packing.exponents(m):
+            exps[index[v]] = e
         term = sring.one
         for s, e in zip(sring.gens, exps):
             term *= s**e
@@ -53,14 +54,14 @@ def _to_sympy(f, variables, symbols, sring):
 
 
 def _basis_as_sets(basis, variables):
-    index = {v.key: i for i, v in enumerate(variables)}
+    index = {v: i for i, v in enumerate(variables)}
     out = set()
     for g in basis:
         entry = []
         for m, c in sorted(g.terms.items()):
             exps = [0] * len(variables)
-            for k, e in m:
-                exps[index[k]] = e
+            for v, e in g.packing.exponents(m):
+                exps[index[v]] = e
             entry.append((tuple(exps), Fraction(c) if not isinstance(c, int) else c))
         out.add(frozenset(entry))
     return out

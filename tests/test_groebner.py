@@ -35,14 +35,17 @@ from ladderdet.poly import (
     aux_var,
     expand_minor,
     grid_var,
+    MONO_ONE,
+    ExponentOverflow,
+    Monomial,
+    join_packings,
     mono,
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
     parse_polynomial,
-    var_by_key,
 )
+import tuple_monomials as ref
 
 
 def gv(i, j):
@@ -60,21 +63,23 @@ def minor(rows, cols, field=QQ):
 # -- brute-force membership oracle: linear algebra in bounded degree
 
 
-def all_monomials(variables, degree):
-    out = [()]
+def all_monomials(packing, degree):
+    out = [0]
     for d in range(1, degree + 1):
-        for combo in combinations_with_replacement(variables, d):
-            out.append(mono(*((v, 1) for v in combo)))
+        for combo in combinations_with_replacement(packing.variables, d):
+            out.append(packing.pack((v, 1) for v in combo))
     return sorted(set(out))
 
 
-def brute_force_member(f, gens, variables, degree):
+def brute_force_member(f, gens, packing, degree):
     """Solve a linear system: is f a polynomial combination of gens with
-    multiplier degree <= degree - deg(gen)?"""
+    multiplier degree <= degree - deg(gen)?  Works in `packing`."""
+    f = f.repack(packing)
+    gens = [g.repack(packing) for g in gens]
     columns = []
     for g in gens:
         gdeg = g.degree()
-        for m in all_monomials(variables, max(degree - gdeg, 0)):
+        for m in all_monomials(packing, max(degree - gdeg, 0)):
             prod = g.mul_term(m, 1)
             if prod.degree() <= degree:
                 columns.append(prod)
@@ -138,13 +143,10 @@ def test_buchberger_examples():
             for c1, c2 in [(1, 2), (1, 3), (2, 3)]]
     basis = buchberger(nine)
     assert len(basis) == 9
-    assert {frozenset(g.terms) for g in basis} == {frozenset(g.monic().terms) for g in nine}
+    assert set(basis) == {g.monic() for g in nine}
 
     basis2 = buchberger([minor((1, 2), (1, 2)), x11])
-    assert {frozenset(g.terms) for g in basis2} == {
-        frozenset(x11.terms),
-        frozenset(P("x[1,2]*x[2,1]").terms),
-    }
+    assert set(basis2) == {x11, P("x[1,2]*x[2,1]")}
 
 
 def test_unit_ideal_reduced_basis():
@@ -177,11 +179,11 @@ def test_groebner_membership_matches_bruteforce():
         minor((1, 2), (1, 2)) + P("x[1,1]"),
     ]
     for _ in range(3):
-        m1 = mono((gv(rng.randint(1, 2), rng.randint(1, 3)), 1))
-        candidates.append(gens[0].mul_term(m1, rng.randint(1, 3)) + gens[1])
+        m1 = ring.packing.pack([(gv(rng.randint(1, 2), rng.randint(1, 3)), 1)])
+        candidates.append(I.gens[0].mul_term(m1, rng.randint(1, 3)) + gens[1])
     for f in candidates:
         fast = I.contains(f)
-        slow = brute_force_member(f, gens, ring.variables, max(f.degree(), 4))
+        slow = brute_force_member(f, gens, ring.packing, max(f.degree(), 4))
         assert fast == slow
 
 
@@ -237,7 +239,9 @@ def test_intersect_leaves_aux_free_basis():
     J = Ideal(ring, [P("x[2,2]"), P("x[1,3] - x[3,1]")])
     for K in (I.intersect(J), J.intersect(I), I.colon_poly(P("x[2,2]"))):
         assert K.gens
-        assert all(k[0] == 0 for g in K.gens for m in g.terms for k, _ in m)
+        assert all(g.packing is ring.packing for g in K.gens)
+        assert not any(v.is_aux for g in K.gens for m in g.terms
+                       for v, _ in g.packing.exponents(m))
         assert K.groebner_basis() == tuple(buchberger(K.gens))
     assert I.intersect(J).contains_ideal(Ideal(ring, [g * h for g in I.gens for h in J.gens]))
 
@@ -295,6 +299,25 @@ def test_frobenius_bracket():
         m.bracket(3)
 
 
+def test_products_past_the_exponent_field_raise():
+    F2 = GF(2)
+    ring = Ring.for_grid(F2, 2, 2)
+    I = Ideal(ring, [minor((1, 2), (1, 2), F2)])
+    assert I.bracket(2 ** 7).gens == (minor((1, 2), (1, 2), F2) ** 2 ** 7,)
+    with pytest.raises(ExponentOverflow):
+        I.bracket(2 ** 8)  # x^256 does not fit in a field
+    x = Polynomial.variable(QQ, gv(1, 1))
+    with pytest.raises(ExponentOverflow):
+        Ideal(Ring.for_grid(QQ, 2, 2), [x ** 200]).power(2)
+    M = MonomialIdeal.from_monomials(ring, [mono((gv(1, 1), 200))])
+    with pytest.raises(ExponentOverflow):
+        M.power(2)
+    # Buchberger meets the limit where lex degrees grow: x11 - x12^200 and
+    # x11^2 give x12^400.
+    with pytest.raises(ExponentOverflow):
+        buchberger([P("x[1,2] - x[1,1]^200"), P("x[1,2]^2")])
+
+
 def test_bracket_of_reduced_basis_is_reduced_basis():
     # The cache seed must agree with a from-scratch computation.
     F2 = GF(2)
@@ -306,10 +329,15 @@ def test_bracket_of_reduced_basis_is_reduced_basis():
     assert tuple(seeded.groebner_basis()) == tuple(buchberger(list(fresh.gens)))
 
 
+def monomials(M):
+    """The generators of a monomial ideal as `Monomial`s."""
+    return [Monomial(M.ring.packing, g) for g in M.gens]
+
+
 def test_initial_ideal_examples():
     ring22 = Ring.for_grid(QQ, 2, 2)
     I = Ideal(ring22, [minor((1, 2), (1, 2))])
-    assert I.initial_ideal().gens == (mono((gv(1, 2), 1), (gv(2, 1), 1)),)
+    assert monomials(I.initial_ideal()) == [mono((gv(1, 2), 1), (gv(2, 1), 1))]
 
     ring33 = Ring.for_grid(QQ, 3, 3)
     nine = [minor((r1, r2), (c1, c2))
@@ -337,33 +365,42 @@ def test_monomial_ideal_utilities():
     primes = M.min_primes()
     assert sorted(sorted(str(v) for v in p) for p in primes) == [["x[1,1]"], ["x[1,2]"]]
     assert M.dim() == ring.nvars - 1
-    assert M.symbolic_power(2).gens == (mono((x, 2), (y, 2)),)
+    assert monomials(M.symbolic_power(2)) == [mono((x, 2), (y, 2))]
     assert M.symbolic_power(1).gens == M.gens
 
     with pytest.raises(ValueError):
         MonomialIdeal.from_monomials(ring, [mono((x, 2))]).symbolic_power(2)
 
 
+def _mask(bits):
+    return sum(1 << b for b in bits)
+
+
 def _brute_minimal_covers(supports):
-    """Minimal covers by trying every subset of the keys, in output order."""
+    """Minimal covers by trying every subset of the bits, in output order."""
     universe = sorted(set().union(*supports))
     covering = [frozenset(c) for size in range(len(universe) + 1)
                 for c in combinations(universe, size)
                 if all(s & set(c) for s in supports)]
-    return [c for c in covering if not any(o < c for o in covering)]
+    return [_mask(c) for c in covering if not any(o < c for o in covering)]
+
+
+_RING_3X4 = Ring.for_grid(QQ, 3, 4)
 
 
 def _check_against_bruteforce(supports):
+    """Supports are sets of bit positions, here the guard bits of the 3x4
+    grid's packing (the support masks of its variables)."""
     expected = _brute_minimal_covers(supports)
-    assert minimal_covers(supports) == expected
-    height = len(expected[0])
-    assert min_cover_size(supports) == height
+    masks = [_mask(s) for s in supports]
+    assert minimal_covers(masks) == expected
+    height = expected[0].bit_count()
+    assert min_cover_size(masks) == height
     # The multiplicity of a squarefree monomial ideal counts its minimal
     # primes of least height.
-    ring = Ring.for_grid(QQ, 3, 4)
-    M = MonomialIdeal.from_monomials(ring, [mono(*((var_by_key(k), 1) for k in s))
-                                            for s in supports])
-    assert M.multiplicity() == sum(1 for c in expected if len(c) == height)
+    M = MonomialIdeal.from_monomials(_RING_3X4, [m >> 8 for m in masks])
+    assert M.supports() == sorted(set(M.supports())) and set(M.supports()) <= set(masks)
+    assert M.multiplicity() == sum(1 for c in expected if c.bit_count() == height)
 
 
 def _random_supports(rng, pool, count, size=4):
@@ -371,7 +408,12 @@ def _random_supports(rng, pool, count, size=4):
             for _ in range(count)]
 
 
-_GRID_KEYS = [gv(i, j).key for i in range(1, 4) for j in range(1, 5)]
+def _bit(v):
+    """The guard bit of variable v in the 3x4 grid's packing."""
+    return _RING_3X4.packing.shift[v] + 8
+
+
+_GRID_KEYS = [_bit(gv(i, j)) for i in range(1, 4) for j in range(1, 5)]
 
 
 def test_minimal_covers_against_bruteforce():
@@ -421,7 +463,7 @@ def test_covers_with_repeated_pivot_subproblems():
               [(i, j) for i, j in cells_3x4 if i - j <= 1 and j - i <= 2]]
     for cells in shapes:
         cell_set = set(cells)
-        supports = [frozenset({gv(i1, j2).key, gv(i2, j1).key})
+        supports = [frozenset({_bit(gv(i1, j2)), _bit(gv(i2, j1))})
                     for (i1, j1) in cells for (i2, j2) in cells
                     if i1 < i2 and j1 < j2 and (i1, j2) in cell_set and (i2, j1) in cell_set]
         _check_against_bruteforce(supports)
@@ -450,11 +492,11 @@ def test_covers_where_a_shrunk_support_swallows_another():
 
 def test_cover_edge_cases():
     assert min_cover_size([]) == 0
-    assert minimal_covers([]) == [frozenset()]
-    x = gv(1, 1).key
+    assert minimal_covers([]) == [0]
+    x = 1 << _bit(gv(1, 1))
     for search in (min_cover_size, minimal_covers):
         with pytest.raises(ValueError):
-            search([frozenset({x}), frozenset()])
+            search([x, 0])
 
 
 def test_radical_of_squarefree_ideal_is_itself():
@@ -479,8 +521,9 @@ def _generic_initial_ideal(k, l, t):
     Distinct t-minors have distinct squarefree antidiagonal monomials of one
     degree, so these already form the minimal generators.
     """
-    gens = sorted(_generic_antidiagonals(k, l, t))
-    return MonomialIdeal(Ring.for_grid(QQ, k, l), tuple(gens))
+    ring = Ring.for_grid(QQ, k, l)
+    gens = sorted(m.packing.repack(m.value, ring.packing) for m in _generic_antidiagonals(k, l, t))
+    return MonomialIdeal(ring, tuple(gens))
 
 
 def test_generic_heights_match_closed_form():
@@ -509,7 +552,7 @@ def test_multiplicity_edge_cases():
     with pytest.raises(ValueError):
         MonomialIdeal.from_monomials(ring, [mono((x, 2))]).multiplicity()
     with pytest.raises(ValueError):
-        MonomialIdeal(ring, ((),)).multiplicity()
+        MonomialIdeal(ring, (MONO_ONE,)).multiplicity()
 
 
 def test_time_limit_bounds_dim():
@@ -542,8 +585,10 @@ from ladderdet.groebner import InstanceTooLarge, MonomialIdeal, Ring, time_limit
 from ladderdet.poly import Minor
 
 rows = list(combinations(range(1, 10), 3))
-gens = sorted(Minor(r, c).antidiagonal_monomial() for r in rows for c in rows)
-M = MonomialIdeal(Ring.for_grid(QQ, 9, 9), tuple(gens))
+ring = Ring.for_grid(QQ, 9, 9)
+gens = sorted(m.packing.repack(m.value, ring.packing)
+              for m in (Minor(r, c).antidiagonal_monomial() for r in rows for c in rows))
+M = MonomialIdeal(ring, tuple(gens))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 try:
     with time_limit(3.0):
@@ -576,12 +621,14 @@ def test_from_monomials_is_fast_on_an_antichain():
     assert M == _generic_initial_ideal(8, 8, 3)
 
 
-def _reference_minimalize(monos):
+def _reference_minimalize(monos, packing):
+    """Quadratic minimalisation on tuple monomials, packed at the end."""
     out = []
-    for m in sorted(set(monos), key=lambda m: (sum(e for _, e in m), m)):
-        if not any(mono_divides(g, m) for g in out):
-            out.append(m)
-    return tuple(sorted(out))
+    tuples = {ref.tuple_mono(m.exponents()): m for m in monos}
+    for t in sorted(tuples, key=lambda t: (ref.mono_degree(t), t)):
+        if not any(ref.mono_divides(g, t) for g in out):
+            out.append(t)
+    return tuple(sorted(packing.pack(tuples[t].exponents()) for t in out))
 
 
 def test_from_monomials_matches_quadratic_reference():
@@ -591,7 +638,8 @@ def test_from_monomials_matches_quadratic_reference():
     for _ in range(300):
         monos = [mono(*((v, rng.randint(1, 3)) for v in rng.sample(variables, rng.randint(0, 4))))
                  for _ in range(rng.randint(0, 15))]
-        assert MonomialIdeal.from_monomials(ring, monos).gens == _reference_minimalize(monos)
+        assert (MonomialIdeal.from_monomials(ring, monos).gens
+                == _reference_minimalize(monos, ring.packing))
 
 
 def test_from_monomials_honours_time_limit():
@@ -629,8 +677,9 @@ def _reference_list_dedupe(gens):
 
 def test_ideal_dedupes_generators_in_first_occurrence_order():
     ring = Ring.for_grid(QQ, 3, 3)
-    a, b = P("x[1,1] - x[2,2]"), P("x[1,2]*x[2,1]")
-    same_as_a = P("-x[2,2] + x[1,1]")
+    # Packed in the ring already, so the ideal keeps these very objects.
+    a, b, same_as_a = (P(text).repack(ring.packing)
+                       for text in ("x[1,1] - x[2,2]", "x[1,2]*x[2,1]", "-x[2,2] + x[1,1]"))
     assert same_as_a is not a and same_as_a == a
     gens = Ideal(ring, [a, b, same_as_a, P("0"), b]).gens
     assert gens == (a, b) and gens[0] is a
@@ -672,30 +721,31 @@ def test_time_limit_bounds_power():
     assert time.monotonic() - start < 2.0
 
 
-# -- the Gebauer-Moeller pair update against the set-based reference it replaced
+# -- the Gebauer-Moeller pair update against the set-based reference it
+# -- replaced, on the tuple monomials that the packed ints replaced
 
 
 def _reference_update_pairs(lmG, P, lmf, order):
     n = len(lmG)
     kept = set()
     for (i, j) in P:
-        lcm_ij = mono_lcm(lmG[i], lmG[j])
+        lcm_ij = ref.mono_lcm(lmG[i], lmG[j])
         if (
-            not mono_divides(lmf, lcm_ij)
-            or mono_lcm(lmG[i], lmf) == lcm_ij
-            or mono_lcm(lmG[j], lmf) == lcm_ij
+            not ref.mono_divides(lmf, lcm_ij)
+            or ref.mono_lcm(lmG[i], lmf) == lcm_ij
+            or ref.mono_lcm(lmG[j], lmf) == lcm_ij
         ):
             kept.add((i, j))
     lcm_groups: dict = {}
     for i in range(n):
-        lcm_groups.setdefault(mono_lcm(lmG[i], lmf), []).append(i)
+        lcm_groups.setdefault(ref.mono_lcm(lmG[i], lmf), []).append(i)
     minimal = []
-    for L in sorted(lcm_groups, key=order.key):
-        if all(not mono_divides(Lmin, L) for Lmin in minimal):
+    for L in sorted(lcm_groups, key=ref.order_key(order)):
+        if all(not ref.mono_divides(Lmin, L) for Lmin in minimal):
             minimal.append(L)
     for L in minimal:
         members = lcm_groups[L]
-        if any(mono_lcm(lmG[i], lmf) == mono_mul(lmG[i], lmf) for i in members):
+        if any(ref.mono_lcm(lmG[i], lmf) == ref.mono_mul(lmG[i], lmf) for i in members):
             continue
         kept.add((min(members), n))
     return kept
@@ -714,16 +764,19 @@ def test_initial_pairs_match_set_based_reference(order):
     variables = [gv(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
     if order is ELIM:
         variables.append(aux_var("t"))
+    ring = Ring(QQ, tuple(variables))
+    guard = ring.packing.guard
     for _ in range(200):
-        pool = [mono(*((rng.choice(variables), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))))
+        pool = [[(rng.choice(variables), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
                 for _ in range(rng.randint(2, 14))]
         # repeated leads, and leads coprime to most others
         leads = pool + [rng.choice(pool) for _ in range(rng.randint(0, 3))]
-        leads += [mono((rng.choice(variables), 1)) for _ in range(rng.randint(0, 2))]
+        leads += [[(rng.choice(variables), 1)] for _ in range(rng.randint(0, 2))]
         rng.shuffle(leads)
-        P = _initial_pairs(leads, order)
-        assert set(P) == _reference_initial_pairs(leads, order)
-        assert all(lcm == mono_lcm(leads[i], leads[j]) for (i, j), lcm in P.items())
+        packed = [ring.packing.pack(pairs) for pairs in leads]
+        P = _initial_pairs(packed, order, ring.packing)
+        assert set(P) == _reference_initial_pairs([ref.tuple_mono(pairs) for pairs in leads], order)
+        assert all(lcm == mono_lcm(packed[i], packed[j], guard) for (i, j), lcm in P.items())
 
 
 def test_is_groebner_basis_rejects_perturbed_minors():
@@ -742,10 +795,12 @@ def test_rational_results_hold_fractions():
     g = P("3*x[1,1]*x[1,2] + 1/2*x[2,2]")
     for h in (s_polynomial(f, g), normal_form(f, [g]), normal_form(P("x[1,2]"), [f])):
         assert all(type(c) is Fraction for c in h.terms.values())
+    packing = join_packings(f.packing, g.packing)
+    f, g = f.repack(packing), g.repack(packing)
     (lmf, lcf), (lmg, lcg) = f.leading_term(), g.leading_term()
-    lcm = mono_lcm(lmf, lmg)
-    assert s_polynomial(f, g) == (f.mul_term(mono_div(lcm, lmf), 1 / lcf)
-                                  - g.mul_term(mono_div(lcm, lmg), 1 / lcg))
+    lcm = mono_lcm(lmf, lmg, packing.guard)
+    assert s_polynomial(f, g) == (f.mul_term(mono_div(lcm, lmf, packing.guard), 1 / lcf)
+                                  - g.mul_term(mono_div(lcm, lmg, packing.guard), 1 / lcg))
 
 
 def test_interreduce_produces_monic_antichain():
@@ -753,12 +808,12 @@ def test_interreduce_produces_monic_antichain():
     reduced = interreduce(buchberger(gens))
     leads = [g.leading_term(ANTIDIAG) for g in reduced]
     assert all(c == 1 for _, c in leads)
+    guard = reduced[0].packing.guard
+    assert all(g.packing is reduced[0].packing for g in reduced)
     for i, (mi, _) in enumerate(leads):
         for jj, (mj, _) in enumerate(leads):
             if i != jj:
-                from ladderdet.poly import mono_divides
-
-                assert not mono_divides(mi, mj)
+                assert not mono_divides(mi, mj, guard)
 
 
 def test_golden_reduced_basis_strings():

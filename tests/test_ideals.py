@@ -31,7 +31,7 @@ from ladderdet.ideals import (
     schubert_ideal,
 )
 from ladderdet.ladders import Ladder, LadderError, random_valid_ladder
-from ladderdet.poly import ANTIDIAG, Minor, Polynomial, expand_minor, grid_var, mono_is_squarefree, mono_to_str
+from ladderdet.poly import ANTIDIAG, Minor, Polynomial, expand_minor, grid_var, mono, mono_is_squarefree
 
 
 def test_minors_in_ladder_examples():
@@ -101,11 +101,8 @@ def test_f_witness_lead_squarefree_randomized():
     for _ in range(25):
         L, t = random_valid_ladder(rng, 8, 8, mixed=True)
         factors = f_witness_factors(L, t)
-        from functools import reduce
-        from ladderdet.poly import mono_mul
-
-        lead = reduce(mono_mul, (m.antidiagonal_monomial() for m in factors), ())
-        assert mono_is_squarefree(lead)
+        lead = mono(*((grid_var(*cell), 1) for m in factors for cell in m.antidiagonal_cells()))
+        assert mono_is_squarefree(lead.value)
 
 
 def test_f_of_matrix_examples():
@@ -129,7 +126,7 @@ def test_f_of_matrix_lead_is_every_variable():
         for l in (2, 3, 4):
             f = f_of_matrix(k, l)
             lead = f.leading_term(ANTIDIAG)[0]
-            assert mono_is_squarefree(lead) and len(lead) == k * l
+            assert mono_is_squarefree(lead) and len(f.packing.exponents(lead)) == k * l
 
 
 def test_g_witness_3x3():
@@ -138,8 +135,8 @@ def test_g_witness_3x3():
     assert str(data.y_minor) == "[12|23]"
     assert sorted(str(m) for m in data.factors) == ["[12|12]", "[12|23]", "[23|23]"]
     assert data.count == 3  # height - 1
-    assert mono_is_squarefree(data.lead)
-    assert "x[3,1]" not in mono_to_str(data.lead)
+    assert mono_is_squarefree(data.lead.value)
+    assert "x[3,1]" not in str(data.lead)
     # g is a product of three 2-minors inside the ladder: g in I^3 <= I^(3)
     g = g_witness(Ladder.full(3, 3), (2,))
     ring = ladder_ring(QQ, Ladder.full(3, 3))
@@ -266,13 +263,12 @@ def test_poset_ideal_rejects_minors_outside_the_grid(kind):
 
 def test_initial_of_principal_full_witness():
     from ladderdet.groebner import Ideal
-    from ladderdet.poly import mono_from_vars
 
     ring = grid_ring(QQ, 3, 3)
     f = f_of_matrix(3, 3)
     init = Ideal(ring, [f]).initial_ideal()
-    all_nine = mono_from_vars(grid_var(i, j) for i in (1, 2, 3) for j in (1, 2, 3))
-    assert init.gens == (all_nine,)
+    all_nine = mono(*((grid_var(i, j), 1) for i in (1, 2, 3) for j in (1, 2, 3)))
+    assert init.gens == (all_nine.packing.repack(all_nine.value, ring.packing),)
 
 
 def test_f_witness_degree_is_sum_of_gammas():
@@ -292,15 +288,14 @@ def test_f_witness_degree_is_sum_of_gammas():
 def test_g_witness_mixed_staircase():
     import ladderdet
     from ladderdet.ladders import height
-    from ladderdet.poly import mono_is_squarefree, mono_to_str
 
     L, t = ladderdet.load_fixture("staircase10")
     data = g_witness_data(L, t)
     assert data.beta == L.shape[0] + L.lower[data.alpha - 1][1]
     assert data.count == height(L, t) - 1
-    assert mono_is_squarefree(data.lead)
+    assert mono_is_squarefree(data.lead.value)
     corner = L.lower[data.alpha - 1]
-    assert f"x[{corner[0]},{corner[1]}]" not in mono_to_str(data.lead)
+    assert f"x[{corner[0]},{corner[1]}]" not in str(data.lead)
     assert all(cell in L.cells for m in data.factors for cell in m.cells())
 
 

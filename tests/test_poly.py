@@ -7,10 +7,14 @@ from fractions import Fraction
 import pytest
 
 from ladderdet.fields import GF, QQ
+import tuple_monomials as ref
 from ladderdet.poly import (
     ANTIDIAG,
     ELIM,
     GREVLEX,
+    MAX_EXPONENT,
+    MONO_ONE,
+    ExponentOverflow,
     InstanceTooLarge,
     Minor,
     Polynomial,
@@ -20,11 +24,15 @@ from ladderdet.poly import (
     expand_minor,
     grid_var,
     mono,
+    mono_degree,
+    mono_div,
     mono_divides,
+    mono_is_squarefree,
     mono_lcm,
     mono_mask,
     mono_mul,
-    mono_to_str,
+    mono_pow,
+    packing_of,
     parse_polynomial,
     poly_to_str,
     time_limit,
@@ -60,33 +68,39 @@ def test_displayed_variable_order():
     assert sorted(vs, key=lambda v: v.key, reverse=True) == vs
 
 
+def compare(order, a, b):
+    """compare_monomials on two `mono`s, packed in their joint ring."""
+    packing = packing_of(v for m in (a, b) for v, _ in m.exponents())
+    return compare_monomials(order, packing.pack(a.exponents()), packing.pack(b.exponents()))
+
+
 def test_compare_monomials_examples():
     a = mono((gv(1, 2), 1))
     b = mono((gv(1, 1), 1))
-    assert compare_monomials(ANTIDIAG, a, b) == 1
-    assert compare_monomials(ANTIDIAG, a, a) == 0
+    assert compare(ANTIDIAG, a, b) == 1
+    assert compare(ANTIDIAG, a, a) == 0
     lead = mono((gv(1, 2), 1), (gv(2, 1), 1))
     tail = mono((gv(1, 1), 1), (gv(2, 2), 1))
-    assert compare_monomials(ANTIDIAG, lead, tail) == 1
+    assert compare(ANTIDIAG, lead, tail) == 1
 
 
 def test_aux_above_grid():
     t = aux_var("t")
-    assert compare_monomials(ANTIDIAG, mono((t, 1)), mono((gv(1, 9), 5))) == 1
+    assert compare(ANTIDIAG, mono((t, 1)), mono((gv(1, 9), 5))) == 1
 
 
 def test_grevlex_classics():
     x, y, z = gv(1, 3), gv(1, 2), gv(1, 1)  # x > y > z
-    assert compare_monomials(GREVLEX, mono((x, 2)), mono((x, 1), (y, 1))) == 1
-    assert compare_monomials(GREVLEX, mono((x, 1), (y, 1)), mono((z, 2))) == 1
-    assert compare_monomials(GREVLEX, mono((x, 3)), mono((x, 1), (y, 1))) == 1  # degree first
+    assert compare(GREVLEX, mono((x, 2)), mono((x, 1), (y, 1))) == 1
+    assert compare(GREVLEX, mono((x, 1), (y, 1)), mono((z, 2))) == 1
+    assert compare(GREVLEX, mono((x, 3)), mono((x, 1), (y, 1))) == 1  # degree first
 
 
 def test_grevlex_differs_from_lex():
     x, y, z = gv(1, 3), gv(1, 2), gv(1, 1)
     a, b = mono((x, 1), (z, 1)), mono((y, 2))
-    assert compare_monomials(ANTIDIAG, a, b) == 1   # lex looks at x first
-    assert compare_monomials(GREVLEX, a, b) == -1   # grevlex punishes the z
+    assert compare(ANTIDIAG, a, b) == 1   # lex looks at x first
+    assert compare(GREVLEX, a, b) == -1   # grevlex punishes the z
 
 
 def test_elimination_order_blocks():
@@ -94,38 +108,109 @@ def test_elimination_order_blocks():
     order = TermOrder("elim")
     with_aux = mono((t, 1), (gv(2, 2), 1))
     without = mono((gv(1, 3), 4), (gv(1, 1), 4))
-    assert compare_monomials(order, with_aux, without) == 1
+    assert compare(order, with_aux, without) == 1
 
 
 def _reference_block_key(m):
-    """The elimination key as a two-block tuple: aux part, then grid part."""
+    """The elimination key of a tuple monomial as a two-block tuple: aux
+    part, then grid part."""
     split = 0
     while split < len(m) and m[split][0][0] == 1:
         split += 1
     return (m[:split], m[split:])
 
 
-def _random_monomials(seed, count):
-    rng = random.Random(seed)
-    variables = [gv(i, j) for i in range(1, 5) for j in range(1, 5)]
-    variables += [aux_var("t"), aux_var("t", 1), aux_var("s")]
-    return [mono(*((rng.choice(variables), rng.randint(1, 3)) for _ in range(rng.randint(0, 5))))
-            for _ in range(count)]
+_VARIABLES = ([gv(i, j) for i in range(1, 5) for j in range(1, 5)]
+              + [aux_var("t"), aux_var("t", 1), aux_var("s")])
+_PACKING = packing_of(_VARIABLES)
 
 
-def test_elim_antidiag_sorts_as_native_tuples():
+def _random_pairs(rng, count, top=3):
+    """Random monomials over grid and auxiliary variables, as (Variable,
+    exponent) pair lists with each exponent at most `top`."""
+    out = []
+    for _ in range(count):
+        exps = {}
+        for v in rng.sample(_VARIABLES, rng.randint(0, 5)):
+            exps[v] = rng.randint(1, top)
+        out.append(list(exps.items()))
+    return out
+
+
+def test_elim_antidiag_sorts_as_native_ints():
     assert ANTIDIAG.is_native and ELIM.is_native
     assert not GREVLEX.is_native
-    monos = _random_monomials(11, 500)
-    assert sum(1 for m in monos if m and m[0][0][0] == 1) > 100  # plenty with aux
-    expected = sorted(monos, key=_reference_block_key)
-    assert sorted(monos) == expected
-    assert sorted(monos, key=ELIM.key) == expected
+    pairs = _random_pairs(random.Random(11), 500)
+    tuples = [ref.tuple_mono(p) for p in pairs]
+    packed = [_PACKING.pack(p) for p in pairs]
+    assert sum(1 for m in tuples if m and m[0][0][0] == 1) > 100  # plenty with aux
+    expected = sorted(tuples, key=_reference_block_key)
+    assert [tuples[i] for i in sorted(range(500), key=packed.__getitem__)] == expected
+    assert [tuples[i] for i in sorted(range(500), key=lambda i: ELIM.key(packed[i]))] == expected
     rng = random.Random(12)
     for _ in range(500):
-        a, b = rng.choice(monos), rng.choice(monos)
-        ka, kb = _reference_block_key(a), _reference_block_key(b)
-        assert compare_monomials(ELIM, a, b) == (ka > kb) - (ka < kb)
+        a, b = rng.randrange(500), rng.randrange(500)
+        ka, kb = _reference_block_key(tuples[a]), _reference_block_key(tuples[b])
+        assert compare_monomials(ELIM, packed[a], packed[b]) == (ka > kb) - (ka < kb)
+
+
+@pytest.mark.parametrize("order", [ANTIDIAG, ELIM, GREVLEX], ids=str)
+def test_packed_operations_match_tuple_reference(order):
+    # Exponents up to the field limit, over grid and auxiliary variables.
+    rng = random.Random(31)
+    guard = _PACKING.guard
+    pairs = _random_pairs(rng, 300, MAX_EXPONENT)
+    pairs += [[(v, rng.randint(1, 2)) for v, _ in p] for p in _random_pairs(rng, 100)]
+    tuples = [ref.tuple_mono(p) for p in pairs]
+    packed = [_PACKING.pack(p) for p in pairs]
+    ref_key = ref.order_key(order)
+
+    def pack(t):
+        return _PACKING.pack((v, e) for v in _VARIABLES for k, e in t if k == v.key)
+
+    for _ in range(3000):
+        i, j = rng.randrange(len(pairs)), rng.randrange(len(pairs))
+        (a, ta), (b, tb) = (packed[i], tuples[i]), (packed[j], tuples[j])
+        product = ref.mono_mul(ta, tb)
+        if max((e for _, e in product), default=0) <= MAX_EXPONENT:
+            assert mono_mul(a, b) == pack(product) and not mono_mul(a, b) & guard
+        else:
+            assert mono_mul(a, b) & guard  # past the field: flagged, not carried
+        assert mono_lcm(a, b, guard) == pack(ref.mono_lcm(ta, tb))
+        assert mono_divides(a, b, guard) == ref.mono_divides(ta, tb)
+        quotient = ref.mono_div(ta, tb)
+        assert mono_div(a, b, guard) == (None if quotient is None else pack(quotient))
+        assert mono_degree(a) == ref.mono_degree(ta)
+        assert (not mono_mask(a, _PACKING) & mono_mask(b, _PACKING)) == ref.coprime(ta, tb)
+        ka, kb = ref_key(ta), ref_key(tb)
+        assert compare_monomials(order, a, b) == (ka > kb) - (ka < kb)
+
+
+def test_exponents_past_the_field_raise():
+    x, y = gv(1, 1), gv(1, 2)
+    assert mono((x, MAX_EXPONENT)).value == MAX_EXPONENT
+    with pytest.raises(ExponentOverflow):
+        mono((x, MAX_EXPONENT + 1))
+    with pytest.raises(ExponentOverflow):
+        parse_polynomial("x[1,1]^200*x[1,2]*x[1,1]^56")
+    f = parse_polynomial(f"x[1,1]^{MAX_EXPONENT - 1} + x[1,2]")
+    assert (f * parse_polynomial("x[1,2]")).degree() == MAX_EXPONENT
+    with pytest.raises(ExponentOverflow):
+        f * parse_polynomial("x[1,1]^2")
+    with pytest.raises(ExponentOverflow):
+        Polynomial.variable(QQ, x) ** (MAX_EXPONENT + 1)
+    assert (Polynomial.variable(QQ, x) ** MAX_EXPONENT).degree() == MAX_EXPONENT
+    with pytest.raises(ExponentOverflow):
+        f.mul_term(f.packing.pack([(x, 2)]), 1)
+    packing = packing_of([x, y])
+    xy = packing.pack([(x, 100), (y, 1)])
+    assert mono_pow(xy, 2, packing.guard) == packing.pack([(x, 200), (y, 2)])
+    with pytest.raises(ExponentOverflow):
+        mono_pow(xy, 3, packing.guard)
+    # The degree stays exact past 2^9 - 1, where one field modulus would wrap.
+    many = packing_of(_VARIABLES[:4])
+    assert mono_degree(many.pack((v, MAX_EXPONENT) for v in _VARIABLES[:4])) == 4 * MAX_EXPONENT
+    assert mono_is_squarefree(many.pack((v, 1) for v in _VARIABLES[:4]))
 
 
 def test_expand_minor_honours_time_limit():
@@ -149,11 +234,11 @@ def test_expand_minor_examples():
     assert expand_minor(Minor((1,), (1,))) == Polynomial.variable(QQ, gv(1, 1))
     det2 = expand_minor(Minor((1, 2), (1, 2)))
     assert det2 == P("x[1,1]*x[2,2] - x[1,2]*x[2,1]")
-    assert det2.leading_term(ANTIDIAG)[0] == mono((gv(1, 2), 1), (gv(2, 1), 1))
+    assert det2.leading_monomial(ANTIDIAG) == mono((gv(1, 2), 1), (gv(2, 1), 1))
     det3 = expand_minor(Minor((1, 2, 3), (1, 2, 3)))
     assert len(det3.terms) == 6
     assert det3.degree() == 3
-    assert mono_to_str(det3.leading_term(ANTIDIAG)[0]) == "x[1,3]*x[2,2]*x[3,1]"
+    assert str(det3.leading_monomial(ANTIDIAG)) == "x[1,3]*x[2,2]*x[3,1]"
 
 
 def test_expand_minor_against_cofactor_oracle():
@@ -179,30 +264,31 @@ def test_minor_antidiagonal_lead_property():
         rows = tuple(sorted(rng.sample(range(1, 7), size)))
         cols = tuple(sorted(rng.sample(range(1, 7), size)))
         m = Minor(rows, cols)
-        lead, coeff = expand_minor(m).leading_term(ANTIDIAG)
-        assert lead == m.antidiagonal_monomial()
+        f = expand_minor(m)
+        coeff = f.leading_term(ANTIDIAG)[1]
+        assert f.leading_monomial(ANTIDIAG) == m.antidiagonal_monomial()
         assert coeff == Fraction(-1) ** (size * (size - 1) // 2)
 
 
 def test_leading_term_examples():
     one = Polynomial.one(QQ)
-    assert one.leading_term(ANTIDIAG) == ((), Fraction(1))
+    assert one.leading_term(ANTIDIAG) == (MONO_ONE, Fraction(1))
     with pytest.raises(ValueError):
         Polynomial.zero(QQ).leading_term(ANTIDIAG)
     prod = expand_minor(Minor((1, 2), (1, 2))) * expand_minor(Minor((2, 3), (2, 3)))
-    assert mono_to_str(prod.leading_term(ANTIDIAG)[0]) == "x[1,2]*x[2,3]*x[2,1]*x[3,2]"
+    assert str(prod.leading_monomial(ANTIDIAG)) == "x[1,2]*x[2,3]*x[2,1]*x[3,2]"
 
 
 def test_lead_multiplicativity():
     rng = random.Random(3)
-    monos = [mono((gv(rng.randint(1, 3), rng.randint(1, 3)), rng.randint(1, 2))) for _ in range(6)]
-    f = Polynomial.from_terms(QQ, [(m, rng.randint(1, 5)) for m in monos[:3]])
-    g = Polynomial.from_terms(QQ, [(m, rng.randint(-5, -1)) for m in monos[3:]])
+    packing = packing_of(gv(i, j) for i in range(1, 4) for j in range(1, 4))
+    monos = [packing.pack([(gv(rng.randint(1, 3), rng.randint(1, 3)), rng.randint(1, 2))])
+             for _ in range(6)]
+    f = Polynomial.from_terms(QQ, [(m, rng.randint(1, 5)) for m in monos[:3]], packing)
+    g = Polynomial.from_terms(QQ, [(m, rng.randint(-5, -1)) for m in monos[3:]], packing)
     fm, fc = f.leading_term(ANTIDIAG)
     gm, gc = g.leading_term(ANTIDIAG)
     pm, pc = (f * g).leading_term(ANTIDIAG)
-    from ladderdet.poly import mono_mul
-
     assert pm == mono_mul(fm, gm)
     assert pc == fc * gc
 
@@ -210,7 +296,7 @@ def test_lead_multiplicativity():
 def test_modular_matches_rational_mod_p():
     rng = random.Random(9)
     for p in (2, 5):
-        f = Polynomial.from_terms(QQ, [(mono((gv(1, 1), 2)), 3), (mono((gv(2, 2), 1)), -7)])
+        f = P("3*x[1,1]^2 - 7*x[2,2]")
         g = expand_minor(Minor((1, 2), (1, 2)))
         for h in (f + g, f * g, f * g - g, (f + g) ** 2):
             reduced = h.reduce_mod(p)
@@ -262,12 +348,23 @@ def test_distinct_auxiliaries_do_not_collide():
 
 def test_support_masks_decide_coprimality_and_reject_non_divisors():
     rng = random.Random(7)
-    variables = [gv(i, j) for i in range(1, 5) for j in range(1, 5)] + [aux_var("t"), aux_var("t", 1)]
-    assert len({mono_mask(mono((v, 1))) for v in variables}) == len(variables)
+    masks = {mono_mask(_PACKING.pack([(v, 1)]), _PACKING) for v in _VARIABLES}
+    assert len(masks) == len(_VARIABLES) and all(m.bit_count() == 1 for m in masks)
+    guard = _PACKING.guard
     for _ in range(500):
-        a, b = (mono(*((rng.choice(variables), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))))
-                for _ in range(2))
-        ma, mb = mono_mask(a), mono_mask(b)
-        assert (not ma & mb) == (mono_lcm(a, b) == mono_mul(a, b))
+        a, b = (_PACKING.pack(p) for p in _random_pairs(rng, 2))
+        ma, mb = mono_mask(a, _PACKING), mono_mask(b, _PACKING)
+        assert (not ma & mb) == (mono_lcm(a, b, guard) == mono_mul(a, b))
         if ma & ~mb:
-            assert not mono_divides(a, b)
+            assert not mono_divides(a, b, guard)
+
+
+def test_equality_and_hash_do_not_depend_on_the_packing():
+    f = P("x[1,1]*x[2,2] - x[1,2]*x[2,1]")
+    wide = f.repack(packing_of(gv(i, j) for i in range(1, 4) for j in range(1, 4)))
+    assert wide.packing is not f.packing and wide.terms != f.terms
+    assert wide == f and hash(wide) == hash(f)
+    assert {wide} == {f} and wide != P("x[1,1]*x[2,2] + x[1,2]*x[2,1]")
+    assert P("x[1,1]") != P("x[2,2]")
+    with pytest.raises(ValueError):
+        P("x[3,3]").repack(f.packing)
