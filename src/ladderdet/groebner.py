@@ -7,6 +7,12 @@ powers, and squarefree monomial-ideal combinatorics (minimal primes by a
 branching search that reaches each one once; height, dimension and
 multiplicity from the Hilbert series by a memoised pivot recursion;
 symbolic powers).
+
+Monomials are the packed ints of `poly`.  Each ring fixes one `Packing`;
+an ideal re-packs its generators into it, so every monomial of one
+Buchberger run shares a guard mask, and a function given polynomials of
+several packings first moves them into the packing of their joint
+variables.
 """
 
 from __future__ import annotations
@@ -353,14 +359,16 @@ def _buchberger_loop(gens, order):
 def interreduce(G, order: TermOrder = ANTIDIAG):
     """Reduced basis from a Groebner basis: minimal, monic, tails reduced."""
     G = [g.monic(order) for g in _one_packing(G) if not g.is_zero]
+    if not G:
+        return []
     G.sort(key=lambda g: order.key(g.leading_term(order)[0]))
+    packing = G[0].packing
     minimal = []
     leads = []
     for g in G:
         lm = g.leading_term(order)[0]
-        guard = g.packing.guard
-        mask = mono_mask(lm, g.packing)
-        if not any(not mh & ~mask and mono_divides(h, lm, guard) for h, mh in leads):
+        mask = mono_mask(lm, packing)
+        if not any(not mh & ~mask and mono_divides(h, lm, packing.guard) for h, mh in leads):
             minimal.append(g)
             leads.append((lm, mask))
     # A lead never divides a smaller term, so reducing a tail against all of
@@ -369,8 +377,8 @@ def interreduce(G, order: TermOrder = ANTIDIAG):
     out = []
     for g, (lm, _) in zip(minimal, leads):
         tail = reducer.reduce(Polynomial(g.field, {m: c for m, c in g.terms.items() if m != lm},
-                                         g.packing))
-        out.append(Polynomial(g.field, {lm: g.terms[lm], **tail.terms}, g.packing))
+                                         packing))
+        out.append(Polynomial(g.field, {lm: g.terms[lm], **tail.terms}, packing))
     return out  # sorted by lead, as `minimal` is
 
 

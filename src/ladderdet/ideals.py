@@ -41,14 +41,10 @@ def cells_from_json(cells) -> list[tuple[int, int]]:
     return [_int_pair(cell, "cell") for cell in cells]
 
 
-def ideal_from_json(text: str, field: Field = QQ) -> Ideal:
-    """An ideal file: "gens", a list of polynomial strings, over the grid
-    "shape" [k, l] or over the listed "cells".  ValueError on anything else."""
-    return ideal_from_obj(json.loads(text), field)
-
-
 def ideal_from_obj(obj, field: Field = QQ) -> Ideal:
-    """The ideal of a decoded ideal file (see `ideal_from_json`)."""
+    """A decoded ideal file: "gens", a list of polynomial strings, over the
+    grid "shape" [k, l] or over the listed "cells".  ValueError on anything
+    else."""
     if not isinstance(obj, dict):
         raise ValueError("an ideal file holds a JSON object")
     if "cells" in obj:

@@ -199,10 +199,6 @@ class Packing:
                 raise ValueError(f"variable {v} lies outside the ring") from None
         return m
 
-    def exponents(self, m: int) -> list[tuple[Variable, int]]:
-        """The (Variable, exponent) pairs of m, greatest variable first."""
-        return Monomial(self, m).exponents()
-
     def variables_of(self, mask: int) -> list[Variable]:
         """The variables whose field holds a set bit of `mask`, greatest first."""
         n = len(self.variables)
@@ -234,18 +230,6 @@ class Packing:
                 moves = tuple((src, (1 << width) - 1, dst) for src, width, dst in runs)
             got = self._into[target] = (missing, moves)
         return got
-
-    def repack(self, m: int, target: "Packing") -> int:
-        """The monomial m of this packing, packed in `target`."""
-        missing, moves = self._moves(target)
-        if m & missing:
-            raise ValueError("monomial uses variables outside the ring")
-        if moves is None:
-            return m
-        out = 0
-        for src, mask, dst in moves:
-            out |= (m >> src & mask) << dst
-        return out
 
     def __repr__(self):
         return f"Packing({len(self.variables)} vars)"
@@ -562,10 +546,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms) if order.is_native else max(self.terms, key=order.key)
         return m, self.terms[m]
-
-    def leading_monomial(self, order: TermOrder = ANTIDIAG) -> Monomial:
-        """The leading monomial with this polynomial's packing."""
-        return Monomial(self.packing, self.leading_term(order)[0])
 
     def sorted_terms(self, order: TermOrder = ANTIDIAG):
         """Terms sorted decreasingly under `order` (canonical iteration)."""

@@ -16,7 +16,8 @@ sympy = pytest.importorskip("sympy")
 
 from ladderdet.fields import GF, QQ
 from ladderdet.groebner import buchberger
-from ladderdet.poly import ANTIDIAG, GREVLEX, Minor, Polynomial, expand_minor, grid_var, packing_of
+from ladderdet.poly import (ANTIDIAG, GREVLEX, Minor, Monomial, Polynomial, expand_minor, grid_var,
+                            packing_of)
 
 SCALARS = (-2, -1, 1, 3, Fraction(2, 3), Fraction(-1, 2))
 PAIRS = [(1, 2), (1, 3), (2, 3)]
@@ -40,7 +41,7 @@ def _to_sympy(f, variables, symbols, sring):
     index = {v: i for i, v in enumerate(variables)}
     for m, c in f.terms.items():
         exps = [0] * len(variables)
-        for v, e in f.packing.exponents(m):
+        for v, e in Monomial(f.packing, m).exponents():
             exps[index[v]] = e
         term = sring.one
         for s, e in zip(sring.gens, exps):
@@ -60,7 +61,7 @@ def _basis_as_sets(basis, variables):
         entry = []
         for m, c in sorted(g.terms.items()):
             exps = [0] * len(variables)
-            for v, e in g.packing.exponents(m):
+            for v, e in Monomial(g.packing, m).exponents():
                 exps[index[v]] = e
             entry.append((tuple(exps), Fraction(c) if not isinstance(c, int) else c))
         out.add(frozenset(entry))

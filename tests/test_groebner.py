@@ -241,7 +241,7 @@ def test_intersect_leaves_aux_free_basis():
         assert K.gens
         assert all(g.packing is ring.packing for g in K.gens)
         assert not any(v.is_aux for g in K.gens for m in g.terms
-                       for v, _ in g.packing.exponents(m))
+                       for v, _ in Monomial(g.packing, m).exponents())
         assert K.groebner_basis() == tuple(buchberger(K.gens))
     assert I.intersect(J).contains_ideal(Ideal(ring, [g * h for g in I.gens for h in J.gens]))
 
@@ -522,7 +522,7 @@ def _generic_initial_ideal(k, l, t):
     degree, so these already form the minimal generators.
     """
     ring = Ring.for_grid(QQ, k, l)
-    gens = sorted(m.packing.repack(m.value, ring.packing) for m in _generic_antidiagonals(k, l, t))
+    gens = sorted(m.packed_in(ring.packing) for m in _generic_antidiagonals(k, l, t))
     return MonomialIdeal(ring, tuple(gens))
 
 
@@ -586,8 +586,7 @@ from ladderdet.poly import Minor
 
 rows = list(combinations(range(1, 10), 3))
 ring = Ring.for_grid(QQ, 9, 9)
-gens = sorted(m.packing.repack(m.value, ring.packing)
-              for m in (Minor(r, c).antidiagonal_monomial() for r in rows for c in rows))
+gens = sorted(Minor(r, c).antidiagonal_monomial().packed_in(ring.packing) for r in rows for c in rows)
 M = MonomialIdeal(ring, tuple(gens))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 try:

@@ -31,7 +31,8 @@ from ladderdet.ideals import (
     schubert_ideal,
 )
 from ladderdet.ladders import Ladder, LadderError, random_valid_ladder
-from ladderdet.poly import ANTIDIAG, Minor, Polynomial, expand_minor, grid_var, mono, mono_is_squarefree
+from ladderdet.poly import (ANTIDIAG, Minor, Monomial, Polynomial, expand_minor, grid_var, mono,
+                            mono_is_squarefree)
 
 
 def test_minors_in_ladder_examples():
@@ -126,7 +127,7 @@ def test_f_of_matrix_lead_is_every_variable():
         for l in (2, 3, 4):
             f = f_of_matrix(k, l)
             lead = f.leading_term(ANTIDIAG)[0]
-            assert mono_is_squarefree(lead) and len(f.packing.exponents(lead)) == k * l
+            assert mono_is_squarefree(lead) and len(Monomial(f.packing, lead).exponents()) == k * l
 
 
 def test_g_witness_3x3():
@@ -268,7 +269,7 @@ def test_initial_of_principal_full_witness():
     f = f_of_matrix(3, 3)
     init = Ideal(ring, [f]).initial_ideal()
     all_nine = mono(*((grid_var(i, j), 1) for i in (1, 2, 3) for j in (1, 2, 3)))
-    assert init.gens == (all_nine.packing.repack(all_nine.value, ring.packing),)
+    assert init.gens == (all_nine.packed_in(ring.packing),)
 
 
 def test_f_witness_degree_is_sum_of_gammas():

@@ -17,6 +17,7 @@ from ladderdet.poly import (
     ExponentOverflow,
     InstanceTooLarge,
     Minor,
+    Monomial,
     Polynomial,
     TermOrder,
     aux_var,
@@ -45,6 +46,11 @@ def gv(i, j):
 
 def P(text, field=QQ):
     return parse_polynomial(text, field)
+
+
+def lead(f):
+    """The antidiagonal-lex leading monomial of f, read in its packing."""
+    return Monomial(f.packing, f.leading_term(ANTIDIAG)[0])
 
 
 # -- independent oracle: cofactor expansion along the first row
@@ -211,6 +217,9 @@ def test_exponents_past_the_field_raise():
     many = packing_of(_VARIABLES[:4])
     assert mono_degree(many.pack((v, MAX_EXPONENT) for v in _VARIABLES[:4])) == 4 * MAX_EXPONENT
     assert mono_is_squarefree(many.pack((v, 1) for v in _VARIABLES[:4]))
+    # Past MAX_VARIABLES the pairwise degree sum could wrap: refused.
+    with pytest.raises(InstanceTooLarge):
+        packing_of(gv(i, j) for i in range(1, 34) for j in range(1, 33))
 
 
 def test_expand_minor_honours_time_limit():
@@ -234,11 +243,11 @@ def test_expand_minor_examples():
     assert expand_minor(Minor((1,), (1,))) == Polynomial.variable(QQ, gv(1, 1))
     det2 = expand_minor(Minor((1, 2), (1, 2)))
     assert det2 == P("x[1,1]*x[2,2] - x[1,2]*x[2,1]")
-    assert det2.leading_monomial(ANTIDIAG) == mono((gv(1, 2), 1), (gv(2, 1), 1))
+    assert lead(det2) == mono((gv(1, 2), 1), (gv(2, 1), 1))
     det3 = expand_minor(Minor((1, 2, 3), (1, 2, 3)))
     assert len(det3.terms) == 6
     assert det3.degree() == 3
-    assert str(det3.leading_monomial(ANTIDIAG)) == "x[1,3]*x[2,2]*x[3,1]"
+    assert str(lead(det3)) == "x[1,3]*x[2,2]*x[3,1]"
 
 
 def test_expand_minor_against_cofactor_oracle():
@@ -266,7 +275,7 @@ def test_minor_antidiagonal_lead_property():
         m = Minor(rows, cols)
         f = expand_minor(m)
         coeff = f.leading_term(ANTIDIAG)[1]
-        assert f.leading_monomial(ANTIDIAG) == m.antidiagonal_monomial()
+        assert lead(f) == m.antidiagonal_monomial()
         assert coeff == Fraction(-1) ** (size * (size - 1) // 2)
 
 
@@ -276,7 +285,7 @@ def test_leading_term_examples():
     with pytest.raises(ValueError):
         Polynomial.zero(QQ).leading_term(ANTIDIAG)
     prod = expand_minor(Minor((1, 2), (1, 2))) * expand_minor(Minor((2, 3), (2, 3)))
-    assert str(prod.leading_monomial(ANTIDIAG)) == "x[1,2]*x[2,3]*x[2,1]*x[3,2]"
+    assert str(lead(prod)) == "x[1,2]*x[2,3]*x[2,1]*x[3,2]"
 
 
 def test_lead_multiplicativity():
