@@ -21,7 +21,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import permutations
-from weakref import WeakValueDictionary
+from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from .fields import GF, QQ, Field
 
@@ -175,8 +175,10 @@ class Packing:
         ones = _ones(n)
         self.guard = ones << FIELD_BITS
         self.low = ones * MAX_EXPONENT
-        self._into: dict = {}   # target packing -> (missing fields, moves or None)
-        self._joins: dict = {}  # other packing -> packing of the union
+        # Memos keyed weakly, so that re-packing into a packing or joining
+        # with one does not keep it alive.
+        self._into = WeakKeyDictionary()   # target -> (missing fields, moves or None)
+        self._joins = WeakKeyDictionary()  # other packing -> packing of the union
 
     def pack(self, pairs) -> int:
         """The monomial of (Variable, exponent) pairs; ValueError on a
