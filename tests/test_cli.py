@@ -53,6 +53,15 @@ def test_ideal_commands(capsys):
     code, out = run_cli("ideal", "member", f22, "--t", "2", "--poly", "x[1,1]", capsys=capsys)
     assert code == 1
 
+    # A polynomial over more variables than the ring: membership in the
+    # extended ideal, with the ring's basis moved into the joint packing.
+    code, out = run_cli("ideal", "member", f22, "--t", "2",
+                        "--poly", "x[9,9]*x[1,1]*x[2,2] - x[9,9]*x[1,2]*x[2,1]", capsys=capsys)
+    assert code == 0
+    code, out = run_cli("ideal", "member", f22, "--t", "2", "--poly", "x[9,9]*x[1,1]",
+                        capsys=capsys)
+    assert code == 1
+
     code, out = run_cli("ideal", "eq", f22, f22, "--t", "2", "--t2", "2", capsys=capsys)
     assert code == 0
 
