@@ -799,8 +799,9 @@ class MonomialIdeal:
             raise ValueError("symbolic power wants n >= 1")
         if self.is_zero:
             return self
-        # A minimal prime is a cover mask; its variables are the fields of
-        # its guard bits, taken in ascending order.
+        # Each minimal prime is a cover mask of guard bits; the bit at 9f + 8
+        # stands for the variable of field f, so the prime's generators are
+        # 1 << 9f.  Primes go in the order of their sorted variables.
         result = None
         for cover in sorted(minimal_covers(self.supports()), key=_bit_positions):
             gens = [1 << b - FIELD_BITS for b in _bit_positions(cover)]
