@@ -8,6 +8,10 @@ branching search that reaches each one once; height, dimension and
 multiplicity from the Hilbert series by a memoised pivot recursion;
 symbolic powers).
 
+`buchberger` and `is_groebner_basis` run one driver, which forms and
+reduces each S-pair on the exact integer terms of the reducer's entries;
+Polynomials are built only from the finished basis.
+
 Monomials are the packed ints of `poly`.  Each ring fixes one `Packing`;
 an ideal re-packs its generators into it, so every monomial of one
 Buchberger run shares a guard mask, and a function given polynomials of
@@ -57,11 +61,15 @@ from .poly import (
 # ---------------------------------------------------------------------------
 # Reduction
 #
-# Over QQ the reduction loops keep integral coefficients as plain ints
-# (`_exact_terms`), which is most of them: every basis element is monic and
-# minors have coefficients +-1.  Non-integral ones stay Fractions, division
-# always goes through a Fraction, and `_as_polynomial` turns every int back
-# into a Fraction before a Polynomial leaves this module.
+# The reduction loops work on exact term dicts (`_exact_terms`): over QQ an
+# integral coefficient is a plain int, which is most of them, since every
+# basis element is monic and minors have coefficients +-1.  Non-integral
+# ones stay Fractions, and division always goes through a Fraction.  A
+# `Reducer` entry is (lead, lead coefficient, exact tail, lead's support
+# mask).  The Buchberger driver forms each S-pair from two entries and
+# reduces it on exact terms (`s_polynomial`, `Reducer.remainder`), so no
+# S-pair becomes a Polynomial; `_as_polynomial` turns every int back into a
+# Fraction before a Polynomial leaves this module.
 
 
 def _exact_terms(f: Polynomial) -> dict:
@@ -71,9 +79,16 @@ def _exact_terms(f: Polynomial) -> dict:
     return {m: c.numerator if c.denominator == 1 else c for m, c in f.terms.items()}
 
 
+# Fractions are immutable, so the +-1 coefficients of minors and monic
+# bases can share two objects instead of each holding its own.
+_FRACTION_UNITS = {1: Fraction(1), -1: Fraction(-1)}
+
+
 def _as_polynomial(field: Field, terms: dict, packing: Packing) -> Polynomial:
     if field.p is None:
-        terms = {m: c if type(c) is Fraction else Fraction(c) for m, c in terms.items()}
+        units = _FRACTION_UNITS
+        terms = {m: c if type(c) is Fraction else units.get(c) or Fraction(c)
+                 for m, c in terms.items()}
     return Polynomial(field, terms, packing)
 
 
@@ -114,6 +129,8 @@ def _quotient(c, lc, p):
     if lc == 1:
         return c
     if p is None:
+        if lc == -1:
+            return -c
         q = Fraction(c) / lc
         return q.numerator if q.denominator == 1 else q
     return c * pow(lc, -1, p) % p
@@ -122,21 +139,26 @@ def _quotient(c, lc, p):
 class Reducer:
     """Divisor table for repeated normal forms against a (growing) basis.
 
-    Divisors are indexed by the greatest variable of their leading
-    monomial, so candidate lookups touch only entries that can divide, and
-    a lead's support mask rules out most of those before `mono_divides`.
-    Every term that becomes the leading term of the remainder is checked
-    for an exponent past its field.
+    `entries` holds one (lead, lead coefficient, exact tail, support mask)
+    per basis element, in basis order.  Divisors are also indexed by the
+    greatest variable of their leading monomial, so candidate lookups touch
+    only entries that can divide, and a lead's support mask rules out most
+    of those before `mono_divides`.  Every term that becomes the leading
+    term of the remainder is checked for an exponent past its field.
     """
 
-    __slots__ = ("field", "order", "packing", "by_top", "const")
+    __slots__ = ("field", "order", "packing", "entries", "by_top", "const")
 
-    def __init__(self, basis=(), order: TermOrder = ANTIDIAG):
+    def __init__(self, basis=(), order: TermOrder = ANTIDIAG, field: Field | None = None,
+                 packing: Packing | None = None):
+        """The field and packing are those of the first basis element
+        unless given."""
         self.order = order
+        self.entries: list = []
         self.by_top: dict = {}  # bit length of a lead's support mask -> entries
         self.const = None
-        self.field = None
-        self.packing = None
+        self.field = field
+        self.packing = packing
         for g in basis:
             self.add(g)
 
@@ -144,11 +166,13 @@ class Reducer:
         if self.packing is None:
             self.field, self.packing = g.field, g.packing
         g = g.repack(self.packing)
-        lm = g.leading_term(self.order)[0]
-        terms = _exact_terms(g)
-        lc = terms.pop(lm)
+        self.add_terms(g.leading_term(self.order)[0], _exact_terms(g))
+
+    def add_terms(self, lm: int, terms: dict) -> None:
+        """Add the element with exact terms `terms` and leading monomial lm."""
         mask = mono_mask(lm, self.packing)
-        entry = (lm, lc, list(terms.items()), mask)
+        entry = (lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm], mask)
+        self.entries.append(entry)
         if lm == MONO_ONE:
             self.const = entry
         else:
@@ -159,11 +183,15 @@ class Reducer:
         if packing is None:
             return f
         f = f.repack(packing)
-        field = f.field
-        p = field.p
+        return _as_polynomial(f.field, self.remainder(_exact_terms(f)), packing)
+
+    def remainder(self, work: dict) -> dict:
+        """The remainder of the exact terms `work`, which it consumes, as
+        exact terms in descending order: the leading term comes first."""
+        packing = self.packing
+        p = self.field.p
         guard, low = packing.guard, packing.low
         rem = {}
-        work = _exact_terms(f)
         native = self.order.is_native
         keyfn = self.order.key
         by_top = self.by_top
@@ -192,7 +220,7 @@ class Reducer:
                 continue
             lm, lc, tail, _ = hit
             _sub_multiple(work, tail, mono_div(m, lm, guard), _quotient(c, lc, p), p)
-        return _as_polynomial(field, rem, packing)
+        return rem
 
 
 def normal_form(f: Polynomial, basis, order: TermOrder = ANTIDIAG) -> Polynomial:
@@ -201,30 +229,25 @@ def normal_form(f: Polynomial, basis, order: TermOrder = ANTIDIAG) -> Polynomial
     return Reducer(basis, order).reduce(f)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder = ANTIDIAG,
-                 lcm: int | None = None) -> Polynomial:
-    """S-polynomial of f and g; `lcm` is the lcm of their leads, if known.
+def s_polynomial(a, b, lcm: int, guard: int, p) -> dict:
+    """Exact terms of the S-polynomial of two `Reducer` entries a and b, the
+    lcm of whose leads is `lcm`, over the field of characteristic p (None
+    for QQ): lcm/lm_a * a/lc_a - lcm/lm_b * b/lc_b.
 
     The two leads cancel, so only the scaled tails are formed, in one dict.
     """
-    if f.packing is not g.packing:
-        f, g = _one_packing([f, g])
-    packing = f.packing
-    guard = packing.guard
-    p = f.field.p
-    lmf = f.leading_term(order)[0]
-    lmg = g.leading_term(order)[0]
-    if lcm is None:
-        lcm = mono_lcm(lmf, lmg, guard)
-    tf = _exact_terms(f)
-    tg = _exact_terms(g)
-    af = _quotient(1, tf.pop(lmf), p)
-    ag = _quotient(1, tg.pop(lmg), p)
-    out: dict = {}
-    _sub_multiple(out, tf.items(), mono_div(lcm, lmf, guard), -af, p)
-    _sub_multiple(out, tg.items(), mono_div(lcm, lmg, guard), ag, p)
+    lma, lca, taila, _ = a
+    lmb, lcb, tailb, _ = b
+    ua = mono_div(lcm, lma, guard)
+    qa = _quotient(1, lca, p)
+    # The terms of one scaled tail are distinct and nonzero.
+    if p is None:
+        out = {mono_mul(tm, ua): tc * qa for tm, tc in taila}
+    else:
+        out = {mono_mul(tm, ua): tc * qa % p for tm, tc in taila}
+    _sub_multiple(out, tailb, mono_div(lcm, lmb, guard), _quotient(1, lcb, p), p)
     _check_fields(out, guard)
-    return _as_polynomial(f.field, out, packing)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +256,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder = ANTIDIAG,
 # A pair set is a dict {(i, j): lcm of the leads of i and j}, each lcm
 # computed once, when the pair is made.  `masks` holds the support mask of
 # each lead (`mono_mask`): leads are coprime iff their masks share no bit,
-# and lmf can divide an lcm only if its mask lies inside the lcm's.
+# and one lcm can divide another only if its mask lies inside the other's.
 
 
 def _update_pairs(lmG, masks, P, lmf, order, packing):
@@ -244,34 +267,28 @@ def _update_pairs(lmG, masks, P, lmf, order, packing):
     maskf = mono_mask(lmf, packing)
     lcms = [mono_lcm(lm, lmf, guard) for lm in lmG]
 
-    kept = {}
+    kept = P.copy()
     for (i, j), lcm_ij in P.items():
-        # B_k(i, j) drops the pair only when lmf | lcm_ij and lcm_ij differs
-        # from both lcm(lm_i, lmf) and lcm(lm_j, lmf).
-        if (
-            maskf & ~(masks[i] | masks[j])
-            or lcms[i] == lcm_ij
-            or lcms[j] == lcm_ij
-            or not mono_divides(lmf, lcm_ij, guard)
-        ):
-            kept[i, j] = lcm_ij
+        # B_k(i, j) drops the pair when lmf | lcm_ij and lcm_ij differs from
+        # both lcm(lm_i, lmf) and lcm(lm_j, lmf).  lmf | lcm_ij is tested
+        # inline: no field of lcm_ij - lmf borrows.
+        if not (lcm_ij - lmf) & guard and lcms[i] != lcm_ij and lcms[j] != lcm_ij:
+            del kept[i, j]
 
     lcm_groups: dict = {}
     for i, L in enumerate(lcms):
         lcm_groups.setdefault(L, []).append(i)
     minimal = []
-    for L in sorted(lcm_groups, key=order.key):
-        mask_L = maskf | masks[lcm_groups[L][0]]
+    for L in sorted(lcm_groups) if order.is_native else sorted(lcm_groups, key=order.key):
+        members = lcm_groups[L]
+        mask_L = maskf | masks[members[0]]
         for Lmin, mask in minimal:
             if not mask & ~mask_L and mono_divides(Lmin, L, guard):
                 break
         else:
             minimal.append((L, mask_L))
-    for L, _ in minimal:
-        members = lcm_groups[L]
-        if any(not masks[i] & maskf for i in members):
-            continue  # coprime-lead criterion
-        kept[members[0], n] = L
+            if all(masks[i] & maskf for i in members):  # coprime-lead criterion
+                kept[members[0], n] = L
     return kept
 
 
@@ -316,19 +333,41 @@ class _PairQueue:
         return None
 
 
-def _buchberger_loop(gens, order):
-    """Shared Buchberger driver over generators of one packing; returns
-    (G, hit_unit_ideal)."""
+def _monic_terms(terms: dict, lm: int, p) -> dict:
+    """Exact terms divided by the coefficient of lm."""
+    lc = terms[lm]
+    if lc == 1:
+        return terms
+    if p is None:
+        return {m: _quotient(c, lc, p) for m, c in terms.items()}
+    inv = pow(lc, -1, p)
+    return {m: c * inv % p for m, c in terms.items()}
+
+
+def _buchberger_loop(gens, order, stop_at_nonzero=False):
+    """Shared Buchberger driver over generators of one packing.
+
+    Returns (entries, hit_unit_ideal): the `Reducer` entries of a monic
+    Groebner basis, generators first, or None with True for the unit
+    ideal.  With `stop_at_nonzero` it returns (None, False) at the first
+    S-pair with a nonzero remainder, so the basis never grows.
+
+    Each S-pair is formed from two entries and reduced on exact terms; a
+    nonzero remainder becomes a new entry, still with no Polynomial built.
+    """
     field = gens[0].field
     packing = gens[0].packing
-    unit = [Polynomial(field, {MONO_ONE: field.one}, packing)]
-    G = [f.monic(order) for f in gens]
-    lmG = [f.leading_term(order)[0] for f in G]
-    if MONO_ONE in lmG:
-        return unit, True
-    masks = [mono_mask(lm, packing) for lm in lmG]
-    sugars = [f.degree() for f in G]
-    reducer = Reducer(G, order)
+    guard, p = packing.guard, field.p
+    reducer = Reducer((), order, field, packing)
+    for f in gens:
+        lm = f.leading_term(order)[0]
+        if lm == MONO_ONE:
+            return None, True
+        reducer.add_terms(lm, _monic_terms(_exact_terms(f), lm, p))
+    entries = reducer.entries
+    lmG = [e[0] for e in entries]
+    masks = [e[3] for e in entries]
+    sugars = [f.degree() for f in gens]
     queue = _PairQueue()
     queue.sync(_initial_pairs(lmG, order, packing), lmG, sugars, order)
 
@@ -336,22 +375,22 @@ def _buchberger_loop(gens, order):
         _check_deadline()
         popped = queue.pop()
         if popped is None:
-            return G, False
+            return entries, False
         (i, j), lcm, pair_sugar = popped
         if not masks[i] & masks[j]:
             continue  # coprime leads
-        r = reducer.reduce(s_polynomial(G[i], G[j], order, lcm))
-        if r.is_zero:
+        rem = reducer.remainder(s_polynomial(entries[i], entries[j], lcm, guard, p))
+        if not rem:
             continue
-        r = r.monic(order)
-        lmr = r.leading_term(order)[0]
+        if stop_at_nonzero:
+            return None, False
+        lmr = next(iter(rem))  # the remainder comes leading term first
         if lmr == MONO_ONE:
-            return unit, True
+            return None, True
         P = _update_pairs(lmG, masks, queue.live, lmr, order, packing)
-        G.append(r)
-        reducer.add(r)
+        reducer.add_terms(lmr, _monic_terms(rem, lmr, p))
         lmG.append(lmr)
-        masks.append(mono_mask(lmr, packing))
+        masks.append(entries[-1][3])
         sugars.append(pair_sugar)
         queue.sync(P, lmG, sugars, order)
 
@@ -388,34 +427,26 @@ def buchberger(gens, order: TermOrder = ANTIDIAG):
     gens = _one_packing(g for g in gens if not g.is_zero)
     if not gens:
         return []
-    G, unit = _buchberger_loop(gens, order)
+    field, packing = gens[0].field, gens[0].packing
+    entries, unit = _buchberger_loop(gens, order)
     if unit:
-        return G
-    return interreduce(G, order)
+        return [Polynomial(field, {MONO_ONE: field.one}, packing)]
+    return interreduce([_as_polynomial(field, {lm: lc, **dict(tail)}, packing)
+                        for lm, lc, tail, _ in entries], order)
 
 
 def is_groebner_basis(gens, order: TermOrder = ANTIDIAG) -> bool:
     """True iff every S-polynomial of `gens` reduces to zero against `gens`.
 
-    Runs the Buchberger pair loop (with the standard criteria, which only
-    discard pairs whose S-polynomials provably reduce to zero) and reports
-    whether any nonzero remainder ever appears.
+    Runs the Buchberger driver, whose criteria only discard pairs whose
+    S-polynomials provably reduce to zero, up to the first nonzero
+    remainder.
     """
     gens = _one_packing(g for g in gens if not g.is_zero)
     if len(gens) <= 1:
         return True
-    packing = gens[0].packing
-    G = [g.monic(order) for g in gens]
-    lmG = [g.leading_term(order)[0] for g in G]
-    masks = [mono_mask(lm, packing) for lm in lmG]
-    reducer = Reducer(G, order)
-    for (i, j), lcm in sorted(_initial_pairs(lmG, order, packing).items()):
-        _check_deadline()
-        if not masks[i] & masks[j]:
-            continue  # coprime leads
-        if not reducer.reduce(s_polynomial(G[i], G[j], order, lcm)).is_zero:
-            return False
-    return True
+    entries, unit = _buchberger_loop(gens, order, stop_at_nonzero=True)
+    return unit or entries is not None
 
 
 # ---------------------------------------------------------------------------
@@ -835,13 +866,15 @@ def _bit_positions(mask: int) -> list[int]:
 
 
 def _minimal_masks(masks) -> list[int]:
-    """The distinct masks that contain no other one, in ascending popcount.
+    """The distinct masks that contain no other one, in ascending popcount,
+    masks of one popcount in ascending order.
 
     A mask can only contain one of lower popcount, so each is tested only
-    against the kept masks of lower popcount.
+    against the kept masks of lower popcount.  The order does not depend
+    on the order of the input.
     """
     lower, level, size = [], [], 0
-    for m in sorted(set(masks), key=int.bit_count):
+    for m in sorted(sorted(set(masks)), key=int.bit_count):
         _check_deadline()
         if m.bit_count() > size:
             size = m.bit_count()
@@ -861,8 +894,8 @@ def _cover_bits(supports) -> tuple[list[int], list[int]]:
     Dense bit i stands for bit positions[i] of the supports, the i-th
     lowest bit any support has, so the re-indexing keeps the order of the
     bits.  Duplicate supports and supports that contain another one are
-    dropped: neither changes the minimal covers.  The masks come out in
-    ascending popcount.
+    dropped: neither changes the minimal covers.  The masks come out as
+    `_minimal_masks` orders them, whatever the order of the supports.
     """
     sets = set(supports)
     if 0 in sets:

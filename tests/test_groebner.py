@@ -5,7 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -15,8 +15,12 @@ from ladderdet.groebner import (
     Ideal,
     InstanceTooLarge,
     MonomialIdeal,
+    Reducer,
     Ring,
+    _as_polynomial,
+    _cover_bits,
     _initial_pairs,
+    _update_pairs,
     buchberger,
     interreduce,
     is_groebner_basis,
@@ -43,8 +47,10 @@ from ladderdet.poly import (
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_mask,
     parse_polynomial,
 )
+import reference_pairs
 import tuple_monomials as ref
 
 
@@ -499,6 +505,20 @@ def test_cover_edge_cases():
             search([x, 0])
 
 
+def test_cover_bits_do_not_depend_on_the_order_of_the_supports():
+    # Sets of these masks iterate in an order that depends on insertion
+    # (the 5040 orders gave 18 different outputs when ties in popcount
+    # followed set order); the output must not.
+    keys = _GRID_KEYS
+    supports = [1 << keys[i] | 1 << keys[i + 5] for i in range(7)]
+    expected = _cover_bits(supports)
+    positions, masks = expected
+    assert [m.bit_count() for m in masks] == sorted(m.bit_count() for m in masks)
+    assert all(x < y for x, y in zip(masks, masks[1:]) if x.bit_count() == y.bit_count())
+    for perm in permutations(supports):
+        assert _cover_bits(list(perm)) == expected
+
+
 def test_radical_of_squarefree_ideal_is_itself():
     ring = Ring.for_grid(QQ, 2, 2)
     x, y, z = gv(1, 1), gv(1, 2), gv(2, 1)
@@ -757,6 +777,17 @@ def _reference_initial_pairs(lmG, order):
     return P
 
 
+def _seeded_leads(rng, variables):
+    """Lead monomials as (variable, exponent) lists: repeated leads, and
+    leads coprime to most others."""
+    pool = [[(rng.choice(variables), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(2, 14))]
+    leads = pool + [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+    leads += [[(rng.choice(variables), 1)] for _ in range(rng.randint(0, 2))]
+    rng.shuffle(leads)
+    return leads
+
+
 @pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX, ELIM], ids=str)
 def test_initial_pairs_match_set_based_reference(order):
     rng = random.Random(2025)
@@ -766,16 +797,108 @@ def test_initial_pairs_match_set_based_reference(order):
     ring = Ring(QQ, tuple(variables))
     guard = ring.packing.guard
     for _ in range(200):
-        pool = [[(rng.choice(variables), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
-                for _ in range(rng.randint(2, 14))]
-        # repeated leads, and leads coprime to most others
-        leads = pool + [rng.choice(pool) for _ in range(rng.randint(0, 3))]
-        leads += [[(rng.choice(variables), 1)] for _ in range(rng.randint(0, 2))]
-        rng.shuffle(leads)
+        leads = _seeded_leads(rng, variables)
         packed = [ring.packing.pack(pairs) for pairs in leads]
         P = _initial_pairs(packed, order, ring.packing)
         assert set(P) == _reference_initial_pairs([ref.tuple_mono(pairs) for pairs in leads], order)
         assert all(lcm == mono_lcm(packed[i], packed[j], guard) for (i, j), lcm in P.items())
+
+
+# -- the pair update against the packed-int update it replaced
+# -- (tests/reference_pairs.py): the same pair dicts
+
+
+@pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX, ELIM], ids=str)
+def test_pair_update_matches_the_reference_update(order):
+    # Step by step, from the pair sets the reference reaches, with live
+    # pairs dropped at random between steps as the Buchberger queue pops
+    # them.
+    rng = random.Random(4049)
+    variables = [gv(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    if order is ELIM:
+        variables.append(aux_var("t"))
+    packing = Ring(QQ, tuple(variables)).packing
+    for _ in range(300):
+        lmG = [packing.pack(pairs) for pairs in _seeded_leads(rng, variables)]
+        masks = [mono_mask(lm, packing) for lm in lmG]
+        P: dict = {}
+        for n, lm in enumerate(lmG):
+            expected = reference_pairs.update_pairs(lmG[:n], masks, P, lm, order, packing)
+            assert _update_pairs(lmG[:n], masks, P, lm, order, packing) == expected
+            P = {pair: lcm for pair, lcm in expected.items() if rng.random() < 0.8}
+        assert _initial_pairs(lmG, order, packing) == reference_pairs.initial_pairs(
+            lmG, order, packing)
+
+
+def _random_polynomial(rng, field, packing, variables):
+    """2 to 5 terms of degree at most 3; over QQ the coefficients are
+    nonintegral or other than +-1 as often as not."""
+    terms = {}
+    for _ in range(rng.randint(2, 5)):
+        m = packing.pack((rng.choice(variables), 1) for _ in range(rng.randint(0, 3)))
+        if field.p is None:
+            c = Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 1, 2, 3, 7]))
+        else:
+            c = rng.randrange(1, field.p)
+        terms[m] = c
+    return Polynomial(field, terms, packing)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX], ids=str)
+def test_exact_s_pair_remainder_is_the_normal_form_of_the_s_polynomial(field, order):
+    rng = random.Random(7127)
+    variables = [gv(i, j) for i in (1, 2) for j in (1, 2, 3)]
+    packing = Ring(field, tuple(variables)).packing
+    guard = packing.guard
+    for _ in range(150):
+        f, g = (_random_polynomial(rng, field, packing, variables) for _ in range(2))
+        basis = [_random_polynomial(rng, field, packing, variables)
+                 for _ in range(rng.randint(0, 3))]
+        basis = [b for b in basis if b.leading_term(order)[0] != MONO_ONE]
+        (lmf, lcf), (lmg, lcg) = f.leading_term(order), g.leading_term(order)
+        lcm = mono_lcm(lmf, lmg, guard)
+        a, b = Reducer([f, g], order).entries
+        s = (f.mul_term(mono_div(lcm, lmf, guard), field.inv(lcf))
+             - g.mul_term(mono_div(lcm, lmg, guard), field.inv(lcg)))
+        rem = Reducer(basis, order, field, packing).remainder(
+            s_polynomial(a, b, lcm, guard, field.p))
+        assert _as_polynomial(field, rem, packing) == normal_form(s, basis, order)
+        keys = [order.key(m) for m in rem]
+        assert keys == sorted(keys, reverse=True)  # leading term first
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+@pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX], ids=str)
+def test_is_groebner_basis_agrees_with_buchberger_on_perturbed_minors(field, order):
+    # A generating set is a Groebner basis iff its leads generate the
+    # initial ideal of its reduced basis.
+    rng = random.Random(31337)
+    ring = Ring.for_grid(field, 3, 3)
+    cells = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    nine = [minor(r, c, field) for r in combinations((1, 2, 3), 2)
+            for c in combinations((1, 2, 3), 2)]
+    verdicts = set()
+    for _ in range(40):
+        gens = rng.sample(nine, rng.randint(2, 6))
+        for k in rng.sample(range(len(gens)), rng.randint(0, 2)):
+            i, j = rng.choice(cells)
+            extra = Polynomial.variable(field, gv(i, j)) * rng.choice([1, 2, Fraction(2, 3)])
+            if rng.random() < 0.5:
+                i, j = rng.choice(cells)
+                extra = extra * Polynomial.variable(field, gv(i, j))
+            gens[k] = gens[k] + extra
+        gens = [g for g in gens if not g.is_zero]
+        leads = MonomialIdeal.from_monomials(
+            ring, [g.repack(ring.packing).leading_term(order)[0] for g in gens])
+        reduced = buchberger(gens, order)
+        initial = MonomialIdeal.from_monomials(
+            ring, [g.repack(ring.packing).leading_term(order)[0] for g in reduced])
+        verdict = is_groebner_basis(gens, order)
+        assert verdict == (leads == initial)
+        assert is_groebner_basis(reduced, order)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_is_groebner_basis_rejects_perturbed_minors():
@@ -789,17 +912,40 @@ def test_is_groebner_basis_rejects_perturbed_minors():
         assert is_groebner_basis(buchberger(perturbed))
 
 
+@pytest.mark.parametrize("run", [buchberger, is_groebner_basis], ids=lambda f: f.__name__)
+def test_time_limit_stops_the_s_pair_loop(run):
+    nine = [minor(r, c) for r in combinations((1, 2, 3), 2) for c in combinations((1, 2, 3), 2)]
+    with pytest.raises(InstanceTooLarge):
+        with time_limit(1e-9):
+            run(nine)
+
+
+def test_s_pair_step_raises_past_the_exponent_field():
+    # With a > b: S(a - b^200, a*b^100 + 1) = -b^300 - 1.
+    packing = Ring.for_grid(QQ, 2, 2).packing
+    a, b = packing.variables[:2]
+    f = Polynomial(QQ, {packing.pack([(a, 1)]): Fraction(1),
+                        packing.pack([(b, 200)]): Fraction(-1)}, packing)
+    g = Polynomial(QQ, {packing.pack([(a, 1), (b, 100)]): Fraction(1),
+                        MONO_ONE: Fraction(1)}, packing)
+    ef, eg = Reducer([f, g]).entries
+    with pytest.raises(ExponentOverflow):
+        s_polynomial(ef, eg, mono_lcm(ef[0], eg[0], packing.guard), packing.guard, None)
+
+
 def test_rational_results_hold_fractions():
     f = P("2/3*x[1,1]*x[2,2] - x[1,2]*x[2,1] + 5*x[1,1]")
     g = P("3*x[1,1]*x[1,2] + 1/2*x[2,2]")
-    for h in (s_polynomial(f, g), normal_form(f, [g]), normal_form(P("x[1,2]"), [f])):
+    for h in (normal_form(f, [g]), normal_form(P("x[1,2]"), [f])):
         assert all(type(c) is Fraction for c in h.terms.values())
     packing = join_packings(f.packing, g.packing)
     f, g = f.repack(packing), g.repack(packing)
     (lmf, lcf), (lmg, lcg) = f.leading_term(), g.leading_term()
     lcm = mono_lcm(lmf, lmg, packing.guard)
-    assert s_polynomial(f, g) == (f.mul_term(mono_div(lcm, lmf, packing.guard), 1 / lcf)
-                                  - g.mul_term(mono_div(lcm, lmg, packing.guard), 1 / lcg))
+    a, b = Reducer([f, g]).entries
+    s = _as_polynomial(QQ, s_polynomial(a, b, lcm, packing.guard, None), packing)
+    assert s == (f.mul_term(mono_div(lcm, lmf, packing.guard), 1 / lcf)
+                 - g.mul_term(mono_div(lcm, lmg, packing.guard), 1 / lcg))
 
 
 def test_interreduce_produces_monic_antichain():
