@@ -131,7 +131,7 @@ def criterion_witness_certificate(seed: int = DEFAULT_SEED):
     ok = True
     for name, L, _ in _fixture_ladders():
         for t in _legal_unmixed_sizes(L):
-            cert = symbolic_fsplit_certificate(L, t, GF(2))
+            cert = symbolic_fsplit_certificate(L, t)
             good = all(passed for _, passed in cert.checks)
             ok &= good
             details.append(f"{name} t={t}: h={cert.h} counts={cert.counts} ok={good}")
@@ -142,7 +142,7 @@ def criterion_witness_certificate(seed: int = DEFAULT_SEED):
         if not validate(staircase10, tvec).valid:
             continue
         tried += 1
-        cert = symbolic_fsplit_certificate(staircase10, tvec, GF(2))
+        cert = symbolic_fsplit_certificate(staircase10, tvec)
         good = all(p for _, p in cert.checks) and sum(cert.counts) == cert.h
         passed_count += good
         ok &= good

@@ -234,7 +234,7 @@ def _cmd_witness(args) -> int:
         _emit(args, {"g": poly_to_str(g)}, [poly_to_str(g)])
         return 0
     if args.action == "certificate":
-        cert = symbolic_fsplit_certificate(ladder, t, field if field.is_modular else None)
+        cert = symbolic_fsplit_certificate(ladder, t)
         payload = json.loads(cert.to_json())
         _emit(args, payload, [cert.to_json()])
         return 0

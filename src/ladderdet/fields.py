@@ -1,4 +1,5 @@
-"""Exact coefficient arithmetic over the rationals and prime fields."""
+"""Exact coefficient arithmetic over the rationals and prime fields: every
+rule about the form of a coefficient, and the only use of `fractions`."""
 
 from __future__ import annotations
 
@@ -18,15 +19,25 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _exact(q):
+    """A rational as an int when it is integral, else the `Fraction` itself."""
+    return q.numerator if type(q) is not int and q.denominator == 1 else q
+
+
 class Field:
     """Coefficient field: the rationals (``p is None``) or integers mod p.
 
-    Rational coefficients are `fractions.Fraction`; modular ones are plain
-    ints in [0, p).  p is restricted to word size so coefficient products
-    stay machine integers.
+    A coefficient has one form, its exact value.  Over the rationals it is
+    an int when it is integral and a `fractions.Fraction` otherwise, never a
+    float; mod p it is an int in [0, p).  `coerce` puts any value in that
+    form, and the arithmetic below keeps it there.  p is restricted to word
+    size so coefficient products stay machine integers.
     """
 
     __slots__ = ("p",)
+
+    zero = 0
+    one = 1
 
     def __init__(self, p: int | None = None):
         if p is not None:
@@ -45,38 +56,43 @@ class Field:
         return self.p is not None
 
     def coerce(self, value):
-        """Coerce an int, Fraction or decimal string into the field."""
-        if self.p is None:
-            return Fraction(value)
-        if isinstance(value, str):
-            value = Fraction(value)
-        if isinstance(value, Fraction):
-            if value.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator not invertible mod {self.p}")
-            return value.numerator * pow(value.denominator, -1, self.p) % self.p
-        return int(value) % self.p
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p is None else 1
+        """The exact form in the field of an int, Fraction or decimal string;
+        ValueError on a zero denominator, or one that p divides."""
+        p = self.p
+        if type(value) is int:
+            return value if p is None else value % p
+        try:
+            q = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+        if p is None:
+            return _exact(q)
+        if q.denominator % p == 0:
+            raise ValueError(f"denominator of {value} not invertible mod {p}")
+        return q.numerator * pow(q.denominator, -1, p) % p
 
     def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
+        return _exact(a + b) if self.p is None else (a + b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
+        return _exact(a * b) if self.p is None else (a * b) % self.p
 
     def neg(self, a):
         return -a if self.p is None else (-a) % self.p
 
+    def div(self, a, b):
+        """a / b for b nonzero: a itself when b is 1."""
+        if b == 1:
+            return a
+        p = self.p
+        if p is None:
+            return -a if b == -1 else _exact(Fraction(a, b))
+        return a * pow(b, -1, p) % p
+
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a if self.p is None else pow(a, -1, self.p)
+        return self.div(1, a)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p

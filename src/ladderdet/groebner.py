@@ -9,8 +9,9 @@ multiplicity from the Hilbert series by a memoised pivot recursion;
 symbolic powers).
 
 `buchberger` and `is_groebner_basis` run one driver, which forms and
-reduces each S-pair on the exact integer terms of the reducer's entries;
-Polynomials are built only from the finished basis.
+reduces each S-pair on the terms of the reducer's entries, coefficients as
+the polynomials hold them; Polynomials are built only from the finished
+basis.
 
 Monomials are the packed ints of `poly`.  Each ring fixes one `Packing`;
 an ideal re-packs its generators into it, so every monomial of one
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, zip_longest
 
 from .fields import Field
@@ -61,35 +61,15 @@ from .poly import (
 # ---------------------------------------------------------------------------
 # Reduction
 #
-# The reduction loops work on exact term dicts (`_exact_terms`): over QQ an
-# integral coefficient is a plain int, which is most of them, since every
-# basis element is monic and minors have coefficients +-1.  Non-integral
-# ones stay Fractions, and division always goes through a Fraction.  A
-# `Reducer` entry is (lead, lead coefficient, exact tail, lead's support
-# mask).  The Buchberger driver forms each S-pair from two entries and
-# reduces it on exact terms (`s_polynomial`, `Reducer.remainder`), so no
-# S-pair becomes a Polynomial; `_as_polynomial` turns every int back into a
-# Fraction before a Polynomial leaves this module.
-
-
-def _exact_terms(f: Polynomial) -> dict:
-    """The terms of f, with integral rational coefficients as ints."""
-    if f.field.p is not None:
-        return dict(f.terms)
-    return {m: c.numerator if c.denominator == 1 else c for m, c in f.terms.items()}
-
-
-# Fractions are immutable, so the +-1 coefficients of minors and monic
-# bases can share two objects instead of each holding its own.
-_FRACTION_UNITS = {1: Fraction(1), -1: Fraction(-1)}
-
-
-def _as_polynomial(field: Field, terms: dict, packing: Packing) -> Polynomial:
-    if field.p is None:
-        units = _FRACTION_UNITS
-        terms = {m: c if type(c) is Fraction else units.get(c) or Fraction(c)
-                 for m, c in terms.items()}
-    return Polynomial(field, terms, packing)
+# The reduction loops work on term dicts holding the coefficients of a
+# Polynomial as they are: exact values, so over QQ most of them are ints,
+# since every basis element is monic and minors have coefficients +-1.
+# Division goes through `Field.div`.  A `Reducer` entry is (lead, lead
+# coefficient, tail terms, lead's support mask).  The Buchberger driver
+# forms each S-pair from two entries and reduces it on term dicts
+# (`s_polynomial`, `Reducer.remainder`), so no S-pair becomes a Polynomial.
+# A difference of two terms over QQ can be an integral Fraction; the
+# remainder coerces each of its terms back to the exact form.
 
 
 def _one_packing(polys) -> list[Polynomial]:
@@ -124,22 +104,10 @@ def _sub_multiple(work: dict, tail, u: int, q, p) -> None:
                 del work[mm]
 
 
-def _quotient(c, lc, p):
-    """c / lc in the field; c itself when lc is 1."""
-    if lc == 1:
-        return c
-    if p is None:
-        if lc == -1:
-            return -c
-        q = Fraction(c) / lc
-        return q.numerator if q.denominator == 1 else q
-    return c * pow(lc, -1, p) % p
-
-
 class Reducer:
     """Divisor table for repeated normal forms against a (growing) basis.
 
-    `entries` holds one (lead, lead coefficient, exact tail, support mask)
+    `entries` holds one (lead, lead coefficient, tail terms, support mask)
     per basis element, in basis order.  Divisors are also indexed by the
     greatest variable of their leading monomial, so candidate lookups touch
     only entries that can divide, and a lead's support mask rules out most
@@ -166,10 +134,10 @@ class Reducer:
         if self.packing is None:
             self.field, self.packing = g.field, g.packing
         g = g.repack(self.packing)
-        self.add_terms(g.leading_term(self.order)[0], _exact_terms(g))
+        self.add_terms(g.leading_term(self.order)[0], g.terms)
 
     def add_terms(self, lm: int, terms: dict) -> None:
-        """Add the element with exact terms `terms` and leading monomial lm."""
+        """Add the element with terms `terms` and leading monomial lm."""
         mask = mono_mask(lm, self.packing)
         entry = (lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm], mask)
         self.entries.append(entry)
@@ -183,13 +151,14 @@ class Reducer:
         if packing is None:
             return f
         f = f.repack(packing)
-        return _as_polynomial(f.field, self.remainder(_exact_terms(f)), packing)
+        return Polynomial(f.field, self.remainder(dict(f.terms)), packing)
 
     def remainder(self, work: dict) -> dict:
-        """The remainder of the exact terms `work`, which it consumes, as
-        exact terms in descending order: the leading term comes first."""
+        """The remainder of the terms `work`, which it consumes, as terms in
+        descending order: the leading term comes first."""
         packing = self.packing
-        p = self.field.p
+        field = self.field
+        p, div, coerce = field.p, field.div, field.coerce
         guard, low = packing.guard, packing.low
         rem = {}
         native = self.order.is_native
@@ -216,10 +185,10 @@ class Reducer:
                         break
                     bits ^= 1 << top - 1
             if hit is None:
-                rem[m] = c
+                rem[m] = coerce(c)
                 continue
             lm, lc, tail, _ = hit
-            _sub_multiple(work, tail, mono_div(m, lm, guard), _quotient(c, lc, p), p)
+            _sub_multiple(work, tail, mono_div(m, lm, guard), div(c, lc), p)
         return rem
 
 
@@ -229,23 +198,24 @@ def normal_form(f: Polynomial, basis, order: TermOrder = ANTIDIAG) -> Polynomial
     return Reducer(basis, order).reduce(f)
 
 
-def s_polynomial(a, b, lcm: int, guard: int, p) -> dict:
-    """Exact terms of the S-polynomial of two `Reducer` entries a and b, the
-    lcm of whose leads is `lcm`, over the field of characteristic p (None
-    for QQ): lcm/lm_a * a/lc_a - lcm/lm_b * b/lc_b.
+def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
+    """Terms of the S-polynomial of two `Reducer` entries a and b over
+    `field`, the lcm of whose leads is `lcm`:
+    lcm/lm_a * a/lc_a - lcm/lm_b * b/lc_b.
 
     The two leads cancel, so only the scaled tails are formed, in one dict.
     """
     lma, lca, taila, _ = a
     lmb, lcb, tailb, _ = b
+    p = field.p
     ua = mono_div(lcm, lma, guard)
-    qa = _quotient(1, lca, p)
+    qa = field.inv(lca)
     # The terms of one scaled tail are distinct and nonzero.
     if p is None:
         out = {mono_mul(tm, ua): tc * qa for tm, tc in taila}
     else:
         out = {mono_mul(tm, ua): tc * qa % p for tm, tc in taila}
-    _sub_multiple(out, tailb, mono_div(lcm, lmb, guard), _quotient(1, lcb, p), p)
+    _sub_multiple(out, tailb, mono_div(lcm, lmb, guard), field.inv(lcb), p)
     _check_fields(out, guard)
     return out
 
@@ -333,15 +303,13 @@ class _PairQueue:
         return None
 
 
-def _monic_terms(terms: dict, lm: int, p) -> dict:
-    """Exact terms divided by the coefficient of lm."""
+def _monic_terms(terms: dict, lm: int, field: Field) -> dict:
+    """The terms divided by the coefficient of lm."""
     lc = terms[lm]
     if lc == 1:
         return terms
-    if p is None:
-        return {m: _quotient(c, lc, p) for m, c in terms.items()}
-    inv = pow(lc, -1, p)
-    return {m: c * inv % p for m, c in terms.items()}
+    div = field.div
+    return {m: div(c, lc) for m, c in terms.items()}
 
 
 def _buchberger_loop(gens, order, stop_at_nonzero=False):
@@ -352,18 +320,18 @@ def _buchberger_loop(gens, order, stop_at_nonzero=False):
     ideal.  With `stop_at_nonzero` it returns (None, False) at the first
     S-pair with a nonzero remainder, so the basis never grows.
 
-    Each S-pair is formed from two entries and reduced on exact terms; a
+    Each S-pair is formed from two entries and reduced on term dicts; a
     nonzero remainder becomes a new entry, still with no Polynomial built.
     """
     field = gens[0].field
     packing = gens[0].packing
-    guard, p = packing.guard, field.p
+    guard = packing.guard
     reducer = Reducer((), order, field, packing)
     for f in gens:
         lm = f.leading_term(order)[0]
         if lm == MONO_ONE:
             return None, True
-        reducer.add_terms(lm, _monic_terms(_exact_terms(f), lm, p))
+        reducer.add_terms(lm, _monic_terms(f.terms, lm, field))
     entries = reducer.entries
     lmG = [e[0] for e in entries]
     masks = [e[3] for e in entries]
@@ -379,7 +347,7 @@ def _buchberger_loop(gens, order, stop_at_nonzero=False):
         (i, j), lcm, pair_sugar = popped
         if not masks[i] & masks[j]:
             continue  # coprime leads
-        rem = reducer.remainder(s_polynomial(entries[i], entries[j], lcm, guard, p))
+        rem = reducer.remainder(s_polynomial(entries[i], entries[j], lcm, guard, field))
         if not rem:
             continue
         if stop_at_nonzero:
@@ -388,7 +356,7 @@ def _buchberger_loop(gens, order, stop_at_nonzero=False):
         if lmr == MONO_ONE:
             return None, True
         P = _update_pairs(lmG, masks, queue.live, lmr, order, packing)
-        reducer.add_terms(lmr, _monic_terms(rem, lmr, p))
+        reducer.add_terms(lmr, _monic_terms(rem, lmr, field))
         lmG.append(lmr)
         masks.append(entries[-1][3])
         sugars.append(pair_sugar)
@@ -413,12 +381,9 @@ def interreduce(G, order: TermOrder = ANTIDIAG):
     # A lead never divides a smaller term, so reducing a tail against all of
     # `minimal` is reducing it against the other elements.
     reducer = Reducer(minimal, order)
-    out = []
-    for g, (lm, _) in zip(minimal, leads):
-        tail = reducer.reduce(Polynomial(g.field, {m: c for m, c in g.terms.items() if m != lm},
-                                         packing))
-        out.append(Polynomial(g.field, {lm: g.terms[lm], **tail.terms}, packing))
-    return out  # sorted by lead, as `minimal` is
+    field = reducer.field
+    return [Polynomial(field, {lm: lc, **reducer.remainder(dict(tail))}, packing)
+            for lm, lc, tail, _ in reducer.entries]  # sorted by lead, as `minimal` is
 
 
 def buchberger(gens, order: TermOrder = ANTIDIAG):
@@ -431,7 +396,7 @@ def buchberger(gens, order: TermOrder = ANTIDIAG):
     entries, unit = _buchberger_loop(gens, order)
     if unit:
         return [Polynomial(field, {MONO_ONE: field.one}, packing)]
-    return interreduce([_as_polynomial(field, {lm: lc, **dict(tail)}, packing)
+    return interreduce([Polynomial(field, {lm: lc, **dict(tail)}, packing)
                         for lm, lc, tail, _ in entries], order)
 
 
@@ -681,13 +646,14 @@ class Ideal:
 def _exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:
     """h / g, for h and g of one packing; ArithmeticError unless g divides
     h exactly."""
-    p = g.field.p
+    field = g.field
+    p, div, coerce = field.p, field.div, field.coerce
     guard = g.packing.guard
     lm = g.leading_term(ANTIDIAG)[0]
-    terms = _exact_terms(g)
+    terms = dict(g.terms)
     lc = terms.pop(lm)
     tail = list(terms.items())
-    work = _exact_terms(h)
+    work = dict(h.terms)
     quot = {}
     while work:
         m = max(work)
@@ -696,9 +662,9 @@ def _exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:
         u = mono_div(m, lm, guard)
         if u is None:
             raise ArithmeticError("intersection element not divisible by g")
-        q = quot[u] = _quotient(work.pop(m), lc, p)
+        q = quot[u] = div(coerce(work.pop(m)), lc)
         _sub_multiple(work, tail, u, q, p)
-    return _as_polynomial(g.field, quot, g.packing)
+    return Polynomial(field, quot, g.packing)
 
 
 def _frobenius_power(g: Polynomial, q: int) -> Polynomial:

@@ -124,8 +124,10 @@ def minor_product_symbolic_degree(factors, t: int, ladder: Ladder | None = None)
     Each gamma x gamma determinant lies in the (gamma - t + 1)-st symbolic
     power, so the product lies in I_t^(n) for n the sum of those counts.
     Exact for the unmixed generic/ladder witnesses; for mixed sizes this is
-    a sufficient condition only.
+    a sufficient condition only.  ValueError when t is below 1.
     """
+    if t < 1:
+        raise ValueError(f"minor size t must be at least 1, got {t}")
     total = 0
     for m in factors:
         if ladder is not None and not all(cell in ladder.cells for cell in m.cells()):
@@ -351,6 +353,15 @@ def corner_ideal(k: int, l: int, t: int, r: int, s: int, which: str = "nw",
                         for m in corner_minors(k, l, t, r, s, which)])
 
 
+def _check_in_grid(k: int, l: int, minors) -> None:
+    """ValueError unless k x l is a grid holding every one of the minors."""
+    if k < 1 or l < 1:
+        raise ValueError(f"a grid needs at least one row and column, got {k}x{l}")
+    for m in minors:
+        if m.rows[-1] > k or m.cols[-1] > l:
+            raise ValueError(f"minor {m} lies outside the {k}x{l} grid")
+
+
 def minor_poset(k: int, l: int) -> list[Minor]:
     """All minors of the k x l generic matrix (materialized for small grids)."""
     if k > 4 or l > 4:
@@ -400,6 +411,7 @@ def omega_delta_ideal(k: int, l: int, delta: Minor, field: Field = QQ,
                       ring: Ring | None = None) -> Ideal:
     """Sum formula for the cogenerated poset ideal: column strips, row
     strips, and all (r+1)-minors."""
+    _check_in_grid(k, l, [delta])
     ring = ring or grid_ring(field, k, l)
     seen = {}
     r = delta.size
@@ -438,9 +450,7 @@ class PosetIdealSpec:
 def poset_ideal(k: int, l: int, spec: PosetIdealSpec, field: Field = QQ,
                 ring: Ring | None = None) -> Ideal:
     """The ideal of k[X] generated by an ideal of the poset of minors."""
-    for m in spec.minors:
-        if m.rows[-1] > k or m.cols[-1] > l:
-            raise ValueError(f"minor {m} lies outside the {k}x{l} grid")
+    _check_in_grid(k, l, spec.minors)
     ring = ring or grid_ring(field, k, l)
     if spec.kind == "explicit":
         omega = list(spec.minors)
@@ -460,6 +470,7 @@ def poset_ideal(k: int, l: int, spec: PosetIdealSpec, field: Field = QQ,
 def poset_ideal_brute(k: int, l: int, delta: Minor, field: Field = QQ,
                       ring: Ring | None = None) -> Ideal:
     """Brute-force cogenerated ideal: materialize the complement directly."""
+    _check_in_grid(k, l, [delta])
     ring = ring or grid_ring(field, k, l)
     return Ideal(ring, [expand_minor(m, field, ring.packing)
                         for m in omega_delta_set(k, l, delta)])

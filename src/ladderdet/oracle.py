@@ -26,7 +26,6 @@ from .poly import (
     mono,
     mono_is_squarefree,
     mono_max_exponent,
-    mono_pow,
 )
 
 
@@ -74,18 +73,10 @@ class SymbolicCertificate:
         )
 
 
-def outside_frobenius_power_of_m(m: int, p: int) -> bool:
-    """True iff the packed monomial m lies outside m^[p] = (x^p : x a
-    variable), that is, every exponent of m is below p."""
-    return mono_max_exponent(m) < p
-
-
-def symbolic_fsplit_certificate(L: Ladder, t, field: Field | None = None) -> SymbolicCertificate:
+def symbolic_fsplit_certificate(L: Ladder, t) -> SymbolicCertificate:
     """Build and verify the splitting certificate for (L, t).
 
-    Raises CertificateError when any invariant fails; on a modular field
-    additionally records that the witness avoids the bracket power of the
-    maximal ideal (its lead is squarefree with unit coefficient).
+    Raises CertificateError when any invariant fails.
     """
     t = size_vector(t, len(L.lower))
     profile = antidiagonal_profile(L, t)
@@ -101,13 +92,6 @@ def symbolic_fsplit_certificate(L: Ladder, t, field: Field | None = None) -> Sym
     checks.append(("counts_sum_to_height", total == h))
     checks.append(("lead_squarefree", mono_is_squarefree(lead.value)))
     checks.append(("counts_nonnegative", all(c >= 0 for _, _, _, c in factors)))
-    if field is not None and field.is_modular:
-        # The lead term of f^(p-1) is lead^(p-1) with a unit coefficient (the
-        # Leibniz sign to the p-1), so f^(p-1) avoids m^[p] when lead^(p-1) does.
-        p = field.characteristic
-        checks.append(("lead_outside_frobenius_power_of_m",
-                       outside_frobenius_power_of_m(
-                           mono_pow(lead.value, p - 1, lead.packing.guard), p)))
     cert = SymbolicCertificate(L, t, h, tuple(factors), lead, tuple(checks))
     failed = [name for name, ok in checks if not ok]
     if failed:
@@ -166,6 +150,12 @@ def ladder_symbolic_power(L: Ladder, t, n: int, field: Field = QQ) -> Ideal:
 
 # ---------------------------------------------------------------------------
 # Fedder-type F-purity check
+
+
+def outside_frobenius_power_of_m(m: int, p: int) -> bool:
+    """True iff the packed monomial m lies outside m^[p] = (x^p : x a
+    variable), that is, every exponent of m is below p."""
+    return mono_max_exponent(m) < p
 
 
 def fedder_check(I: Ideal, p: int, candidate: Polynomial) -> bool:

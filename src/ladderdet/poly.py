@@ -19,7 +19,6 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from itertools import permutations
 from weakref import WeakKeyDictionary, WeakValueDictionary
 
@@ -485,7 +484,9 @@ def _check_fields(monos, guard: int) -> None:
 
 class Polynomial:
     """Immutable sparse polynomial over QQ or GF(p): a dict from packed
-    monomials to coefficients, with the packing they are read in.
+    monomials to nonzero coefficients, with the packing they are read in.
+    Each coefficient is in its exact form (`Field`): over QQ an int when it
+    is integral and a Fraction otherwise, mod p an int in [0, p).
 
     Equality and hashing do not depend on the packing; arithmetic on two
     packings works in the packing of their joint variables.
@@ -516,14 +517,14 @@ class Polynomial:
 
     @classmethod
     def variable(cls, field: Field, v: Variable) -> "Polynomial":
-        return cls(field, {1: field.one}, _packing((v,)))
+        return cls(field, {1: 1}, _packing((v,)))
 
     @classmethod
     def from_terms(cls, field: Field, items, packing: Packing) -> "Polynomial":
         """Sum of (monomial of `packing`, coefficient) pairs."""
         terms = {}
         for m, c in items:
-            c = field.add(terms.get(m, field.zero), field.coerce(c))
+            c = field.add(terms.get(m, 0), field.coerce(c))
             if c:
                 terms[m] = c
             elif m in terms:
@@ -558,11 +559,10 @@ class Polynomial:
         if not self.terms:
             return self
         _, c = self.leading_term(order)
-        if c == self.field.one:
+        if c == 1:
             return self
-        inv = self.field.inv(c)
-        mul = self.field.mul
-        return Polynomial(self.field, {m: mul(v, inv) for m, v in self.terms.items()},
+        div = self.field.div
+        return Polynomial(self.field, {m: div(v, c) for m, v in self.terms.items()},
                           self.packing)
 
     def reduce_mod(self, p: int) -> "Polynomial":
@@ -620,7 +620,7 @@ class Polynomial:
         terms = dict(self.terms)
         add = field.add
         for m, c in other.terms.items():
-            v = add(terms.get(m, field.zero), c)
+            v = add(terms.get(m, 0), c)
             if v:
                 terms[m] = v
             elif m in terms:
@@ -663,7 +663,8 @@ class Polynomial:
                     m = ma + mb
                     v = acc.get(m)
                     acc[m] = ca * cb if v is None else v + ca * cb
-            terms = {m: c for m, c in acc.items() if c}
+            coerce = field.coerce
+            terms = {m: c if type(c) is int else coerce(c) for m, c in acc.items() if c}
         else:
             for ma, ca in a_items:
                 for mb, cb in b_items:
@@ -705,7 +706,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             if self.terms and (len(self.terms) > 1 or MONO_ONE not in self.terms):
                 return False
-            return self.terms.get(MONO_ONE, self.field.zero) == self.field.coerce(other)
+            return self.terms.get(MONO_ONE, 0) == self.field.coerce(other)
         if self.field != other.field or len(self.terms) != len(other.terms):
             return False
         if self.packing is other.packing:
@@ -844,17 +845,18 @@ def parse_polynomial(text: str, field: Field = QQ) -> Polynomial:
         tokens.append(mt)
         pos = mt.end()
 
+    # Coefficients are read as rationals and coerced into `field` at the end.
     terms: list[tuple[list, object]] = []
     sign = 1
     factors: list[tuple[Variable, int]] = []
-    coeff = Fraction(1)
+    coeff = 1
     have_term = False
 
     def flush():
         nonlocal factors, coeff, have_term, sign
         if have_term:
             terms.append((factors, sign * coeff))
-        factors, coeff, have_term, sign = [], Fraction(1), False, 1
+        factors, coeff, have_term, sign = [], 1, False, 1
 
     idx = 0
     while idx < len(tokens):
@@ -869,7 +871,7 @@ def parse_polynomial(text: str, field: Field = QQ) -> Polynomial:
             idx += 1
             continue
         if kind == "num":
-            coeff *= Fraction(tk.group("num"))
+            coeff = QQ.mul(coeff, QQ.coerce(tk.group("num")))
             have_term = True
             idx += 1
             continue

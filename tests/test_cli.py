@@ -150,6 +150,18 @@ def test_schubert_and_poset_commands(capsys, tmp_path):
     assert code == 0 and "formula_matches_bruteforce=True" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["poset", "--shape", "2,2", "--delta", "3|3"],
+    ["poset", "--shape", "2,2", "--delta", "3|3", "--check"],
+    ["poset", "--shape", "0,0", "--delta", "1|1"],
+    ["symbolic", "degree", "--minors", "12|12", "--t", "0"],
+    ["symbolic", "degree", "--minors", "12|12", "--t", "-3"],
+], ids=["delta-outside", "delta-outside-check", "empty-grid", "t-zero", "t-negative"])
+def test_unusable_grid_or_minor_size_exits_2(argv, capsys):
+    code, out = run_cli(*argv, capsys=capsys)
+    assert code == 2 and out == ""
+
+
 def test_accept_single_criterion(capsys):
     code, out = run_cli("accept", "run", "chamfer-descent", capsys=capsys)
     assert code == 0
@@ -210,11 +222,15 @@ _DEEP_SUM = ('{"cells": [[1, 1]], "field": "q", "f_factors": ["x[1,1]"], "root":
     (["poset", "--shape", "2,2", "--spec"], _DEEP_LIST),
     (["schubert", "--perm"], _DEEP_LIST),
     (["poset", "--shape", "2,2", "--spec"], {"cogenerators": [{"rows": [5], "cols": [5]}]}),
+    (["ideal", "member", "--poly=1/0*x[1,1]"],
+     {"shape": [3, 3], "upper": [[1, 3]], "lower": [[3, 1]], "t": [2]}),
+    (["--field", "fp:7", "ideal", "gb"], {"shape": [2, 2], "gens": ["1/7*x[1,1]"]}),
 ], ids=["knutson-verify", "poset-spec", "ideal-gb", "fedder-bad-t-entry", "ideal-gb-short-t",
         "ideal-gb-int-gen", "ideal-gb-float-cell", "knutson-verify-int-factor",
         "knutson-verify-int-claimed", "poset-spec-float-index", "knutson-verify-deep-sum",
         "ladder-validate-deep", "ideal-gb-deep", "poset-spec-deep", "schubert-deep",
-        "poset-spec-outside-grid"])
+        "poset-spec-outside-grid", "ideal-member-zero-denominator",
+        "ideal-gb-denominator-divisible-by-p"])
 def test_malformed_loader_input_exits_2(argv, content, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(content if isinstance(content, str) else json.dumps(content))

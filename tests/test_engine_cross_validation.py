@@ -3,8 +3,8 @@
 sympy's polys module is an independent implementation; agreement of the
 reduced bases on seeded random inputs guards the engine that every other
 check in the suite leans on.  The 3x3 cases use exponents up to 2 and
-non-integral coefficients, so the engine's integer fast path over QQ and its
-Fraction fallback (leading coefficients other than 1) both run.
+non-integral coefficients, so the engine meets both forms of a rational
+coefficient, int and Fraction, and leading coefficients other than 1.
 """
 
 import random
@@ -18,6 +18,7 @@ from ladderdet.fields import GF, QQ
 from ladderdet.groebner import buchberger
 from ladderdet.poly import (ANTIDIAG, GREVLEX, Minor, Monomial, Polynomial, expand_minor, grid_var,
                             packing_of)
+from test_groebner import assert_exact_coefficients
 
 SCALARS = (-2, -1, 1, 3, Fraction(2, 3), Fraction(-1, 2))
 PAIRS = [(1, 2), (1, 3), (2, 3)]
@@ -68,9 +69,8 @@ def _basis_as_sets(basis, variables):
     return out
 
 
-def _assert_fraction_coefficients(basis):
-    # The integer fast path must never leak an int into a basis over QQ.
-    assert all(type(c) is Fraction for g in basis for c in g.terms.values())
+def _assert_exact_basis(basis):
+    assert_exact_coefficients(c for g in basis for c in g.terms.values())
 
 
 def _grid3_variables():
@@ -130,7 +130,7 @@ def test_random_ideals_match_sympy(order_name):
 
         expected = sympy_groebner(sympy_gens, sring)
         got = buchberger(gens, my_order)
-        _assert_fraction_coefficients(got)
+        _assert_exact_basis(got)
         assert _basis_as_sets(got, variables) == _sympy_basis_as_sets(expected, len(variables))
 
 
@@ -148,7 +148,7 @@ def test_determinantal_bases_match_sympy():
 
     expected = sympy_groebner([_to_sympy(g, variables, symbols, sring) for g in gens], sring)
     got = buchberger(gens, ANTIDIAG)
-    _assert_fraction_coefficients(got)
+    _assert_exact_basis(got)
     assert _basis_as_sets(got, variables) == _sympy_basis_as_sets(expected, len(variables))
 
 
@@ -181,7 +181,7 @@ def test_rational_3x3_bases_match_sympy(order_name):
     for _ in range(8):
         gens = _minors_plus_noise(rng, variables, QQ)
         got = buchberger(gens, my_order)
-        _assert_fraction_coefficients(got)
+        _assert_exact_basis(got)
         non_integral += sum(c.denominator != 1 for g in got for c in g.terms.values())
         expected = _sympy_groebner(gens, variables, sympy.QQ, order_name)
         assert _basis_as_sets(got, variables) == _sympy_basis_as_sets(expected, len(variables))

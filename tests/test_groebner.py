@@ -17,7 +17,6 @@ from ladderdet.groebner import (
     MonomialIdeal,
     Reducer,
     Ring,
-    _as_polynomial,
     _cover_bits,
     _initial_pairs,
     _update_pairs,
@@ -837,7 +836,7 @@ def _random_polynomial(rng, field, packing, variables):
     for _ in range(rng.randint(2, 5)):
         m = packing.pack((rng.choice(variables), 1) for _ in range(rng.randint(0, 3)))
         if field.p is None:
-            c = Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 1, 2, 3, 7]))
+            c = field.div(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 1, 2, 3, 7]))
         else:
             c = rng.randrange(1, field.p)
         terms[m] = c
@@ -862,8 +861,9 @@ def test_exact_s_pair_remainder_is_the_normal_form_of_the_s_polynomial(field, or
         s = (f.mul_term(mono_div(lcm, lmf, guard), field.inv(lcf))
              - g.mul_term(mono_div(lcm, lmg, guard), field.inv(lcg)))
         rem = Reducer(basis, order, field, packing).remainder(
-            s_polynomial(a, b, lcm, guard, field.p))
-        assert _as_polynomial(field, rem, packing) == normal_form(s, basis, order)
+            s_polynomial(a, b, lcm, guard, field))
+        assert_exact_coefficients(rem.values())
+        assert Polynomial(field, rem, packing) == normal_form(s, basis, order)
         keys = [order.key(m) for m in rem]
         assert keys == sorted(keys, reverse=True)  # leading term first
 
@@ -924,28 +924,36 @@ def test_s_pair_step_raises_past_the_exponent_field():
     # With a > b: S(a - b^200, a*b^100 + 1) = -b^300 - 1.
     packing = Ring.for_grid(QQ, 2, 2).packing
     a, b = packing.variables[:2]
-    f = Polynomial(QQ, {packing.pack([(a, 1)]): Fraction(1),
-                        packing.pack([(b, 200)]): Fraction(-1)}, packing)
-    g = Polynomial(QQ, {packing.pack([(a, 1), (b, 100)]): Fraction(1),
-                        MONO_ONE: Fraction(1)}, packing)
+    f = Polynomial(QQ, {packing.pack([(a, 1)]): 1, packing.pack([(b, 200)]): -1}, packing)
+    g = Polynomial(QQ, {packing.pack([(a, 1), (b, 100)]): 1, MONO_ONE: 1}, packing)
     ef, eg = Reducer([f, g]).entries
     with pytest.raises(ExponentOverflow):
-        s_polynomial(ef, eg, mono_lcm(ef[0], eg[0], packing.guard), packing.guard, None)
+        s_polynomial(ef, eg, mono_lcm(ef[0], eg[0], packing.guard), packing.guard, QQ)
 
 
-def test_rational_results_hold_fractions():
+def assert_exact_coefficients(coefficients):
+    """Each rational coefficient is an int when integral, else a Fraction:
+    never a float, and never an integral Fraction."""
+    for c in coefficients:
+        assert type(c) in (int, Fraction) and (type(c) is int) == (c.denominator == 1), c
+
+
+def test_rational_results_hold_exact_coefficients():
     f = P("2/3*x[1,1]*x[2,2] - x[1,2]*x[2,1] + 5*x[1,1]")
     g = P("3*x[1,1]*x[1,2] + 1/2*x[2,2]")
-    for h in (normal_form(f, [g]), normal_form(P("x[1,2]"), [f])):
-        assert all(type(c) is Fraction for c in h.terms.values())
+    results = [normal_form(f, [g]), normal_form(P("x[1,2]"), [f]), *buchberger([f, g]),
+               f.monic(), f * g, f + g, f.mul_term(MONO_ONE, Fraction(3, 2))]
+    for h in results:
+        assert_exact_coefficients(h.terms.values())
+    assert {type(c) for h in results for c in h.terms.values()} == {int, Fraction}
     packing = join_packings(f.packing, g.packing)
     f, g = f.repack(packing), g.repack(packing)
     (lmf, lcf), (lmg, lcg) = f.leading_term(), g.leading_term()
     lcm = mono_lcm(lmf, lmg, packing.guard)
     a, b = Reducer([f, g]).entries
-    s = _as_polynomial(QQ, s_polynomial(a, b, lcm, packing.guard, None), packing)
-    assert s == (f.mul_term(mono_div(lcm, lmf, packing.guard), 1 / lcf)
-                 - g.mul_term(mono_div(lcm, lmg, packing.guard), 1 / lcg))
+    s = Polynomial(QQ, s_polynomial(a, b, lcm, packing.guard, QQ), packing)
+    assert s == (f.mul_term(mono_div(lcm, lmf, packing.guard), QQ.inv(lcf))
+                 - g.mul_term(mono_div(lcm, lmg, packing.guard), QQ.inv(lcg)))
 
 
 def test_interreduce_produces_monic_antichain():

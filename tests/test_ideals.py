@@ -260,6 +260,16 @@ def test_poset_ideal_rejects_minors_outside_the_grid(kind):
     for outside in (Minor((3,), (1,)), Minor((1, 2), (2, 3))):
         with pytest.raises(ValueError, match="outside the 2x2 grid"):
             poset_ideal(2, 2, PosetIdealSpec(kind, (Minor((1,), (1,)), outside)))
+    with pytest.raises(ValueError, match="0x0"):
+        poset_ideal(0, 0, PosetIdealSpec(kind, ()))
+
+
+@pytest.mark.parametrize("k,l,delta", [(2, 2, Minor((3,), (3,))), (2, 2, Minor((1, 2), (2, 3))),
+                                       (0, 0, Minor((1,), (1,)))])
+def test_cogenerated_ideals_reject_a_grid_they_cannot_use(k, l, delta):
+    for build in (omega_delta_ideal, poset_ideal_brute):
+        with pytest.raises(ValueError, match="grid"):
+            build(k, l, delta)
 
 
 def test_initial_of_principal_full_witness():

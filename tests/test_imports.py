@@ -19,6 +19,17 @@ def test_no_imports_inside_functions():
     assert not found
 
 
+def test_only_fields_imports_fractions():
+    # A coefficient has one exact form, and only `fields` makes Fractions.
+    importers = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "fractions"):
+                importers.add(path.name)
+    assert importers == {"fields.py"}
+
+
 def test_package_imports_are_acyclic():
     graph = {}
     for path in MODULES:

@@ -44,6 +44,9 @@ def test_symbolic_degree_examples():
     two = Minor((1, 2), (1, 2))
     assert minor_product_symbolic_degree([two, two], 2) == 2
     assert minor_product_symbolic_degree([Minor((1,), (1,))], 2) == 0
+    for t in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            minor_product_symbolic_degree([two], t)
 
 
 def test_symbolic_degree_ladder_containment():
@@ -82,7 +85,7 @@ def test_certificate_2x2():
 
 def test_certificate_staircase10_mixed():
     L, t = ladderdet.load_fixture("staircase10")
-    cert = symbolic_fsplit_certificate(L, t, GF(2))
+    cert = symbolic_fsplit_certificate(L, t)
     assert sum(cert.counts) == cert.h == height(L, t)
     assert all(ok for _, ok in cert.checks)
 

@@ -345,6 +345,38 @@ def test_field_arithmetic_and_inverse():
         GF(6)
 
 
+def test_rational_inverse_and_quotient_of_an_int_are_exact():
+    # An integral value is an int and any other one a Fraction: 1 / 3 of two
+    # ints would be a float.
+    for value, expected in ((QQ.inv(3), Fraction(1, 3)), (QQ.div(2, 4), Fraction(1, 2)),
+                            (QQ.div(-3, 2), Fraction(-3, 2))):
+        assert type(value) is Fraction and value == expected
+    for value, expected in ((QQ.inv(1), 1), (QQ.inv(-1), -1), (QQ.div(6, 3), 2),
+                            (QQ.div(6, -1), -6), (QQ.div(Fraction(2, 3), Fraction(1, 3)), 2),
+                            (QQ.add(Fraction(1, 2), Fraction(1, 2)), 1),
+                            (QQ.mul(Fraction(2, 3), 3), 2), (QQ.coerce(Fraction(4, 2)), 2),
+                            (QQ.coerce("6/3"), 2)):
+        assert type(value) is int and value == expected
+    assert GF(7).div(3, 5) == 2 and GF(7).div(4, 1) == 4
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    x = Polynomial.variable(QQ, gv(1, 1))
+    half = (x * Fraction(1, 2) + 1).monic()
+    assert [type(c) for _, c in half.sorted_terms()] == [int, int]
+    assert half == x + 2
+
+
+def test_malformed_coefficients_raise_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_polynomial("1/0*x[1,1]")
+    with pytest.raises(ValueError, match="not invertible mod 7"):
+        parse_polynomial("1/7*x[1,1]", GF(7))
+    with pytest.raises(ValueError, match="not invertible mod 3"):
+        parse_polynomial("1/6*x[1,1]").reduce_mod(3)
+    with pytest.raises(ValueError):
+        QQ.coerce("1/0")
+
+
 def test_distinct_auxiliaries_do_not_collide():
     s, t = aux_var("s"), aux_var("t")
     assert s is not t and s.key != t.key
