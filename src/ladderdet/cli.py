@@ -8,7 +8,9 @@ oversized instance, 2 on usage errors or malformed input files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -391,6 +393,17 @@ def _cmd_accept(args) -> int:
 # Parser wiring
 
 
+def _positive_seconds(text: str) -> float:
+    """A --timeout value: a positive number of seconds; inf means no limit."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not seconds > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"not a positive number of seconds: {text!r}")
+    return seconds
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ladderdet",
@@ -400,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--order", default="antidiag", help="term order: antidiag or grevlex")
     parser.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
                         help="seed for randomized suites")
-    parser.add_argument("--timeout", type=float, default=60.0,
-                        help="time budget in seconds for the ladder cell scans, minor "
+    parser.add_argument("--timeout", type=_positive_seconds, default=60.0,
+                        help="positive time budget in seconds for the ladder cell scans, minor "
                              "enumerations, Groebner computations, Leibniz expansions, "
                              "height/dimension recursions and minimal-prime searches "
                              "of the command; accept gives each criterion its own "
@@ -480,9 +493,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built on first use, then kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with time_limit(args.timeout):
             return args.handler(args)

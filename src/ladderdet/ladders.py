@@ -7,6 +7,10 @@ corners (d, c) inside a k x l grid.  Cell membership:
     x[i,j] in L  iff  (some upper corner has i >= b, j <= a)
                  and  (some lower corner has i <= d, j >= c).
 
+Cells are read off the corners row by row: row i is the column interval
+from the least c over lower corners with d >= i to the greatest a over
+upper corners with b <= i.
+
 Corner lists are kept as given (lower corners may share a row or column,
 as in ladders whose first two lower corners sit in the same column).
 Sub-regions are cut out by their corners: the subladder L_j keeps the
@@ -27,6 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 
 from .poly import Minor, _check_deadline
 
@@ -77,14 +82,7 @@ class Ladder:
 
     @cached_property
     def cells(self) -> frozenset[Cell]:
-        k, l = self.shape
-        out = set()
-        for i in range(1, k + 1):
-            _check_deadline()
-            for j in range(1, l + 1):
-                if self.contains(i, j):
-                    out.add((i, j))
-        return frozenset(out)
+        return _cells_from_corners(self.shape, self.upper, self.lower)
 
     def contains(self, i: int, j: int) -> bool:
         if not any(i >= b and j <= a for b, a in self.upper):
@@ -137,11 +135,12 @@ class Ladder:
         return Ladder(self.shape, sorted(upper.items()), sorted(lower.items()))
 
     def interior_cells(self, t) -> frozenset[Cell]:
-        """The interior: same upper corners, lower corners shifted by t_j."""
+        """The interior: same upper corners, each lower corner shifted t_j - 1
+        steps NE, possibly out of the grid.  A shifted corner lies NE of its
+        own corner, so the interior lies in L."""
         t = size_vector(t, len(self.lower))
         shifted = [(d - tj + 1, c + tj - 1) for (d, c), tj in zip(self.lower, t)]
-        return frozenset((i, j) for i, j in self.cells
-                         if any(i <= d and j >= c for d, c in shifted))
+        return _cells_from_corners(self.shape, self.upper, shifted)
 
     def max_square_in(self) -> int:
         """Side of the largest full square submatrix inside the ladder: the
@@ -199,6 +198,23 @@ class Ladder:
 
     def __repr__(self):
         return f"Ladder({self.shape}, upper={list(self.upper)}, lower={list(self.lower)})"
+
+
+def _cells_from_corners(shape, upper, lower) -> frozenset[Cell]:
+    """The cells of the k x l grid cut out by the corners, read row by row:
+    row i is the column interval [min c over lower corners (d, c) with
+    d >= i, max a over upper corners (b, a) with b <= i], clipped to the
+    grid.  The corners need not be sorted or lie inside the grid."""
+    k, l = shape
+
+    def rows():
+        for i in range(1, k + 1):
+            _check_deadline()
+            lo = min((c for d, c in lower if d >= i), default=l + 1)
+            hi = max((a for b, a in upper if b <= i), default=0)
+            yield zip(repeat(i), range(max(lo, 1), min(hi, l) + 1))
+
+    return frozenset(chain.from_iterable(rows()))
 
 
 def _int_pair(x, what: str) -> tuple[int, int]:

@@ -14,6 +14,7 @@ field raises `ExponentOverflow`; it never carries into the next field.
 
 from __future__ import annotations
 
+import math
 import re
 import time
 from contextlib import contextmanager
@@ -42,7 +43,9 @@ def time_limit(seconds: float | None):
     """Bound the wall-clock time of ladder cell scans, minor enumerations,
     Groebner tasks, the height/dimension recursion, minimal-prime searches
     and minor expansions in the current context (a new thread starts
-    without a limit)."""
+    without a limit).  None or inf sets no limit; NaN raises ValueError."""
+    if seconds is not None and math.isnan(seconds):
+        raise ValueError("time budget must be a number of seconds, not NaN")
     token = _deadline.set(None if seconds is None else time.monotonic() + seconds)
     try:
         yield

@@ -6,6 +6,8 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 lines, or `ladderdet accept run all` for the same suite from the CLI.
 """
 
+import math
+
 import pytest
 
 from ladderdet import acceptance
@@ -56,3 +58,12 @@ def test_legal_unmixed_sizes_keeps_an_expired_budget():
     assert acceptance._legal_unmixed_sizes(L) == [1, 2, 3]
     with time_limit(1e-9), pytest.raises(InstanceTooLarge):
         acceptance._legal_unmixed_sizes(L)
+
+
+def test_nan_budget_raises():
+    with pytest.raises(ValueError):
+        with time_limit(math.nan):
+            pass
+    with pytest.raises(ValueError):
+        acceptance.run_criterion("chamfer-descent", seconds=math.nan)
+    assert acceptance.run_criterion("chamfer-descent", seconds=math.inf).passed  # no limit

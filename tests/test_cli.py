@@ -348,6 +348,54 @@ def test_timeout_reaches_the_ladder_layer(n, action, sizes, tmp_path):
     assert time.monotonic() - start < 3
 
 
+@pytest.mark.parametrize("value", ["nan", "NaN", "0", "-0", "-1", "-inf", "soon"])
+def test_timeout_must_be_a_positive_number(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([f"--timeout={value}", "ladder", "validate", str(FIXTURES / "full2x2.json")])
+    assert exc.value.code == 2
+    assert "not a positive number of seconds" in capsys.readouterr().err
+
+
+def test_infinite_timeout_means_no_limit(capsys):
+    code, out = run_cli("--timeout", "inf", "ladder", "validate", str(FIXTURES / "full2x2.json"),
+                        capsys=capsys)
+    assert code == 0 and "u=1 v=1" in out
+
+
+def _call_in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_in_process_calls_share_no_state_through_the_parser(capsys):
+    from ladderdet import cli
+
+    f22, f33 = str(FIXTURES / "full2x2.json"), str(FIXTURES / "full3x3.json")
+    member = ["ideal", "member", f22, "--t", "2", "--poly", "5*x[1,1]"]  # 5 = 0 in GF(5)
+    calls = [
+        ["--format", "json", "ladder", "validate", f33, "--t", "2"],
+        ["ladder", "validate", f33, "--t", "2"],
+        ["--field", "fp:5", *member],
+        ["--format", "json", "--field", "fp:5", "--timeout", "nan", *member],
+        member,
+        ["--format", "yaml", "ladder", "validate", f33],
+        ["ladder", "show", f33],
+    ]
+    in_process = [_call_in_process(argv, capsys) for argv in calls]
+    alone = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "ladderdet", *argv],
+                              capture_output=True, text=True)
+        alone.append((proc.returncode, proc.stdout))
+    assert in_process == alone
+    assert [code for code, _ in alone] == [0, 0, 0, 2, 1, 2, 0]
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_accept_honours_timeout(capsys):
     code, out = run_cli("--timeout", "0.000001", "--format", "json", "accept", "run",
                         "poset-schubert", capsys=capsys)

@@ -199,6 +199,37 @@ def test_corner_arithmetic_matches_cell_enumeration():
     assert regions > 3000 and partial > 50  # some regions are only partly covered
 
 
+def _scan_of_contains(L, t=None):
+    """Reference for `cells` and `interior_cells(t)`: every grid cell that
+    `contains` accepts and, given t, that lies NE of some lower corner
+    shifted by t_j - 1."""
+    k, l = L.shape
+    shifted = [(d - tj + 1, c + tj - 1) for (d, c), tj in zip(L.lower, t or ())]
+    return {(i, j) for i in range(1, k + 1) for j in range(1, l + 1)
+            if L.contains(i, j) and (t is None or any(i <= d and j >= c for d, c in shifted))}
+
+
+def test_cells_match_a_scan_of_contains_over_the_grid():
+    rng = random.Random(14)
+    pinned = Ladder((7, 7), ((1, 3), (5, 7)), ((2, 1), (7, 4)))  # rows 3-4 are empty
+    assert {i for i, _ in pinned.cells} == {1, 2, 5, 6, 7}
+    seen = dict.fromkeys(("shared row or column", "empty row", "corner leaves grid", "1x1"), 0)
+    for n in range(3000):
+        L = pinned if n == 0 else Ladder.full(1, 1) if n == 1 else _random_corner_ladder(rng)
+        k, l = L.shape
+        assert L.cells == _scan_of_contains(L)
+        t = tuple(rng.randint(1, 4) for _ in L.lower)
+        assert L.interior_cells(t) == _scan_of_contains(L, t)
+        lower = L.lower
+        seen["shared row or column"] += any(p[0] == q[0] or p[1] == q[1]
+                                            for p, q in zip(lower, lower[1:]))
+        seen["empty row"] += len({i for i, _ in L.cells}) < k
+        seen["corner leaves grid"] += any(d - tj + 1 < 1 or c + tj - 1 > l
+                                          for (d, c), tj in zip(lower, t))
+        seen["1x1"] += L.shape == (1, 1)
+    assert all(count > 20 for count in seen.values()), seen
+
+
 def test_interior_examples():
     L3 = Ladder.full(3, 3)
     assert L3.interior_cells((2,)) == {(1, 2), (1, 3), (2, 2), (2, 3)}
