@@ -8,10 +8,12 @@ branching search that reaches each one once; height, dimension and
 multiplicity from the Hilbert series by a memoised pivot recursion;
 symbolic powers).
 
-`buchberger` and `is_groebner_basis` run one driver, which forms and
-reduces each S-pair on the terms of the reducer's entries, coefficients as
-the polynomials hold them; Polynomials are built only from the finished
-basis.
+`buchberger` and `is_groebner_basis` share the Gebauer-Moeller pair
+update, and both form and reduce each S-pair on the terms of a reducer's
+entries, coefficients as the polynomials hold them.  `buchberger` runs the
+driver, which selects pairs by sugar and builds Polynomials only from the
+finished basis; `is_groebner_basis` walks the pair set of its generators
+once, with no selection order, up to the first nonzero remainder.
 
 Monomials are the packed ints of `poly`.  Each ring fixes one `Packing`;
 an ideal re-packs its generators into it, so every monomial of one
@@ -224,50 +226,88 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 # Buchberger
 #
 # A pair set is a dict {(i, j): lcm of the leads of i and j}, each lcm
-# computed once, when the pair is made.  `masks` holds the support mask of
-# each lead (`mono_mask`): leads are coprime iff their masks share no bit,
-# and one lcm can divide another only if its mask lies inside the other's.
+# computed once, when the pair is made.  It never holds a pair of coprime
+# leads.  `buchberger` selects its pairs from a sugar heap over the pair
+# set; `is_groebner_basis` adds no element, so it walks the initial pair
+# set as it is.  Monomials are coprime iff their support masks
+# (`mono_mask`) share no bit, and one can divide another only if its mask
+# lies inside the other's.
 
 
-def _update_pairs(lmG, masks, P, lmf, order, packing):
+def _update_pairs(lmG, P, lmf, packing):
     """Gebauer-Moeller pair update; returns the new pair set after adding
-    an element with lead monomial lmf to a basis with lead monomials lmG."""
+    an element with lead monomial lmf to a basis with lead monomials lmG.
+
+    The new pairs are (first index of L, n) for each minimal lcm L of lmf
+    with a lead, unless a lead of L's group is coprime to lmf.  Each such L
+    is lmf times the quotient q = L - lmf, and L | L' iff q | q', so the
+    minimal lcms are those of the minimal quotients:
+    - q = 1 (L = lmf) divides every quotient, so it is then the only one;
+    - else a quotient that is one variable to the first power is minimal,
+      and every other quotient with that variable is a multiple of it, which
+      one AND with the mask `units` of those variables finds;
+    - the remaining quotients are tested against the kept ones of them,
+      indexed by top support bit as in `Reducer`, in ascending int order,
+      in which a proper divisor comes first.
+    """
+    _check_deadline()
     n = len(lmG)
-    guard = packing.guard
-    maskf = mono_mask(lmf, packing)
+    guard, low = packing.guard, packing.low
     lcms = [mono_lcm(lm, lmf, guard) for lm in lmG]
 
+    # B_k(i, j) drops the pair when lmf | lcm_ij and lcm_ij differs from
+    # both lcm(lm_i, lmf) and lcm(lm_j, lmf).  lmf | lcm_ij is tested
+    # inline: no field of lcm_ij - lmf borrows.
     kept = P.copy()
-    for (i, j), lcm_ij in P.items():
-        # B_k(i, j) drops the pair when lmf | lcm_ij and lcm_ij differs from
-        # both lcm(lm_i, lmf) and lcm(lm_j, lmf).  lmf | lcm_ij is tested
-        # inline: no field of lcm_ij - lmf borrows.
-        if not (lcm_ij - lmf) & guard and lcms[i] != lcm_ij and lcms[j] != lcm_ij:
-            del kept[i, j]
+    for ij, L in [(ij, L) for ij, L in P.items() if not (L - lmf) & guard]:
+        i, j = ij
+        if lcms[i] != L and lcms[j] != L:
+            del kept[ij]
 
-    lcm_groups: dict = {}
-    for i, L in enumerate(lcms):
-        lcm_groups.setdefault(L, []).append(i)
-    minimal = []
-    for L in sorted(lcm_groups) if order.is_native else sorted(lcm_groups, key=order.key):
-        members = lcm_groups[L]
-        mask_L = maskf | masks[members[0]]
-        for Lmin, mask in minimal:
-            if not mask & ~mask_L and mono_divides(Lmin, L, guard):
-                break
-        else:
-            minimal.append((L, mask_L))
-            if all(masks[i] & maskf for i in members):  # coprime-lead criterion
-                kept[members[0], n] = L
+    first = dict(zip(reversed(lcms), range(n - 1, -1, -1)))  # lcm -> its first index
+    if lmf in first:
+        minimal = [MONO_ONE]
+    else:
+        ones = guard >> FIELD_BITS
+        quotients = [L - lmf for L in first]
+        minimal = [q for q in quotients if q.bit_count() == 1 and q & ones]
+        units = sum(minimal) << FIELD_BITS  # the guard bits of their variables
+        by_top: dict = {}  # top support bit -> kept (quotient, support mask)
+        for q in sorted([q for q in quotients if not (q + low) & units]):
+            mask = bits = (q + low) & guard
+            while bits:
+                top = bits.bit_length()
+                for d, dmask in by_top.get(top, ()):
+                    if not dmask & ~mask and not (q - d) & guard:
+                        break
+                else:
+                    bits ^= 1 << top - 1
+                    continue
+                break  # a kept quotient divides q
+            else:
+                minimal.append(q)
+                by_top.setdefault(mask.bit_length(), []).append((q, mask))
+
+    # Coprime-lead criterion: a lead coprime to lmf has lcm lead * lmf, so
+    # a group holds one exactly when its quotient is a lead coprime to lmf.
+    maskf = (lmf + low) & guard
+    leads = None
+    for q in minimal:
+        if not (q + low) & maskf:
+            if leads is None:
+                leads = set(lmG)
+            if q in leads:
+                continue
+        L = q + lmf
+        kept[first[L], n] = L
     return kept
 
 
-def _initial_pairs(lmG, order, packing):
+def _initial_pairs(lmG, packing):
     """Pair set of a basis with lead monomials lmG, added one at a time."""
-    masks = [mono_mask(lm, packing) for lm in lmG]
     P: dict = {}
     for n, lm in enumerate(lmG):
-        P = _update_pairs(lmG[:n], masks, P, lm, order, packing)
+        P = _update_pairs(lmG[:n], P, lm, packing)
     return P
 
 
@@ -312,53 +352,54 @@ def _monic_terms(terms: dict, lm: int, field: Field) -> dict:
     return {m: div(c, lc) for m, c in terms.items()}
 
 
-def _buchberger_loop(gens, order, stop_at_nonzero=False):
-    """Shared Buchberger driver over generators of one packing.
+def _monic_reducer(gens, order):
+    """A `Reducer` whose entries are the generators, of one packing, made
+    monic, in order; None when one of them is a nonzero constant."""
+    field = gens[0].field
+    reducer = Reducer((), order, field, gens[0].packing)
+    for f in gens:
+        lm = f.leading_term(order)[0]
+        if lm == MONO_ONE:
+            return None
+        reducer.add_terms(lm, _monic_terms(f.terms, lm, field))
+    return reducer
 
-    Returns (entries, hit_unit_ideal): the `Reducer` entries of a monic
-    Groebner basis, generators first, or None with True for the unit
-    ideal.  With `stop_at_nonzero` it returns (None, False) at the first
-    S-pair with a nonzero remainder, so the basis never grows.
+
+def _buchberger_loop(gens, order):
+    """The Buchberger driver over generators of one packing.
+
+    Returns the `Reducer` entries of a monic Groebner basis, generators
+    first, or None for the unit ideal.
 
     Each S-pair is formed from two entries and reduced on term dicts; a
     nonzero remainder becomes a new entry, still with no Polynomial built.
     """
-    field = gens[0].field
-    packing = gens[0].packing
+    reducer = _monic_reducer(gens, order)
+    if reducer is None:
+        return None
+    field, packing = reducer.field, reducer.packing
     guard = packing.guard
-    reducer = Reducer((), order, field, packing)
-    for f in gens:
-        lm = f.leading_term(order)[0]
-        if lm == MONO_ONE:
-            return None, True
-        reducer.add_terms(lm, _monic_terms(f.terms, lm, field))
     entries = reducer.entries
     lmG = [e[0] for e in entries]
-    masks = [e[3] for e in entries]
     sugars = [f.degree() for f in gens]
     queue = _PairQueue()
-    queue.sync(_initial_pairs(lmG, order, packing), lmG, sugars, order)
+    queue.sync(_initial_pairs(lmG, packing), lmG, sugars, order)
 
     while True:
         _check_deadline()
         popped = queue.pop()
         if popped is None:
-            return entries, False
+            return entries
         (i, j), lcm, pair_sugar = popped
-        if not masks[i] & masks[j]:
-            continue  # coprime leads
         rem = reducer.remainder(s_polynomial(entries[i], entries[j], lcm, guard, field))
         if not rem:
             continue
-        if stop_at_nonzero:
-            return None, False
         lmr = next(iter(rem))  # the remainder comes leading term first
         if lmr == MONO_ONE:
-            return None, True
-        P = _update_pairs(lmG, masks, queue.live, lmr, order, packing)
+            return None
+        P = _update_pairs(lmG, queue.live, lmr, packing)
         reducer.add_terms(lmr, _monic_terms(rem, lmr, field))
         lmG.append(lmr)
-        masks.append(entries[-1][3])
         sugars.append(pair_sugar)
         queue.sync(P, lmG, sugars, order)
 
@@ -393,8 +434,8 @@ def buchberger(gens, order: TermOrder = ANTIDIAG):
     if not gens:
         return []
     field, packing = gens[0].field, gens[0].packing
-    entries, unit = _buchberger_loop(gens, order)
-    if unit:
+    entries = _buchberger_loop(gens, order)
+    if entries is None:
         return [Polynomial(field, {MONO_ONE: field.one}, packing)]
     return interreduce([Polynomial(field, {lm: lc, **dict(tail)}, packing)
                         for lm, lc, tail, _ in entries], order)
@@ -403,15 +444,24 @@ def buchberger(gens, order: TermOrder = ANTIDIAG):
 def is_groebner_basis(gens, order: TermOrder = ANTIDIAG) -> bool:
     """True iff every S-polynomial of `gens` reduces to zero against `gens`.
 
-    Runs the Buchberger driver, whose criteria only discard pairs whose
-    S-polynomials provably reduce to zero, up to the first nonzero
-    remainder.
+    The basis never grows, so the order of the pairs cannot change the
+    answer: the S-pairs of the Gebauer-Moeller pair set, whose criteria
+    only discard pairs whose S-polynomials provably reduce to zero, are
+    reduced as the pair set lists them, up to the first nonzero remainder.
+    A set with a nonzero constant is a Groebner basis.
     """
     gens = _one_packing(g for g in gens if not g.is_zero)
     if len(gens) <= 1:
         return True
-    entries, unit = _buchberger_loop(gens, order, stop_at_nonzero=True)
-    return unit or entries is not None
+    reducer = _monic_reducer(gens, order)
+    if reducer is None:
+        return True
+    field, packing, entries = reducer.field, reducer.packing, reducer.entries
+    guard = packing.guard
+    for (i, j), lcm in _initial_pairs([e[0] for e in entries], packing).items():
+        if reducer.remainder(s_polynomial(entries[i], entries[j], lcm, guard, field)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field as dataclass_field
-from itertools import permutations
+from functools import cache
+from itertools import chain, permutations
 from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from .fields import GF, QQ, Field
@@ -772,10 +773,42 @@ class Minor:
         return f"[{r}|{c}]"
 
 
+# Permutation parities are cached whole up to this size, 8! bytes at most;
+# larger sizes are walked in blocks of the cached ones.
+_PARITY_BLOCK = 8
+_FLIP = bytes([1, 0]) + bytes(range(2, 256))  # bytes.translate table: 0 <-> 1
+
+
+@cache
+def _parities(n: int) -> tuple[bytes, bytes]:
+    """The parities of `permutations(range(n))`, in order, one byte each,
+    and the same flipped.  A permutation that starts with k has k
+    inversions with its first entry, and its other entries run through the
+    permutations of the rest in order."""
+    if n <= 1:
+        even = b"\0"
+    else:
+        e, o = _parities(n - 1)
+        even = b"".join(o if k & 1 else e for k in range(n))
+    return even, even.translate(_FLIP)
+
+
+def _parity_blocks(n: int, odd: int = 0):
+    """The parities of `permutations(range(n))`, in order, flipped when
+    `odd`, in blocks of at most `_PARITY_BLOCK`! bytes: no block grows with
+    n, so a budget check between them still bounds the memory."""
+    if n <= _PARITY_BLOCK:
+        yield _parities(n)[odd]
+    else:
+        for k in range(n):
+            yield from _parity_blocks(n - 1, odd ^ (k & 1))
+
+
 def expand_minor(m: Minor, field: Field = QQ, packing: Packing | None = None) -> Polynomial:
     """Signed Leibniz expansion of the minor as a polynomial, packed in
     `packing` (one with every cell of the minor), by default in the ring of
-    the minor's cells.
+    the minor's cells.  The signs come from the cached permutation
+    parities.
 
     Checks the `time_limit` deadline once every 256 permutations.
     """
@@ -787,13 +820,13 @@ def expand_minor(m: Minor, field: Field = QQ, packing: Packing | None = None) ->
         bit = [[1 << packing.shift[grid_var(i, j)] for j in m.cols] for i in m.rows]
     except KeyError:
         raise ValueError(f"minor {m} has cells outside the ring") from None
-    plus, minus = field.coerce(1), field.coerce(-1)
+    sign = (field.coerce(1), field.coerce(-1))
     terms = {}
-    for idx, perm in enumerate(permutations(range(n))):
+    odds = chain.from_iterable(_parity_blocks(n))
+    for idx, (perm, odd) in enumerate(zip(permutations(range(n)), odds)):
         if not idx & 255:
             _check_deadline()
-        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
-        terms[sum(row[b] for row, b in zip(bit, perm))] = minus if inversions & 1 else plus
+        terms[sum(row[b] for row, b in zip(bit, perm))] = sign[odd]
     return Polynomial(field, terms, packing)
 
 

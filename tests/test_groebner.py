@@ -47,6 +47,7 @@ from ladderdet.poly import (
     mono_divides,
     mono_lcm,
     mono_mask,
+    mono_mul,
     parse_polynomial,
 )
 import reference_pairs
@@ -798,20 +799,33 @@ def test_initial_pairs_match_set_based_reference(order):
     for _ in range(200):
         leads = _seeded_leads(rng, variables)
         packed = [ring.packing.pack(pairs) for pairs in leads]
-        P = _initial_pairs(packed, order, ring.packing)
+        P = _initial_pairs(packed, ring.packing)
         assert set(P) == _reference_initial_pairs([ref.tuple_mono(pairs) for pairs in leads], order)
         assert all(lcm == mono_lcm(packed[i], packed[j], guard) for (i, j), lcm in P.items())
+        # No pair of coprime leads: their S-polynomial reduces to zero.
+        masks = [mono_mask(lm, ring.packing) for lm in packed]
+        assert all(masks[i] & masks[j] for i, j in P)
 
 
 # -- the pair update against the packed-int update it replaced
 # -- (tests/reference_pairs.py): the same pair dicts
 
 
-@pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX, ELIM], ids=str)
-def test_pair_update_matches_the_reference_update(order):
+def _assert_updates_match_reference(lmG, order, packing, rng):
     # Step by step, from the pair sets the reference reaches, with live
     # pairs dropped at random between steps as the Buchberger queue pops
     # them.
+    masks = [mono_mask(lm, packing) for lm in lmG]
+    P: dict = {}
+    for n, lm in enumerate(lmG):
+        expected = reference_pairs.update_pairs(lmG[:n], masks, P, lm, order, packing)
+        assert _update_pairs(lmG[:n], P, lm, packing) == expected
+        P = {pair: lcm for pair, lcm in expected.items() if rng.random() < 0.8}
+    assert _initial_pairs(lmG, packing) == reference_pairs.initial_pairs(lmG, order, packing)
+
+
+@pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX, ELIM], ids=str)
+def test_pair_update_matches_the_reference_update(order):
     rng = random.Random(4049)
     variables = [gv(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
     if order is ELIM:
@@ -819,14 +833,91 @@ def test_pair_update_matches_the_reference_update(order):
     packing = Ring(QQ, tuple(variables)).packing
     for _ in range(300):
         lmG = [packing.pack(pairs) for pairs in _seeded_leads(rng, variables)]
-        masks = [mono_mask(lm, packing) for lm in lmG]
-        P: dict = {}
-        for n, lm in enumerate(lmG):
-            expected = reference_pairs.update_pairs(lmG[:n], masks, P, lm, order, packing)
-            assert _update_pairs(lmG[:n], masks, P, lm, order, packing) == expected
-            P = {pair: lcm for pair, lcm in expected.items() if rng.random() < 0.8}
-        assert _initial_pairs(lmG, order, packing) == reference_pairs.initial_pairs(
-            lmG, order, packing)
+        _assert_updates_match_reference(lmG, order, packing, rng)
+
+
+def _grid_minor_leads(k, t):
+    """The antidiagonal leads of the t-minors of the full k x k grid."""
+    packing = Ring.for_grid(QQ, k, k).packing
+    return [Minor(r, c).antidiagonal_monomial().packed_in(packing)
+            for r in combinations(range(1, k + 1), t)
+            for c in combinations(range(1, k + 1), t)], packing
+
+
+def _quotient_leads(rng, packing):
+    """Leads chosen by their lcm with the last one, lmf: each is a divisor
+    of lmf times a quotient in the variables outside lmf (then its lcm with
+    lmf is lmf times that quotient).  The quotients are 1, one variable to
+    the first, second or third power, or a product of two variables; the
+    divisor can be 1 (a lead coprime to lmf) or lmf itself."""
+    variables = packing.variables
+    inside = rng.sample(variables, rng.randint(1, 3))
+    outside = [v for v in variables if v not in inside]
+    exps = {v: rng.randint(1, 3) for v in inside}
+    lmf = packing.pack(exps.items())
+    leads = []
+    for _ in range(rng.randint(2, 12)):
+        divisor = [(v, rng.randint(0, e)) for v, e in exps.items()]
+        quotient = rng.choice([
+            [],
+            [(rng.choice(outside), 1)],
+            [(rng.choice(outside), rng.randint(2, 3))],
+            [(v, rng.randint(1, 2)) for v in rng.sample(outside, 2)],
+        ])
+        leads.append(packing.pack(divisor + quotient))
+    return leads + [lmf]
+
+
+def _products_of_minors(rng):
+    # Not squarefree where the two antidiagonals overlap.
+    leads, packing = _grid_minor_leads(3, 2)
+    products = [mono_mul(a, b) for a, b in combinations_with_replacement(leads, 2)]
+    return [(products, packing), (rng.sample(products, len(products)), packing)]
+
+
+def _exponents_to_3(rng):
+    packing = Ring.for_grid(QQ, 3, 3).packing
+    return [([packing.pack((rng.choice(packing.variables), rng.randint(1, 3))
+                           for _ in range(rng.randint(1, 3)))
+              for _ in range(rng.randint(2, 16))], packing) for _ in range(150)]
+
+
+def _quotient_cases(rng):
+    packing = Ring.for_grid(QQ, 3, 3).packing
+    return [(_quotient_leads(rng, packing), packing) for _ in range(400)]
+
+
+_STRUCTURED_LEADS = {
+    **{f"minors-{k}x{k}-t{t}": (lambda rng, k=k, t=t: [_grid_minor_leads(k, t)])
+       for k in (5, 6) for t in (2, 3)},
+    "products-of-minors": _products_of_minors,
+    "exponents-to-3": _exponents_to_3,
+    "quotients": _quotient_cases,
+}
+
+
+@pytest.mark.parametrize("name", list(_STRUCTURED_LEADS))
+def test_pair_update_matches_the_reference_on_structured_leads(name):
+    rng = random.Random(name)
+    for lmG, packing in _STRUCTURED_LEADS[name](rng):
+        _assert_updates_match_reference(lmG, ANTIDIAG, packing, rng)
+
+
+def test_pair_update_edge_cases():
+    # a > b > c: x[1,2] > x[1,1] > x[2,2].
+    packing = Ring.for_grid(QQ, 2, 2).packing
+    a, b, c = (1 << packing.shift[v] for v in packing.variables[:3])
+    # q = 1: the lead a divides lmf = ab, so ab is the only minimal lcm; bc
+    # shares b with lmf, and its lcm abc (quotient c) is no minimal one.
+    assert _update_pairs([a, b + c], {}, a + b, packing) == {(0, 2): a + b}
+    # Quotients a (from a^2) and a^2 (from a^3): only a is minimal.
+    assert _update_pairs([2 * a, 3 * a], {(0, 1): 3 * a}, a + b, packing) == {
+        (0, 1): 3 * a, (0, 2): 2 * a + b}
+    # One group, lcm ab, holds ab and the lead b, which is coprime to a.
+    assert _update_pairs([a + b, b], {(0, 1): a + b}, a, packing) == {(0, 1): a + b}
+    # Quotient b is a lead coprime to lmf = a: no pair; quotient c (of ac)
+    # is no lead.
+    assert _update_pairs([b, a + c], {}, a, packing) == {(1, 2): a + c}
 
 
 def _random_polynomial(rng, field, packing, variables):
@@ -918,6 +1009,19 @@ def test_time_limit_stops_the_s_pair_loop(run):
     with pytest.raises(InstanceTooLarge):
         with time_limit(1e-9):
             run(nine)
+
+
+def test_time_limit_reaches_the_pair_build():
+    # The 784 2-minors of the full 8 x 8 grid: building their pair set
+    # alone takes seconds, and no S-pair is reduced before it is built.
+    ring = Ring.for_grid(QQ, 8, 8)
+    rows = list(combinations(range(1, 9), 2))
+    gens = [expand_minor(Minor(r, c), QQ, ring.packing) for r in rows for c in rows]
+    start = time.monotonic()
+    with pytest.raises(InstanceTooLarge):
+        with time_limit(0.2):
+            is_groebner_basis(gens)
+    assert time.monotonic() - start < 1.5
 
 
 def test_s_pair_step_raises_past_the_exponent_field():

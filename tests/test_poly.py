@@ -3,9 +3,11 @@
 import random
 import time
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+from ladderdet import poly
 from ladderdet.fields import GF, QQ
 import tuple_monomials as ref
 from ladderdet.poly import (
@@ -223,12 +225,43 @@ def test_exponents_past_the_field_raise():
 
 
 def test_expand_minor_honours_time_limit():
-    eight = Minor(tuple(range(1, 9)), tuple(range(1, 9)))
-    start = time.monotonic()
-    with pytest.raises(InstanceTooLarge):
-        with time_limit(0.05):
-            expand_minor(eight)
-    assert time.monotonic() - start < 0.5
+    # At n = 12 the signs come in blocks: a table of all 12! of them would
+    # take 479 MB before the first budget check.
+    for n in (8, 12):
+        minor = Minor(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
+        start = time.monotonic()
+        with pytest.raises(InstanceTooLarge):
+            with time_limit(0.05):
+                expand_minor(minor)
+        assert time.monotonic() - start < 0.5
+
+
+def _inversion_count_expansion(m, field, packing):
+    """The Leibniz expansion with an inversion count per permutation, as
+    `expand_minor` computed its signs before it cached their parities."""
+    n = m.size
+    bit = [[1 << packing.shift[gv(i, j)] for j in m.cols] for i in m.rows]
+    plus, minus = field.coerce(1), field.coerce(-1)
+    terms = {}
+    for perm in permutations(range(n)):
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        terms[sum(row[b] for row, b in zip(bit, perm))] = minus if inversions & 1 else plus
+    return Polynomial(field, terms, packing)
+
+
+@pytest.mark.parametrize("block", [poly._PARITY_BLOCK, 3], ids=["whole", "in-blocks"])
+def test_expand_minor_matches_the_inversion_count_expansion(monkeypatch, block):
+    # With blocks of 3! signs, sizes 4 to 6 walk their signs the way sizes
+    # above _PARITY_BLOCK do.
+    monkeypatch.setattr(poly, "_PARITY_BLOCK", block)
+    rng = random.Random(720)
+    packing = packing_of(gv(i, j) for i in range(1, 8) for j in range(1, 8))
+    for n in range(1, 7):
+        for field in (QQ, GF(3)):
+            rows = tuple(sorted(rng.sample(range(1, 8), n)))
+            cols = tuple(sorted(rng.sample(range(1, 8), n)))
+            m = Minor(rows, cols)
+            assert expand_minor(m, field, packing) == _inversion_count_expansion(m, field, packing)
 
 
 def test_time_limit_is_shared_with_groebner():
