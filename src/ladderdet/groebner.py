@@ -1,7 +1,9 @@
 """Buchberger-based ideal arithmetic and monomial-ideal utilities.
 
-Normal forms, reduced Groebner bases (normal pair selection with sugar
-tiebreak, coprime-lead and chain criteria via Gebauer-Moeller updates),
+Normal forms, reduced Groebner bases (sugar pair selection after
+Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar cube, please",
+ISSAC 1991: sugar first, then the order's key of the lcm, then the
+indices; coprime-lead and chain criteria via Gebauer-Moeller updates),
 ideal sums / intersections / colons / saturations, Frobenius bracket
 powers, and squarefree monomial-ideal combinatorics (minimal primes by a
 branching search that reaches each one once; height, dimension and
@@ -227,11 +229,14 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 #
 # A pair set is a dict {(i, j): lcm of the leads of i and j}, each lcm
 # computed once, when the pair is made.  It never holds a pair of coprime
-# leads.  `buchberger` selects its pairs from a sugar heap over the pair
-# set; `is_groebner_basis` adds no element, so it walks the initial pair
-# set as it is.  Monomials are coprime iff their support masks
-# (`mono_mask`) share no bit, and one can divide another only if its mask
-# lies inside the other's.
+# leads.  `buchberger` selects its pairs from a heap over the pair set,
+# ordered by the sugar strategy of Giovini et al. (ISSAC 1991): sugar
+# first, then the order's key of the lcm, then the indices.  On a lex
+# order such as ELIM this completes the basis in low sugar before it
+# reduces high-degree pairs.  `is_groebner_basis` adds no element, so it
+# walks the initial pair set as it is.  Monomials are coprime iff their
+# support masks (`mono_mask`) share no bit, and one can divide another
+# only if its mask lies inside the other's.
 
 
 def _update_pairs(lmG, P, lmf, packing):
@@ -314,12 +319,13 @@ def _initial_pairs(lmG, packing):
 def _pair_key(i, j, lcm, lmG, sugars, order):
     d = mono_degree(lcm)
     sugar = max(sugars[i] + d - mono_degree(lmG[i]), sugars[j] + d - mono_degree(lmG[j]))
-    return (order.key(lcm), sugar, i, j)
+    return (sugar, order.key(lcm), i, j)
 
 
 class _PairQueue:
-    """Normal-selection pair queue: a heap of `_pair_key`s with lazy
-    deletion against the authoritative Gebauer-Moeller pair set `live`."""
+    """Sugar-selection pair queue: a heap of `_pair_key`s (sugar, then
+    the order's key of the lcm, then the indices) with lazy deletion
+    against the authoritative Gebauer-Moeller pair set `live`."""
 
     __slots__ = ("heap", "live")
 
@@ -336,7 +342,7 @@ class _PairQueue:
     def pop(self):
         """(pair, lcm, sugar) of the next live pair, or None."""
         while self.heap:
-            _, sugar, i, j = heapq.heappop(self.heap)
+            sugar, _, i, j = heapq.heappop(self.heap)
             lcm = self.live.pop((i, j), None)
             if lcm is not None:
                 return (i, j), lcm, sugar

@@ -15,9 +15,9 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from ladderdet.fields import GF, QQ
-from ladderdet.groebner import buchberger
-from ladderdet.poly import (ANTIDIAG, GREVLEX, Minor, Monomial, Polynomial, expand_minor, grid_var,
-                            packing_of)
+from ladderdet.groebner import Ideal, Ring, buchberger
+from ladderdet.poly import (ANTIDIAG, ELIM, GREVLEX, MONO_ONE, Minor, Monomial, Polynomial,
+                            expand_minor, grid_var, packing_of)
 from test_groebner import assert_exact_coefficients
 
 SCALARS = (-2, -1, 1, 3, Fraction(2, 3), Fraction(-1, 2))
@@ -197,3 +197,51 @@ def test_modular_3x3_bases_match_sympy():
         got = buchberger(gens, ANTIDIAG)
         expected = _sympy_groebner(gens, variables, sympy.GF(p), "lex")
         assert _basis_as_sets(got, variables) == _sympy_basis_as_sets(expected, len(variables), p)
+
+
+def _elimination_case(rng, field, coeffs):
+    """Random ideals I, J of the 2x3 grid ring, none visibly (1), and the
+    generators t*I + (1 - t)*J that `Ideal.intersect` eliminates t from."""
+    ring = Ring.for_grid(field, 2, 3)
+
+    def ideal():
+        gens = [_random_poly(rng, ring.variables, max_terms=3, max_deg=2, field=field,
+                             coeffs=coeffs, max_exp=2) for _ in range(rng.randint(1, 2))]
+        return Ideal(ring, [g for g in gens if g.terms.keys() != {MONO_ONE}])
+
+    I, J = ideal(), ideal()
+    aux = ring.fresh_aux()
+    packing = packing_of((aux,) + ring.variables)
+    t = Polynomial.variable(field, aux).repack(packing)
+    gens = [t * g.repack(packing) for g in I.gens]
+    gens += [h - t * h for h in (h.repack(packing) for h in J.gens)]
+    return ring, I, J, (aux,) + ring.variables, gens
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_elimination_bases_match_sympy(field):
+    """ELIM is lex with the auxiliary on top: buchberger under it must give
+    sympy's reduced lex basis of t*I + (1 - t)*J, and `Ideal.intersect`
+    the t-free part of that basis."""
+    rng = random.Random(48 if field is QQ else 49)
+    modulus = None if field is QQ else field.p
+    domain = sympy.QQ if field is QQ else sympy.GF(field.p)
+    coeffs = SCALARS if field is QQ else (-3, -2, -1, 1, 2, 3)
+    compared = proper = 0
+    for _ in range(14):
+        ring, I, J, variables, gens = _elimination_case(rng, field, coeffs)
+        if not I.gens or not J.gens:
+            continue
+        got = buchberger(gens, ELIM)
+        expected = _sympy_basis_as_sets(_sympy_groebner(gens, variables, domain, "lex"),
+                                        len(variables), modulus)
+        assert _basis_as_sets(got, variables) == expected
+        t_free = {frozenset((exps[1:], c) for exps, c in g)
+                  for g in expected if all(exps[0] == 0 for exps, _ in g)}
+        K = I.intersect(J)
+        if field is QQ:
+            _assert_exact_basis(K.gens)
+        assert _basis_as_sets(K.gens, ring.variables) == t_free
+        compared += 1
+        proper += bool(t_free) and not K.is_unit()
+    assert compared >= 9 and proper >= 9

@@ -17,6 +17,7 @@ from ladderdet.groebner import (
     MonomialIdeal,
     Reducer,
     Ring,
+    _PairQueue,
     _cover_bits,
     _initial_pairs,
     _update_pairs,
@@ -29,6 +30,8 @@ from ladderdet.groebner import (
     s_polynomial,
     time_limit,
 )
+from ladderdet.ideals import ladder_ring, mixed_ladder_ideal
+from ladderdet.ladders import Ladder
 from ladderdet.poly import (
     ANTIDIAG,
     ELIM,
@@ -237,6 +240,34 @@ def test_intersect_with_unit_ideal(monkeypatch):
     assert hidden.is_unit()  # caches the basis (1) under antidiag-lex
     assert hidden.intersect(J).gens == J.gens
     assert calls == [ANTIDIAG]  # only is_unit ran Buchberger
+
+
+def test_band_intersection_s_pair_count(monkeypatch):
+    """wide cap inner on the full 4x4 grid at t = 2, delta = 1, j = 1 over
+    GF(5), as in the `intersection-identity` criterion.  Counted with this
+    wrapper: sugar-first selection reduces 288 S-pairs here, and normal
+    selection (the order's key of the lcm first, sugar as a tie-break)
+    908, so a return to normal selection fails the bound."""
+    from ladderdet import groebner
+
+    calls = []
+    real = groebner.s_polynomial
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    F = GF(5)
+    L = Ladder.full(4, 4)
+    ring = ladder_ring(F, L)
+    wide = mixed_ladder_ideal(L.band("cols", 1, 4), 2, F, ring)
+    inner = mixed_ladder_ideal(L.band("cols", 2, 3), 1, F, ring)
+    monkeypatch.setattr(groebner, "s_polynomial", counted)
+    K = wide.intersect(inner)
+    assert 0 < len(calls) <= 288
+    left = mixed_ladder_ideal(L.band("cols", 1, 3), 2, F, ring)
+    right = mixed_ladder_ideal(L.band("cols", 2, 4), 2, F, ring)
+    assert (left + right).equal(K)
 
 
 def test_intersect_leaves_aux_free_basis():
@@ -918,6 +949,39 @@ def test_pair_update_edge_cases():
     # Quotient b is a lead coprime to lmf = a: no pair; quotient c (of ac)
     # is no lead.
     assert _update_pairs([b, a + c], {}, a, packing) == {(1, 2): a + c}
+
+
+def test_pair_queue_pops_by_sugar_first():
+    # a > b > c > d: x[1,2] > x[1,1] > x[2,2] > x[2,1].
+    packing = Ring.for_grid(QQ, 2, 2).packing
+    a, b, c, d = (1 << packing.shift[v] for v in packing.variables)
+    lmG = [d, c, a, b]
+    sugars = [1, 3, 1, 1]  # element 1 came from a pair of sugar 3
+    pairs = {(0, 1): c + d, (0, 2): a + d, (1, 2): a + c, (2, 3): a + b}
+    # Sugar of (i, j): max over both of sugar + deg lcm - deg lead.
+    expected = [((0, 2), a + d, 2), ((2, 3), a + b, 2), ((0, 1), c + d, 4), ((1, 2), a + c, 4)]
+    # The lex-smallest lcm, c + d, has the larger sugar, so normal selection
+    # would pop (0, 1) first.
+    assert min(pairs, key=lambda ij: ANTIDIAG.key(pairs[ij])) == (0, 1)
+
+    queue = _PairQueue()
+    queue.sync(dict(pairs), lmG, sugars, ANTIDIAG)
+    popped = []
+    while (nxt := queue.pop()) is not None:
+        popped.append(nxt)
+    # pop returns the pair's sugar, which `_buchberger_loop` gives the new
+    # element, and not the lcm's key.
+    assert popped == expected
+    assert queue.live == {}
+
+    # Lazy deletion: a pair the Gebauer-Moeller update dropped is skipped.
+    queue = _PairQueue()
+    queue.sync(dict(pairs), lmG, sugars, ANTIDIAG)
+    assert queue.pop() == expected[0]
+    live = dict(queue.live)
+    del live[2, 3]
+    queue.sync(live, lmG, sugars, ANTIDIAG)
+    assert [queue.pop(), queue.pop(), queue.pop()] == expected[2:] + [None]
 
 
 def _random_polynomial(rng, field, packing, variables):
