@@ -13,9 +13,12 @@ symbolic powers).
 `buchberger` and `is_groebner_basis` share the Gebauer-Moeller pair
 update, and both form and reduce each S-pair on the terms of a reducer's
 entries, coefficients as the polynomials hold them.  `buchberger` runs the
-driver, which selects pairs by sugar and builds Polynomials only from the
-finished basis; `is_groebner_basis` walks the pair set of its generators
-once, with no selection order, up to the first nonzero remainder.
+driver, which selects pairs by sugar, and `interreduce` finishes the
+reduced basis on the driver's own entries, building one Polynomial per
+element it keeps; an intersection interreduces only the aux-free entries.
+`is_groebner_basis` walks the pair set of its generators once, with no
+selection order, up to the first nonzero remainder.  An `Ideal` keeps the
+reducer of each cached basis for its normal forms and membership tests.
 
 Monomials are the packed ints of `poly`.  Each ring fixes one `Packing`;
 an ideal re-packs its generators into it, so every monomial of one
@@ -71,7 +74,9 @@ from .poly import (
 # Division goes through `Field.div`.  A `Reducer` entry is (lead, lead
 # coefficient, tail terms, lead's support mask).  The Buchberger driver
 # forms each S-pair from two entries and reduces it on term dicts
-# (`s_polynomial`, `Reducer.remainder`), so no S-pair becomes a Polynomial.
+# (`s_polynomial`, `Reducer.remainder`), so no S-pair becomes a Polynomial;
+# `interreduce` moves the driver's entries as they are into the reducer on
+# which it reduces their tails.
 # A difference of two terms over QQ can be an integral Fraction; the
 # remainder coerces each of its terms back to the exact form.
 
@@ -143,12 +148,15 @@ class Reducer:
     def add_terms(self, lm: int, terms: dict) -> None:
         """Add the element with terms `terms` and leading monomial lm."""
         mask = mono_mask(lm, self.packing)
-        entry = (lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm], mask)
+        self.add_entry((lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm], mask))
+
+    def add_entry(self, entry) -> None:
+        """Add an entry of another reducer of the same packing as it is."""
         self.entries.append(entry)
-        if lm == MONO_ONE:
+        if entry[0] == MONO_ONE:
             self.const = entry
         else:
-            self.by_top.setdefault(mask.bit_length(), []).append(entry)
+            self.by_top.setdefault(entry[3].bit_length(), []).append(entry)
 
     def reduce(self, f: Polynomial) -> Polynomial:
         packing = self.packing
@@ -410,32 +418,36 @@ def _buchberger_loop(gens, order):
         queue.sync(P, lmG, sugars, order)
 
 
-def interreduce(G, order: TermOrder = ANTIDIAG):
-    """Reduced basis from a Groebner basis: minimal, monic, tails reduced."""
-    G = [g.monic(order) for g in _one_packing(G) if not g.is_zero]
-    if not G:
-        return []
-    G.sort(key=lambda g: order.key(g.leading_term(order)[0]))
-    packing = G[0].packing
-    minimal = []
-    leads = []
-    for g in G:
-        lm = g.leading_term(order)[0]
-        mask = mono_mask(lm, packing)
-        if not any(not mh & ~mask and mono_divides(h, lm, packing.guard) for h, mh in leads):
-            minimal.append(g)
-            leads.append((lm, mask))
-    # A lead never divides a smaller term, so reducing a tail against all of
-    # `minimal` is reducing it against the other elements.
-    reducer = Reducer(minimal, order)
-    field = reducer.field
+def interreduce(entries, order: TermOrder, field: Field, packing: Packing) -> list[Polynomial]:
+    """Reduced basis from the monic `Reducer` entries of a Groebner basis in
+    `packing`: the entries with minimal leads, sorted by lead, tails reduced.
+
+    Of entries that share a lead the first is kept.  The kept entries go
+    into one reducer as they are, and each of its tails is reduced on it: a
+    lead never divides a smaller term, so that is reducing the tail against
+    the other elements.
+    """
+    guard = packing.guard
+    reducer = Reducer((), order, field, packing)
+    kept = reducer.entries
+    for entry in sorted(entries, key=lambda e: order.key(e[0])):
+        lm, mask = entry[0], entry[3]
+        if not any(not mh & ~mask and mono_divides(h, lm, guard) for h, _, _, mh in kept):
+            reducer.add_entry(entry)
     return [Polynomial(field, {lm: lc, **reducer.remainder(dict(tail))}, packing)
-            for lm, lc, tail, _ in reducer.entries]  # sorted by lead, as `minimal` is
+            for lm, lc, tail, _ in kept]
 
 
-def buchberger(gens, order: TermOrder = ANTIDIAG):
+def buchberger(gens, order: TermOrder = ANTIDIAG, below: int | None = None):
     """Reduced Groebner basis of the ideal generated by `gens`, in the
-    packing of their joint variables."""
+    packing of their joint variables.
+
+    With `below`, a monomial of that packing, only the elements whose lead
+    is less than `below` are interreduced and returned.  Under ELIM with
+    `below` the auxiliary variable on top, they are the reduced basis of
+    the elimination ideal: the aux-free part of a Groebner basis under an
+    elimination order is a Groebner basis of the elimination ideal.
+    """
     gens = _one_packing(g for g in gens if not g.is_zero)
     if not gens:
         return []
@@ -443,8 +455,10 @@ def buchberger(gens, order: TermOrder = ANTIDIAG):
     entries = _buchberger_loop(gens, order)
     if entries is None:
         return [Polynomial(field, {MONO_ONE: field.one}, packing)]
-    return interreduce([Polynomial(field, {lm: lc, **dict(tail)}, packing)
-                        for lm, lc, tail, _ in entries], order)
+    if below is not None:
+        below = order.key(below)
+        entries = [e for e in entries if order.key(e[0]) < below]
+    return interreduce(entries, order, field, packing)
 
 
 def is_groebner_basis(gens, order: TermOrder = ANTIDIAG) -> bool:
@@ -518,9 +532,10 @@ class Ring:
 
 
 class Ideal:
-    """An ideal given by generators, with cached reduced Groebner bases."""
+    """An ideal given by generators, with cached reduced Groebner bases and
+    the reducers of those bases."""
 
-    __slots__ = ("ring", "gens", "_cache")
+    __slots__ = ("ring", "gens", "_cache", "_reducers")
 
     def __init__(self, ring: Ring, gens):
         """Generators are re-packed into the ring; repeats are dropped,
@@ -540,6 +555,8 @@ class Ideal:
                 kept.append(g)
         self.gens = tuple(kept)
         self._cache: dict[TermOrder, tuple[Polynomial, ...]] = {}
+        # order -> {packing: Reducer of the cached basis in that packing}
+        self._reducers: dict[TermOrder, dict[Packing, Reducer]] = {}
 
     # -- basics
 
@@ -552,10 +569,21 @@ class Ideal:
     def _seed_basis(self, order: TermOrder, basis) -> None:
         """Install a known reduced Groebner basis (internal)."""
         self._cache[order] = tuple(basis)
+        self._reducers.pop(order, None)
 
     def normal_form(self, f: Polynomial, order: TermOrder = ANTIDIAG) -> Polynomial:
+        """Remainder of f on division by the reduced basis, as
+        `normal_form(f, basis)` gives it: in the packing of the joint
+        variables of f and the ring, on the reducer kept for that packing."""
         basis = self.groebner_basis(order)
-        return normal_form(f, basis, order) if basis else f
+        if not basis:
+            return f
+        packing = join_packings(f.packing, self.ring.packing)
+        reducers = self._reducers.setdefault(order, {})
+        reducer = reducers.get(packing)
+        if reducer is None:
+            reducer = reducers.setdefault(packing, Reducer(basis, order, self.ring.field, packing))
+        return reducer.reduce(f)
 
     def contains(self, f: Polynomial, order: TermOrder = ANTIDIAG) -> bool:
         return self.normal_form(f, order).is_zero
@@ -627,11 +655,10 @@ class Ideal:
         t = 1 << packing.shift[aux]
         gens = [g.repack(packing).mul_term(t, 1) for g in self.gens]
         gens += [h - h.mul_term(t, 1) for h in (h.repack(packing) for h in other.gens)]
-        basis = buchberger(gens, ELIM)
         # ELIM is lex with the auxiliaries on top, so an element whose lead
-        # is aux-free has no aux in any term.
+        # is below t has no aux in any term; only those are interreduced.
         kept = [Polynomial(ring.field, b.terms, ring.packing)
-                for b in basis if b.leading_term(ELIM)[0] < t]
+                for b in buchberger(gens, ELIM, below=t)]
         out = Ideal(ring, kept)
         # The aux-free slice of the reduced elimination basis is the reduced
         # basis of the intersection under the inner (antidiagonal) order.
@@ -688,8 +715,10 @@ class Ideal:
         return out
 
     def initial_ideal(self, order: TermOrder = ANTIDIAG) -> "MonomialIdeal":
+        """The leads of the reduced basis, which are the minimal generators:
+        every cached basis is reduced."""
         basis = self.groebner_basis(order)
-        return MonomialIdeal.from_monomials(self.ring, [g.leading_term(order)[0] for g in basis])
+        return MonomialIdeal(self.ring, tuple(sorted(g.leading_term(order)[0] for g in basis)))
 
     def canonical_strings(self, order: TermOrder = ANTIDIAG) -> list[str]:
         """Reduced basis in the textual format, sorted by leading monomial."""

@@ -193,6 +193,7 @@ class Ladder:
         k, l = self.shape
         lines = []
         for i in range(1, k + 1):
+            _check_deadline()
             lines.append("".join("#" if (i, j) in self.cells else "." for j in range(1, l + 1)))
         return "\n".join(lines)
 

@@ -18,8 +18,10 @@ from ladderdet.groebner import (
     Reducer,
     Ring,
     _PairQueue,
+    _buchberger_loop,
     _cover_bits,
     _initial_pairs,
+    _one_packing,
     _update_pairs,
     buchberger,
     interreduce,
@@ -44,6 +46,7 @@ from ladderdet.poly import (
     MONO_ONE,
     ExponentOverflow,
     Monomial,
+    _packing,
     join_packings,
     mono,
     mono_div,
@@ -210,9 +213,9 @@ def _count_buchberger(monkeypatch):
     calls = []
     real = groebner.buchberger
 
-    def counted(gens, order=ANTIDIAG):
+    def counted(gens, order=ANTIDIAG, **kwargs):
         calls.append(order)
-        return real(gens, order)
+        return real(gens, order, **kwargs)
 
     monkeypatch.setattr(groebner, "buchberger", counted)
     return calls
@@ -1124,9 +1127,19 @@ def test_rational_results_hold_exact_coefficients():
                  - g.mul_term(mono_div(lcm, lmg, packing.guard), QQ.inv(lcg)))
 
 
+def _driver_entries(gens, order):
+    """The generators in one packing, and the monic `Reducer` entries the
+    Buchberger driver ends with on them."""
+    gens = _one_packing(g for g in gens if not g.is_zero)
+    return gens, _buchberger_loop(gens, order)
+
+
 def test_interreduce_produces_monic_antichain():
     gens = [minor((1, 2), (1, 2)), P("2*x[1,1]"), P("x[1,1]*x[2,2] + x[1,1]")]
-    reduced = interreduce(buchberger(gens))
+    gens, entries = _driver_entries(gens, ANTIDIAG)
+    reduced = interreduce(entries, ANTIDIAG, QQ, gens[0].packing)
+    assert len(reduced) < len(entries)
+    assert reduced == buchberger(gens)
     leads = [g.leading_term(ANTIDIAG) for g in reduced]
     assert all(c == 1 for _, c in leads)
     guard = reduced[0].packing.guard
@@ -1135,6 +1148,144 @@ def test_interreduce_produces_monic_antichain():
         for jj, (mj, _) in enumerate(leads):
             if i != jj:
                 assert not mono_divides(mi, mj, guard)
+
+
+def _reference_interreduce(G, order):
+    """Reduced basis from a Groebner basis given as Polynomials, as
+    `interreduce` built it before it took the driver's entries."""
+    G = [g.monic(order) for g in _one_packing(G) if not g.is_zero]
+    if not G:
+        return []
+    G.sort(key=lambda g: order.key(g.leading_term(order)[0]))
+    packing = G[0].packing
+    minimal = []
+    leads = []
+    for g in G:
+        lm = g.leading_term(order)[0]
+        mask = mono_mask(lm, packing)
+        if not any(not mh & ~mask and mono_divides(h, lm, packing.guard) for h, mh in leads):
+            minimal.append(g)
+            leads.append((lm, mask))
+    reducer = Reducer(minimal, order)
+    field = reducer.field
+    return [Polynomial(field, {lm: lc, **reducer.remainder(dict(tail))}, packing)
+            for lm, lc, tail, _ in reducer.entries]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX, ELIM], ids=str)
+def test_interreduce_of_driver_entries_matches_the_polynomial_reference(field, order):
+    rng = random.Random(9173)
+    variables = [gv(i, j) for i in (1, 2) for j in (1, 2)]
+    if order is ELIM:
+        variables.append(aux_var("t"))
+    packing = Ring(field, tuple(variables)).packing
+    units = [packing.pack([(v, 1)]) for v in variables]
+    shared = checked = dropped = 0
+    for _ in range(30):
+        # No constant terms, so that few of these ideals are (1).
+        gens = [Polynomial(field, {m: c for m, c in f.terms.items() if m != MONO_ONE}, packing)
+                for f in (_random_polynomial(rng, field, packing, variables)
+                          for _ in range(rng.randint(1, 3)))]
+        gens = [g for g in gens if not g.is_zero]
+        if not gens:
+            continue
+        # A generator that shares its lead with another, by a variable
+        # below that lead.
+        g = gens[0]
+        lm = g.leading_term(order)[0]
+        below = [u for u in units if order.key(u) < order.key(lm)]
+        if below:
+            gens.append(g.mul_term(MONO_ONE, 2) + Polynomial(field, {rng.choice(below): 1}, packing))
+        gens, entries = _driver_entries(gens, order)
+        if entries is None:  # the unit ideal
+            continue
+        checked += 1
+        shared += len({e[0] for e in entries[:len(gens)]}) < len(gens)
+        entry_polys = [Polynomial(field, {lm: lc, **dict(tail)}, packing)
+                       for lm, lc, tail, _ in entries]
+        reduced = interreduce(entries, order, field, packing)
+        expected = _reference_interreduce(entry_polys, order)
+        assert reduced == expected
+        assert [g.terms for g in reduced] == [g.terms for g in expected]
+        assert reduced == buchberger(gens, order)
+        dropped += len(reduced) < len(entries)
+    assert checked >= 20 and shared >= 10 and dropped >= 10
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_intersect_is_the_aux_free_slice_of_the_full_elimination(field):
+    rng = random.Random(6151)
+    ring = Ring.for_grid(field, 2, 2)
+    variables = list(ring.variables)
+
+    def random_ideal():
+        # One or two polynomials of 2 or 3 terms of degree 1 or 2: a lex
+        # elimination of more or larger ones can run for seconds.
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            terms = {}
+            for _ in range(rng.randint(2, 3)):
+                m = ring.packing.pack((rng.choice(variables), 1) for _ in range(rng.randint(1, 2)))
+                terms[m] = (field.div(rng.choice([1, -1, 2, -3]), rng.choice([1, 1, 2, 3]))
+                            if field.p is None else rng.randrange(1, field.p))
+            gens.append(Polynomial(field, terms, ring.packing))
+        return Ideal(ring, gens)
+
+    def hidden_unit(x):
+        v = Polynomial(field, {ring.packing.pack([(x, 1)]): 1}, ring.packing)
+        return Ideal(ring, [v, v + Polynomial(field, {MONO_ONE: 1}, ring.packing)])
+
+    cases = [(random_ideal(), random_ideal()) for _ in range(12)]
+    cases.append((hidden_unit(gv(1, 1)), hidden_unit(gv(2, 2))))  # (1) cap (1) = (1)
+    for I, J in cases:
+        if I._known_unit() or J._known_unit():
+            continue
+        aux = ring.fresh_aux()
+        packing = _packing((aux,) + ring.variables)
+        t = 1 << packing.shift[aux]
+        gens = [g.repack(packing).mul_term(t, 1) for g in I.gens]
+        gens += [h - h.mul_term(t, 1) for h in (h.repack(packing) for h in J.gens)]
+        full = buchberger(gens, ELIM)
+        expected = [Polynomial(field, b.terms, ring.packing)
+                    for b in full if b.leading_term(ELIM)[0] < t]
+        K = I.intersect(J)
+        assert list(K.gens) == expected
+        assert [g.terms for g in K.groebner_basis()] == [g.terms for g in expected]
+        assert K.groebner_basis() == tuple(buchberger(K.gens))
+    K = cases[-1][0].intersect(cases[-1][1])
+    assert K.gens == (Polynomial.one(field),) and K.is_unit()
+
+
+@pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX], ids=str)
+def test_ideal_normal_form_on_the_kept_reducer(order):
+    ring = Ring.for_grid(QQ, 2, 3)
+    I = Ideal(ring, [minor((1, 2), c) for c in [(1, 2), (1, 3), (2, 3)]] + [P("x[1,1]^2")])
+    inside = [P("x[1,1]*x[2,2]"), P("x[1,2]*x[2,3] + 3*x[1,1]"),
+              P("x[1,3]*x[2,1]*x[2,2] - 2/3*x[1,1]^3"), P("x[2,3]")]
+    outside = [P("x[3,1]*x[1,2]*x[2,1]"), P("x[1,2]*x[2,1]*x[3,3] - x[1,1]^2*x[3,3]"),
+               P("x[4,4]")]  # variables outside the ring
+
+    def check(ideal, basis):
+        for f in inside + outside + inside:
+            got, expected = ideal.normal_form(f, order), normal_form(f, basis, order)
+            assert got == expected and got.packing is expected.packing
+            assert ideal.contains(f, order) == expected.is_zero
+
+    basis = I.groebner_basis(order)
+    check(I, basis)
+    reducers = I._reducers[order]
+    assert ring.packing in reducers and len(reducers) == 1 + len(outside)
+    kept = dict(reducers)
+    check(I, basis)
+    assert all(I._reducers[order][k] is r for k, r in kept.items())  # reused, not rebuilt
+    # A basis installed after an earlier normal form replaces its reducers.
+    other = Ideal(ring, [P("x[1,1]"), P("x[2,2] - x[1,3]")]).groebner_basis(order)
+    I._seed_basis(order, other)
+    assert order not in I._reducers
+    check(I, other)
+    assert I.initial_ideal(order) == MonomialIdeal.from_monomials(
+        ring, [g.leading_term(order)[0] for g in other])
 
 
 def test_golden_reduced_basis_strings():

@@ -3,6 +3,7 @@ chamfering and width descent."""
 
 import json
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -25,7 +26,7 @@ from ladderdet.ladders import (
     unmix_distance,
     validate,
 )
-from ladderdet.poly import Minor
+from ladderdet.poly import InstanceTooLarge, Minor, time_limit
 
 def staircase10():
     ladder, t = ladderdet.load_fixture("staircase10")
@@ -351,6 +352,18 @@ def test_json_roundtrip_and_render():
     assert art == "###\n###"
     block = Ladder((3, 3), ((1, 3),), ((2, 2),))
     assert block.render() == ".##\n.##\n..."
+
+
+def test_render_honours_time_limit():
+    # Rendering a 700 x 700 ladder takes about 0.07 s on a 2-CPU machine,
+    # with its cells already read; the budget is checked once per row.
+    L = Ladder.full(700, 700)
+    assert len(L.cells) == 700 * 700
+    start = time.monotonic()
+    with pytest.raises(InstanceTooLarge):
+        with time_limit(0.001):
+            L.render()
+    assert time.monotonic() - start < 0.5
 
 
 def test_size_vector_accepted_forms():
