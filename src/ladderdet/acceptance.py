@@ -57,7 +57,7 @@ def _legal_unmixed_sizes(L: Ladder):
 
 def _random_unmixed(seed: int, count: int, max_size: int):
     rng = random.Random(seed)
-    return [random_valid_ladder(rng, max_size, max_size, mixed=False) for _ in range(count)]
+    return [random_valid_ladder(rng, max_size, mixed=False) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,7 @@ def criterion_chamfer_descent(seed: int = DEFAULT_SEED):
     ok = True
     details = []
     for _ in range(100):
-        L, t = random_valid_ladder(rng, 8, 8, mixed=True)
+        L, t = random_valid_ladder(rng, 8, mixed=True)
         try:
             red = reduce_to_unmixed(L, t)
         except ChamferError as exc:

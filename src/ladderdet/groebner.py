@@ -11,11 +11,13 @@ multiplicity from the Hilbert series by a memoised pivot recursion;
 symbolic powers).
 
 `buchberger` and `is_groebner_basis` share the Gebauer-Moeller pair
-update, and both form and reduce each S-pair on the terms of a reducer's
-entries, coefficients as the polynomials hold them.  `buchberger` runs the
-driver, which selects pairs by sugar, and `interreduce` finishes the
-reduced basis on the driver's own entries, building one Polynomial per
-element it keeps; an intersection interreduces only the aux-free entries.
+update, which edits one pair dict in place, and both form and reduce each
+S-pair on the terms of a reducer's entries, coefficients as the
+polynomials hold them.  `buchberger` runs the driver, which selects pairs
+by sugar from a heap that holds the keys of the pairs each update adds,
+and `interreduce` finishes the reduced basis on the driver's own entries,
+building one Polynomial per element it keeps; an intersection
+interreduces only the aux-free entries.
 `is_groebner_basis` walks the pair set of its generators once, with no
 selection order, up to the first nonzero remainder.  An `Ideal` keeps the
 reducer of each cached basis for its normal forms and membership tests.
@@ -237,10 +239,12 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 #
 # A pair set is a dict {(i, j): lcm of the leads of i and j}, each lcm
 # computed once, when the pair is made.  It never holds a pair of coprime
-# leads.  `buchberger` selects its pairs from a heap over the pair set,
-# ordered by the sugar strategy of Giovini et al. (ISSAC 1991): sugar
-# first, then the order's key of the lcm, then the indices.  On a lex
-# order such as ELIM this completes the basis in low sugar before it
+# leads.  A run keeps one pair set, which each Gebauer-Moeller update
+# edits in place.  `buchberger` pushes the key of each pair an update adds
+# onto a heap, ordered by the sugar strategy of Giovini et al. (ISSAC
+# 1991): sugar first, then the order's key of the lcm, then the indices.
+# A popped key whose pair the update has since dropped is skipped.  On a
+# lex order such as ELIM this completes the basis in low sugar before it
 # reduces high-degree pairs.  `is_groebner_basis` adds no element, so it
 # walks the initial pair set as it is.  Monomials are coprime iff their
 # support masks (`mono_mask`) share no bit, and one can divide another
@@ -248,8 +252,9 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 
 
 def _update_pairs(lmG, P, lmf, packing):
-    """Gebauer-Moeller pair update; returns the new pair set after adding
-    an element with lead monomial lmf to a basis with lead monomials lmG.
+    """Gebauer-Moeller pair update, in place: makes the pair set P that of
+    the basis with lead monomials lmG after adding an element with lead
+    monomial lmf, and returns the pairs it added, a dict of its own.
 
     The new pairs are (first index of L, n) for each minimal lcm L of lmf
     with a lead, unless a lead of L's group is coprime to lmf.  Each such L
@@ -271,11 +276,10 @@ def _update_pairs(lmG, P, lmf, packing):
     # B_k(i, j) drops the pair when lmf | lcm_ij and lcm_ij differs from
     # both lcm(lm_i, lmf) and lcm(lm_j, lmf).  lmf | lcm_ij is tested
     # inline: no field of lcm_ij - lmf borrows.
-    kept = P.copy()
     for ij, L in [(ij, L) for ij, L in P.items() if not (L - lmf) & guard]:
         i, j = ij
         if lcms[i] != L and lcms[j] != L:
-            del kept[ij]
+            del P[ij]
 
     first = dict(zip(reversed(lcms), range(n - 1, -1, -1)))  # lcm -> its first index
     if lmf in first:
@@ -305,6 +309,7 @@ def _update_pairs(lmG, P, lmf, packing):
     # a group holds one exactly when its quotient is a lead coprime to lmf.
     maskf = (lmf + low) & guard
     leads = None
+    new = {}
     for q in minimal:
         if not (q + low) & maskf:
             if leads is None:
@@ -312,15 +317,17 @@ def _update_pairs(lmG, P, lmf, packing):
             if q in leads:
                 continue
         L = q + lmf
-        kept[first[L], n] = L
-    return kept
+        new[first[L], n] = L
+    P.update(new)
+    return new
 
 
 def _initial_pairs(lmG, packing):
-    """Pair set of a basis with lead monomials lmG, added one at a time."""
+    """Pair set of a basis with lead monomials lmG, added one at a time to
+    one dict."""
     P: dict = {}
     for n, lm in enumerate(lmG):
-        P = _update_pairs(lmG[:n], P, lm, packing)
+        _update_pairs(lmG[:n], P, lm, packing)
     return P
 
 
@@ -328,33 +335,6 @@ def _pair_key(i, j, lcm, lmG, sugars, order):
     d = mono_degree(lcm)
     sugar = max(sugars[i] + d - mono_degree(lmG[i]), sugars[j] + d - mono_degree(lmG[j]))
     return (sugar, order.key(lcm), i, j)
-
-
-class _PairQueue:
-    """Sugar-selection pair queue: a heap of `_pair_key`s (sugar, then
-    the order's key of the lcm, then the indices) with lazy deletion
-    against the authoritative Gebauer-Moeller pair set `live`."""
-
-    __slots__ = ("heap", "live")
-
-    def __init__(self):
-        self.heap: list = []
-        self.live: dict = {}
-
-    def sync(self, pairs, lmG, sugars, order):
-        for pair, lcm in pairs.items():
-            if pair not in self.live:
-                heapq.heappush(self.heap, _pair_key(*pair, lcm, lmG, sugars, order))
-        self.live = pairs
-
-    def pop(self):
-        """(pair, lcm, sugar) of the next live pair, or None."""
-        while self.heap:
-            sugar, _, i, j = heapq.heappop(self.heap)
-            lcm = self.live.pop((i, j), None)
-            if lcm is not None:
-                return (i, j), lcm, sugar
-        return None
 
 
 def _monic_terms(terms: dict, lm: int, field: Field) -> dict:
@@ -396,26 +376,29 @@ def _buchberger_loop(gens, order):
     entries = reducer.entries
     lmG = [e[0] for e in entries]
     sugars = [f.degree() for f in gens]
-    queue = _PairQueue()
-    queue.sync(_initial_pairs(lmG, packing), lmG, sugars, order)
+    P = _initial_pairs(lmG, packing)
+    heap = [_pair_key(*pair, lcm, lmG, sugars, order) for pair, lcm in P.items()]
+    heapq.heapify(heap)
 
-    while True:
+    while heap:
         _check_deadline()
-        popped = queue.pop()
-        if popped is None:
-            return entries
-        (i, j), lcm, pair_sugar = popped
+        pair_sugar, _, i, j = heapq.heappop(heap)
+        lcm = P.pop((i, j), None)
+        if lcm is None:  # dropped by an update after it was pushed
+            continue
         rem = reducer.remainder(s_polynomial(entries[i], entries[j], lcm, guard, field))
         if not rem:
             continue
         lmr = next(iter(rem))  # the remainder comes leading term first
         if lmr == MONO_ONE:
             return None
-        P = _update_pairs(lmG, queue.live, lmr, packing)
+        new = _update_pairs(lmG, P, lmr, packing)
         reducer.add_terms(lmr, _monic_terms(rem, lmr, field))
         lmG.append(lmr)
         sugars.append(pair_sugar)
-        queue.sync(P, lmG, sugars, order)
+        for pair, lcm in new.items():
+            heapq.heappush(heap, _pair_key(*pair, lcm, lmG, sugars, order))
+    return entries
 
 
 def interreduce(entries, order: TermOrder, field: Field, packing: Packing) -> list[Polynomial]:
@@ -486,6 +469,9 @@ def is_groebner_basis(gens, order: TermOrder = ANTIDIAG) -> bool:
 
 # ---------------------------------------------------------------------------
 # Rings and ideals
+
+# Colon steps `Ideal.saturate` takes before it gives up on a fixpoint.
+_SATURATION_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -685,16 +671,18 @@ class Ideal:
             result = part if result is None else result.intersect(part)
         return result
 
-    def saturate(self, other: "Ideal", cap: int = 50) -> tuple["Ideal", int]:
+    def saturate(self, other: "Ideal") -> tuple["Ideal", int]:
         """(I : J^infinity) by iterating colon to a fixpoint; returns the
-        stable ideal and the number of strict growth steps."""
+        stable ideal and the number of strict growth steps.  Raises
+        InstanceTooLarge when `_SATURATION_STEPS` colons reach no fixpoint."""
         current = self
-        for n in range(cap):
+        for n in range(_SATURATION_STEPS):
             nxt = current.colon(other)
             if current.contains_ideal(nxt):
                 return current, n
             current = nxt
-        raise InstanceTooLarge(f"saturation did not stabilize within {cap} colon iterations")
+        raise InstanceTooLarge(
+            f"saturation did not stabilize within {_SATURATION_STEPS} colon iterations")
 
     def bracket(self, q: int) -> "Ideal":
         """Frobenius bracket power I^[q]: generators raised to the q-th power."""

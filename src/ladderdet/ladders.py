@@ -568,13 +568,16 @@ def reduce_to_unmixed(L: Ladder, t) -> UnmixReduction:
 # ---------------------------------------------------------------------------
 # Seeded random valid ladders (fixtures for the property suites)
 
+_MAX_T = 3
+_SAMPLE_ATTEMPTS = 2000
 
-def random_valid_ladder(rng, max_rows: int, max_cols: int, mixed: bool = False,
-                        max_t: int = 3, attempts: int = 2000):
-    """A uniform-ish random (ladder, t) pair passing validation."""
-    for _ in range(attempts):
-        k = rng.randint(2, max_rows)
-        l = rng.randint(2, max_cols)
+
+def random_valid_ladder(rng, max_size: int, mixed: bool = False):
+    """A uniform-ish random (ladder, t) pair passing validation, on a grid
+    of at most max_size rows and columns, with each t at most `_MAX_T`."""
+    for _ in range(_SAMPLE_ATTEMPTS):
+        k = rng.randint(2, max_size)
+        l = rng.randint(2, max_size)
         u = rng.randint(1, min(3, k, l))
         v = rng.randint(1, min(4 if mixed else 3, k, l))
         try:
@@ -592,12 +595,13 @@ def random_valid_ladder(rng, max_rows: int, max_cols: int, mixed: bool = False,
         except LadderError:
             continue
         if mixed:
-            t = tuple(rng.randint(1, max_t) for _ in range(v))
+            t = tuple(rng.randint(1, _MAX_T) for _ in range(v))
         else:
-            t = (rng.randint(1, max_t),) * v
+            t = (rng.randint(1, _MAX_T),) * v
         try:
             if validate(ladder, t).valid:
                 return ladder, t
         except LadderError:
             continue
-    raise LadderError("could not sample a valid ladder; loosen the parameters")
+    raise LadderError(f"could not sample a valid ladder in {_SAMPLE_ATTEMPTS} attempts; "
+                      "raise max_size")

@@ -5,8 +5,10 @@ replaced: the B_k scan tests a support-mask inclusion before calling
 `mono_divides`, the lcm groups are always sorted with the order's key and
 each is compared with every minimal one before it, and the coprime-lead
 criterion is checked on the groups' members after the minimal lcms are
-known.  Both must give the same pair dict {(i, j): lcm of the leads of i
-and j}; the one in groebner needs neither the leads' masks nor the order.
+known.  This one returns a new pair dict {(i, j): lcm of the leads of i
+and j}; the one in groebner edits its one pair dict in place into the same
+dict and returns the pairs it added, and needs neither the leads' masks
+nor the order.
 """
 
 from ladderdet.poly import mono_divides, mono_lcm, mono_mask

@@ -17,7 +17,6 @@ from ladderdet.groebner import (
     MonomialIdeal,
     Reducer,
     Ring,
-    _PairQueue,
     _buchberger_loop,
     _cover_bits,
     _initial_pairs,
@@ -49,6 +48,7 @@ from ladderdet.poly import (
     _packing,
     join_packings,
     mono,
+    mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -309,6 +309,20 @@ def test_colon_and_saturation():
     assert steps == 2 and sat.is_unit()
     again = sat.colon(Ideal(ring, [x]))
     assert again.equal(sat)
+
+
+def test_saturation_gives_up_after_its_step_cap(monkeypatch):
+    # (x^2) : x^infinity grows twice, (x^2) < (x) < (1), so a cap of two
+    # colon steps never sees the fixpoint.
+    from ladderdet import groebner
+
+    ring = Ring.for_grid(QQ, 2, 2)
+    x = P("x[1,1]")
+    monkeypatch.setattr(groebner, "_SATURATION_STEPS", 2)
+    with pytest.raises(InstanceTooLarge, match="within 2 colon iterations"):
+        Ideal(ring, [x * x]).saturate(Ideal(ring, [x]))
+    monkeypatch.setattr(groebner, "_SATURATION_STEPS", 3)
+    assert Ideal(ring, [x * x]).saturate(Ideal(ring, [x]))[1] == 2
 
 
 def test_colon_degenerate_inputs():
@@ -846,15 +860,20 @@ def test_initial_pairs_match_set_based_reference(order):
 
 
 def _assert_updates_match_reference(lmG, order, packing, rng):
-    # Step by step, from the pair sets the reference reaches, with live
-    # pairs dropped at random between steps as the Buchberger queue pops
-    # them.
+    # Step by step on one pair set, which the update edits in place, with
+    # live pairs dropped at random between steps as the Buchberger driver
+    # pops them.  The update returns the pairs it added: those of the new
+    # lead, index n.
     masks = [mono_mask(lm, packing) for lm in lmG]
     P: dict = {}
     for n, lm in enumerate(lmG):
         expected = reference_pairs.update_pairs(lmG[:n], masks, P, lm, order, packing)
-        assert _update_pairs(lmG[:n], P, lm, packing) == expected
-        P = {pair: lcm for pair, lcm in expected.items() if rng.random() < 0.8}
+        new = _update_pairs(lmG[:n], P, lm, packing)
+        assert P == expected
+        assert new == {pair: lcm for pair, lcm in P.items() if pair[1] == n}
+        for pair in expected:
+            if rng.random() >= 0.8:
+                del P[pair]
     assert _initial_pairs(lmG, packing) == reference_pairs.initial_pairs(lmG, order, packing)
 
 
@@ -941,50 +960,103 @@ def test_pair_update_edge_cases():
     # a > b > c: x[1,2] > x[1,1] > x[2,2].
     packing = Ring.for_grid(QQ, 2, 2).packing
     a, b, c = (1 << packing.shift[v] for v in packing.variables[:3])
-    # q = 1: the lead a divides lmf = ab, so ab is the only minimal lcm; bc
-    # shares b with lmf, and its lcm abc (quotient c) is no minimal one.
-    assert _update_pairs([a, b + c], {}, a + b, packing) == {(0, 2): a + b}
-    # Quotients a (from a^2) and a^2 (from a^3): only a is minimal.
-    assert _update_pairs([2 * a, 3 * a], {(0, 1): 3 * a}, a + b, packing) == {
-        (0, 1): 3 * a, (0, 2): 2 * a + b}
-    # One group, lcm ab, holds ab and the lead b, which is coprime to a.
-    assert _update_pairs([a + b, b], {(0, 1): a + b}, a, packing) == {(0, 1): a + b}
-    # Quotient b is a lead coprime to lmf = a: no pair; quotient c (of ac)
-    # is no lead.
-    assert _update_pairs([b, a + c], {}, a, packing) == {(1, 2): a + c}
+    # Each case: leads, pair set, lmf, the pairs added, the pair set after.
+    cases = [
+        # q = 1: the lead a divides lmf = ab, so ab is the only minimal
+        # lcm; bc shares b with lmf, and its lcm abc (quotient c) is no
+        # minimal one.
+        ([a, b + c], {}, a + b, {(0, 2): a + b}, {(0, 2): a + b}),
+        # Quotients a (from a^2) and a^2 (from a^3): only a is minimal.
+        ([2 * a, 3 * a], {(0, 1): 3 * a}, a + b,
+         {(0, 2): 2 * a + b}, {(0, 1): 3 * a, (0, 2): 2 * a + b}),
+        # One group, lcm ab, holds ab and the lead b, which is coprime to a.
+        ([a + b, b], {(0, 1): a + b}, a, {}, {(0, 1): a + b}),
+        # Quotient b is a lead coprime to lmf = a: no pair; quotient c (of
+        # ac) is no lead.
+        ([b, a + c], {}, a, {(1, 2): a + c}, {(1, 2): a + c}),
+        # B_k: b divides abc = lcm(ab, bc), which differs from ab and bc,
+        # so the pair (0, 1) is deleted from the pair set.
+        ([a + b, b + c], {(0, 1): a + b + c}, b,
+         {(0, 2): a + b, (1, 2): b + c}, {(0, 2): a + b, (1, 2): b + c}),
+    ]
+    for lmG, pairs, lmf, added, after in cases:
+        assert _update_pairs(lmG, pairs, lmf, packing) == added
+        assert pairs == after
 
 
-def test_pair_queue_pops_by_sugar_first():
-    # a > b > c > d: x[1,2] > x[1,1] > x[2,2] > x[2,1].
-    packing = Ring.for_grid(QQ, 2, 2).packing
-    a, b, c, d = (1 << packing.shift[v] for v in packing.variables)
-    lmG = [d, c, a, b]
-    sugars = [1, 3, 1, 1]  # element 1 came from a pair of sugar 3
-    pairs = {(0, 1): c + d, (0, 2): a + d, (1, 2): a + c, (2, 3): a + b}
-    # Sugar of (i, j): max over both of sugar + deg lcm - deg lead.
-    expected = [((0, 2), a + d, 2), ((2, 3), a + b, 2), ((0, 1), c + d, 4), ((1, 2), a + c, 4)]
-    # The lex-smallest lcm, c + d, has the larger sugar, so normal selection
-    # would pop (0, 1) first.
-    assert min(pairs, key=lambda ij: ANTIDIAG.key(pairs[ij])) == (0, 1)
+def test_driver_pops_live_pairs_by_sugar_first(monkeypatch):
+    """Replays the pair updates and S-pairs of one Buchberger run: the
+    ELIM intersection of the 2-minors of columns 1-2 and 2-4 of the 4x4
+    grid over GF(5).  Its generators t*f and (1 - t)*g are inhomogeneous,
+    so sugar can exceed degree, and its updates drop pairs the driver has
+    already pushed.  Each S-pair must be the live pair of least (sugar,
+    order's key of the lcm, indices); a new element must take the sugar of
+    the pair it came from; and a pair an update drops must never be
+    reduced."""
+    from ladderdet import groebner
 
-    queue = _PairQueue()
-    queue.sync(dict(pairs), lmG, sugars, ANTIDIAG)
-    popped = []
-    while (nxt := queue.pop()) is not None:
-        popped.append(nxt)
-    # pop returns the pair's sugar, which `_buchberger_loop` gives the new
-    # element, and not the lcm's key.
-    assert popped == expected
-    assert queue.live == {}
+    events, runs = [], []
+    real_update, real_spoly, real_loop = (
+        groebner._update_pairs, groebner.s_polynomial, groebner._buchberger_loop)
 
-    # Lazy deletion: a pair the Gebauer-Moeller update dropped is skipped.
-    queue = _PairQueue()
-    queue.sync(dict(pairs), lmG, sugars, ANTIDIAG)
-    assert queue.pop() == expected[0]
-    live = dict(queue.live)
-    del live[2, 3]
-    queue.sync(live, lmG, sugars, ANTIDIAG)
-    assert [queue.pop(), queue.pop(), queue.pop()] == expected[2:] + [None]
+    def update(lmG, pairs, lmf, packing):
+        before = list(pairs)
+        added = real_update(lmG, pairs, lmf, packing)
+        events.append(("update", len(lmG), [ij for ij in before if ij not in pairs], added))
+        return added
+
+    def spoly(a, b, lcm, guard, field):
+        events.append(("spair", a, b, lcm))
+        return real_spoly(a, b, lcm, guard, field)
+
+    def loop(gens, order):
+        entries = real_loop(gens, order)
+        runs.append((gens, order, entries))
+        return entries
+
+    F = GF(5)
+    L = Ladder.full(4, 4)
+    ring = ladder_ring(F, L)
+    left = mixed_ladder_ideal(L.band("cols", 1, 2), 2, F, ring)
+    right = mixed_ladder_ideal(L.band("cols", 2, 4), 2, F, ring)
+    monkeypatch.setattr(groebner, "_update_pairs", update)
+    monkeypatch.setattr(groebner, "s_polynomial", spoly)
+    monkeypatch.setattr(groebner, "_buchberger_loop", loop)
+    left.intersect(right)
+
+    [(gens, order, entries)] = runs
+    index = {id(e): k for k, e in enumerate(entries)}
+    lmG = [e[0] for e in entries]
+    sugars = [f.degree() for f in gens]
+    live: dict = {}
+    pair_sugar = None
+    reduced = dropped = 0
+    for event in events:
+        if event[0] == "update":
+            _, n, gone, added = event
+            if n >= len(gens):  # the driver adds element n
+                sugars.append(pair_sugar)
+                dropped += len(gone)
+            for ij in gone:
+                del live[ij]
+            live.update(added)
+            continue
+        _, a, b, lcm = event
+        keys = {}
+        for (i, j), L_ij in live.items():
+            d = mono_degree(L_ij)
+            sugar = max(sugars[i] + d - mono_degree(lmG[i]), sugars[j] + d - mono_degree(lmG[j]))
+            keys[i, j] = (sugar, order.key(L_ij), i, j)
+        ij = min(keys, key=keys.get)
+        assert ij == (index[id(a)], index[id(b)])
+        assert live.pop(ij) == lcm
+        pair_sugar = keys[ij][0]
+        reduced += 1
+    assert not live
+    assert reduced and dropped
+    # Sugar exceeds degree for some new elements, so inheriting the pair's
+    # sugar is not taking the lead's or the lcm's degree.
+    assert any(s > mono_degree(lm) for s, lm in zip(sugars[len(gens):], lmG[len(gens):]))
 
 
 def _random_polynomial(rng, field, packing, variables):

@@ -46,7 +46,7 @@ def test_minors_in_ladder_examples():
 def test_minors_brute_force_containment():
     rng = random.Random(4)
     for _ in range(15):
-        L, _ = random_valid_ladder(rng, 6, 6, mixed=False)
+        L, _ = random_valid_ladder(rng, 6, mixed=False)
         for t in (1, 2, 3):
             fast = {(m.rows, m.cols) for m in minors_in_ladder(L, t)}
             from itertools import combinations
@@ -100,7 +100,7 @@ def test_f_witness_examples():
 def test_f_witness_lead_squarefree_randomized():
     rng = random.Random(6)
     for _ in range(25):
-        L, t = random_valid_ladder(rng, 8, 8, mixed=True)
+        L, t = random_valid_ladder(rng, 8, mixed=True)
         factors = f_witness_factors(L, t)
         lead = mono(*((grid_var(*cell), 1) for m in factors for cell in m.antidiagonal_cells()))
         assert mono_is_squarefree(lead.value)
@@ -289,7 +289,7 @@ def test_f_witness_degree_is_sum_of_gammas():
     rng = _random.Random(14)
     cases = [(Ladder.full(3, 3), (2,)), (Ladder.full(2, 3), (2,))]
     for _ in range(10):
-        cases.append(random_valid_ladder(rng, 6, 6, mixed=True))
+        cases.append(random_valid_ladder(rng, 6, mixed=True))
     for L, t in cases:
         prof = antidiagonal_profile(L, t)
         gammas = sum(ld.gamma for ld in prof.levels if ld.r in prof.b_levels)

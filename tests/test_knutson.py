@@ -213,7 +213,7 @@ def test_random_ladder_derivations_verify():
     rng = _random.Random(99)
     checked = 0
     for _ in range(25):
-        L, t = random_valid_ladder(rng, 4, 4, mixed=False)
+        L, t = random_valid_ladder(rng, 4, mixed=False)
         deriv = ladder_derivation(L, t[0])
         assert verify(deriv).ok, (L, t)
         checked += 1

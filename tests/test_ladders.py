@@ -68,7 +68,7 @@ def test_nondegeneracy_example():
 def test_membership_closure_property():
     rng = random.Random(1)
     for _ in range(25):
-        L, _ = random_valid_ladder(rng, 7, 7, mixed=True)
+        L, _ = random_valid_ladder(rng, 7, mixed=True)
         assert closure_holds(L.cells)
 
 
@@ -242,7 +242,7 @@ def test_interior_examples():
 def test_interior_is_union_of_subladder_interiors():
     rng = random.Random(2)
     for _ in range(20):
-        L, t = random_valid_ladder(rng, 8, 8, mixed=True)
+        L, t = random_valid_ladder(rng, 8, mixed=True)
         union = set()
         for j, tj in enumerate(t, start=1):
             sub = L.subladder(j)
@@ -288,7 +288,7 @@ def test_profile_2x2():
 def test_profile_counts_match_interior_randomized():
     rng = random.Random(3)
     for _ in range(40):
-        L, t = random_valid_ladder(rng, 8, 8, mixed=True)
+        L, t = random_valid_ladder(rng, 8, mixed=True)
         prof = antidiagonal_profile(L, t)  # raises if the counts disagree
         assert sum(prof.counts) == height(L, t)
         for ld in prof.levels:

@@ -59,7 +59,7 @@ def test_symbolic_degree_ladder_containment():
 def test_witness_degree_equals_height_randomized():
     rng = random.Random(12)
     for _ in range(40):
-        L, t = random_valid_ladder(rng, 8, 8, mixed=True)
+        L, t = random_valid_ladder(rng, 8, mixed=True)
         if len(set(t)) != 1:
             continue
         factors = f_witness_factors(L, t)
@@ -94,7 +94,7 @@ def test_g_witness_degree_count_randomized():
     rng = random.Random(13)
     seen = 0
     for _ in range(60):
-        L, t = random_valid_ladder(rng, 7, 7, mixed=False)
+        L, t = random_valid_ladder(rng, 7, mixed=False)
         if t[-1] < 2:
             continue
         try:
