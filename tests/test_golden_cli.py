@@ -4,8 +4,10 @@ commands, compared byte for byte with `tests/golden/cli.json`.
 The set covers every bundled fixture (ladder, ideal, witness and Knutson
 commands) plus one run each of ideal intersect / colon / saturate / eq / sum /
 gens / member, grevlex bases and initial ideals, an ideal with exponents
-above 1, a certificate over GF(3), Fedder, symbolic compare, Schubert and
-poset checks, and one acceptance criterion.
+above 1, a certificate over GF(3), Fedder, symbolic compare, Schubert
+generators and bases, poset checks, sum-formula bases and the three kinds
+of poset spec, and one acceptance criterion.  The generator lists of a
+mixed ladder and of a Schubert ideal are pinned in order.
 Refactors of the engine must leave every recorded output unchanged.
 
 Regenerate (only when an output change is intended) with
@@ -17,6 +19,7 @@ import functools
 import io
 import json
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -37,6 +40,17 @@ INPUTS = {
     "ideal_d.json": {"shape": [2, 2], "gens": ["x[1,1]^3*x[2,2] - x[1,2]^2*x[2,1]",
                                                "x[1,2]^2*x[2,2] - x[2,1]^3"]},
     "perm.json": {"shape": [3, 3], "ones": [[1, 2], [2, 1]]},
+    "perm4.json": {"shape": [4, 4], "ones": [[1, 3], [2, 1], [3, 4]]},
+    "spec_explicit.json": {"explicit": [
+        {"rows": list(rows), "cols": list(cols)}
+        for size in (2, 3) for rows in combinations((1, 2, 3), size)
+        for cols in combinations((1, 2, 3), size)]},
+    "spec_cogenerators.json": {"cogenerators": [{"rows": [1, 3], "cols": [2, 3]},
+                                                {"rows": [2], "cols": [2]}]},
+    "spec_generalized.json": {"generalized": [{"rows": [1], "cols": [1]},
+                                              {"rows": [1, 2], "cols": [1, 2]},
+                                              {"rows": [1, 2], "cols": [1, 3]},
+                                              {"rows": [1, 2], "cols": [2, 3]}]},
 }
 
 
@@ -63,6 +77,7 @@ def _cases():
         cases.append((f"grevlex-ideal-{action}", ["--order", "grevlex", "ideal", action, a]))
     for name, path in (("a", a), ("b", b)):
         cases.append((f"ideal-gens-{name}", ["ideal", "gens", path]))
+    cases.append(("staircase10/ideal-gens", ["ideal", "gens", "{fixtures}/staircase10.json"]))
     cases += [
         ("ideal-eq", ["ideal", "eq", a, b]),
         ("ideal-sum", ["ideal", "sum", a, b]),
@@ -81,7 +96,12 @@ def _cases():
         ("symbolic-compare", ["--field", "fp:5", "symbolic", "compare",
                               "--ladder", "{fixtures}/full2x3.json", "--t", "2", "--n", "2"]),
         ("schubert-gb", ["schubert", "--perm", "{inputs}/perm.json", "--gb"]),
+        ("schubert-gens-4x4", ["schubert", "--perm", "{inputs}/perm4.json"]),
         ("poset-check", ["poset", "--shape", "3,3", "--delta", "12|12", "--check"]),
+        ("poset-delta-3x4", ["poset", "--shape", "3,4", "--delta", "13|24"]),
+        *[(f"poset-spec-{kind}",
+           ["poset", "--shape", "3,3", "--spec", f"{{inputs}}/spec_{kind}.json"])
+          for kind in ("explicit", "cogenerators", "generalized")],
         ("accept-poset-schubert", ["accept", "run", "poset-schubert"]),
     ]
     return [(cid, ["--format", "json", *argv]) for cid, argv in cases]
