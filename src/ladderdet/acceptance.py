@@ -11,7 +11,7 @@ from math import comb
 
 from . import load_fixture
 from .fields import GF, QQ
-from .groebner import Ideal, InstanceTooLarge, MonomialIdeal, is_groebner_basis, time_limit
+from .groebner import InstanceTooLarge, MonomialIdeal, is_groebner_basis, time_limit
 from .ideals import (
     PartialPermutation,
     f_of_matrix,
@@ -19,7 +19,6 @@ from .ideals import (
     grid_ring,
     ladder_ring,
     minor_poset,
-    minors_in_ladder,
     mixed_ladder_ideal,
     omega_delta_ideal,
     poset_ideal_brute,
@@ -38,7 +37,6 @@ from .ladders import (
     validate,
 )
 from .oracle import fedder_check, initial_symbolic_compare, symbolic_fsplit_certificate
-from .poly import Minor, expand_minor
 
 DEFAULT_SEED = 0
 
@@ -71,11 +69,11 @@ def criterion_groebner_squarefree(seed: int = DEFAULT_SEED):
     cases = [(name, L) for name, L, _ in _fixture_ladders()]
     cases += [(f"random{i}", L) for i, (L, _) in enumerate(_random_unmixed(seed, 20, 6))]
     for name, L in cases:
-        ring = ladder_ring(QQ, L)
         for t in _legal_unmixed_sizes(L):
-            gens = [expand_minor(m, QQ, ring.packing) for m in minors_in_ladder(L, t)]
+            I = mixed_ladder_ideal(L, t)
+            gens = I.gens
             gb_ok = is_groebner_basis(gens)
-            init = MonomialIdeal.from_monomials(ring, [g.leading_term()[0] for g in gens])
+            init = MonomialIdeal.from_monomials(I.ring, [g.leading_term()[0] for g in gens])
             sq_ok = init.is_squarefree()
             ok &= gb_ok and sq_ok
             details.append(f"{name} t={t}: groebner={gb_ok} squarefree={sq_ok} ({len(gens)} minors)")
@@ -180,22 +178,19 @@ def criterion_fedder(seed: int = DEFAULT_SEED):
     ok = True
     F2 = GF(2)
 
-    ring22 = ladder_ring(F2, Ladder.full(2, 2))
-    I_det = Ideal(ring22, [expand_minor(Minor((1, 2), (1, 2)), F2)])
+    I_det = mixed_ladder_ideal(Ladder.full(2, 2), 2, F2)
     good = fedder_check(I_det, 2, f_of_matrix(2, 2, F2))
     ok &= good
     details.append(f"(det X2x2): {good}")
 
     L3 = Ladder.full(3, 3)
-    ring3 = ladder_ring(F2, L3)
-    I3 = mixed_ladder_ideal(L3, 2, F2, ring3)
+    I3 = mixed_ladder_ideal(L3, 2, F2)
     good = fedder_check(I3, 2, f_witness(L3, 2, F2))
     ok &= good
     details.append(f"I2(X3x3): {good}")
 
     L44, _ = load_fixture("staircase_sub4x4")
-    ring44 = ladder_ring(F2, L44)
-    I44 = mixed_ladder_ideal(L44, 2, F2, ring44)
+    I44 = mixed_ladder_ideal(L44, 2, F2)
     good = fedder_check(I44, 2, f_witness(L44, 2, F2))
     ok &= good
     details.append(f"I2(4x4 sub-ladder): {good}")
@@ -206,9 +201,8 @@ def criterion_symbolic_initial(seed: int = DEFAULT_SEED):
     """6. in(I^(2)) = in(I)^(2) for the 2-minors of the 3x3 matrix over GF(5)."""
     F5 = GF(5)
     L3 = Ladder.full(3, 3)
-    ring = ladder_ring(F5, L3)
-    I = mixed_ladder_ideal(L3, 2, F5, ring)
-    res = initial_symbolic_compare(I, 2, strategy=ring.maximal_ideal())
+    I = mixed_ladder_ideal(L3, 2, F5)
+    res = initial_symbolic_compare(I, 2, strategy=I.ring.maximal_ideal())
     details = [
         f"in(I^(2)) gens={len(res.left.gens)} in(I)^(2) gens={len(res.right.gens)} equal={res.equal}"
     ]
@@ -304,11 +298,10 @@ def criterion_poset_schubert(seed: int = DEFAULT_SEED):
         ok &= good
         details.append(f"omega_delta formula vs brute on {k}x{k}: {good}")
 
-    ring3 = grid_ring(QQ, 3, 3)
     for t in (2, 3):
         w = PartialPermutation((3, 3), frozenset((i, i) for i in range(1, t)))
         I_w = schubert_ideal(w, QQ)
-        classical = Ideal(ring3, [expand_minor(m, QQ) for m in minors_in_ladder(Ladder.full(3, 3), t)])
+        classical = mixed_ladder_ideal(Ladder.full(3, 3), t)
         good = I_w.equal(classical)
         ok &= good
         details.append(f"truncated identity t={t} equals I_t(X): {good}")

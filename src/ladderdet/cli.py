@@ -22,7 +22,6 @@ from .ideals import (
     f_witness,
     g_witness,
     ideal_from_obj,
-    ladder_ring,
     minor_product_symbolic_degree,
     mixed_ladder_ideal,
     omega_delta_ideal,
@@ -94,14 +93,12 @@ def _load_ideal(path: str, field, t_flag=None):
     The file is read and decoded once."""
     obj = _load_file(path, json.loads, "JSON file")
     if isinstance(obj, dict) and "gens" in obj:
-        I = _decode(path, lambda: ideal_from_obj(obj, field), "ideal file")
-        return I, I.ring
+        return _decode(path, lambda: ideal_from_obj(obj, field), "ideal file")
     ladder, t = _with_sizes(path, _decode(path, lambda: Ladder.from_obj(obj), "ladder file"),
                             t_flag)
     if t is None:
         raise UsageError(f"{path}: ladder file has no minor sizes; pass --t")
-    ring = ladder_ring(field, ladder)
-    return mixed_ladder_ideal(ladder, t, field, ring), ring
+    return mixed_ladder_ideal(ladder, t, field)
 
 
 def _parse_minor(text: str) -> Minor:
@@ -174,13 +171,13 @@ def _cmd_ladder(args) -> int:
 def _cmd_ideal(args) -> int:
     field = parse_field(args.field)
     order = parse_order(args.order)
-    I, ring = _load_ideal(args.a, field, args.t)
+    I = _load_ideal(args.a, field, args.t)
     if args.action in ("eq", "sum", "intersect", "colon", "saturate"):
         if not args.b:
             raise UsageError(f"ideal {args.action} needs a second ideal file")
-        J, _ = _load_ideal(args.b, field, args.t2)
-        if J.ring != ring:
-            J = Ideal(ring, J.gens)
+        J = _load_ideal(args.b, field, args.t2)
+        if J.ring != I.ring:
+            J = Ideal(I.ring, J.gens)
     if args.action == "gens":
         _emit(args, {"gens": [poly_to_str(g, order) for g in I.gens]},
               [poly_to_str(g, order) for g in I.gens])
@@ -211,7 +208,7 @@ def _cmd_ideal(args) -> int:
         return 0 if member else 1
     elif args.action == "initial":
         init = I.initial_ideal(order)
-        monos = [mono_to_str(m, ring.packing) for m in init.gens]
+        monos = [mono_to_str(m, I.ring.packing) for m in init.gens]
         _emit(args, {"initial": monos, "squarefree": init.is_squarefree()},
               monos + [f"squarefree={init.is_squarefree()}"])
         return 0
@@ -248,8 +245,7 @@ def _cmd_fedder(args) -> int:
     ladder, t = _load_ladder(args.ladder, args.t)
     if t is None:
         raise UsageError("fedder needs minor sizes (file t field or --t)")
-    ring = ladder_ring(field, ladder)
-    I = mixed_ladder_ideal(ladder, t, field, ring)
+    I = mixed_ladder_ideal(ladder, t, field)
     if args.candidate:
         candidate = parse_polynomial(args.candidate, field)
     else:
@@ -279,9 +275,8 @@ def _cmd_symbolic(args) -> int:
     if args.action == "compare":
         if len(set(t)) != 1:
             raise UsageError("symbolic compare handles unmixed sizes only")
-        ring = ladder_ring(field, ladder)
-        I = mixed_ladder_ideal(ladder, t, field, ring)
-        strategy = saturation_strategy(ladder, t[0], ring)
+        I = mixed_ladder_ideal(ladder, t, field)
+        strategy = saturation_strategy(ladder, t[0], I.ring)
         res = initial_symbolic_compare(I, args.n, strategy=strategy)
         witness = str(res.witness) if res.witness is not None else None
         _emit(args, {"equal": res.equal, "witness": witness},

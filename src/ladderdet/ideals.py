@@ -1,6 +1,13 @@
 """Generator construction for the determinantal ideal families, the
 Frobenius-splitting witness polynomials and their symbolic-power degree
-counts."""
+counts.
+
+Every family is an ideal generated by minors, built by `minor_ideal` from
+minors that `block_minors` enumerates block by block: a ladder's minors
+are the t_j-minors of its corner rectangles [b, d_j] x [c_j, a] (the
+corner lemma of `ladders`), Schubert and corner ideals take the minors of
+NW or SE rectangles, and poset ideals those of a downset of the poset of
+minors."""
 
 from __future__ import annotations
 
@@ -55,40 +62,44 @@ def ideal_from_obj(obj, field: Field = QQ) -> Ideal:
 
 
 # ---------------------------------------------------------------------------
-# Ladder determinantal ideals
+# Minors and the ideals they generate
 
 
-def minors_in_ladder(L: Ladder, t: int) -> list[Minor]:
-    """All t-minors whose full submatrix lies inside the ladder."""
-    if t < 1:
-        raise ValueError(f"minor size must be positive: {t}")
-    k, l = L.shape
-    rows_present = sorted({i for i, _ in L.cells})
-    cols_present = sorted({j for _, j in L.cells})
+def block_minors(rows, cols, t: int) -> list[Minor]:
+    """The t-minors of the block rows x cols (increasing indices), in
+    (rows, cols) order.  Checks the time budget once per row subset."""
+    col_subsets = list(combinations(cols, t))
     out = []
-    for rows in combinations(rows_present, t):
+    for r in combinations(rows, t):
         _check_deadline()
-        for cols in combinations(cols_present, t):
-            # NE and SW corner cells bound the whole submatrix (corner lemma).
-            if (rows[0], cols[-1]) in L.cells and (rows[-1], cols[0]) in L.cells:
-                out.append(Minor(rows, cols))
+        out += [Minor(r, c) for c in col_subsets]
     return out
 
 
-def mixed_ladder_minors(L: Ladder, t) -> list[Minor]:
-    """Deduplicated union of the generating minors over the subladders."""
-    seen = {}
-    for j, tj in enumerate(size_vector(t, len(L.lower)), start=1):
-        for m in minors_in_ladder(L.subladder(j), tj):
-            seen[(m.rows, m.cols)] = m
-    return [seen[key] for key in sorted(seen)]
+def _distinct(minors) -> list[Minor]:
+    """The distinct minors, in (rows, cols) order."""
+    by_key = {(m.rows, m.cols): m for m in minors}
+    return [by_key[key] for key in sorted(by_key)]
+
+
+def minor_ideal(ring: Ring, minors) -> Ideal:
+    """The ideal of the distinct minors, expanded in the ring, in (rows,
+    cols) order."""
+    return Ideal(ring, [expand_minor(m, ring.field, ring.packing) for m in _distinct(minors)])
+
+
+def minors_in_ladder(L: Ladder, t) -> list[Minor]:
+    """The generating minors of I_t(L), distinct and in (rows, cols) order:
+    the t_j-minors of the corner rectangles [b, d_j] x [c_j, a] over the
+    upper corners (b, a), for each lower corner (d_j, c_j) (corner lemma)."""
+    return _distinct(
+        m for (d, c), tj in zip(L.lower, size_vector(t, len(L.lower))) for b, a in L.upper
+        for m in block_minors(range(b, d + 1), range(c, a + 1), tj))
 
 
 def mixed_ladder_ideal(L: Ladder, t, field: Field = QQ, ring: Ring | None = None) -> Ideal:
     """I_t(L): sum of the t_j-minor ideals of the subladders L_j."""
-    ring = ring or ladder_ring(field, L)
-    gens = [expand_minor(m, field, ring.packing) for m in mixed_ladder_minors(L, t)]
-    return Ideal(ring, gens)
+    return minor_ideal(ring or ladder_ring(field, L), minors_in_ladder(L, t))
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +327,9 @@ def schubert_rank_conditions(w: PartialPermutation) -> list[tuple[int, int, int]
 def schubert_ideal(w: PartialPermutation, field: Field = QQ) -> Ideal:
     """I_w: rank(w_{r x s})+1 minors of each NW submatrix, pruned."""
     k, l = w.shape
-    ring = grid_ring(field, k, l)
-    seen = {}
-    for (r, s, rho) in schubert_rank_conditions(w):
-        size = rho + 1
-        for rows in combinations(range(1, r + 1), size):
-            for cols in combinations(range(1, s + 1), size):
-                seen[(rows, cols)] = Minor(rows, cols)
-    gens = [expand_minor(seen[key], field, ring.packing) for key in sorted(seen)]
-    return Ideal(ring, gens)
+    return minor_ideal(grid_ring(field, k, l), [
+        m for r, s, rho in schubert_rank_conditions(w)
+        for m in block_minors(range(1, r + 1), range(1, s + 1), rho + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -335,22 +340,16 @@ def corner_minors(k: int, l: int, t: int, r: int, s: int, which: str = "nw") -> 
     if t < 1 or t > min(r, s):
         raise ValueError(f"no {t}-minors in a {r}x{s} corner")
     if which == "nw":
-        row_range, col_range = range(1, r + 1), range(1, s + 1)
-    elif which == "se":
-        row_range, col_range = range(k - r + 1, k + 1), range(l - s + 1, l + 1)
-    else:
-        raise ValueError("which must be 'nw' or 'se'")
-    return [Minor(rows, cols)
-            for rows in combinations(row_range, t)
-            for cols in combinations(col_range, t)]
+        return block_minors(range(1, r + 1), range(1, s + 1), t)
+    if which == "se":
+        return block_minors(range(k - r + 1, k + 1), range(l - s + 1, l + 1), t)
+    raise ValueError("which must be 'nw' or 'se'")
 
 
 def corner_ideal(k: int, l: int, t: int, r: int, s: int, which: str = "nw",
                  field: Field = QQ, ring: Ring | None = None) -> Ideal:
     """t-minors of the NW (or SE) r x s corner submatrix."""
-    ring = ring or grid_ring(field, k, l)
-    return Ideal(ring, [expand_minor(m, field, ring.packing)
-                        for m in corner_minors(k, l, t, r, s, which)])
+    return minor_ideal(ring or grid_ring(field, k, l), corner_minors(k, l, t, r, s, which))
 
 
 def _check_in_grid(k: int, l: int, minors) -> None:
@@ -366,12 +365,8 @@ def minor_poset(k: int, l: int) -> list[Minor]:
     """All minors of the k x l generic matrix (materialized for small grids)."""
     if k > 4 or l > 4:
         raise ValueError("the poset of minors is materialized only for grids up to 4x4")
-    out = []
-    for size in range(1, min(k, l) + 1):
-        for rows in combinations(range(1, k + 1), size):
-            for cols in combinations(range(1, l + 1), size):
-                out.append(Minor(rows, cols))
-    return out
+    return [m for size in range(1, min(k, l) + 1)
+            for m in block_minors(range(1, k + 1), range(1, l + 1), size)]
 
 
 def minor_leq(a: Minor, b: Minor) -> bool:
@@ -379,11 +374,6 @@ def minor_leq(a: Minor, b: Minor) -> bool:
     if a.size < b.size:
         return False
     return all(a.rows[i] <= b.rows[i] and a.cols[i] <= b.cols[i] for i in range(b.size))
-
-
-def omega_delta_set(k: int, l: int, delta: Minor) -> list[Minor]:
-    """The ideal of the poset cogenerated by delta: all minors not >= delta."""
-    return [pi for pi in minor_poset(k, l) if not minor_leq(delta, pi)]
 
 
 def is_poset_ideal(k: int, l: int, omega) -> bool:
@@ -412,25 +402,11 @@ def omega_delta_ideal(k: int, l: int, delta: Minor, field: Field = QQ,
     """Sum formula for the cogenerated poset ideal: column strips, row
     strips, and all (r+1)-minors."""
     _check_in_grid(k, l, [delta])
-    ring = ring or grid_ring(field, k, l)
-    seen = {}
-    r = delta.size
-    for tt in range(1, r + 1):
-        jt = delta.cols[tt - 1]
-        it = delta.rows[tt - 1]
-        if jt > 1 and tt <= k:
-            for rows in combinations(range(1, k + 1), tt):
-                for cols in combinations(range(1, jt), tt):
-                    seen[(rows, cols)] = Minor(rows, cols)
-        if it > 1 and tt <= l:
-            for rows in combinations(range(1, it), tt):
-                for cols in combinations(range(1, l + 1), tt):
-                    seen[(rows, cols)] = Minor(rows, cols)
-    if r + 1 <= min(k, l):
-        for rows in combinations(range(1, k + 1), r + 1):
-            for cols in combinations(range(1, l + 1), r + 1):
-                seen[(rows, cols)] = Minor(rows, cols)
-    return Ideal(ring, [expand_minor(seen[key], field, ring.packing) for key in sorted(seen)])
+    rows, cols = range(1, k + 1), range(1, l + 1)
+    minors = block_minors(rows, cols, delta.size + 1)
+    for tt, (it, jt) in enumerate(zip(delta.rows, delta.cols), start=1):
+        minors += block_minors(rows, range(1, jt), tt) + block_minors(range(1, it), cols, tt)
+    return minor_ideal(ring or grid_ring(field, k, l), minors)
 
 
 @dataclass(frozen=True)
@@ -451,29 +427,25 @@ def poset_ideal(k: int, l: int, spec: PosetIdealSpec, field: Field = QQ,
                 ring: Ring | None = None) -> Ideal:
     """The ideal of k[X] generated by an ideal of the poset of minors."""
     _check_in_grid(k, l, spec.minors)
-    ring = ring or grid_ring(field, k, l)
-    if spec.kind == "explicit":
-        omega = list(spec.minors)
-        if not is_poset_ideal(k, l, omega):
-            raise ValueError("the given set is not downward closed in the poset")
-    elif spec.kind == "cogenerators":
+    if spec.kind == "cogenerators":
         omega = [pi for pi in minor_poset(k, l)
                  if all(not minor_leq(d, pi) for d in spec.minors)]
+    elif spec.kind == "explicit":
+        omega = spec.minors
+        if not is_poset_ideal(k, l, omega):
+            raise ValueError("the given set is not downward closed in the poset")
     else:
-        omega = list(spec.minors)
+        omega = spec.minors
         if not is_generalized_poset_ideal(k, l, omega):
             raise ValueError("the given set is not a generalized poset ideal")
-    return Ideal(ring, [expand_minor(m, field, ring.packing) for m in
-                        sorted(omega, key=lambda m: (m.rows, m.cols))])
+    return minor_ideal(ring or grid_ring(field, k, l), omega)
 
 
 def poset_ideal_brute(k: int, l: int, delta: Minor, field: Field = QQ,
                       ring: Ring | None = None) -> Ideal:
-    """Brute-force cogenerated ideal: materialize the complement directly."""
-    _check_in_grid(k, l, [delta])
-    ring = ring or grid_ring(field, k, l)
-    return Ideal(ring, [expand_minor(m, field, ring.packing)
-                        for m in omega_delta_set(k, l, delta)])
+    """Brute-force cogenerated ideal: the cogenerators spec of `poset_ideal`,
+    which materializes the complement of the up-set of delta."""
+    return poset_ideal(k, l, PosetIdealSpec("cogenerators", (delta,)), field, ring)
 
 
 def poset_spec_from_json(text: str) -> PosetIdealSpec:

@@ -22,8 +22,9 @@ Corner lemma: a block with rows R and columns C lies in L iff its NE cell
 (min R, max C) meets some upper corner (b, a) and its SW cell (max R, min C)
 meets some lower corner (d, c), that is iff it fits in the rectangle
 [b, d] x [c, a]: every cell of the block lies SW of its NE cell and NE of
-its SW cell.  Largest squares and the cells covered by t-minors are read
-off these corner rectangles.
+its SW cell.  Largest squares, the cells covered by t-minors and the
+generating minors themselves (`ideals.minors_in_ladder`) are read off
+these corner rectangles.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from .fields import QQ, Field
 from .groebner import Ideal, MonomialIdeal, Ring
 from .ideals import (  # minor_product_symbolic_degree: also importable from here
-    ladder_ring,
     minor_product,
     minor_product_symbolic_degree,
     mixed_ladder_ideal,
@@ -143,9 +142,8 @@ def ladder_symbolic_power(L: Ladder, t, n: int, field: Field = QQ) -> Ideal:
     if len(sizes) != 1:
         raise ValueError("the saturation oracle handles unmixed sizes only")
     (t,) = sizes
-    ring = ladder_ring(field, L)
-    I = mixed_ladder_ideal(L, t, field, ring)
-    return symbolic_power_saturation(I, n, saturation_strategy(L, t, ring))
+    I = mixed_ladder_ideal(L, t, field)
+    return symbolic_power_saturation(I, n, saturation_strategy(L, t, I.ring))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 """Determinantal ideal constructors and witness polynomials."""
 
 import random
+import time
 
 import pytest
 
 import ladderdet
 from ladderdet.fields import QQ
-from ladderdet.groebner import Ideal
+from ladderdet.groebner import Ideal, InstanceTooLarge, time_limit
 from ladderdet.ideals import (
     GWitnessError,
     PartialPermutation,
     PosetIdealSpec,
     corner_ideal,
+    corner_minors,
     f_of_matrix,
     f_of_matrix_factors,
     f_witness,
@@ -24,7 +26,6 @@ from ladderdet.ideals import (
     minor_poset,
     minors_in_ladder,
     mixed_ladder_ideal,
-    mixed_ladder_minors,
     omega_delta_ideal,
     poset_ideal,
     poset_ideal_brute,
@@ -61,13 +62,13 @@ def test_minors_brute_force_containment():
 
 def test_mixed_ladder_ideal_staircase10():
     L, t = ladderdet.load_fixture("staircase10")
-    mixed = {(m.rows, m.cols) for m in mixed_ladder_minors(L, t)}
+    mixed = {(m.rows, m.cols) for m in minors_in_ladder(L, t)}
     union = set()
     for j, tj in enumerate(t, start=1):
         union |= {(m.rows, m.cols) for m in minors_in_ladder(L.subladder(j), tj)}
     assert mixed == union
 
-    const = {(m.rows, m.cols) for m in mixed_ladder_minors(L, (2, 2, 2, 2))}
+    const = {(m.rows, m.cols) for m in minors_in_ladder(L, (2, 2, 2, 2))}
     plain = {(m.rows, m.cols) for m in minors_in_ladder(L, 2)}
     assert const == plain
 
@@ -76,8 +77,8 @@ def test_mixed_ladder_sizes_follow_size_vector():
     L, _ = ladderdet.load_fixture("staircase10")
     with pytest.raises(LadderError):
         mixed_ladder_ideal(L, (2, 3))
-    one = {(m.rows, m.cols) for m in mixed_ladder_minors(L, (2,))}
-    assert one == {(m.rows, m.cols) for m in mixed_ladder_minors(L, 2)}
+    one = {(m.rows, m.cols) for m in minors_in_ladder(L, (2,))}
+    assert one == {(m.rows, m.cols) for m in minors_in_ladder(L, 2)}
 
 
 def test_f_witness_examples():
@@ -197,6 +198,16 @@ def test_corner_ideal_examples():
     assert len(nw.gens) == 3
 
 
+def test_corner_minors_honour_time_limit():
+    # The 189,225 2-minors of a 30 x 30 corner take about 0.8 s to list on a
+    # 2-CPU machine; the budget is checked once per row subset.
+    start = time.monotonic()
+    with pytest.raises(InstanceTooLarge):
+        with time_limit(0.01):
+            corner_minors(30, 30, 2, 30, 30)
+    assert time.monotonic() - start < 0.5
+
+
 def test_minor_poset_and_order():
     poset22 = minor_poset(2, 2)
     assert len(poset22) == 5
@@ -273,7 +284,7 @@ def test_cogenerated_ideals_reject_a_grid_they_cannot_use(k, l, delta):
 
 
 def test_initial_of_principal_full_witness():
-    from ladderdet.groebner import Ideal
+    from ladderdet.groebner import Ideal, InstanceTooLarge, time_limit
 
     ring = grid_ring(QQ, 3, 3)
     f = f_of_matrix(3, 3)
@@ -312,7 +323,6 @@ def test_g_witness_mixed_staircase():
 
 def test_witness_expansion_guard():
     import ladderdet
-    from ladderdet.groebner import InstanceTooLarge
 
     L, t = ladderdet.load_fixture("staircase10")
     with pytest.raises(InstanceTooLarge):

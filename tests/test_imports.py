@@ -45,3 +45,26 @@ def test_package_imports_are_acyclic():
         TopologicalSorter(graph).prepare()
     except CycleError as exc:
         raise AssertionError(f"import cycle: {exc.args[1]}") from None
+
+
+# Unused on purpose: re-exported for callers that import them from there.
+REEXPORTS = {("groebner.py", "time_limit"), ("oracle.py", "minor_product_symbolic_degree")}
+
+
+def test_module_top_imports_are_used():
+    unused = []
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in ("annotations", "*"):
+                        bound[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items()
+                   if name not in used and (path.name, name) not in REEXPORTS]
+    assert not unused

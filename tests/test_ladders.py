@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 import ladderdet
-from ladderdet.ideals import minors_in_ladder, mixed_ladder_minors
+from ladderdet.ideals import minors_in_ladder
 from ladderdet.ladders import (
     ChamferError,
     Ladder,
@@ -191,8 +191,12 @@ def test_corner_arithmetic_matches_cell_enumeration():
             regions += 1
             assert R.max_square_in() == _max_square_dp(R)
             t = tuple(rng.randint(1, 4) for _ in R.lower)
+            minors = minors_in_ladder(R, t)
+            by_corner = {(m.rows, m.cols): m for j, tj in enumerate(t, start=1)
+                         for m in _minors_with_all_cells_in(R.subladder(j), tj)}
+            assert minors == [by_corner[key] for key in sorted(by_corner)]
             covered = covered_cells(R, t)
-            assert covered == {cell for m in mixed_ladder_minors(R, t) for cell in m.cells()}
+            assert covered == {cell for m in minors for cell in m.cells()}
             partial += bool(covered) and covered != R.cells
             for region in [R, *(R.subladder(j) for j in range(1, len(R.lower) + 1))]:
                 size = rng.randint(1, 4)
