@@ -427,15 +427,15 @@ def poset_ideal(k: int, l: int, spec: PosetIdealSpec, field: Field = QQ,
                 ring: Ring | None = None) -> Ideal:
     """The ideal of k[X] generated by an ideal of the poset of minors."""
     _check_in_grid(k, l, spec.minors)
-    if spec.kind == "cogenerators":
-        omega = [pi for pi in minor_poset(k, l)
-                 if all(not minor_leq(d, pi) for d in spec.minors)]
-    elif spec.kind == "explicit":
-        omega = spec.minors
+    if spec.kind == "explicit":
+        omega = list(spec.minors)
         if not is_poset_ideal(k, l, omega):
             raise ValueError("the given set is not downward closed in the poset")
+    elif spec.kind == "cogenerators":
+        omega = [pi for pi in minor_poset(k, l)
+                 if all(not minor_leq(d, pi) for d in spec.minors)]
     else:
-        omega = spec.minors
+        omega = list(spec.minors)
         if not is_generalized_poset_ideal(k, l, omega):
             raise ValueError("the given set is not a generalized poset ideal")
     return minor_ideal(ring or grid_ring(field, k, l), omega)
