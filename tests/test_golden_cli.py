@@ -6,7 +6,8 @@ commands) plus one run each of ideal intersect / colon / saturate / eq / sum /
 gens / member, grevlex bases and initial ideals, an ideal with exponents
 above 1, a certificate over GF(3), Fedder, symbolic compare, Schubert
 generators and bases, poset checks, sum-formula bases and the three kinds
-of poset spec, and one acceptance criterion.  The generator lists of a
+of poset spec, one acceptance criterion, and two corner derivations (one
+verified SE corner, one NW corner as JSON only).  The generator lists of a
 mixed ladder and of a Schubert ideal are pinned in order.
 Refactors of the engine must leave every recorded output unchanged.
 
@@ -103,6 +104,9 @@ def _cases():
            ["poset", "--shape", "3,3", "--spec", f"{{inputs}}/spec_{kind}.json"])
           for kind in ("explicit", "cogenerators", "generalized")],
         ("accept-poset-schubert", ["accept", "run", "poset-schubert"]),
+        ("knutson-corner-se-verify",
+         ["knutson", "derive", "--corner", "4,4,2,3,3,se", "--verify"]),
+        ("knutson-corner-5x5", ["knutson", "derive", "--corner", "5,5,2,4,4"]),
     ]
     return [(cid, ["--format", "json", *argv]) for cid, argv in cases]
 
