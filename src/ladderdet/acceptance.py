@@ -24,10 +24,16 @@ from .ideals import (
     poset_ideal_brute,
     schubert_ideal,
 )
-from .knutson import corner_derivation, ladder_derivation, verify as verify_derivation
+from .knutson import (
+    DerivationError,
+    corner_derivation,
+    ladder_derivation,
+    verify as verify_derivation,
+)
 from .ladders import (
     Ladder,
     ChamferError,
+    LadderError,
     chamfer,
     height,
     random_valid_ladder,
@@ -36,7 +42,12 @@ from .ladders import (
     unchamfer,
     validate,
 )
-from .oracle import fedder_check, initial_symbolic_compare, symbolic_fsplit_certificate
+from .oracle import (
+    CertificateError,
+    fedder_check,
+    initial_symbolic_compare,
+    symbolic_fsplit_certificate,
+)
 
 DEFAULT_SEED = 0
 
@@ -366,7 +377,9 @@ def criterion_keys() -> list[str]:
 def run_criterion(key: str, seed: int = DEFAULT_SEED, seconds: float | None = None) -> CriterionResult:
     """Run one criterion under a time budget of `seconds` (None: unbounded).
 
-    A criterion that runs out of budget fails, with the reason as its detail.
+    A criterion that runs out of budget, or whose engine call finds a
+    certificate, derivation or ladder check false, fails, with the reason as
+    its detail.
     """
     for ckey, title, fn in CRITERIA:
         if ckey == key:
@@ -374,7 +387,7 @@ def run_criterion(key: str, seed: int = DEFAULT_SEED, seconds: float | None = No
             try:
                 with time_limit(seconds):
                     passed, details = fn(seed)
-            except InstanceTooLarge as exc:
+            except (InstanceTooLarge, CertificateError, DerivationError, LadderError) as exc:
                 elapsed = time.monotonic() - start
                 return CriterionResult(ckey, title, False, elapsed, (f"{exc} after {elapsed:.2f} s",))
             return CriterionResult(ckey, title, passed, time.monotonic() - start, tuple(details))

@@ -378,19 +378,21 @@ def minor_leq(a: Minor, b: Minor) -> bool:
 
 def is_poset_ideal(k: int, l: int, omega) -> bool:
     omega_set = {(m.rows, m.cols) for m in omega}
+    poset = minor_poset(k, l)
     return all(
         (pi.rows, pi.cols) in omega_set
         for m in omega
-        for pi in minor_poset(k, l)
+        for pi in poset
         if minor_leq(pi, m)
     )
 
 
 def is_generalized_poset_ideal(k: int, l: int, omega) -> bool:
     omega_set = {(m.rows, m.cols) for m in omega}
+    poset = minor_poset(k, l)
     for m in omega:
         r, s = m.rows[-1], m.cols[-1]
-        for pi in minor_poset(k, l):
+        for pi in poset:
             if pi.rows[-1] <= r and pi.cols[-1] <= s and minor_leq(pi, m):
                 if (pi.rows, pi.cols) not in omega_set:
                     return False

@@ -2,17 +2,20 @@
 squarefree-lead witness polynomial, with an engine-backed verifier.
 
 A derivation combines principal ideals of witness factors (leaves) with
-sums, intersections, colons, and minimal-prime claims.  The verifier
-checks, node by node: squarefree initial ideals, the Groebner-union
-property at sums, and containment plus height agreement at minimal-prime
-claims (primeness itself is an assumption recorded in the report, not
-re-proved).  Claims built by the ladder and corner constructors also
-carry the band intersection identity they rely on, and the verifier
-recomputes it.
+sums, intersections, colons, and minimal-prime claims.  Evaluation and
+verification share one post-order walk over the distinct nodes of a tree.
+The verifier checks, node by node: squarefree initial ideals, the
+Groebner-union property at sums, and containment plus height agreement at
+minimal-prime claims (primeness itself is an assumption recorded in the
+report, not re-proved).  Claims built by the ladder and corner constructors
+also carry the band intersection identity they rely on: it names only the
+other factor, the first being the claim itself, and the verifier recomputes
+child == claimed cap other.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field as dc_field
 
@@ -65,7 +68,7 @@ class MinimalPrimeClaim:
     child: object
     claimed: tuple[Polynomial, ...]
     # Optional recorded identity for eval(child):
-    #   ("intersect", gens_a, gens_b): child equals Ideal(a) cap Ideal(b)
+    #   ("intersect", other_gens): child equals Ideal(claimed) cap Ideal(other)
     #   ("equal",): child equals the claimed ideal itself
     identity: tuple | None = None
     label: str = ""
@@ -90,30 +93,52 @@ class KnutsonDerivation:
         return eval_node(self.root, self.ring, {})
 
 
-def eval_node(node, ring: Ring, cache: dict) -> Ideal:
-    """Evaluate a derivation node to an ideal (memoized per tree walk)."""
-    key = id(node)
-    if key in cache:
-        return cache[key]
+def _post_order(root) -> list:
+    """The distinct nodes under `root` (keyed by id), each after its children,
+    in the order a left-to-right depth-first walk first finishes them."""
+    order, done, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in done:
+            continue
+        if expanded:
+            done.add(id(node))
+            order.append(node)
+            continue
+        stack.append((node, True))
+        if node.kind in ("sum", "intersect"):
+            stack.extend((ch, False) for ch in reversed(node.children))
+        elif node.kind in ("min_prime", "colon"):
+            stack.append((node.child, False))
+    return order
+
+
+def _eval_step(node, ring: Ring, cache: dict) -> Ideal:
+    """The ideal of `node`, its children's ideals already in `cache`."""
     kind = node.kind
     if kind == "leaf":
-        out = Ideal(ring, [node.factor])
-    elif kind == "sum":
-        out = Ideal(ring, [g for ch in node.children for g in eval_node(ch, ring, cache).gens])
-    elif kind == "intersect":
-        parts = [eval_node(ch, ring, cache) for ch in node.children]
-        out = parts[0]
-        for part in parts[1:]:
-            out = out.intersect(part)
-    elif kind == "min_prime":
-        eval_node(node.child, ring, cache)
-        out = Ideal(ring, list(node.claimed))
-    elif kind == "colon":
-        out = eval_node(node.child, ring, cache).colon(Ideal(ring, list(node.divisor)))
-    else:
-        raise DerivationError(f"unknown node kind: {kind}")
-    cache[key] = out
-    return out
+        return Ideal(ring, [node.factor])
+    if kind == "sum":
+        return Ideal(ring, [g for ch in node.children for g in cache[id(ch)].gens])
+    if kind == "intersect":
+        out = cache[id(node.children[0])]
+        for ch in node.children[1:]:
+            out = out.intersect(cache[id(ch)])
+        return out
+    if kind == "min_prime":
+        return Ideal(ring, list(node.claimed))
+    if kind == "colon":
+        return cache[id(node.child)].colon(Ideal(ring, list(node.divisor)))
+    raise DerivationError(f"unknown node kind: {kind}")
+
+
+def eval_node(node, ring: Ring, cache: dict) -> Ideal:
+    """Evaluate a derivation node to an ideal; `cache` maps id(node) to the
+    ideals already evaluated, and gains every node under `node`."""
+    for sub in _post_order(node):
+        if id(sub) not in cache:
+            cache[id(sub)] = _eval_step(sub, ring, cache)
+    return cache[id(node)]
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +167,6 @@ class VerifyReport:
         return "\n".join(out)
 
 
-def _node_name(node, index: int) -> str:
-    return f"{node.kind}#{index}"
-
-
 def verify(deriv: KnutsonDerivation) -> VerifyReport:
     """Run every structural check on every node of the derivation."""
     ring = deriv.ring
@@ -153,20 +174,9 @@ def verify(deriv: KnutsonDerivation) -> VerifyReport:
     lines: list[VerifyLine] = []
     factors = {f.monic(ANTIDIAG) for f in deriv.f_factors}
 
-    seen: dict[int, str] = {}
-    order_counter = [0]
-
-    def walk(node):
-        if id(node) in seen:
-            return
-        for ch in getattr(node, "children", ()) or ():
-            walk(ch)
-        if hasattr(node, "child"):
-            walk(node.child)
-        name = _node_name(node, order_counter[0])
-        order_counter[0] += 1
-        seen[id(node)] = name
-        ideal = eval_node(node, ring, cache)
+    for index, node in enumerate(_post_order(deriv.root)):
+        name = f"{node.kind}#{index}"
+        ideal = cache[id(node)] = _eval_step(node, ring, cache)
 
         if ideal.is_zero:
             lines.append(VerifyLine(name, "squarefree-initial", True, "zero ideal"))
@@ -181,11 +191,11 @@ def verify(deriv: KnutsonDerivation) -> VerifyReport:
             ok = node.factor.monic(ANTIDIAG) in factors
             lines.append(VerifyLine(name, "leaf-is-witness-factor", ok))
         elif node.kind == "sum":
-            union = [g for ch in node.children for g in eval_node(ch, ring, cache).groebner_basis(ANTIDIAG)]
+            union = [g for ch in node.children for g in cache[id(ch)].groebner_basis(ANTIDIAG)]
             ok = is_groebner_basis(union, ANTIDIAG)
             lines.append(VerifyLine(name, "groebner-union", ok, f"{len(union)} basis elements"))
         elif node.kind == "min_prime":
-            child_ideal = eval_node(node.child, ring, cache)
+            child_ideal = cache[id(node.child)]
             claimed = ideal
             ok_containment = claimed.contains_ideal(child_ideal)
             lines.append(VerifyLine(name, "claim-contains-child", ok_containment, node.label))
@@ -203,11 +213,10 @@ def verify(deriv: KnutsonDerivation) -> VerifyReport:
             elif node.identity[0] == "intersect":
                 # The child decomposes as claimed cap other; the claim is a
                 # minimal component iff the other factor does not sit inside it.
-                _, gens_a, gens_b = node.identity
-                other = Ideal(ring, list(gens_b))
-                rhs = Ideal(ring, list(gens_a)).intersect(other)
+                other = Ideal(ring, list(node.identity[1]))
                 lines.append(
-                    VerifyLine(name, "band-intersection-identity", child_ideal.equal(rhs))
+                    VerifyLine(name, "band-intersection-identity",
+                               child_ideal.equal(claimed.intersect(other)))
                 )
                 minimal = (not claimed.contains_ideal(other)) or claimed.equal(other)
                 lines.append(
@@ -221,7 +230,6 @@ def verify(deriv: KnutsonDerivation) -> VerifyReport:
             lines.append(VerifyLine(name, "primeness", True,
                                     "assumed: ladder/corner determinantal ideals are prime"))
 
-    walk(deriv.root)
     return VerifyReport(all(ln.ok for ln in lines), tuple(lines))
 
 
@@ -234,73 +242,49 @@ def _level_cells(L: Ladder, r: int):
     return [(i, r - i) for i in range(max(1, r - l), min(k, r - 1) + 1) if (i, r - i) in L.cells]
 
 
-class _BandDeriver:
-    """Builds derivations of I_t(L_{[a,b]}) (or row bands) from the t-wide
-    base cases, sharing nodes across overlapping windows."""
+def _band_deriver(L: Ladder, t: int, field: Field, factor_polys: dict[int, Polynomial],
+                  packing: Packing):
+    """`derive(axis, lo, hi)`: the derivation of I_t of the row or column band
+    [lo, hi] of L (None for the zero ideal), built from the t-wide base cases
+    and sharing nodes across overlapping windows.  `factor_polys` maps a
+    level to its expanded witness factor det(Y_r); `packing` is the ring's."""
 
-    def __init__(self, L: Ladder, t: int, field: Field, factor_polys: dict[int, Polynomial],
-                 packing: Packing):
-        self.L = L
-        self.t = t
-        self.field = field
-        self.factor_polys = factor_polys       # level -> expanded det(Y_r)
-        self.packing = packing                 # of the derivation's ring
-        self.memo: dict = {}
+    def expand(minors):
+        return tuple(expand_minor(m, field, packing) for m in minors)
 
-    def derive(self, axis: str, lo: int, hi: int):
-        key = (axis, lo, hi)
-        if key in self.memo:
-            return self.memo[key]
-        node = self._derive(axis, lo, hi)
-        self.memo[key] = node
-        return node
-
-    def _derive(self, axis: str, lo: int, hi: int):
-        t = self.t
-        minors = minors_in_ladder(self.L.band(axis, lo, hi), t)
+    @functools.cache
+    def derive(axis: str, lo: int, hi: int):
+        band = L.band(axis, lo, hi)
+        minors = minors_in_ladder(band, t)
         if not minors:
             return None
-        claimed = tuple(expand_minor(m, self.field, self.packing) for m in minors)
+        claimed = expand(minors)
         if hi - lo + 1 <= t:
-            return self._base(axis, lo, hi, claimed)
-        left = self.derive(axis, lo, hi - 1)
-        right = self.derive(axis, lo + 1, hi)
+            levels = [r for r in range(2, sum(L.shape) + 1) if len(_level_cells(band, r)) == t]
+            if not levels:
+                raise DerivationError(f"no full antidiagonal slice in {axis} band [{lo},{hi}]")
+            missing = [r for r in levels if r not in factor_polys]
+            if missing:
+                raise DerivationError(f"level {missing[0]} has no witness factor in the profile")
+            leaves = [Leaf(factor_polys[r]) for r in levels]
+            summed = Sum(tuple(leaves)) if len(leaves) > 1 else leaves[0]
+            return MinimalPrimeClaim(summed, claimed, None, f"I_{t}({axis}[{lo},{hi}]) base")
+        left = derive(axis, lo, hi - 1)
+        right = derive(axis, lo + 1, hi)
         if left is None and right is None:
             raise DerivationError("wide band nonzero but both narrow bands vanish")
         if left is None or right is None:
             # The missing window forces every minor into the other one.
             return left if right is None else right
-        summed = Sum((left, right))
         if t > 1:
-            inner = minors_in_ladder(self.L.band(axis, lo + 1, hi - 1), t - 1)
-            identity = (
-                "intersect",
-                claimed,
-                tuple(expand_minor(m, self.field, self.packing) for m in inner),
-            )
+            inner = minors_in_ladder(L.band(axis, lo + 1, hi - 1), t - 1)
+            identity = ("intersect", expand(inner))
         else:
             identity = ("equal",)
-        label = f"I_{t}({axis}[{lo},{hi}])"
-        return MinimalPrimeClaim(summed, claimed, identity, label)
+        return MinimalPrimeClaim(Sum((left, right)), claimed, identity,
+                                 f"I_{t}({axis}[{lo},{hi}])")
 
-    def _base(self, axis: str, lo: int, hi: int, claimed):
-        t = self.t
-        band = self.L.band(axis, lo, hi)
-        levels = []
-        for r in range(2, sum(self.L.shape) + 1):
-            if len(_level_cells(band, r)) == t:
-                levels.append(r)
-        if not levels:
-            raise DerivationError(f"no full antidiagonal slice in {axis} band [{lo},{hi}]")
-        leaves = []
-        for r in levels:
-            poly = self.factor_polys.get(r)
-            if poly is None:
-                raise DerivationError(f"level {r} has no witness factor in the profile")
-            leaves.append(Leaf(poly))
-        summed = Sum(tuple(leaves)) if len(leaves) > 1 else leaves[0]
-        label = f"I_{t}({axis}[{lo},{hi}]) base"
-        return MinimalPrimeClaim(summed, claimed, None, label)
+    return derive
 
 
 def ladder_derivation(L: Ladder, t: int, field: Field = QQ) -> KnutsonDerivation:
@@ -313,9 +297,8 @@ def ladder_derivation(L: Ladder, t: int, field: Field = QQ) -> KnutsonDerivation
     profile = antidiagonal_profile(L, t)
     factor_polys = {r: expand_minor(m, field, ring.packing)
                     for r, m in zip(profile.b_levels, profile.witness_factors)}
-    deriver = _BandDeriver(L, t, field, factor_polys, ring.packing)
     cols = sorted({j for _, j in L.cells})
-    root = deriver.derive("cols", cols[0], cols[-1])
+    root = _band_deriver(L, t, field, factor_polys, ring.packing)("cols", cols[0], cols[-1])
     if root is None:
         raise DerivationError("empty derivation")
     return KnutsonDerivation(ring, tuple(factor_polys.values()), root,
@@ -336,36 +319,22 @@ def corner_derivation(k: int, l: int, t: int, r: int, s: int,
     level_polys = {m.rows[0] + m.cols[-1]: expand_minor(m, field, ring.packing)
                    for m in f_of_matrix_factors(k, l)}
 
-    memo: dict = {}
+    @functools.cache
+    def band_deriver(tt: int):
+        return _band_deriver(L, tt, field, level_polys, ring.packing)
 
+    @functools.cache
     def derive(tt: int, rr: int, ss: int):
-        key = (tt, rr, ss)
-        if key in memo:
-            return memo[key]
-        node = _derive(tt, rr, ss)
-        memo[key] = node
-        return node
-
-    def band_node(tt: int, axis: str, lo: int, hi: int):
-        deriver = _BandDeriver(L, tt, field, level_polys, ring.packing)
-        node = deriver.derive(axis, lo, hi)
-        if node is None:
-            raise DerivationError(f"zero band ideal for t={tt} {axis}[{lo},{hi}]")
-        return node
-
-    def _derive(tt: int, rr: int, ss: int):
+        if rr == k or ss == l:
+            # The corner is a whole column (or row) band of the grid.
+            axis, n, width = ("cols", l, ss) if rr == k else ("rows", k, rr)
+            lo, hi = (1, width) if which == "nw" else (n - width + 1, n)
+            node = band_deriver(tt)(axis, lo, hi)
+            if node is None:
+                raise DerivationError(f"zero band ideal for t={tt} {axis}[{lo},{hi}]")
+            return node
         claimed = tuple(expand_minor(m, field, ring.packing)
                         for m in corner_minors(k, l, tt, rr, ss, which))
-        if which == "nw":
-            if rr == k:
-                return band_node(tt, "cols", 1, ss)
-            if ss == l:
-                return band_node(tt, "rows", 1, rr)
-        else:
-            if rr == k:
-                return band_node(tt, "cols", l - ss + 1, l)
-            if ss == l:
-                return band_node(tt, "rows", k - rr + 1, k)
         m_, M_ = min(rr, ss), max(rr, ss)
         if tt == m_:
             leaves = [Leaf(level_polys[level]) for level in _d1_levels(k, l, m_, M_, which)]
@@ -414,10 +383,13 @@ def _node_to_obj(node):
         if node.identity is None:
             obj["identity"] = None
         elif node.identity[0] == "intersect":
+            # "a", the first factor, is always the claim.  It is still written
+            # so that the file format (and every file already written) stays
+            # the same, but it is never read: the verifier uses "claimed".
             obj["identity"] = {
                 "kind": "intersect",
-                "a": [poly_to_str(g) for g in node.identity[1]],
-                "b": [poly_to_str(g) for g in node.identity[2]],
+                "a": obj["claimed"],
+                "b": [poly_to_str(g) for g in node.identity[1]],
             }
         else:
             obj["identity"] = {"kind": "equal"}
@@ -444,11 +416,7 @@ def _node_from_obj(obj, field: Field):
         identity = None
         if ident:
             if ident["kind"] == "intersect":
-                identity = (
-                    "intersect",
-                    tuple(parse_polynomials(ident["a"], field)),
-                    tuple(parse_polynomials(ident["b"], field)),
-                )
+                identity = ("intersect", tuple(parse_polynomials(ident["b"], field)))
             else:
                 identity = ("equal",)
         return MinimalPrimeClaim(

@@ -45,6 +45,22 @@ def test_suite_runner_collects_everything():
     assert all(r.passed for r in results)
 
 
+def test_falsified_criterion_fails_and_the_suite_goes_on(monkeypatch, capsys):
+    from ladderdet.cli import main
+    from ladderdet.oracle import CertificateError
+
+    def falsified(*args, **kwargs):
+        raise CertificateError("certificate check failed")
+
+    monkeypatch.setattr(acceptance, "symbolic_fsplit_certificate", falsified)
+    first, second = acceptance.run_suite(["witness-certificate", "chamfer-descent"])
+    assert not first.passed
+    assert first.details[0].startswith("certificate check failed after ")
+    assert second.passed
+    assert main(["accept", "run", "witness-certificate"]) == 1
+    assert capsys.readouterr().out.endswith("0/1 criteria pass\n")
+
+
 def test_unknown_criterion_rejected():
     with pytest.raises(KeyError):
         acceptance.run_criterion("no-such-criterion")

@@ -326,6 +326,24 @@ def test_knutson_verify_flags_tampered_derivation(capsys, tmp_path):
     assert code == 1 and "FAIL" in out
 
 
+def test_knutson_verify_rejects_a_forged_claim_with_a_valid_identity(capsys, tmp_path):
+    # The root claim is swapped for a height-4 prime that still contains the
+    # height-2 child and misses the other intersection factor; only the band
+    # identity, computed from the claim itself, can tell it is not a
+    # minimal prime of the child.
+    out_file = tmp_path / "deriv.json"
+    code, _ = run_cli("knutson", "derive", "--ladder", str(FIXTURES / "full2x3.json"),
+                      "--t", "2", "--out", str(out_file), capsys=capsys)
+    assert code == 0
+    obj = json.loads(out_file.read_text())
+    obj["root"]["claimed"] = ["x[1,1]", "x[2,1]", "x[1,3]", "x[2,3]"]
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(obj))
+    code, out = run_cli("knutson", "verify", str(forged), capsys=capsys)
+    assert code == 1
+    assert "[FAIL] min_prime#5: band-intersection-identity" in out
+
+
 def test_timeout_diagnostic(capsys):
     code, _ = run_cli("--timeout", "0.000001", "ideal", "gb",
                       str(FIXTURES / "full3x4.json"), "--t", "2", capsys=capsys)

@@ -239,6 +239,22 @@ def test_omega_delta_matches_bruteforce_3x3():
         )
 
 
+def test_poset_checks_build_the_poset_once(monkeypatch):
+    from ladderdet import ideals
+
+    omega = minor_poset(4, 4)
+    calls = []
+
+    def counted(k, l):
+        calls.append((k, l))
+        return minor_poset(k, l)
+
+    monkeypatch.setattr(ideals, "minor_poset", counted)
+    assert ideals.is_poset_ideal(4, 4, omega)
+    assert ideals.is_generalized_poset_ideal(4, 4, omega)
+    assert calls == [(4, 4), (4, 4)]
+
+
 def test_poset_ideal_specs():
     ring = grid_ring(QQ, 2, 2)
     everything = poset_ideal(2, 2, PosetIdealSpec("explicit", tuple(minor_poset(2, 2))), QQ, ring)

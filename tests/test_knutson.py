@@ -123,6 +123,24 @@ def test_corner_derivation_band_base_case():
     assert got.equal(corner_ideal(3, 3, 2, 3, 2, "nw", QQ, deriv.ring))
 
 
+def test_corner_derivation_builds_each_claim_once():
+    # Overlapping band windows and repeated corner steps share one node each.
+    deriv = corner_derivation(5, 5, 2, 4, 4)
+    nodes, stack = {}, [deriv.root]
+    while stack:
+        node = stack.pop()
+        if id(node) in nodes:
+            continue
+        nodes[id(node)] = node
+        if node.kind == "sum":
+            stack.extend(node.children)
+        elif node.kind == "min_prime":
+            stack.append(node.child)
+    labels = [node.label for node in nodes.values() if node.kind == "min_prime"]
+    assert len(labels) == len(set(labels))
+    assert verify(deriv).ok
+
+
 def test_corner_derivation_se():
     deriv = corner_derivation(3, 3, 2, 2, 2, which="se")
     assert verify(deriv).ok
