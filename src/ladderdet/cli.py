@@ -2,7 +2,8 @@
 Fedder checks, symbolic powers, derivations, and the acceptance runner.
 
 Exit status: 0 on success / verified, 1 on a falsified identity or an
-oversized instance, 2 on usage errors or malformed input files.
+oversized instance, 2 on usage errors or malformed input files, 141 when
+the reader of standard output closes it early (`| head`).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -494,11 +496,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# The status of a process that SIGPIPE ends, as a shell reports it.
+EXIT_BROKEN_PIPE = 128 + 13
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         with time_limit(args.timeout):
-            return args.handler(args)
+            status = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # Whatever is still buffered goes to devnull, so that the
+        # interpreter's final flush is silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

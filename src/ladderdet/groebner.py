@@ -11,7 +11,12 @@ multiplicity from the Hilbert series by a memoised pivot recursion;
 symbolic powers).
 
 `buchberger` and `is_groebner_basis` share the Gebauer-Moeller pair
-update, which edits one pair dict in place, and both form and reduce each
+build (Gebauer and Moeller, J. Symbolic Comput. 6, 1988), made on an index
+of the leads: a new lead forms lcms only with the leads that share a
+variable with it, a lead coprime to it acts only through one divisor
+search, skipped when no lead can be coprime to it, and the initial build
+tests the chain criterion once per pair against the later leads.  The
+driver's updates edit one pair dict in place.  Both form and reduce each
 S-pair on the terms of a reducer's entries, coefficients as the
 polynomials hold them.  `buchberger` runs the driver, which selects pairs
 by sugar from a heap that holds the keys of the pairs each update adds,
@@ -249,39 +254,122 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 # walks the initial pair set as it is.  Monomials are coprime iff their
 # support masks (`mono_mask`) share no bit, and one can divide another
 # only if its mask lies inside the other's.
+#
+# The pairs are made on a `_Leads` index of the basis's leads: the leads
+# that use each variable, the leads by lowest support bit, and the AND of
+# all lead masks.  It saves work in three ways:
+# - M and F, near leads only (`_near_pairs`): a new lead's lcms and
+#   quotients are formed only with the leads that share a variable with
+#   it.  A lead c coprime to it matters only through division: lm_c times
+#   the new lead divides the lcm L_i of lead i exactly when lm_c divides
+#   the quotient q_i.  So a minimal quotient is dropped when a divisor
+#   search on the lowest-bit index finds a coprime lead dividing it; that
+#   one test is the coprime-lead criterion F and the coprime part of M.
+# - No coprime search when none can exist: a new lead that shares a bit
+#   with the AND mask shares a variable with every lead, as the aux
+#   variable does in every lead of an ELIM intersection, so every lead is
+#   near and the search is skipped.
+# - B once per pair in the initial build: B_k drops the pair (i, j), made
+#   when j was added, exactly when a later lead k divides its lcm L and L
+#   differs from lcm(i, k) and from lcm(j, k), which depends on i, j and k
+#   alone.  `_initial_pairs` tests each pair it makes once, against the
+#   later leads that the lowest-bit index offers, and its dict equals, in
+#   order too, the one that adding the leads one at a time by
+#   `_update_pairs` gives.  The driver's `_update_pairs` cannot know the
+#   later leads, so it scans the pair set for each new lead.
+# For a, b | L, lcm(a, b) = L iff the cofactors L - a and L - b share no
+# variable, so B takes three masks and no lcm.
 
 
-def _update_pairs(lmG, P, lmf, packing):
-    """Gebauer-Moeller pair update, in place: makes the pair set P that of
-    the basis with lead monomials lmG after adding an element with lead
-    monomial lmf, and returns the pairs it added, a dict of its own.
+class _Leads:
+    """The leads of a basis, indexed for the pair update.
+
+    `by_var` maps each variable, by the bit length of its guard bit, to the
+    set of the leads that use it; `by_low` maps the bit length of each
+    lead's lowest support bit, 0 for a constant lead, to the set of those
+    leads.  A set of leads is an int with bit i set for lead i.  `meet` is
+    the AND of the leads' support masks, -1 while there is none.
+    """
+
+    __slots__ = ("guard", "low", "lms", "masks", "by_var", "by_low", "meet")
+
+    def __init__(self, packing: Packing):
+        self.guard, self.low = packing.guard, packing.low
+        self.lms: list[int] = []
+        self.masks: list[int] = []
+        self.by_var: dict = {}
+        self.by_low: dict = {}
+        self.meet = -1
+
+    def add(self, lm: int) -> None:
+        bit = 1 << len(self.lms)
+        mask = bits = (lm + self.low) & self.guard
+        self.lms.append(lm)
+        self.masks.append(mask)
+        self.meet &= mask
+        by_low, by_var = self.by_low, self.by_var
+        key = (mask & -mask).bit_length()
+        by_low[key] = by_low.get(key, 0) | bit
+        while bits:
+            top = bits.bit_length()
+            by_var[top] = by_var.get(top, 0) | bit
+            bits ^= 1 << top - 1
+
+    def lowest_in(self, mask: int) -> int:
+        """The set of the leads whose lowest support bit is in `mask`, with
+        the constant leads: it holds every lead that divides a monomial of
+        support `mask`."""
+        by_low = self.by_low
+        found = by_low.get(0, 0)
+        while mask:
+            top = mask.bit_length()
+            found |= by_low.get(top, 0)
+            mask ^= 1 << top - 1
+        return found
+
+
+def _near_pairs(leads: _Leads, lmf: int):
+    """M and F for a new lead lmf after the leads of `leads`: the new pairs
+    as (first index of L, L), in the order they enter the pair set.
 
     The new pairs are (first index of L, n) for each minimal lcm L of lmf
     with a lead, unless a lead of L's group is coprime to lmf.  Each such L
     is lmf times the quotient q = L - lmf, and L | L' iff q | q', so the
-    minimal lcms are those of the minimal quotients:
+    minimal lcms are those of the minimal quotients.  Only the near leads,
+    those sharing a variable with lmf, are grouped:
     - q = 1 (L = lmf) divides every quotient, so it is then the only one;
     - else a quotient that is one variable to the first power is minimal,
       and every other quotient with that variable is a multiple of it, which
       one AND with the mask `units` of those variables finds;
     - the remaining quotients are tested against the kept ones of them,
       indexed by top support bit as in `Reducer`, in ascending int order,
-      in which a proper divisor comes first.
+      in which a proper divisor comes first;
+    - a minimal quotient q is dropped when a lead c coprime to lmf divides
+      it.  c's own quotient is lm_c, so a group holds c exactly when
+      q = lm_c, and lm_c | q otherwise makes q no minimal quotient: that
+      one test is the coprime-lead criterion and the coprime leads' part
+      of the minimality.
     """
-    _check_deadline()
-    n = len(lmG)
-    guard, low = packing.guard, packing.low
-    lcms = [mono_lcm(lm, lmf, guard) for lm in lmG]
+    lms, masks, guard, low = leads.lms, leads.masks, leads.guard, leads.low
+    n = len(lms)
+    maskf = (lmf + low) & guard
+    if maskf & leads.meet:  # every lead shares a variable with lmf
+        near, coprime = range(n), False
+    else:
+        found, by_var, bits = 0, leads.by_var, maskf
+        while bits:
+            top = bits.bit_length()
+            found |= by_var.get(top, 0)
+            bits ^= 1 << top - 1
+        near = []
+        while found:
+            bit = found & -found
+            near.append(bit.bit_length() - 1)
+            found ^= bit
+        coprime = len(near) < n
+    lcms = [mono_lcm(lms[i], lmf, guard) for i in near]
 
-    # B_k(i, j) drops the pair when lmf | lcm_ij and lcm_ij differs from
-    # both lcm(lm_i, lmf) and lcm(lm_j, lmf).  lmf | lcm_ij is tested
-    # inline: no field of lcm_ij - lmf borrows.
-    for ij, L in [(ij, L) for ij, L in P.items() if not (L - lmf) & guard]:
-        i, j = ij
-        if lcms[i] != L and lcms[j] != L:
-            del P[ij]
-
-    first = dict(zip(reversed(lcms), range(n - 1, -1, -1)))  # lcm -> its first index
+    first = dict(zip(reversed(lcms), reversed(near)))  # lcm -> its first index
     if lmf in first:
         minimal = [MONO_ONE]
     else:
@@ -305,29 +393,93 @@ def _update_pairs(lmG, P, lmf, packing):
                 minimal.append(q)
                 by_top.setdefault(mask.bit_length(), []).append((q, mask))
 
-    # Coprime-lead criterion: a lead coprime to lmf has lcm lead * lmf, so
-    # a group holds one exactly when its quotient is a lead coprime to lmf.
-    maskf = (lmf + low) & guard
-    leads = None
-    new = {}
-    for q in minimal:
-        if not (q + low) & maskf:
-            if leads is None:
-                leads = set(lmG)
-            if q in leads:
-                continue
-        L = q + lmf
-        new[first[L], n] = L
+    if coprime:
+        # A lead c coprime to lmf has lcm lm_c * lmf, and
+        # lm_c * lmf | L_i = lmf * q_i iff lm_c | q_i.  Its support lies in
+        # q_i's outside lmf's, so `lowest_in` of that part holds it.
+        kept = []
+        for q in minimal:
+            qmask = (q + low) & guard & ~maskf
+            found = leads.lowest_in(qmask)
+            while found:
+                bit = found & -found
+                found ^= bit
+                c = bit.bit_length() - 1
+                if not masks[c] & ~qmask and not (q - lms[c]) & guard:
+                    break  # a coprime lead divides q
+            else:
+                kept.append(q)
+        minimal = kept
+    return [(first[q + lmf], q + lmf) for q in minimal]
+
+
+def _update_pairs(leads: _Leads, P: dict, lmf: int) -> dict:
+    """Gebauer-Moeller pair update, in place: makes the pair set P that of
+    the basis with the leads of `leads` after adding an element with lead
+    monomial lmf, adds lmf to `leads`, and returns the pairs it added, a
+    dict of its own.  The new pairs come from `_near_pairs`.
+
+    B_k(i, j) drops a pair of P when lmf | L = lcm_ij and L differs from
+    both lcm(lm_i, lmf) and lcm(lm_j, lmf).  lmf | L is tested inline: no
+    field of L - lmf borrows.  For a | L and b | L, lcm(a, b) = L iff the
+    cofactors L - a and L - b share no variable: each field of L is the
+    max of a's and b's iff one of the two differences is 0 there.  The
+    driver calls this for each new element; it scans all of P, since the
+    leads still to come are unknown.
+    """
+    _check_deadline()
+    pairs = _near_pairs(leads, lmf)
+    lms, guard, low = leads.lms, leads.guard, leads.low
+    n = len(lms)
+    for ij, L in [(ij, L) for ij, L in P.items() if not (L - lmf) & guard]:
+        i, j = ij
+        cof = (L - lmf + low) & guard
+        if (L - lms[i] + low) & cof and (L - lms[j] + low) & cof:
+            del P[ij]
+    new = {(i, n): L for i, L in pairs}
     P.update(new)
+    leads.add(lmf)
     return new
 
 
-def _initial_pairs(lmG, packing):
-    """Pair set of a basis with lead monomials lmG, added one at a time to
-    one dict."""
+def _initial_pairs(leads: _Leads, lmG) -> dict:
+    """Pair set of a basis with lead monomials lmG, which are added to the
+    empty index `leads`: the same dict, in the same order, as the updates
+    `_update_pairs` makes adding them one at a time.
+
+    The pairs each lead makes come from `_near_pairs`.  B is then tested
+    once per pair (i, j), as in `_update_pairs`, against the later leads
+    k > j whose lowest support bit is in the support of L = lcm_ij, the
+    union of i's and j's: only those can divide L.  Deleting the pairs it
+    drops leaves the others in order.  Each pass checks the budget once
+    per lead.
+    """
     P: dict = {}
-    for n, lm in enumerate(lmG):
-        _update_pairs(lmG[:n], P, lm, packing)
+    for j, lm in enumerate(lmG):
+        _check_deadline()
+        for i, L in _near_pairs(leads, lm):
+            P[i, j] = L
+        leads.add(lm)
+    lms, guard, low = leads.lms, leads.guard, leads.low
+    lowest_in = [leads.lowest_in(mask) for mask in leads.masks]
+    gone, last = [], -1
+    for ij, L in P.items():  # grouped by j, ascending
+        i, j = ij
+        if j != last:
+            _check_deadline()
+            last = j
+        later = (lowest_in[j] | lowest_in[i]) >> j + 1
+        while later:  # bit b is lead j + 1 + b
+            bit = later & -later
+            later ^= bit
+            lmk = lms[j + bit.bit_length()]
+            if not (L - lmk) & guard:
+                cof = (L - lmk + low) & guard
+                if (L - lms[i] + low) & cof and (L - lms[j] + low) & cof:
+                    gone.append(ij)  # B_k drops the pair
+                    break
+    for ij in gone:
+        del P[ij]
     return P
 
 
@@ -374,9 +526,10 @@ def _buchberger_loop(gens, order):
     field, packing = reducer.field, reducer.packing
     guard = packing.guard
     entries = reducer.entries
-    lmG = [e[0] for e in entries]
+    leads = _Leads(packing)
+    P = _initial_pairs(leads, [e[0] for e in entries])
+    lmG = leads.lms
     sugars = [f.degree() for f in gens]
-    P = _initial_pairs(lmG, packing)
     heap = [_pair_key(*pair, lcm, lmG, sugars, order) for pair, lcm in P.items()]
     heapq.heapify(heap)
 
@@ -392,9 +545,8 @@ def _buchberger_loop(gens, order):
         lmr = next(iter(rem))  # the remainder comes leading term first
         if lmr == MONO_ONE:
             return None
-        new = _update_pairs(lmG, P, lmr, packing)
+        new = _update_pairs(leads, P, lmr)  # appends lmr to lmG
         reducer.add_terms(lmr, _monic_terms(rem, lmr, field))
-        lmG.append(lmr)
         sugars.append(pair_sugar)
         for pair, lcm in new.items():
             heapq.heappush(heap, _pair_key(*pair, lcm, lmG, sugars, order))
@@ -461,7 +613,7 @@ def is_groebner_basis(gens, order: TermOrder = ANTIDIAG) -> bool:
         return True
     field, packing, entries = reducer.field, reducer.packing, reducer.entries
     guard = packing.guard
-    for (i, j), lcm in _initial_pairs([e[0] for e in entries], packing).items():
+    for (i, j), lcm in _initial_pairs(_Leads(packing), [e[0] for e in entries]).items():
         if reducer.remainder(s_polynomial(entries[i], entries[j], lcm, guard, field)):
             return False
     return True

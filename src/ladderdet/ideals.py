@@ -279,14 +279,6 @@ class PartialPermutation:
         if any(not (1 <= i <= k and 1 <= j <= l) for i, j in self.ones):
             raise ValueError("one outside the grid")
 
-    @classmethod
-    def from_one_line(cls, word, shape=None) -> "PartialPermutation":
-        """Permutation in one-line notation: w[i] = column of the 1 in row i."""
-        word = list(word)
-        n = len(word)
-        shape = shape or (n, n)
-        return cls(shape, frozenset((i + 1, w) for i, w in enumerate(word) if w))
-
     def rank(self, r: int, s: int) -> int:
         return sum(1 for i, j in self.ones if i <= r and j <= s)
 

@@ -385,10 +385,6 @@ class AntidiagonalProfile:
     b_levels: tuple[int, ...]           # the subset B with nonnegative count
     interior_size: int
 
-    @property
-    def a_levels(self) -> tuple[int, ...]:
-        return tuple(ld.r for ld in self.levels)
-
     def level(self, r: int) -> LevelData:
         for ld in self.levels:
             if ld.r == r:

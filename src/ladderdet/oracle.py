@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from .fields import QQ, Field
 from .groebner import Ideal, MonomialIdeal, Ring
 from .ideals import (  # minor_product_symbolic_degree: also importable from here
-    minor_product,
     minor_product_symbolic_degree,
     mixed_ladder_ideal,
 )
@@ -52,10 +51,6 @@ class SymbolicCertificate:
     @property
     def counts(self) -> tuple[int, ...]:
         return tuple(c for _, _, _, c in self.factors)
-
-    def witness_polynomial(self, field: Field = QQ) -> Polynomial:
-        """The expanded witness f (computed on demand, size-guarded)."""
-        return minor_product([m for m, _, _, _ in self.factors], field)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -24,7 +24,7 @@ from functools import cache
 from itertools import chain, permutations
 from weakref import WeakKeyDictionary, WeakValueDictionary
 
-from .fields import GF, QQ, Field
+from .fields import QQ, Field
 
 # ---------------------------------------------------------------------------
 # Time budgets
@@ -568,10 +568,6 @@ class Polynomial:
         div = self.field.div
         return Polynomial(self.field, {m: div(v, c) for m, v in self.terms.items()},
                           self.packing)
-
-    def reduce_mod(self, p: int) -> "Polynomial":
-        """Image in GF(p) of a rational polynomial with p-integral coefficients."""
-        return Polynomial.from_terms(GF(p), self.terms.items(), self.packing)
 
     # -- packings
 

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ladderdet.cli import main
+from ladderdet.cli import EXIT_BROKEN_PIPE, main
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ladderdet" / "fixtures"
 
@@ -269,6 +270,38 @@ def test_console_script_entrypoint():
     )
     assert proc.returncode == 0
     assert "u=1 v=1" in proc.stdout
+
+
+def _derive_into_closed_pipe(tmp_path, unbuffered, lines_read):
+    """Runs `knutson derive --verify` with stdout a pipe that the reader
+    closes after `lines_read` lines, like `| head -1`; returns the exit
+    status and stderr."""
+    env = {**os.environ, "PYTHONUNBUFFERED": "1" if unbuffered else ""}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ladderdet", "knutson", "derive", "--corner", "4,4,2,3,3",
+         "--out", str(tmp_path / "d.json"), "--verify"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    for _ in range(lines_read):
+        assert proc.stdout.readline().startswith(b"wrote ")
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    return proc.wait(), stderr
+
+
+def test_closed_pipe_after_one_line_exits_quietly(tmp_path):
+    # Unbuffered, the first line arrives before the report is written; the
+    # report then meets the closed pipe unless it was written first.
+    code, stderr = _derive_into_closed_pipe(tmp_path, unbuffered=True, lines_read=1)
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+    assert code in (0, EXIT_BROKEN_PIPE)
+
+
+def test_closed_pipe_before_the_flush_exits_141(tmp_path):
+    # Buffered, nothing is written until `main` flushes, which meets the
+    # pipe already closed.
+    code, stderr = _derive_into_closed_pipe(tmp_path, unbuffered=False, lines_read=0)
+    assert (code, stderr) == (EXIT_BROKEN_PIPE, "")
 
 
 def test_module_entrypoint():

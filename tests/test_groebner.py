@@ -17,6 +17,7 @@ from ladderdet.groebner import (
     MonomialIdeal,
     Reducer,
     Ring,
+    _Leads,
     _buchberger_loop,
     _cover_bits,
     _initial_pairs,
@@ -847,7 +848,7 @@ def test_initial_pairs_match_set_based_reference(order):
     for _ in range(200):
         leads = _seeded_leads(rng, variables)
         packed = [ring.packing.pack(pairs) for pairs in leads]
-        P = _initial_pairs(packed, ring.packing)
+        P = _initial_pairs(_Leads(ring.packing), packed)
         assert set(P) == _reference_initial_pairs([ref.tuple_mono(pairs) for pairs in leads], order)
         assert all(lcm == mono_lcm(packed[i], packed[j], guard) for (i, j), lcm in P.items())
         # No pair of coprime leads: their S-polynomial reduces to zero.
@@ -855,8 +856,9 @@ def test_initial_pairs_match_set_based_reference(order):
         assert all(masks[i] & masks[j] for i, j in P)
 
 
-# -- the pair update against the packed-int update it replaced
-# -- (tests/reference_pairs.py): the same pair dicts
+# -- the pair update against the packed-int updates it replaced
+# -- (tests/reference_pairs.py): the same pair dicts, and against the
+# -- all-leads scan the lead index replaced, the same insertion order
 
 
 def _assert_updates_match_reference(lmG, order, packing, rng):
@@ -865,16 +867,24 @@ def _assert_updates_match_reference(lmG, order, packing, rng):
     # pops them.  The update returns the pairs it added: those of the new
     # lead, index n.
     masks = [mono_mask(lm, packing) for lm in lmG]
+    leads = _Leads(packing)
     P: dict = {}
+    scanned: dict = {}
     for n, lm in enumerate(lmG):
         expected = reference_pairs.update_pairs(lmG[:n], masks, P, lm, order, packing)
-        new = _update_pairs(lmG[:n], P, lm, packing)
+        reference_pairs.scan_update_pairs(lmG[:n], scanned, lm, packing)
+        new = _update_pairs(leads, P, lm)
         assert P == expected
+        assert list(P.items()) == list(scanned.items())
         assert new == {pair: lcm for pair, lcm in P.items() if pair[1] == n}
+        assert leads.lms == lmG[:n + 1]
         for pair in expected:
             if rng.random() >= 0.8:
                 del P[pair]
-    assert _initial_pairs(lmG, packing) == reference_pairs.initial_pairs(lmG, order, packing)
+                del scanned[pair]
+    initial = _initial_pairs(_Leads(packing), lmG)
+    assert initial == reference_pairs.initial_pairs(lmG, order, packing)
+    assert list(initial.items()) == list(reference_pairs.scan_initial_pairs(lmG, packing).items())
 
 
 @pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX, ELIM], ids=str)
@@ -928,16 +938,71 @@ def _products_of_minors(rng):
     return [(products, packing), (rng.sample(products, len(products)), packing)]
 
 
+def _random_leads(rng, packing, count):
+    return [packing.pack((rng.choice(packing.variables), rng.randint(1, 3))
+                         for _ in range(rng.randint(1, 3)))
+            for _ in range(count)]
+
+
 def _exponents_to_3(rng):
     packing = Ring.for_grid(QQ, 3, 3).packing
-    return [([packing.pack((rng.choice(packing.variables), rng.randint(1, 3))
-                           for _ in range(rng.randint(1, 3)))
-              for _ in range(rng.randint(2, 16))], packing) for _ in range(150)]
+    return [(_random_leads(rng, packing, rng.randint(2, 16)), packing) for _ in range(150)]
 
 
 def _quotient_cases(rng):
     packing = Ring.for_grid(QQ, 3, 3).packing
     return [(_quotient_leads(rng, packing), packing) for _ in range(400)]
+
+
+def _shared_variable(rng):
+    # The ELIM shape: the aux variable t, on top, is in every lead, as in
+    # the generators t*f and (1 - t)*g of an intersection; then the same
+    # leads followed by t-free ones, as the driver adds them.
+    packing = Ring(QQ, (aux_var("t"), *(gv(i, j) for i in (1, 2, 3) for j in (1, 2, 3)))).packing
+    cases = []
+    for _ in range(150):
+        grid = [packing.pack((rng.choice(packing.variables[1:]), rng.randint(1, 3))
+                             for _ in range(rng.randint(1, 3)))
+                for _ in range(rng.randint(2, 14))]
+        with_t = [m + packing.pack([(aux_var("t"), rng.randint(1, 2))]) for m in grid]
+        cases.append((with_t, packing))
+        cases.append((with_t + rng.sample(grid, rng.randint(1, len(grid))), packing))
+    return cases
+
+
+def _constant_lead(rng):
+    # MONO_ONE at the start, in the middle and at the end.
+    packing = Ring.for_grid(QQ, 3, 3).packing
+    cases = []
+    for _ in range(100):
+        leads = _random_leads(rng, packing, rng.randint(2, 12))
+        for at in (0, len(leads) // 2, len(leads)):
+            cases.append((leads[:at] + [MONO_ONE] + leads[at:], packing))
+    return cases
+
+
+def _divides_a_later_lead(rng):
+    packing = Ring.for_grid(QQ, 3, 3).packing
+    cases = []
+    for _ in range(200):
+        leads = _random_leads(rng, packing, rng.randint(2, 12))
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randrange(len(leads))
+            multiple = leads[at] + _random_leads(rng, packing, 1)[0]
+            leads.insert(rng.randint(at + 1, len(leads)), multiple)
+        cases.append((leads, packing))
+    return cases
+
+
+def _duplicate_leads(rng):
+    packing = Ring.for_grid(QQ, 3, 3).packing
+    cases = []
+    for _ in range(200):
+        leads = _random_leads(rng, packing, rng.randint(1, 10))
+        leads += [rng.choice(leads) for _ in range(rng.randint(1, 6))]
+        rng.shuffle(leads)
+        cases.append((leads, packing))
+    return cases
 
 
 _STRUCTURED_LEADS = {
@@ -946,6 +1011,10 @@ _STRUCTURED_LEADS = {
     "products-of-minors": _products_of_minors,
     "exponents-to-3": _exponents_to_3,
     "quotients": _quotient_cases,
+    "shared-variable": _shared_variable,
+    "constant-lead": _constant_lead,
+    "divides-a-later-lead": _divides_a_later_lead,
+    "duplicate-leads": _duplicate_leads,
 }
 
 
@@ -954,6 +1023,15 @@ def test_pair_update_matches_the_reference_on_structured_leads(name):
     rng = random.Random(name)
     for lmG, packing in _STRUCTURED_LEADS[name](rng):
         _assert_updates_match_reference(lmG, ANTIDIAG, packing, rng)
+
+
+def test_initial_pairs_respect_the_time_budget():
+    lmG, packing = _grid_minor_leads(9, 2)
+    start = time.monotonic()
+    with pytest.raises(InstanceTooLarge):
+        with time_limit(0.01):
+            _initial_pairs(_Leads(packing), lmG)
+    assert time.monotonic() - start < 0.5
 
 
 def test_pair_update_edge_cases():
@@ -980,7 +1058,10 @@ def test_pair_update_edge_cases():
          {(0, 2): a + b, (1, 2): b + c}, {(0, 2): a + b, (1, 2): b + c}),
     ]
     for lmG, pairs, lmf, added, after in cases:
-        assert _update_pairs(lmG, pairs, lmf, packing) == added
+        leads = _Leads(packing)
+        for lm in lmG:
+            leads.add(lm)
+        assert _update_pairs(leads, pairs, lmf) == added
         assert pairs == after
 
 
@@ -996,13 +1077,19 @@ def test_driver_pops_live_pairs_by_sugar_first(monkeypatch):
     from ladderdet import groebner
 
     events, runs = [], []
-    real_update, real_spoly, real_loop = (
-        groebner._update_pairs, groebner.s_polynomial, groebner._buchberger_loop)
+    real_initial, real_update, real_spoly, real_loop = (
+        groebner._initial_pairs, groebner._update_pairs, groebner.s_polynomial,
+        groebner._buchberger_loop)
 
-    def update(lmG, pairs, lmf, packing):
-        before = list(pairs)
-        added = real_update(lmG, pairs, lmf, packing)
-        events.append(("update", len(lmG), [ij for ij in before if ij not in pairs], added))
+    def initial(leads, lmG):
+        pairs = real_initial(leads, lmG)
+        events.append(("initial", dict(pairs)))
+        return pairs
+
+    def update(leads, pairs, lmf):
+        before, n = list(pairs), len(leads.lms)
+        added = real_update(leads, pairs, lmf)
+        events.append(("update", n, [ij for ij in before if ij not in pairs], added))
         return added
 
     def spoly(a, b, lcm, guard, field):
@@ -1019,6 +1106,7 @@ def test_driver_pops_live_pairs_by_sugar_first(monkeypatch):
     ring = ladder_ring(F, L)
     left = mixed_ladder_ideal(L.band("cols", 1, 2), 2, F, ring)
     right = mixed_ladder_ideal(L.band("cols", 2, 4), 2, F, ring)
+    monkeypatch.setattr(groebner, "_initial_pairs", initial)
     monkeypatch.setattr(groebner, "_update_pairs", update)
     monkeypatch.setattr(groebner, "s_polynomial", spoly)
     monkeypatch.setattr(groebner, "_buchberger_loop", loop)
@@ -1032,11 +1120,14 @@ def test_driver_pops_live_pairs_by_sugar_first(monkeypatch):
     pair_sugar = None
     reduced = dropped = 0
     for event in events:
+        if event[0] == "initial":  # the generators' pair set
+            live.update(event[1])
+            continue
         if event[0] == "update":
             _, n, gone, added = event
-            if n >= len(gens):  # the driver adds element n
-                sugars.append(pair_sugar)
-                dropped += len(gone)
+            assert n >= len(gens)  # the driver adds element n
+            sugars.append(pair_sugar)
+            dropped += len(gone)
             for ij in gone:
                 del live[ij]
             live.update(added)

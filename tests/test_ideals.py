@@ -158,12 +158,18 @@ def test_g_witness_requires_tv_above_one():
         g_witness_data(Ladder.full(3, 3), (1,))
 
 
+def from_one_line(word):
+    """Permutation in one-line notation: w[i] = column of the 1 in row i."""
+    return PartialPermutation((len(word), len(word)),
+                              frozenset((i + 1, w) for i, w in enumerate(word) if w))
+
+
 def test_schubert_examples():
-    w = PartialPermutation.from_one_line([2, 1, 3])
+    w = from_one_line([2, 1, 3])
     I = schubert_ideal(w)
     assert [str(g) for g in I.gens] == ["x[1,1]"]
 
-    identity = PartialPermutation.from_one_line([1, 2, 3])
+    identity = from_one_line([1, 2, 3])
     assert schubert_ideal(identity).is_zero
 
     ring = grid_ring(QQ, 3, 3)
@@ -186,7 +192,7 @@ def test_schubert_single_condition_matches_corner():
 def test_partial_permutation_validation():
     with pytest.raises(ValueError):
         PartialPermutation((2, 2), frozenset({(1, 1), (1, 2)}))
-    w = PartialPermutation.from_one_line([2, 1])
+    w = from_one_line([2, 1])
     assert w.rank(1, 1) == 0 and w.rank(2, 2) == 2
     assert PartialPermutation.from_json(w.to_json()) == w
 

@@ -269,9 +269,14 @@ def test_height_formula_on_full_matrices():
                 assert height(L, (t,)) == (k - t + 1) * (l - t + 1)
 
 
+def a_levels(prof):
+    """The antidiagonal levels of a profile, in order."""
+    return tuple(ld.r for ld in prof.levels)
+
+
 def test_profile_3x3():
     prof = antidiagonal_profile(Ladder.full(3, 3), (2,))
-    assert prof.a_levels == (3, 4, 5)
+    assert a_levels(prof) == (3, 4, 5)
     assert tuple(ld.gamma for ld in prof.levels) == (2, 3, 2)
     assert prof.counts == (1, 2, 1)
     assert [str(m) for m in prof.witness_factors] == ["[12|12]", "[123|123]", "[23|23]"]
@@ -280,12 +285,12 @@ def test_profile_3x3():
 
 def test_profile_2x2():
     prof = antidiagonal_profile(Ladder.full(2, 2), (2,))
-    assert prof.a_levels == (3,)
+    assert a_levels(prof) == (3,)
     assert [str(m) for m in prof.witness_factors] == ["[12|12]"]
     assert prof.counts == (1,)
 
     prof1 = antidiagonal_profile(Ladder.full(2, 2), (1,))
-    assert prof1.a_levels == (2, 3, 4)
+    assert a_levels(prof1) == (2, 3, 4)
     assert sum(prof1.counts) == 4
 
 

@@ -15,6 +15,7 @@ from ladderdet.ideals import (
     f_witness_factors,
     g_witness_data,
     ladder_ring,
+    minor_product,
     mixed_ladder_ideal,
 )
 from ladderdet.ladders import Ladder, height, random_valid_ladder
@@ -73,8 +74,13 @@ def test_certificate_3x3():
     payload = json.loads(cert.to_json())
     assert payload["h"] == 4 and payload["counts"] == [1, 2, 1]
     assert payload["checks"]["lead_squarefree"]
-    f = cert.witness_polynomial(QQ)
+    f = witness_polynomial(cert, QQ)
     assert f == f_witness(Ladder.full(3, 3), (2,))
+
+
+def witness_polynomial(cert, field):
+    """The expanded witness f of a certificate: the product of its factors."""
+    return minor_product([m for m, _, _, _ in cert.factors], field)
 
 
 def test_certificate_2x2():
