@@ -14,7 +14,7 @@ symbolic powers).
 build (Gebauer and Moeller, J. Symbolic Comput. 6, 1988), made on an index
 of the leads: a new lead forms lcms only with the leads that share a
 variable with it, a lead coprime to it acts only through one divisor
-search, skipped when no lead can be coprime to it, and the initial build
+search, skipped when no lead is coprime to it, and the initial build
 tests the chain criterion once per pair against the later leads.  The
 driver's updates edit one pair dict in place.  Both form and reduce each
 S-pair on the terms of a reducer's entries, coefficients as the
@@ -255,20 +255,20 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 # support masks (`mono_mask`) share no bit, and one can divide another
 # only if its mask lies inside the other's.
 #
-# The pairs are made on a `_Leads` index of the basis's leads: the leads
-# that use each variable, the leads by lowest support bit, and the AND of
-# all lead masks.  It saves work in three ways:
+# The pairs are made on a `_Leads` index of the basis's leads: their
+# support masks and the leads by lowest support bit.  It saves work in
+# three ways:
 # - M and F, near leads only (`_near_pairs`): a new lead's lcms and
 #   quotients are formed only with the leads that share a variable with
-#   it.  A lead c coprime to it matters only through division: lm_c times
-#   the new lead divides the lcm L_i of lead i exactly when lm_c divides
-#   the quotient q_i.  So a minimal quotient is dropped when a divisor
-#   search on the lowest-bit index finds a coprime lead dividing it; that
-#   one test is the coprime-lead criterion F and the coprime part of M.
-# - No coprime search when none can exist: a new lead that shares a bit
-#   with the AND mask shares a variable with every lead, as the aux
-#   variable does in every lead of an ELIM intersection, so every lead is
-#   near and the search is skipped.
+#   it, found by one scan of the masks.  A lead c coprime to it matters
+#   only through division: lm_c times the new lead divides the lcm L_i of
+#   lead i exactly when lm_c divides the quotient q_i.  So a minimal
+#   quotient is dropped when a divisor search on the lowest-bit index
+#   finds a coprime lead dividing it; that one test is the coprime-lead
+#   criterion F and the coprime part of M.
+# - No coprime search when none can exist: when every lead is near, as
+#   in an ELIM intersection, whose leads all hold the aux variable, the
+#   search is skipped.
 # - B once per pair in the initial build: B_k drops the pair (i, j), made
 #   when j was added, exactly when a later lead k divides its lcm L and L
 #   differs from lcm(i, k) and from lcm(j, k), which depends on i, j and k
@@ -284,36 +284,26 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 class _Leads:
     """The leads of a basis, indexed for the pair update.
 
-    `by_var` maps each variable, by the bit length of its guard bit, to the
-    set of the leads that use it; `by_low` maps the bit length of each
-    lead's lowest support bit, 0 for a constant lead, to the set of those
-    leads.  A set of leads is an int with bit i set for lead i.  `meet` is
-    the AND of the leads' support masks, -1 while there is none.
+    `masks` holds the support mask of each lead; `by_low` maps the bit
+    length of each lead's lowest support bit, 0 for a constant lead, to the
+    set of those leads, an int with bit i set for lead i.
     """
 
-    __slots__ = ("guard", "low", "lms", "masks", "by_var", "by_low", "meet")
+    __slots__ = ("guard", "low", "lms", "masks", "by_low")
 
     def __init__(self, packing: Packing):
         self.guard, self.low = packing.guard, packing.low
         self.lms: list[int] = []
         self.masks: list[int] = []
-        self.by_var: dict = {}
         self.by_low: dict = {}
-        self.meet = -1
 
     def add(self, lm: int) -> None:
         bit = 1 << len(self.lms)
-        mask = bits = (lm + self.low) & self.guard
+        mask = (lm + self.low) & self.guard
         self.lms.append(lm)
         self.masks.append(mask)
-        self.meet &= mask
-        by_low, by_var = self.by_low, self.by_var
         key = (mask & -mask).bit_length()
-        by_low[key] = by_low.get(key, 0) | bit
-        while bits:
-            top = bits.bit_length()
-            by_var[top] = by_var.get(top, 0) | bit
-            bits ^= 1 << top - 1
+        self.by_low[key] = self.by_low.get(key, 0) | bit
 
     def lowest_in(self, mask: int) -> int:
         """The set of the leads whose lowest support bit is in `mask`, with
@@ -351,22 +341,9 @@ def _near_pairs(leads: _Leads, lmf: int):
       of the minimality.
     """
     lms, masks, guard, low = leads.lms, leads.masks, leads.guard, leads.low
-    n = len(lms)
     maskf = (lmf + low) & guard
-    if maskf & leads.meet:  # every lead shares a variable with lmf
-        near, coprime = range(n), False
-    else:
-        found, by_var, bits = 0, leads.by_var, maskf
-        while bits:
-            top = bits.bit_length()
-            found |= by_var.get(top, 0)
-            bits ^= 1 << top - 1
-        near = []
-        while found:
-            bit = found & -found
-            near.append(bit.bit_length() - 1)
-            found ^= bit
-        coprime = len(near) < n
+    near = [i for i, mask in enumerate(masks) if mask & maskf]
+    coprime = len(near) < len(lms)
     lcms = [mono_lcm(lms[i], lmf, guard) for i in near]
 
     first = dict(zip(reversed(lcms), reversed(near)))  # lcm -> its first index
@@ -442,10 +419,10 @@ def _update_pairs(leads: _Leads, P: dict, lmf: int) -> dict:
     return new
 
 
-def _initial_pairs(leads: _Leads, lmG) -> dict:
-    """Pair set of a basis with lead monomials lmG, which are added to the
-    empty index `leads`: the same dict, in the same order, as the updates
-    `_update_pairs` makes adding them one at a time.
+def _initial_pairs(lmG, packing: Packing):
+    """The lead index of lead monomials lmG, in `packing`, and their pair
+    set: the same dict, in the same order, as the updates `_update_pairs`
+    makes adding them one at a time.  Returns (index, pair set).
 
     The pairs each lead makes come from `_near_pairs`.  B is then tested
     once per pair (i, j), as in `_update_pairs`, against the later leads
@@ -454,6 +431,7 @@ def _initial_pairs(leads: _Leads, lmG) -> dict:
     drops leaves the others in order.  Each pass checks the budget once
     per lead.
     """
+    leads = _Leads(packing)
     P: dict = {}
     for j, lm in enumerate(lmG):
         _check_deadline()
@@ -480,7 +458,7 @@ def _initial_pairs(leads: _Leads, lmG) -> dict:
                     break
     for ij in gone:
         del P[ij]
-    return P
+    return leads, P
 
 
 def _pair_key(i, j, lcm, lmG, sugars, order):
@@ -526,8 +504,7 @@ def _buchberger_loop(gens, order):
     field, packing = reducer.field, reducer.packing
     guard = packing.guard
     entries = reducer.entries
-    leads = _Leads(packing)
-    P = _initial_pairs(leads, [e[0] for e in entries])
+    leads, P = _initial_pairs([e[0] for e in entries], packing)
     lmG = leads.lms
     sugars = [f.degree() for f in gens]
     heap = [_pair_key(*pair, lcm, lmG, sugars, order) for pair, lcm in P.items()]
@@ -613,7 +590,8 @@ def is_groebner_basis(gens, order: TermOrder = ANTIDIAG) -> bool:
         return True
     field, packing, entries = reducer.field, reducer.packing, reducer.entries
     guard = packing.guard
-    for (i, j), lcm in _initial_pairs(_Leads(packing), [e[0] for e in entries]).items():
+    _, P = _initial_pairs([e[0] for e in entries], packing)
+    for (i, j), lcm in P.items():
         if reducer.remainder(s_polynomial(entries[i], entries[j], lcm, guard, field)):
             return False
     return True

@@ -848,7 +848,7 @@ def test_initial_pairs_match_set_based_reference(order):
     for _ in range(200):
         leads = _seeded_leads(rng, variables)
         packed = [ring.packing.pack(pairs) for pairs in leads]
-        P = _initial_pairs(_Leads(ring.packing), packed)
+        _, P = _initial_pairs(packed, ring.packing)
         assert set(P) == _reference_initial_pairs([ref.tuple_mono(pairs) for pairs in leads], order)
         assert all(lcm == mono_lcm(packed[i], packed[j], guard) for (i, j), lcm in P.items())
         # No pair of coprime leads: their S-polynomial reduces to zero.
@@ -882,7 +882,8 @@ def _assert_updates_match_reference(lmG, order, packing, rng):
             if rng.random() >= 0.8:
                 del P[pair]
                 del scanned[pair]
-    initial = _initial_pairs(_Leads(packing), lmG)
+    leads, initial = _initial_pairs(lmG, packing)
+    assert leads.lms == lmG
     assert initial == reference_pairs.initial_pairs(lmG, order, packing)
     assert list(initial.items()) == list(reference_pairs.scan_initial_pairs(lmG, packing).items())
 
@@ -1030,7 +1031,7 @@ def test_initial_pairs_respect_the_time_budget():
     start = time.monotonic()
     with pytest.raises(InstanceTooLarge):
         with time_limit(0.01):
-            _initial_pairs(_Leads(packing), lmG)
+            _initial_pairs(lmG, packing)
     assert time.monotonic() - start < 0.5
 
 
@@ -1081,10 +1082,10 @@ def test_driver_pops_live_pairs_by_sugar_first(monkeypatch):
         groebner._initial_pairs, groebner._update_pairs, groebner.s_polynomial,
         groebner._buchberger_loop)
 
-    def initial(leads, lmG):
-        pairs = real_initial(leads, lmG)
+    def initial(lmG, packing):
+        leads, pairs = real_initial(lmG, packing)
         events.append(("initial", dict(pairs)))
-        return pairs
+        return leads, pairs
 
     def update(leads, pairs, lmf):
         before, n = list(pairs), len(leads.lms)
