@@ -306,7 +306,10 @@ def _cmd_knutson(args) -> int:
             deriv = ladder_derivation(ladder, t[0], field)
         text = derivation_to_json(deriv)
         if args.out:
-            Path(args.out).write_text(text)
+            try:
+                Path(args.out).write_text(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write {args.out}: {exc}") from None
             print(f"wrote {args.out}")
         else:
             print(text)

@@ -8,7 +8,8 @@ ideal sums / intersections / colons / saturations, Frobenius bracket
 powers, and squarefree monomial-ideal combinatorics (minimal primes by a
 branching search that reaches each one once; height, dimension and
 multiplicity from the Hilbert series by a memoised pivot recursion;
-symbolic powers).
+symbolic powers by one pass per minimal prime P, as (b) ∩ P^n =
+b · P^(max(0, n − deg_P b)) (Herzog, Hibi and Trung, Adv. Math. 210, 2007)).
 
 `buchberger` and `is_groebner_basis` share the Gebauer-Moeller pair
 build (Gebauer and Moeller, J. Symbolic Comput. 6, 1988), made on an index
@@ -45,6 +46,7 @@ from .poly import (
     ANTIDIAG,
     ELIM,
     FIELD_BITS,
+    MAX_EXPONENT,
     MONO_ONE,
     InstanceTooLarge,
     Packing,
@@ -657,19 +659,15 @@ class Ideal:
         """Generators are re-packed into the ring; repeats are dropped,
         keeping first occurrences."""
         self.ring = ring
-        kept = []
-        seen: dict = {}  # monomial set -> kept generators with those monomials
+        kept: dict = {}  # term set -> the first generator with those terms
         for g in gens:
             if g.is_zero:
                 continue
             if g.field != ring.field:
                 raise ValueError("generator field does not match ring")
             g = g.repack(ring.packing)
-            same = seen.setdefault(frozenset(g.terms), [])
-            if all(h.terms != g.terms for h in same):
-                same.append(g)
-                kept.append(g)
-        self.gens = tuple(kept)
+            kept.setdefault(frozenset(g.terms.items()), g)
+        self.gens = tuple(kept.values())
         self._cache: dict[TermOrder, tuple[Polynomial, ...]] = {}
         # order -> {packing: Reducer of the cached basis in that packing}
         self._reducers: dict[TermOrder, dict[Packing, Reducer]] = {}
@@ -953,13 +951,6 @@ class MonomialIdeal:
         packing = self.ring.packing
         return MonomialIdeal.from_monomials(self.ring, [mono_radical(g, packing) for g in self.gens])
 
-    def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        if self.is_zero or other.is_zero:
-            return MonomialIdeal(self.ring, ())
-        guard = self.ring.packing.guard
-        monos = [mono_lcm(a, b, guard) for a in self.gens for b in other.gens]
-        return MonomialIdeal.from_monomials(self.ring, monos)
-
     def supports(self) -> list[int]:
         """The support mask of each generator (`mono_mask`)."""
         packing = self.ring.packing
@@ -992,22 +983,28 @@ class MonomialIdeal:
         return _height_and_multiplicity(self.supports())[1]
 
     def symbolic_power(self, n: int) -> "MonomialIdeal":
-        """Intersection of the n-th powers of the minimal primes (squarefree input)."""
+        """Intersection of the n-th powers of the minimal primes (squarefree
+        input): the generators b so far times P^(max(0, n − deg_P b)), per P."""
         if not self.is_squarefree():
             raise ValueError("symbolic powers are implemented for squarefree monomial ideals")
         if n < 1:
             raise ValueError("symbolic power wants n >= 1")
         if self.is_zero:
             return self
-        # Each minimal prime is a cover mask of guard bits; the bit at 9f + 8
-        # stands for the variable of field f, so the prime's generators are
-        # 1 << 9f.  Primes go in the order of their sorted variables.
-        result = None
-        for cover in sorted(minimal_covers(self.supports()), key=_bit_positions):
-            gens = [1 << b - FIELD_BITS for b in _bit_positions(cover)]
-            prime_power = MonomialIdeal.from_monomials(self.ring, gens).power(n)
-            result = prime_power if result is None else result.intersect(prime_power)
-        return result
+        if n > MAX_EXPONENT:
+            raise _overflow()
+        gens = (MONO_ONE,)
+        for cover in minimal_covers(self.supports()):
+            # The cover's guard bit 9f + 8 marks field f, whose variable is 1 << 9f.
+            prime = [1 << b - FIELD_BITS for b in _bit_positions(cover)]
+            fields = sum(prime) * MAX_EXPONENT  # the exponent bits of P's variables
+            products = []
+            for b in gens:
+                _check_deadline()
+                r = max(n - mono_degree(b & fields), 0)
+                products += (b + sum(m) for m in combinations_with_replacement(prime, r))
+            gens = _minimalize_monomials(products, self.ring.packing)
+        return MonomialIdeal(self.ring, gens)
 
     def power(self, n: int) -> "MonomialIdeal":
         if n < 1:

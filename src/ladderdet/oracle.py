@@ -199,11 +199,6 @@ def initial_symbolic_compare(I: Ideal, n: int, order: TermOrder = ANTIDIAG,
     left = symbolic_power_saturation(I, n, strategy).initial_ideal(order)
     if left.gens == right.gens:
         return InitialCompareResult(True, None, left, right)
-    packing = I.ring.packing
-    for g in right.gens:
-        if not left.contains(g):
-            return InitialCompareResult(False, Monomial(packing, g), left, right)
-    for g in left.gens:
-        if not right.contains(g):
-            return InitialCompareResult(False, Monomial(packing, g), left, right)
-    return InitialCompareResult(True, None, left, right)
+    # Distinct minimal generators: one side has a generator outside the other.
+    gap = next(g for a, b in ((right, left), (left, right)) for g in a.gens if not b.contains(g))
+    return InitialCompareResult(False, Monomial(I.ring.packing, gap), left, right)

@@ -141,6 +141,15 @@ def test_knutson_commands(capsys, tmp_path):
     assert code == 0
 
 
+def test_knutson_derive_out_to_unwritable_path_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "d.json"
+    code = main(["knutson", "derive", "--corner", "3,3,2,2,2", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and not target.exists()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+
+
 def test_schubert_and_poset_commands(capsys, tmp_path):
     perm = tmp_path / "w.json"
     perm.write_text(json.dumps({"shape": [3, 3], "ones": [[1, 2], [2, 1]]}))

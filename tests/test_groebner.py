@@ -9,6 +9,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
+import ladderdet
 from ladderdet.acceptance import generic_multiplicity
 from ladderdet.fields import GF, QQ
 from ladderdet.groebner import (
@@ -425,6 +426,75 @@ def test_monomial_ideal_utilities():
 
     with pytest.raises(ValueError):
         MonomialIdeal.from_monomials(ring, [mono((x, 2))]).symbolic_power(2)
+
+
+def _reference_symbolic_power(M, n):
+    """I^(n) by the power-then-intersect route: each minimal prime power P^n
+    as its own ideal, intersected one at a time through the lcms of every
+    pair of generators."""
+    ring, guard = M.ring, M.ring.packing.guard
+    result = None
+    for cover in minimal_covers(M.supports()):
+        # The cover's guard bit 9f + 8 marks the variable 1 << 9f.
+        prime = [1 << b - 8 for b in range(cover.bit_length()) if cover >> b & 1]
+        power = MonomialIdeal.from_monomials(ring, prime).power(n)
+        result = power if result is None else MonomialIdeal.from_monomials(
+            ring, [mono_lcm(a, b, guard) for a in result.gens for b in power.gens])
+    return result
+
+
+def _fixture_initial_ideal(name, t=None):
+    L, fixture_t = ladderdet.load_fixture(name)
+    return mixed_ladder_ideal(L, t or fixture_t, GF(5)).initial_ideal()
+
+
+@pytest.mark.parametrize("k, l, t, n", [(3, 3, 2, 2), (3, 3, 2, 3), (3, 4, 2, 3), (3, 4, 3, 3),
+                                        (4, 4, 2, 2), (4, 4, 3, 3)])
+def test_symbolic_power_matches_reference_on_generic_grids(k, l, t, n):
+    M = _generic_initial_ideal(k, l, t)
+    assert M.symbolic_power(n).gens == _reference_symbolic_power(M, n).gens
+
+
+def test_symbolic_power_matches_reference_on_staircase_sub4x4():
+    M = _fixture_initial_ideal("staircase_sub4x4", [2])
+    assert M.symbolic_power(3).gens == _reference_symbolic_power(M, 3).gens
+
+
+def test_symbolic_power_matches_reference_on_random_squarefree_ideals():
+    rng = random.Random(22)
+    ring = Ring.for_grid(QQ, 3, 3)
+    variables = [gv(i, j) for i in range(1, 4) for j in range(1, 4)]
+    for _ in range(150):
+        monos = [mono(*((v, 1) for v in rng.sample(variables, rng.randint(1, 4))))
+                 for _ in range(rng.randint(1, 6))]
+        M = MonomialIdeal.from_monomials(ring, monos)
+        for n in (1, 2, 3):
+            assert M.symbolic_power(n).gens == _reference_symbolic_power(M, n).gens
+    zero = MonomialIdeal(ring, ())
+    assert zero.symbolic_power(300) is zero
+
+
+def test_symbolic_power_exponent_limit():
+    ring = Ring.for_grid(QQ, 1, 2)
+    x, y = gv(1, 1), gv(1, 2)
+    M = MonomialIdeal.from_monomials(ring, [mono((x, 1), (y, 1))])
+    assert monomials(M.symbolic_power(255)) == [mono((x, 255), (y, 255))]
+    with pytest.raises(ExponentOverflow):
+        M.symbolic_power(256)
+    with pytest.raises(ValueError):
+        M.symbolic_power(0)
+    with pytest.raises(ValueError):
+        MonomialIdeal(ring, (MONO_ONE,)).symbolic_power(2)
+
+
+def test_symbolic_power_honours_time_limit():
+    # Unlimited, staircase10 at n = 2 runs about 3 s on a 2-CPU machine.
+    M = _fixture_initial_ideal("staircase10")
+    start = time.monotonic()
+    with pytest.raises(InstanceTooLarge):
+        with time_limit(0.05):
+            M.symbolic_power(2)
+    assert time.monotonic() - start < 1.0
 
 
 def _mask(bits):
