@@ -672,6 +672,18 @@ class Ideal:
         # order -> {packing: Reducer of the cached basis in that packing}
         self._reducers: dict[TermOrder, dict[Packing, Reducer]] = {}
 
+    @classmethod
+    def _with_bases(cls, ring: Ring, gens, bases) -> "Ideal":
+        """The ideal of generators that are already distinct, nonzero and
+        packed in the ring's packing, with their reduced Groebner bases
+        known: `bases` maps an order to its basis (internal)."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.gens = tuple(gens)
+        out._cache = dict(bases)
+        out._reducers = {}
+        return out
+
     # -- basics
 
     def groebner_basis(self, order: TermOrder = ANTIDIAG) -> tuple[Polynomial, ...]:
@@ -679,11 +691,6 @@ class Ideal:
         if basis is None:
             basis = self._cache.setdefault(order, tuple(buchberger(self.gens, order)))
         return basis
-
-    def _seed_basis(self, order: TermOrder, basis) -> None:
-        """Install a known reduced Groebner basis (internal)."""
-        self._cache[order] = tuple(basis)
-        self._reducers.pop(order, None)
 
     def normal_form(self, f: Polynomial, order: TermOrder = ANTIDIAG) -> Polynomial:
         """Remainder of f on division by the reduced basis, as
@@ -771,13 +778,11 @@ class Ideal:
         gens += [h - h.mul_term(t, 1) for h in (h.repack(packing) for h in other.gens)]
         # ELIM is lex with the auxiliaries on top, so an element whose lead
         # is below t has no aux in any term; only those are interreduced.
-        kept = [Polynomial(ring.field, b.terms, ring.packing)
-                for b in buchberger(gens, ELIM, below=t)]
-        out = Ideal(ring, kept)
+        kept = tuple(Polynomial(ring.field, b.terms, ring.packing)
+                     for b in buchberger(gens, ELIM, below=t))
         # The aux-free slice of the reduced elimination basis is the reduced
         # basis of the intersection under the inner (antidiagonal) order.
-        out._seed_basis(ANTIDIAG, kept)
-        return out
+        return Ideal._with_bases(ring, kept, {ANTIDIAG: kept})
 
     def colon_poly(self, g: Polynomial) -> "Ideal":
         """(I : g) via intersect-with-principal and exact division by g."""
@@ -823,12 +828,13 @@ class Ideal:
             e += 1
         if qq != 1 or e == 0:
             raise ValueError(f"{q} is not a positive power of the characteristic {p}")
-        out = Ideal(self.ring, [_frobenius_power(g, q) for g in self.gens])
         # Frobenius is flat over the polynomial ring: the bracket of a reduced
         # basis is again a reduced basis (q-th powers of terms, termwise).
-        for order, basis in self._cache.items():
-            out._seed_basis(order, tuple(_frobenius_power(g, q) for g in basis))
-        return out
+        # It is injective over GF(p), so distinct generators stay distinct.
+        return Ideal._with_bases(
+            self.ring, [_frobenius_power(g, q) for g in self.gens],
+            {order: tuple(_frobenius_power(g, q) for g in basis)
+             for order, basis in self._cache.items()})
 
     def initial_ideal(self, order: TermOrder = ANTIDIAG) -> "MonomialIdeal":
         """The leads of the reduced basis, which are the minimal generators:
@@ -939,9 +945,6 @@ class MonomialIdeal:
         m = _in_packing(m, packing)
         return any(mono_divides(g, m, packing.guard) for g in self.gens)
 
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        return all(self.contains(g) for g in other.gens)
-
     def is_squarefree(self) -> bool:
         return all(mono_is_squarefree(g) for g in self.gens)
 
@@ -1005,20 +1008,6 @@ class MonomialIdeal:
                 products += (b + sum(m) for m in combinations_with_replacement(prime, r))
             gens = _minimalize_monomials(products, self.ring.packing)
         return MonomialIdeal(self.ring, gens)
-
-    def power(self, n: int) -> "MonomialIdeal":
-        if n < 1:
-            raise ValueError("power wants n >= 1")
-        guard = self.ring.packing.guard
-        gens = []
-        for combo in combinations_with_replacement(self.gens, n):
-            acc = MONO_ONE
-            for g in combo:
-                acc = mono_mul(acc, g)
-                if acc & guard:
-                    raise _overflow()
-            gens.append(acc)
-        return MonomialIdeal.from_monomials(self.ring, gens)
 
 
 def _bit_positions(mask: int) -> list[int]:

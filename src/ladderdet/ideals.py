@@ -18,7 +18,7 @@ from math import factorial
 
 from .fields import QQ, Field
 from .groebner import Ideal, InstanceTooLarge, Ring
-from .ladders import Ladder, LadderError, _int_pair, antidiagonal_profile, height, size_vector
+from .ladders import Ladder, LadderError, _int_pair, antidiagonal_profile, size_vector
 from .poly import (
     Minor,
     Monomial,
@@ -141,7 +141,7 @@ def minor_product_symbolic_degree(factors, t: int, ladder: Ladder | None = None)
         raise ValueError(f"minor size t must be at least 1, got {t}")
     total = 0
     for m in factors:
-        if ladder is not None and not all(cell in ladder.cells for cell in m.cells()):
+        if ladder is not None and not ladder.contains_minor(m):
             raise ValueError(f"factor {m} not contained in the ladder")
         total += max(m.size - t + 1, 0)
     return total
@@ -215,13 +215,12 @@ def g_witness_data(L: Ladder, t) -> GWitnessData:
 
     profile = antidiagonal_profile(L, t)
     beta = k + c_alpha
-    if beta not in profile.b_levels:
-        candidates = [ld.r for ld in profile.levels
-                      if ld.r in profile.b_levels and ld.b == k and ld.p == len(t)]
-        if not candidates:
+    ld = next((w for w in profile.witness if w.r == beta), None)
+    if ld is None:
+        ld = next((w for w in profile.witness if w.b == k and w.p == len(t)), None)
+        if ld is None:
             raise GWitnessError(f"no admissible level with b_r = {k} and p_r = {len(t)}")
-        beta = candidates[0]
-    ld = profile.level(beta)
+        beta = ld.r
     if ld.b != k or ld.p != len(t):
         raise GWitnessError(f"level {beta} fails b_beta = k, p_beta = v: got b={ld.b}, p={ld.p}")
 
@@ -231,11 +230,11 @@ def g_witness_data(L: Ladder, t) -> GWitnessData:
     if not y_rows or len(y_rows) != len(y_cols):
         raise GWitnessError(f"degenerate Y block rows={y_rows} cols={y_cols}")
     y_minor = Minor(y_rows, y_cols)
-    if not all(cell in L.cells for cell in y_minor.cells()):
+    if not L.contains_minor(y_minor):
         raise GWitnessError("Y block leaves the ladder")
 
-    rest = tuple(m for r, m in zip(profile.b_levels, profile.witness_factors) if r != beta)
-    factors = (y_minor,) + rest
+    rest = tuple(w for w in profile.witness if w.r != beta)
+    factors = (y_minor,) + tuple(w.minor for w in rest)
     lead = mono(*((grid_var(i, j), 1) for m in factors for i, j in m.antidiagonal_cells()))
     if not mono_is_squarefree(lead.value):
         raise GWitnessError("witness lead is not squarefree")
@@ -243,11 +242,11 @@ def g_witness_data(L: Ladder, t) -> GWitnessData:
         raise GWitnessError(f"witness lead divisible by x[{k},{c_alpha}]")
     if len(set(t)) == 1:
         count = minor_product_symbolic_degree(list(factors), t[0])
-        h = height(L, t)
+        h = profile.interior_size
         if count != h - 1:
             raise GWitnessError(f"witness symbolic degree {count} != height-1 = {h - 1}")
     else:
-        count = (ld.gamma - t[-1]) + sum(c for r, c in zip(profile.b_levels, profile.counts) if r != beta)
+        count = (ld.gamma - t[-1]) + sum(w.count for w in rest)
     return GWitnessData(alpha, beta, y_minor, factors, lead, count)
 
 

@@ -295,8 +295,7 @@ def ladder_derivation(L: Ladder, t: int, field: Field = QQ) -> KnutsonDerivation
         raise DerivationError(f"I_{t} of this ladder is the zero ideal")
     ring = ladder_ring(field, L)
     profile = antidiagonal_profile(L, t)
-    factor_polys = {r: expand_minor(m, field, ring.packing)
-                    for r, m in zip(profile.b_levels, profile.witness_factors)}
+    factor_polys = {ld.r: expand_minor(ld.minor, field, ring.packing) for ld in profile.witness}
     cols = sorted({j for _, j in L.cells})
     root = _band_deriver(L, t, field, factor_polys, ring.packing)("cols", cols[0], cols[-1])
     if root is None:

@@ -24,7 +24,11 @@ meets some lower corner (d, c), that is iff it fits in the rectangle
 [b, d] x [c, a]: every cell of the block lies SW of its NE cell and NE of
 its SW cell.  Largest squares, the cells covered by t-minors and the
 generating minors themselves (`ideals.minors_in_ladder`) are read off
-these corner rectangles.
+these corner rectangles.  `Ladder.contains_minor` decides from those two
+cells alone whether a block lies in a ladder: the profile places each
+square Y_r in its subladder this way, the g witness its block Y, and
+`ideals.minor_product_symbolic_degree` the factors it is given a ladder
+for.
 """
 
 from __future__ import annotations
@@ -89,6 +93,11 @@ class Ladder:
         if not any(i >= b and j <= a for b, a in self.upper):
             return False
         return any(i <= d and j >= c for d, c in self.lower)
+
+    def contains_minor(self, m: Minor) -> bool:
+        """Whether every cell of the minor's block lies in the ladder: its
+        NE and SW cells do (corner lemma)."""
+        return self.contains(m.rows[0], m.cols[-1]) and self.contains(m.rows[-1], m.cols[0])
 
     @property
     def is_empty(self) -> bool:
@@ -382,22 +391,16 @@ class LevelData:
 @dataclass(frozen=True)
 class AntidiagonalProfile:
     levels: tuple[LevelData, ...]       # one per antidiagonal level in A
-    b_levels: tuple[int, ...]           # the subset B with nonnegative count
+    witness: tuple[LevelData, ...]      # the levels of B: nonnegative count
     interior_size: int
-
-    def level(self, r: int) -> LevelData:
-        for ld in self.levels:
-            if ld.r == r:
-                return ld
-        raise KeyError(r)
 
     @property
     def witness_factors(self) -> tuple[Minor, ...]:
-        return tuple(ld.minor for ld in self.levels if ld.r in self.b_levels)
+        return tuple(ld.minor for ld in self.witness)
 
     @property
     def counts(self) -> tuple[int, ...]:
-        return tuple(ld.count for ld in self.levels if ld.r in self.b_levels)
+        return tuple(ld.count for ld in self.witness)
 
 
 class ProfileError(LadderError):
@@ -407,8 +410,10 @@ class ProfileError(LadderError):
 def antidiagonal_profile(L: Ladder, t) -> AntidiagonalProfile:
     """Per-level data (w_r, p_r, a_r, b_r, gamma_r, Y_r) for the witness.
 
-    Verifies the counting identity: the counts over B add up to the number
-    of interior cells (= the height of the mixed ladder ideal).
+    The levels of B, those with a nonnegative count, are kept as `witness`.
+    Verifies the counting identity: their counts add up to the number of
+    interior cells (= the height of the mixed ladder ideal).  Checks the
+    time budget once per level.
     """
     t = size_vector(t, len(L.lower))
     k, l = L.shape
@@ -418,6 +423,7 @@ def antidiagonal_profile(L: Ladder, t) -> AntidiagonalProfile:
 
     levels = []
     for r in range(2, k + l + 1):
+        _check_deadline()
         diag = [(i, r - i) for i in range(max(1, r - l), min(k, r - 1) + 1)]
         hits = [cell for cell in diag if cell in interior]
         if not hits:
@@ -428,17 +434,17 @@ def antidiagonal_profile(L: Ladder, t) -> AntidiagonalProfile:
         a, b = min(in_sub), max(in_sub)
         gamma = b - a + 1
         minor = Minor(tuple(range(a, b + 1)), tuple(range(r - b, r - a + 1)))
-        if not all(cell in subladders[p - 1].cells for cell in minor.cells()):
+        if not subladders[p - 1].contains_minor(minor):
             raise ProfileError(f"level {r}: antidiagonal square leaves its subladder")
         levels.append(LevelData(r, w, p, a, b, gamma, gamma - t[p - 1] + 1, minor))
 
-    b_levels = tuple(ld.r for ld in levels if ld.count >= 0)
-    total = sum(ld.count for ld in levels if ld.count >= 0)
+    witness = tuple(ld for ld in levels if ld.count >= 0)
+    total = sum(ld.count for ld in witness)
     if total != len(interior):
         raise ProfileError(
             f"count identity failed: sum of counts {total} != interior size {len(interior)}"
         )
-    return AntidiagonalProfile(tuple(levels), b_levels, len(interior))
+    return AntidiagonalProfile(tuple(levels), witness, len(interior))
 
 
 # ---------------------------------------------------------------------------

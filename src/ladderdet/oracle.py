@@ -12,13 +12,11 @@ from .ideals import (  # minor_product_symbolic_degree: also importable from her
     minor_product_symbolic_degree,
     mixed_ladder_ideal,
 )
-from .ladders import Ladder, antidiagonal_profile, height, size_vector
+from .ladders import Ladder, antidiagonal_profile, size_vector
 from .poly import (
-    ANTIDIAG,
     Minor,
     Monomial,
     Polynomial,
-    TermOrder,
     grid_var,
     join_packings,
     mono,
@@ -74,11 +72,8 @@ def symbolic_fsplit_certificate(L: Ladder, t) -> SymbolicCertificate:
     """
     t = size_vector(t, len(L.lower))
     profile = antidiagonal_profile(L, t)
-    h = height(L, t)
-    factors = []
-    for ld in profile.levels:
-        if ld.r in profile.b_levels:
-            factors.append((ld.minor, ld.gamma, t[ld.p - 1], ld.count))
+    h = profile.interior_size
+    factors = [(ld.minor, ld.gamma, t[ld.p - 1], ld.count) for ld in profile.witness]
     lead = mono(*((grid_var(i, j), 1) for m, _, _, _ in factors for i, j in m.antidiagonal_cells()))
 
     checks = []
@@ -187,16 +182,16 @@ class InitialCompareResult:
         return self.equal
 
 
-def initial_symbolic_compare(I: Ideal, n: int, order: TermOrder = ANTIDIAG,
-                             strategy: Ideal | None = None) -> InitialCompareResult:
-    """Compare in(I^(n)) with the n-th symbolic power of in(I)."""
-    init = I.initial_ideal(order)
+def initial_symbolic_compare(I: Ideal, n: int, *, strategy: Ideal) -> InitialCompareResult:
+    """Compare in(I^(n)) with the n-th symbolic power of in(I), under the
+    antidiagonal order.  I^(n) is the saturation of I^n by `strategy`
+    (see `symbolic_power_saturation`), which has no default: the right
+    ideal depends on I."""
+    init = I.initial_ideal()
     if not init.is_squarefree():
         raise ValueError("initial ideal is not squarefree; comparison out of scope")
     right = init.symbolic_power(n)
-    if strategy is None:
-        strategy = I.ring.maximal_ideal()
-    left = symbolic_power_saturation(I, n, strategy).initial_ideal(order)
+    left = symbolic_power_saturation(I, n, strategy).initial_ideal()
     if left.gens == right.gens:
         return InitialCompareResult(True, None, left, right)
     # Distinct minimal generators: one side has a generator outside the other.

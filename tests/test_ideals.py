@@ -325,7 +325,7 @@ def test_f_witness_degree_is_sum_of_gammas():
         cases.append(random_valid_ladder(rng, 6, mixed=True))
     for L, t in cases:
         prof = antidiagonal_profile(L, t)
-        gammas = sum(ld.gamma for ld in prof.levels if ld.r in prof.b_levels)
+        gammas = sum(ld.gamma for ld in prof.witness)
         assert f_witness(L, t).degree() == gammas
 
 

@@ -122,6 +122,28 @@ def _random_corner_ladder(rng):
             continue
 
 
+def test_contains_minor_matches_a_scan_of_the_block():
+    # Blocks of any rows and columns, some reaching one past the grid; half
+    # of them have their NE cell on the ladder.
+    rng = random.Random(23)
+    inside = 0
+    for n in range(3000):
+        L = _random_corner_ladder(rng)
+        k, l = L.shape
+        if n % 2 and L.cells:
+            i, j = rng.choice(sorted(L.cells))
+        else:
+            i, j = rng.randint(1, k + 1), rng.randint(1, l + 1)
+        size = rng.randint(1, min(k + 2 - i, j, 4))
+        rows = (i,) + tuple(sorted(rng.sample(range(i + 1, k + 2), size - 1)))
+        cols = tuple(sorted(rng.sample(range(1, j), size - 1))) + (j,)
+        m = Minor(rows, cols)
+        expected = all(cell in L.cells for cell in m.cells())
+        assert L.contains_minor(m) == expected, (L, m)
+        inside += expected
+    assert 500 < inside < 1500  # blocks both inside and not
+
+
 def _band_reference(cells, axis, lo, hi):
     at = 1 if axis == "cols" else 0
     return {cell for cell in cells if lo <= cell[at] <= hi}
@@ -303,6 +325,20 @@ def test_profile_counts_match_interior_randomized():
         for ld in prof.levels:
             sub = L.subladder(ld.p)
             assert all(cell in sub.cells for cell in ld.minor.cells())
+
+
+def test_profile_of_a_600x600_ladder_honours_time_limit():
+    # Each of the 1,199 squares Y_r is placed by two cell tests (corner
+    # lemma), not by its up to 360,000 cells, and the budget is checked once
+    # per level: the whole profile takes about 1.2 s on a 2-CPU machine.
+    L = Ladder.full(600, 600)
+    start = time.monotonic()
+    try:
+        with time_limit(1):
+            antidiagonal_profile(L, (2,))
+    except InstanceTooLarge:
+        pass
+    assert time.monotonic() - start < 3
 
 
 def test_total_width_example():
