@@ -17,7 +17,6 @@ from .groebner import (
     buchberger,
     is_groebner_basis,
     normal_form,
-    time_limit,
 )
 from .ideals import (
     PartialPermutation,
@@ -73,6 +72,7 @@ from .poly import (
     grid_var,
     parse_polynomial,
     poly_to_str,
+    time_limit,
 )
 
 __version__ = "0.1.0"

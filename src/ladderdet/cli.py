@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import acceptance
 from .fields import GF, parse_field
-from .groebner import Ideal, InstanceTooLarge, time_limit
+from .groebner import Ideal, InstanceTooLarge
 from .ideals import (
     PartialPermutation,
     f_witness,
@@ -39,7 +39,8 @@ from .knutson import (
     ladder_derivation,
     verify as verify_derivation,
 )
-from .ladders import Ladder, LadderError, chamfer, reduce_to_unmixed, size_vector, validate
+from .ladders import (Ladder, LadderError, chamfer, reduce_to_unmixed, size_vector, span_size,
+                      validate)
 from .oracle import (
     fedder_check,
     initial_symbolic_compare,
@@ -47,7 +48,7 @@ from .oracle import (
     saturation_strategy,
     symbolic_fsplit_certificate,
 )
-from .poly import Minor, mono_to_str, parse_order, parse_polynomial, poly_to_str
+from .poly import Minor, mono_to_str, parse_order, parse_polynomial, poly_to_str, time_limit
 
 
 class UsageError(ValueError):
@@ -144,9 +145,9 @@ def _cmd_ladder(args) -> int:
         return 0 if report.valid else 1
     if args.action == "show":
         ladder, t = _load_ladder(args.file, args.t)
-        _emit(args, {"shape": list(ladder.shape), "cells": len(ladder.cells),
-                     "render": ladder.render()},
-              [ladder.render(), f"shape={ladder.shape} cells={len(ladder.cells)} t={t}"])
+        cells = span_size(ladder.spans)
+        _emit(args, {"shape": list(ladder.shape), "cells": cells, "render": ladder.render()},
+              [ladder.render(), f"shape={ladder.shape} cells={cells} t={t}"])
         return 0
     if args.action == "chamfer":
         ladder, t = _load_ladder(args.file, args.t)
@@ -414,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
                         help="seed for randomized suites")
     parser.add_argument("--timeout", type=_positive_seconds, default=60.0,
-                        help="positive time budget in seconds for the ladder cell scans, minor "
+                        help="positive time budget in seconds for the ladder row scans, minor "
                              "enumerations, Groebner computations, Leibniz expansions, "
                              "height/dimension recursions and minimal-prime searches "
                              "of the command; accept gives each criterion its own "

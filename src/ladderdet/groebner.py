@@ -70,7 +70,6 @@ from .poly import (
     mono_pow,
     mono_radical,
     poly_to_str,
-    time_limit,  # re-exported: the budget API lives in poly, below groebner
 )
 
 

@@ -29,7 +29,7 @@ from .ideals import (
     ladder_ring,
     minors_in_ladder,
 )
-from .ladders import Ladder, antidiagonal_profile
+from .ladders import Ladder, antidiagonal_profile, diagonal_rows
 from .poly import (
     ANTIDIAG,
     Packing,
@@ -237,11 +237,6 @@ def verify(deriv: KnutsonDerivation) -> VerifyReport:
 # Band machinery shared by the ladder and corner theorems
 
 
-def _level_cells(L: Ladder, r: int):
-    k, l = L.shape
-    return [(i, r - i) for i in range(max(1, r - l), min(k, r - 1) + 1) if (i, r - i) in L.cells]
-
-
 def _band_deriver(L: Ladder, t: int, field: Field, factor_polys: dict[int, Polynomial],
                   packing: Packing):
     """`derive(axis, lo, hi)`: the derivation of I_t of the row or column band
@@ -260,7 +255,7 @@ def _band_deriver(L: Ladder, t: int, field: Field, factor_polys: dict[int, Polyn
             return None
         claimed = expand(minors)
         if hi - lo + 1 <= t:
-            levels = [r for r in range(2, sum(L.shape) + 1) if len(_level_cells(band, r)) == t]
+            levels = [r for r in range(2, sum(L.shape) + 1) if len(diagonal_rows(band.spans, r)) == t]
             if not levels:
                 raise DerivationError(f"no full antidiagonal slice in {axis} band [{lo},{hi}]")
             missing = [r for r in levels if r not in factor_polys]
@@ -296,8 +291,8 @@ def ladder_derivation(L: Ladder, t: int, field: Field = QQ) -> KnutsonDerivation
     ring = ladder_ring(field, L)
     profile = antidiagonal_profile(L, t)
     factor_polys = {ld.r: expand_minor(ld.minor, field, ring.packing) for ld in profile.witness}
-    cols = sorted({j for _, j in L.cells})
-    root = _band_deriver(L, t, field, factor_polys, ring.packing)("cols", cols[0], cols[-1])
+    cols = [j for lo, hi in L.spans if lo <= hi for j in (lo, hi)]
+    root = _band_deriver(L, t, field, factor_polys, ring.packing)("cols", min(cols), max(cols))
     if root is None:
         raise DerivationError("empty derivation")
     return KnutsonDerivation(ring, tuple(factor_polys.values()), root,

@@ -7,9 +7,9 @@ corners (d, c) inside a k x l grid.  Cell membership:
     x[i,j] in L  iff  (some upper corner has i >= b, j <= a)
                  and  (some lower corner has i <= d, j >= c).
 
-Cells are read off the corners row by row: row i is the column interval
-from the least c over lower corners with d >= i to the greatest a over
-upper corners with b <= i.
+Row i of a ladder is one column interval, its span: from the least c over
+lower corners with d >= i to the greatest a over upper corners with b <= i.
+All ladder geometry is read off the spans; `Ladder.cells` is only a view.
 
 Corner lists are kept as given (lower corners may share a row or column,
 as in ladders whose first two lower corners sit in the same column).
@@ -36,11 +36,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import islice
 
 from .poly import Minor, _check_deadline
 
 Cell = tuple[int, int]
+Span = tuple[int, int]  # (lo, hi) columns of one row; the row is empty when lo > hi
 
 
 class LadderError(ValueError):
@@ -86,8 +87,13 @@ class Ladder:
     # -- membership
 
     @cached_property
+    def spans(self) -> tuple[Span, ...]:
+        return _spans(self.shape, self.upper, self.lower)
+
+    @property
     def cells(self) -> frozenset[Cell]:
-        return _cells_from_corners(self.shape, self.upper, self.lower)
+        return frozenset((i, j) for i, (lo, hi) in enumerate(self.spans, start=1)
+                         for j in range(lo, hi + 1))
 
     def contains(self, i: int, j: int) -> bool:
         if not any(i >= b and j <= a for b, a in self.upper):
@@ -101,7 +107,7 @@ class Ladder:
 
     @property
     def is_empty(self) -> bool:
-        return not self.upper or not self.cells
+        return all(lo > hi for lo, hi in self.spans)
 
     # -- derived ladders
 
@@ -144,13 +150,13 @@ class Ladder:
             lower[min(d, hi)] = c  # the smallest column wins
         return Ladder(self.shape, sorted(upper.items()), sorted(lower.items()))
 
-    def interior_cells(self, t) -> frozenset[Cell]:
+    def interior_spans(self, t) -> tuple[Span, ...]:
         """The interior: same upper corners, each lower corner shifted t_j - 1
         steps NE, possibly out of the grid.  A shifted corner lies NE of its
         own corner, so the interior lies in L."""
         t = size_vector(t, len(self.lower))
         shifted = [(d - tj + 1, c + tj - 1) for (d, c), tj in zip(self.lower, t)]
-        return _cells_from_corners(self.shape, self.upper, shifted)
+        return _spans(self.shape, self.upper, shifted)
 
     def max_square_in(self) -> int:
         """Side of the largest full square submatrix inside the ladder: the
@@ -200,32 +206,40 @@ class Ladder:
         return ladder, None if t is None else size_vector(t, len(ladder.lower))
 
     def render(self) -> str:
-        k, l = self.shape
+        l = self.shape[1]
         lines = []
-        for i in range(1, k + 1):
+        for lo, hi in self.spans:
             _check_deadline()
-            lines.append("".join("#" if (i, j) in self.cells else "." for j in range(1, l + 1)))
+            lines.append(("." * (lo - 1) + "#" * (hi - lo + 1)).ljust(l, "."))
         return "\n".join(lines)
 
     def __repr__(self):
         return f"Ladder({self.shape}, upper={list(self.upper)}, lower={list(self.lower)})"
 
 
-def _cells_from_corners(shape, upper, lower) -> frozenset[Cell]:
-    """The cells of the k x l grid cut out by the corners, read row by row:
-    row i is the column interval [min c over lower corners (d, c) with
-    d >= i, max a over upper corners (b, a) with b <= i], clipped to the
-    grid.  The corners need not be sorted or lie inside the grid."""
+def _spans(shape, upper, lower) -> tuple[Span, ...]:
+    """The row spans of the k x l grid cut out by the corners, clipped to
+    the grid (see the module docstring).  The corners need not be sorted or
+    lie inside the grid.  Checks the time budget once per row."""
     k, l = shape
+    out = []
+    for i in range(1, k + 1):
+        _check_deadline()
+        lo = min((c for d, c in lower if d >= i), default=l + 1)
+        hi = max((a for b, a in upper if b <= i), default=0)
+        out.append((max(lo, 1), min(hi, l)))
+    return tuple(out)
 
-    def rows():
-        for i in range(1, k + 1):
-            _check_deadline()
-            lo = min((c for d, c in lower if d >= i), default=l + 1)
-            hi = max((a for b, a in upper if b <= i), default=0)
-            yield zip(repeat(i), range(max(lo, 1), min(hi, l) + 1))
 
-    return frozenset(chain.from_iterable(rows()))
+def span_size(spans) -> int:
+    """The number of cells in the rows `spans`."""
+    return sum(hi - lo + 1 for lo, hi in spans if lo <= hi)
+
+
+def diagonal_rows(spans, r: int) -> list[int]:
+    """The rows i, in order, whose span holds the cell (i, r - i) of antidiagonal
+    r; they are consecutive, as corner regions are closed under rectangles."""
+    return [i for i, (lo, hi) in enumerate(islice(spans, r - 1), start=1) if lo <= r - i <= hi]
 
 
 def _int_pair(x, what: str) -> tuple[int, int]:
@@ -281,28 +295,30 @@ class LadderReport:
         return "\n".join(lines)
 
 
-def covered_cells(L: Ladder, t) -> frozenset[Cell]:
-    """Cells of L hit by a generating minor of the mixed ladder ideal.
+def uncovered_cells(L: Ladder, t):
+    """The cells of L that no generating minor of the mixed ladder ideal
+    meets, row by row in ascending order.
 
     By the corner lemma, the t_j-minors of L_j cover the union of the
     rectangles [b, d_j] x [c_j, a] over the upper corners (b, a) with room
-    for a t_j x t_j block: the cells of the ladder with those upper corners
-    and the single lower corner (d_j, c_j).
+    for a t_j x t_j block.  Checks the time budget once per row.
     """
-    out = set()
-    for (d, c), tj in zip(L.lower, size_vector(t, len(L.lower))):
-        upper = tuple((b, a) for b, a in L.upper if d - b >= tj - 1 and a - c >= tj - 1)
-        if upper:
-            out |= Ladder(L.shape, upper, ((d, c),)).cells
-    return frozenset(out)
+    rects = [(b, d, c, a) for (d, c), tj in zip(L.lower, size_vector(t, len(L.lower)))
+             for b, a in L.upper if d - b >= tj - 1 and a - c >= tj - 1]
+    for i, (lo, hi) in enumerate(L.spans, start=1):
+        _check_deadline()
+        row = [(c, a) for b, d, c, a in rects if b <= i <= d]
+        for j in range(lo, hi + 1):
+            if not any(c <= j <= a for c, a in row):
+                yield i, j
 
 
 def validate(L: Ladder, t) -> LadderReport:
     """Check the running assumptions (1)-(4) for the pair (L, t).
 
-    (1) reads the cells covered by generating minors off the corner
-    rectangles (`covered_cells`) and (3) the largest square of each L_j
-    (`max_square_in`); neither enumerates minors.
+    (1) scans each row against the corner rectangles (`uncovered_cells`)
+    and (3) reads the largest square of each L_j (`max_square_in`); neither
+    enumerates minors.
 
     (4), minimality of the ambient grid, is reported but kept out of the
     overall verdict: bands, interiors and chamfer outputs legitimately sit
@@ -322,8 +338,7 @@ def validate(L: Ladder, t) -> LadderReport:
         notes.append("some listed corner is not a cell of the ladder")
 
     # (1) every entry appears in a generating minor (the covered rectangles)
-    covered = covered_cells(L, t)
-    missing = sorted(L.cells - covered)
+    missing = list(islice(uncovered_cells(L, t), 6))
     checks.append(
         AssumptionCheck(1, not missing,
                         "all entries meet a generating minor" if not missing
@@ -356,9 +371,9 @@ def validate(L: Ladder, t) -> LadderReport:
     checks.append(AssumptionCheck(3, ok3, detail3))
 
     # (4) the ladder spans its ambient grid
-    rows = {i for i, _ in L.cells}
-    cols = {j for _, j in L.cells}
-    spans = 1 in rows and L.shape[0] in rows and 1 in cols and L.shape[1] in cols
+    rows = [i for i, (lo, hi) in enumerate(L.spans, start=1) if lo <= hi]
+    cols = [j for lo, hi in L.spans if lo <= hi for j in (lo, hi)]
+    spans = (rows[0], rows[-1], min(cols), max(cols)) == (1, L.shape[0], 1, L.shape[1])
     checks.append(AssumptionCheck(4, spans,
                                   "ladder spans the ambient grid" if spans
                                   else "a border row or column of the grid is empty"))
@@ -373,7 +388,7 @@ def validate(L: Ladder, t) -> LadderReport:
 
 def height(L: Ladder, t) -> int:
     """Height of the mixed ladder ideal: the number of interior cells."""
-    return len(L.interior_cells(t))
+    return span_size(L.interior_spans(t))
 
 
 @dataclass(frozen=True)
@@ -416,22 +431,20 @@ def antidiagonal_profile(L: Ladder, t) -> AntidiagonalProfile:
     time budget once per level.
     """
     t = size_vector(t, len(L.lower))
-    k, l = L.shape
-    interior = L.interior_cells(t)
+    interior = L.interior_spans(t)
     subladders = [L.subladder(j) for j in range(1, len(t) + 1)]
-    sub_interiors = [s.interior_cells(tj) for s, tj in zip(subladders, t)]
+    sub_interiors = [s.interior_spans(tj) for s, tj in zip(subladders, t)]
 
     levels = []
-    for r in range(2, k + l + 1):
+    for r in range(2, sum(L.shape) + 1):
         _check_deadline()
-        diag = [(i, r - i) for i in range(max(1, r - l), min(k, r - 1) + 1)]
-        hits = [cell for cell in diag if cell in interior]
+        hits = diagonal_rows(interior, r)
         if not hits:
             continue
-        w = max(i for i, _ in hits)
-        p = max(j + 1 for j in range(len(t)) if (w, r - w) in sub_interiors[j])
-        in_sub = [i for i, jj in diag if (i, jj) in subladders[p - 1].cells]
-        a, b = min(in_sub), max(in_sub)
+        w = hits[-1]
+        p = max(j for j, s in enumerate(sub_interiors, start=1) if w in diagonal_rows(s, r))
+        in_sub = diagonal_rows(subladders[p - 1].spans, r)
+        a, b = in_sub[0], in_sub[-1]
         gamma = b - a + 1
         minor = Minor(tuple(range(a, b + 1)), tuple(range(r - b, r - a + 1)))
         if not subladders[p - 1].contains_minor(minor):
@@ -439,12 +452,10 @@ def antidiagonal_profile(L: Ladder, t) -> AntidiagonalProfile:
         levels.append(LevelData(r, w, p, a, b, gamma, gamma - t[p - 1] + 1, minor))
 
     witness = tuple(ld for ld in levels if ld.count >= 0)
-    total = sum(ld.count for ld in witness)
-    if total != len(interior):
-        raise ProfileError(
-            f"count identity failed: sum of counts {total} != interior size {len(interior)}"
-        )
-    return AntidiagonalProfile(tuple(levels), witness, len(interior))
+    total, size = sum(ld.count for ld in witness), span_size(interior)
+    if total != size:
+        raise ProfileError(f"count identity failed: sum of counts {total} != interior size {size}")
+    return AntidiagonalProfile(tuple(levels), witness, size)
 
 
 # ---------------------------------------------------------------------------

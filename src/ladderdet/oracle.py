@@ -8,10 +8,7 @@ from dataclasses import dataclass
 
 from .fields import QQ, Field
 from .groebner import Ideal, MonomialIdeal, Ring
-from .ideals import (  # minor_product_symbolic_degree: also importable from here
-    minor_product_symbolic_degree,
-    mixed_ladder_ideal,
-)
+from .ideals import mixed_ladder_ideal
 from .ladders import Ladder, antidiagonal_profile, size_vector
 from .poly import (
     Minor,

@@ -31,7 +31,7 @@ from .fields import QQ, Field
 
 
 class InstanceTooLarge(RuntimeError):
-    """A ladder cell scan, minor enumeration, Groebner task, height/dimension
+    """A ladder row scan, minor enumeration, Groebner task, height/dimension
     recursion, minimal-prime search or minor expansion exceeded its time
     budget, iteration cap or size cap."""
 
@@ -41,7 +41,7 @@ _deadline: ContextVar[float | None] = ContextVar("ladderdet_deadline", default=N
 
 @contextmanager
 def time_limit(seconds: float | None):
-    """Bound the wall-clock time of ladder cell scans, minor enumerations,
+    """Bound the wall-clock time of ladder row scans, minor enumerations,
     Groebner tasks, the height/dimension recursion, minimal-prime searches
     and minor expansions in the current context (a new thread starts
     without a limit).  None or inf sets no limit; NaN raises ValueError."""

@@ -11,8 +11,9 @@ import math
 import pytest
 
 from ladderdet import acceptance
-from ladderdet.groebner import InstanceTooLarge, time_limit
+from ladderdet.groebner import InstanceTooLarge
 from ladderdet.ladders import Ladder
+from ladderdet.poly import time_limit
 
 BUDGETS = {
     "groebner-squarefree": 120.0,
@@ -67,10 +68,10 @@ def test_unknown_criterion_rejected():
 
 
 def test_legal_unmixed_sizes_keeps_an_expired_budget():
-    # Every criterion has scanned the cells already (through ladder_ring);
+    # Every criterion has read the row spans already (through ladder_ring);
     # the expired budget must still stop the size scan, not empty it.
     L = Ladder.full(3, 3)
-    assert L.cells
+    assert L.spans
     assert acceptance._legal_unmixed_sizes(L) == [1, 2, 3]
     with time_limit(1e-9), pytest.raises(InstanceTooLarge):
         acceptance._legal_unmixed_sizes(L)

@@ -392,20 +392,34 @@ def test_timeout_diagnostic(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("n,action,sizes", [
-    (3000, "show", []),
-    (3000, "validate", ["--t", "2"]),
-], ids=["show-3000x3000", "validate-3000x3000"])
-def test_timeout_reaches_the_ladder_layer(n, action, sizes, tmp_path):
+def _ladder_request_on_a_full_grid(n, action, sizes, tmp_path):
+    """`ladder <action>` on the full n x n ladder under a 1 s budget, and
+    its wall time in seconds."""
     big = tmp_path / "full.json"
     big.write_text(json.dumps({"shape": [n, n], "upper": [[1, n]], "lower": [[n, 1]]}))
     start = time.monotonic()
     proc = subprocess.run([sys.executable, "-m", "ladderdet", "--timeout", "1", "ladder", action,
                            str(big), *sizes],
                           capture_output=True, text=True, timeout=60)
+    return proc, time.monotonic() - start
+
+
+@pytest.mark.parametrize("n,action,sizes", [
+    (3000, "validate", ["--t", "2"]),
+], ids=["validate-3000x3000"])
+def test_timeout_reaches_the_ladder_layer(n, action, sizes, tmp_path):
+    proc, seconds = _ladder_request_on_a_full_grid(n, action, sizes, tmp_path)
     assert proc.returncode == 1
     assert "time budget exceeded" in proc.stderr
-    assert time.monotonic() - start < 3
+    assert seconds < 3
+
+
+def test_ladder_show_of_a_3000x3000_ladder_fits_a_1s_budget(tmp_path):
+    # Its row spans are read and rendered a row at a time, with no cell set.
+    proc, seconds = _ladder_request_on_a_full_grid(3000, "show", [], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("shape=(3000, 3000) cells=9000000 t=None")
+    assert seconds < 3
 
 
 @pytest.mark.parametrize("value", ["nan", "NaN", "0", "-0", "-1", "-inf", "soon"])

@@ -31,7 +31,6 @@ from ladderdet.groebner import (
     minimal_covers,
     normal_form,
     s_polynomial,
-    time_limit,
 )
 from ladderdet.ideals import ladder_ring, mixed_ladder_ideal
 from ladderdet.ladders import Ladder
@@ -57,6 +56,7 @@ from ladderdet.poly import (
     mono_mask,
     mono_mul,
     parse_polynomial,
+    time_limit,
 )
 import reference_pairs
 from monomial_ideals import contains_monomial_ideal, monomial_power
@@ -723,8 +723,8 @@ _HEIGHT_MEMORY_CHILD = """
 import resource
 from itertools import combinations
 from ladderdet.fields import QQ
-from ladderdet.groebner import InstanceTooLarge, MonomialIdeal, Ring, time_limit
-from ladderdet.poly import Minor
+from ladderdet.groebner import InstanceTooLarge, MonomialIdeal, Ring
+from ladderdet.poly import Minor, time_limit
 
 rows = list(combinations(range(1, 10), 3))
 ring = Ring.for_grid(QQ, 9, 9)

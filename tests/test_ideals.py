@@ -7,7 +7,7 @@ import pytest
 
 import ladderdet
 from ladderdet.fields import QQ
-from ladderdet.groebner import Ideal, InstanceTooLarge, time_limit
+from ladderdet.groebner import Ideal, InstanceTooLarge
 from ladderdet.ideals import (
     GWitnessError,
     PartialPermutation,
@@ -33,7 +33,7 @@ from ladderdet.ideals import (
 )
 from ladderdet.ladders import Ladder, LadderError, random_valid_ladder
 from ladderdet.poly import (ANTIDIAG, Minor, Monomial, Polynomial, expand_minor, grid_var, mono,
-                            mono_is_squarefree)
+                            mono_is_squarefree, time_limit)
 
 
 def test_minors_in_ladder_examples():
@@ -53,9 +53,10 @@ def test_minors_brute_force_containment():
             from itertools import combinations
 
             slow = set()
-            for rows in combinations(sorted({i for i, _ in L.cells}), t):
-                for cols in combinations(sorted({j for _, j in L.cells}), t):
-                    if all((i, j) in L.cells for i in rows for j in cols):
+            cells = L.cells
+            for rows in combinations(sorted({i for i, _ in cells}), t):
+                for cols in combinations(sorted({j for _, j in cells}), t):
+                    if all((i, j) in cells for i in rows for j in cols):
                         slow.add((rows, cols))
             assert fast == slow
 
@@ -306,7 +307,7 @@ def test_cogenerated_ideals_reject_a_grid_they_cannot_use(k, l, delta):
 
 
 def test_initial_of_principal_full_witness():
-    from ladderdet.groebner import Ideal, InstanceTooLarge, time_limit
+    from ladderdet.groebner import Ideal, InstanceTooLarge
 
     ring = grid_ring(QQ, 3, 3)
     f = f_of_matrix(3, 3)
@@ -340,7 +341,8 @@ def test_g_witness_mixed_staircase():
     assert mono_is_squarefree(data.lead.value)
     corner = L.lower[data.alpha - 1]
     assert f"x[{corner[0]},{corner[1]}]" not in str(data.lead)
-    assert all(cell in L.cells for m in data.factors for cell in m.cells())
+    cells = L.cells
+    assert all(cell in cells for m in data.factors for cell in m.cells())
 
 
 def test_witness_expansion_guard():

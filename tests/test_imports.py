@@ -47,10 +47,6 @@ def test_package_imports_are_acyclic():
         raise AssertionError(f"import cycle: {exc.args[1]}") from None
 
 
-# Unused on purpose: re-exported for callers that import them from there.
-REEXPORTS = {("groebner.py", "time_limit"), ("oracle.py", "minor_product_symbolic_degree")}
-
-
 def test_module_top_imports_are_used():
     unused = []
     for path in MODULES:
@@ -65,6 +61,5 @@ def test_module_top_imports_are_used():
                     if name not in ("annotations", "*"):
                         bound[name] = node.lineno
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{line} {name}" for name, line in bound.items()
-                   if name not in used and (path.name, name) not in REEXPORTS]
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
     assert not unused

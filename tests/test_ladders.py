@@ -16,13 +16,15 @@ from ladderdet.ladders import (
     LadderError,
     antidiagonal_profile,
     chamfer,
-    covered_cells,
+    diagonal_rows,
     height,
     random_valid_ladder,
     reduce_to_unmixed,
     size_vector,
+    span_size,
     total_width,
     unchamfer,
+    uncovered_cells,
     unmix_distance,
     validate,
 )
@@ -138,7 +140,8 @@ def test_contains_minor_matches_a_scan_of_the_block():
         rows = (i,) + tuple(sorted(rng.sample(range(i + 1, k + 2), size - 1)))
         cols = tuple(sorted(rng.sample(range(1, j), size - 1))) + (j,)
         m = Minor(rows, cols)
-        expected = all(cell in L.cells for cell in m.cells())
+        cells = L.cells
+        expected = all(cell in cells for cell in m.cells())
         assert L.contains_minor(m) == expected, (L, m)
         inside += expected
     assert 500 < inside < 1500  # blocks both inside and not
@@ -179,10 +182,11 @@ def _max_square_dp(L):
     """Reference for `max_square_in`: the side of the largest square of
     cells ending at each cell, by dynamic programming over the grid."""
     k, l = L.shape
+    cells = L.cells
     size, best = {}, 0
     for i in range(1, k + 1):
         for j in range(1, l + 1):
-            if (i, j) in L.cells:
+            if (i, j) in cells:
                 size[i, j] = 1 + min(size.get((i - 1, j), 0), size.get((i, j - 1), 0),
                                      size.get((i - 1, j - 1), 0))
                 best = max(best, size[i, j])
@@ -192,10 +196,11 @@ def _max_square_dp(L):
 def _minors_with_all_cells_in(L, t):
     """Reference for `minors_in_ladder`: every t-minor on the occupied rows
     and columns whose cells all lie in L."""
-    rows = sorted({i for i, _ in L.cells})
-    cols = sorted({j for _, j in L.cells})
+    cells = L.cells
+    rows = sorted({i for i, _ in cells})
+    cols = sorted({j for _, j in cells})
     return [Minor(r, c) for r in combinations(rows, t) for c in combinations(cols, t)
-            if all((i, j) in L.cells for i in r for j in c)]
+            if all((i, j) in cells for i in r for j in c)]
 
 
 def test_corner_arithmetic_matches_cell_enumeration():
@@ -217,17 +222,23 @@ def test_corner_arithmetic_matches_cell_enumeration():
             by_corner = {(m.rows, m.cols): m for j, tj in enumerate(t, start=1)
                          for m in _minors_with_all_cells_in(R.subladder(j), tj)}
             assert minors == [by_corner[key] for key in sorted(by_corner)]
-            covered = covered_cells(R, t)
-            assert covered == {cell for m in minors for cell in m.cells()}
-            partial += bool(covered) and covered != R.cells
+            covered = {cell for m in minors for cell in m.cells()}
+            uncovered = list(uncovered_cells(R, t))
+            assert uncovered == sorted(R.cells - covered)
+            partial += bool(covered) and bool(uncovered)
             for region in [R, *(R.subladder(j) for j in range(1, len(R.lower) + 1))]:
                 size = rng.randint(1, 4)
                 assert minors_in_ladder(region, size) == _minors_with_all_cells_in(region, size)
     assert regions > 3000 and partial > 50  # some regions are only partly covered
 
 
+def _cells_of(spans):
+    """The cells of the rows `spans`."""
+    return {(i, j) for i, (lo, hi) in enumerate(spans, start=1) for j in range(lo, hi + 1)}
+
+
 def _scan_of_contains(L, t=None):
-    """Reference for `cells` and `interior_cells(t)`: every grid cell that
+    """Reference for `cells` and `interior_spans(t)`: every grid cell that
     `contains` accepts and, given t, that lies NE of some lower corner
     shifted by t_j - 1."""
     k, l = L.shape
@@ -246,7 +257,7 @@ def test_cells_match_a_scan_of_contains_over_the_grid():
         k, l = L.shape
         assert L.cells == _scan_of_contains(L)
         t = tuple(rng.randint(1, 4) for _ in L.lower)
-        assert L.interior_cells(t) == _scan_of_contains(L, t)
+        assert _cells_of(L.interior_spans(t)) == _scan_of_contains(L, t)
         lower = L.lower
         seen["shared row or column"] += any(p[0] == q[0] or p[1] == q[1]
                                             for p, q in zip(lower, lower[1:]))
@@ -257,12 +268,31 @@ def test_cells_match_a_scan_of_contains_over_the_grid():
     assert all(count > 20 for count in seen.values()), seen
 
 
+def test_diagonal_rows_match_the_cells_on_each_antidiagonal():
+    rng = random.Random(24)
+    for _ in range(400):
+        L = _random_corner_ladder(rng)
+        k, l = L.shape
+        axis, limit = rng.choice((("rows", k), ("cols", l)))
+        lo = rng.randint(1, limit)
+        regions = [L, L.band(axis, lo, rng.randint(lo, limit)),
+                   *(L.subladder(j) for j in range(1, len(L.lower) + 1))]
+        t = tuple(rng.randint(1, 4) for _ in L.lower)
+        pairs = [(R.spans, R.cells) for R in regions]
+        pairs.append((L.interior_spans(t), _scan_of_contains(L, t)))
+        for spans, cells in pairs:
+            for r in range(2, k + l + 1):
+                rows = diagonal_rows(spans, r)
+                assert rows == sorted(i for i, j in cells if i + j == r)
+                assert not rows or rows == list(range(rows[0], rows[-1] + 1))  # consecutive
+
+
 def test_interior_examples():
     L3 = Ladder.full(3, 3)
-    assert L3.interior_cells((2,)) == {(1, 2), (1, 3), (2, 2), (2, 3)}
-    assert L3.interior_cells((1,)) == L3.cells
+    assert L3.interior_spans((2,)) == ((2, 3), (2, 3), (4, 3))
+    assert L3.interior_spans((1,)) == L3.spans == ((1, 3),) * 3
     L23 = Ladder.full(2, 3)
-    assert L23.interior_cells((2,)) == {(1, 2), (1, 3)}
+    assert L23.interior_spans((2,)) == ((2, 3), (4, 3))
 
 
 def test_interior_is_union_of_subladder_interiors():
@@ -272,8 +302,8 @@ def test_interior_is_union_of_subladder_interiors():
         union = set()
         for j, tj in enumerate(t, start=1):
             sub = L.subladder(j)
-            union |= sub.interior_cells((tj,) * len(sub.lower))
-        assert L.interior_cells(t) == union
+            union |= _cells_of(sub.interior_spans((tj,) * len(sub.lower)))
+        assert _cells_of(L.interior_spans(t)) == union
 
 
 def test_height_examples():
@@ -323,14 +353,15 @@ def test_profile_counts_match_interior_randomized():
         prof = antidiagonal_profile(L, t)  # raises if the counts disagree
         assert sum(prof.counts) == height(L, t)
         for ld in prof.levels:
-            sub = L.subladder(ld.p)
-            assert all(cell in sub.cells for cell in ld.minor.cells())
+            cells = L.subladder(ld.p).cells
+            assert all(cell in cells for cell in ld.minor.cells())
 
 
 def test_profile_of_a_600x600_ladder_honours_time_limit():
     # Each of the 1,199 squares Y_r is placed by two cell tests (corner
-    # lemma), not by its up to 360,000 cells, and the budget is checked once
-    # per level: the whole profile takes about 1.2 s on a 2-CPU machine.
+    # lemma), each level reads its rows off the spans, and the budget is
+    # checked once per level: the whole profile takes about 0.25 s on a
+    # 2-CPU machine.
     L = Ladder.full(600, 600)
     start = time.monotonic()
     try:
@@ -400,10 +431,10 @@ def test_json_roundtrip_and_render():
 
 
 def test_render_honours_time_limit():
-    # Rendering a 700 x 700 ladder takes about 0.07 s on a 2-CPU machine,
-    # with its cells already read; the budget is checked once per row.
-    L = Ladder.full(700, 700)
-    assert len(L.cells) == 700 * 700
+    # Rendering a 5000 x 5000 ladder takes about 0.04 s on a 2-CPU machine,
+    # with its spans already read; the budget is checked once per row.
+    L = Ladder.full(5000, 5000)
+    assert span_size(L.spans) == 5000 * 5000
     start = time.monotonic()
     with pytest.raises(InstanceTooLarge):
         with time_limit(0.001):

@@ -16,6 +16,7 @@ from ladderdet.ideals import (
     g_witness_data,
     ladder_ring,
     minor_product,
+    minor_product_symbolic_degree,
     mixed_ladder_ideal,
 )
 from ladderdet.ladders import Ladder, height, random_valid_ladder
@@ -23,7 +24,6 @@ from ladderdet.oracle import (
     fedder_check,
     initial_symbolic_compare,
     ladder_symbolic_power,
-    minor_product_symbolic_degree,
     outside_frobenius_power_of_m,
     symbolic_fsplit_certificate,
     symbolic_power_saturation,

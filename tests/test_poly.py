@@ -270,7 +270,7 @@ def test_time_limit_is_shared_with_groebner():
     import ladderdet
     from ladderdet import groebner
 
-    assert groebner.time_limit is time_limit is ladderdet.time_limit
+    assert groebner._check_deadline is poly._check_deadline and time_limit is ladderdet.time_limit
     assert groebner.InstanceTooLarge is InstanceTooLarge is ladderdet.InstanceTooLarge
 
 
