@@ -39,8 +39,7 @@ from .knutson import (
     ladder_derivation,
     verify as verify_derivation,
 )
-from .ladders import (Ladder, LadderError, chamfer, reduce_to_unmixed, size_vector, span_size,
-                      validate)
+from .ladders import Ladder, LadderError, chamfer, reduce_to_unmixed, size_vector, span_size, validate
 from .oracle import (
     fedder_check,
     initial_symbolic_compare,

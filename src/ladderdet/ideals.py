@@ -18,8 +18,9 @@ from math import factorial
 
 from .fields import QQ, Field
 from .groebner import Ideal, InstanceTooLarge, Ring
-from .ladders import Ladder, LadderError, _int_pair, antidiagonal_profile, size_vector
+from .ladders import Ladder, LadderError, _int_pair, antidiagonal_profile, size_vector, span_size
 from .poly import (
+    MAX_VARIABLES,
     Minor,
     Monomial,
     Polynomial,
@@ -33,7 +34,10 @@ from .poly import (
 
 
 def ladder_ring(field: Field, L: Ladder) -> Ring:
-    """The polynomial ring on exactly the cells of the ladder."""
+    """The polynomial ring on exactly the cells of the ladder, refused on their count."""
+    if span_size(L.spans) > MAX_VARIABLES:
+        raise InstanceTooLarge(f"instance too large: a ring holds at most {MAX_VARIABLES} "
+                               f"variables, got {span_size(L.spans)}")
     return Ring.for_cells(field, sorted(L.cells))
 
 

@@ -286,13 +286,12 @@ def ladder_derivation(L: Ladder, t: int, field: Field = QQ) -> KnutsonDerivation
     """Derivation of the unmixed ladder ideal from the witness factors."""
     if not isinstance(t, int):
         raise DerivationError("the ladder derivation handles unmixed sizes only")
+    ring = ladder_ring(field, L)
     if not minors_in_ladder(L, t):
         raise DerivationError(f"I_{t} of this ladder is the zero ideal")
-    ring = ladder_ring(field, L)
     profile = antidiagonal_profile(L, t)
     factor_polys = {ld.r: expand_minor(ld.minor, field, ring.packing) for ld in profile.witness}
-    cols = [j for lo, hi in L.spans if lo <= hi for j in (lo, hi)]
-    root = _band_deriver(L, t, field, factor_polys, ring.packing)("cols", min(cols), max(cols))
+    root = _band_deriver(L, t, field, factor_polys, ring.packing)("cols", *L.columns)
     if root is None:
         raise DerivationError("empty derivation")
     return KnutsonDerivation(ring, tuple(factor_polys.values()), root,

@@ -96,9 +96,7 @@ class Ladder:
                          for j in range(lo, hi + 1))
 
     def contains(self, i: int, j: int) -> bool:
-        if not any(i >= b and j <= a for b, a in self.upper):
-            return False
-        return any(i <= d and j >= c for d, c in self.lower)
+        return 1 <= i <= self.shape[0] and self.spans[i - 1][0] <= j <= self.spans[i - 1][1]
 
     def contains_minor(self, m: Minor) -> bool:
         """Whether every cell of the minor's block lies in the ladder: its
@@ -108,6 +106,11 @@ class Ladder:
     @property
     def is_empty(self) -> bool:
         return all(lo > hi for lo, hi in self.spans)
+
+    @property
+    def columns(self) -> tuple[int, int]:
+        """The first and last column holding a cell of a nonempty ladder."""
+        return min(lo for lo, hi in self.spans if lo <= hi), max(hi for lo, hi in self.spans if lo <= hi)
 
     # -- derived ladders
 
@@ -372,8 +375,7 @@ def validate(L: Ladder, t) -> LadderReport:
 
     # (4) the ladder spans its ambient grid
     rows = [i for i, (lo, hi) in enumerate(L.spans, start=1) if lo <= hi]
-    cols = [j for lo, hi in L.spans if lo <= hi for j in (lo, hi)]
-    spans = (rows[0], rows[-1], min(cols), max(cols)) == (1, L.shape[0], 1, L.shape[1])
+    spans = (rows[0], rows[-1], *L.columns) == (1, L.shape[0], 1, L.shape[1])
     checks.append(AssumptionCheck(4, spans,
                                   "ladder spans the ambient grid" if spans
                                   else "a border row or column of the grid is empty"))
@@ -442,7 +444,7 @@ def antidiagonal_profile(L: Ladder, t) -> AntidiagonalProfile:
         if not hits:
             continue
         w = hits[-1]
-        p = max(j for j, s in enumerate(sub_interiors, start=1) if w in diagonal_rows(s, r))
+        p = max(j for j, s in enumerate(sub_interiors, start=1) if s[w - 1][0] <= r - w <= s[w - 1][1])
         in_sub = diagonal_rows(subladders[p - 1].spans, r)
         a, b = in_sub[0], in_sub[-1]
         gamma = b - a + 1

@@ -215,6 +215,19 @@ def test_corner_minors_honour_time_limit():
     assert time.monotonic() - start < 0.5
 
 
+def test_ladder_ring_refuses_too_many_cells_before_listing_them():
+    # The full 3000 x 3000 ladder has 9,000,000 cells; listing them took
+    # several seconds and over 1 GB.  The ring is refused on the count.
+    start = time.monotonic()
+    with pytest.raises(InstanceTooLarge, match="at most 1024 variables, got 9000000"):
+        with time_limit(1):
+            mixed_ladder_ideal(Ladder.full(3000, 3000), 2)
+    assert time.monotonic() - start < 3
+    assert ladder_ring(QQ, Ladder.full(32, 32)).nvars == 1024
+    with pytest.raises(InstanceTooLarge):
+        ladder_ring(QQ, Ladder.full(1, 1025))
+
+
 def test_minor_poset_and_order():
     poset22 = minor_poset(2, 2)
     assert len(poset22) == 5

@@ -237,17 +237,19 @@ def _cells_of(spans):
     return {(i, j) for i, (lo, hi) in enumerate(spans, start=1) for j in range(lo, hi + 1)}
 
 
-def _scan_of_contains(L, t=None):
-    """Reference for `cells` and `interior_spans(t)`: every grid cell that
-    `contains` accepts and, given t, that lies NE of some lower corner
-    shifted by t_j - 1."""
+def _scan_of_corners(L, t=None):
+    """Reference for `cells`, `contains` and `interior_spans(t)`: every grid
+    cell SW of some upper corner and NE of some lower corner and, given t,
+    NE of some lower corner shifted by t_j - 1."""
     k, l = L.shape
     shifted = [(d - tj + 1, c + tj - 1) for (d, c), tj in zip(L.lower, t or ())]
     return {(i, j) for i in range(1, k + 1) for j in range(1, l + 1)
-            if L.contains(i, j) and (t is None or any(i <= d and j >= c for d, c in shifted))}
+            if any(i >= b and j <= a for b, a in L.upper)
+            and any(i <= d and j >= c for d, c in L.lower)
+            and (t is None or any(i <= d and j >= c for d, c in shifted))}
 
 
-def test_cells_match_a_scan_of_contains_over_the_grid():
+def test_cells_and_contains_match_a_scan_of_the_corners():
     rng = random.Random(14)
     pinned = Ladder((7, 7), ((1, 3), (5, 7)), ((2, 1), (7, 4)))  # rows 3-4 are empty
     assert {i for i, _ in pinned.cells} == {1, 2, 5, 6, 7}
@@ -255,9 +257,13 @@ def test_cells_match_a_scan_of_contains_over_the_grid():
     for n in range(3000):
         L = pinned if n == 0 else Ladder.full(1, 1) if n == 1 else _random_corner_ladder(rng)
         k, l = L.shape
-        assert L.cells == _scan_of_contains(L)
+        cells = _scan_of_corners(L)
+        assert L.cells == cells
+        assert not cells or L.columns == (min(j for _, j in cells), max(j for _, j in cells))
+        assert all(L.contains(i, j) == ((i, j) in cells)
+                   for i in range(-1, k + 3) for j in range(-1, l + 3))  # also off the grid
         t = tuple(rng.randint(1, 4) for _ in L.lower)
-        assert _cells_of(L.interior_spans(t)) == _scan_of_contains(L, t)
+        assert _cells_of(L.interior_spans(t)) == _scan_of_corners(L, t)
         lower = L.lower
         seen["shared row or column"] += any(p[0] == q[0] or p[1] == q[1]
                                             for p, q in zip(lower, lower[1:]))
@@ -279,7 +285,7 @@ def test_diagonal_rows_match_the_cells_on_each_antidiagonal():
                    *(L.subladder(j) for j in range(1, len(L.lower) + 1))]
         t = tuple(rng.randint(1, 4) for _ in L.lower)
         pairs = [(R.spans, R.cells) for R in regions]
-        pairs.append((L.interior_spans(t), _scan_of_contains(L, t)))
+        pairs.append((L.interior_spans(t), _scan_of_corners(L, t)))
         for spans, cells in pairs:
             for r in range(2, k + l + 1):
                 rows = diagonal_rows(spans, r)
