@@ -16,10 +16,12 @@ build (Gebauer and Moeller, J. Symbolic Comput. 6, 1988), made on an index
 of the leads: a new lead forms lcms only with the leads that share a
 variable with it, a lead coprime to it acts only through one divisor
 search, skipped when no lead is coprime to it, and the initial build
-tests the chain criterion once per pair against the later leads.  The
-driver's updates edit one pair dict in place.  Both form and reduce each
-S-pair on the terms of a reducer's entries, coefficients as the
-polynomials hold them.  `buchberger` runs the driver, which selects pairs
+tests the chain criterion once per pair against the later leads.  That
+build is shared: the last (lead tuple, packing) keeps a frozen copy, and
+each caller gets its own pair dict and index, which the driver's updates
+edit in place, so `buchberger` and then `is_groebner_basis` on the same
+generators build it once.  Both form and reduce each S-pair on the terms
+of a reducer's entries, coefficients as the polynomials hold them.  `buchberger` runs the driver, which selects pairs
 by sugar from a heap that holds the keys of the pairs each update adds,
 and `interreduce` finishes the reduced basis on the driver's own entries,
 building one Polynomial per element it keeps; an intersection
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, zip_longest
 
 from .fields import Field
@@ -258,7 +261,7 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 #
 # The pairs are made on a `_Leads` index of the basis's leads: their
 # support masks and the leads by lowest support bit.  It saves work in
-# three ways:
+# four ways:
 # - M and F, near leads only (`_near_pairs`): a new lead's lcms and
 #   quotients are formed only with the leads that share a variable with
 #   it, found by one scan of the masks.  A lead c coprime to it matters
@@ -278,6 +281,10 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 #   order too, the one that adding the leads one at a time by
 #   `_update_pairs` gives.  The driver's `_update_pairs` cannot know the
 #   later leads, so it scans the pair set for each new lead.
+# - One build per lead tuple: `_pair_build` memoises the last (lead tuple,
+#   packing) frozen, and `_initial_pairs` gives each caller fresh copies,
+#   so `is_groebner_basis` on the generators that `buchberger` just ran on
+#   builds nothing.  A build that runs out of time is not kept.
 # For a, b | L, lcm(a, b) = L iff the cofactors L - a and L - b share no
 # variable, so B takes three masks and no lcm.
 
@@ -425,6 +432,22 @@ def _initial_pairs(lmG, packing: Packing):
     set: the same dict, in the same order, as the updates `_update_pairs`
     makes adding them one at a time.  Returns (index, pair set).
 
+    Both are the caller's own, for the driver edits them in place; the
+    build behind them is shared (`_pair_build`), so `buchberger` and then
+    `is_groebner_basis` on the same generators build it once.
+    """
+    pairs, masks, by_low = _pair_build(tuple(lmG), packing)
+    leads = _Leads(packing)
+    leads.lms, leads.masks, leads.by_low = list(lmG), list(masks), dict(by_low)
+    return leads, dict(pairs)
+
+
+@lru_cache(maxsize=1)
+def _pair_build(lmG: tuple, packing: Packing):
+    """The pair set of the leads lmG, in `packing`, frozen: (its items in
+    order, the leads' masks, the items of their `by_low`).  One entry is
+    memoised, the last (lead tuple, packing); a build that raises is not.
+
     The pairs each lead makes come from `_near_pairs`.  B is then tested
     once per pair (i, j), as in `_update_pairs`, against the later leads
     k > j whose lowest support bit is in the support of L = lcm_ij, the
@@ -459,7 +482,7 @@ def _initial_pairs(lmG, packing: Packing):
                     break
     for ij in gone:
         del P[ij]
-    return leads, P
+    return tuple(P.items()), tuple(leads.masks), tuple(leads.by_low.items())
 
 
 def _pair_key(i, j, lcm, lmG, sugars, order):

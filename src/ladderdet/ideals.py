@@ -20,11 +20,11 @@ from .fields import QQ, Field
 from .groebner import Ideal, InstanceTooLarge, Ring
 from .ladders import Ladder, LadderError, _int_pair, antidiagonal_profile, size_vector, span_size
 from .poly import (
-    MAX_VARIABLES,
     Minor,
     Monomial,
     Polynomial,
     _check_deadline,
+    check_variable_count,
     expand_minor,
     grid_var,
     mono,
@@ -35,9 +35,7 @@ from .poly import (
 
 def ladder_ring(field: Field, L: Ladder) -> Ring:
     """The polynomial ring on exactly the cells of the ladder, refused on their count."""
-    if span_size(L.spans) > MAX_VARIABLES:
-        raise InstanceTooLarge(f"instance too large: a ring holds at most {MAX_VARIABLES} "
-                               f"variables, got {span_size(L.spans)}")
+    check_variable_count(span_size(L.spans))
     return Ring.for_cells(field, sorted(L.cells))
 
 

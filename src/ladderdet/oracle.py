@@ -14,6 +14,7 @@ from .poly import (
     Minor,
     Monomial,
     Polynomial,
+    check_variable_count,
     grid_var,
     join_packings,
     mono,
@@ -65,12 +66,16 @@ class SymbolicCertificate:
 def symbolic_fsplit_certificate(L: Ladder, t) -> SymbolicCertificate:
     """Build and verify the splitting certificate for (L, t).
 
-    Raises CertificateError when any invariant fails.
+    Raises CertificateError when any invariant fails, and InstanceTooLarge,
+    before it packs the lead, when the factor sizes sum past `MAX_VARIABLES`.
     """
     t = size_vector(t, len(L.lower))
     profile = antidiagonal_profile(L, t)
     h = profile.interior_size
     factors = [(ld.minor, ld.gamma, t[ld.p - 1], ld.count) for ld in profile.witness]
+    # The factor sizes sum to the lead's variable count, the lead being
+    # squarefree, as the certificate requires: refuse before packing it.
+    check_variable_count(sum(ld.gamma for ld in profile.witness))
     lead = mono(*((grid_var(i, j), 1) for m, _, _, _ in factors for i, j in m.antidiagonal_cells()))
 
     checks = []

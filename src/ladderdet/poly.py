@@ -151,6 +151,13 @@ def _overflow() -> ExponentOverflow:
                             f"exponents up to {MAX_EXPONENT} per variable")
 
 
+def check_variable_count(n: int) -> None:
+    """Refuse a ring of n variables when n is above `MAX_VARIABLES`."""
+    if n > MAX_VARIABLES:
+        raise InstanceTooLarge(f"instance too large: a ring holds at most {MAX_VARIABLES} "
+                               f"variables, got {n}")
+
+
 def _ones(n: int) -> int:
     """The int with a 1 at the bottom of each of n fields."""
     return ((1 << _W * n) - 1) // _FIELD
@@ -170,9 +177,7 @@ class Packing:
 
     def __init__(self, variables: tuple[Variable, ...]):
         n = len(variables)
-        if n > MAX_VARIABLES:
-            raise InstanceTooLarge(f"instance too large: a ring holds at most {MAX_VARIABLES} "
-                                   f"variables, got {n}")
+        check_variable_count(n)
         self.variables = variables
         self.shift = {v: _W * (n - 1 - i) for i, v in enumerate(variables)}
         ones = _ones(n)

@@ -23,6 +23,7 @@ from ladderdet.groebner import (
     _cover_bits,
     _initial_pairs,
     _one_packing,
+    _pair_build,
     _update_pairs,
     buchberger,
     interreduce,
@@ -1100,12 +1101,78 @@ def test_pair_update_matches_the_reference_on_structured_leads(name):
 
 
 def test_initial_pairs_respect_the_time_budget():
+    # A memo hit does no work, so the shared build is cleared first: an
+    # earlier test may have built these leads.
+    _pair_build.cache_clear()
     lmG, packing = _grid_minor_leads(9, 2)
     start = time.monotonic()
     with pytest.raises(InstanceTooLarge):
         with time_limit(0.01):
             _initial_pairs(lmG, packing)
     assert time.monotonic() - start < 0.5
+
+
+def _own_objects(leads, pairs):
+    return [leads, pairs, leads.lms, leads.masks, leads.by_low]
+
+
+def test_shared_pair_build_hands_out_fresh_copies():
+    # A hit equals a fresh build, in order too, and shares no object with
+    # it or with an earlier result that the driver has since edited.
+    lmG, packing = _grid_minor_leads(4, 2)
+    _pair_build.cache_clear()
+    first = _initial_pairs(lmG, packing)
+    _update_pairs(*first, lmG[0] + lmG[-1])
+    hit = _initial_pairs(lmG, packing)
+    assert _pair_build.cache_info().hits == 1
+    _pair_build.cache_clear()
+    fresh = _initial_pairs(lmG, packing)
+    assert list(hit[1].items()) == list(fresh[1].items())
+    assert list(first[1].items()) != list(fresh[1].items())
+    for attr in ("lms", "masks", "by_low", "guard", "low"):
+        assert getattr(hit[0], attr) == getattr(fresh[0], attr)
+    assert hit[0].lms == lmG and first[0].lms == lmG + [lmG[0] + lmG[-1]]
+    ids = [id(x) for result in (first, hit, fresh) for x in _own_objects(*result)]
+    assert len(set(ids)) == len(ids)
+
+
+def test_shared_pair_build_is_keyed_on_the_packing():
+    lmG, small = _grid_minor_leads(3, 2)
+    large = Ring.for_grid(QQ, 4, 4).packing
+    _pair_build.cache_clear()
+    for packing in (small, large, small):
+        leads, _ = _initial_pairs(lmG, packing)
+        assert (leads.guard, leads.low) == (packing.guard, packing.low)
+    assert _pair_build.cache_info().misses == 3
+
+
+def test_buchberger_leaves_the_shared_pairs_of_a_non_basis_intact():
+    gens = [minor((1, 2), (1, 2)), minor((1, 2), (1, 3))]
+    basis = buchberger(gens)
+    assert len(basis) > len(gens)
+    assert not is_groebner_basis(gens)
+    assert is_groebner_basis(basis)
+
+
+def test_buchberger_then_is_groebner_basis_builds_the_lead_index_once(monkeypatch):
+    # The ladder minors are a Groebner basis, so the driver adds no element
+    # and every `_near_pairs` call is the one build's, one per lead.
+    from ladderdet import groebner
+
+    L, t = ladderdet.load_fixture("staircase10")
+    gens = list(mixed_ladder_ideal(L, t).gens)
+    calls = []
+
+    def near(leads, lmf):
+        calls.append(lmf)
+        return real_near(leads, lmf)
+
+    real_near = groebner._near_pairs
+    monkeypatch.setattr(groebner, "_near_pairs", near)
+    _pair_build.cache_clear()
+    buchberger(gens)
+    assert is_groebner_basis(gens)
+    assert len(calls) == len(gens)
 
 
 def test_pair_update_edge_cases():

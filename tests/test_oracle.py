@@ -3,12 +3,14 @@ the initial-ideal comparison."""
 
 import json
 import random
+import time
 
 import pytest
 
 import ladderdet
 from ladderdet.fields import GF, QQ
-from ladderdet.groebner import Ideal, Ring
+from ladderdet import poly
+from ladderdet.groebner import Ideal, InstanceTooLarge, Ring
 from ladderdet.ideals import (
     f_of_matrix,
     f_witness,
@@ -95,6 +97,22 @@ def test_certificate_staircase10_mixed():
     cert = symbolic_fsplit_certificate(L, t)
     assert sum(cert.counts) == cert.h == height(L, t)
     assert all(ok for _, ok in cert.checks)
+
+
+def test_certificate_refuses_too_many_variables_before_packing_the_lead():
+    # On the full 600 x 600 ladder the lead has 359,998 variables; interning
+    # one per antidiagonal cell took seconds and about 200 MB before the
+    # ring cap.  The factor sizes, which the profile holds, are refused first.
+    interned = len(poly._GRID)
+    start = time.monotonic()
+    with pytest.raises(InstanceTooLarge, match="at most 1024 variables, got 359998"):
+        symbolic_fsplit_certificate(Ladder.full(600, 600), [2])
+    assert time.monotonic() - start < 3
+    assert len(poly._GRID) == interned
+    cert = symbolic_fsplit_certificate(Ladder.full(32, 32), [2])
+    assert len(cert.lead.variables) == sum(g for _, g, _, _ in cert.factors) == 1022
+    with pytest.raises(InstanceTooLarge, match="got 1087"):
+        symbolic_fsplit_certificate(Ladder.full(33, 33), [2])
 
 
 def test_g_witness_degree_count_randomized():
