@@ -16,16 +16,16 @@ build (Gebauer and Moeller, J. Symbolic Comput. 6, 1988), made on an index
 of the leads: a new lead forms lcms only with the leads that share a
 variable with it, a lead coprime to it acts only through one divisor
 search, skipped when no lead is coprime to it, and the initial build
-tests the chain criterion once per pair against the later leads.  That
-build is shared: the last (lead tuple, packing) keeps a frozen copy, and
-each caller gets its own pair dict and index, which the driver's updates
-edit in place, so `buchberger` and then `is_groebner_basis` on the same
-generators build it once.  Both form and reduce each S-pair on the terms
-of a reducer's entries, coefficients as the polynomials hold them.  `buchberger` runs the driver, which selects pairs
-by sugar from a heap that holds the keys of the pairs each update adds,
-and `interreduce` finishes the reduced basis on the driver's own entries,
-building one Polynomial per element it keeps; an intersection
-interreduces only the aux-free entries.
+tests the chain criterion once per pair against the later leads.  The
+last build is kept, frozen, for its (lead tuple, packing), so
+`buchberger` and then `is_groebner_basis` on the same generators build it
+once; each caller gets its own pair dict, which the driver's updates edit
+in place.  Both form and reduce each S-pair on the terms of a reducer's
+entries, coefficients as the polynomials hold them.  `buchberger` runs
+the driver, which selects pairs by sugar from a heap that holds the keys
+of the pairs each update adds, and `interreduce` finishes the reduced
+basis on the driver's own entries, building one Polynomial per element
+it keeps; an intersection interreduces only the aux-free entries.
 `is_groebner_basis` walks the pair set of its generators once, with no
 selection order, up to the first nonzero remainder.  An `Ideal` keeps the
 reducer of each cached basis for its normal forms and membership tests.
@@ -432,9 +432,8 @@ def _initial_pairs(lmG, packing: Packing):
     set: the same dict, in the same order, as the updates `_update_pairs`
     makes adding them one at a time.  Returns (index, pair set).
 
-    Both are the caller's own, for the driver edits them in place; the
-    build behind them is shared (`_pair_build`), so `buchberger` and then
-    `is_groebner_basis` on the same generators build it once.
+    Both are the caller's own, for the driver edits them in place; they
+    are copied from the memoised build, `_pair_build`.
     """
     pairs, masks, by_low = _pair_build(tuple(lmG), packing)
     leads = _Leads(packing)
