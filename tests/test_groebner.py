@@ -1112,10 +1112,6 @@ def test_initial_pairs_respect_the_time_budget():
     assert time.monotonic() - start < 0.5
 
 
-def _own_objects(leads, pairs):
-    return [leads, pairs, leads.lms, leads.masks, leads.by_low]
-
-
 def test_shared_pair_build_hands_out_fresh_copies():
     # A hit equals a fresh build, in order too, and shares no object with
     # it or with an earlier result that the driver has since edited.
@@ -1132,7 +1128,8 @@ def test_shared_pair_build_hands_out_fresh_copies():
     for attr in ("lms", "masks", "by_low", "guard", "low"):
         assert getattr(hit[0], attr) == getattr(fresh[0], attr)
     assert hit[0].lms == lmG and first[0].lms == lmG + [lmG[0] + lmG[-1]]
-    ids = [id(x) for result in (first, hit, fresh) for x in _own_objects(*result)]
+    ids = [id(x) for leads, pairs in (first, hit, fresh)
+           for x in (leads, pairs, leads.lms, leads.masks, leads.by_low)]
     assert len(set(ids)) == len(ids)
 
 
