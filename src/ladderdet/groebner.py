@@ -30,6 +30,18 @@ it keeps; an intersection interreduces only the aux-free entries.
 selection order, up to the first nonzero remainder.  An `Ideal` keeps the
 reducer of each cached basis for its normal forms and membership tests.
 
+Heights, dimensions and multiplicities of squarefree monomial ideals come
+from the numerator N(t) of the Hilbert series, computed by Bigatti's pivot
+recursion (Bigatti, J. Pure Appl. Algebra 119, 1997) on the support masks
+re-indexed densely (`_cover_bits`).  A node splits its supports in one
+pass into those without the pivot x and the quotients s - x of those with
+it.  The supports form an antichain, so the quotients do too and none is
+compared with another: the colon is the quotients plus the supports
+without x that contain none, built in one more pass.  The two children's
+series are combined in one pass, and the memo of subproblems is bounded
+by `_HILBERT_MEMO_ENTRIES`.  The budget is checked once per node and once
+per support the colon pass sweeps.
+
 Monomials are the packed ints of `poly`.  Each ring fixes one `Packing`;
 an ideal re-packs its generators into it, so every monomial of one
 Buchberger run shares a guard mask, and a function given polynomials of
@@ -1080,8 +1092,17 @@ def _cover_bits(supports) -> tuple[list[int], list[int]]:
     for s in sets:
         union |= s
     positions = _bit_positions(union)
-    index = {b: i for i, b in enumerate(positions)}
-    return positions, _minimal_masks(sum(1 << index[b] for b in _bit_positions(s)) for s in sets)
+    dense = {1 << b: 1 << i for i, b in enumerate(positions)}  # source bit -> dense bit
+
+    def reindexed(s):
+        m = 0
+        while s:
+            low = s & -s
+            m |= dense[low]
+            s ^= low
+        return m
+
+    return positions, _minimal_masks(map(reindexed, sets))
 
 
 def minimal_covers(supports) -> list[int]:
@@ -1134,10 +1155,6 @@ def minimal_covers(supports) -> list[int]:
     return [sum(1 << positions[i] for i in idx) for _, idx in found]
 
 
-def _add_series(a: list[int], b: list[int]) -> list[int]:
-    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
-
-
 def _times_one_minus_t(num: list[int], k: int) -> list[int]:
     for _ in range(k):
         num = [x - y for x, y in zip(num + [0], [0] + num)]
@@ -1151,16 +1168,18 @@ _HILBERT_MEMO_ENTRIES = 1 << 14
 
 def _hilbert_numerator(masks: list[int]) -> list[int]:
     """Coefficients of N(t), where H(S/I, t) = N(t)/(1-t)^n for the
-    squarefree monomial ideal I with these minimal support masks.
+    squarefree monomial ideal I with these minimal support masks (an
+    antichain).
 
     Bigatti's pivot recursion N(I) = N(I + (x)) + t N(I : x), with the
     product of (1 - t^|s|) for pairwise coprime supports as the base case.
     A singleton support {y} shares no variable with the others, so it is
     stripped as a factor (1 - t); then N(I + (x)) = (1 - t) N(J), where J
-    keeps the supports without x.  I : x shrinks only the supports with x,
-    which can then only swallow supports without x.  Subproblems repeat
-    across the two branches, so they are memoised for the call, keyed by
-    their sorted masks; the memo starts over once it holds
+    keeps the supports without x.  One pass splits the supports: those with
+    x form an antichain, so their quotients s - x do too, and I : x keeps
+    them and the supports without x that contain no quotient.  Subproblems
+    repeat across the two branches, so they are memoised for the call,
+    keyed by their sorted masks; the memo starts over once it holds
     `_HILBERT_MEMO_ENTRIES` of them, which bounds its memory.
     """
     memo: dict = {}
@@ -1184,7 +1203,10 @@ def _hilbert_numerator(masks: list[int]) -> list[int]:
         if len(planes) < 2:  # pairwise coprime
             num = [1]
             for s in masks:
-                num = _add_series(num, [0] * s.bit_count() + [-c for c in num])
+                d = s.bit_count()
+                num += [0] * d
+                for i in range(len(num) - 1, d - 1, -1):
+                    num[i] -= num[i - d]
         else:
             # x: the variable in the most supports, ties to the highest bit
             top = planes.pop()
@@ -1192,19 +1214,27 @@ def _hilbert_numerator(masks: list[int]) -> list[int]:
                 if top & plane:
                     top &= plane
             x = 1 << top.bit_length() - 1
-            untouched = [s for s in masks if not s & x]
-            shrunk = _minimal_masks(s ^ x for s in masks if s & x)
-            colon = untouched
-            for r in shrunk:
-                _check_deadline()
-                colon = [s for s in colon if s & r != r]
-            wide = [r for r in shrunk if r & (r - 1)]
-            singles = len(shrunk) - len(wide)
-            colon += wide
-            # (1 - t) A + t C = A + t (C - A)
+            untouched, wide, singles = [], [], 0  # singles: the bits y of the quotients {y}
+            for s in masks:
+                if not s & x:
+                    untouched.append(s)
+                elif (r := s ^ x) & (r - 1):
+                    wide.append(r)
+                else:
+                    singles |= r
+            colon = wide.copy()
+            for s in untouched:
+                if not s & singles:
+                    _check_deadline()
+                    for r in wide:
+                        if r & s == r:
+                            break
+                    else:
+                        colon.append(s)
             a = rec(untouched)
-            c = _times_one_minus_t(rec(colon), singles)
-            num = _add_series(a, [0] + [q - p for p, q in zip_longest(a, c, fillvalue=0)])
+            c = _times_one_minus_t(rec(colon), singles.bit_count())
+            # (1 - t) A + t C: the coefficient of t^i is a_i - a_(i-1) + c_(i-1)
+            num = [p - q + r for p, q, r in zip_longest(a, [0] + a, [0] + c, fillvalue=0)]
         if len(memo) >= _HILBERT_MEMO_ENTRIES:
             memo.clear()
         memo[key] = num

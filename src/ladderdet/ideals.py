@@ -34,9 +34,12 @@ from .poly import (
 
 
 def ladder_ring(field: Field, L: Ladder) -> Ring:
-    """The polynomial ring on exactly the cells of the ladder, refused on their count."""
+    """The polynomial ring on exactly the cells of the ladder, refused on their count.
+    Its variables come off the spans in descending order: rows down, each
+    row's columns right to left."""
     check_variable_count(span_size(L.spans))
-    return Ring.for_cells(field, sorted(L.cells))
+    return Ring(field, tuple(grid_var(i, j) for i, (lo, hi) in enumerate(L.spans, start=1)
+                             for j in range(hi, lo - 1, -1)))
 
 
 def grid_ring(field: Field, k: int, l: int) -> Ring:

@@ -25,10 +25,10 @@ meets some lower corner (d, c), that is iff it fits in the rectangle
 its SW cell.  Largest squares, the cells covered by t-minors and the
 generating minors themselves (`ideals.minors_in_ladder`) are read off
 these corner rectangles.  `Ladder.contains_minor` decides from those two
-cells alone whether a block lies in a ladder: the profile places each
-square Y_r in its subladder this way, the g witness its block Y, and
-`ideals.minor_product_symbolic_degree` the factors it is given a ladder
-for.
+cells alone whether a block lies in a ladder: the g witness places its
+block Y this way, and `ideals.minor_product_symbolic_degree` the factors
+it is given a ladder for.  The profile tests the same two cells of each
+square Y_r in its subladder, without building the minor.
 """
 
 from __future__ import annotations
@@ -395,6 +395,9 @@ def height(L: Ladder, t) -> int:
 
 @dataclass(frozen=True)
 class LevelData:
+    """One antidiagonal level r: its square Y_r has rows a..b and the
+    columns r - b..r - a, gamma = b - a + 1 of each."""
+
     r: int
     w: int
     p: int
@@ -402,7 +405,11 @@ class LevelData:
     b: int
     gamma: int
     count: int
-    minor: Minor
+
+    @property
+    def minor(self) -> Minor:
+        """Y_r, built on demand: its index tuples have gamma entries each."""
+        return Minor(tuple(range(self.a, self.b + 1)), tuple(range(self.r - self.b, self.r - self.a + 1)))
 
 
 @dataclass(frozen=True)
@@ -448,10 +455,10 @@ def antidiagonal_profile(L: Ladder, t) -> AntidiagonalProfile:
         in_sub = diagonal_rows(subladders[p - 1].spans, r)
         a, b = in_sub[0], in_sub[-1]
         gamma = b - a + 1
-        minor = Minor(tuple(range(a, b + 1)), tuple(range(r - b, r - a + 1)))
-        if not subladders[p - 1].contains_minor(minor):
+        # Y_r lies in the subladder iff its NE and SW cells do (corner lemma).
+        if not (subladders[p - 1].contains(a, r - a) and subladders[p - 1].contains(b, r - b)):
             raise ProfileError(f"level {r}: antidiagonal square leaves its subladder")
-        levels.append(LevelData(r, w, p, a, b, gamma, gamma - t[p - 1] + 1, minor))
+        levels.append(LevelData(r, w, p, a, b, gamma, gamma - t[p - 1] + 1))
 
     witness = tuple(ld for ld in levels if ld.count >= 0)
     total, size = sum(ld.count for ld in witness), span_size(interior)

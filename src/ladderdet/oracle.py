@@ -72,10 +72,11 @@ def symbolic_fsplit_certificate(L: Ladder, t) -> SymbolicCertificate:
     t = size_vector(t, len(L.lower))
     profile = antidiagonal_profile(L, t)
     h = profile.interior_size
-    factors = [(ld.minor, ld.gamma, t[ld.p - 1], ld.count) for ld in profile.witness]
     # The factor sizes sum to the lead's variable count, the lead being
-    # squarefree, as the certificate requires: refuse before packing it.
+    # squarefree, as the certificate requires: refuse before building the
+    # factors and packing the lead.
     check_variable_count(sum(ld.gamma for ld in profile.witness))
+    factors = [(ld.minor, ld.gamma, t[ld.p - 1], ld.count) for ld in profile.witness]
     lead = mono(*((grid_var(i, j), 1) for m, _, _, _ in factors for i, j in m.antidiagonal_cells()))
 
     checks = []

@@ -22,6 +22,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache
 from itertools import chain, permutations
+from operator import lt
 from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from .fields import QQ, Field
@@ -158,6 +159,7 @@ def check_variable_count(n: int) -> None:
                                f"variables, got {n}")
 
 
+@cache
 def _ones(n: int) -> int:
     """The int with a 1 at the bottom of each of n fields."""
     return ((1 << _W * n) - 1) // _FIELD
@@ -312,13 +314,14 @@ class Monomial:
         if self._packing is target:
             return self.value
         shift, value, out = target.shift, self.value, 0
-        top = _W * (len(self.variables) - 1)
-        for i, v in enumerate(self.variables):
-            e = value >> top - _W * i & _FIELD
+        for v in reversed(self.variables):  # the lowest field first
+            e = value & _FIELD
             if e:
-                if v not in shift:
+                at = shift.get(v)
+                if at is None:
                     raise ValueError(f"monomial uses variable {v} outside the ring")
-                out |= e << shift[v]
+                out |= e << at
+            value >>= _W
         return out
 
     def exponents(self) -> list[tuple[Variable, int]]:
@@ -742,12 +745,16 @@ class Minor:
     cols: tuple[int, ...]
 
     def __post_init__(self):
-        rows, cols = tuple(self.rows), tuple(self.cols)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        rows, cols = self.rows, self.cols
+        if type(rows) is not tuple:
+            rows = tuple(rows)
+            object.__setattr__(self, "rows", rows)
+        if type(cols) is not tuple:
+            cols = tuple(cols)
+            object.__setattr__(self, "cols", cols)
         if len(rows) != len(cols) or not rows:
             raise ValueError(f"minor needs equally many rows and cols: {rows}|{cols}")
-        if any(a >= b for a, b in zip(rows, rows[1:])) or any(a >= b for a, b in zip(cols, cols[1:])):
+        if not (all(map(lt, rows, rows[1:])) and all(map(lt, cols, cols[1:]))):
             raise ValueError(f"minor indices must strictly increase: {rows}|{cols}")
         if rows[0] < 1 or cols[0] < 1:
             raise ValueError("minor indices are 1-based")
@@ -760,13 +767,15 @@ class Minor:
         return [(i, j) for i in self.rows for j in self.cols]
 
     def antidiagonal_cells(self):
-        return [(self.rows[a], self.cols[self.size - 1 - a]) for a in range(self.size)]
+        return list(zip(self.rows, reversed(self.cols)))
 
     def antidiagonal_monomial(self) -> Monomial:
         """The product of the antidiagonal, in the ring of its own variables
         (rows go down as columns go left, so the cells come greatest first)."""
-        cells = self.antidiagonal_cells()
-        return Monomial._of(tuple(grid_var(i, j) for i, j in cells), _ones(len(cells)))
+        variables = tuple(map(_GRID.get, zip(self.rows, reversed(self.cols))))
+        if None in variables:  # a cell whose variable is not interned yet
+            variables = tuple(grid_var(i, j) for i, j in zip(self.rows, reversed(self.cols)))
+        return Monomial._of(variables, _ones(len(variables)))
 
     def __str__(self):
         r = "".join(str(i) for i in self.rows) if max(self.rows + self.cols) < 10 else ",".join(map(str, self.rows))

@@ -21,6 +21,7 @@ from ladderdet.groebner import (
     _Leads,
     _buchberger_loop,
     _cover_bits,
+    _hilbert_numerator,
     _initial_pairs,
     _one_packing,
     _pair_build,
@@ -696,6 +697,101 @@ def test_multiplicity_edge_cases():
         MonomialIdeal.from_monomials(ring, [mono((x, 2))]).multiplicity()
     with pytest.raises(ValueError):
         MonomialIdeal(ring, (MONO_ONE,)).multiplicity()
+
+
+def _antichain(supports):
+    """The distinct supports (bit masks) that contain no other one."""
+    supports = set(supports)
+    return [s for s in supports if not any(r != s and r & s == r for r in supports)]
+
+
+def _inclusion_exclusion_numerator(masks):
+    """N(t) = sum over subsets S of the supports of (-1)^|S| t^|union of S|,
+    trailing zeros stripped."""
+    num = [0] * (sum(m.bit_count() for m in masks) + 1)
+    for k in range(len(masks) + 1):
+        for subset in combinations(masks, k):
+            union = 0
+            for s in subset:
+                union |= s
+            num[union.bit_count()] += (-1) ** k
+    return _strip_zeros(num)
+
+
+def _strip_zeros(num):
+    num = list(num)
+    while num and num[-1] == 0:
+        num.pop()
+    return num
+
+
+def _random_masks(rng, bits, count, size):
+    return [_mask(rng.sample(bits, rng.randint(1, min(size, len(bits))))) for _ in range(count)]
+
+
+def _hilbert_cases():
+    """About 200 seeded antichains of at most 10 supports, by kind."""
+    rng = random.Random(26)
+    cases = {"plain": [], "singletons": [], "blocks": [], "pivots": []}
+    for _ in range(60):
+        bits = rng.sample(range(14), rng.randint(2, 10))
+        cases["plain"].append(_random_masks(rng, bits, rng.randint(1, 10), 5))
+    for _ in range(50):
+        # Singletons on their own bits and inside other supports.
+        bits = rng.sample(range(14), rng.randint(3, 10))
+        masks = _random_masks(rng, bits, rng.randint(1, 7), 4)
+        cases["singletons"].append(masks + [1 << b for b in rng.sample(bits, rng.randint(1, 3))])
+    for _ in range(50):
+        # Two or three blocks of supports on disjoint bits.
+        bits = rng.sample(range(15), 15)
+        blocks = [bits[:5], bits[5:10], bits[10:]][:rng.randint(2, 3)]
+        cases["blocks"].append([m for block in blocks
+                                for m in _random_masks(rng, block, rng.randint(1, 3), 3)])
+    for _ in range(40):
+        # Edges of small graphs: pivoting on x and then y reaches the same
+        # subproblem as pivoting on y and then x.
+        edges = list(combinations(rng.sample(range(12), rng.randint(3, 6)), 2))
+        cases["pivots"].append([_mask(e) for e in rng.sample(edges, min(len(edges), rng.randint(3, 10)))])
+    cases["pivots"] += [[_mask(e) for e in combinations(range(5), 2)],
+                        [_mask(range(i, i + 3)) for i in range(8)],
+                        [_mask({i, (i + 1) % 7}) for i in range(7)]]
+    return {kind: [_antichain(masks)[:10] for masks in found] for kind, found in cases.items()}
+
+
+def test_hilbert_numerator_matches_inclusion_exclusion():
+    # Every coefficient of N(t), not only the height and the multiplicity
+    # read off it.
+    cases = _hilbert_cases()
+    assert sum(map(len, cases.values())) >= 200
+    assert all(len(masks) <= 10 for found in cases.values() for masks in found)
+    assert any(m.bit_count() == 1 for masks in cases["singletons"] for m in masks)
+    for found in cases.values():
+        for masks in found:
+            expected = _inclusion_exclusion_numerator(masks)
+            assert _strip_zeros(_hilbert_numerator(masks)) == expected, masks
+            assert _strip_zeros(_hilbert_numerator(masks[::-1])) == expected, masks
+    assert _strip_zeros(_hilbert_numerator([])) == [1]
+    # (1 - t)^3 (1 - t^2) for {x}, {y}, {z}, {u, v}.
+    assert _strip_zeros(_hilbert_numerator([1, 2, 4, 24])) == [1, -3, 2, 2, -3, 1]
+
+
+def test_time_limit_reaches_inside_one_hilbert_node():
+    # 4,126 supports through one variable x, whose quotients by x are 66
+    # pairs and 4,060 triples, and 10,626 supports of four other variables
+    # without x.  The root node pivots on x and tests each support without
+    # x against every quotient: 44 million tests, about 3 s on a 2-CPU
+    # machine with no budget check inside the node.
+    ring = Ring.for_grid(QQ, 7, 10)
+    x, *rest = [1 << ring.packing.shift[v] for v in ring.variables[:67]]
+    pairs, triples, fours = rest[:12], rest[12:42], rest[42:66]
+    through_x = [x + sum(c) for c in combinations(pairs, 2)] + [x + sum(c) for c in combinations(triples, 3)]
+    without_x = [sum(c) for c in combinations(fours, 4)]
+    M = MonomialIdeal(ring, tuple(sorted(through_x + without_x)))
+    start = time.monotonic()
+    with pytest.raises(InstanceTooLarge):
+        with time_limit(0.3):
+            M.height()
+    assert time.monotonic() - start < 1.5
 
 
 def test_time_limit_bounds_dim():

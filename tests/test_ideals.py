@@ -7,7 +7,7 @@ import pytest
 
 import ladderdet
 from ladderdet.fields import QQ
-from ladderdet.groebner import Ideal, InstanceTooLarge
+from ladderdet.groebner import Ideal, InstanceTooLarge, Ring
 from ladderdet.ideals import (
     GWitnessError,
     PartialPermutation,
@@ -226,6 +226,30 @@ def test_ladder_ring_refuses_too_many_cells_before_listing_them():
     assert ladder_ring(QQ, Ladder.full(32, 32)).nvars == 1024
     with pytest.raises(InstanceTooLarge):
         ladder_ring(QQ, Ladder.full(1, 1025))
+
+
+def _random_corner_ladder(rng):
+    """A ladder from random corner lists, which may leave rows empty."""
+    while True:
+        k, l = rng.randint(1, 8), rng.randint(1, 8)
+        upper = sorted((rng.randint(1, k), rng.randint(1, l)) for _ in range(rng.randint(1, 3)))
+        lower = sorted((rng.randint(1, k), rng.randint(1, l)) for _ in range(rng.randint(1, 4)))
+        try:
+            return Ladder((k, l), upper, lower)
+        except LadderError:
+            continue
+
+
+def test_ladder_ring_matches_the_ring_of_its_sorted_cells():
+    rng = random.Random(26)
+    ladders = [_random_corner_ladder(rng) for _ in range(200)]
+    ladders += [random_valid_ladder(rng, 7, mixed=True)[0] for _ in range(50)]
+    assert any(lo > hi for L in ladders for lo, hi in L.spans)  # empty rows
+    assert any(len(L.lower) > 1 for L in ladders)
+    for L in ladders:
+        ring = ladder_ring(QQ, L)
+        assert ring.packing is Ring.for_cells(QQ, sorted(L.cells)).packing
+        assert ring.variables == tuple(sorted(ring.variables, reverse=True))
 
 
 def test_minor_poset_and_order():

@@ -1,9 +1,11 @@
 """Ladder combinatorics: membership, validation, interiors, profiles,
 chamfering and width descent."""
 
+import dataclasses
 import json
 import random
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -14,6 +16,7 @@ from ladderdet.ladders import (
     ChamferError,
     Ladder,
     LadderError,
+    LevelData,
     antidiagonal_profile,
     chamfer,
     diagonal_rows,
@@ -376,6 +379,34 @@ def test_profile_of_a_600x600_ladder_honours_time_limit():
     except InstanceTooLarge:
         pass
     assert time.monotonic() - start < 3
+
+
+def test_profile_levels_build_their_square_on_demand():
+    # A level keeps its rows a..b; Y_r takes the columns r - b..r - a.
+    assert "minor" not in {f.name for f in dataclasses.fields(LevelData)}
+    rng = random.Random(26)
+    for _ in range(30):
+        L, t = random_valid_ladder(rng, 7, mixed=True)
+        for ld in antidiagonal_profile(L, t).levels:
+            m = ld.minor
+            assert m.size == ld.gamma
+            assert m.antidiagonal_cells() == [(i, ld.r - i) for i in range(ld.a, ld.b + 1)]
+            assert L.subladder(ld.p).contains_minor(m)
+
+
+def test_profile_of_a_600x600_ladder_holds_no_minors():
+    # With a Minor per level, whose row and column tuples hold up to 600
+    # ints each, the profile allocated about 19 MB at its peak; without,
+    # under 0.5 MB (tracemalloc).
+    L = Ladder.full(600, 600)
+    L.spans
+    tracemalloc.start()
+    try:
+        antidiagonal_profile(L, (2,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_total_width_example():

@@ -314,6 +314,58 @@ def test_minor_antidiagonal_lead_property():
         assert coeff == Fraction(-1) ** (size * (size - 1) // 2)
 
 
+def test_minor_stores_any_index_sequence_as_a_tuple():
+    rng = random.Random(26)
+    for _ in range(200):
+        size = rng.randint(1, 5)
+        rows = tuple(sorted(rng.sample(range(1, 12), size)))
+        cols = tuple(sorted(rng.sample(range(1, 12), size)))
+        m = Minor(rows, cols)
+        for r, c in [(list(rows), list(cols)), (iter(rows), (j for j in cols)), (rows, list(cols))]:
+            other = Minor(r, c)
+            assert other == m and type(other.rows) is tuple and type(other.cols) is tuple
+        # The antidiagonal monomial is the product of the antidiagonal cells.
+        assert m.antidiagonal_cells() == [(rows[a], cols[size - 1 - a]) for a in range(size)]
+        expected = mono(*((grid_var(i, j), 1) for i, j in m.antidiagonal_cells()))
+        got = m.antidiagonal_monomial()
+        assert got == expected and got.variables == expected.packing.variables
+        assert got.value == expected.value
+    m = Minor(range(2, 5), range(3, 6))
+    assert m.rows == (2, 3, 4) and m.cols == (3, 4, 5)
+    # Cells whose variables nobody has interned yet.
+    fresh = Minor((7001, 7002), (9001, 9003)).antidiagonal_monomial()
+    assert fresh.variables == (grid_var(7001, 9003), grid_var(7002, 9001))
+
+
+@pytest.mark.parametrize("rows, cols, message", [
+    ((1, 2), (1,), "minor needs equally many rows and cols: (1, 2)|(1,)"),
+    ([1], [1, 2], "minor needs equally many rows and cols: (1,)|(1, 2)"),
+    ((), (), "minor needs equally many rows and cols: ()|()"),
+    ((2, 1), (1, 2), "minor indices must strictly increase: (2, 1)|(1, 2)"),
+    ([1, 2], [3, 3], "minor indices must strictly increase: (1, 2)|(3, 3)"),
+    ((0, 0), (1, 2), "minor indices must strictly increase: (0, 0)|(1, 2)"),
+    ((0, 1), (1, 2), "minor indices are 1-based"),
+    (range(1, 3), range(0, 2), "minor indices are 1-based"),
+])
+def test_minor_rejects_bad_indices(rows, cols, message):
+    with pytest.raises(ValueError) as err:
+        Minor(rows, cols)
+    assert str(err.value) == message
+
+
+def test_packed_in_moves_each_field_to_its_variable():
+    rng = random.Random(27)
+    grid = [grid_var(i, j) for i in range(1, 5) for j in range(1, 5)]
+    target = packing_of(grid)
+    for _ in range(200):
+        pairs = [(v, rng.randint(1, MAX_EXPONENT)) for v in rng.sample(grid, rng.randint(0, 8))]
+        m = mono(*pairs)
+        assert m.packed_in(target) == target.pack(pairs)
+        assert m.packed_in(m.packing) == m.value
+    with pytest.raises(ValueError, match="outside the ring"):
+        mono((grid_var(5, 1), 1), (grid_var(1, 1), 2)).packed_in(target)
+
+
 def test_leading_term_examples():
     one = Polynomial.one(QQ)
     assert one.leading_term(ANTIDIAG) == (MONO_ONE, Fraction(1))
