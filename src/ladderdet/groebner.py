@@ -988,7 +988,9 @@ class MonomialIdeal:
         return MonomialIdeal.from_monomials(self.ring, [mono_radical(g, packing) for g in self.gens])
 
     def supports(self) -> list[int]:
-        """The support mask of each generator (`mono_mask`)."""
+        """The support mask of each generator (`mono_mask`).  The radical's
+        generators have the same masks, less repeats and masks holding
+        another one, which the cover search drops itself (`_cover_bits`)."""
         packing = self.ring.packing
         return [mono_mask(g, packing) for g in self.gens]
 
@@ -996,13 +998,13 @@ class MonomialIdeal:
         """Minimal primes (as variable sets) by recursive splitting."""
         if self.is_unit:
             raise ValueError("unit ideal has no minimal primes")
-        covers = minimal_covers(self.radical().supports())
+        covers = minimal_covers(self.supports())
         return [frozenset(self.ring.packing.variables_of(c)) for c in covers]
 
     def height(self) -> int:
         if self.is_unit:
             raise ValueError("unit ideal has no height")
-        return min_cover_size(self.radical().supports())
+        return min_cover_size(self.supports())
 
     def dim(self) -> int:
         """Krull dimension of ring/ideal (number of variables minus height)."""

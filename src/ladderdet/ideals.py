@@ -152,14 +152,16 @@ def minor_product_symbolic_degree(factors, t: int, ladder: Ladder | None = None)
     return total
 
 
-def f_witness_factors(L: Ladder, t) -> tuple[Minor, ...]:
-    """The antidiagonal determinant factors det(Y_r), r in B."""
-    return antidiagonal_profile(L, t).witness_factors
+def antidiagonal_lead(factors) -> Monomial:
+    """The product of the minors' antidiagonals: the lead of their product
+    under an antidiagonal order.  Refused past `MAX_VARIABLES` variables."""
+    return mono(*((grid_var(i, j), 1) for m in factors for i, j in m.antidiagonal_cells()))
 
 
 def f_witness(L: Ladder, t, field: Field = QQ) -> Polynomial:
-    """Product of the profile determinants; lies in I_t(L)^(height)."""
-    return minor_product(f_witness_factors(L, t), field)
+    """Product of the profile determinants det(Y_r), r in B; lies in
+    I_t(L)^(height)."""
+    return minor_product(antidiagonal_profile(L, t).witness_factors, field)
 
 
 def f_of_matrix(k: int, l: int, field: Field = QQ) -> Polynomial:
@@ -240,18 +242,16 @@ def g_witness_data(L: Ladder, t) -> GWitnessData:
 
     rest = tuple(w for w in profile.witness if w.r != beta)
     factors = (y_minor,) + tuple(w.minor for w in rest)
-    lead = mono(*((grid_var(i, j), 1) for m in factors for i, j in m.antidiagonal_cells()))
+    lead = antidiagonal_lead(factors)
     if not mono_is_squarefree(lead.value):
         raise GWitnessError("witness lead is not squarefree")
     if grid_var(k, c_alpha) in lead.packing.shift:
         raise GWitnessError(f"witness lead divisible by x[{k},{c_alpha}]")
-    if len(set(t)) == 1:
-        count = minor_product_symbolic_degree(list(factors), t[0])
-        h = profile.interior_size
-        if count != h - 1:
-            raise GWitnessError(f"witness symbolic degree {count} != height-1 = {h - 1}")
-    else:
-        count = (ld.gamma - t[-1]) + sum(w.count for w in rest)
+    # det(Y) has size gamma_beta - 1 and lies in I_{t_v}(L_v)^(gamma_beta - t_v).
+    count = max(ld.gamma - t[-1], 0) + sum(w.count for w in rest)
+    h = profile.interior_size
+    if count != h - 1:
+        raise GWitnessError(f"witness symbolic degree {count} != height-1 = {h - 1}")
     return GWitnessData(alpha, beta, y_minor, factors, lead, count)
 
 

@@ -255,7 +255,8 @@ def _band_deriver(L: Ladder, t: int, field: Field, factor_polys: dict[int, Polyn
             return None
         claimed = expand(minors)
         if hi - lo + 1 <= t:
-            levels = [r for r in range(2, sum(L.shape) + 1) if len(diagonal_rows(band.spans, r)) == t]
+            levels = [r for r in range(2, sum(L.shape) + 1)
+                      for first, last in [diagonal_rows(band.spans, r)] if last - first + 1 == t]
             if not levels:
                 raise DerivationError(f"no full antidiagonal slice in {axis} band [{lo},{hi}]")
             missing = [r for r in levels if r not in factor_polys]

@@ -28,12 +28,14 @@ these corner rectangles.  `Ladder.contains_minor` decides from those two
 cells alone whether a block lies in a ladder: the g witness places its
 block Y this way, and `ideals.minor_product_symbolic_degree` the factors
 it is given a ladder for.  The profile tests the same two cells of each
-square Y_r in its subladder, without building the minor.
+square Y_r in its subladder, building neither, and reads each level off
+the corners and the row intervals `diagonal_rows` finds by bisection.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -239,10 +241,18 @@ def span_size(spans) -> int:
     return sum(hi - lo + 1 for lo, hi in spans if lo <= hi)
 
 
-def diagonal_rows(spans, r: int) -> list[int]:
-    """The rows i, in order, whose span holds the cell (i, r - i) of antidiagonal
-    r; they are consecutive, as corner regions are closed under rectangles."""
-    return [i for i, (lo, hi) in enumerate(islice(spans, r - 1), start=1) if lo <= r - i <= hi]
+def diagonal_rows(spans, r: int) -> Span:
+    """The (first, last) interval of rows whose span holds the cell (i, r - i)
+    of antidiagonal r; empty when first > last.
+
+    Down the spans `_spans` makes, hi and min(lo, hi + 1) never decrease
+    (lo alone may: it drops to l + 1 below a corner shifted past the grid),
+    so the rows with hi + i >= r are a suffix, those with
+    min(lo, hi + 1) + i <= r a prefix, and no empty row is in both."""
+    rows = range(len(spans))
+    first = bisect_left(rows, r, key=lambda i: spans[i][1] + i + 1) + 1
+    last = bisect_right(rows, r, key=lambda i: min(spans[i][0], spans[i][1] + 1) + i + 1)
+    return first, last
 
 
 def _int_pair(x, what: str) -> tuple[int, int]:
@@ -434,31 +444,33 @@ class ProfileError(LadderError):
 def antidiagonal_profile(L: Ladder, t) -> AntidiagonalProfile:
     """Per-level data (w_r, p_r, a_r, b_r, gamma_r, Y_r) for the witness.
 
-    The levels of B, those with a nonnegative count, are kept as `witness`.
-    Verifies the counting identity: their counts add up to the number of
-    interior cells (= the height of the mixed ladder ideal).  Checks the
-    time budget once per level.
+    w is the last row of antidiagonal r in the interior, p the last j whose
+    shifted corner (d_j - t_j + 1, c_j + t_j - 1) lies SW of (w, r - w),
+    and Y_r takes the rows first..min(last, d_p, r - c_p) of antidiagonal r
+    in L, its cells in L_p.  The levels of B, those with a nonnegative
+    count, are kept as `witness`.  Verifies the counting identity: their
+    counts add up to the number of interior cells (= the height of the
+    mixed ladder ideal).  Checks the time budget once per level.
     """
     t = size_vector(t, len(L.lower))
-    interior = L.interior_spans(t)
-    subladders = [L.subladder(j) for j in range(1, len(t) + 1)]
-    sub_interiors = [s.interior_spans(tj) for s, tj in zip(subladders, t)]
+    shifted = [(d - tj + 1, c + tj - 1) for (d, c), tj in zip(L.lower, t)]
+    interior = _spans(L.shape, L.upper, shifted)  # `Ladder.interior_spans`
 
     levels = []
     for r in range(2, sum(L.shape) + 1):
         _check_deadline()
-        hits = diagonal_rows(interior, r)
-        if not hits:
+        first, w = diagonal_rows(interior, r)
+        if first > w:
             continue
-        w = hits[-1]
-        p = max(j for j, s in enumerate(sub_interiors, start=1) if s[w - 1][0] <= r - w <= s[w - 1][1])
-        in_sub = diagonal_rows(subladders[p - 1].spans, r)
-        a, b = in_sub[0], in_sub[-1]
-        gamma = b - a + 1
-        # Y_r lies in the subladder iff its NE and SW cells do (corner lemma).
-        if not (subladders[p - 1].contains(a, r - a) and subladders[p - 1].contains(b, r - b)):
+        p = max(j for j, (dj, cj) in enumerate(shifted, start=1) if w <= dj and r - w >= cj)
+        (d, c), tp = L.lower[p - 1], t[p - 1]
+        a, last = diagonal_rows(L.spans, r)
+        b = min(last, d, r - c)
+        # Y_r lies in L_p iff its NE and SW cells do (corner lemma).
+        if not all(L.contains(i, r - i) and i <= d and r - i >= c for i in (a, b)):
             raise ProfileError(f"level {r}: antidiagonal square leaves its subladder")
-        levels.append(LevelData(r, w, p, a, b, gamma, gamma - t[p - 1] + 1))
+        gamma = b - a + 1
+        levels.append(LevelData(r, w, p, a, b, gamma, gamma - tp + 1))
 
     witness = tuple(ld for ld in levels if ld.count >= 0)
     total, size = sum(ld.count for ld in witness), span_size(interior)

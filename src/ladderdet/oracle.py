@@ -8,16 +8,14 @@ from dataclasses import dataclass
 
 from .fields import QQ, Field
 from .groebner import Ideal, MonomialIdeal, Ring
-from .ideals import mixed_ladder_ideal
+from .ideals import antidiagonal_lead, mixed_ladder_ideal
 from .ladders import Ladder, antidiagonal_profile, size_vector
 from .poly import (
     Minor,
     Monomial,
     Polynomial,
     check_variable_count,
-    grid_var,
     join_packings,
-    mono,
     mono_is_squarefree,
     mono_max_exponent,
 )
@@ -77,7 +75,7 @@ def symbolic_fsplit_certificate(L: Ladder, t) -> SymbolicCertificate:
     # factors and packing the lead.
     check_variable_count(sum(ld.gamma for ld in profile.witness))
     factors = [(ld.minor, ld.gamma, t[ld.p - 1], ld.count) for ld in profile.witness]
-    lead = mono(*((grid_var(i, j), 1) for m, _, _, _ in factors for i, j in m.antidiagonal_cells()))
+    lead = antidiagonal_lead(m for m, _, _, _ in factors)
 
     checks = []
     total = sum(c for _, _, _, c in factors)

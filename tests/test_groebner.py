@@ -653,6 +653,24 @@ def test_radical_of_squarefree_ideal_is_itself():
     assert N.radical() == MonomialIdeal.from_monomials(ring, [mono((x, 1), (y, 1)), mono((z, 1))])
 
 
+def test_height_and_min_primes_read_the_supports_of_any_ideal():
+    # A generator and its radical have the same support: the covers of the
+    # generators' supports are those of the radical's.
+    rng = random.Random(27)
+    ring = Ring.for_grid(QQ, 3, 4)
+    variables = [gv(i, j) for i in range(1, 4) for j in range(1, 5)]
+    not_squarefree = 0
+    for _ in range(3000):
+        monos = [mono(*((v, rng.randint(1, 3)) for v in rng.sample(variables, rng.randint(1, 4))))
+                 for _ in range(rng.randint(1, 8))]
+        M = MonomialIdeal.from_monomials(ring, monos)
+        not_squarefree += not M.is_squarefree()
+        radical = M.radical().supports()
+        assert M.height() == min_cover_size(radical)
+        assert M.min_primes() == [frozenset(ring.packing.variables_of(c)) for c in minimal_covers(radical)]
+    assert not_squarefree > 2500
+
+
 def _generic_antidiagonals(k, l, t):
     rows = list(combinations(range(1, k + 1), t))
     cols = list(combinations(range(1, l + 1), t))
@@ -817,36 +835,45 @@ def test_full_hilbert_memo_starts_over_with_the_same_answers(monkeypatch):
 
 
 _HEIGHT_MEMORY_CHILD = """
-import resource
 from itertools import combinations
 from ladderdet.fields import QQ
 from ladderdet.groebner import InstanceTooLarge, MonomialIdeal, Ring
 from ladderdet.poly import Minor, time_limit
 
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+
+
 rows = list(combinations(range(1, 10), 3))
 ring = Ring.for_grid(QQ, 9, 9)
 gens = sorted(Minor(r, c).antidiagonal_monomial().packed_in(ring.packing) for r in rows for c in rows)
 M = MonomialIdeal(ring, tuple(gens))
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kib()
 try:
     with time_limit(3.0):
         M.height()
 except InstanceTooLarge:
     pass
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+print(peak_kib() - before)
 """
 
 
 def test_height_memory_stays_bounded():
-    # Unbounded, the Hilbert-series memo of height() on in(I_3) of the
-    # generic 9x9 matrix raised the peak RSS by 55-70 MB within this 3 s
-    # budget on a 2-CPU machine; bounded, by 3-11 MB.  A fresh process gives
-    # a fresh high-water mark.
+    # Within this 3 s budget on a 2-CPU machine, height() on in(I_3) of the
+    # generic 9x9 matrix raised the child's peak RSS by 10-11 MiB with the
+    # Hilbert-series memo bounded, and by 29 MiB with it unbounded, whether
+    # the parent process held 10 MB or 300 MB.  The child reads VmHWM, which
+    # starts afresh at exec; ru_maxrss starts at the parent's high-water
+    # mark and would hide any rise below the peak of the test process.
     if sys.platform != "linux":
-        pytest.skip("ru_maxrss is in KiB on Linux only")
+        pytest.skip("VmHWM is read from /proc/self/status on Linux only")
     proc = subprocess.run([sys.executable, "-c", _HEIGHT_MEMORY_CHILD],
                           capture_output=True, text=True, check=True)
-    assert int(proc.stdout) < 32 * 1024
+    assert int(proc.stdout) < 20 * 1024
 
 
 def test_from_monomials_is_fast_on_an_antichain():

@@ -12,12 +12,12 @@ from ladderdet.ideals import (
     GWitnessError,
     PartialPermutation,
     PosetIdealSpec,
+    antidiagonal_lead,
     corner_ideal,
     corner_minors,
     f_of_matrix,
     f_of_matrix_factors,
     f_witness,
-    f_witness_factors,
     g_witness,
     g_witness_data,
     grid_ring,
@@ -31,7 +31,7 @@ from ladderdet.ideals import (
     poset_ideal_brute,
     schubert_ideal,
 )
-from ladderdet.ladders import Ladder, LadderError, random_valid_ladder
+from ladderdet.ladders import Ladder, LadderError, antidiagonal_profile, random_valid_ladder
 from ladderdet.poly import (ANTIDIAG, Minor, Monomial, Polynomial, expand_minor, grid_var, mono,
                             mono_is_squarefree, time_limit)
 
@@ -94,7 +94,8 @@ def test_f_witness_examples():
     assert f_witness(Ladder.full(2, 2), (2,)) == expand_minor(Minor((1, 2), (1, 2)))
 
     f23 = f_witness(Ladder.full(2, 3), (2,))
-    assert [str(m) for m in f_witness_factors(Ladder.full(2, 3), (2,))] == ["[12|12]", "[12|23]"]
+    factors23 = antidiagonal_profile(Ladder.full(2, 3), (2,)).witness_factors
+    assert [str(m) for m in factors23] == ["[12|12]", "[12|23]"]
     lead = f23.leading_term(ANTIDIAG)[0]
     assert mono_is_squarefree(lead)
 
@@ -103,8 +104,7 @@ def test_f_witness_lead_squarefree_randomized():
     rng = random.Random(6)
     for _ in range(25):
         L, t = random_valid_ladder(rng, 8, mixed=True)
-        factors = f_witness_factors(L, t)
-        lead = mono(*((grid_var(*cell), 1) for m in factors for cell in m.antidiagonal_cells()))
+        lead = antidiagonal_lead(antidiagonal_profile(L, t).witness_factors)
         assert mono_is_squarefree(lead.value)
 
 

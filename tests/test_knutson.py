@@ -5,7 +5,7 @@ import pytest
 import ladderdet
 from ladderdet.fields import GF, QQ
 from ladderdet.groebner import Ideal, Ring
-from ladderdet.ideals import f_witness_factors, ladder_ring, mixed_ladder_ideal
+from ladderdet.ideals import ladder_ring, mixed_ladder_ideal
 from ladderdet.knutson import (
     DerivationError,
     Intersect,
@@ -20,7 +20,7 @@ from ladderdet.knutson import (
     ladder_derivation,
     verify,
 )
-from ladderdet.ladders import Ladder
+from ladderdet.ladders import Ladder, antidiagonal_profile
 from ladderdet.poly import Minor, Polynomial, expand_minor, grid_var
 
 
@@ -183,7 +183,7 @@ def test_compatibly_split_membership_char_p():
         ring = ladder_ring(field, L)
         I = mixed_ladder_ideal(L, 2, field, ring)
         f = Polynomial.one(field)
-        for m in f_witness_factors(L, (2,)):
+        for m in antidiagonal_profile(L, (2,)).witness_factors:
             f = f * expand_minor(m, field)
         candidate = f ** (p - 1)
         bracket = I.bracket(p)

@@ -12,16 +12,16 @@ from ladderdet.fields import GF, QQ
 from ladderdet import poly
 from ladderdet.groebner import Ideal, InstanceTooLarge, Ring
 from ladderdet.ideals import (
+    GWitnessError,
     f_of_matrix,
     f_witness,
-    f_witness_factors,
     g_witness_data,
     ladder_ring,
     minor_product,
     minor_product_symbolic_degree,
     mixed_ladder_ideal,
 )
-from ladderdet.ladders import Ladder, height, random_valid_ladder
+from ladderdet.ladders import Ladder, antidiagonal_profile, height, random_valid_ladder
 from ladderdet.oracle import (
     fedder_check,
     initial_symbolic_compare,
@@ -66,7 +66,7 @@ def test_witness_degree_equals_height_randomized():
         L, t = random_valid_ladder(rng, 8, mixed=True)
         if len(set(t)) != 1:
             continue
-        factors = f_witness_factors(L, t)
+        factors = antidiagonal_profile(L, t).witness_factors
         assert minor_product_symbolic_degree(list(factors), t[0], ladder=L) == height(L, t)
 
 
@@ -103,16 +103,45 @@ def test_certificate_refuses_too_many_variables_before_packing_the_lead():
     # On the full 600 x 600 ladder the lead has 359,998 variables; interning
     # one per antidiagonal cell took seconds and about 200 MB before the
     # ring cap.  The factor sizes, which the profile holds, are refused first.
+    # The profile reads each level off two bisections, so the 30000 x 30000
+    # ladder is refused in about 1.6 s on a 2-CPU machine.
     interned = len(poly._GRID)
-    start = time.monotonic()
-    with pytest.raises(InstanceTooLarge, match="at most 1024 variables, got 359998"):
-        symbolic_fsplit_certificate(Ladder.full(600, 600), [2])
-    assert time.monotonic() - start < 3
+    for n, got, seconds in ((600, 359998, 3), (30000, 899999998, 6)):
+        start = time.monotonic()
+        with pytest.raises(InstanceTooLarge, match=f"at most 1024 variables, got {got}$"):
+            symbolic_fsplit_certificate(Ladder.full(n, n), [2])
+        assert time.monotonic() - start < seconds
     assert len(poly._GRID) == interned
     cert = symbolic_fsplit_certificate(Ladder.full(32, 32), [2])
     assert len(cert.lead.variables) == sum(g for _, g, _, _ in cert.factors) == 1022
     with pytest.raises(InstanceTooLarge, match="got 1087"):
         symbolic_fsplit_certificate(Ladder.full(33, 33), [2])
+
+
+def test_g_witness_count_is_both_former_counts():
+    # The one count equals the symbolic degree of the factors for unmixed
+    # sizes, and gamma_beta - t_v plus the other levels' counts for mixed
+    # ones.
+    rng = random.Random(27)
+    seen = mixed = 0
+    while seen < 2000:
+        L, t = random_valid_ladder(rng, 7, mixed=rng.random() < 0.5)
+        if t[-1] < 2:
+            continue
+        try:
+            data = g_witness_data(L, t)
+        except GWitnessError:
+            continue
+        seen += 1
+        if len(set(t)) == 1:
+            former = minor_product_symbolic_degree(list(data.factors), t[0], ladder=L)
+        else:
+            mixed += 1
+            witness = antidiagonal_profile(L, t).witness
+            gamma = next(ld.gamma for ld in witness if ld.r == data.beta)
+            former = gamma - t[-1] + sum(ld.count for ld in witness if ld.r != data.beta)
+        assert data.count == former == height(L, t) - 1, (L, t)
+    assert mixed >= 100
 
 
 def test_g_witness_degree_count_randomized():
