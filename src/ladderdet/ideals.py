@@ -5,9 +5,13 @@ counts.
 Every family is an ideal generated by minors, built by `minor_ideal` from
 minors that `block_minors` enumerates block by block: a ladder's minors
 are the t_j-minors of its corner rectangles [b, d_j] x [c_j, a] (the
-corner lemma of `ladders`), Schubert and corner ideals take the minors of
-NW or SE rectangles, and poset ideals those of a downset of the poset of
-minors."""
+corner lemma of `ladders`), a corner ideal takes those of the one-corner
+ladder that `corner_ladder` places, Schubert ideals the minors of NW
+rectangles, and poset ideals those of a downset of the poset of minors.
+
+Every witness is a product of the antidiagonal squares det(Y_r) that
+`ladders.antidiagonal_profile` reads off a ladder; the full-grid witness
+`f_of_matrix` is the one of the full ladder at t = 1."""
 
 from __future__ import annotations
 
@@ -72,12 +76,13 @@ def ideal_from_obj(obj, field: Field = QQ) -> Ideal:
 
 def block_minors(rows, cols, t: int) -> list[Minor]:
     """The t-minors of the block rows x cols (increasing indices), in
-    (rows, cols) order.  Checks the time budget once per row subset."""
-    col_subsets = list(combinations(cols, t))
+    (rows, cols) order.  Checks the time budget once every 256 minors."""
     out = []
     for r in combinations(rows, t):
-        _check_deadline()
-        out += [Minor(r, c) for c in col_subsets]
+        for c in combinations(cols, t):
+            if not len(out) & 255:
+                _check_deadline()
+            out.append(Minor(r, c))
     return out
 
 
@@ -134,7 +139,7 @@ def minor_product(factors, field: Field = QQ) -> Polynomial:
     return result
 
 
-def minor_product_symbolic_degree(factors, t: int, ladder: Ladder | None = None) -> int:
+def minor_product_symbolic_degree(factors, t: int) -> int:
     """Certified symbolic order of a product of minors in I_t.
 
     Each gamma x gamma determinant lies in the (gamma - t + 1)-st symbolic
@@ -144,12 +149,7 @@ def minor_product_symbolic_degree(factors, t: int, ladder: Ladder | None = None)
     """
     if t < 1:
         raise ValueError(f"minor size t must be at least 1, got {t}")
-    total = 0
-    for m in factors:
-        if ladder is not None and not ladder.contains_minor(m):
-            raise ValueError(f"factor {m} not contained in the ladder")
-        total += max(m.size - t + 1, 0)
-    return total
+    return sum(max(m.size - t + 1, 0) for m in factors)
 
 
 def antidiagonal_lead(factors) -> Monomial:
@@ -165,24 +165,14 @@ def f_witness(L: Ladder, t, field: Field = QQ) -> Polynomial:
 
 
 def f_of_matrix(k: int, l: int, field: Field = QQ) -> Polynomial:
-    """The full-grid witness: product of all NW, SE and full-band minors.
+    """The full-grid witness: the ladder witness of the full k x l grid at
+    t = 1, one antidiagonal square per level (the NW and SE squares and
+    the full-width bands).
 
     Its leading term under any antidiagonal order is the product of every
     grid variable.
     """
-    return minor_product(f_of_matrix_factors(k, l), field)
-
-
-def f_of_matrix_factors(k: int, l: int) -> tuple[Minor, ...]:
-    if k > l:
-        return tuple(Minor(m.cols, m.rows) for m in f_of_matrix_factors(l, k))
-    factors = []
-    for size in range(1, k):
-        factors.append(Minor(tuple(range(1, size + 1)), tuple(range(1, size + 1))))
-        factors.append(Minor(tuple(range(k - size + 1, k + 1)), tuple(range(l - size + 1, l + 1))))
-    for j in range(1, l - k + 2):
-        factors.append(Minor(tuple(range(1, k + 1)), tuple(range(j, k + j))))
-    return tuple(factors)
+    return f_witness(Ladder.full(k, l), 1, field)
 
 
 class GWitnessError(LadderError):
@@ -332,20 +322,22 @@ def schubert_ideal(w: PartialPermutation, field: Field = QQ) -> Ideal:
 # Corner ideals and the poset of minors
 
 
-def corner_minors(k: int, l: int, t: int, r: int, s: int, which: str = "nw") -> list[Minor]:
-    if t < 1 or t > min(r, s):
-        raise ValueError(f"no {t}-minors in a {r}x{s} corner")
+def corner_ladder(k: int, l: int, r: int, s: int, which: str = "nw") -> Ladder:
+    """The NW (or SE) r x s corner of the k x l grid, a one-corner ladder."""
     if which == "nw":
-        return block_minors(range(1, r + 1), range(1, s + 1), t)
+        return Ladder((k, l), ((1, s),), ((r, 1),))
     if which == "se":
-        return block_minors(range(k - r + 1, k + 1), range(l - s + 1, l + 1), t)
+        return Ladder((k, l), ((k - r + 1, l),), ((k, l - s + 1),))
     raise ValueError("which must be 'nw' or 'se'")
 
 
 def corner_ideal(k: int, l: int, t: int, r: int, s: int, which: str = "nw",
                  field: Field = QQ, ring: Ring | None = None) -> Ideal:
     """t-minors of the NW (or SE) r x s corner submatrix."""
-    return minor_ideal(ring or grid_ring(field, k, l), corner_minors(k, l, t, r, s, which))
+    if t < 1 or t > min(r, s):
+        raise ValueError(f"no {t}-minors in a {r}x{s} corner")
+    return minor_ideal(ring or grid_ring(field, k, l),
+                       minors_in_ladder(corner_ladder(k, l, r, s, which), t))
 
 
 def _check_in_grid(k: int, l: int, minors) -> None:

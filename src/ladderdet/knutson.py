@@ -11,6 +11,12 @@ report, not re-proved).  Claims built by the ladder and corner constructors
 also carry the band intersection identity they rely on: it names only the
 other factor, the first being the claim itself, and the verifier recomputes
 child == claimed cap other.
+
+Every leaf is a witness factor det(Y_r) of `ladders.antidiagonal_profile`:
+the ladder's own for `ladder_derivation`, the full grid's at t = 1 for
+`corner_derivation`.  A base case, a band or corner whose t-minors are a
+complete intersection, sums the factors of the levels whose antidiagonal
+has exactly t cells in it (`_full_levels`).
 """
 
 from __future__ import annotations
@@ -21,14 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import QQ, Field, parse_field
 from .groebner import Ideal, Ring, is_groebner_basis
-from .ideals import (
-    cells_from_json,
-    corner_minors,
-    f_of_matrix_factors,
-    grid_ring,
-    ladder_ring,
-    minors_in_ladder,
-)
+from .ideals import cells_from_json, corner_ladder, grid_ring, ladder_ring, minors_in_ladder
 from .ladders import Ladder, antidiagonal_profile, diagonal_rows
 from .poly import (
     ANTIDIAG,
@@ -237,12 +236,20 @@ def verify(deriv: KnutsonDerivation) -> VerifyReport:
 # Band machinery shared by the ladder and corner theorems
 
 
+def _full_levels(block: Ladder, t: int) -> list[int]:
+    """The levels r, ascending, whose antidiagonal has exactly t cells in the
+    block."""
+    return [r for r in range(2, sum(block.shape) + 1)
+            for first, last in [diagonal_rows(block.spans, r)] if last - first + 1 == t]
+
+
 def _band_deriver(L: Ladder, t: int, field: Field, factor_polys: dict[int, Polynomial],
                   packing: Packing):
     """`derive(axis, lo, hi)`: the derivation of I_t of the row or column band
-    [lo, hi] of L (None for the zero ideal), built from the t-wide base cases
-    and sharing nodes across overlapping windows.  `factor_polys` maps a
-    level to its expanded witness factor det(Y_r); `packing` is the ring's."""
+    [lo, hi] of L (None for the zero ideal), sharing nodes across overlapping
+    windows.  A band at most t wide is a base case: the sum of the witness
+    factors of its `_full_levels`.  `factor_polys` maps a level to its
+    expanded witness factor det(Y_r); `packing` is the ring's."""
 
     def expand(minors):
         return tuple(expand_minor(m, field, packing) for m in minors)
@@ -255,8 +262,7 @@ def _band_deriver(L: Ladder, t: int, field: Field, factor_polys: dict[int, Polyn
             return None
         claimed = expand(minors)
         if hi - lo + 1 <= t:
-            levels = [r for r in range(2, sum(L.shape) + 1)
-                      for first, last in [diagonal_rows(band.spans, r)] if last - first + 1 == t]
+            levels = _full_levels(band, t)
             if not levels:
                 raise DerivationError(f"no full antidiagonal slice in {axis} band [{lo},{hi}]")
             missing = [r for r in levels if r not in factor_polys]
@@ -309,9 +315,10 @@ def corner_derivation(k: int, l: int, t: int, r: int, s: int,
     ring = grid_ring(field, k, l)
     L = Ladder.full(k, l)
 
-    # Full-grid profile levels coincide with the witness factors.
-    level_polys = {m.rows[0] + m.cols[-1]: expand_minor(m, field, ring.packing)
-                   for m in f_of_matrix_factors(k, l)}
+    # The full grid's t = 1 witness has a factor at every level; by (gamma, r)
+    # they run NW 1, SE 1, NW 2, SE 2, ..., then the full-width bands.
+    witness = sorted(antidiagonal_profile(L, 1).witness, key=lambda ld: (ld.gamma, ld.r))
+    level_polys = {ld.r: expand_minor(ld.minor, field, ring.packing) for ld in witness}
 
     @functools.cache
     def band_deriver(tt: int):
@@ -327,11 +334,12 @@ def corner_derivation(k: int, l: int, t: int, r: int, s: int,
             if node is None:
                 raise DerivationError(f"zero band ideal for t={tt} {axis}[{lo},{hi}]")
             return node
-        claimed = tuple(expand_minor(m, field, ring.packing)
-                        for m in corner_minors(k, l, tt, rr, ss, which))
-        m_, M_ = min(rr, ss), max(rr, ss)
-        if tt == m_:
-            leaves = [Leaf(level_polys[level]) for level in _d1_levels(k, l, m_, M_, which)]
+        corner = corner_ladder(k, l, rr, ss, which)
+        claimed = tuple(expand_minor(m, field, ring.packing) for m in minors_in_ladder(corner, tt))
+        if tt == min(rr, ss):
+            levels = _full_levels(corner, tt)
+            # SE lists its levels descending: it mirrors NW position by position.
+            leaves = [Leaf(level_polys[v]) for v in (levels if which == "nw" else levels[::-1])]
             child = Sum(tuple(leaves)) if len(leaves) > 1 else leaves[0]
             return MinimalPrimeClaim(child, claimed, None,
                                      f"D1 base for I_{tt}({which} {rr}x{ss})")
@@ -342,15 +350,6 @@ def corner_derivation(k: int, l: int, t: int, r: int, s: int,
         )
         return MinimalPrimeClaim(Sum(children), claimed, None,
                                  f"D2 step for I_{tt}({which} {rr}x{ss})")
-
-    def _d1_levels(k, l, m_, M_, which):
-        """Levels of the complete-intersection witness factors for D1."""
-        # NW: a square of side `size` has level size+1; the j-th band of
-        # min(k, l) rows (or columns), shifted by j, has level 1+j+min(k, l).
-        levels = [1 + size for size in range(m_, min(M_, k, l) + 1)]
-        levels += [1 + j + min(k, l) for j in range(1, M_ - min(M_, k, l) + 1)]
-        # SE mirrors NW position by position.
-        return levels if which == "nw" else [k + l + 2 - v for v in levels]
 
     root = derive(t, r, s)
     return KnutsonDerivation(ring, tuple(level_polys.values()), root,

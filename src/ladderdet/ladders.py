@@ -26,8 +26,7 @@ its SW cell.  Largest squares, the cells covered by t-minors and the
 generating minors themselves (`ideals.minors_in_ladder`) are read off
 these corner rectangles.  `Ladder.contains_minor` decides from those two
 cells alone whether a block lies in a ladder: the g witness places its
-block Y this way, and `ideals.minor_product_symbolic_degree` the factors
-it is given a ladder for.  The profile tests the same two cells of each
+block Y this way.  The profile tests the same two cells of each
 square Y_r in its subladder, building neither, and reads each level off
 the corners and the row intervals `diagonal_rows` finds by bisection.
 """
@@ -431,10 +430,6 @@ class AntidiagonalProfile:
     @property
     def witness_factors(self) -> tuple[Minor, ...]:
         return tuple(ld.minor for ld in self.witness)
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        return tuple(ld.count for ld in self.witness)
 
 
 class ProfileError(LadderError):

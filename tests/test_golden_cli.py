@@ -6,8 +6,9 @@ commands) plus one run each of ideal intersect / colon / saturate / eq / sum /
 gens / member, grevlex bases and initial ideals, an ideal with exponents
 above 1, a certificate over GF(3), Fedder, symbolic compare, Schubert
 generators and bases, poset checks, sum-formula bases and the three kinds
-of poset spec, one acceptance criterion, and two corner derivations (one
-verified SE corner, one NW corner as JSON only).  The generator lists of a
+of poset spec, one acceptance criterion, and three corner derivations (a
+verified square SE corner, a verified non-square SE corner whose D1 base
+case is wider than the grid has rows, and a NW corner as JSON only).  The generator lists of a
 mixed ladder and of a Schubert ideal are pinned in order.
 Refactors of the engine must leave every recorded output unchanged.
 
@@ -107,6 +108,8 @@ def _cases():
         ("knutson-corner-se-verify",
          ["knutson", "derive", "--corner", "4,4,2,3,3,se", "--verify"]),
         ("knutson-corner-5x5", ["knutson", "derive", "--corner", "5,5,2,4,4"]),
+        ("knutson-corner-se-3x5-verify",
+         ["knutson", "derive", "--corner", "3,5,2,2,4,se", "--verify"]),
     ]
     return [(cid, ["--format", "json", *argv]) for cid, argv in cases]
 

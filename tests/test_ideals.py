@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -14,9 +15,8 @@ from ladderdet.ideals import (
     PosetIdealSpec,
     antidiagonal_lead,
     corner_ideal,
-    corner_minors,
+    corner_ladder,
     f_of_matrix,
-    f_of_matrix_factors,
     f_witness,
     g_witness,
     g_witness_data,
@@ -114,14 +114,16 @@ def test_f_of_matrix_examples():
     x22 = Polynomial.variable(QQ, grid_var(2, 2))
     assert f22 == x11 * x22 * expand_minor(Minor((1, 2), (1, 2)))
 
-    factors33 = [str(m) for m in f_of_matrix_factors(3, 3)]
-    assert factors33 == ["[1|1]", "[3|3]", "[12|12]", "[23|23]", "[123|123]"]
+    # The factors of the full grid's t = 1 witness in (gamma, r) order, the
+    # order `knutson.corner_derivation` lists them in: NW 1, SE 1, NW 2, ...,
+    # then the full-width bands.
+    def factors(k, l):
+        witness = antidiagonal_profile(Ladder.full(k, l), 1).witness
+        return [str(ld.minor) for ld in sorted(witness, key=lambda ld: (ld.gamma, ld.r))]
 
-    factors23 = [str(m) for m in f_of_matrix_factors(2, 3)]
-    assert factors23 == ["[1|1]", "[2|3]", "[12|12]", "[12|23]"]
-
-    factors32 = [str(m) for m in f_of_matrix_factors(3, 2)]
-    assert factors32 == ["[1|1]", "[3|2]", "[12|12]", "[23|12]"]
+    assert factors(3, 3) == ["[1|1]", "[3|3]", "[12|12]", "[23|23]", "[123|123]"]
+    assert factors(2, 3) == ["[1|1]", "[2|3]", "[12|12]", "[12|23]"]
+    assert factors(3, 2) == ["[1|1]", "[3|2]", "[12|12]", "[23|12]"]
 
 
 def test_f_of_matrix_lead_is_every_variable():
@@ -203,16 +205,47 @@ def test_corner_ideal_examples():
     assert [str(g) for g in corner_ideal(3, 3, 1, 1, 1, "se").gens] == ["x[3,3]"]
     nw = corner_ideal(3, 3, 2, 2, 3)
     assert len(nw.gens) == 3
+    for t in (0, 3):
+        with pytest.raises(ValueError, match="minors in a 2x2 corner"):
+            corner_ideal(3, 3, t, 2, 2)
+    with pytest.raises(ValueError, match="which must be"):
+        corner_ideal(3, 3, 1, 2, 2, "ne")
+
+
+def test_corner_ladder_is_the_corner_rectangle():
+    for which, rows, cols in (("nw", range(1, 3), range(1, 4)), ("se", range(3, 5), range(3, 6))):
+        corner = corner_ladder(4, 5, 2, 3, which)
+        assert corner.shape == (4, 5)
+        assert corner.cells == {(i, j) for i in rows for j in cols}
 
 
 def test_corner_minors_honour_time_limit():
     # The 189,225 2-minors of a 30 x 30 corner take about 0.8 s to list on a
-    # 2-CPU machine; the budget is checked once per row subset.
+    # 2-CPU machine; the budget is checked once every 256 minors.
     start = time.monotonic()
     with pytest.raises(InstanceTooLarge):
         with time_limit(0.01):
-            corner_minors(30, 30, 2, 30, 30)
+            minors_in_ladder(corner_ladder(30, 30, 30, 30), 2)
     assert time.monotonic() - start < 0.5
+
+
+def test_minor_enumeration_stops_within_its_budget():
+    # The full 3000 x 3000 ladder has 4.5 million column pairs.  Listing
+    # them, and every minor of one row pair, before the first budget check
+    # took 0.63 s and 328 MB; the budget is checked inside the column loop.
+    L = Ladder.full(3000, 3000)
+    L.spans
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        with pytest.raises(InstanceTooLarge, match="time budget exceeded"):
+            with time_limit(0.05):
+                minors_in_ladder(L, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - start < 0.5
+    assert peak < 8 * 2**20
 
 
 def test_ladder_ring_refuses_too_many_cells_before_listing_them():

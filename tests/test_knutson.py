@@ -236,3 +236,24 @@ def test_random_ladder_derivations_verify():
         assert verify(deriv).ok, (L, t)
         checked += 1
     assert checked == 25
+
+
+def test_corner_derivation_sweep():
+    # Every corner of the 2x2 to 4x4 grids and of 3x5 and 5x3, which holds
+    # D1 base cases wider than the grid has rows or columns.
+    from ladderdet.ideals import corner_ideal
+
+    grids = [(k, l) for k in range(2, 5) for l in range(2, 5)] + [(3, 5), (5, 3)]
+    checked = 0
+    for k, l in grids:
+        for r in range(1, k + 1):
+            for s in range(1, l + 1):
+                for t in range(1, min(r, s) + 1):
+                    for which in ("nw", "se"):
+                        deriv = corner_derivation(k, l, t, r, s, GF(3), which)
+                        args = (k, l, t, r, s, which)
+                        assert verify(deriv).ok, args
+                        want = corner_ideal(k, l, t, r, s, which, GF(3), deriv.ring)
+                        assert deriv.eval().equal(want), args
+                        checked += 1
+    assert checked == 358
