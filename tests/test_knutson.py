@@ -240,7 +240,9 @@ def test_random_ladder_derivations_verify():
 
 def test_corner_derivation_sweep():
     # Every corner of the 2x2 to 4x4 grids and of 3x5 and 5x3, which holds
-    # D1 base cases wider than the grid has rows or columns.
+    # D1 base cases wider than the grid has rows or columns.  A corner inside
+    # the grid claims corner_ideal's own minors at its root, so eval() is
+    # compared with corner_ideal only where the root is a band node.
     from ladderdet.ideals import corner_ideal
 
     grids = [(k, l) for k in range(2, 5) for l in range(2, 5)] + [(3, 5), (5, 3)]
@@ -253,7 +255,8 @@ def test_corner_derivation_sweep():
                         deriv = corner_derivation(k, l, t, r, s, GF(3), which)
                         args = (k, l, t, r, s, which)
                         assert verify(deriv).ok, args
-                        want = corner_ideal(k, l, t, r, s, which, GF(3), deriv.ring)
-                        assert deriv.eval().equal(want), args
+                        if r == k or s == l:
+                            want = corner_ideal(k, l, t, r, s, which, GF(3), deriv.ring)
+                            assert deriv.eval().equal(want), args
                         checked += 1
     assert checked == 358

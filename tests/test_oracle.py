@@ -137,6 +137,7 @@ def test_g_witness_count_is_both_former_counts():
             continue
         seen += 1
         if len(set(t)) == 1:
+            assert all(L.contains_minor(m) for m in data.factors), (L, t)
             former = minor_product_symbolic_degree(list(data.factors), t[0])
         else:
             mixed += 1
