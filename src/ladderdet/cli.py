@@ -204,6 +204,8 @@ def _cmd_ideal(args) -> int:
         _emit(args, {"basis": basis, "exponent": steps}, basis + [f"exponent={steps}"])
         return 0
     elif args.action == "member":
+        if args.poly is None:
+            raise UsageError("ideal member needs --poly")
         f = parse_polynomial(args.poly, field)
         member = I.contains(f, order)
         _emit(args, {"member": member}, [f"member={member}"])

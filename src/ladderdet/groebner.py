@@ -11,23 +11,22 @@ multiplicity from the Hilbert series by a memoised pivot recursion;
 symbolic powers by one pass per minimal prime P, as (b) ∩ P^n =
 b · P^(max(0, n − deg_P b)) (Herzog, Hibi and Trung, Adv. Math. 210, 2007)).
 
-`buchberger` and `is_groebner_basis` share the Gebauer-Moeller pair
-build (Gebauer and Moeller, J. Symbolic Comput. 6, 1988), made on an index
-of the leads: a new lead forms lcms only with the leads that share a
-variable with it, a lead coprime to it acts only through one divisor
-search, skipped when no lead is coprime to it, and the initial build
-tests the chain criterion once per pair against the later leads.  The
-last build is kept, frozen, for its (lead tuple, packing), so
-`buchberger` and then `is_groebner_basis` on the same generators build it
-once; each caller gets its own pair dict, which the driver's updates edit
-in place.  Both form and reduce each S-pair on the terms of a reducer's
-entries, coefficients as the polynomials hold them.  `buchberger` runs
-the driver, which selects pairs by sugar from a heap that holds the keys
-of the pairs each update adds, and `interreduce` finishes the reduced
-basis on the driver's own entries, building one Polynomial per element
-it keeps; an intersection interreduces only the aux-free entries.
-`is_groebner_basis` walks the pair set of its generators once, with no
-selection order, up to the first nonzero remainder.  An `Ideal` keeps the
+`buchberger` and `is_groebner_basis` build the Gebauer-Moeller pair set
+(Gebauer and Moeller, J. Symbolic Comput. 6, 1988) on an index of the
+leads: a new lead forms lcms only with the leads that share a variable
+with it, a lead coprime to it acts only through one divisor search,
+skipped when no lead is coprime to it, and the initial build tests the
+chain criterion once per pair against the later leads.  Both form and
+reduce each S-pair on the terms of a reducer's entries, coefficients as
+the polynomials hold them.  `buchberger` runs the Buchberger loop, which
+selects pairs by sugar from a heap that holds the keys of the pairs each
+update adds, and `interreduce` finishes the reduced basis on the loop's
+own entries, building one Polynomial per element it keeps; an intersection
+interreduces only the aux-free entries.  `is_groebner_basis` walks the
+pair set of its generators once, with no selection order, up to the
+first nonzero remainder.  Both record whether the last set either
+decided is a Groebner basis, so `buchberger` and then `is_groebner_basis`
+on the same generators reduce the S-pairs once.  An `Ideal` keeps the
 reducer of each cached basis for its normal forms and membership tests.
 
 Heights, dimensions and multiplicities of squarefree monomial ideals come
@@ -53,7 +52,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, zip_longest
 
 from .fields import Field
@@ -293,10 +291,9 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 #   order too, the one that adding the leads one at a time by
 #   `_update_pairs` gives.  The driver's `_update_pairs` cannot know the
 #   later leads, so it scans the pair set for each new lead.
-# - One build per lead tuple: `_pair_build` memoises the last (lead tuple,
-#   packing) frozen, and `_initial_pairs` gives each caller fresh copies,
-#   so `is_groebner_basis` on the generators that `buchberger` just ran on
-#   builds nothing.  A build that runs out of time is not kept.
+# - No build for a decided set: `is_groebner_basis` on generators whose
+#   verdict is recorded, and `buchberger` on generators recorded as a
+#   basis, build no pair set (`_verdict`).
 # For a, b | L, lcm(a, b) = L iff the cofactors L - a and L - b share no
 # variable, so B takes three masks and no lcm.
 
@@ -442,22 +439,8 @@ def _update_pairs(leads: _Leads, P: dict, lmf: int) -> dict:
 def _initial_pairs(lmG, packing: Packing):
     """The lead index of lead monomials lmG, in `packing`, and their pair
     set: the same dict, in the same order, as the updates `_update_pairs`
-    makes adding them one at a time.  Returns (index, pair set).
-
-    Both are the caller's own, for the driver edits them in place; they
-    are copied from the memoised build, `_pair_build`.
-    """
-    pairs, masks, by_low = _pair_build(tuple(lmG), packing)
-    leads = _Leads(packing)
-    leads.lms, leads.masks, leads.by_low = list(lmG), list(masks), dict(by_low)
-    return leads, dict(pairs)
-
-
-@lru_cache(maxsize=1)
-def _pair_build(lmG: tuple, packing: Packing):
-    """The pair set of the leads lmG, in `packing`, frozen: (its items in
-    order, the leads' masks, the items of their `by_low`).  One entry is
-    memoised, the last (lead tuple, packing); a build that raises is not.
+    makes adding them one at a time.  Returns (index, pair set), which
+    `_buchberger_loop` edits in place.
 
     The pairs each lead makes come from `_near_pairs`.  B is then tested
     once per pair (i, j), as in `_update_pairs`, against the later leads
@@ -493,7 +476,7 @@ def _pair_build(lmG: tuple, packing: Packing):
                     break
     for ij in gone:
         del P[ij]
-    return tuple(P.items()), tuple(leads.masks), tuple(leads.by_low.items())
+    return leads, P
 
 
 def _pair_key(i, j, lcm, lmG, sugars, order):
@@ -524,6 +507,18 @@ def _monic_reducer(gens, order):
     return reducer
 
 
+# The verdict record: (key, whether the set is a Groebner basis) for the
+# last generator set decided, or None.  A set is decided at its first nonzero
+# remainder or when all its S-pairs reduce to zero; a stopped run decides none.
+_verdict = None
+
+
+def _verdict_key(reducer: Reducer, order: TermOrder):
+    """The record's key; the generators' order and repeats leave the verdict as it is."""
+    return (order, reducer.field, reducer.packing,
+            frozenset((lm, frozenset(tail)) for lm, _, tail, _ in reducer.entries))
+
+
 def _buchberger_loop(gens, order):
     """The Buchberger driver over generators of one packing.
 
@@ -532,13 +527,18 @@ def _buchberger_loop(gens, order):
 
     Each S-pair is formed from two entries and reduced on term dicts; a
     nonzero remainder becomes a new entry, still with no Polynomial built.
+    Generators recorded as a Groebner basis are returned as they are.
     """
+    global _verdict
     reducer = _monic_reducer(gens, order)
     if reducer is None:
         return None
+    entries = reducer.entries
+    key = _verdict_key(reducer, order)
+    if _verdict == (key, True):
+        return entries
     field, packing = reducer.field, reducer.packing
     guard = packing.guard
-    entries = reducer.entries
     leads, P = _initial_pairs([e[0] for e in entries], packing)
     lmG = leads.lms
     sugars = [f.degree() for f in gens]
@@ -554,6 +554,8 @@ def _buchberger_loop(gens, order):
         rem = reducer.remainder(s_polynomial(entries[i], entries[j], lcm, guard, field))
         if not rem:
             continue
+        if len(entries) == len(gens):  # a nonzero remainder on the generators
+            _verdict = (key, False)
         lmr = next(iter(rem))  # the remainder comes leading term first
         if lmr == MONO_ONE:
             return None
@@ -562,6 +564,8 @@ def _buchberger_loop(gens, order):
         sugars.append(pair_sugar)
         for pair, lcm in new.items():
             heapq.heappush(heap, _pair_key(*pair, lcm, lmG, sugars, order))
+    if len(entries) == len(gens):
+        _verdict = (key, True)
     return entries
 
 
@@ -615,21 +619,24 @@ def is_groebner_basis(gens, order: TermOrder = ANTIDIAG) -> bool:
     answer: the S-pairs of the Gebauer-Moeller pair set, whose criteria
     only discard pairs whose S-polynomials provably reduce to zero, are
     reduced as the pair set lists them, up to the first nonzero remainder.
-    A set with a nonzero constant is a Groebner basis.
+    A set with a nonzero constant is a Groebner basis.  A set whose verdict
+    is recorded is answered from the record.
     """
+    global _verdict
     gens = _one_packing(g for g in gens if not g.is_zero)
     if len(gens) <= 1:
         return True
     reducer = _monic_reducer(gens, order)
     if reducer is None:
         return True
-    field, packing, entries = reducer.field, reducer.packing, reducer.entries
-    guard = packing.guard
-    _, P = _initial_pairs([e[0] for e in entries], packing)
-    for (i, j), lcm in P.items():
-        if reducer.remainder(s_polynomial(entries[i], entries[j], lcm, guard, field)):
-            return False
-    return True
+    key = _verdict_key(reducer, order)
+    if _verdict is None or _verdict[0] != key:
+        field, packing, entries = reducer.field, reducer.packing, reducer.entries
+        _, P = _initial_pairs([e[0] for e in entries], packing)
+        _verdict = (key, not any(
+            reducer.remainder(s_polynomial(entries[i], entries[j], lcm, packing.guard, field))
+            for (i, j), lcm in P.items()))
+    return _verdict[1]
 
 
 # ---------------------------------------------------------------------------

@@ -120,9 +120,10 @@ EXPANSION_TERM_CAP = 200_000
 
 
 def _check_expansion_size(factors) -> None:
+    # Largest first, so the figure named does not depend on the factor order.
     bound = 1
-    for m in factors:
-        bound *= factorial(m.size)
+    for size in sorted((m.size for m in factors), reverse=True):
+        bound *= factorial(size)
         if bound > EXPANSION_TERM_CAP:
             raise InstanceTooLarge(
                 "instance too large: expanding this witness could reach "

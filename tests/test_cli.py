@@ -347,6 +347,12 @@ def test_ideal_sum_colon_saturate(capsys, tmp_path):
     assert code == 2  # missing second ideal
 
 
+def test_ideal_member_without_poly_exits_2(capsys):
+    code = main(["ideal", "member", str(FIXTURES / "full2x2.json"), "--t", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: ideal member needs --poly\n"
+
+
 def test_accept_json_format(capsys):
     code, out = run_cli("--format", "json", "accept", "run", "poset-schubert", capsys=capsys)
     assert code == 0

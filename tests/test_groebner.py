@@ -24,7 +24,6 @@ from ladderdet.groebner import (
     _hilbert_numerator,
     _initial_pairs,
     _one_packing,
-    _pair_build,
     _update_pairs,
     buchberger,
     interreduce,
@@ -1224,9 +1223,6 @@ def test_pair_update_matches_the_reference_on_structured_leads(name):
 
 
 def test_initial_pairs_respect_the_time_budget():
-    # A memo hit does no work, so the shared build is cleared first: an
-    # earlier test may have built these leads.
-    _pair_build.cache_clear()
     lmG, packing = _grid_minor_leads(9, 2)
     start = time.monotonic()
     with pytest.raises(InstanceTooLarge):
@@ -1235,64 +1231,125 @@ def test_initial_pairs_respect_the_time_budget():
     assert time.monotonic() - start < 0.5
 
 
-def test_shared_pair_build_hands_out_fresh_copies():
-    # A hit equals a fresh build, in order too, and shares no object with
-    # it or with an earlier result that the driver has since edited.
-    lmG, packing = _grid_minor_leads(4, 2)
-    _pair_build.cache_clear()
-    first = _initial_pairs(lmG, packing)
-    _update_pairs(*first, lmG[0] + lmG[-1])
-    hit = _initial_pairs(lmG, packing)
-    assert _pair_build.cache_info().hits == 1
-    _pair_build.cache_clear()
-    fresh = _initial_pairs(lmG, packing)
-    assert list(hit[1].items()) == list(fresh[1].items())
-    assert list(first[1].items()) != list(fresh[1].items())
-    for attr in ("lms", "masks", "by_low", "guard", "low"):
-        assert getattr(hit[0], attr) == getattr(fresh[0], attr)
-    assert hit[0].lms == lmG and first[0].lms == lmG + [lmG[0] + lmG[-1]]
-    ids = [id(x) for leads, pairs in (first, hit, fresh)
-           for x in (leads, pairs, leads.lms, leads.masks, leads.by_low)]
-    assert len(set(ids)) == len(ids)
+def _count_s_pairs(monkeypatch):
+    """Clears the verdict record and routes `s_polynomial` through a
+    counter; returns the list the counter appends to, once per S-pair."""
+    from ladderdet import groebner
+
+    calls = []
+    real = groebner.s_polynomial
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_verdict", None)
+    monkeypatch.setattr(groebner, "s_polynomial", counted)
+    return calls
 
 
-def test_shared_pair_build_is_keyed_on_the_packing():
-    lmG, small = _grid_minor_leads(3, 2)
-    large = Ring.for_grid(QQ, 4, 4).packing
-    _pair_build.cache_clear()
-    for packing in (small, large, small):
-        leads, _ = _initial_pairs(lmG, packing)
-        assert (leads.guard, leads.low) == (packing.guard, packing.low)
-    assert _pair_build.cache_info().misses == 3
-
-
-def test_buchberger_leaves_the_shared_pairs_of_a_non_basis_intact():
-    gens = [minor((1, 2), (1, 2)), minor((1, 2), (1, 3))]
-    basis = buchberger(gens)
-    assert len(basis) > len(gens)
-    assert not is_groebner_basis(gens)
-    assert is_groebner_basis(basis)
-
-
-def test_buchberger_then_is_groebner_basis_builds_the_lead_index_once(monkeypatch):
+def test_buchberger_then_is_groebner_basis_reduces_the_pairs_once(monkeypatch):
     # The ladder minors are a Groebner basis, so the driver adds no element
-    # and every `_near_pairs` call is the one build's, one per lead.
+    # and records the verdict: every `_near_pairs` call is its one build's,
+    # one per lead, and no later run on the generators, in any order and
+    # with repeats, forms an S-pair.
     from ladderdet import groebner
 
     L, t = ladderdet.load_fixture("staircase10")
     gens = list(mixed_ladder_ideal(L, t).gens)
-    calls = []
+    near_calls = []
 
     def near(leads, lmf):
-        calls.append(lmf)
+        near_calls.append(lmf)
         return real_near(leads, lmf)
 
     real_near = groebner._near_pairs
     monkeypatch.setattr(groebner, "_near_pairs", near)
-    _pair_build.cache_clear()
-    buchberger(gens)
+    calls = _count_s_pairs(monkeypatch)
+    basis = buchberger(gens)
+    assert calls and len(near_calls) == len(gens)
+    calls.clear()
     assert is_groebner_basis(gens)
-    assert len(calls) == len(gens)
+    assert is_groebner_basis(gens[::-1] + gens[:3])
+    assert buchberger(gens[::-1]) == basis
+    assert not calls and len(near_calls) == len(gens)
+
+
+def test_buchberger_records_a_non_basis(monkeypatch):
+    gens = [minor((1, 2), (1, 2)), minor((1, 2), (1, 3))]
+    calls = _count_s_pairs(monkeypatch)
+    basis = buchberger(gens)
+    assert len(basis) > len(gens) and calls
+    calls.clear()
+    assert not is_groebner_basis(gens)
+    assert not calls
+    assert is_groebner_basis(basis)
+
+
+def test_a_recorded_basis_answers_for_no_other_set(monkeypatch):
+    """Each case records a Groebner basis and then asks about a set that
+    is none, with the same leads where a set can have them.
+
+    The monic GF(5) minors, read over QQ, have the recorded entries in
+    another field.  A set with the leads of a basis under another order is
+    a basis there too (its initial ideals under the two orders then
+    agree), and the same terms read in another packing reduce alike, so
+    the order case takes a set whose leads the orders choose differently,
+    and the packing case the set with one tail coefficient changed, in a
+    wider grid's packing.
+    """
+    calls = _count_s_pairs(monkeypatch)
+    cells = list(combinations((1, 2, 3), 2))
+    grid = [minor(r, c) for r in cells for c in cells]
+    F = GF(5)
+    gf5 = [minor(r, c, F) for r in cells for c in cells]
+    monic_over_qq = [
+        Polynomial(QQ, {m: F.div(c, g.leading_term(ANTIDIAG)[1]) for m, c in g.terms.items()},
+                   g.packing) for g in gf5]
+    f = grid[0]
+    lm = f.leading_term(ANTIDIAG)[0]
+    tail_varied = [Polynomial(QQ, {m: c if m == lm else 2 * c for m, c in f.terms.items()},
+                              f.packing)] + grid[1:]
+    wide = Ring.for_grid(QQ, 3, 4).packing
+    lex_basis = [P("x[1,2] - x[1,1]^2"), P("x[1,1]^2 - x[1,1]")]
+    cases = [
+        (grid, ANTIDIAG, tail_varied, ANTIDIAG),
+        (gf5, ANTIDIAG, monic_over_qq, ANTIDIAG),
+        (lex_basis, ANTIDIAG, lex_basis, GREVLEX),
+        (grid, ANTIDIAG, [g.repack(wide) for g in tail_varied], ANTIDIAG),
+    ]
+    for basis, order, other, other_order in cases:
+        assert is_groebner_basis(basis, order)
+        calls.clear()
+        assert not is_groebner_basis(other, other_order)
+        assert calls
+
+
+@pytest.mark.parametrize("stopped", ["buchberger", "is_groebner_basis"])
+def test_a_run_the_budget_stops_records_nothing(monkeypatch, stopped):
+    """The budget runs out after ten S-pairs reduce to zero; an unbounded
+    `is_groebner_basis` on the same generators then reduces its pairs."""
+    from ladderdet import groebner
+
+    L, t = ladderdet.load_fixture("staircase10")
+    gens = list(mixed_ladder_ideal(L, t).gens)
+    calls = _count_s_pairs(monkeypatch)
+    counted = groebner.s_polynomial
+
+    def slow(*args):
+        if len(calls) == 9:
+            time.sleep(0.3)
+        return counted(*args)
+
+    monkeypatch.setattr(groebner, "s_polynomial", slow)
+    with pytest.raises(InstanceTooLarge):
+        with time_limit(0.2):
+            getattr(groebner, stopped)(gens)
+    assert len(calls) == 10
+    monkeypatch.setattr(groebner, "s_polynomial", counted)
+    calls.clear()
+    assert is_groebner_basis(gens)
+    assert calls
 
 
 def test_pair_update_edge_cases():

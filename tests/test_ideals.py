@@ -23,6 +23,7 @@ from ladderdet.ideals import (
     grid_ring,
     ladder_ring,
     minor_leq,
+    minor_product,
     minor_poset,
     minors_in_ladder,
     mixed_ladder_ideal,
@@ -423,3 +424,15 @@ def test_witness_expansion_guard():
         g_witness(L, t)
     with pytest.raises(InstanceTooLarge):
         f_witness(L, t)
+
+
+def test_expansion_refusal_does_not_depend_on_the_factor_order():
+    # f_of_matrix(5, 5) has nine factors, 5! * 4!^2 * 3!^2 * 2!^2 * 1!^2
+    # = 9953280 terms at most; largest first the product passes the cap at
+    # the fourth factor, 5! * 4! * 4! * 3!.
+    factors = list(antidiagonal_profile(Ladder.full(5, 5), 1).witness_factors)
+    rng = random.Random(5)
+    for _ in range(6):
+        with pytest.raises(InstanceTooLarge, match=r"could reach 414720\+ terms"):
+            minor_product(factors)
+        rng.shuffle(factors)
