@@ -18,16 +18,21 @@ with it, a lead coprime to it acts only through one divisor search,
 skipped when no lead is coprime to it, and the initial build tests the
 chain criterion once per pair against the later leads.  Both form and
 reduce each S-pair on the terms of a reducer's entries, coefficients as
-the polynomials hold them.  `buchberger` runs the Buchberger loop, which
-selects pairs by sugar from a heap that holds the keys of the pairs each
-update adds, and `interreduce` finishes the reduced basis on the loop's
-own entries, building one Polynomial per element it keeps; an intersection
-interreduces only the aux-free entries.  `is_groebner_basis` walks the
-pair set of its generators once, with no selection order, up to the
-first nonzero remainder.  Both record whether the last set either
-decided is a Groebner basis, so `buchberger` and then `is_groebner_basis`
-on the same generators reduce the S-pairs once.  An `Ideal` keeps the
-reducer of each cached basis for its normal forms and membership tests.
+the polynomials hold them.  Both first walk the initial pair set in the
+order it was built, up to the first nonzero remainder (`_walk`); most
+generator sets the engine meets, minors under an antidiagonal order, are
+already bases, and for them the walk is the whole run.  `buchberger` then
+runs the Buchberger loop from that remainder, which selects the pairs left
+by sugar from a heap that holds the keys of the pairs each update adds, and
+`interreduce` finishes the reduced basis on the loop's own entries,
+building one Polynomial per element it keeps; an intersection interreduces
+only the aux-free entries.  Whether the set a walk decided is a Groebner
+basis is recorded with its generator list, so `buchberger` and then
+`is_groebner_basis` on the same generators reduce the S-pairs once, and
+`is_groebner_basis` answers the same polynomial objects before it builds a
+reducer.  An `Ideal` keeps the reducer of each cached basis for its normal
+forms and membership tests.  Polynomials over different coefficient
+fields are refused with ValueError, as their arithmetic refuses them.
 
 Heights, dimensions and multiplicities of squarefree monomial ideals come
 from the numerator N(t) of the Hilbert series, computed by Bigatti's pivot
@@ -51,6 +56,7 @@ variables.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass, field as dataclass_field
 from itertools import accumulate, combinations_with_replacement, zip_longest
 
@@ -103,8 +109,12 @@ from .poly import (
 
 
 def _one_packing(polys) -> list[Polynomial]:
-    """The polynomials, all in the packing of their joint variables."""
+    """The polynomials, all in the packing of their joint variables.
+    Raises ValueError when their coefficient fields differ."""
     polys = list(polys)
+    for f in polys:
+        if f.field != polys[0].field:
+            raise ValueError(f"mixed coefficient fields: {polys[0].field} vs {f.field}")
     packings = {f.packing for f in polys}
     if len(packings) <= 1:
         return polys
@@ -258,16 +268,20 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 #
 # A pair set is a dict {(i, j): lcm of the leads of i and j}, each lcm
 # computed once, when the pair is made.  It never holds a pair of coprime
-# leads.  A run keeps one pair set, which each Gebauer-Moeller update
-# edits in place.  `buchberger` pushes the key of each pair an update adds
-# onto a heap, ordered by the sugar strategy of Giovini et al. (ISSAC
-# 1991): sugar first, then the order's key of the lcm, then the indices.
-# A popped key whose pair the update has since dropped is skipped.  On a
-# lex order such as ELIM this completes the basis in low sugar before it
-# reduces high-degree pairs.  `is_groebner_basis` adds no element, so it
-# walks the initial pair set as it is.  Monomials are coprime iff their
-# support masks (`mono_mask`) share no bit, and one can divide another
-# only if its mask lies inside the other's.
+# leads.  A run keeps one pair set, which each Gebauer-Moeller update edits
+# in place.  Both routines first walk the initial pair set as it is,
+# deleting each pair whose S-polynomial reduces to zero on the generators,
+# up to the first nonzero remainder (`_walk`): while the basis has not
+# grown, the order of the pairs cannot change whether the generators are a
+# basis, and a pair whose S-polynomial reduces to zero on them needs no more
+# work.  `buchberger` makes that remainder its first new element, then heaps
+# the keys of the pairs left and pushes the key of each pair an update adds,
+# ordered by the sugar strategy of Giovini et al. (ISSAC 1991): sugar first,
+# then the order's key of the lcm, then the indices.  A popped key whose
+# pair the update has since dropped is skipped.  On a lex order such as ELIM
+# this completes the basis in low sugar before it reduces high-degree pairs.
+# Monomials are coprime iff their support masks (`mono_mask`) share no bit,
+# and one can divide another only if its mask lies inside the other's.
 #
 # The pairs are made on a `_Leads` index of the basis's leads: their
 # support masks and the leads by lowest support bit.  It saves work in
@@ -293,7 +307,9 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 #   later leads, so it scans the pair set for each new lead.
 # - No build for a decided set: `is_groebner_basis` on generators whose
 #   verdict is recorded, and `buchberger` on generators recorded as a
-#   basis, build no pair set (`_verdict`).
+#   basis, build no pair set (`_verdict`).  `is_groebner_basis` on the very
+#   list the record holds, the same objects in the same order under the
+#   same term order, builds no monic reducer and no key either.
 # For a, b | L, lcm(a, b) = L iff the cofactors L - a and L - b share no
 # variable, so B takes three masks and no lcm.
 
@@ -507,9 +523,11 @@ def _monic_reducer(gens, order):
     return reducer
 
 
-# The verdict record: (key, whether the set is a Groebner basis) for the
-# last generator set decided, or None.  A set is decided at its first nonzero
-# remainder or when all its S-pairs reduce to zero; a stopped run decides none.
+# The verdict record: (generators, key, whether they are a Groebner basis)
+# for the last generator set decided, or None.  A set is decided by the
+# walk of its initial pairs (`_walk`): at its first nonzero remainder, or
+# when all those S-pairs reduce to zero; a stopped walk decides none.  The
+# generators are the list the deciding call was given, after `_one_packing`.
 _verdict = None
 
 
@@ -519,14 +537,42 @@ def _verdict_key(reducer: Reducer, order: TermOrder):
             frozenset((lm, frozenset(tail)) for lm, _, tail, _ in reducer.entries))
 
 
+def _walk(reducer: Reducer, P: dict):
+    """Reduces the S-pairs of the pair set P on `reducer` in P's order,
+    deleting each whose remainder is zero, and stops at the first nonzero
+    remainder: returns (that pair, its remainder terms), the pair still in
+    P, or None when P is left empty.  The budget is checked once per pair.
+    """
+    entries, field, guard = reducer.entries, reducer.field, reducer.packing.guard
+    zero = []
+    for (i, j), lcm in P.items():
+        _check_deadline()
+        rem = reducer.remainder(s_polynomial(entries[i], entries[j], lcm, guard, field))
+        if rem:
+            for ij in zero:
+                del P[ij]
+            return (i, j), rem
+        zero.append((i, j))
+    P.clear()
+    return None
+
+
 def _buchberger_loop(gens, order):
     """The Buchberger driver over generators of one packing.
 
     Returns the `Reducer` entries of a monic Groebner basis, generators
     first, or None for the unit ideal.
 
-    Each S-pair is formed from two entries and reduced on term dicts; a
-    nonzero remainder becomes a new entry, still with no Polynomial built.
+    The initial pairs are first walked in the order they were built
+    (`_walk`), which decides whether the generators are a basis and records
+    it: when every S-pair reduces to zero the generators' entries are
+    returned with no sugar computed.  Otherwise the first nonzero remainder
+    becomes the first new element, with its pair's sugar, and the pairs
+    left go on a heap ordered by sugar, then by the order's key of the lcm,
+    then by the indices; each update pushes the keys of the pairs it adds,
+    and a popped pair the update has since dropped is skipped.  Each S-pair
+    is formed from two entries and reduced on term dicts; a nonzero
+    remainder becomes a new entry, still with no Polynomial built.
     Generators recorded as a Groebner basis are returned as they are.
     """
     global _verdict
@@ -535,27 +581,23 @@ def _buchberger_loop(gens, order):
         return None
     entries = reducer.entries
     key = _verdict_key(reducer, order)
-    if _verdict == (key, True):
+    if _verdict is not None and _verdict[1:] == (key, True):
         return entries
     field, packing = reducer.field, reducer.packing
     guard = packing.guard
     leads, P = _initial_pairs([e[0] for e in entries], packing)
+    walked = _walk(reducer, P)
+    _verdict = (gens, key, walked is None)
+    if walked is None:
+        return entries
+    (i, j), rem = walked
     lmG = leads.lms
     sugars = [f.degree() for f in gens]
+    pair_sugar = _pair_key(i, j, P.pop((i, j)), lmG, sugars, order)[0]
     heap = [_pair_key(*pair, lcm, lmG, sugars, order) for pair, lcm in P.items()]
     heapq.heapify(heap)
 
-    while heap:
-        _check_deadline()
-        pair_sugar, _, i, j = heapq.heappop(heap)
-        lcm = P.pop((i, j), None)
-        if lcm is None:  # dropped by an update after it was pushed
-            continue
-        rem = reducer.remainder(s_polynomial(entries[i], entries[j], lcm, guard, field))
-        if not rem:
-            continue
-        if len(entries) == len(gens):  # a nonzero remainder on the generators
-            _verdict = (key, False)
+    while True:
         lmr = next(iter(rem))  # the remainder comes leading term first
         if lmr == MONO_ONE:
             return None
@@ -564,9 +606,17 @@ def _buchberger_loop(gens, order):
         sugars.append(pair_sugar)
         for pair, lcm in new.items():
             heapq.heappush(heap, _pair_key(*pair, lcm, lmG, sugars, order))
-    if len(entries) == len(gens):
-        _verdict = (key, True)
-    return entries
+        while True:
+            if not heap:
+                return entries
+            _check_deadline()
+            pair_sugar, _, i, j = heapq.heappop(heap)
+            lcm = P.pop((i, j), None)
+            if lcm is None:  # dropped by an update after it was pushed
+                continue
+            rem = reducer.remainder(s_polynomial(entries[i], entries[j], lcm, guard, field))
+            if rem:
+                break
 
 
 def interreduce(entries, order: TermOrder, field: Field, packing: Packing) -> list[Polynomial]:
@@ -618,25 +668,28 @@ def is_groebner_basis(gens, order: TermOrder = ANTIDIAG) -> bool:
     The basis never grows, so the order of the pairs cannot change the
     answer: the S-pairs of the Gebauer-Moeller pair set, whose criteria
     only discard pairs whose S-polynomials provably reduce to zero, are
-    reduced as the pair set lists them, up to the first nonzero remainder.
-    A set with a nonzero constant is a Groebner basis.  A set whose verdict
-    is recorded is answered from the record.
+    walked as the pair set lists them, up to the first nonzero remainder
+    (`_walk`).  A set with a nonzero constant is a Groebner basis.  A set
+    whose verdict is recorded is answered from the record: the recorded
+    generators themselves, in the same order and under the same term
+    order, with no reducer built, and any other list with the same monic
+    entries by the record's key.
     """
     global _verdict
     gens = _one_packing(g for g in gens if not g.is_zero)
     if len(gens) <= 1:
         return True
+    recorded = _verdict[0] if _verdict is not None and _verdict[1][0] == order else ()
+    if len(recorded) == len(gens) and all(map(operator.is_, recorded, gens)):
+        return _verdict[2]
     reducer = _monic_reducer(gens, order)
     if reducer is None:
         return True
     key = _verdict_key(reducer, order)
-    if _verdict is None or _verdict[0] != key:
-        field, packing, entries = reducer.field, reducer.packing, reducer.entries
-        _, P = _initial_pairs([e[0] for e in entries], packing)
-        _verdict = (key, not any(
-            reducer.remainder(s_polynomial(entries[i], entries[j], lcm, packing.guard, field))
-            for (i, j), lcm in P.items()))
-    return _verdict[1]
+    if _verdict is None or _verdict[1] != key:
+        _, P = _initial_pairs([e[0] for e in reducer.entries], reducer.packing)
+        _verdict = (gens, key, _walk(reducer, P) is None)
+    return _verdict[2]
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +788,10 @@ class Ideal:
     def normal_form(self, f: Polynomial, order: TermOrder = ANTIDIAG) -> Polynomial:
         """Remainder of f on division by the reduced basis, as
         `normal_form(f, basis)` gives it: in the packing of the joint
-        variables of f and the ring, on the reducer kept for that packing."""
+        variables of f and the ring, on the reducer kept for that packing.
+        Raises ValueError when f is over another coefficient field."""
+        if f.field != self.ring.field:
+            raise ValueError(f"mixed coefficient fields: {f.field} vs {self.ring.field}")
         basis = self.groebner_basis(order)
         if not basis:
             return f

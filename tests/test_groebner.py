@@ -57,6 +57,7 @@ from ladderdet.poly import (
     mono_mask,
     mono_mul,
     parse_polynomial,
+    poly_to_str,
     time_limit,
 )
 import reference_pairs
@@ -1286,6 +1287,146 @@ def test_buchberger_records_a_non_basis(monkeypatch):
     assert is_groebner_basis(basis)
 
 
+@pytest.mark.parametrize("entry", [
+    lambda gens: buchberger(gens),
+    lambda gens: is_groebner_basis(gens),
+    lambda gens: normal_form(gens[0], gens[1:]),
+], ids=["buchberger", "is_groebner_basis", "normal_form"])
+def test_groebner_entry_points_refuse_mixed_fields(monkeypatch, entry):
+    # A basis over QQ is recorded, then asked about with a GF(5) copy of its
+    # monomial generator added: the monic entries are the recorded ones, so
+    # only a field check made before the record is read refuses the set.
+    monkeypatch.setattr(ladderdet.groebner, "_verdict", None)
+    basis = [P("x[1,1]"), minor((1, 2), (1, 2))]
+    assert is_groebner_basis(basis)
+    with pytest.raises(ValueError, match=r"mixed coefficient fields: QQ vs GF\(5\)"):
+        entry(basis + [P("x[1,1]", GF(5))])
+
+
+@pytest.mark.parametrize("entry", ["normal_form", "contains", "contains_ideal"])
+def test_ideal_membership_refuses_another_field(entry):
+    F = GF(5)
+    ideal = mixed_ladder_ideal(Ladder.full(2, 2), 2, F)
+    f = P("x[1,1]*x[2,2] - x[1,2]*x[2,1] + 5")  # over QQ
+    assert ideal.contains(P("x[1,1]*x[2,2] - x[1,2]*x[2,1] + 5", F))  # caches the basis
+    arg = Ideal(Ring.for_grid(QQ, 2, 2), [f]) if entry == "contains_ideal" else f
+    with pytest.raises(ValueError, match=r"mixed coefficient fields: QQ vs GF\(5\)"):
+        getattr(ideal, entry)(arg)
+
+
+def _count_monic_reducers(monkeypatch):
+    """Routes `_monic_reducer` through a counter; returns the list the
+    counter appends to, once per reducer built."""
+    from ladderdet import groebner
+
+    built = []
+    real = groebner._monic_reducer
+
+    def counted(gens, order):
+        built.append(order)
+        return real(gens, order)
+
+    monkeypatch.setattr(groebner, "_monic_reducer", counted)
+    return built
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+def test_a_decided_list_is_answered_before_any_reducer(monkeypatch, verdict):
+    # `buchberger` records the generator list it decided, so the same
+    # polynomial objects, in the same order, are answered by identity; the
+    # same objects in another order, or with a repeat, need the key.
+    if verdict:
+        L, t = ladderdet.load_fixture("staircase10")
+        gens = list(mixed_ladder_ideal(L, t).gens)
+    else:
+        gens = _one_packing([minor((1, 2), (1, 2)), minor((1, 2), (1, 3))])
+    calls = _count_s_pairs(monkeypatch)
+    buchberger(gens)
+    built = _count_monic_reducers(monkeypatch)
+    calls.clear()
+    assert is_groebner_basis(list(gens)) is verdict
+    assert is_groebner_basis(tuple(gens)) is verdict
+    assert not built and not calls
+    assert is_groebner_basis(gens[::-1]) is verdict
+    assert is_groebner_basis(gens + gens[:1]) is verdict
+    assert built == [ANTIDIAG, ANTIDIAG] and not calls
+
+
+def test_a_replaced_record_answers_the_first_list_by_pairs(monkeypatch):
+    cells = list(combinations((1, 2, 3), 2))
+    first = _one_packing([minor(r, c) for r in cells for c in cells])
+    other = [minor((1, 2), (1, 2)), minor((1, 2), (1, 3))]
+    calls = _count_s_pairs(monkeypatch)
+    assert is_groebner_basis(first)
+    built = _count_monic_reducers(monkeypatch)
+    assert is_groebner_basis(first) and not built  # answered by identity
+    assert not is_groebner_basis(other)  # replaces the record
+    calls.clear()
+    built.clear()
+    assert is_groebner_basis(first)
+    assert built == [ANTIDIAG] and calls
+
+
+def test_an_antidiag_record_does_not_answer_a_grevlex_call(monkeypatch):
+    # A basis under antidiagonal-lex only, in one packing: the GREVLEX
+    # call on the same objects must walk its own pairs.
+    gens = _one_packing([P("x[1,2] - x[1,1]^2"), P("x[1,1]^2 - x[1,1]")])
+    calls = _count_s_pairs(monkeypatch)
+    assert is_groebner_basis(gens, ANTIDIAG)
+    calls.clear()
+    assert not is_groebner_basis(gens, GREVLEX)
+    assert calls
+    calls.clear()
+    assert not is_groebner_basis(gens, GREVLEX)
+    assert not calls
+
+
+@pytest.mark.parametrize("case", ["first", "late"])
+def test_a_non_basis_completes_from_the_walks_remainder(monkeypatch, case):
+    """The walk stops at the first initial pair in one case and after the
+    zero pairs of a basis in the other; the Buchberger loop goes on from the
+    remainder it stopped at to the same reduced basis."""
+    from ladderdet import groebner
+
+    if case == "first":
+        gens = [minor((1, 2), (1, 2)), minor((1, 2), (1, 3))]
+        expected = ["x[1,2]*x[2,1] - x[1,1]*x[2,2]", "x[1,3]*x[2,1] - x[1,1]*x[2,3]",
+                    "x[1,3]*x[1,1]*x[2,2] - x[1,2]*x[1,1]*x[2,3]"]
+    else:
+        cells = list(combinations((1, 2, 3), 2))
+        gens = [minor(r, c) for r in cells for c in cells]
+        gens += [P("x[1,1]*x[3,3] - x[2,2]^2"), P("x[1,1]^2 - x[3,3]^2")]
+        expected = [
+            "x[2,1]^4*x[3,2]^4 - x[3,3]^4*x[3,1]^4", "x[2,2]*x[3,1] - x[2,1]*x[3,2]",
+            "x[2,2]*x[2,1]^3*x[3,2]^3 - x[3,3]^4*x[3,1]^3",
+            "x[2,2]^2*x[2,1]^2*x[3,2]^2 - x[3,3]^4*x[3,1]^2",
+            "x[2,2]^3*x[2,1]*x[3,2] - x[3,3]^4*x[3,1]", "x[2,2]^4 - x[3,3]^4",
+            "x[2,3]*x[3,1] - x[2,1]*x[3,3]", "x[2,3]*x[3,2] - x[2,2]*x[3,3]",
+            "x[1,1]*x[3,3] - x[2,2]^2", "x[1,1]*x[2,1]^2*x[3,2]^2 - x[3,3]^3*x[3,1]^2",
+            "x[1,1]*x[2,2]*x[2,1]*x[3,2] - x[3,3]^3*x[3,1]", "x[1,1]*x[2,2]^2 - x[3,3]^3",
+            "x[1,1]^2 - x[3,3]^2", "x[1,2]*x[3,1] - x[1,1]*x[3,2]",
+            "x[1,2]*x[2,1] - x[1,1]*x[2,2]", "x[1,3]*x[3,1] - x[2,2]^2",
+            "x[1,3]*x[3,2] - x[1,2]*x[3,3]", "x[1,3]*x[3,3]^3 - x[1,2]*x[1,1]*x[2,3]*x[2,2]",
+            "x[1,3]*x[2,1] - x[1,1]*x[2,3]", "x[1,3]*x[2,2] - x[1,2]*x[2,3]"]
+    calls = _count_s_pairs(monkeypatch)
+    real_walk, stops = groebner._walk, []
+
+    def walk(reducer, pairs):
+        walked = real_walk(reducer, pairs)
+        stops.append(len(calls))
+        return walked
+
+    monkeypatch.setattr(groebner, "_walk", walk)
+    assert [poly_to_str(g, ANTIDIAG) for g in buchberger(gens)] == expected
+    if case == "first":
+        assert stops == [1]
+    else:
+        assert stops[0] > 1
+    assert len(calls) > stops[0]
+    assert not is_groebner_basis(gens)
+    assert len(stops) == 1
+
+
 def test_a_recorded_basis_answers_for_no_other_set(monkeypatch):
     """Each case records a Groebner basis and then asks about a set that
     is none, with the same leads where a set can have them.
@@ -1327,7 +1468,8 @@ def test_a_recorded_basis_answers_for_no_other_set(monkeypatch):
 
 @pytest.mark.parametrize("stopped", ["buchberger", "is_groebner_basis"])
 def test_a_run_the_budget_stops_records_nothing(monkeypatch, stopped):
-    """The budget runs out after ten S-pairs reduce to zero; an unbounded
+    """The budget runs out inside the walk of the initial pairs, after ten
+    S-pairs reduce to zero; nothing is recorded, and an unbounded
     `is_groebner_basis` on the same generators then reduces its pairs."""
     from ladderdet import groebner
 
@@ -1341,15 +1483,24 @@ def test_a_run_the_budget_stops_records_nothing(monkeypatch, stopped):
             time.sleep(0.3)
         return counted(*args)
 
+    real_walk, walks = groebner._walk, []
+
+    def walk(reducer, pairs):
+        walks.append(len(pairs))
+        return real_walk(reducer, pairs)
+
     monkeypatch.setattr(groebner, "s_polynomial", slow)
+    monkeypatch.setattr(groebner, "_walk", walk)
     with pytest.raises(InstanceTooLarge):
         with time_limit(0.2):
             getattr(groebner, stopped)(gens)
-    assert len(calls) == 10
+    assert len(calls) == 10 and len(walks) == 1 and walks[0] > 10  # stopped inside the walk
+    assert groebner._verdict is None
     monkeypatch.setattr(groebner, "s_polynomial", counted)
     calls.clear()
     assert is_groebner_basis(gens)
     assert calls
+    assert groebner._verdict is not None
 
 
 def test_pair_update_edge_cases():
@@ -1388,21 +1539,28 @@ def test_driver_pops_live_pairs_by_sugar_first(monkeypatch):
     ELIM intersection of the 2-minors of columns 1-2 and 2-4 of the 4x4
     grid over GF(5).  Its generators t*f and (1 - t)*g are inhomogeneous,
     so sugar can exceed degree, and its updates drop pairs the driver has
-    already pushed.  Each S-pair must be the live pair of least (sugar,
-    order's key of the lcm, indices); a new element must take the sugar of
-    the pair it came from; and a pair an update drops must never be
-    reduced."""
+    already pushed.  The loop first walks the initial pair set in build
+    order: the walked pairs must be exactly the prefix that reduces to zero
+    on the generators, then the pair that does not.  After the walk each
+    S-pair must be the live pair of least (sugar, order's key of the lcm,
+    indices); a new element must take the sugar of the pair it came from;
+    and a pair an update drops must never be reduced."""
     from ladderdet import groebner
 
     events, runs = [], []
-    real_initial, real_update, real_spoly, real_loop = (
-        groebner._initial_pairs, groebner._update_pairs, groebner.s_polynomial,
-        groebner._buchberger_loop)
+    real_initial, real_walk, real_update, real_spoly, real_loop = (
+        groebner._initial_pairs, groebner._walk, groebner._update_pairs,
+        groebner.s_polynomial, groebner._buchberger_loop)
 
     def initial(lmG, packing):
         leads, pairs = real_initial(lmG, packing)
         events.append(("initial", dict(pairs)))
         return leads, pairs
+
+    def walk(reducer, pairs):
+        walked = real_walk(reducer, pairs)
+        events.append(("walked", walked))
+        return walked
 
     def update(leads, pairs, lmf):
         before, n = list(pairs), len(leads.lms)
@@ -1424,7 +1582,9 @@ def test_driver_pops_live_pairs_by_sugar_first(monkeypatch):
     ring = ladder_ring(F, L)
     left = mixed_ladder_ideal(L.band("cols", 1, 2), 2, F, ring)
     right = mixed_ladder_ideal(L.band("cols", 2, 4), 2, F, ring)
+    monkeypatch.setattr(groebner, "_verdict", None)
     monkeypatch.setattr(groebner, "_initial_pairs", initial)
+    monkeypatch.setattr(groebner, "_walk", walk)
     monkeypatch.setattr(groebner, "_update_pairs", update)
     monkeypatch.setattr(groebner, "s_polynomial", spoly)
     monkeypatch.setattr(groebner, "_buchberger_loop", loop)
@@ -1433,14 +1593,38 @@ def test_driver_pops_live_pairs_by_sugar_first(monkeypatch):
     [(gens, order, entries)] = runs
     index = {id(e): k for k, e in enumerate(entries)}
     lmG = [e[0] for e in entries]
+    packing = gens[0].packing
+
+    # The walk: the initial pairs in build order, up to the first whose
+    # S-polynomial has a nonzero remainder on the generators.
+    assert events[0][0] == "initial"
+    initial_pairs = list(events[0][1].items())
+    on_gens = Reducer((), order, F, packing)
+    for entry in entries[:len(gens)]:
+        on_gens.add_entry(entry)
+    prefix = 0
+    while not on_gens.remainder(real_spoly(entries[initial_pairs[prefix][0][0]],
+                                           entries[initial_pairs[prefix][0][1]],
+                                           initial_pairs[prefix][1], packing.guard, F)):
+        prefix += 1
+    assert prefix > 0  # the walk deletes zero pairs before it stops
+    walked = [(index[id(a)], index[id(b)]) for _, a, b, _ in events[1:prefix + 2]]
+    assert walked == [ij for ij, _ in initial_pairs[:prefix + 1]]
+    assert events[prefix + 2][0] == "walked"
+    (stop, rem) = events[prefix + 2][1]
+    assert stop == initial_pairs[prefix][0] and rem
+
+    def sugar_key(ij, L_ij):
+        i, j = ij
+        d = mono_degree(L_ij)
+        sugar = max(sugars[i] + d - mono_degree(lmG[i]), sugars[j] + d - mono_degree(lmG[j]))
+        return (sugar, order.key(L_ij), i, j)
+
     sugars = [f.degree() for f in gens]
-    live: dict = {}
-    pair_sugar = None
+    live = dict(initial_pairs[prefix + 1:])
+    pair_sugar = sugar_key(stop, initial_pairs[prefix][1])[0]
     reduced = dropped = 0
-    for event in events:
-        if event[0] == "initial":  # the generators' pair set
-            live.update(event[1])
-            continue
+    for event in events[prefix + 3:]:
         if event[0] == "update":
             _, n, gone, added = event
             assert n >= len(gens)  # the driver adds element n
@@ -1450,12 +1634,9 @@ def test_driver_pops_live_pairs_by_sugar_first(monkeypatch):
                 del live[ij]
             live.update(added)
             continue
+        assert event[0] == "spair"
         _, a, b, lcm = event
-        keys = {}
-        for (i, j), L_ij in live.items():
-            d = mono_degree(L_ij)
-            sugar = max(sugars[i] + d - mono_degree(lmG[i]), sugars[j] + d - mono_degree(lmG[j]))
-            keys[i, j] = (sugar, order.key(L_ij), i, j)
+        keys = {ij: sugar_key(ij, L_ij) for ij, L_ij in live.items()}
         ij = min(keys, key=keys.get)
         assert ij == (index[id(a)], index[id(b)])
         assert live.pop(ij) == lcm
