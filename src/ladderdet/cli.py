@@ -76,18 +76,21 @@ def _load_file(path: str, loader, what: str):
     return _decode(path, lambda: loader(text), what)
 
 
-def _with_sizes(path: str, loaded, t_flag):
-    """A loaded (ladder, t) with --t, when given, overriding the file's t."""
+def _with_sizes(path: str, loaded, t_flag, command=None):
+    """(ladder, t) with --t overriding t; t = None is refused if a `command` is named."""
     ladder, t = loaded
     try:
-        return ladder, size_vector(t_flag, len(ladder.lower)) if t_flag else t
+        t = size_vector(t_flag, len(ladder.lower)) if t_flag else t
     except LadderError as exc:
         raise UsageError(f"--t for {path}: {exc}") from None
+    if t is None and command:
+        raise UsageError(f"{command} needs minor sizes (file t field or --t)")
+    return ladder, t
 
 
-def _load_ladder(path: str, t_flag=None):
-    """The ladder and size vector of a ladder file; --t overrides the file's t."""
-    return _with_sizes(path, _load_file(path, Ladder.from_json, "ladder file"), t_flag)
+def _load_ladder(path: str, t_flag=None, command=None):
+    """The ladder and size vector of a ladder file, as `_with_sizes` gives them."""
+    return _with_sizes(path, _load_file(path, Ladder.from_json, "ladder file"), t_flag, command)
 
 
 def _load_ideal(path: str, field, t_flag=None):
@@ -96,11 +99,8 @@ def _load_ideal(path: str, field, t_flag=None):
     obj = _load_file(path, json.loads, "JSON file")
     if isinstance(obj, dict) and "gens" in obj:
         return _decode(path, lambda: ideal_from_obj(obj, field), "ideal file")
-    ladder, t = _with_sizes(path, _decode(path, lambda: Ladder.from_obj(obj), "ladder file"),
-                            t_flag)
-    if t is None:
-        raise UsageError(f"{path}: ladder file has no minor sizes; pass --t")
-    return mixed_ladder_ideal(ladder, t, field)
+    ladder = _decode(path, lambda: Ladder.from_obj(obj), "ladder file")
+    return mixed_ladder_ideal(*_with_sizes(path, ladder, t_flag, "ideal"), field)
 
 
 def _parse_minor(text: str) -> Minor:
@@ -129,13 +129,22 @@ def _emit(args, payload: dict, text_lines):
             print(line)
 
 
+def _emit_basis(args, ideal, extra=()):
+    """The reduced basis of `ideal` under `args.order`, a line per element and
+    per key=value of `extra`; in JSON, {"basis": [...]} and the `extra` keys."""
+    basis = ideal.canonical_strings(args.order)
+    _emit(args, {"basis": basis, **dict(extra)}, basis + [f"{k}={v}" for k, v in extra])
+
+
 # ---------------------------------------------------------------------------
-# Subcommand handlers (each returns the process exit status)
+# Subcommand handlers: each returns the exit status; `main` has parsed
+# `args.field` and `args.order`.
 
 
 def _cmd_ladder(args) -> int:
+    sized = args.action in ("chamfer", "reduce")
+    ladder, t = _load_ladder(args.file, args.t, f"ladder {args.action}" if sized else None)
     if args.action == "validate":
-        ladder, t = _load_ladder(args.file, args.t)
         report = validate(ladder, 1 if t is None else t)
         _emit(args, {"valid": report.valid, "u": report.u, "v": report.v,
                      "checks": [{"n": c.number, "pass": c.passed, "detail": c.detail}
@@ -143,112 +152,81 @@ def _cmd_ladder(args) -> int:
               [f"u={report.u} v={report.v}", report.as_text()])
         return 0 if report.valid else 1
     if args.action == "show":
-        ladder, t = _load_ladder(args.file, args.t)
         cells = span_size(ladder.spans)
         _emit(args, {"shape": list(ladder.shape), "cells": cells, "render": ladder.render()},
               [ladder.render(), f"shape={ladder.shape} cells={cells} t={t}"])
         return 0
     if args.action == "chamfer":
-        ladder, t = _load_ladder(args.file, args.t)
-        if t is None:
-            raise UsageError("chamfer needs minor sizes (file t field or --t)")
         out, out_t = chamfer(ladder, t, args.j)
         _emit(args, json.loads(out.to_json(out_t)), [out.to_json(out_t)])
         return 0
-    if args.action == "reduce":
-        ladder, t = _load_ladder(args.file, args.t)
-        if t is None:
-            raise UsageError("reduce needs minor sizes (file t field or --t)")
-        red = reduce_to_unmixed(ladder, t)
-        replayed, rt = red.replay()
-        fidelity = replayed == ladder and rt == t
-        _emit(args, {"moves": list(red.moves), "start": json.loads(red.start.to_json(red.start_t)),
-                     "replay_ok": fidelity},
-              [f"moves={list(red.moves)}", f"start={red.start.to_json(red.start_t)}",
-               f"replay_ok={fidelity}"])
-        return 0 if fidelity else 1
-    raise UsageError(f"unknown ladder action {args.action!r}")
+    red = reduce_to_unmixed(ladder, t)
+    replayed, rt = red.replay()
+    fidelity = replayed == ladder and rt == t
+    _emit(args, {"moves": list(red.moves), "start": json.loads(red.start.to_json(red.start_t)),
+                 "replay_ok": fidelity},
+          [f"moves={list(red.moves)}", f"start={red.start.to_json(red.start_t)}",
+           f"replay_ok={fidelity}"])
+    return 0 if fidelity else 1
 
 
 def _cmd_ideal(args) -> int:
-    field = parse_field(args.field)
-    order = parse_order(args.order)
-    I = _load_ideal(args.a, field, args.t)
+    I = _load_ideal(args.a, args.field, args.t)
     if args.action in ("eq", "sum", "intersect", "colon", "saturate"):
         if not args.b:
             raise UsageError(f"ideal {args.action} needs a second ideal file")
-        J = _load_ideal(args.b, field, args.t2)
+        J = _load_ideal(args.b, args.field, args.t2)
         if J.ring != I.ring:
             J = Ideal(I.ring, J.gens)
     if args.action == "gens":
-        _emit(args, {"gens": [poly_to_str(g, order) for g in I.gens]},
-              [poly_to_str(g, order) for g in I.gens])
-        return 0
-    if args.action == "gb":
-        basis = I.canonical_strings(order)
-        _emit(args, {"basis": basis}, basis)
+        gens = [poly_to_str(g, args.order) for g in I.gens]
+        _emit(args, {"gens": gens}, gens)
         return 0
     if args.action == "eq":
-        equal = I.equal(J, order)
+        equal = I.equal(J, args.order)
         _emit(args, {"equal": equal}, [f"equal={equal}"])
         return 0 if equal else 1
-    if args.action == "sum":
-        out = I + J
-    elif args.action == "intersect":
-        out = I.intersect(J)
-    elif args.action == "colon":
-        out = I.colon(J)
-    elif args.action == "saturate":
-        out, steps = I.saturate(J)
-        basis = out.canonical_strings(order)
-        _emit(args, {"basis": basis, "exponent": steps}, basis + [f"exponent={steps}"])
-        return 0
-    elif args.action == "member":
+    if args.action == "member":
         if args.poly is None:
             raise UsageError("ideal member needs --poly")
-        f = parse_polynomial(args.poly, field)
-        member = I.contains(f, order)
+        member = I.contains(parse_polynomial(args.poly, args.field), args.order)
         _emit(args, {"member": member}, [f"member={member}"])
         return 0 if member else 1
-    elif args.action == "initial":
-        init = I.initial_ideal(order)
+    if args.action == "initial":
+        init = I.initial_ideal(args.order)
         monos = [mono_to_str(m, I.ring.packing) for m in init.gens]
         _emit(args, {"initial": monos, "squarefree": init.is_squarefree()},
               monos + [f"squarefree={init.is_squarefree()}"])
         return 0
-    else:
-        raise UsageError(f"unknown ideal action {args.action!r}")
-    basis = out.canonical_strings(order)
-    _emit(args, {"basis": basis}, basis)
+    extra = ()
+    if args.action == "sum":
+        I = I + J
+    elif args.action == "intersect":
+        I = I.intersect(J)
+    elif args.action == "colon":
+        I = I.colon(J)
+    elif args.action == "saturate":
+        I, steps = I.saturate(J)
+        extra = [("exponent", steps)]
+    _emit_basis(args, I, extra)
     return 0
 
 
 def _cmd_witness(args) -> int:
-    field = parse_field(args.field)
-    ladder, t = _load_ladder(args.ladder, args.t)
-    if t is None:
-        raise UsageError("witness commands need minor sizes (file t field or --t)")
-    if args.action == "f":
-        f = f_witness(ladder, t, field)
-        _emit(args, {"f": poly_to_str(f)}, [poly_to_str(f)])
-        return 0
-    if args.action == "g":
-        g = g_witness(ladder, t, field)
-        _emit(args, {"g": poly_to_str(g)}, [poly_to_str(g)])
-        return 0
+    ladder, t = _load_ladder(args.ladder, args.t, f"witness {args.action}")
     if args.action == "certificate":
         cert = symbolic_fsplit_certificate(ladder, t)
-        payload = json.loads(cert.to_json())
-        _emit(args, payload, [cert.to_json()])
+        _emit(args, json.loads(cert.to_json()), [cert.to_json()])
         return 0
-    raise UsageError(f"unknown witness action {args.action!r}")
+    build = f_witness if args.action == "f" else g_witness
+    witness = poly_to_str(build(ladder, t, args.field), args.order)
+    _emit(args, {args.action: witness}, [witness])
+    return 0
 
 
 def _cmd_fedder(args) -> int:
     field = GF(args.p)
-    ladder, t = _load_ladder(args.ladder, args.t)
-    if t is None:
-        raise UsageError("fedder needs minor sizes (file t field or --t)")
+    ladder, t = _load_ladder(args.ladder, args.t, "fedder")
     I = mixed_ladder_ideal(ladder, t, field)
     if args.candidate:
         candidate = parse_polynomial(args.candidate, field)
@@ -260,66 +238,31 @@ def _cmd_fedder(args) -> int:
 
 
 def _cmd_symbolic(args) -> int:
-    field = parse_field(args.field)
     if args.action == "degree":
-        if not args.minors or not args.t:
-            raise UsageError("symbolic degree needs --minors and --t")
+        if not args.minors or len(args.t or ()) != 1:
+            raise UsageError("symbolic degree needs --minors and one size --t")
         minors = [_parse_minor(s) for s in args.minors.split()]
         n = minor_product_symbolic_degree(minors, args.t[0])
         _emit(args, {"degree": n}, [f"degree={n}"])
         return 0
-    ladder, t = _load_ladder(args.ladder, args.t)
-    if t is None:
-        raise UsageError("symbolic power/compare need minor sizes")
+    if not args.ladder:
+        raise UsageError(f"symbolic {args.action} needs --ladder")
+    ladder, t = _load_ladder(args.ladder, args.t, f"symbolic {args.action}")
     if args.action == "power":
-        out = ladder_symbolic_power(ladder, t, args.n, field)
-        basis = out.canonical_strings()
-        _emit(args, {"basis": basis}, basis)
+        _emit_basis(args, ladder_symbolic_power(ladder, t, args.n, args.field))
         return 0
-    if args.action == "compare":
-        if len(set(t)) != 1:
-            raise UsageError("symbolic compare handles unmixed sizes only")
-        I = mixed_ladder_ideal(ladder, t, field)
-        strategy = saturation_strategy(ladder, t[0], I.ring)
-        res = initial_symbolic_compare(I, args.n, strategy=strategy)
-        witness = str(res.witness) if res.witness is not None else None
-        _emit(args, {"equal": res.equal, "witness": witness},
-              [f"equal={res.equal}"] + ([f"witness={witness}"] if witness is not None else []))
-        return 0 if res.equal else 1
-    raise UsageError(f"unknown symbolic action {args.action!r}")
+    if len(set(t)) != 1:
+        raise UsageError("symbolic compare handles unmixed sizes only")
+    I = mixed_ladder_ideal(ladder, t, args.field)
+    strategy = saturation_strategy(ladder, t[0], I.ring)
+    res = initial_symbolic_compare(I, args.n, strategy=strategy)
+    witness = str(res.witness) if res.witness is not None else None
+    _emit(args, {"equal": res.equal, "witness": witness},
+          [f"equal={res.equal}"] + ([f"witness={witness}"] if witness is not None else []))
+    return 0 if res.equal else 1
 
 
 def _cmd_knutson(args) -> int:
-    field = parse_field(args.field)
-    if args.action == "derive":
-        if args.corner:
-            parts = args.corner.split(",")
-            if len(parts) not in (5, 6):
-                raise UsageError("--corner wants k,l,t,r,s[,nw|se]")
-            k, l, t, r, s = (int(x) for x in parts[:5])
-            which = parts[5] if len(parts) == 6 else "nw"
-            deriv = corner_derivation(k, l, t, r, s, field, which)
-        else:
-            if not args.ladder:
-                raise UsageError("knutson derive needs --ladder or --corner")
-            ladder, t = _load_ladder(args.ladder, args.t)
-            if t is None or len(set(t)) != 1:
-                raise UsageError("knutson derive needs a single unmixed minor size")
-            deriv = ladder_derivation(ladder, t[0], field)
-        text = derivation_to_json(deriv)
-        if args.out:
-            try:
-                Path(args.out).write_text(text)
-            except OSError as exc:
-                raise UsageError(f"cannot write {args.out}: {exc}") from None
-            print(f"wrote {args.out}")
-        else:
-            print(text)
-        if args.verify:
-            report = verify_derivation(deriv)
-            print(report.as_text())
-            return 0 if report.ok else 1
-        return 0
     if args.action == "verify":
         if not args.file:
             raise UsageError("knutson verify needs a derivation file")
@@ -330,45 +273,61 @@ def _cmd_knutson(args) -> int:
                                 for ln in report.lines]},
               [report.as_text()])
         return 0 if report.ok else 1
-    raise UsageError(f"unknown knutson action {args.action!r}")
+    if args.corner:
+        sizes, which = args.corner
+        deriv = corner_derivation(*sizes, args.field, which)
+    elif args.ladder:
+        ladder, t = _load_ladder(args.ladder, args.t, "knutson derive")
+        if len(set(t)) != 1:
+            raise UsageError("knutson derive needs a single unmixed minor size")
+        deriv = ladder_derivation(ladder, t[0], args.field)
+    else:
+        raise UsageError("knutson derive needs --ladder or --corner")
+    # The derivation JSON is a file format: always in antidiagonal order.
+    text = derivation_to_json(deriv)
+    if args.out:
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from None
+        print(f"wrote {args.out}")
+    else:
+        print(text)
+    if args.verify:
+        report = verify_derivation(deriv)
+        print(report.as_text())
+        return 0 if report.ok else 1
+    return 0
 
 
 def _cmd_schubert(args) -> int:
-    field = parse_field(args.field)
     w = _load_file(args.perm, PartialPermutation.from_json, "partial permutation file")
-    I = schubert_ideal(w, field)
-    if args.gb:
-        basis = I.canonical_strings()
-        extra = []
-        if not I.is_zero:
-            extra = [f"squarefree={I.initial_ideal().is_squarefree()}"]
-        _emit(args, {"basis": basis}, basis + extra)
-    else:
-        _emit(args, {"gens": [poly_to_str(g) for g in I.gens]},
-              [poly_to_str(g) for g in I.gens])
+    I = schubert_ideal(w, args.field)
+    if not args.gb:
+        gens = [poly_to_str(g, args.order) for g in I.gens]
+        _emit(args, {"gens": gens}, gens)
+        return 0
+    squarefree = () if I.is_zero else [("squarefree", I.initial_ideal(args.order).is_squarefree())]
+    # The squarefree line is text only: the JSON form holds the basis alone.
+    _emit_basis(args, I, squarefree if args.format == "text" else ())
     return 0
 
 
 def _cmd_poset(args) -> int:
-    field = parse_field(args.field)
-    k, l = (int(x) for x in args.shape.split(","))
+    k, l = args.shape
     if args.spec:
         spec = _load_file(args.spec, poset_spec_from_json, "poset spec")
-        ideal = poset_ideal(k, l, spec, field)
-        basis = ideal.canonical_strings()
-        _emit(args, {"basis": basis}, basis)
+        _emit_basis(args, poset_ideal(k, l, spec, args.field))
         return 0
     if not args.delta:
         raise UsageError("poset needs --delta or --spec")
     delta = _parse_minor(args.delta)
-    formula = omega_delta_ideal(k, l, delta, field)
+    formula = omega_delta_ideal(k, l, delta, args.field)
     if args.check:
-        brute = poset_ideal_brute(k, l, delta, field)
-        equal = formula.equal(brute)
+        equal = formula.equal(poset_ideal_brute(k, l, delta, args.field))
         _emit(args, {"equal": equal}, [f"formula_matches_bruteforce={equal}"])
         return 0 if equal else 1
-    basis = formula.canonical_strings()
-    _emit(args, {"basis": basis}, basis)
+    _emit_basis(args, formula)
     return 0
 
 
@@ -406,13 +365,34 @@ def _positive_seconds(text: str) -> float:
     return seconds
 
 
+def _grid_shape(text: str) -> tuple[int, int]:
+    """A --shape value: k,l."""
+    try:
+        k, l = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not k,l: {text!r}") from None
+    return k, l
+
+
+def _corner(text: str):
+    """A --corner value k,l,t,r,s[,nw|se]: ((k, l, t, r, s), which), NW unless named."""
+    parts = text.split(",")
+    try:
+        if len(parts) not in (5, 6):
+            raise ValueError
+        return tuple(int(x) for x in parts[:5]), parts[5] if len(parts) == 6 else "nw"
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not k,l,t,r,s[,nw|se]: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ladderdet",
         description="Exact computations with ladder determinantal ideals.",
     )
     parser.add_argument("--field", default="q", help="coefficient field: q or fp:<p>")
-    parser.add_argument("--order", default="antidiag", help="term order: antidiag or grevlex")
+    parser.add_argument("--order", default="antidiag",
+                        help="term order of printed bases and generators: antidiag or grevlex")
     parser.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
                         help="seed for randomized suites")
     parser.add_argument("--timeout", type=_positive_seconds, default=60.0,
@@ -423,51 +403,47 @@ def build_parser() -> argparse.ArgumentParser:
                              "budget and fails one that exceeds it")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
+    sizes = argparse.ArgumentParser(add_help=False)
+    sizes.add_argument("--t", type=int, nargs="+", help="minor sizes, one per lower corner")
 
-    p = sub.add_parser("ladder", help="validate, render, chamfer or reduce a ladder")
+    p = sub.add_parser("ladder", parents=[sizes], help="validate, show, chamfer or reduce a ladder")
     p.add_argument("action", choices=("validate", "show", "chamfer", "reduce"))
     p.add_argument("file")
-    p.add_argument("--t", type=int, nargs="+", help="minor sizes, one per lower corner")
     p.add_argument("--j", type=int, default=1, help="lower corner index for chamfer")
     p.set_defaults(handler=_cmd_ladder)
 
-    p = sub.add_parser("ideal", help="ideal arithmetic on ladder or explicit ideals")
+    p = sub.add_parser("ideal", parents=[sizes], help="arithmetic on ladder or explicit ideals")
     p.add_argument("action", choices=("gens", "gb", "eq", "sum", "intersect", "colon",
                                       "saturate", "member", "initial"))
     p.add_argument("a", help="ideal file: ladder JSON or {shape|cells, gens}")
     p.add_argument("b", nargs="?", help="second ideal file for binary operations")
-    p.add_argument("--t", type=int, nargs="+")
     p.add_argument("--t2", type=int, nargs="+", help="minor sizes for the second ladder file")
     p.add_argument("--poly", help="polynomial for membership tests")
     p.set_defaults(handler=_cmd_ideal)
 
-    p = sub.add_parser("witness", help="splitting witnesses and certificates")
+    p = sub.add_parser("witness", parents=[sizes], help="splitting witnesses and certificates")
     p.add_argument("action", choices=("f", "g", "certificate"))
     p.add_argument("--ladder", required=True)
-    p.add_argument("--t", type=int, nargs="+")
     p.set_defaults(handler=_cmd_witness)
 
-    p = sub.add_parser("fedder", help="Fedder F-purity membership at a small prime")
+    p = sub.add_parser("fedder", parents=[sizes], help="Fedder F-purity check at a small prime")
     p.add_argument("--ladder", required=True)
-    p.add_argument("--t", type=int, nargs="+")
     p.add_argument("--p", type=int, default=2, choices=(2, 3))
     p.add_argument("--candidate", help="explicit candidate polynomial (default: f^(p-1))")
     p.set_defaults(handler=_cmd_fedder)
 
-    p = sub.add_parser("symbolic", help="symbolic degrees, powers and comparisons")
+    p = sub.add_parser("symbolic", parents=[sizes], help="symbolic degrees, powers and comparisons")
     p.add_argument("action", choices=("degree", "power", "compare"))
     p.add_argument("--ladder")
-    p.add_argument("--t", type=int, nargs="+")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--minors", help="space-separated minors like '12|12 123|123'")
     p.set_defaults(handler=_cmd_symbolic)
 
-    p = sub.add_parser("knutson", help="build or verify derivation trees")
+    p = sub.add_parser("knutson", parents=[sizes], help="build or verify derivation trees")
     p.add_argument("action", choices=("derive", "verify"))
     p.add_argument("file", nargs="?", help="derivation JSON for verify")
     p.add_argument("--ladder")
-    p.add_argument("--t", type=int, nargs="+")
-    p.add_argument("--corner", help="k,l,t,r,s[,nw|se]")
+    p.add_argument("--corner", type=_corner, help="k,l,t,r,s[,nw|se]")
     p.add_argument("--out", help="write the derivation JSON here")
     p.add_argument("--verify", action="store_true", help="verify after deriving")
     p.set_defaults(handler=_cmd_knutson)
@@ -478,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_schubert)
 
     p = sub.add_parser("poset", help="poset-of-minors ideals")
-    p.add_argument("--shape", required=True, help="grid size k,l")
+    p.add_argument("--shape", required=True, type=_grid_shape, help="grid size k,l")
     p.add_argument("--delta", help="cogenerator minor like 12|12")
     p.add_argument("--spec", help="JSON poset spec: {explicit|cogenerators|generalized: [...]}")
     p.add_argument("--check", action="store_true",
@@ -508,6 +484,8 @@ EXIT_BROKEN_PIPE = 128 + 13
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # Every command checks --field and --order, whether it reads them or not.
+        args.field, args.order = parse_field(args.field), parse_order(args.order)
         with time_limit(args.timeout):
             status = args.handler(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
@@ -519,13 +497,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InstanceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # UsageError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -63,7 +63,6 @@ from itertools import accumulate, combinations_with_replacement, zip_longest
 from .fields import Field
 from .poly import (
     ANTIDIAG,
-    ELIM,
     FIELD_BITS,
     MAX_EXPONENT,
     MONO_ONE,
@@ -278,8 +277,9 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 # the keys of the pairs left and pushes the key of each pair an update adds,
 # ordered by the sugar strategy of Giovini et al. (ISSAC 1991): sugar first,
 # then the order's key of the lcm, then the indices.  A popped key whose
-# pair the update has since dropped is skipped.  On a lex order such as ELIM
-# this completes the basis in low sugar before it reduces high-degree pairs.
+# pair the update has since dropped is skipped.  On a lex order such as
+# ANTIDIAG this completes the basis in low sugar before it reduces
+# high-degree pairs.
 # Monomials are coprime iff their support masks (`mono_mask`) share no bit,
 # and one can divide another only if its mask lies inside the other's.
 #
@@ -295,7 +295,7 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 #   finds a coprime lead dividing it; that one test is the coprime-lead
 #   criterion F and the coprime part of M.
 # - No coprime search when none can exist: when every lead is near, as
-#   in an ELIM intersection, whose leads all hold the aux variable, the
+#   in an intersection, whose leads all hold the aux variable, the
 #   search is skipped.
 # - B once per pair in the initial build: B_k drops the pair (i, j), made
 #   when j was added, exactly when a later lead k divides its lcm L and L
@@ -644,10 +644,12 @@ def buchberger(gens, order: TermOrder = ANTIDIAG, below: int | None = None):
     packing of their joint variables.
 
     With `below`, a monomial of that packing, only the elements whose lead
-    is less than `below` are interreduced and returned.  Under ELIM with
-    `below` the auxiliary variable on top, they are the reduced basis of
-    the elimination ideal: the aux-free part of a Groebner basis under an
-    elimination order is a Groebner basis of the elimination ideal.
+    is less than `below` are interreduced and returned.  Under ANTIDIAG
+    with `below` the auxiliary variable on top, they are the reduced basis
+    of the elimination ideal: ANTIDIAG is lex with the auxiliaries above the
+    grid, an elimination order for them, and the aux-free part of a Groebner
+    basis under an elimination order is a Groebner basis of the elimination
+    ideal.
     """
     gens = _one_packing(g for g in gens if not g.is_zero)
     if not gens:
@@ -872,10 +874,10 @@ class Ideal:
         t = 1 << packing.shift[aux]
         gens = [g.repack(packing).mul_term(t, 1) for g in self.gens]
         gens += [h - h.mul_term(t, 1) for h in (h.repack(packing) for h in other.gens)]
-        # ELIM is lex with the auxiliaries on top, so an element whose lead
-        # is below t has no aux in any term; only those are interreduced.
+        # ANTIDIAG is lex with the auxiliaries on top, so an element whose
+        # lead is below t has no aux in any term; only those are interreduced.
         kept = tuple(Polynomial(ring.field, b.terms, ring.packing)
-                     for b in buchberger(gens, ELIM, below=t))
+                     for b in buchberger(gens, ANTIDIAG, below=t))
         # The aux-free slice of the reduced elimination basis is the reduced
         # basis of the intersection under the inner (antidiagonal) order.
         return Ideal._with_bases(ring, kept, {ANTIDIAG: kept})

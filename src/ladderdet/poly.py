@@ -5,11 +5,12 @@ run ``x[1,l] > ... > x[1,1] > x[2,l] > ... > x[k,1]``, auxiliaries above all
 grid variables.  A monomial is one int.  A `Packing` (one per descending
 tuple of variables, so one per ring) gives each variable an exponent field
 of `FIELD_BITS` bits with a guard bit above it, the greatest variable in
-the highest field.  Then plain int comparison *is* antidiagonal-lex (and
-``elim(antidiag-lex)``), multiplication is ``+``, division and divisibility
-are one subtraction and a guard-mask test, lcm is a SWAR max, and the
-support mask is one add-and-mask.  An exponent that does not fit in its
-field raises `ExponentOverflow`; it never carries into the next field.
+the highest field.  Then plain int comparison *is* antidiagonal-lex (with
+the auxiliaries on top, also an elimination order for them), multiplication
+is ``+``, division and divisibility are one subtraction and a guard-mask
+test, lcm is a SWAR max, and the support mask is one add-and-mask.  An
+exponent that does not fit in its field raises `ExponentOverflow`; it never
+carries into the next field.
 """
 
 from __future__ import annotations
@@ -425,24 +426,23 @@ def mono_pow(a: int, n: int, guard: int) -> int:
 
 @dataclass(frozen=True)
 class TermOrder:
-    """antidiagonal-lex, graded reverse lex, or an elimination block order.
+    """antidiagonal-lex or graded reverse lex.
 
-    ``elim`` compares the auxiliary-variable block lexicographically first,
-    then the grid part under antidiagonal-lex; auxiliaries always sit above
-    the grid.
+    Auxiliary variables always sit above the grid, so antidiagonal-lex
+    compares the auxiliary block lexicographically first, then the grid
+    part: it is an elimination order for the auxiliaries, and
+    `Ideal.intersect` eliminates under it.
 
     `is_native` is true when packed monomials compare as plain ints under
     the order, so that `key` is the identity.  That holds for
-    antidiagonal-lex and for ``elim``: the auxiliaries' fields sit above
-    every grid field, so lex on the aux block, then lex on the grid part,
-    is lex on the whole monomial.
+    antidiagonal-lex, whose greatest variable has the highest field.
     """
 
-    kind: str  # "antidiag-lex" | "grevlex" | "elim"
+    kind: str  # "antidiag-lex" | "grevlex"
     is_native: bool = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("antidiag-lex", "grevlex", "elim"):
+        if self.kind not in ("antidiag-lex", "grevlex"):
             raise ValueError(f"unknown term order kind: {self.kind}")
         object.__setattr__(self, "is_native", self.kind != "grevlex")
 
@@ -450,7 +450,7 @@ class TermOrder:
         return m if self.is_native else _grevlex_key(m)
 
     def __str__(self):
-        return "elim(antidiag-lex)" if self.kind == "elim" else self.kind
+        return self.kind
 
 
 def _grevlex_key(m: int):
@@ -464,7 +464,6 @@ def _grevlex_key(m: int):
 
 ANTIDIAG = TermOrder("antidiag-lex")
 GREVLEX = TermOrder("grevlex")
-ELIM = TermOrder("elim")
 
 _ORDER_NAMES = {"antidiag": ANTIDIAG, "antidiag-lex": ANTIDIAG, "grevlex": GREVLEX}
 

@@ -160,6 +160,115 @@ def test_schubert_and_poset_commands(capsys, tmp_path):
     assert code == 0 and "formula_matches_bruteforce=True" in out
 
 
+def test_order_reaches_schubert_bases(capsys, tmp_path):
+    perm = tmp_path / "w.json"
+    perm.write_text(json.dumps({"shape": [3, 3], "ones": [[1, 2], [2, 1]]}))
+    code, out = run_cli("--format", "json", "schubert", "--perm", str(perm), capsys=capsys)
+    assert code == 0
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps({"shape": [3, 3], "gens": json.loads(out)["gens"]}))
+    schubert = ["schubert", "--perm", str(perm), "--gb"]
+    _, antidiag = run_cli(*schubert, capsys=capsys)
+    code, grevlex = run_cli("--order", "grevlex", *schubert, capsys=capsys)
+    assert code == 0 and grevlex != antidiag
+    # The determinant, led by the main diagonal under grevlex.
+    assert grevlex.splitlines()[1].startswith("x[1,2]*x[2,1]*x[3,3] - ")
+    assert antidiag.splitlines()[1].startswith("x[1,3]*x[2,2]*x[3,1] - ")
+    *basis, squarefree = grevlex.splitlines()
+    assert squarefree.startswith("squarefree=")
+    code, out = run_cli("--order", "grevlex", "ideal", "gb", str(ideal), capsys=capsys)
+    assert code == 0 and out.splitlines() == basis
+
+
+def test_order_reaches_witnesses(capsys):
+    code, out = run_cli("--order", "grevlex", "witness", "f", "--ladder",
+                        str(FIXTURES / "full2x2.json"), "--t", "2", capsys=capsys)
+    assert code == 0 and out.strip() == "x[1,1]*x[2,2] - x[1,2]*x[2,1]"
+
+
+def _run_with_err(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_symbolic_degree_takes_exactly_one_size(capsys):
+    code, out, err = _run_with_err(["symbolic", "degree", "--minors", "12|12 123|123",
+                                    "--t", "2", "3"], capsys)
+    assert code == 2 and out == "" and "one size --t" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["poset", "--shape", "2", "--delta", "1|1"], "--shape"),
+    (["poset", "--shape", "2,x", "--delta", "1|1"], "--shape"),
+    (["knutson", "derive", "--corner", "4,4,x,3,3"], "--corner"),
+    (["knutson", "derive", "--corner", "4,4,2,3"], "--corner"),
+], ids=["shape-one-value", "shape-not-int", "corner-not-int", "corner-four-values"])
+def test_malformed_shape_or_corner_exits_2_naming_the_flag(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: not " in err and "Traceback" not in err
+
+
+# One request per command that needs minor sizes, on a ladder file without them.
+_SIZED_REQUESTS = {
+    "ladder-chamfer": ["ladder", "chamfer", "{ladder}"],
+    "ladder-reduce": ["ladder", "reduce", "{ladder}"],
+    "ideal-gb": ["ideal", "gb", "{ladder}"],
+    **{f"witness-{action}": ["witness", action, "--ladder", "{ladder}"]
+       for action in ("f", "g", "certificate")},
+    "fedder": ["fedder", "--ladder", "{ladder}"],
+    **{f"symbolic-{action}": ["symbolic", action, "--ladder", "{ladder}"]
+       for action in ("power", "compare")},
+    "knutson-derive": ["knutson", "derive", "--ladder", "{ladder}"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_SIZED_REQUESTS.values()), ids=list(_SIZED_REQUESTS))
+def test_commands_that_need_sizes_refuse_a_ladder_without_them(argv, capsys):
+    ladder = str(FIXTURES / "full3x3.json")
+    code, out, err = _run_with_err([a.replace("{ladder}", ladder) for a in argv], capsys)
+    assert code == 2 and out == "" and "needs minor sizes (file t field or --t)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["symbolic", "compare", "--ladder", str(FIXTURES / "staircase_sub4x4.json"), "--t", "1", "2"],
+    ["knutson", "derive", "--ladder", str(FIXTURES / "staircase_sub4x4.json"), "--t", "1", "2"],
+], ids=["symbolic-compare", "knutson-derive"])
+def test_unmixed_only_commands_refuse_mixed_sizes(argv, capsys):
+    code, out, err = _run_with_err(argv, capsys)
+    assert code == 2 and out == "" and "unmixed" in err
+
+
+def test_symbolic_power_without_a_ladder_exits_2(capsys):
+    code, out, err = _run_with_err(["symbolic", "power", "--t", "2"], capsys)
+    assert (code, out, err) == (2, "", "error: symbolic power needs --ladder\n")
+
+
+_F22 = str(FIXTURES / "full2x2.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ladder", "validate", _F22, "--t", "2"],
+    ["ideal", "gb", _F22, "--t", "2"],
+    ["witness", "certificate", "--ladder", _F22, "--t", "2"],
+    ["fedder", "--ladder", _F22, "--t", "2"],
+    ["symbolic", "degree", "--minors", "12|12", "--t", "2"],
+    ["knutson", "verify", _F22],
+    ["schubert", "--perm", _F22],
+    ["poset", "--shape", "2,2", "--delta", "1|1"],
+    ["accept", "run", "poset-schubert"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("flags,message", [
+    (["--field", "fp:4"], "modulus is not prime: 4"),
+    (["--order", "lex"], "unknown term order: 'lex'"),
+], ids=["field", "order"])
+def test_field_and_order_are_checked_for_every_command(argv, flags, message, capsys):
+    assert _run_with_err([*flags, *argv], capsys) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["poset", "--shape", "2,2", "--delta", "3|3"],
     ["poset", "--shape", "2,2", "--delta", "3|3", "--check"],

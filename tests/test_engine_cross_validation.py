@@ -16,7 +16,7 @@ sympy = pytest.importorskip("sympy")
 
 from ladderdet.fields import GF, QQ
 from ladderdet.groebner import Ideal, Ring, buchberger
-from ladderdet.poly import (ANTIDIAG, ELIM, GREVLEX, MONO_ONE, Minor, Monomial, Polynomial,
+from ladderdet.poly import (ANTIDIAG, GREVLEX, MONO_ONE, Minor, Monomial, Polynomial,
                             expand_minor, grid_var, packing_of)
 from test_groebner import assert_exact_coefficients
 
@@ -220,7 +220,7 @@ def _elimination_case(rng, field, coeffs):
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
 def test_elimination_bases_match_sympy(field):
-    """ELIM is lex with the auxiliary on top: buchberger under it must give
+    """ANTIDIAG is lex with the auxiliary on top: buchberger under it must give
     sympy's reduced lex basis of t*I + (1 - t)*J, and `Ideal.intersect`
     the t-free part of that basis."""
     rng = random.Random(48 if field is QQ else 49)
@@ -232,7 +232,7 @@ def test_elimination_bases_match_sympy(field):
         ring, I, J, variables, gens = _elimination_case(rng, field, coeffs)
         if not I.gens or not J.gens:
             continue
-        got = buchberger(gens, ELIM)
+        got = buchberger(gens, ANTIDIAG)
         expected = _sympy_basis_as_sets(_sympy_groebner(gens, variables, domain, "lex"),
                                         len(variables), modulus)
         assert _basis_as_sets(got, variables) == expected

@@ -3,8 +3,8 @@ commands, compared byte for byte with `tests/golden/cli.json`.
 
 The set covers every bundled fixture (ladder, ideal, witness and Knutson
 commands) plus one run each of ideal intersect / colon / saturate / eq / sum /
-gens / member, grevlex bases and initial ideals, an ideal with exponents
-above 1, a certificate over GF(3), Fedder, symbolic compare, Schubert
+gens / member, grevlex bases and initial ideals, grevlex bases of a
+Schubert ideal and of a poset spec, an ideal with exponents above 1, a certificate over GF(3), Fedder, symbolic compare, Schubert
 generators and bases, poset checks, sum-formula bases and the three kinds
 of poset spec, one acceptance criterion, and three corner derivations (a
 verified square SE corner, a verified non-square SE corner whose D1 base
@@ -98,12 +98,17 @@ def _cases():
         ("symbolic-compare", ["--field", "fp:5", "symbolic", "compare",
                               "--ladder", "{fixtures}/full2x3.json", "--t", "2", "--n", "2"]),
         ("schubert-gb", ["schubert", "--perm", "{inputs}/perm.json", "--gb"]),
+        ("grevlex-schubert-gb",
+         ["--order", "grevlex", "schubert", "--perm", "{inputs}/perm.json", "--gb"]),
         ("schubert-gens-4x4", ["schubert", "--perm", "{inputs}/perm4.json"]),
         ("poset-check", ["poset", "--shape", "3,3", "--delta", "12|12", "--check"]),
         ("poset-delta-3x4", ["poset", "--shape", "3,4", "--delta", "13|24"]),
         *[(f"poset-spec-{kind}",
            ["poset", "--shape", "3,3", "--spec", f"{{inputs}}/spec_{kind}.json"])
           for kind in ("explicit", "cogenerators", "generalized")],
+        ("grevlex-poset-spec-cogenerators",
+         ["--order", "grevlex", "poset", "--shape", "3,3",
+          "--spec", "{inputs}/spec_cogenerators.json"]),
         ("accept-poset-schubert", ["accept", "run", "poset-schubert"]),
         ("knutson-corner-se-verify",
          ["knutson", "derive", "--corner", "4,4,2,3,3,se", "--verify"]),

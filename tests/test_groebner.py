@@ -37,7 +37,6 @@ from ladderdet.ideals import ladder_ring, mixed_ladder_ideal
 from ladderdet.ladders import Ladder
 from ladderdet.poly import (
     ANTIDIAG,
-    ELIM,
     GREVLEX,
     Minor,
     Polynomial,
@@ -232,7 +231,7 @@ def test_intersect_runs_one_elimination(monkeypatch):
     J = Ideal(ring, [P("x[1,2]"), P("x[2,2]")])
     calls = _count_buchberger(monkeypatch)
     I.intersect(J)
-    assert calls == [ELIM]
+    assert calls == [ANTIDIAG]
 
 
 def test_intersect_with_unit_ideal(monkeypatch):
@@ -1034,11 +1033,18 @@ def _seeded_leads(rng, variables):
     return leads
 
 
-@pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX, ELIM], ids=str)
-def test_initial_pairs_match_set_based_reference(order):
+# Each order over grid leads, and antidiagonal-lex over leads that may also
+# hold an auxiliary variable on top, as an intersection's do.
+ORDER_CASES = [pytest.param(ANTIDIAG, False, id="antidiag-lex"),
+               pytest.param(GREVLEX, False, id="grevlex"),
+               pytest.param(ANTIDIAG, True, id="antidiag-lex-aux-on-top")]
+
+
+@pytest.mark.parametrize("order,aux", ORDER_CASES)
+def test_initial_pairs_match_set_based_reference(order, aux):
     rng = random.Random(2025)
     variables = [gv(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
-    if order is ELIM:
+    if aux:
         variables.append(aux_var("t"))
     ring = Ring(QQ, tuple(variables))
     guard = ring.packing.guard
@@ -1085,11 +1091,11 @@ def _assert_updates_match_reference(lmG, order, packing, rng):
     assert list(initial.items()) == list(reference_pairs.scan_initial_pairs(lmG, packing).items())
 
 
-@pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX, ELIM], ids=str)
-def test_pair_update_matches_the_reference_update(order):
+@pytest.mark.parametrize("order,aux", ORDER_CASES)
+def test_pair_update_matches_the_reference_update(order, aux):
     rng = random.Random(4049)
     variables = [gv(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
-    if order is ELIM:
+    if aux:
         variables.append(aux_var("t"))
     packing = Ring(QQ, tuple(variables)).packing
     for _ in range(300):
@@ -1153,9 +1159,9 @@ def _quotient_cases(rng):
 
 
 def _shared_variable(rng):
-    # The ELIM shape: the aux variable t, on top, is in every lead, as in
-    # the generators t*f and (1 - t)*g of an intersection; then the same
-    # leads followed by t-free ones, as the driver adds them.
+    # The intersection shape: the aux variable t, on top, is in every lead,
+    # as in the generators t*f and (1 - t)*g of an intersection; then the
+    # same leads followed by t-free ones, as the driver adds them.
     packing = Ring(QQ, (aux_var("t"), *(gv(i, j) for i in (1, 2, 3) for j in (1, 2, 3)))).packing
     cases = []
     for _ in range(150):
@@ -1536,8 +1542,8 @@ def test_pair_update_edge_cases():
 
 def test_driver_pops_live_pairs_by_sugar_first(monkeypatch):
     """Replays the pair updates and S-pairs of one Buchberger run: the
-    ELIM intersection of the 2-minors of columns 1-2 and 2-4 of the 4x4
-    grid over GF(5).  Its generators t*f and (1 - t)*g are inhomogeneous,
+    intersection of the 2-minors of columns 1-2 and 2-4 of the 4x4 grid
+    over GF(5).  Its generators t*f and (1 - t)*g are inhomogeneous,
     so sugar can exceed degree, and its updates drop pairs the driver has
     already pushed.  The loop first walks the initial pair set in build
     order: the walked pairs must be exactly the prefix that reduces to zero
@@ -1835,11 +1841,11 @@ def _reference_interreduce(G, order):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
-@pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX, ELIM], ids=str)
-def test_interreduce_of_driver_entries_matches_the_polynomial_reference(field, order):
+@pytest.mark.parametrize("order,aux", ORDER_CASES)
+def test_interreduce_of_driver_entries_matches_the_polynomial_reference(field, order, aux):
     rng = random.Random(9173)
     variables = [gv(i, j) for i in (1, 2) for j in (1, 2)]
-    if order is ELIM:
+    if aux:
         variables.append(aux_var("t"))
     packing = Ring(field, tuple(variables)).packing
     units = [packing.pack([(v, 1)]) for v in variables]
@@ -1908,9 +1914,9 @@ def test_intersect_is_the_aux_free_slice_of_the_full_elimination(field):
         t = 1 << packing.shift[aux]
         gens = [g.repack(packing).mul_term(t, 1) for g in I.gens]
         gens += [h - h.mul_term(t, 1) for h in (h.repack(packing) for h in J.gens)]
-        full = buchberger(gens, ELIM)
+        full = buchberger(gens, ANTIDIAG)
         expected = [Polynomial(field, b.terms, ring.packing)
-                    for b in full if b.leading_term(ELIM)[0] < t]
+                    for b in full if b.leading_term(ANTIDIAG)[0] < t]
         K = I.intersect(J)
         assert list(K.gens) == expected
         assert [g.terms for g in K.groebner_basis()] == [g.terms for g in expected]

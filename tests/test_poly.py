@@ -12,7 +12,6 @@ from ladderdet.fields import GF, QQ
 import tuple_monomials as ref
 from ladderdet.poly import (
     ANTIDIAG,
-    ELIM,
     GREVLEX,
     MAX_EXPONENT,
     MONO_ONE,
@@ -112,11 +111,13 @@ def test_grevlex_differs_from_lex():
 
 
 def test_elimination_order_blocks():
+    # Antidiagonal-lex is the elimination order: the auxiliaries sit on top.
     t = aux_var("t")
-    order = TermOrder("elim")
     with_aux = mono((t, 1), (gv(2, 2), 1))
     without = mono((gv(1, 3), 4), (gv(1, 1), 4))
-    assert compare(order, with_aux, without) == 1
+    assert compare(ANTIDIAG, with_aux, without) == 1
+    with pytest.raises(ValueError, match="unknown term order kind"):
+        TermOrder("elim")
 
 
 def _reference_block_key(m):
@@ -146,7 +147,7 @@ def _random_pairs(rng, count, top=3):
 
 
 def test_elim_antidiag_sorts_as_native_ints():
-    assert ANTIDIAG.is_native and ELIM.is_native
+    assert ANTIDIAG.is_native
     assert not GREVLEX.is_native
     pairs = _random_pairs(random.Random(11), 500)
     tuples = [ref.tuple_mono(p) for p in pairs]
@@ -154,15 +155,16 @@ def test_elim_antidiag_sorts_as_native_ints():
     assert sum(1 for m in tuples if m and m[0][0][0] == 1) > 100  # plenty with aux
     expected = sorted(tuples, key=_reference_block_key)
     assert [tuples[i] for i in sorted(range(500), key=packed.__getitem__)] == expected
-    assert [tuples[i] for i in sorted(range(500), key=lambda i: ELIM.key(packed[i]))] == expected
+    by_key = sorted(range(500), key=lambda i: ANTIDIAG.key(packed[i]))
+    assert [tuples[i] for i in by_key] == expected
     rng = random.Random(12)
     for _ in range(500):
         a, b = rng.randrange(500), rng.randrange(500)
         ka, kb = _reference_block_key(tuples[a]), _reference_block_key(tuples[b])
-        assert compare_monomials(ELIM, packed[a], packed[b]) == (ka > kb) - (ka < kb)
+        assert compare_monomials(ANTIDIAG, packed[a], packed[b]) == (ka > kb) - (ka < kb)
 
 
-@pytest.mark.parametrize("order", [ANTIDIAG, ELIM, GREVLEX], ids=str)
+@pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX], ids=str)
 def test_packed_operations_match_tuple_reference(order):
     # Exponents up to the field limit, over grid and auxiliary variables.
     rng = random.Random(31)

@@ -3,8 +3,8 @@
 A monomial here is a tuple of ``(variable_key, exponent)`` pairs sorted with
 the greatest variable first and no zero exponents.  This is the tuple-merge
 code that the packed-integer monomials of `ladderdet.poly` replaced; native
-tuple comparison of these monomials is antidiagonal-lex (and elim, with the
-auxiliaries' keys above every grid key).
+tuple comparison of these monomials is antidiagonal-lex, which, with the
+auxiliaries' keys above every grid key, is also an elimination order.
 """
 
 
