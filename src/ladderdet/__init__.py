@@ -25,7 +25,6 @@ from .ideals import (
     f_of_matrix,
     f_witness,
     g_witness,
-    grid_ring,
     ladder_ring,
     minor_product_symbolic_degree,
     minors_in_ladder,

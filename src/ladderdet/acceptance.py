@@ -11,12 +11,11 @@ from math import comb
 
 from . import load_fixture
 from .fields import GF, QQ
-from .groebner import InstanceTooLarge, MonomialIdeal, is_groebner_basis
+from .groebner import InstanceTooLarge, MonomialIdeal, Ring, is_groebner_basis
 from .ideals import (
     PartialPermutation,
     f_of_matrix,
     f_witness,
-    grid_ring,
     ladder_ring,
     minor_poset,
     mixed_ladder_ideal,
@@ -304,7 +303,7 @@ def criterion_poset_schubert(seed: int = DEFAULT_SEED):
     details = []
     ok = True
     for k in (2, 3):
-        ring = grid_ring(QQ, k, k)
+        ring = Ring.for_grid(QQ, k, k)
         good = True
         for delta in minor_poset(k, k):
             formula = omega_delta_ideal(k, k, delta, QQ, ring)

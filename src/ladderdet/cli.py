@@ -225,6 +225,9 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_fedder(args) -> int:
+    if args.field.p not in (None, args.p):
+        raise UsageError(f"fedder runs over GF({args.p}) from --p; --field fp:{args.field.p} "
+                         "names another prime")
     field = GF(args.p)
     ladder, t = _load_ladder(args.ladder, args.t, "fedder")
     I = mixed_ladder_ideal(ladder, t, field)
@@ -308,8 +311,7 @@ def _cmd_schubert(args) -> int:
         _emit(args, {"gens": gens}, gens)
         return 0
     squarefree = () if I.is_zero else [("squarefree", I.initial_ideal(args.order).is_squarefree())]
-    # The squarefree line is text only: the JSON form holds the basis alone.
-    _emit_basis(args, I, squarefree if args.format == "text" else ())
+    _emit_basis(args, I, squarefree)
     return 0
 
 
@@ -390,7 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ladderdet",
         description="Exact computations with ladder determinantal ideals.",
     )
-    parser.add_argument("--field", default="q", help="coefficient field: q or fp:<p>")
+    parser.add_argument("--field", default="q",
+                        help="coefficient field: q or fp:<p>; fedder takes its prime from --p "
+                             "and refuses another fp:<p>, and witness certificate is "
+                             "combinatorial, so no field changes it")
     parser.add_argument("--order", default="antidiag",
                         help="term order of printed bases and generators: antidiag or grevlex")
     parser.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,

@@ -18,7 +18,9 @@ with it, a lead coprime to it acts only through one divisor search,
 skipped when no lead is coprime to it, and the initial build tests the
 chain criterion once per pair against the later leads.  Both form and
 reduce each S-pair on the terms of a reducer's entries, coefficients as
-the polynomials hold them.  Both first walk the initial pair set in the
+the polynomials hold them.  The reducer, the pair update's minimal
+quotients, `interreduce` and monomial minimalisation find divisors on one
+top-bit index (`_divisor`).  Both first walk the initial pair set in the
 order it was built, up to the first nonzero remainder (`_walk`); most
 generator sets the engine meets, minors under an antidiagonal order, are
 already bases, and for them the walk is the whole run.  `buchberger` then
@@ -105,6 +107,9 @@ from .poly import (
 # which it reduces their tails.
 # A difference of two terms over QQ can be an integral Fraction; the
 # remainder coerces each of its terms back to the exact form.
+# "Which filed monomial divides m?" has one answer, the divisor index:
+# `_index_add` files an item under the top bit of its monomial's support
+# mask, and `_divisor` looks only in the buckets of m's bits and bucket 0.
 
 
 def _one_packing(polys) -> list[Polynomial]:
@@ -143,18 +148,40 @@ def _sub_multiple(work: dict, tail, u: int, q, p) -> None:
                 del work[mm]
 
 
+def _index_add(index: dict, m: int, mask: int, item) -> None:
+    """Files `item`, of monomial m and support mask `mask`, in the divisor
+    index under the mask's top bit: the constant 1, of mask 0, under 0."""
+    index.setdefault(mask.bit_length(), []).append((m, mask, item))
+
+
+def _divisor(index: dict, m: int, mask: int, guard: int):
+    """The first item filed in `index` whose monomial divides m, of support
+    mask `mask`, or None.  Only the buckets of m's bits, top down, then
+    bucket 0 can hold a divisor, each searched in filing order; only a
+    mask inside `mask` is tested by `mono_divides`.  With guard 0 the
+    monomials are bit sets, and divisibility is that inclusion."""
+    bits = mask
+    while True:
+        top = bits.bit_length()
+        for d, dmask, item in index.get(top, ()):
+            if not dmask & ~mask and mono_divides(d, m, guard):
+                return item
+        if not top:
+            return None
+        bits ^= 1 << top - 1
+
+
 class Reducer:
     """Divisor table for repeated normal forms against a (growing) basis.
 
     `entries` holds one (lead, lead coefficient, tail terms, support mask)
-    per basis element, in basis order.  Divisors are also indexed by the
-    greatest variable of their leading monomial, so candidate lookups touch
-    only entries that can divide, and a lead's support mask rules out most
-    of those before `mono_divides`.  Every term that becomes the leading
+    per basis element, in basis order.  `index` files the same entries by
+    their leads (`_index_add`), and each term of the remainder takes the
+    first entry `_divisor` finds there.  Every term that becomes the leading
     term of the remainder is checked for an exponent past its field.
     """
 
-    __slots__ = ("field", "order", "packing", "entries", "by_top", "const")
+    __slots__ = ("field", "order", "packing", "entries", "index")
 
     def __init__(self, basis=(), order: TermOrder = ANTIDIAG, field: Field | None = None,
                  packing: Packing | None = None):
@@ -162,8 +189,7 @@ class Reducer:
         unless given."""
         self.order = order
         self.entries: list = []
-        self.by_top: dict = {}  # bit length of a lead's support mask -> entries
-        self.const = None
+        self.index: dict = {}
         self.field = field
         self.packing = packing
         for g in basis:
@@ -183,10 +209,7 @@ class Reducer:
     def add_entry(self, entry) -> None:
         """Add an entry of another reducer of the same packing as it is."""
         self.entries.append(entry)
-        if entry[0] == MONO_ONE:
-            self.const = entry
-        else:
-            self.by_top.setdefault(entry[3].bit_length(), []).append(entry)
+        _index_add(self.index, entry[0], entry[3], entry)
 
     def reduce(self, f: Polynomial) -> Polynomial:
         packing = self.packing
@@ -205,27 +228,14 @@ class Reducer:
         rem = {}
         native = self.order.is_native
         keyfn = self.order.key
-        by_top = self.by_top
-        const = self.const
+        index = self.index
         while work:
             _check_deadline()
             m = max(work) if native else max(work, key=keyfn)
             c = work.pop(m)
             if m & guard:
                 raise _overflow()
-            hit = const
-            if hit is None:
-                mask = (m + low) & guard
-                bits = mask
-                while bits:
-                    top = bits.bit_length()
-                    for entry in by_top.get(top, ()):
-                        if not entry[3] & ~mask and mono_divides(entry[0], m, guard):
-                            hit = entry
-                            break
-                    if hit:
-                        break
-                    bits ^= 1 << top - 1
+            hit = _divisor(index, m, (m + low) & guard, guard)
             if hit is None:
                 rem[m] = coerce(c)
                 continue
@@ -288,7 +298,8 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 # four ways:
 # - M and F, near leads only (`_near_pairs`): a new lead's lcms and
 #   quotients are formed only with the leads that share a variable with
-#   it, found by one scan of the masks.  A lead c coprime to it matters
+#   it, found by one scan of the masks, and the minimal quotients on the
+#   divisor index (`_divisor`).  A lead c coprime to it matters
 #   only through division: lm_c times the new lead divides the lcm L_i of
 #   lead i exactly when lm_c divides the quotient q_i.  So a minimal
 #   quotient is dropped when a divisor search on the lowest-bit index
@@ -364,9 +375,9 @@ def _near_pairs(leads: _Leads, lmf: int):
     - else a quotient that is one variable to the first power is minimal,
       and every other quotient with that variable is a multiple of it, which
       one AND with the mask `units` of those variables finds;
-    - the remaining quotients are tested against the kept ones of them,
-      indexed by top support bit as in `Reducer`, in ascending int order,
-      in which a proper divisor comes first;
+    - the remaining quotients are taken in ascending int order, in which a
+      proper divisor comes first, and each is kept unless `_divisor` finds
+      a divisor of it among the kept ones, filed as it goes;
     - a minimal quotient q is dropped when a lead c coprime to lmf divides
       it.  c's own quotient is lm_c, so a group holds c exactly when
       q = lm_c, and lm_c | q otherwise makes q no minimal quotient: that
@@ -387,21 +398,12 @@ def _near_pairs(leads: _Leads, lmf: int):
         quotients = [L - lmf for L in first]
         minimal = [q for q in quotients if q.bit_count() == 1 and q & ones]
         units = sum(minimal) << FIELD_BITS  # the guard bits of their variables
-        by_top: dict = {}  # top support bit -> kept (quotient, support mask)
+        index: dict = {}  # the kept quotients of the sorted pass
         for q in sorted([q for q in quotients if not (q + low) & units]):
-            mask = bits = (q + low) & guard
-            while bits:
-                top = bits.bit_length()
-                for d, dmask in by_top.get(top, ()):
-                    if not dmask & ~mask and not (q - d) & guard:
-                        break
-                else:
-                    bits ^= 1 << top - 1
-                    continue
-                break  # a kept quotient divides q
-            else:
+            mask = (q + low) & guard
+            if _divisor(index, q, mask, guard) is None:
                 minimal.append(q)
-                by_top.setdefault(mask.bit_length(), []).append((q, mask))
+                _index_add(index, q, mask, q)
 
     if coprime:
         # A lead c coprime to lmf has lcm lm_c * lmf, and
@@ -623,20 +625,18 @@ def interreduce(entries, order: TermOrder, field: Field, packing: Packing) -> li
     """Reduced basis from the monic `Reducer` entries of a Groebner basis in
     `packing`: the entries with minimal leads, sorted by lead, tails reduced.
 
-    Of entries that share a lead the first is kept.  The kept entries go
-    into one reducer as they are, and each of its tails is reduced on it: a
-    lead never divides a smaller term, so that is reducing the tail against
-    the other elements.
+    Of entries that share a lead the first is kept.  In ascending lead
+    order, an entry goes into one reducer as it is unless `_divisor` finds a
+    lead there dividing its own; each tail is then reduced on it: a lead
+    never divides a smaller term, so that is reducing it by the others.
     """
     guard = packing.guard
     reducer = Reducer((), order, field, packing)
-    kept = reducer.entries
     for entry in sorted(entries, key=lambda e: order.key(e[0])):
-        lm, mask = entry[0], entry[3]
-        if not any(not mh & ~mask and mono_divides(h, lm, guard) for h, _, _, mh in kept):
+        if _divisor(reducer.index, entry[0], entry[3], guard) is None:
             reducer.add_entry(entry)
     return [Polynomial(field, {lm: lc, **reducer.remainder(dict(tail))}, packing)
-            for lm, lc, tail, _ in kept]
+            for lm, lc, tail, _ in reducer.entries]
 
 
 def buchberger(gens, order: TermOrder = ANTIDIAG, below: int | None = None):
@@ -988,25 +988,22 @@ def _frobenius_power(g: Polynomial, q: int) -> Polynomial:
 def _minimalize_monomials(monos, packing: Packing):
     """The minimal monomials under divisibility, sorted.
 
-    A divisor of m other than m has lower degree, so each monomial is tested
-    only against the kept ones of lower degree, and against a candidate's
-    full exponents only when its support mask lies inside m's.
+    A proper divisor has lower degree, so the monomials go by degree, each
+    looked up (`_divisor`) among the kept ones of lower degree, which are
+    filed as each degree starts; while none is filed, none is looked up.
     """
     guard, low = packing.guard, packing.low
-    lower, level, degree = [], [], 0  # kept (support mask, monomial) pairs
+    index, kept, filed, degree = {}, [], 0, 0  # kept[:filed] is in the index
     for d, m in sorted((mono_degree(m), m) for m in set(monos)):
         _check_deadline()
         if d > degree:
             degree = d
-            lower += level
-            level = []
-        mask = (m + low) & guard
-        for gm, g in lower:
-            if not gm & ~mask and mono_divides(g, m, guard):
-                break
-        else:
-            level.append((mask, m))
-    return tuple(sorted(m for _, m in lower + level))
+            for g in kept[filed:]:
+                _index_add(index, g, (g + low) & guard, g)
+            filed = len(kept)
+        if not index or _divisor(index, m, (m + low) & guard, guard) is None:
+            kept.append(m)
+    return tuple(sorted(kept))
 
 
 def _in_packing(m, packing: Packing) -> int:

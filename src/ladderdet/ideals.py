@@ -46,10 +46,6 @@ def ladder_ring(field: Field, L: Ladder) -> Ring:
                              for j in range(hi, lo - 1, -1)))
 
 
-def grid_ring(field: Field, k: int, l: int) -> Ring:
-    return Ring.for_grid(field, k, l)
-
-
 def cells_from_json(cells) -> list[tuple[int, int]]:
     """A JSON list of [i, j] cells, each a pair of integers."""
     if not isinstance(cells, list):
@@ -66,7 +62,7 @@ def ideal_from_obj(obj, field: Field = QQ) -> Ideal:
     if "cells" in obj:
         ring = Ring.for_cells(field, cells_from_json(obj["cells"]))
     else:
-        ring = grid_ring(field, *_int_pair(obj.get("shape"), "shape"))
+        ring = Ring.for_grid(field, *_int_pair(obj.get("shape"), "shape"))
     return Ideal(ring, parse_polynomials(obj.get("gens"), field))
 
 
@@ -314,7 +310,7 @@ def schubert_rank_conditions(w: PartialPermutation) -> list[tuple[int, int, int]
 def schubert_ideal(w: PartialPermutation, field: Field = QQ) -> Ideal:
     """I_w: rank(w_{r x s})+1 minors of each NW submatrix, pruned."""
     k, l = w.shape
-    return minor_ideal(grid_ring(field, k, l), [
+    return minor_ideal(Ring.for_grid(field, k, l), [
         m for r, s, rho in schubert_rank_conditions(w)
         for m in block_minors(range(1, r + 1), range(1, s + 1), rho + 1)])
 
@@ -337,7 +333,7 @@ def corner_ideal(k: int, l: int, t: int, r: int, s: int, which: str = "nw",
     """t-minors of the NW (or SE) r x s corner submatrix."""
     if t < 1 or t > min(r, s):
         raise ValueError(f"no {t}-minors in a {r}x{s} corner")
-    return minor_ideal(ring or grid_ring(field, k, l),
+    return minor_ideal(ring or Ring.for_grid(field, k, l),
                        minors_in_ladder(corner_ladder(k, l, r, s, which), t))
 
 
@@ -397,7 +393,7 @@ def omega_delta_ideal(k: int, l: int, delta: Minor, field: Field = QQ,
     minors = block_minors(rows, cols, delta.size + 1)
     for tt, (it, jt) in enumerate(zip(delta.rows, delta.cols), start=1):
         minors += block_minors(rows, range(1, jt), tt) + block_minors(range(1, it), cols, tt)
-    return minor_ideal(ring or grid_ring(field, k, l), minors)
+    return minor_ideal(ring or Ring.for_grid(field, k, l), minors)
 
 
 @dataclass(frozen=True)
@@ -429,7 +425,7 @@ def poset_ideal(k: int, l: int, spec: PosetIdealSpec, field: Field = QQ,
         omega = list(spec.minors)
         if not is_generalized_poset_ideal(k, l, omega):
             raise ValueError("the given set is not a generalized poset ideal")
-    return minor_ideal(ring or grid_ring(field, k, l), omega)
+    return minor_ideal(ring or Ring.for_grid(field, k, l), omega)
 
 
 def poset_ideal_brute(k: int, l: int, delta: Minor, field: Field = QQ,

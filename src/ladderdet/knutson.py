@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import QQ, Field, parse_field
 from .groebner import Ideal, Ring, is_groebner_basis
-from .ideals import cells_from_json, corner_ladder, grid_ring, ladder_ring, minors_in_ladder
+from .ideals import cells_from_json, corner_ladder, ladder_ring, minors_in_ladder
 from .ladders import Ladder, antidiagonal_profile, diagonal_rows
 from .poly import (
     ANTIDIAG,
@@ -312,7 +312,7 @@ def corner_derivation(k: int, l: int, t: int, r: int, s: int,
         raise DerivationError("which must be 'nw' or 'se'")
     if not (1 <= r <= k and 1 <= s <= l) or t < 1 or t > min(r, s):
         raise DerivationError(f"corner parameters outside the grid: t={t} r={r} s={s}")
-    ring = grid_ring(field, k, l)
+    ring = Ring.for_grid(field, k, l)
     L = Ladder.full(k, l)
 
     # The full grid's t = 1 witness has a factor at every level; by (gamma, r)

@@ -108,6 +108,19 @@ def test_fedder_command(capsys):
     assert code == 0 and "f_pure=True" in out
 
 
+@pytest.mark.parametrize("field,code", [("q", 0), ("fp:2", 0), ("fp:5", 2)])
+def test_fedder_refuses_a_field_of_another_prime(field, code, capsys):
+    fedder = ["fedder", "--ladder", str(FIXTURES / "full3x3.json"), "--t", "2", "--p", "2"]
+    assert main(["--field", field, *fedder]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err == ("error: fedder runs over GF(2) from --p; --field fp:5 names "
+                                "another prime\n")
+    else:
+        assert captured.out == "f_pure=True\n"
+
+
 def test_symbolic_commands(capsys):
     code, out = run_cli("symbolic", "degree", "--minors", "123|123 12|12", "--t", "2",
                         capsys=capsys)
@@ -155,6 +168,9 @@ def test_schubert_and_poset_commands(capsys, tmp_path):
     perm.write_text(json.dumps({"shape": [3, 3], "ones": [[1, 2], [2, 1]]}))
     code, out = run_cli("schubert", "--perm", str(perm), "--gb", capsys=capsys)
     assert code == 0 and "squarefree=True" in out
+    code, out = run_cli("--format", "json", "schubert", "--perm", str(perm), "--gb",
+                        capsys=capsys)
+    assert code == 0 and json.loads(out)["squarefree"] is True
 
     code, out = run_cli("poset", "--shape", "3,3", "--delta", "12|12", "--check", capsys=capsys)
     assert code == 0 and "formula_matches_bruteforce=True" in out

@@ -21,7 +21,9 @@ from ladderdet.groebner import (
     _Leads,
     _buchberger_loop,
     _cover_bits,
+    _divisor,
     _hilbert_numerator,
+    _index_add,
     _initial_pairs,
     _one_packing,
     _update_pairs,
@@ -148,6 +150,63 @@ def test_normal_form_examples():
     assert laplace.is_zero
     prod = Polynomial.variable(QQ, gv(1, 2)) * minor((1, 2), (1, 3))
     assert normal_form(prod, basis).is_zero
+
+
+def test_a_constant_in_the_basis_reduces_everything_to_zero():
+    g = minor((1, 2), (1, 2))
+    f = P("x[1,1]*x[2,2]^2 + 3*x[1,2] - 1/2")
+    one = Polynomial.one(QQ)
+    assert normal_form(f, [one, g]).is_zero
+    assert normal_form(f, [g, one]).is_zero
+    reducer = Reducer([g, one])
+    assert reducer.reduce(f).is_zero and reducer.reduce(one).is_zero
+
+
+def _first_divisor_by_scan(filed, m, guard):
+    """The item `_divisor` returns, by a linear scan of the filed (monomial,
+    mask, item) triples in search order: buckets from the top bit down, the
+    constant's bucket 0 last, each in filing order.  With guard 0 the
+    monomials are bit sets."""
+    def bucket(entry):
+        top = entry[1].bit_length()
+        return -top if top else 1
+
+    for d, _, item in sorted(filed, key=bucket):
+        if (mono_divides(d, m, guard) if guard else not d & ~m):
+            return item
+    return None
+
+
+def test_divisor_index_matches_a_linear_scan():
+    rng = random.Random(32)
+    packing = Ring.for_grid(QQ, 3, 3).packing
+    variables = [gv(i, j) for i in range(1, 4) for j in range(1, 4)]
+
+    def random_mono():
+        return mono(*((v, rng.randint(1, 3))
+                      for v in rng.sample(variables, rng.randint(0, 4)))).packed_in(packing)
+
+    for trial in range(300):
+        if trial % 3 == 2:  # bit sets under guard 0
+            guard, mask_of = 0, (lambda m: m)
+            filed_monos = [rng.getrandbits(9) for _ in range(rng.randint(0, 12))]
+            queries = [rng.getrandbits(9) for _ in range(20)]
+        else:  # packed monomials, sometimes with the constant 1
+            guard, mask_of = packing.guard, (lambda m: mono_mask(m, packing))
+            filed_monos = [random_mono() for _ in range(rng.randint(0, 12))]
+            if trial % 3 == 1:
+                filed_monos.insert(rng.randint(0, len(filed_monos)), MONO_ONE)
+            queries = [random_mono() for _ in range(20)] + filed_monos
+        index, filed = {}, []
+        for item, m in enumerate(filed_monos):
+            _index_add(index, m, mask_of(m), item)
+            filed.append((m, mask_of(m), item))
+        for m in queries:
+            found = _divisor(index, m, mask_of(m), guard)
+            assert found == _first_divisor_by_scan(filed, m, guard)
+            assert _divisor({}, m, mask_of(m), guard) is None
+            if MONO_ONE in filed_monos and guard:
+                assert found is not None
 
 
 def test_buchberger_examples():

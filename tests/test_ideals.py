@@ -20,7 +20,6 @@ from ladderdet.ideals import (
     f_witness,
     g_witness,
     g_witness_data,
-    grid_ring,
     ladder_ring,
     minor_leq,
     minor_product,
@@ -176,7 +175,7 @@ def test_schubert_examples():
     identity = from_one_line([1, 2, 3])
     assert schubert_ideal(identity).is_zero
 
-    ring = grid_ring(QQ, 3, 3)
+    ring = Ring.for_grid(QQ, 3, 3)
     for t in (2, 3):
         w = PartialPermutation((3, 3), frozenset((i, i) for i in range(1, t)))
         classical = Ideal(ring, [expand_minor(m) for m in minors_in_ladder(Ladder.full(3, 3), t)])
@@ -302,13 +301,13 @@ def test_omega_delta_examples():
     # 2x2, delta = [1|1]: complement ideal is generated by the determinant
     delta = Minor((1,), (1,))
     formula = omega_delta_ideal(2, 2, delta)
-    ring = grid_ring(QQ, 2, 2)
+    ring = Ring.for_grid(QQ, 2, 2)
     assert formula.equal(Ideal(ring, [expand_minor(Minor((1, 2), (1, 2)))]))
     assert formula.equal(poset_ideal_brute(2, 2, delta))
 
 
 def test_omega_delta_matches_bruteforce_3x3():
-    ring = grid_ring(QQ, 3, 3)
+    ring = Ring.for_grid(QQ, 3, 3)
     rng = random.Random(8)
     deltas = rng.sample(minor_poset(3, 3), 6)
     for delta in deltas:
@@ -334,7 +333,7 @@ def test_poset_checks_build_the_poset_once(monkeypatch):
 
 
 def test_poset_ideal_specs():
-    ring = grid_ring(QQ, 2, 2)
+    ring = Ring.for_grid(QQ, 2, 2)
     everything = poset_ideal(2, 2, PosetIdealSpec("explicit", tuple(minor_poset(2, 2))), QQ, ring)
     assert everything.equal(ring.maximal_ideal())
 
@@ -351,7 +350,7 @@ def test_poset_ideal_specs():
 def test_generalized_poset_ideal():
     # Pi_{1,1} = {[1|1]} is a generalized ideal but checking closure under
     # the full poset order would reject it.
-    ring = grid_ring(QQ, 2, 2)
+    ring = Ring.for_grid(QQ, 2, 2)
     gen = poset_ideal(2, 2, PosetIdealSpec("generalized", (Minor((1,), (1,)),)), QQ, ring)
     assert [str(g) for g in gen.gens] == ["x[1,1]"]
     with pytest.raises(ValueError):
@@ -380,7 +379,7 @@ def test_cogenerated_ideals_reject_a_grid_they_cannot_use(k, l, delta):
 def test_initial_of_principal_full_witness():
     from ladderdet.groebner import Ideal, InstanceTooLarge
 
-    ring = grid_ring(QQ, 3, 3)
+    ring = Ring.for_grid(QQ, 3, 3)
     f = f_of_matrix(3, 3)
     init = Ideal(ring, [f]).initial_ideal()
     all_nine = mono(*((grid_var(i, j), 1) for i in (1, 2, 3) for j in (1, 2, 3)))
