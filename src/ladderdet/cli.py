@@ -225,9 +225,10 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_fedder(args) -> int:
-    if args.field.p not in (None, args.p):
-        raise UsageError(f"fedder runs over GF({args.p}) from --p; --field fp:{args.field.p} "
-                         "names another prime")
+    if args.field_given and args.field.p != args.p:
+        named = ("q names the rationals" if args.field.p is None
+                 else f"fp:{args.field.p} names another prime")
+        raise UsageError(f"fedder runs over GF({args.p}) from --p; --field {named}")
     field = GF(args.p)
     ladder, t = _load_ladder(args.ladder, args.t, "fedder")
     I = mixed_ladder_ideal(ladder, t, field)
@@ -392,10 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ladderdet",
         description="Exact computations with ladder determinantal ideals.",
     )
-    parser.add_argument("--field", default="q",
-                        help="coefficient field: q or fp:<p>; fedder takes its prime from --p "
-                             "and refuses another fp:<p>, and witness certificate is "
-                             "combinatorial, so no field changes it")
+    parser.add_argument("--field",
+                        help="coefficient field: q (the default) or fp:<p>; fedder takes its "
+                             "prime from --p and refuses q or another fp:<p>, and witness "
+                             "certificate is combinatorial, so no field changes it")
     parser.add_argument("--order", default="antidiag",
                         help="term order of printed bases and generators: antidiag or grevlex")
     parser.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
@@ -489,8 +490,11 @@ EXIT_BROKEN_PIPE = 128 + 13
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # Every command checks --field and --order, whether it reads them or not.
-        args.field, args.order = parse_field(args.field), parse_order(args.order)
+        # Every command checks --field and --order, whether it reads them or
+        # not; fedder also needs to know whether --field was given.
+        args.field_given = args.field is not None
+        args.field = parse_field(args.field if args.field_given else "q")
+        args.order = parse_order(args.order)
         with time_limit(args.timeout):
             status = args.handler(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

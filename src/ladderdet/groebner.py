@@ -27,14 +27,21 @@ already bases, and for them the walk is the whole run.  `buchberger` then
 runs the Buchberger loop from that remainder, which selects the pairs left
 by sugar from a heap that holds the keys of the pairs each update adds, and
 `interreduce` finishes the reduced basis on the loop's own entries,
-building one Polynomial per element it keeps; an intersection interreduces
-only the aux-free entries.  Whether the set a walk decided is a Groebner
-basis is recorded with its generator list, so `buchberger` and then
+building one Polynomial per element it keeps.  An intersection J cap K is
+first read off the reduced bases of J and K: the elements of each that lie
+in the other ideal are a Groebner basis of it when their leads generate
+in(J) cap in(K), which contains in(J cap K).  Knutson's
+in(J cap K) = in(J) cap in(K) for compatibly split ideals ("Frobenius
+splitting, point-counting, and degeneration", arXiv:0911.4941) is why the
+paper's band intersections pass.  When the leads do not certify it, an
+auxiliary t is eliminated from t*J + (1-t)*K and only the aux-free entries
+are interreduced.  Whether the set a walk decided is a Groebner basis is
+recorded with its generator list, so `buchberger` and then
 `is_groebner_basis` on the same generators reduce the S-pairs once, and
 `is_groebner_basis` answers the same polynomial objects before it builds a
 reducer.  An `Ideal` keeps the reducer of each cached basis for its normal
-forms and membership tests.  Polynomials over different coefficient
-fields are refused with ValueError, as their arithmetic refuses them.
+forms and membership tests.  Polynomials over different coefficient fields
+are refused with ValueError, as their arithmetic refuses them.
 
 Heights, dimensions and multiplicities of squarefree monomial ideals come
 from the numerator N(t) of the Hilbert series, computed by Bigatti's pivot
@@ -794,15 +801,18 @@ class Ideal:
         Raises ValueError when f is over another coefficient field."""
         if f.field != self.ring.field:
             raise ValueError(f"mixed coefficient fields: {f.field} vs {self.ring.field}")
-        basis = self.groebner_basis(order)
-        if not basis:
+        if not self.groebner_basis(order):
             return f
-        packing = join_packings(f.packing, self.ring.packing)
+        return self._reducer(order, join_packings(f.packing, self.ring.packing)).reduce(f)
+
+    def _reducer(self, order: TermOrder, packing: Packing) -> Reducer:
+        """The reducer of the reduced basis in `packing`, built on first use and kept."""
         reducers = self._reducers.setdefault(order, {})
         reducer = reducers.get(packing)
         if reducer is None:
-            reducer = reducers.setdefault(packing, Reducer(basis, order, self.ring.field, packing))
-        return reducer.reduce(f)
+            reducer = reducers.setdefault(
+                packing, Reducer(self.groebner_basis(order), order, self.ring.field, packing))
+        return reducer
 
     def contains(self, f: Polynomial, order: TermOrder = ANTIDIAG) -> bool:
         return self.normal_form(f, order).is_zero
@@ -855,32 +865,26 @@ class Ideal:
         return Ideal(self.ring, gens)
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """I cap J via (t*I + (1-t)*J) cap R, eliminating the auxiliary t."""
+        """I cap J, with its reduced basis under ANTIDIAG cached.
+
+        The elements H of each reduced basis that lie in the other ideal
+        generate I cap J, and are a Groebner basis of it, when a lead of H
+        divides lcm(a, b) for every lead a of I's basis and b of J's
+        (`_certified_intersection`).  Otherwise the basis is the aux-free
+        slice of the elimination of t from t*I + (1-t)*J
+        (`_eliminated_intersection`)."""
         self._require_same_ring(other)
         if self.is_zero or other.is_zero:
             return Ideal(self.ring, [])
-        # Only a visibly unit ideal takes the shortcut.  The elimination is
-        # correct for a unit input too, so a Buchberger probe would only
-        # add work.
+        # A visibly unit ideal gives the other's generators, with no basis computed.
         if self._known_unit():
             return Ideal(self.ring, other.gens)
         if other._known_unit():
             return Ideal(self.ring, self.gens)
-        ring = self.ring
-        aux = ring.fresh_aux()
-        # The auxiliary is the greatest variable: its field goes on top, and
-        # the ring's monomials keep their ints.
-        packing = _packing((aux,) + ring.variables)
-        t = 1 << packing.shift[aux]
-        gens = [g.repack(packing).mul_term(t, 1) for g in self.gens]
-        gens += [h - h.mul_term(t, 1) for h in (h.repack(packing) for h in other.gens)]
-        # ANTIDIAG is lex with the auxiliaries on top, so an element whose
-        # lead is below t has no aux in any term; only those are interreduced.
-        kept = tuple(Polynomial(ring.field, b.terms, ring.packing)
-                     for b in buchberger(gens, ANTIDIAG, below=t))
-        # The aux-free slice of the reduced elimination basis is the reduced
-        # basis of the intersection under the inner (antidiagonal) order.
-        return Ideal._with_bases(ring, kept, {ANTIDIAG: kept})
+        kept = _certified_intersection(self, other)
+        if kept is None:
+            kept = _eliminated_intersection(self, other)
+        return Ideal._with_bases(self.ring, kept, {ANTIDIAG: kept})
 
     def colon_poly(self, g: Polynomial) -> "Ideal":
         """(I : g) via intersect-with-principal and exact division by g."""
@@ -946,6 +950,60 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens over {self.ring.field})"
+
+
+def _certified_intersection(I: Ideal, J: Ideal):
+    """The reduced basis of I cap J under ANTIDIAG from the reduced bases
+    G_I and G_J, or None when their leads do not certify it.
+
+    H holds the elements of each basis that lie in the other ideal; one whose
+    lead is not in the other's initial ideal takes no normal form.  If a lead
+    of H divides lcm(a, b) for every lead a of G_I and b of G_J, then
+    in(I cap J) <= in(I) cap in(J) <= (lm H) <= in(H) <= in(I cap J), as the
+    lcms generate in(I) cap in(J); so H is a Groebner basis of I cap J, and
+    its reduced basis, being unique, is the elimination's.  A unit ideal
+    gives the other's basis.
+    """
+    if I.is_unit():
+        return J.groebner_basis()
+    if J.is_unit():
+        return I.groebner_basis()
+    packing = I.ring.packing
+    guard = packing.guard
+    RI, RJ = I._reducer(ANTIDIAG, packing), J._reducer(ANTIDIAG, packing)
+    H, index = [], {}
+    for R, other in ((RI, RJ), (RJ, RI)):
+        for entry in R.entries:
+            lm, lc, tail, mask = entry
+            if (_divisor(other.index, lm, mask, guard) is not None
+                    and not other.remainder(dict([(lm, lc), *tail]))):
+                H.append(entry)
+                _index_add(index, lm, mask, entry)
+    for a, *_ in RI.entries:
+        _check_deadline()
+        for b, *_ in RJ.entries:
+            m = mono_lcm(a, b, guard)
+            if _divisor(index, m, mono_mask(m, packing), guard) is None:
+                return None
+    return tuple(interreduce(H, ANTIDIAG, I.ring.field, packing))
+
+
+def _eliminated_intersection(I: Ideal, J: Ideal) -> tuple[Polynomial, ...]:
+    """The reduced basis of I cap J under ANTIDIAG: (t*I + (1-t)*J) cap R,
+    eliminating a fresh auxiliary t."""
+    ring = I.ring
+    aux = ring.fresh_aux()
+    # The auxiliary is the greatest variable: its field goes on top, and
+    # the ring's monomials keep their ints.
+    packing = _packing((aux,) + ring.variables)
+    t = 1 << packing.shift[aux]
+    gens = [g.repack(packing).mul_term(t, 1) for g in I.gens]
+    gens += [h - h.mul_term(t, 1) for h in (h.repack(packing) for h in J.gens)]
+    # ANTIDIAG is lex with the auxiliaries on top, so an element whose lead
+    # is below t has no aux in any term; only those are interreduced, and
+    # they are the reduced basis of the intersection.
+    return tuple(Polynomial(ring.field, b.terms, ring.packing)
+                 for b in buchberger(gens, ANTIDIAG, below=t))
 
 
 def _exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:

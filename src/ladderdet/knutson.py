@@ -171,7 +171,15 @@ def verify(deriv: KnutsonDerivation) -> VerifyReport:
     ring = deriv.ring
     cache: dict = {}
     lines: list[VerifyLine] = []
-    factors = {f.monic(ANTIDIAG) for f in deriv.f_factors}
+    # The witness factors, monic and in the ring's packing, so that a leaf is
+    # compared with them term by term.
+    packing = ring.packing
+    factors = []
+    for f in deriv.f_factors:
+        try:
+            factors.append(f.repack(packing).monic(ANTIDIAG))
+        except ValueError:  # over variables outside the ring: it is no leaf's factor
+            pass
 
     for index, node in enumerate(_post_order(deriv.root)):
         name = f"{node.kind}#{index}"
@@ -187,7 +195,7 @@ def verify(deriv: KnutsonDerivation) -> VerifyReport:
             )
 
         if node.kind == "leaf":
-            ok = node.factor.monic(ANTIDIAG) in factors
+            ok = node.factor.repack(packing).monic(ANTIDIAG) in factors
             lines.append(VerifyLine(name, "leaf-is-witness-factor", ok))
         elif node.kind == "sum":
             union = [g for ch in node.children for g in cache[id(ch)].groebner_basis(ANTIDIAG)]

@@ -108,15 +108,16 @@ def test_fedder_command(capsys):
     assert code == 0 and "f_pure=True" in out
 
 
-@pytest.mark.parametrize("field,code", [("q", 0), ("fp:2", 0), ("fp:5", 2)])
-def test_fedder_refuses_a_field_of_another_prime(field, code, capsys):
+@pytest.mark.parametrize("field,code,named", [
+    (None, 0, ""), ("fp:2", 0, ""), ("fp:5", 2, "fp:5 names another prime"),
+    ("q", 2, "q names the rationals")])
+def test_fedder_refuses_a_field_of_another_prime(field, code, named, capsys):
     fedder = ["fedder", "--ladder", str(FIXTURES / "full3x3.json"), "--t", "2", "--p", "2"]
-    assert main(["--field", field, *fedder]) == code
+    assert main([*([] if field is None else ["--field", field]), *fedder]) == code
     captured = capsys.readouterr()
     if code:
         assert captured.out == ""
-        assert captured.err == ("error: fedder runs over GF(2) from --p; --field fp:5 names "
-                                "another prime\n")
+        assert captured.err == f"error: fedder runs over GF(2) from --p; --field {named}\n"
     else:
         assert captured.out == "f_pure=True\n"
 

@@ -20,8 +20,11 @@ from ladderdet.groebner import (
     Ring,
     _Leads,
     _buchberger_loop,
+    _certified_intersection,
     _cover_bits,
     _divisor,
+    _eliminated_intersection,
+    _exact_quotient,
     _hilbert_numerator,
     _index_add,
     _initial_pairs,
@@ -289,7 +292,7 @@ def test_intersect_runs_one_elimination(monkeypatch):
     I = Ideal(ring, [minor((1, 2), c) for c in [(1, 2), (1, 3), (2, 3)]])
     J = Ideal(ring, [P("x[1,2]"), P("x[2,2]")])
     calls = _count_buchberger(monkeypatch)
-    I.intersect(J)
+    _eliminated_intersection(I, J)
     assert calls == [ANTIDIAG]
 
 
@@ -297,8 +300,8 @@ def test_intersect_with_unit_ideal(monkeypatch):
     ring = Ring.for_grid(QQ, 2, 2)
     J = Ideal(ring, [P("x[1,2]*x[2,1]"), P("x[2,2]^2 - x[1,1]")])
     hidden = Ideal(ring, [P("x[1,1]"), P("x[1,1] + 1")])  # (1), no constant generator
-    assert hidden.intersect(J).equal(J)
-    assert J.intersect(hidden).equal(J)
+    assert Ideal(ring, _eliminated_intersection(hidden, J)).equal(J)
+    assert Ideal(ring, _eliminated_intersection(J, hidden)).equal(J)
     calls = _count_buchberger(monkeypatch)
     one = Ideal(ring, [P("x[1,1]"), P("3")])
     assert one.intersect(J).gens == J.gens
@@ -329,7 +332,7 @@ def test_band_intersection_s_pair_count(monkeypatch):
     wide = mixed_ladder_ideal(L.band("cols", 1, 4), 2, F, ring)
     inner = mixed_ladder_ideal(L.band("cols", 2, 3), 1, F, ring)
     monkeypatch.setattr(groebner, "s_polynomial", counted)
-    K = wide.intersect(inner)
+    K = Ideal(ring, _eliminated_intersection(wide, inner))
     assert 0 < len(calls) <= 288
     left = mixed_ladder_ideal(L.band("cols", 1, 3), 2, F, ring)
     right = mixed_ladder_ideal(L.band("cols", 2, 4), 2, F, ring)
@@ -1653,7 +1656,7 @@ def test_driver_pops_live_pairs_by_sugar_first(monkeypatch):
     monkeypatch.setattr(groebner, "_update_pairs", update)
     monkeypatch.setattr(groebner, "s_polynomial", spoly)
     monkeypatch.setattr(groebner, "_buchberger_loop", loop)
-    left.intersect(right)
+    _eliminated_intersection(left, right)
 
     [(gens, order, entries)] = runs
     index = {id(e): k for k, e in enumerate(entries)}
@@ -1940,30 +1943,31 @@ def test_interreduce_of_driver_entries_matches_the_polynomial_reference(field, o
     assert checked >= 20 and shared >= 10 and dropped >= 10
 
 
+def _small_random_ideal(rng, ring):
+    """One or two polynomials of 2 or 3 terms of degree 1 or 2: a lex
+    elimination of more or larger ones can run for seconds."""
+    field, variables = ring.field, list(ring.variables)
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        terms = {}
+        for _ in range(rng.randint(2, 3)):
+            m = ring.packing.pack((rng.choice(variables), 1) for _ in range(rng.randint(1, 2)))
+            terms[m] = (field.div(rng.choice([1, -1, 2, -3]), rng.choice([1, 1, 2, 3]))
+                        if field.p is None else rng.randrange(1, field.p))
+        gens.append(Polynomial(field, terms, ring.packing))
+    return Ideal(ring, gens)
+
+
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
 def test_intersect_is_the_aux_free_slice_of_the_full_elimination(field):
     rng = random.Random(6151)
     ring = Ring.for_grid(field, 2, 2)
-    variables = list(ring.variables)
-
-    def random_ideal():
-        # One or two polynomials of 2 or 3 terms of degree 1 or 2: a lex
-        # elimination of more or larger ones can run for seconds.
-        gens = []
-        for _ in range(rng.randint(1, 2)):
-            terms = {}
-            for _ in range(rng.randint(2, 3)):
-                m = ring.packing.pack((rng.choice(variables), 1) for _ in range(rng.randint(1, 2)))
-                terms[m] = (field.div(rng.choice([1, -1, 2, -3]), rng.choice([1, 1, 2, 3]))
-                            if field.p is None else rng.randrange(1, field.p))
-            gens.append(Polynomial(field, terms, ring.packing))
-        return Ideal(ring, gens)
 
     def hidden_unit(x):
         v = Polynomial(field, {ring.packing.pack([(x, 1)]): 1}, ring.packing)
         return Ideal(ring, [v, v + Polynomial(field, {MONO_ONE: 1}, ring.packing)])
 
-    cases = [(random_ideal(), random_ideal()) for _ in range(12)]
+    cases = [(_small_random_ideal(rng, ring), _small_random_ideal(rng, ring)) for _ in range(12)]
     cases.append((hidden_unit(gv(1, 1)), hidden_unit(gv(2, 2))))  # (1) cap (1) = (1)
     for I, J in cases:
         if I._known_unit() or J._known_unit():
@@ -1976,12 +1980,113 @@ def test_intersect_is_the_aux_free_slice_of_the_full_elimination(field):
         full = buchberger(gens, ANTIDIAG)
         expected = [Polynomial(field, b.terms, ring.packing)
                     for b in full if b.leading_term(ANTIDIAG)[0] < t]
-        K = I.intersect(J)
-        assert list(K.gens) == expected
-        assert [g.terms for g in K.groebner_basis()] == [g.terms for g in expected]
-        assert K.groebner_basis() == tuple(buchberger(K.gens))
-    K = cases[-1][0].intersect(cases[-1][1])
-    assert K.gens == (Polynomial.one(field),) and K.is_unit()
+        kept = _eliminated_intersection(I, J)
+        assert list(kept) == expected
+        assert [g.terms for g in kept] == [g.terms for g in expected]
+        assert all(g.packing is ring.packing for g in kept)
+        assert kept == tuple(buchberger(kept))
+    kept = _eliminated_intersection(*cases[-1])
+    assert kept == (Polynomial.one(field),) and Ideal(ring, kept).is_unit()
+
+
+def _both_routes(I, J):
+    """Whether the leads certify I cap J; either way `intersect` gives the
+    elimination's reduced basis, term for term, and caches it, and a
+    certified basis is that same tuple."""
+    eliminated = [list(g.terms.items()) for g in _eliminated_intersection(I, J)]
+    certified = _certified_intersection(I, J)
+    if certified is not None:
+        assert [list(g.terms.items()) for g in certified] == eliminated
+    K = I.intersect(J)
+    assert [list(g.terms.items()) for g in K.gens] == eliminated
+    assert K.groebner_basis() is K.gens
+    return certified is not None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_certified_intersection_is_the_eliminations_basis(field):
+    # The band intersections of the paper, wide cap inner by columns and by
+    # rows, are certified; two overlapping bands of one size need not be.
+    for k, l, t in ((3, 4, 2), (4, 4, 2), (4, 5, 2), (4, 4, 3)):
+        L = Ladder.full(k, l)
+        ring = ladder_ring(field, L)
+        for axis, n in (("cols", l), ("rows", k)):
+            wide = mixed_ladder_ideal(L.band(axis, 1, n), t, field, ring)
+            inner = mixed_ladder_ideal(L.band(axis, 2, n - 1), t - 1, field, ring)
+            assert _both_routes(wide, inner)
+            left = mixed_ladder_ideal(L.band(axis, 1, 2), 2, field, ring)
+            right = mixed_ladder_ideal(L.band(axis, 2, n), 2, field, ring)
+            _both_routes(left, right)
+    # Random small ideals A, B on 2x2 and 2x3 grids: A cap B mostly falls
+    # back, and A cap (A + B) = A is certified.
+    rng = random.Random(6151)
+    for k, l in ((2, 2), (2, 3)):
+        ring = Ring.for_grid(field, k, l)
+        routes = []
+        for _ in range(8):
+            A, B = _small_random_ideal(rng, ring), _small_random_ideal(rng, ring)
+            routes.append(_both_routes(A, B))
+            assert _both_routes(A, A + B)
+        assert not all(routes)
+    # The colon's intersection with a principal ideal, each way.
+    ring = Ring.for_grid(field, 3, 3)
+    I = Ideal(ring, [minor((1, 2), (1, 2), field), minor((2, 3), (2, 3), field),
+                     P("x[1,3]^2", field)])
+    routes = []
+    for g in (P("x[2,2]", field), minor((1, 2), (1, 2), field)):
+        principal = Ideal(ring, [g])
+        routes.append(_both_routes(I, principal))
+        g = principal.gens[0]
+        expected = [_exact_quotient(h, g) for h in _eliminated_intersection(I, principal)]
+        assert list(I.colon_poly(g).gens) == expected
+    assert routes == [False, True]  # g in I: I cap (g) = (g)
+
+
+def test_a_certified_intersection_eliminates_nothing(monkeypatch):
+    # The 2x3 band of test_band_sum_equals_band_intersection.
+    from ladderdet import groebner
+
+    ring = Ring.for_grid(QQ, 2, 3)
+    I = Ideal(ring, [minor((1, 2), c) for c in [(1, 2), (1, 3), (2, 3)]])
+    J = Ideal(ring, [P("x[1,2]"), P("x[2,2]")])
+    packings = []
+    real = groebner.buchberger
+
+    def recorded(gens, order=ANTIDIAG, **kwargs):
+        packings.extend(g.packing for g in gens)
+        return real(gens, order, **kwargs)
+
+    def refused(I, J):
+        raise AssertionError("eliminated a certified intersection")
+
+    monkeypatch.setattr(groebner, "buchberger", recorded)
+    monkeypatch.setattr(groebner, "_eliminated_intersection", refused)
+    K = I.intersect(J)
+    assert packings and not any(v.is_aux for p in packings for v in p.variables)
+    assert K.equal(Ideal(ring, [minor((1, 2), (1, 2)), minor((1, 2), (2, 3))]))
+
+
+def test_an_uncertified_intersection_falls_back_to_the_elimination():
+    # in((x) cap (x + y)) = (x^2) is strictly inside in(x) cap in(x + y) = (x):
+    # neither generator lies in the other ideal, so no lead covers the lcm x.
+    ring = Ring.for_grid(QQ, 2, 2)
+    J, K = Ideal(ring, [P("x[1,1]")]), Ideal(ring, [P("x[1,1] + x[2,2]")])
+    assert _certified_intersection(J, K) is None
+    eliminated = _eliminated_intersection(J, K)
+    assert eliminated == (P("x[1,1]^2 + x[1,1]*x[2,2]"),)
+    assert J.intersect(K).gens == eliminated == K.intersect(J).gens
+
+
+def test_a_unit_basis_certifies_the_other_sides_basis(monkeypatch):
+    from ladderdet import groebner
+
+    ring = Ring.for_grid(QQ, 2, 2)
+    J = Ideal(ring, [P("x[1,2]*x[2,1]"), P("x[2,2]^2 - x[1,1]")])
+    monkeypatch.setattr(groebner, "_eliminated_intersection", None)
+    for gens in ([P("x[1,1]"), P("x[1,1] + 1")], [P("x[2,1] - 2"), P("x[2,1]^2")]):
+        hidden, again = Ideal(ring, gens), Ideal(ring, gens)  # (1), not visibly
+        assert not hidden._known_unit()
+        assert hidden.intersect(J).gens == J.groebner_basis() == J.intersect(again).gens
 
 
 @pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX], ids=str)

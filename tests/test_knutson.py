@@ -175,6 +175,24 @@ def test_verify_flags_foreign_leaf():
     assert any(ln.check == "leaf-is-witness-factor" and not ln.ok for ln in report.lines)
 
 
+def test_leaf_check_compares_factors_in_the_ring():
+    # A factor in its own packing, scaled, matches its leaf; a factor over a
+    # variable outside the ring, or over another field, matches none and
+    # raises nothing.
+    ring = Ring.for_grid(QQ, 2, 3)
+    d = det((1, 2), (1, 2))
+    x11, x33 = (Polynomial.variable(QQ, grid_var(i, i)) for i in (1, 3))
+
+    def leaf_lines(factors, leaf):
+        report = verify(KnutsonDerivation(ring, tuple(factors), Leaf(leaf)))
+        return [ln.ok for ln in report.lines if ln.check == "leaf-is-witness-factor"]
+
+    assert d.packing is not ring.packing
+    assert leaf_lines([x33, d * QQ.coerce(-3)], d) == [True]
+    assert leaf_lines([x33 * x11, x33], x11) == [False]
+    assert leaf_lines([Polynomial.variable(GF(5), grid_var(1, 1))], x11) == [False]
+
+
 def test_compatibly_split_membership_char_p():
     # f^(p-1) * g lies in the bracket power for every generator g.
     for p in (2, 3):
