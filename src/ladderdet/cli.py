@@ -24,6 +24,7 @@ from .ideals import (
     f_witness,
     g_witness,
     ideal_from_obj,
+    ladder_ring,
     minor_product_symbolic_degree,
     mixed_ladder_ideal,
     omega_delta_ideal,
@@ -43,9 +44,9 @@ from .ladders import Ladder, LadderError, chamfer, reduce_to_unmixed, size_vecto
 from .oracle import (
     fedder_check,
     initial_symbolic_compare,
-    ladder_symbolic_power,
     saturation_strategy,
     symbolic_fsplit_certificate,
+    symbolic_power_saturation,
 )
 from .poly import Minor, mono_to_str, parse_order, parse_polynomial, poly_to_str, time_limit
 
@@ -252,13 +253,13 @@ def _cmd_symbolic(args) -> int:
     if not args.ladder:
         raise UsageError(f"symbolic {args.action} needs --ladder")
     ladder, t = _load_ladder(args.ladder, args.t, f"symbolic {args.action}")
+    # The strategy refuses mixed sizes before any minor is expanded.
+    ring = ladder_ring(args.field, ladder)
+    strategy = saturation_strategy(ladder, t, ring)
+    I = mixed_ladder_ideal(ladder, t, args.field, ring)
     if args.action == "power":
-        _emit_basis(args, ladder_symbolic_power(ladder, t, args.n, args.field))
+        _emit_basis(args, symbolic_power_saturation(I, args.n, strategy))
         return 0
-    if len(set(t)) != 1:
-        raise UsageError("symbolic compare handles unmixed sizes only")
-    I = mixed_ladder_ideal(ladder, t, args.field)
-    strategy = saturation_strategy(ladder, t[0], I.ring)
     res = initial_symbolic_compare(I, args.n, strategy=strategy)
     witness = str(res.witness) if res.witness is not None else None
     _emit(args, {"equal": res.equal, "witness": witness},
@@ -282,9 +283,7 @@ def _cmd_knutson(args) -> int:
         deriv = corner_derivation(*sizes, args.field, which)
     elif args.ladder:
         ladder, t = _load_ladder(args.ladder, args.t, "knutson derive")
-        if len(set(t)) != 1:
-            raise UsageError("knutson derive needs a single unmixed minor size")
-        deriv = ladder_derivation(ladder, t[0], args.field)
+        deriv = ladder_derivation(ladder, t, args.field)
     else:
         raise UsageError("knutson derive needs --ladder or --corner")
     # The derivation JSON is a file format: always in antidiagonal order.

@@ -830,13 +830,6 @@ class Ideal:
         basis = self.groebner_basis(order)
         return len(basis) == 1 and basis[0].leading_term(order)[0] == MONO_ONE
 
-    def _known_unit(self) -> bool:
-        """True when the ideal is visibly (1), without running Buchberger:
-        a generator is a nonzero constant, or a cached basis is (1)."""
-        if any(g.terms.keys() == {MONO_ONE} for g in self.gens):
-            return True
-        return any(len(b) == 1 and b[0].terms.keys() == {MONO_ONE} for b in self._cache.values())
-
     def equal(self, other: "Ideal", order: TermOrder = ANTIDIAG) -> bool:
         """Ideal equality via reduced-Groebner-basis comparison."""
         self._require_same_ring(other)
@@ -870,17 +863,13 @@ class Ideal:
         The elements H of each reduced basis that lie in the other ideal
         generate I cap J, and are a Groebner basis of it, when a lead of H
         divides lcm(a, b) for every lead a of I's basis and b of J's
-        (`_certified_intersection`).  Otherwise the basis is the aux-free
-        slice of the elimination of t from t*I + (1-t)*J
-        (`_eliminated_intersection`)."""
+        (`_certified_intersection`); a unit operand always certifies.
+        Otherwise the basis is the aux-free slice of the elimination of t
+        from t*I + (1-t)*J (`_eliminated_intersection`).  Either way the
+        result is the one reduced basis, whatever either side has cached."""
         self._require_same_ring(other)
         if self.is_zero or other.is_zero:
             return Ideal(self.ring, [])
-        # A visibly unit ideal gives the other's generators, with no basis computed.
-        if self._known_unit():
-            return Ideal(self.ring, other.gens)
-        if other._known_unit():
-            return Ideal(self.ring, self.gens)
         kept = _certified_intersection(self, other)
         if kept is None:
             kept = _eliminated_intersection(self, other)
@@ -961,13 +950,10 @@ def _certified_intersection(I: Ideal, J: Ideal):
     of H divides lcm(a, b) for every lead a of G_I and b of G_J, then
     in(I cap J) <= in(I) cap in(J) <= (lm H) <= in(H) <= in(I cap J), as the
     lcms generate in(I) cap in(J); so H is a Groebner basis of I cap J, and
-    its reduced basis, being unique, is the elimination's.  A unit ideal
-    gives the other's basis.
+    its reduced basis, being unique, is the elimination's.  If G_I = (1),
+    every element of G_J lies in I and lcm(1, b) = b, so H = G_J certifies
+    and the result is G_J itself.
     """
-    if I.is_unit():
-        return J.groebner_basis()
-    if J.is_unit():
-        return I.groebner_basis()
     packing = I.ring.packing
     guard = packing.guard
     RI, RJ = I._reducer(ANTIDIAG, packing), J._reducer(ANTIDIAG, packing)

@@ -329,11 +329,11 @@ def corner_ladder(k: int, l: int, r: int, s: int, which: str = "nw") -> Ladder:
 
 
 def corner_ideal(k: int, l: int, t: int, r: int, s: int, which: str = "nw",
-                 field: Field = QQ, ring: Ring | None = None) -> Ideal:
+                 field: Field = QQ) -> Ideal:
     """t-minors of the NW (or SE) r x s corner submatrix."""
     if t < 1 or t > min(r, s):
         raise ValueError(f"no {t}-minors in a {r}x{s} corner")
-    return minor_ideal(ring or Ring.for_grid(field, k, l),
+    return minor_ideal(Ring.for_grid(field, k, l),
                        minors_in_ladder(corner_ladder(k, l, r, s, which), t))
 
 
@@ -384,8 +384,7 @@ def is_generalized_poset_ideal(k: int, l: int, omega) -> bool:
     return True
 
 
-def omega_delta_ideal(k: int, l: int, delta: Minor, field: Field = QQ,
-                      ring: Ring | None = None) -> Ideal:
+def omega_delta_ideal(k: int, l: int, delta: Minor, field: Field = QQ) -> Ideal:
     """Sum formula for the cogenerated poset ideal: column strips, row
     strips, and all (r+1)-minors."""
     _check_in_grid(k, l, [delta])
@@ -393,7 +392,7 @@ def omega_delta_ideal(k: int, l: int, delta: Minor, field: Field = QQ,
     minors = block_minors(rows, cols, delta.size + 1)
     for tt, (it, jt) in enumerate(zip(delta.rows, delta.cols), start=1):
         minors += block_minors(rows, range(1, jt), tt) + block_minors(range(1, it), cols, tt)
-    return minor_ideal(ring or Ring.for_grid(field, k, l), minors)
+    return minor_ideal(Ring.for_grid(field, k, l), minors)
 
 
 @dataclass(frozen=True)
@@ -410,8 +409,7 @@ class PosetIdealSpec:
         object.__setattr__(self, "minors", tuple(self.minors))
 
 
-def poset_ideal(k: int, l: int, spec: PosetIdealSpec, field: Field = QQ,
-                ring: Ring | None = None) -> Ideal:
+def poset_ideal(k: int, l: int, spec: PosetIdealSpec, field: Field = QQ) -> Ideal:
     """The ideal of k[X] generated by an ideal of the poset of minors."""
     _check_in_grid(k, l, spec.minors)
     if spec.kind == "explicit":
@@ -425,14 +423,13 @@ def poset_ideal(k: int, l: int, spec: PosetIdealSpec, field: Field = QQ,
         omega = list(spec.minors)
         if not is_generalized_poset_ideal(k, l, omega):
             raise ValueError("the given set is not a generalized poset ideal")
-    return minor_ideal(ring or Ring.for_grid(field, k, l), omega)
+    return minor_ideal(Ring.for_grid(field, k, l), omega)
 
 
-def poset_ideal_brute(k: int, l: int, delta: Minor, field: Field = QQ,
-                      ring: Ring | None = None) -> Ideal:
+def poset_ideal_brute(k: int, l: int, delta: Minor, field: Field = QQ) -> Ideal:
     """Brute-force cogenerated ideal: the cogenerators spec of `poset_ideal`,
     which materializes the complement of the up-set of delta."""
-    return poset_ideal(k, l, PosetIdealSpec("cogenerators", (delta,)), field, ring)
+    return poset_ideal(k, l, PosetIdealSpec("cogenerators", (delta,)), field)
 
 
 def poset_spec_from_json(text: str) -> PosetIdealSpec:

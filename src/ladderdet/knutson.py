@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 from .fields import QQ, Field, parse_field
 from .groebner import Ideal, Ring, is_groebner_basis
 from .ideals import cells_from_json, corner_ladder, ladder_ring, minors_in_ladder
-from .ladders import Ladder, antidiagonal_profile, diagonal_rows
+from .ladders import Ladder, antidiagonal_profile, diagonal_rows, size_vector
 from .poly import (
     ANTIDIAG,
     Packing,
@@ -297,10 +297,15 @@ def _band_deriver(L: Ladder, t: int, field: Field, factor_polys: dict[int, Polyn
     return derive
 
 
-def ladder_derivation(L: Ladder, t: int, field: Field = QQ) -> KnutsonDerivation:
-    """Derivation of the unmixed ladder ideal from the witness factors."""
-    if not isinstance(t, int):
+def ladder_derivation(L: Ladder, t, field: Field = QQ) -> KnutsonDerivation:
+    """Derivation of the unmixed ladder ideal from the witness factors.
+
+    t is read as `size_vector` reads it; mixed sizes raise DerivationError.
+    """
+    sizes = set(size_vector(t, len(L.lower)))
+    if len(sizes) != 1:
         raise DerivationError("the ladder derivation handles unmixed sizes only")
+    (t,) = sizes
     ring = ladder_ring(field, L)
     if not minors_in_ladder(L, t):
         raise DerivationError(f"I_{t} of this ladder is the zero ideal")

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .fields import QQ, Field
 from .groebner import Ideal, MonomialIdeal, Ring
 from .ideals import antidiagonal_lead, mixed_ladder_ideal
 from .ladders import Ladder, antidiagonal_profile, size_vector
@@ -119,22 +118,19 @@ def symbolic_power_saturation(I: Ideal, n: int, strategy: Ideal) -> Ideal:
     return saturated
 
 
-def saturation_strategy(L: Ladder, t: int, ring: Ring) -> Ideal:
-    """The ideal to saturate powers of I_t(L) by: I_{t-1}(L) for t > 1."""
-    if t > 1:
-        return mixed_ladder_ideal(L, t - 1, ring.field, ring)
-    # The variable ideal is a complete intersection: nothing to saturate.
-    return Ideal(ring, [Polynomial.one(ring.field)])
+def saturation_strategy(L: Ladder, t, ring: Ring) -> Ideal:
+    """The ideal to saturate powers of I_t(L) by: I_{t-1}(L) for t > 1.
 
-
-def ladder_symbolic_power(L: Ladder, t, n: int, field: Field = QQ) -> Ideal:
-    """Saturation oracle for an unmixed ladder ideal; refuses mixed sizes."""
+    t is read as `size_vector` reads it; mixed sizes raise ValueError.
+    """
     sizes = set(size_vector(t, len(L.lower)))
     if len(sizes) != 1:
         raise ValueError("the saturation oracle handles unmixed sizes only")
     (t,) = sizes
-    I = mixed_ladder_ideal(L, t, field)
-    return symbolic_power_saturation(I, n, saturation_strategy(L, t, I.ring))
+    if t > 1:
+        return mixed_ladder_ideal(L, t - 1, ring.field, ring)
+    # The variable ideal is a complete intersection: nothing to saturate.
+    return Ideal(ring, [Polynomial.one(ring.field)])
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +174,6 @@ class InitialCompareResult:
     witness: Monomial | None   # a monomial in the gap, when not equal
     left: MonomialIdeal        # in(I^(n)) via the saturation oracle
     right: MonomialIdeal       # in(I)^(n) via monomial symbolic powers
-
-    def __bool__(self):
-        return self.equal
 
 
 def initial_symbolic_compare(I: Ideal, n: int, *, strategy: Ideal) -> InitialCompareResult:

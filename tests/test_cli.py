@@ -251,9 +251,10 @@ def test_commands_that_need_sizes_refuse_a_ladder_without_them(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["symbolic", "power", "--ladder", str(FIXTURES / "staircase_sub4x4.json"), "--t", "1", "2"],
     ["symbolic", "compare", "--ladder", str(FIXTURES / "staircase_sub4x4.json"), "--t", "1", "2"],
     ["knutson", "derive", "--ladder", str(FIXTURES / "staircase_sub4x4.json"), "--t", "1", "2"],
-], ids=["symbolic-compare", "knutson-derive"])
+], ids=["symbolic-power", "symbolic-compare", "knutson-derive"])
 def test_unmixed_only_commands_refuse_mixed_sizes(argv, capsys):
     code, out, err = _run_with_err(argv, capsys)
     assert code == 2 and out == "" and "unmixed" in err

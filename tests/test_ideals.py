@@ -307,13 +307,10 @@ def test_omega_delta_examples():
 
 
 def test_omega_delta_matches_bruteforce_3x3():
-    ring = Ring.for_grid(QQ, 3, 3)
     rng = random.Random(8)
     deltas = rng.sample(minor_poset(3, 3), 6)
     for delta in deltas:
-        assert omega_delta_ideal(3, 3, delta, QQ, ring).equal(
-            poset_ideal_brute(3, 3, delta, QQ, ring)
-        )
+        assert omega_delta_ideal(3, 3, delta).equal(poset_ideal_brute(3, 3, delta))
 
 
 def test_poset_checks_build_the_poset_once(monkeypatch):
@@ -334,16 +331,16 @@ def test_poset_checks_build_the_poset_once(monkeypatch):
 
 def test_poset_ideal_specs():
     ring = Ring.for_grid(QQ, 2, 2)
-    everything = poset_ideal(2, 2, PosetIdealSpec("explicit", tuple(minor_poset(2, 2))), QQ, ring)
+    everything = poset_ideal(2, 2, PosetIdealSpec("explicit", tuple(minor_poset(2, 2))))
     assert everything.equal(ring.maximal_ideal())
 
-    nothing = poset_ideal(2, 2, PosetIdealSpec("explicit", ()), QQ, ring)
+    nothing = poset_ideal(2, 2, PosetIdealSpec("explicit", ()))
     assert nothing.is_zero
 
     with pytest.raises(ValueError):
-        poset_ideal(2, 2, PosetIdealSpec("explicit", (Minor((2,), (2,)),)), QQ, ring)
+        poset_ideal(2, 2, PosetIdealSpec("explicit", (Minor((2,), (2,)),)))
 
-    cogen = poset_ideal(2, 2, PosetIdealSpec("cogenerators", (Minor((1,), (1,)),)), QQ, ring)
+    cogen = poset_ideal(2, 2, PosetIdealSpec("cogenerators", (Minor((1,), (1,)),)))
     assert cogen.equal(poset_ideal_brute(2, 2, Minor((1,), (1,))))
 
 
@@ -351,12 +348,12 @@ def test_generalized_poset_ideal():
     # Pi_{1,1} = {[1|1]} is a generalized ideal but checking closure under
     # the full poset order would reject it.
     ring = Ring.for_grid(QQ, 2, 2)
-    gen = poset_ideal(2, 2, PosetIdealSpec("generalized", (Minor((1,), (1,)),)), QQ, ring)
+    gen = poset_ideal(2, 2, PosetIdealSpec("generalized", (Minor((1,), (1,)),)))
     assert [str(g) for g in gen.gens] == ["x[1,1]"]
     with pytest.raises(ValueError):
-        poset_ideal(2, 2, PosetIdealSpec("explicit", (Minor((1,), (1,)),)), QQ, ring)
+        poset_ideal(2, 2, PosetIdealSpec("explicit", (Minor((1,), (1,)),)))
     with pytest.raises(ValueError):
-        poset_ideal(2, 2, PosetIdealSpec("generalized", (Minor((2,), (2,)),)), QQ, ring)
+        poset_ideal(2, 2, PosetIdealSpec("generalized", (Minor((2,), (2,)),)))
 
 
 @pytest.mark.parametrize("kind", ["explicit", "cogenerators", "generalized"])

@@ -20,7 +20,7 @@ from ladderdet.knutson import (
     ladder_derivation,
     verify,
 )
-from ladderdet.ladders import Ladder, antidiagonal_profile
+from ladderdet.ladders import Ladder, LadderError, antidiagonal_profile
 from ladderdet.poly import Minor, Polynomial, expand_minor, grid_var
 
 
@@ -98,8 +98,13 @@ def test_ladder_derivation_root_ideal():
 def test_ladder_derivation_rejects_zero_and_mixed():
     with pytest.raises(DerivationError):
         ladder_derivation(Ladder.full(2, 2), 3)
-    with pytest.raises(DerivationError):
+    # t is read as `size_vector` reads it: one size per lower corner.
+    L, _ = ladderdet.load_fixture("staircase_sub4x4")
+    with pytest.raises(DerivationError, match="unmixed sizes only"):
+        ladder_derivation(L, (1, 2))
+    with pytest.raises(LadderError, match="number of lower corners"):
         ladder_derivation(Ladder.full(2, 2), (1, 2))
+    assert ladder_derivation(L, (2, 2)).label == ladder_derivation(L, 2).label == "ladder I_2"
 
 
 def test_corner_derivation_base_and_step():
@@ -120,7 +125,7 @@ def test_corner_derivation_band_base_case():
     got = deriv.eval()
     from ladderdet.ideals import corner_ideal
 
-    assert got.equal(corner_ideal(3, 3, 2, 3, 2, "nw", QQ, deriv.ring))
+    assert got.equal(corner_ideal(3, 3, 2, 3, 2, "nw"))
 
 
 def test_corner_derivation_builds_each_claim_once():
@@ -146,7 +151,7 @@ def test_corner_derivation_se():
     assert verify(deriv).ok
     from ladderdet.ideals import corner_ideal
 
-    assert deriv.eval().equal(corner_ideal(3, 3, 2, 2, 2, "se", QQ, deriv.ring))
+    assert deriv.eval().equal(corner_ideal(3, 3, 2, 2, 2, "se"))
 
 
 def test_verify_flags_wrong_claims():
@@ -274,7 +279,7 @@ def test_corner_derivation_sweep():
                         args = (k, l, t, r, s, which)
                         assert verify(deriv).ok, args
                         if r == k or s == l:
-                            want = corner_ideal(k, l, t, r, s, which, GF(3), deriv.ring)
+                            want = corner_ideal(k, l, t, r, s, which, GF(3))
                             assert deriv.eval().equal(want), args
                         checked += 1
     assert checked == 358

@@ -25,8 +25,8 @@ from ladderdet.ladders import Ladder, antidiagonal_profile, height, random_valid
 from ladderdet.oracle import (
     fedder_check,
     initial_symbolic_compare,
-    ladder_symbolic_power,
     outside_frobenius_power_of_m,
+    saturation_strategy,
     symbolic_fsplit_certificate,
     symbolic_power_saturation,
 )
@@ -175,25 +175,25 @@ def test_symbolic_power_principal_and_variables():
 
     ones = Ladder.full(2, 2)
     I1 = mixed_ladder_ideal(ones, 1, QQ)
-    out = ladder_symbolic_power(ones, 1, 2, QQ)
+    out = symbolic_power_saturation(I1, 2, saturation_strategy(ones, 1, I1.ring))
     assert out.equal(I1.power(2))
 
 
 def test_symbolic_square_contains_determinant():
     F5 = GF(5)
     L3 = Ladder.full(3, 3)
-    out = ladder_symbolic_power(L3, 2, 2, F5)
-    det3 = expand_minor(Minor((1, 2, 3), (1, 2, 3)), F5)
-    assert out.contains(det3)
     ring = ladder_ring(F5, L3)
     I = mixed_ladder_ideal(L3, 2, F5, ring)
+    out = symbolic_power_saturation(I, 2, saturation_strategy(L3, 2, ring))
+    det3 = expand_minor(Minor((1, 2, 3), (1, 2, 3)), F5)
+    assert out.contains(det3)
     assert not I.power(2).contains(det3)
 
 
 def test_symbolic_power_refuses_mixed_and_oversize():
     L, t = ladderdet.load_fixture("staircase10")
-    with pytest.raises(ValueError):
-        ladder_symbolic_power(L, t, 2)
+    with pytest.raises(ValueError, match="the saturation oracle handles unmixed sizes only"):
+        saturation_strategy(L, t, ladder_ring(QQ, L))
     ring = Ring.for_grid(QQ, 4, 4)
     I = Ideal(ring, [Polynomial.variable(QQ, grid_var(1, 1))])
     with pytest.raises(ValueError):
@@ -295,7 +295,7 @@ def test_squarefree_witness_lead_lands_in_symbolic_initial():
     I = mixed_ladder_ideal(L, 2, F5, ring)
     h = height(L, (2,))
     assert h == 2
-    sym = ladder_symbolic_power(L, 2, h, F5)
+    sym = symbolic_power_saturation(I, h, saturation_strategy(L, 2, ring))
     f = f_witness(L, 2, F5)
     assert sym.contains(f)
     lead = f.leading_term()[0]
