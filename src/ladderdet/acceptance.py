@@ -76,8 +76,6 @@ def _random_unmixed(seed: int, count: int, max_size: int):
 
 def criterion_groebner_squarefree(seed: int = DEFAULT_SEED):
     """1. The t-minors are a Groebner basis and the initial ideal is squarefree."""
-    details = []
-    ok = True
     cases = [(name, L) for name, L, _ in _fixture_ladders()]
     cases += [(f"random{i}", L) for i, (L, _) in enumerate(_random_unmixed(seed, 20, 6))]
     for name, L in cases:
@@ -87,9 +85,8 @@ def criterion_groebner_squarefree(seed: int = DEFAULT_SEED):
             gb_ok = is_groebner_basis(gens)
             init = MonomialIdeal.from_monomials(I.ring, [g.leading_term()[0] for g in gens])
             sq_ok = init.is_squarefree()
-            ok &= gb_ok and sq_ok
-            details.append(f"{name} t={t}: groebner={gb_ok} squarefree={sq_ok} ({len(gens)} minors)")
-    return ok, details
+            yield gb_ok and sq_ok, (f"{name} t={t}: groebner={gb_ok} squarefree={sq_ok} "
+                                    f"({len(gens)} minors)")
 
 
 def _det(rows):
@@ -109,8 +106,6 @@ def generic_multiplicity(k: int, l: int, t: int) -> int:
 def criterion_height_identity(seed: int = DEFAULT_SEED):
     """2. height = #interior cells = #vars - dim(R/in I), and on full
     matrices the product formula and the Herzog-Trung multiplicity."""
-    details = []
-    ok = True
     cases = [(name, L) for name, L, _ in _fixture_ladders()]
     cases += [(f"random{i}", L) for i, (L, _) in enumerate(_random_unmixed(seed, 20, 6))]
     for name, L in cases:
@@ -124,27 +119,21 @@ def criterion_height_identity(seed: int = DEFAULT_SEED):
             if full:
                 k, l = L.shape
                 line_ok &= h == (k - t + 1) * (l - t + 1)
-            ok &= line_ok
-            details.append(f"{name} t={t}: |interior|={h} engine={engine_h} ok={line_ok}")
+            yield line_ok, f"{name} t={t}: |interior|={h} engine={engine_h} ok={line_ok}"
             if full:
                 e, expected = initial.multiplicity(), generic_multiplicity(k, l, t)
-                ok &= e == expected
-                details.append(f"{name} t={t}: multiplicity={e} Herzog-Trung={expected} "
-                               f"ok={e == expected}")
-    return ok, details
+                yield e == expected, (f"{name} t={t}: multiplicity={e} Herzog-Trung={expected} "
+                                      f"ok={e == expected}")
 
 
 def criterion_witness_certificate(seed: int = DEFAULT_SEED):
     """3. The splitting certificate passes on every fixture and every valid
     mixed size vector of the staircase fixture."""
-    details = []
-    ok = True
     for name, L, _ in _fixture_ladders():
         for t in _legal_unmixed_sizes(L):
             cert = symbolic_fsplit_certificate(L, t)
             good = all(passed for _, passed in cert.checks)
-            ok &= good
-            details.append(f"{name} t={t}: h={cert.h} counts={cert.counts} ok={good}")
+            yield good, f"{name} t={t}: h={cert.h} counts={cert.counts} ok={good}"
     staircase10, _ = load_fixture("staircase10")
     bounds = [staircase10.subladder(j).max_square_in() for j in range(1, len(staircase10.lower) + 1)]
     tried = passed_count = 0
@@ -155,19 +144,15 @@ def criterion_witness_certificate(seed: int = DEFAULT_SEED):
         cert = symbolic_fsplit_certificate(staircase10, tvec)
         good = all(p for _, p in cert.checks) and sum(cert.counts) == cert.h
         passed_count += good
-        ok &= good
         if not good:
-            details.append(f"staircase10 t={tvec}: FAILED")
-    details.append(f"staircase10 mixed variants: {passed_count}/{tried} certificates pass")
-    ok &= tried > 0 and passed_count == tried
-    return ok, details
+            yield False, f"staircase10 t={tvec}: FAILED"
+    yield (tried > 0 and passed_count == tried,
+           f"staircase10 mixed variants: {passed_count}/{tried} certificates pass")
 
 
 def criterion_intersection_identity(seed: int = DEFAULT_SEED):
     """4. Sum of neighbouring band ideals equals the wide-band/narrow-band
     intersection (t = 2, delta in {0, 1})."""
-    details = []
-    ok = True
     instances = [(2, 3, 2, 0), (3, 4, 2, 0), (3, 4, 2, 1)]
     for k, l, t, delta in instances:
         L = Ladder.full(k, l)
@@ -179,34 +164,26 @@ def criterion_intersection_identity(seed: int = DEFAULT_SEED):
             wide = mixed_ladder_ideal(L.band("cols", lo, hi), t, QQ, ring)
             inner = mixed_ladder_ideal(L.band("cols", lo + 1, hi - 1), t - 1, QQ, ring)
             good = (left + right).equal(wide.intersect(inner))
-            ok &= good
-            details.append(f"{k}x{l} t={t} delta={delta} j={j}: {good}")
-    return ok, details
+            yield good, f"{k}x{l} t={t} delta={delta} j={j}: {good}"
 
 
 def criterion_fedder(seed: int = DEFAULT_SEED):
     """5. Fedder membership certifies F-purity at p = 2 on the three fixtures."""
-    details = []
-    ok = True
     F2 = GF(2)
 
     I_det = mixed_ladder_ideal(Ladder.full(2, 2), 2, F2)
     good = fedder_check(I_det, 2, f_of_matrix(2, 2, F2))
-    ok &= good
-    details.append(f"(det X2x2): {good}")
+    yield good, f"(det X2x2): {good}"
 
     L3 = Ladder.full(3, 3)
     I3 = mixed_ladder_ideal(L3, 2, F2)
     good = fedder_check(I3, 2, f_witness(L3, 2, F2))
-    ok &= good
-    details.append(f"I2(X3x3): {good}")
+    yield good, f"I2(X3x3): {good}"
 
     L44, _ = load_fixture("staircase_sub4x4")
     I44 = mixed_ladder_ideal(L44, 2, F2)
     good = fedder_check(I44, 2, f_witness(L44, 2, F2))
-    ok &= good
-    details.append(f"I2(4x4 sub-ladder): {good}")
-    return ok, details
+    yield good, f"I2(4x4 sub-ladder): {good}"
 
 
 def criterion_symbolic_initial(seed: int = DEFAULT_SEED):
@@ -215,16 +192,13 @@ def criterion_symbolic_initial(seed: int = DEFAULT_SEED):
     L3 = Ladder.full(3, 3)
     I = mixed_ladder_ideal(L3, 2, F5)
     res = initial_symbolic_compare(I, 2, strategy=saturation_strategy(L3, 2, I.ring))
-    details = [
+    yield res.equal, (
         f"in(I^(2)) gens={len(res.left.gens)} in(I)^(2) gens={len(res.right.gens)} equal={res.equal}"
-    ]
-    return res.equal, details
+    )
 
 
 def criterion_knutson(seed: int = DEFAULT_SEED):
     """7. Ladder and corner derivations verify cleanly on the small fixtures."""
-    details = []
-    ok = True
     ladder_cases = [
         ("full2x2", Ladder.full(2, 2)),
         ("full2x3", Ladder.full(2, 3)),
@@ -236,9 +210,8 @@ def criterion_knutson(seed: int = DEFAULT_SEED):
         for t in _legal_unmixed_sizes(L):
             deriv = ladder_derivation(L, t)
             report = verify_derivation(deriv)
-            ok &= report.ok
-            details.append(f"ladder {name} t={t}: {'pass' if report.ok else 'FAIL'} "
-                           f"({len(report.lines)} checks)")
+            yield report.ok, (f"ladder {name} t={t}: {'pass' if report.ok else 'FAIL'} "
+                              f"({len(report.lines)} checks)")
     corner_cases = [
         (3, 3, 2, 2, 2, "nw"),
         (3, 4, 2, 2, 3, "nw"),
@@ -251,10 +224,8 @@ def criterion_knutson(seed: int = DEFAULT_SEED):
     for k, l, t, r, s, which in corner_cases:
         deriv = corner_derivation(k, l, t, r, s, which=which)
         report = verify_derivation(deriv)
-        ok &= report.ok
-        details.append(f"corner {k}x{l} t={t} r={r} s={s} {which}: "
-                       f"{'pass' if report.ok else 'FAIL'} ({len(report.lines)} checks)")
-    return ok, details
+        yield report.ok, (f"corner {k}x{l} t={t} r={r} s={s} {which}: "
+                          f"{'pass' if report.ok else 'FAIL'} ({len(report.lines)} checks)")
 
 
 def criterion_chamfer_descent(seed: int = DEFAULT_SEED):
@@ -263,22 +234,20 @@ def criterion_chamfer_descent(seed: int = DEFAULT_SEED):
     rng = random.Random(seed)
     moves_checked = reductions = 0
     kinds = [0, 0, 0]  # mixed, unmixed with t > 1, t = 1 at every corner
-    ok = True
-    details = []
+    replays_good = moves_good = True
     for _ in range(100):
         L, t = random_valid_ladder(rng, 8, mixed=True)
         kinds[0 if len(set(t)) > 1 else 1 if t[0] > 1 else 2] += 1
         try:
             red = reduce_to_unmixed(L, t)
         except ChamferError as exc:
-            ok = False
-            details.append(f"no descent from {L.to_json(t)}: {exc}")
+            yield False, f"no descent from {L.to_json(t)}: {exc}"
         else:
             good = len(red.moves) <= total_width(t)
             replayed, rt = red.replay()
             good &= replayed == L and rt == t
             good &= len(set(red.start_t)) == 1
-            ok &= good
+            replays_good &= good
             reductions += 1
         for j in range(1, len(t) + 1):
             if t[j - 1] < 2:
@@ -291,34 +260,29 @@ def criterion_chamfer_descent(seed: int = DEFAULT_SEED):
             good = validate(Lc, tc).valid
             Lb, tb = unchamfer(Lc, tc, j)
             good &= Lb == L and tb == t
-            ok &= good
-    details.append(f"{reductions} reductions replay within the width bound")
-    details.append(f"{moves_checked} chamfer moves valid and exactly inverted")
-    details.append(f"{kinds[0]} mixed, {kinds[1]} unmixed with t > 1, {kinds[2]} all t = 1")
-    return ok, details
+            moves_good &= good
+    yield replays_good, f"{reductions} reductions replay within the width bound"
+    yield moves_good, f"{moves_checked} chamfer moves valid and exactly inverted"
+    yield True, f"{kinds[0]} mixed, {kinds[1]} unmixed with t > 1, {kinds[2]} all t = 1"
 
 
 def criterion_poset_schubert(seed: int = DEFAULT_SEED):
     """9. Cogenerated poset ideals match brute force; Schubert ideals match
     the classical determinantal ideals and have squarefree initial ideals."""
-    details = []
-    ok = True
     for k in (2, 3):
         good = True
         for delta in minor_poset(k, k):
             formula = omega_delta_ideal(k, k, delta, QQ)
             brute = poset_ideal_brute(k, k, delta, QQ)
             good &= formula.equal(brute)
-        ok &= good
-        details.append(f"omega_delta formula vs brute on {k}x{k}: {good}")
+        yield good, f"omega_delta formula vs brute on {k}x{k}: {good}"
 
     for t in (2, 3):
         w = PartialPermutation((3, 3), frozenset((i, i) for i in range(1, t)))
         I_w = schubert_ideal(w, QQ)
         classical = mixed_ladder_ideal(Ladder.full(3, 3), t)
         good = I_w.equal(classical)
-        ok &= good
-        details.append(f"truncated identity t={t} equals I_t(X): {good}")
+        yield good, f"truncated identity t={t} equals I_t(X): {good}"
 
     rng = random.Random(seed)
     squarefree_ok = 0
@@ -330,9 +294,8 @@ def criterion_poset_schubert(seed: int = DEFAULT_SEED):
         I_w = schubert_ideal(w, QQ)
         if I_w.is_zero or I_w.initial_ideal().is_squarefree():
             squarefree_ok += 1
-    ok &= squarefree_ok == 10
-    details.append(f"random partial permutations with squarefree in(I_w): {squarefree_ok}/10")
-    return ok, details
+    yield (squarefree_ok == 10,
+           f"random partial permutations with squarefree in(I_w): {squarefree_ok}/10")
 
 
 # ---------------------------------------------------------------------------
@@ -351,56 +314,66 @@ class CriterionResult:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.key}: {self.title} ({self.seconds:.1f}s)"
 
 
-CRITERIA = (
-    ("groebner-squarefree", "minors form a Groebner basis with squarefree initial ideal",
-     criterion_groebner_squarefree),
-    ("height-identity", "interior size matches the engine height and the product formula; "
-     "full matrices have the Herzog-Trung multiplicity", criterion_height_identity),
-    ("witness-certificate", "splitting certificates pass, counts sum to the height",
-     criterion_witness_certificate),
-    ("intersection-identity", "band sums equal the wide/narrow intersections",
-     criterion_intersection_identity),
-    ("fedder", "Fedder membership certifies F-purity at p=2",
-     criterion_fedder),
-    ("symbolic-initial", "initial ideals of symbolic powers match over GF(5)",
-     criterion_symbolic_initial),
-    ("knutson", "ladder and corner derivations verify",
-     criterion_knutson),
-    ("chamfer-descent", "chamfer moves are valid, invertible and reduce to unmixed",
-     criterion_chamfer_descent),
-    ("poset-schubert", "poset and Schubert constructions cross-check",
-     criterion_poset_schubert),
-)
+# key -> (title, criterion); each criterion yields one (ok, detail) pair per
+# reported line.
+CRITERIA = {
+    "groebner-squarefree": ("minors form a Groebner basis with squarefree initial ideal",
+                            criterion_groebner_squarefree),
+    "height-identity": ("interior size matches the engine height and the product formula; "
+                        "full matrices have the Herzog-Trung multiplicity",
+                        criterion_height_identity),
+    "witness-certificate": ("splitting certificates pass, counts sum to the height",
+                            criterion_witness_certificate),
+    "intersection-identity": ("band sums equal the wide/narrow intersections",
+                              criterion_intersection_identity),
+    "fedder": ("Fedder membership certifies F-purity at p=2",
+               criterion_fedder),
+    "symbolic-initial": ("initial ideals of symbolic powers match over GF(5)",
+                         criterion_symbolic_initial),
+    "knutson": ("ladder and corner derivations verify",
+                criterion_knutson),
+    "chamfer-descent": ("chamfer moves are valid, invertible and reduce to unmixed",
+                        criterion_chamfer_descent),
+    "poset-schubert": ("poset and Schubert constructions cross-check",
+                       criterion_poset_schubert),
+}
 
 
 def criterion_keys() -> list[str]:
-    return [key for key, _, _ in CRITERIA]
+    return list(CRITERIA)
+
+
+def _criterion(key: str):
+    """The (title, criterion) pair for `key`; KeyError naming the known keys."""
+    try:
+        return CRITERIA[key]
+    except KeyError:
+        raise KeyError(f"unknown criterion: {key!r} (known: {', '.join(CRITERIA)})") from None
 
 
 def run_criterion(key: str, seed: int = DEFAULT_SEED, seconds: float | None = None) -> CriterionResult:
     """Run one criterion under a time budget of `seconds` (None: unbounded).
 
-    A criterion that runs out of budget, or whose engine call finds a
-    certificate, derivation or ladder check false, fails, with the reason as
-    its detail.
+    The criterion passes iff every line it yields passes.  A criterion that
+    runs out of budget, or whose engine call finds a certificate, derivation
+    or ladder check false, fails, with the reason as its detail.
     """
-    for ckey, title, fn in CRITERIA:
-        if ckey == key:
-            start = time.monotonic()
-            try:
-                with time_limit(seconds):
-                    passed, details = fn(seed)
-            except (InstanceTooLarge, CertificateError, DerivationError, LadderError) as exc:
-                elapsed = time.monotonic() - start
-                return CriterionResult(ckey, title, False, elapsed, (f"{exc} after {elapsed:.2f} s",))
-            return CriterionResult(ckey, title, passed, time.monotonic() - start, tuple(details))
-    raise KeyError(f"unknown criterion: {key!r} (known: {', '.join(criterion_keys())})")
+    title, fn = _criterion(key)
+    start = time.monotonic()
+    try:
+        with time_limit(seconds):
+            lines = list(fn(seed))
+    except (InstanceTooLarge, CertificateError, DerivationError, LadderError) as exc:
+        elapsed = time.monotonic() - start
+        return CriterionResult(key, title, False, elapsed, (f"{exc} after {elapsed:.2f} s",))
+    passed = all(ok for ok, _ in lines)
+    details = tuple(detail for _, detail in lines)
+    return CriterionResult(key, title, passed, time.monotonic() - start, details)
 
 
 def run_suite(keys=None, seed: int = DEFAULT_SEED, seconds: float | None = None) -> list[CriterionResult]:
     """Run the criteria in order, each under its own budget of `seconds`."""
     keys = list(keys) if keys else criterion_keys()
     for key in keys:
-        if key not in criterion_keys():
-            raise KeyError(f"unknown criterion: {key!r}")
+        _criterion(key)
     return [run_criterion(key, seed, seconds) for key in keys]

@@ -184,13 +184,13 @@ def _cmd_ideal(args) -> int:
         _emit(args, {"gens": gens}, gens)
         return 0
     if args.action == "eq":
-        equal = I.equal(J, args.order)
+        equal = I.equal(J)
         _emit(args, {"equal": equal}, [f"equal={equal}"])
         return 0 if equal else 1
     if args.action == "member":
         if args.poly is None:
             raise UsageError("ideal member needs --poly")
-        member = I.contains(parse_polynomial(args.poly, args.field), args.order)
+        member = I.contains(parse_polynomial(args.poly, args.field))
         _emit(args, {"member": member}, [f"member={member}"])
         return 0 if member else 1
     if args.action == "initial":

@@ -47,14 +47,6 @@ class Field:
                 raise ValueError(f"modulus is not prime: {p}")
         self.p = p
 
-    @property
-    def characteristic(self) -> int:
-        return self.p or 0
-
-    @property
-    def is_modular(self) -> bool:
-        return self.p is not None
-
     def coerce(self, value):
         """The exact form in the field of an int, Fraction or decimal string;
         ValueError on a zero denominator, or one that p divides."""

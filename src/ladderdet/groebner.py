@@ -165,8 +165,7 @@ def _divisor(index: dict, m: int, mask: int, guard: int):
     """The first item filed in `index` whose monomial divides m, of support
     mask `mask`, or None.  Only the buckets of m's bits, top down, then
     bucket 0 can hold a divisor, each searched in filing order; only a
-    mask inside `mask` is tested by `mono_divides`.  With guard 0 the
-    monomials are bit sets, and divisibility is that inclusion."""
+    mask inside `mask` is tested by `mono_divides`."""
     bits = mask
     while True:
         top = bits.bit_length()
@@ -814,26 +813,26 @@ class Ideal:
                 packing, Reducer(self.groebner_basis(order), order, self.ring.field, packing))
         return reducer
 
-    def contains(self, f: Polynomial, order: TermOrder = ANTIDIAG) -> bool:
-        return self.normal_form(f, order).is_zero
+    def contains(self, f: Polynomial) -> bool:
+        return self.normal_form(f).is_zero
 
-    def contains_ideal(self, other: "Ideal", order: TermOrder = ANTIDIAG) -> bool:
-        return all(self.contains(g, order) for g in other.gens)
+    def contains_ideal(self, other: "Ideal") -> bool:
+        return all(self.contains(g) for g in other.gens)
 
     @property
     def is_zero(self) -> bool:
         return not self.gens
 
-    def is_unit(self, order: TermOrder = ANTIDIAG) -> bool:
+    def is_unit(self) -> bool:
         if self.is_zero:
             return False
-        basis = self.groebner_basis(order)
-        return len(basis) == 1 and basis[0].leading_term(order)[0] == MONO_ONE
+        basis = self.groebner_basis()
+        return len(basis) == 1 and basis[0].leading_term()[0] == MONO_ONE
 
-    def equal(self, other: "Ideal", order: TermOrder = ANTIDIAG) -> bool:
+    def equal(self, other: "Ideal") -> bool:
         """Ideal equality via reduced-Groebner-basis comparison."""
         self._require_same_ring(other)
-        return self.groebner_basis(order) == other.groebner_basis(order)
+        return self.groebner_basis() == other.groebner_basis()
 
     def _require_same_ring(self, other: "Ideal"):
         if self.ring != other.ring:
@@ -910,8 +909,8 @@ class Ideal:
 
     def bracket(self, q: int) -> "Ideal":
         """Frobenius bracket power I^[q]: generators raised to the q-th power."""
-        p = self.ring.field.characteristic
-        if p == 0:
+        p = self.ring.field.p
+        if p is None:
             raise ValueError("bracket powers need a coefficient field of characteristic p")
         e, qq = 0, q
         while qq > 1 and qq % p == 0:

@@ -189,32 +189,27 @@ class GWitnessData:
 def g_witness_data(L: Ladder, t) -> GWitnessData:
     """Locate the strong-F-regularity witness g = det(Y) * prod det(Y_r).
 
-    The distinguished level beta is the antidiagonal through the lowest
-    corner in column c_alpha; it is located by its stated properties
-    (beta in B, b_beta = k, p_beta = v) and the construction is verified:
-    squarefree lead avoiding x[k, c_alpha], counts adding to height - 1.
+    alpha is the last lower corner in row k.  Lower corners are nondecreasing
+    in rows, so that is corner v, and L_alpha = L_v as p_beta = v requires;
+    two lower corners may share row k.  The distinguished level beta = k +
+    c_alpha is the antidiagonal through the lowest corner in column c_alpha,
+    and the construction is verified: b_beta = k, p_beta = v, squarefree
+    lead avoiding x[k, c_alpha], counts adding to height - 1.
     """
     t = size_vector(t, len(L.lower))
     if t[-1] == 1:
         raise GWitnessError("t_v = 1: the witness construction needs t_v > 1")
     k, l = L.shape
-    alpha = None
-    for j, (d, c) in enumerate(L.lower, start=1):
-        if d == k:
-            alpha = j
-            break
-    if alpha is None:
+    alpha = len(L.lower)
+    d_alpha, c_alpha = L.lower[alpha - 1]
+    if d_alpha != k:
         raise GWitnessError("no lower corner in the last row")
-    c_alpha = L.lower[alpha - 1][1]
 
     profile = antidiagonal_profile(L, t)
     beta = k + c_alpha
     ld = next((w for w in profile.witness if w.r == beta), None)
     if ld is None:
-        ld = next((w for w in profile.witness if w.b == k and w.p == len(t)), None)
-        if ld is None:
-            raise GWitnessError(f"no admissible level with b_r = {k} and p_r = {len(t)}")
-        beta = ld.r
+        raise GWitnessError(f"no admissible level beta = k + c_alpha = {beta}")
     if ld.b != k or ld.p != len(t):
         raise GWitnessError(f"level {beta} fails b_beta = k, p_beta = v: got b={ld.b}, p={ld.p}")
 

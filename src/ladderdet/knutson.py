@@ -443,7 +443,7 @@ def derivation_to_json(deriv: KnutsonDerivation) -> str:
     field = deriv.ring.field
     return json.dumps(
         {
-            "field": "q" if not field.is_modular else f"fp:{field.p}",
+            "field": "q" if field.p is None else f"fp:{field.p}",
             "cells": sorted([v.i, v.j] for v in deriv.ring.variables if not v.is_aux),
             "f_factors": [poly_to_str(f) for f in deriv.f_factors],
             "label": deriv.label,

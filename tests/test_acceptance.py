@@ -6,13 +6,14 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 lines, or `ladderdet accept run all` for the same suite from the CLI.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 from ladderdet import acceptance
 from ladderdet.groebner import InstanceTooLarge
-from ladderdet.ladders import Ladder
+from ladderdet.ladders import Ladder, UnmixReduction
 from ladderdet.poly import time_limit
 
 BUDGETS = {
@@ -65,6 +66,53 @@ def test_falsified_criterion_fails_and_the_suite_goes_on(monkeypatch, capsys):
 def test_unknown_criterion_rejected():
     with pytest.raises(KeyError):
         acceptance.run_criterion("no-such-criterion")
+
+
+def test_a_criterion_passes_iff_every_line_passes(monkeypatch):
+    def stub(seed):
+        yield True, "a"
+        yield False, "b"
+
+    monkeypatch.setitem(acceptance.CRITERIA, "stub", ("two lines", stub))
+    result = acceptance.run_criterion("stub")
+    assert not result.passed
+    assert result.details == ("a", "b")
+
+
+def test_a_wrong_replay_fails_chamfer_descent_on_the_same_lines(monkeypatch):
+    # A replay that ends at another size vector still counts as a reduction,
+    # so only the verdict of the replay line changes.
+    honest = acceptance.run_criterion("chamfer-descent")
+    assert honest.passed
+    real = acceptance.reduce_to_unmixed
+
+    class WrongReplay(UnmixReduction):
+        def replay(self):
+            L, t = super().replay()
+            return L, t + (1,)
+
+    def wrong_replay(L, t):
+        red = real(L, t)
+        return WrongReplay(**{f.name: getattr(red, f.name) for f in dataclasses.fields(red)})
+
+    monkeypatch.setattr(acceptance, "reduce_to_unmixed", wrong_replay)
+    result = acceptance.run_criterion("chamfer-descent")
+    assert not result.passed
+    assert result.details == honest.details
+
+
+def test_run_suite_refuses_an_unknown_key_before_running_any(monkeypatch):
+    ran = []
+    title, _ = acceptance.CRITERIA["fedder"]
+    monkeypatch.setitem(acceptance.CRITERIA, "fedder",
+                        (title, lambda seed: ran.append(seed) or iter(())))
+    with pytest.raises(KeyError) as from_suite:
+        acceptance.run_suite(["nosuch", "fedder"])
+    with pytest.raises(KeyError) as from_criterion:
+        acceptance.run_criterion("nosuch")
+    assert ran == []
+    assert str(from_suite.value) == str(from_criterion.value)
+    assert "known: groebner-squarefree, height-identity" in str(from_suite.value)
 
 
 def test_legal_unmixed_sizes_keeps_an_expired_budget():

@@ -31,7 +31,8 @@ from ladderdet.ideals import (
     poset_ideal_brute,
     schubert_ideal,
 )
-from ladderdet.ladders import Ladder, LadderError, antidiagonal_profile, random_valid_ladder
+from ladderdet.ladders import (Ladder, LadderError, antidiagonal_profile, height,
+                               random_valid_ladder, validate)
 from ladderdet.poly import (ANTIDIAG, Minor, Monomial, Polynomial, expand_minor, grid_var, mono,
                             mono_is_squarefree, time_limit)
 
@@ -159,6 +160,39 @@ def test_g_witness_2x2_degenerate():
 def test_g_witness_requires_tv_above_one():
     with pytest.raises(GWitnessError):
         g_witness_data(Ladder.full(3, 3), (1,))
+
+
+def _check_g_witness(L, t):
+    """g_witness_data builds, and its witness passes the checks it makes."""
+    data = g_witness_data(L, t)
+    k = L.shape[0]
+    assert data.alpha == len(L.lower) and L.lower[-1][0] == k
+    assert data.beta == k + L.lower[-1][1]
+    assert mono_is_squarefree(data.lead.value)
+    assert grid_var(k, L.lower[-1][1]) not in data.lead.packing.shift
+    assert data.count == height(L, t) - 1
+    assert L.contains_minor(data.y_minor)
+
+
+@pytest.mark.parametrize("shape,lower", [((6, 4), ((6, 1), (6, 3))),
+                                         ((3, 7), ((3, 1), (3, 6)))])
+def test_g_witness_two_lower_corners_in_the_last_row(shape, lower):
+    # alpha is the last lower corner in row k, whose subladder is L_v; the
+    # first one there leaves level k + c_alpha with p = 1 instead of v.
+    L = Ladder(shape, ((1, shape[1]),), lower)
+    assert validate(L, (3, 2)).valid
+    _check_g_witness(L, (3, 2))
+
+
+def test_g_witness_builds_on_seeded_ladders():
+    rng = random.Random(1)
+    built = 0
+    for n in range(400):
+        L, t = random_valid_ladder(rng, 8, mixed=n % 2 == 1)
+        if t[-1] > 1:
+            _check_g_witness(L, t)
+            built += 1
+    assert built >= 100
 
 
 def from_one_line(word):
