@@ -36,7 +36,7 @@ from .ideals import (
 from .knutson import (
     corner_derivation,
     derivation_from_json,
-    derivation_to_json,
+    derivation_to_obj,
     ladder_derivation,
     verify as verify_derivation,
 )
@@ -267,16 +267,22 @@ def _cmd_symbolic(args) -> int:
     return 0 if res.equal else 1
 
 
+def _verify_payload(deriv):
+    """The verify report of a derivation, with its JSON keys `verified` and
+    `checks`."""
+    report = verify_derivation(deriv)
+    return report, {"verified": report.ok,
+                    "checks": [{"node": ln.node, "check": ln.check, "ok": ln.ok}
+                               for ln in report.lines]}
+
+
 def _cmd_knutson(args) -> int:
     if args.action == "verify":
         if not args.file:
             raise UsageError("knutson verify needs a derivation file")
         deriv = _load_file(args.file, derivation_from_json, "derivation file")
-        report = verify_derivation(deriv)
-        _emit(args, {"verified": report.ok,
-                     "checks": [{"node": ln.node, "check": ln.check, "ok": ln.ok}
-                                for ln in report.lines]},
-              [report.as_text()])
+        report, payload = _verify_payload(deriv)
+        _emit(args, payload, [report.as_text()])
         return 0 if report.ok else 1
     if args.corner:
         sizes, which = args.corner
@@ -287,20 +293,26 @@ def _cmd_knutson(args) -> int:
     else:
         raise UsageError("knutson derive needs --ladder or --corner")
     # The derivation JSON is a file format: always in antidiagonal order.
-    text = derivation_to_json(deriv)
+    obj = derivation_to_obj(deriv)
+    text = json.dumps(obj)
     if args.out:
         try:
             Path(args.out).write_text(text)
         except OSError as exc:
             raise UsageError(f"cannot write {args.out}: {exc}") from None
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+        obj, text = {"wrote": args.out}, f"wrote {args.out}"
+    as_text = args.format != "json"
+    if as_text:
+        print(text)  # before the verification, which can take a while
+    ok = True
     if args.verify:
-        report = verify_derivation(deriv)
-        print(report.as_text())
-        return 0 if report.ok else 1
-    return 0
+        report, payload = _verify_payload(deriv)
+        obj, ok = {**obj, **payload}, report.ok
+        if as_text:
+            print(report.as_text())
+    if not as_text:
+        print(json.dumps(obj))  # one document, the derivation's keys in file order
+    return 0 if ok else 1
 
 
 def _cmd_schubert(args) -> int:

@@ -18,10 +18,11 @@ with it, a lead coprime to it acts only through one divisor search,
 skipped when no lead is coprime to it, and the initial build tests the
 chain criterion once per pair against the later leads.  Both form and
 reduce each S-pair on the terms of a reducer's entries, coefficients as
-the polynomials hold them.  The reducer, the pair update's minimal
-quotients, `interreduce` and monomial minimalisation find divisors on one
-top-bit index (`_divisor`).  Both first walk the initial pair set in the
-order it was built, up to the first nonzero remainder (`_walk`); most
+the polynomials hold them.  The reducer, the pair update (its minimal
+quotients, its coprime leads and the initial build's later leads),
+`interreduce` and monomial minimalisation find divisors on one top-bit
+index (`_index_add`, `_divisor`).  Both first walk the initial pair set in
+the order it was built, up to the first nonzero remainder (`_walk`); most
 generator sets the engine meets, minors under an antidiagonal order, are
 already bases, and for them the walk is the whole run.  `buchberger` then
 runs the Buchberger loop from that remainder, which selects the pairs left
@@ -300,28 +301,29 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 # and one can divide another only if its mask lies inside the other's.
 #
 # The pairs are made on a `_Leads` index of the basis's leads: their
-# support masks and the leads by lowest support bit.  It saves work in
-# four ways:
+# support masks and the leads filed on the divisor index (`_index_add`).
+# It saves work in four ways:
 # - M and F, near leads only (`_near_pairs`): a new lead's lcms and
 #   quotients are formed only with the leads that share a variable with
-#   it, found by one scan of the masks, and the minimal quotients on the
-#   divisor index (`_divisor`).  A lead c coprime to it matters
-#   only through division: lm_c times the new lead divides the lcm L_i of
-#   lead i exactly when lm_c divides the quotient q_i.  So a minimal
-#   quotient is dropped when a divisor search on the lowest-bit index
-#   finds a coprime lead dividing it; that one test is the coprime-lead
-#   criterion F and the coprime part of M.
+#   it, found by one scan of the masks, and the minimal quotients on a
+#   divisor index of their own (`_divisor`).  A lead c coprime to it
+#   matters only through division: lm_c times the new lead divides the lcm
+#   L_i of lead i exactly when lm_c divides the quotient q_i.  So a minimal
+#   quotient is dropped when `_divisor` finds a lead dividing it on the
+#   leads' index, searched with the quotient's support outside the new
+#   lead's; that one test is the coprime-lead criterion F and the coprime
+#   part of M.
 # - No coprime search when none can exist: when every lead is near, as
 #   in an intersection, whose leads all hold the aux variable, the
 #   search is skipped.
 # - B once per pair in the initial build: B_k drops the pair (i, j), made
 #   when j was added, exactly when a later lead k divides its lcm L and L
 #   differs from lcm(i, k) and from lcm(j, k), which depends on i, j and k
-#   alone.  `_initial_pairs` tests each pair it makes once, against the
-#   later leads that the lowest-bit index offers, and its dict equals, in
-#   order too, the one that adding the leads one at a time by
-#   `_update_pairs` gives.  The driver's `_update_pairs` cannot know the
-#   later leads, so it scans the pair set for each new lead.
+#   alone.  `_initial_pairs` tests each pair it makes once, by descending
+#   j, against the later leads filed on a divisor index of their own, and
+#   its dict equals, in order too, the one that adding the leads one at a
+#   time by `_update_pairs` gives.  The driver's `_update_pairs` cannot
+#   know the later leads, so it scans the pair set for each new lead.
 # - No build for a decided set: `is_groebner_basis` on generators whose
 #   verdict is recorded, and `buchberger` on generators recorded as a
 #   basis, build no pair set (`_verdict`).  `is_groebner_basis` on the very
@@ -334,38 +336,23 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 class _Leads:
     """The leads of a basis, indexed for the pair update.
 
-    `masks` holds the support mask of each lead; `by_low` maps the bit
-    length of each lead's lowest support bit, 0 for a constant lead, to the
-    set of those leads, an int with bit i set for lead i.
+    `masks` holds the support mask of each lead, and `index` files each
+    lead's number under the lead on the divisor index (`_index_add`).
     """
 
-    __slots__ = ("guard", "low", "lms", "masks", "by_low")
+    __slots__ = ("guard", "low", "lms", "masks", "index")
 
     def __init__(self, packing: Packing):
         self.guard, self.low = packing.guard, packing.low
         self.lms: list[int] = []
         self.masks: list[int] = []
-        self.by_low: dict = {}
+        self.index: dict = {}
 
     def add(self, lm: int) -> None:
-        bit = 1 << len(self.lms)
         mask = (lm + self.low) & self.guard
+        _index_add(self.index, lm, mask, len(self.lms))
         self.lms.append(lm)
         self.masks.append(mask)
-        key = (mask & -mask).bit_length()
-        self.by_low[key] = self.by_low.get(key, 0) | bit
-
-    def lowest_in(self, mask: int) -> int:
-        """The set of the leads whose lowest support bit is in `mask`, with
-        the constant leads: it holds every lead that divides a monomial of
-        support `mask`."""
-        by_low = self.by_low
-        found = by_low.get(0, 0)
-        while mask:
-            top = mask.bit_length()
-            found |= by_low.get(top, 0)
-            mask ^= 1 << top - 1
-        return found
 
 
 def _near_pairs(leads: _Leads, lmf: int):
@@ -388,12 +375,13 @@ def _near_pairs(leads: _Leads, lmf: int):
       it.  c's own quotient is lm_c, so a group holds c exactly when
       q = lm_c, and lm_c | q otherwise makes q no minimal quotient: that
       one test is the coprime-lead criterion and the coprime leads' part
-      of the minimality.
+      of the minimality.  It is one `_divisor` search of the leads' index
+      with q's support outside lmf's: a lead whose support lies there is
+      coprime to lmf.
     """
     lms, masks, guard, low = leads.lms, leads.masks, leads.guard, leads.low
     maskf = (lmf + low) & guard
     near = [i for i, mask in enumerate(masks) if mask & maskf]
-    coprime = len(near) < len(lms)
     lcms = [mono_lcm(lms[i], lmf, guard) for i in near]
 
     first = dict(zip(reversed(lcms), reversed(near)))  # lcm -> its first index
@@ -411,23 +399,11 @@ def _near_pairs(leads: _Leads, lmf: int):
                 minimal.append(q)
                 _index_add(index, q, mask, q)
 
-    if coprime:
+    if len(near) < len(lms):  # some lead is coprime to lmf
         # A lead c coprime to lmf has lcm lm_c * lmf, and
-        # lm_c * lmf | L_i = lmf * q_i iff lm_c | q_i.  Its support lies in
-        # q_i's outside lmf's, so `lowest_in` of that part holds it.
-        kept = []
-        for q in minimal:
-            qmask = (q + low) & guard & ~maskf
-            found = leads.lowest_in(qmask)
-            while found:
-                bit = found & -found
-                found ^= bit
-                c = bit.bit_length() - 1
-                if not masks[c] & ~qmask and not (q - lms[c]) & guard:
-                    break  # a coprime lead divides q
-            else:
-                kept.append(q)
-        minimal = kept
+        # lm_c * lmf | L_i = lmf * q_i iff lm_c | q_i.
+        minimal = [q for q in minimal
+                   if _divisor(leads.index, q, (q + low) & guard & ~maskf, guard) is None]
     return [(first[q + lmf], q + lmf) for q in minimal]
 
 
@@ -468,10 +444,13 @@ def _initial_pairs(lmG, packing: Packing):
 
     The pairs each lead makes come from `_near_pairs`.  B is then tested
     once per pair (i, j), as in `_update_pairs`, against the later leads
-    k > j whose lowest support bit is in the support of L = lcm_ij, the
-    union of i's and j's: only those can divide L.  Deleting the pairs it
-    drops leaves the others in order.  Each pass checks the budget once
-    per lead.
+    k > j.  The pass takes the pairs by descending j and files the leads
+    after j on a fresh divisor index just before j's pairs, so the index
+    holds exactly those leads.  It walks the index's buckets itself, as
+    `_divisor` does, but only those that hold a lead, and on past a divisor
+    of L that fails the cofactor test.  Deleting the pairs it drops leaves
+    the others in order.  The build checks the budget once per lead, the
+    B pass once per j whose pairs meet later leads.
     """
     leads = _Leads(packing)
     P: dict = {}
@@ -480,24 +459,31 @@ def _initial_pairs(lmG, packing: Packing):
         for i, L in _near_pairs(leads, lm):
             P[i, j] = L
         leads.add(lm)
-    lms, guard, low = leads.lms, leads.guard, leads.low
-    lowest_in = [leads.lowest_in(mask) for mask in leads.masks]
-    gone, last = [], -1
-    for ij, L in P.items():  # grouped by j, ascending
+    lms, masks, guard, low = leads.lms, leads.masks, leads.guard, leads.low
+    later: dict = {}  # the leads k >= filed, on the divisor index
+    tops = 0  # the top bits of their masks: the buckets that hold a lead
+    gone, filed = [], len(lms)
+    for ij, L in reversed(P.items()):  # grouped by j, descending
         i, j = ij
-        if j != last:
+        if filed > j + 1:  # j's first pair: file the leads after j
             _check_deadline()
-            last = j
-        later = (lowest_in[j] | lowest_in[i]) >> j + 1
-        while later:  # bit b is lead j + 1 + b
-            bit = later & -later
-            later ^= bit
-            lmk = lms[j + bit.bit_length()]
-            if not (L - lmk) & guard:
-                cof = (L - lmk + low) & guard
-                if (L - lms[i] + low) & cof and (L - lms[j] + low) & cof:
-                    gone.append(ij)  # B_k drops the pair
-                    break
+            for k in range(j + 1, filed):
+                _index_add(later, lms[k], masks[k], k)
+                tops |= 1 << masks[k].bit_length() >> 1
+            filed = j + 1
+        lmi, lmj, bits = lms[i], lms[j], (L + low) & tops
+        while True:  # the buckets of L's bits, top down, then bucket 0
+            top = bits.bit_length()
+            for lmk, _, _ in later.get(top, ()):
+                if not (L - lmk) & guard:
+                    cof = (L - lmk + low) & guard
+                    if (L - lmi + low) & cof and (L - lmj + low) & cof:
+                        gone.append(ij)  # B_k drops the pair
+                        top = 0
+                        break
+            if not top:
+                break
+            bits ^= 1 << top - 1
     for ij in gone:
         del P[ij]
     return leads, P
@@ -851,7 +837,6 @@ class Ideal:
         for combo in combinations_with_replacement(self.gens, n):
             g = combo[0]
             for h in combo[1:]:
-                _check_deadline()
                 g = g * h
             gens.append(g)
         return Ideal(self.ring, gens)

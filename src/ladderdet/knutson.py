@@ -439,17 +439,20 @@ def _node_from_obj(obj, field: Field):
     raise DerivationError(f"unknown node kind in JSON: {kind}")
 
 
-def derivation_to_json(deriv: KnutsonDerivation) -> str:
+def derivation_to_obj(deriv: KnutsonDerivation) -> dict:
+    """The derivation as the JSON object of its file."""
     field = deriv.ring.field
-    return json.dumps(
-        {
-            "field": "q" if field.p is None else f"fp:{field.p}",
-            "cells": sorted([v.i, v.j] for v in deriv.ring.variables if not v.is_aux),
-            "f_factors": [poly_to_str(f) for f in deriv.f_factors],
-            "label": deriv.label,
-            "root": _node_to_obj(deriv.root),
-        }
-    )
+    return {
+        "field": "q" if field.p is None else f"fp:{field.p}",
+        "cells": sorted([v.i, v.j] for v in deriv.ring.variables if not v.is_aux),
+        "f_factors": [poly_to_str(f) for f in deriv.f_factors],
+        "label": deriv.label,
+        "root": _node_to_obj(deriv.root),
+    }
+
+
+def derivation_to_json(deriv: KnutsonDerivation) -> str:
+    return json.dumps(derivation_to_obj(deriv))
 
 
 def derivation_from_json(text: str) -> KnutsonDerivation:

@@ -666,6 +666,7 @@ class Polynomial:
             a_items, b_items = b_items, a_items
         if p is None:
             for ma, ca in a_items:
+                _check_deadline()
                 for mb, cb in b_items:
                     m = ma + mb
                     v = acc.get(m)
@@ -674,6 +675,7 @@ class Polynomial:
             terms = {m: c if type(c) is int else coerce(c) for m, c in acc.items() if c}
         else:
             for ma, ca in a_items:
+                _check_deadline()
                 for mb, cb in b_items:
                     m = ma + mb
                     acc[m] = acc.get(m, 0) + ca * cb

@@ -3,10 +3,10 @@
 `ladderdet.groebner` builds pairs from an index of the leads
 (`_Leads`): the lcms and quotients of a new lead are formed only with the
 leads that share a variable with it, a lead coprime to it acts only
-through one divisor search on the index by lowest support bit (which is
-skipped when the new lead shares a variable with every lead), and the
-initial build tests B once per pair against the later leads that divide
-its lcm.  Two references check it:
+through one divisor search on the top-bit divisor index of the leads
+(which is skipped when the new lead shares a variable with every lead),
+and the initial build tests B once per pair, by descending j, against the
+later leads that divide its lcm.  Two references check it:
 
 - `update_pairs` / `initial_pairs`: the update two rewrites back.  Its B_k
   scan tests a support-mask inclusion before calling `mono_divides`, the

@@ -155,6 +155,30 @@ def test_knutson_commands(capsys, tmp_path):
     assert code == 0
 
 
+def test_json_knutson_derive_prints_one_document(capsys, tmp_path):
+    # The derivation's keys, or "wrote", then those of `knutson verify`.
+    code, out = run_cli("--format", "json", "knutson", "derive", "--corner", "3,3,2,2,2",
+                        capsys=capsys)
+    assert code == 0
+    derivation = json.loads(out)
+    code, out = run_cli("--format", "json", "knutson", "derive", "--corner", "3,3,2,2,2",
+                        "--verify", capsys=capsys)
+    assert code == 0
+    verified = json.loads(out)
+    out_file = tmp_path / "deriv.json"
+    out_file.write_text(json.dumps(derivation))
+    code, out = run_cli("--format", "json", "knutson", "verify", str(out_file), capsys=capsys)
+    assert code == 0
+    assert verified == {**derivation, **json.loads(out)}
+    assert verified["verified"] is True and verified["checks"]
+    code, out = run_cli("--format", "json", "knutson", "derive", "--corner", "3,3,2,2,2",
+                        "--out", str(out_file), "--verify", capsys=capsys)
+    assert code == 0
+    assert json.loads(out) == {"wrote": str(out_file), "verified": True,
+                               "checks": verified["checks"]}
+    assert json.loads(out_file.read_text()) == derivation
+
+
 def test_knutson_derive_out_to_unwritable_path_exits_2(capsys, tmp_path):
     target = tmp_path / "missing" / "d.json"
     code = main(["knutson", "derive", "--corner", "3,3,2,2,2", "--out", str(target)])
@@ -545,6 +569,20 @@ def test_timeout_reaches_the_ladder_layer(n, action, sizes, tmp_path):
     assert proc.returncode == 1
     assert "time budget exceeded" in proc.stderr
     assert seconds < 3
+
+
+def test_timeout_reaches_the_fedder_products(tmp_path, capsys):
+    # f_witness of this 6 x 6 two-corner ladder has 11,968 terms; its square
+    # and its products with the generators run for minutes unless the
+    # budget reaches every row of a product.
+    spec = tmp_path / "mixed66.json"
+    spec.write_text(json.dumps({"shape": [6, 6], "upper": [[1, 6]],
+                                "lower": [[2, 1], [6, 4]], "t": [2, 3]}))
+    start = time.monotonic()
+    code = main(["--timeout", "0.5", "--field", "fp:3", "fedder", "--ladder", str(spec), "--p", "3"])
+    assert code == 1
+    assert "time budget exceeded" in capsys.readouterr().err
+    assert time.monotonic() - start < 2.5
 
 
 def test_ladder_show_of_a_3000x3000_ladder_fits_a_1s_budget(tmp_path):

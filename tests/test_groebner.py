@@ -38,7 +38,7 @@ from ladderdet.groebner import (
     normal_form,
     s_polynomial,
 )
-from ladderdet.ideals import ladder_ring, mixed_ladder_ideal
+from ladderdet.ideals import ladder_ring, minors_in_ladder, mixed_ladder_ideal
 from ladderdet.ladders import Ladder
 from ladderdet.poly import (
     ANTIDIAG,
@@ -1276,9 +1276,20 @@ def _duplicate_leads(rng):
     return cases
 
 
+def _staircase10_minor_leads(rng):
+    # The leads of the minors at the fixture's sizes (2, 3, 1, 2): 85 of
+    # degree 1 to 3, so coprime leads and later divisors of mixed degree.
+    L, t = ladderdet.load_fixture("staircase10")
+    packing = ladder_ring(QQ, L).packing
+    leads = [m.antidiagonal_monomial().packed_in(packing) for m in minors_in_ladder(L, t)]
+    assert len(leads) == 85 and {mono_degree(lm) for lm in leads} == {1, 2, 3}
+    return [(leads, packing)]
+
+
 _STRUCTURED_LEADS = {
     **{f"minors-{k}x{k}-t{t}": (lambda rng, k=k, t=t: [_grid_minor_leads(k, t)])
        for k in (5, 6) for t in (2, 3)},
+    "staircase10-minors": _staircase10_minor_leads,
     "products-of-minors": _products_of_minors,
     "exponents-to-3": _exponents_to_3,
     "quotients": _quotient_cases,

@@ -240,6 +240,25 @@ def test_expand_minor_honours_time_limit():
         assert time.monotonic() - start < 0.5
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
+def test_products_honour_time_limit(field):
+    # The product of three row sums of a 3 x 12 grid has 1,728 terms, each
+    # with coefficient 1; its square, 3 million term products, takes over
+    # a second on a 2-CPU machine.  The budget is checked once per row of a
+    # product, in both coefficient branches.
+    f = Polynomial.one(field)
+    for i in (1, 2, 3):
+        f = f * sum((Polynomial.variable(field, gv(i, j)) for j in range(1, 13)),
+                    Polynomial.zero(field))
+    assert len(f.terms) == 1728
+    for product in (lambda: f * f, lambda: f ** 2):
+        start = time.monotonic()
+        with pytest.raises(InstanceTooLarge):
+            with time_limit(0.02):
+                product()
+        assert time.monotonic() - start < 0.5
+
+
 def _inversion_count_expansion(m, field, packing):
     """The Leibniz expansion with an inversion count per permutation, as
     `expand_minor` computed its signs before it cached their parities."""
