@@ -70,23 +70,64 @@ def _random_unmixed(seed: int, count: int, max_size: int):
     return [random_valid_ladder(rng, max_size, mixed=False) for _ in range(count)]
 
 
+def _random_mixed(seed: int, count: int, max_size: int):
+    """The first `count` draws of `random_valid_ladder(..., mixed=True)`
+    whose size vector is mixed, and the number of draws that took."""
+    rng = random.Random(seed)
+    found, draws = [], 0
+    while len(found) < count:
+        L, t = random_valid_ladder(rng, max_size, mixed=True)
+        draws += 1
+        if len(set(t)) > 1:
+            found.append((L, t))
+    return found, draws
+
+
+_MIXED_DRAWS = 20
+
+
+def _polynomial_cases(seed: int):
+    """(name, ladder, t) for the criteria that build the ideal of minors,
+    and the number of random draws the mixed ones took.
+
+    First the fixtures and 20 random ladders at every legal unmixed size t,
+    an int; then, with t a tuple, staircase10 at its fixture sizes and the
+    first 20 random draws whose sizes are mixed."""
+    cases = [(name, L) for name, L, _ in _fixture_ladders()]
+    cases += [(f"random{i}", L) for i, (L, _) in enumerate(_random_unmixed(seed, 20, 6))]
+    out = [(name, L, t) for name, L in cases for t in _legal_unmixed_sizes(L)]
+    out.append(("staircase10", *load_fixture("staircase10")))
+    drawn, draws = _random_mixed(seed, _MIXED_DRAWS, 6)
+    out += [(f"mixed{i}", L, t) for i, (L, t) in enumerate(drawn)]
+    return out, draws
+
+
+def _mixed_line(passes: list[bool], draws: int):
+    """The line that counts the mixed cases and how many of them pass."""
+    return (bool(passes) and all(passes),
+            f"mixed size vectors: {sum(passes)}/{len(passes)} cases pass, "
+            f"{_MIXED_DRAWS} of them from {draws} random draws")
+
+
 # ---------------------------------------------------------------------------
 # Criteria
 
 
 def criterion_groebner_squarefree(seed: int = DEFAULT_SEED):
     """1. The t-minors are a Groebner basis and the initial ideal is squarefree."""
-    cases = [(name, L) for name, L, _ in _fixture_ladders()]
-    cases += [(f"random{i}", L) for i, (L, _) in enumerate(_random_unmixed(seed, 20, 6))]
-    for name, L in cases:
-        for t in _legal_unmixed_sizes(L):
-            I = mixed_ladder_ideal(L, t)
-            gens = I.gens
-            gb_ok = is_groebner_basis(gens)
-            init = MonomialIdeal.from_monomials(I.ring, [g.leading_term()[0] for g in gens])
-            sq_ok = init.is_squarefree()
-            yield gb_ok and sq_ok, (f"{name} t={t}: groebner={gb_ok} squarefree={sq_ok} "
-                                    f"({len(gens)} minors)")
+    cases, draws = _polynomial_cases(seed)
+    mixed = []
+    for name, L, t in cases:
+        I = mixed_ladder_ideal(L, t)
+        gens = I.gens
+        gb_ok = is_groebner_basis(gens)
+        init = MonomialIdeal.from_monomials(I.ring, [g.leading_term()[0] for g in gens])
+        sq_ok = init.is_squarefree()
+        if not isinstance(t, int):
+            mixed.append(gb_ok and sq_ok)
+        yield gb_ok and sq_ok, (f"{name} t={t}: groebner={gb_ok} squarefree={sq_ok} "
+                                f"({len(gens)} minors)")
+    yield _mixed_line(mixed, draws)
 
 
 def _det(rows):
@@ -106,24 +147,27 @@ def generic_multiplicity(k: int, l: int, t: int) -> int:
 def criterion_height_identity(seed: int = DEFAULT_SEED):
     """2. height = #interior cells = #vars - dim(R/in I), and on full
     matrices the product formula and the Herzog-Trung multiplicity."""
-    cases = [(name, L) for name, L, _ in _fixture_ladders()]
-    cases += [(f"random{i}", L) for i, (L, _) in enumerate(_random_unmixed(seed, 20, 6))]
-    for name, L in cases:
+    cases, draws = _polynomial_cases(seed)
+    mixed = []
+    for name, L, t in cases:
         ring = ladder_ring(QQ, L)
-        full = all(span == (1, L.shape[1]) for span in L.spans)
-        for t in _legal_unmixed_sizes(L):
-            h = height(L, t)
-            initial = mixed_ladder_ideal(L, t, QQ, ring).initial_ideal()
-            engine_h = ring.nvars - initial.dim()
-            line_ok = engine_h == h
-            if full:
-                k, l = L.shape
-                line_ok &= h == (k - t + 1) * (l - t + 1)
-            yield line_ok, f"{name} t={t}: |interior|={h} engine={engine_h} ok={line_ok}"
-            if full:
-                e, expected = initial.multiplicity(), generic_multiplicity(k, l, t)
-                yield e == expected, (f"{name} t={t}: multiplicity={e} Herzog-Trung={expected} "
-                                      f"ok={e == expected}")
+        # The closed forms hold for one size t on the whole matrix.
+        full = isinstance(t, int) and all(span == (1, L.shape[1]) for span in L.spans)
+        h = height(L, t)
+        initial = mixed_ladder_ideal(L, t, QQ, ring).initial_ideal()
+        engine_h = ring.nvars - initial.dim()
+        line_ok = engine_h == h
+        if full:
+            k, l = L.shape
+            line_ok &= h == (k - t + 1) * (l - t + 1)
+        if not isinstance(t, int):
+            mixed.append(line_ok)
+        yield line_ok, f"{name} t={t}: |interior|={h} engine={engine_h} ok={line_ok}"
+        if full:
+            e, expected = initial.multiplicity(), generic_multiplicity(k, l, t)
+            yield e == expected, (f"{name} t={t}: multiplicity={e} Herzog-Trung={expected} "
+                                  f"ok={e == expected}")
+    yield _mixed_line(mixed, draws)
 
 
 def criterion_witness_certificate(seed: int = DEFAULT_SEED):

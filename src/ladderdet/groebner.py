@@ -45,16 +45,21 @@ forms and membership tests.  Polynomials over different coefficient fields
 are refused with ValueError, as their arithmetic refuses them.
 
 Heights, dimensions and multiplicities of squarefree monomial ideals come
-from the numerator N(t) of the Hilbert series, computed by Bigatti's pivot
-recursion (Bigatti, J. Pure Appl. Algebra 119, 1997) on the support masks
-re-indexed densely (`_cover_bits`).  A node splits its supports in one
-pass into those without the pivot x and the quotients s - x of those with
-it.  The supports form an antichain, so the quotients do too and none is
-compared with another: the colon is the quotients plus the supports
-without x that contain none, built in one more pass.  The two children's
-series are combined in one pass, and the memo of subproblems is bounded
-by `_HILBERT_MEMO_ENTRIES`.  The budget is checked once per node and once
-per support the colon pass sweeps.
+from Bigatti's pivot recursion for the numerator N(t) of the Hilbert
+series (Bigatti, J. Pure Appl. Algebra 119, 1997), run on the support
+masks re-indexed densely (`_cover_bits`).  A node splits its supports in
+one pass into those without the pivot x and the quotients s - x of those
+with it.  The supports form an antichain, so the quotients do too and none
+is compared with another: the colon is the quotients plus the supports
+without x that contain none, built in one more pass.  The recursion
+(`_pivot_recursion`) takes the value it carries from its caller: a base
+value for pairwise coprime supports, and a join of the two children's
+values.  Heights, dimensions and multiplicities carry only (h, e), the
+order and the leading coefficient of N in u = 1 - t: a join keeps the
+lower order, and adds the two coefficients on a tie.  `_hilbert_numerator`
+carries the whole of N(t), with the same recursion.  The
+memo of subproblems is bounded by `_HILBERT_MEMO_ENTRIES`, and the budget
+is checked once per node and once per support the colon pass sweeps.
 
 Monomials are the packed ints of `poly`.  Each ring fixes one `Packing`;
 an ideal re-packs its generators into it, so every monomial of one
@@ -68,7 +73,8 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass, field as dataclass_field
-from itertools import accumulate, combinations_with_replacement, zip_longest
+from itertools import combinations_with_replacement, zip_longest
+from math import prod
 
 from .fields import Field
 from .poly import (
@@ -1101,9 +1107,10 @@ class MonomialIdeal:
         return self.ring.nvars - self.height()
 
     def multiplicity(self) -> int:
-        """Multiplicity (degree) of ring/ideal, for squarefree input: N(1)
-        once the Hilbert series numerator N(t) that gives the height is
-        divided by (1 - t)^height."""
+        """Multiplicity (degree) of ring/ideal, for squarefree input: Q(1),
+        where the Hilbert series numerator is N(t) = (1 - t)^height Q(t).
+        It is read with the height from the pivot recursion on (h, e)
+        (`_height_and_multiplicity`), which never builds N."""
         if not self.is_squarefree():
             raise ValueError("multiplicity is implemented for squarefree monomial ideals")
         if self.is_unit:
@@ -1247,40 +1254,38 @@ def minimal_covers(supports) -> list[int]:
     return [sum(1 << positions[i] for i in idx) for _, idx in found]
 
 
-def _times_one_minus_t(num: list[int], k: int) -> list[int]:
-    for _ in range(k):
-        num = [x - y for x, y in zip(num + [0], [0] + num)]
-    return num
-
-
-# About 10 MB of memo for in(I_3) of the generic 9x9 matrix, which visits
-# 47k distinct subproblems; the benchmark ladders visit far fewer.
+# On in(I_3) of the generic 9x9 matrix the recursion visits 47k distinct
+# subproblems; carrying (h, e) (`_height_and_multiplicity`) under this bound
+# it peaks at 13.5 MB by tracemalloc, memo included.  The benchmark ladders
+# visit far fewer.
 _HILBERT_MEMO_ENTRIES = 1 << 14
 
 
-def _hilbert_numerator(masks: list[int]) -> list[int]:
-    """Coefficients of N(t), where H(S/I, t) = N(t)/(1-t)^n for the
-    squarefree monomial ideal I with these minimal support masks (an
-    antichain).
+def _pivot_recursion(masks: list[int], base, join):
+    """The value that Bigatti's pivot recursion gives the squarefree monomial
+    ideal I with these minimal support masks (an antichain without
+    singletons), where `base` and `join` choose what a value is.
 
-    Bigatti's pivot recursion N(I) = N(I + (x)) + t N(I : x), with the
-    product of (1 - t^|s|) for pairwise coprime supports as the base case.
-    A singleton support {y} shares no variable with the others, so it is
-    stripped as a factor (1 - t); then N(I + (x)) = (1 - t) N(J), where J
-    keeps the supports without x.  One pass splits the supports: those with
-    x form an antichain, so their quotients s - x do too, and I : x keeps
-    them and the supports without x that contain no quotient.  Subproblems
-    repeat across the two branches, so they are memoised for the call,
-    keyed by their sorted masks; the memo starts over once it holds
+    A node whose supports are pairwise coprime takes `base(masks)`.  Any
+    other node pivots on x, the variable in the most supports (ties to the
+    highest bit), and takes `join(a, c, k)`: a is the value of J, the
+    supports without x, so that I + (x) = J + (x); c is the value of the
+    colon I : x less its k singletons.  One pass splits the supports:
+    those with x form an antichain, so their quotients s - x do too, and
+    I : x keeps them and the supports without x that contain no quotient.
+    A singleton quotient {y} shares no variable with the rest of the colon,
+    so it is left to `join` as a factor.  Subproblems repeat across the two
+    branches, so their values are memoised for the call, keyed by their
+    sorted masks; the memo starts over once it holds
     `_HILBERT_MEMO_ENTRIES` of them, which bounds its memory.
     """
     memo: dict = {}
 
-    def rec(masks):  # an antichain without singletons
+    def rec(masks):
         key = tuple(sorted(masks))
-        num = memo.get(key)
-        if num is not None:
-            return num
+        value = memo.get(key)
+        if value is not None:
+            return value
         _check_deadline()
         # planes[i] holds the variables whose support count has bit i set.
         planes = []
@@ -1293,14 +1298,8 @@ def _hilbert_numerator(masks: list[int]) -> list[int]:
             else:
                 planes.append(s)
         if len(planes) < 2:  # pairwise coprime
-            num = [1]
-            for s in masks:
-                d = s.bit_count()
-                num += [0] * d
-                for i in range(len(num) - 1, d - 1, -1):
-                    num[i] -= num[i - d]
+            value = base(masks)
         else:
-            # x: the variable in the most supports, ties to the highest bit
             top = planes.pop()
             for plane in reversed(planes):
                 if top & plane:
@@ -1324,32 +1323,85 @@ def _hilbert_numerator(masks: list[int]) -> list[int]:
                     else:
                         colon.append(s)
             a = rec(untouched)
-            c = _times_one_minus_t(rec(colon), singles.bit_count())
-            # (1 - t) A + t C: the coefficient of t^i is a_i - a_(i-1) + c_(i-1)
-            num = [p - q + r for p, q, r in zip_longest(a, [0] + a, [0] + c, fillvalue=0)]
+            value = join(a, rec(colon), singles.bit_count())
         if len(memo) >= _HILBERT_MEMO_ENTRIES:
             memo.clear()
-        memo[key] = num
-        return num
+        memo[key] = value
+        return value
 
+    return rec(masks)
+
+
+def _times_one_minus_t(num: list[int], k: int) -> list[int]:
+    for _ in range(k):
+        num = [x - y for x, y in zip(num + [0], [0] + num)]
+    return num
+
+
+def _coprime_numerator(masks: list[int]) -> list[int]:
+    """N(t) of pairwise coprime supports: the product of the (1 - t^|s|)."""
+    num = [1]
+    for s in masks:
+        d = s.bit_count()
+        num += [0] * d
+        for i in range(len(num) - 1, d - 1, -1):
+            num[i] -= num[i - d]
+    return num
+
+
+def _join_numerators(a: list[int], c: list[int], k: int) -> list[int]:
+    """N(I) = N(I + (x)) + t N(I : x) = (1 - t) A + t (1 - t)^k C."""
+    c = _times_one_minus_t(c, k)
+    # The coefficient of t^i is a_i - a_(i-1) + c_(i-1).
+    return [p - q + r for p, q, r in zip_longest(a, [0] + a, [0] + c, fillvalue=0)]
+
+
+def _hilbert_numerator(masks: list[int]) -> list[int]:
+    """Coefficients of N(t), where H(S/I, t) = N(t)/(1-t)^n for the
+    squarefree monomial ideal I with these minimal support masks (an
+    antichain): `_pivot_recursion` with N(t) as its value.  A singleton
+    support {y} shares no variable with the others, so it is stripped as a
+    factor (1 - t)."""
     rest = [s for s in masks if s & (s - 1)]
-    return _times_one_minus_t(rec(rest), len(masks) - len(rest))
+    num = _pivot_recursion(rest, _coprime_numerator, _join_numerators)
+    return _times_one_minus_t(num, len(masks) - len(rest))
+
+
+def _coprime_lead(masks: list[int]) -> tuple[int, int]:
+    """(h, e) of pairwise coprime supports: the product of the
+    1 - t^d = u (d + O(u)) in u = 1 - t is u^m times the product of the d."""
+    return len(masks), prod(s.bit_count() for s in masks)
+
+
+def _join_leads(a: tuple[int, int], c: tuple[int, int], k: int) -> tuple[int, int]:
+    """(h, e) of (1 - t) A + t (1 - t)^k C, in u = 1 - t: u A + (1 - u) u^k C.
+
+    Each e is the multiplicity of a proper quotient, so it is positive and
+    the two leading terms never cancel: the lower order wins, and on a tie
+    the leading coefficients add."""
+    (ha, ea), (hc, ec) = a, c
+    ha += 1
+    hc += k
+    if ha != hc:
+        return (ha, ea) if ha < hc else (hc, ec)
+    return ha, ea + ec
 
 
 def _height_and_multiplicity(supports) -> tuple[int, int]:
     """(h, e) for the squarefree monomial ideal with these supports, where
-    its Hilbert series numerator is N(t) = (1 - t)^h Q(t) and e = Q(1)."""
+    its Hilbert series numerator is N(t) = (1 - t)^h Q(t) and e = Q(1):
+    the order and the leading coefficient of N in u = 1 - t, which
+    `_pivot_recursion` carries in place of N itself.  A singleton support
+    is a factor u of N."""
     _, masks = _cover_bits(supports)
-    num = _hilbert_numerator(masks)
-    height = 0
-    while sum(num) == 0:
-        num = list(accumulate(num))[:-1]  # N / (1 - t)
-        height += 1
-    return height, sum(num)
+    rest = [s for s in masks if s & (s - 1)]
+    h, e = _pivot_recursion(rest, _coprime_lead, _join_leads)
+    return h + len(masks) - len(rest), e
 
 
 def min_cover_size(supports) -> int:
     """Exact minimum cover size: the height of the squarefree monomial ideal
-    with these supports, which is the multiplicity of t = 1 as a root of its
-    Hilbert series numerator N(t)."""
+    with these supports, the order at t = 1 of its Hilbert series numerator
+    N(t), which the pivot recursion carries with N's leading coefficient
+    there and nothing else (`_height_and_multiplicity`)."""
     return _height_and_multiplicity(supports)[0]

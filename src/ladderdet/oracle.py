@@ -157,9 +157,13 @@ def fedder_check(I: Ideal, p: int, candidate: Polynomial) -> bool:
         return False
     candidate = candidate.repack(join_packings(candidate.packing, I.ring.packing))
     # Membership in the colon, generator by generator: c*g in I^[p] for all g.
+    # c and its normal form r modulo I^[p] differ by an element of I^[p], so
+    # c*g lies in I^[p] exactly when r*g does: c is reduced once, and each
+    # product is formed from r.
     bracket = I.bracket(p)
+    r = bracket.normal_form(candidate)
     for g in I.gens:
-        if not bracket.contains(candidate * g):
+        if not bracket.contains(r * g):
             return False
     return any(outside_frobenius_power_of_m(m, p) for m in candidate.terms)
 

@@ -115,6 +115,21 @@ def test_run_suite_refuses_an_unknown_key_before_running_any(monkeypatch):
     assert "known: groebner-squarefree, height-identity" in str(from_suite.value)
 
 
+def test_polynomial_criteria_build_mixed_ladder_ideals():
+    # staircase10 at its fixture sizes, then the first 20 draws with mixed
+    # sizes; the unmixed cases carry t as an int.
+    cases, draws = acceptance._polynomial_cases(acceptance.DEFAULT_SEED)
+    mixed = [(name, t) for name, _, t in cases if not isinstance(t, int)]
+    assert mixed[0] == ("staircase10", (2, 3, 1, 2))
+    assert [name for name, _ in mixed[1:]] == [f"mixed{i}" for i in range(20)]
+    assert all(len(set(t)) > 1 for _, t in mixed)
+    assert draws >= 20
+    assert acceptance._mixed_line([True] * 21, draws) == (
+        True, f"mixed size vectors: 21/21 cases pass, 20 of them from {draws} random draws")
+    assert acceptance._mixed_line([True, False], draws)[0] is False
+    assert acceptance._mixed_line([], draws)[0] is False
+
+
 def test_legal_unmixed_sizes_keeps_an_expired_budget():
     # Every criterion has read the row spans already (through ladder_ring);
     # the expired budget must still stop the size scan, not empty it.

@@ -226,6 +226,38 @@ def test_fedder_p3():
     assert fedder_check(I, 3, f_of_matrix(2, 2, F3) ** 2)
 
 
+def _fedder_by_products(I, p, candidate):
+    """Fedder's test with every product candidate * g formed from the
+    candidate itself, not from its normal form."""
+    bracket = I.bracket(p)
+    return (all(bracket.contains(candidate * g) for g in I.gens)
+            and any(outside_frobenius_power_of_m(m, p) for m in candidate.terms))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_fedder_verdicts_match_the_unreduced_products(p):
+    # staircase_sub4x4 at p = 3 takes seconds through the unreduced
+    # products; CI's console-script step runs it through fedder_check.
+    names = ["full2x2", "full2x3", "full3x3", "full3x4"] + (["staircase_sub4x4"] if p == 2 else [])
+    field = GF(p)
+    for name in names:
+        L, _ = ladderdet.load_fixture(name)
+        I = mixed_ladder_ideal(L, 2, field)
+        witness = f_witness(L, 2, field) ** (p - 1)
+        x = Polynomial.variable(field, grid_var(1, 1))
+        g = I.gens[0]
+        # The witness power passes and a variable is not in the colon.  g^p
+        # lies in I^[p]: its normal form is 0, so every product passes, but
+        # it lies in m^[p] too.  witness * x is only compared.
+        assert I.bracket(p).normal_form(g ** p).is_zero
+        for candidate, expected in [(witness, True), (x, False), (witness * x, None),
+                                    (g ** p, False)]:
+            verdict = fedder_check(I, p, candidate)
+            assert verdict == _fedder_by_products(I, p, candidate), (name, p, candidate)
+            if expected is not None:
+                assert verdict is expected, (name, p, candidate)
+
+
 def test_fedder_field_mismatch():
     ring = Ring.for_grid(QQ, 2, 2)
     I = Ideal(ring, [expand_minor(Minor((1, 2), (1, 2)))])
