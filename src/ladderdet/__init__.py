@@ -6,7 +6,7 @@ trees, and verifies the Groebner, height, intersection, symbolic-power
 and F-purity identities they satisfy at desk scale.
 """
 
-from importlib import resources
+import os
 
 from .fields import GF, QQ, Field, parse_field
 from .groebner import (
@@ -78,7 +78,10 @@ __version__ = "0.1.0"
 
 
 def load_fixture(name: str):
-    """A bundled ladder fixture by name, e.g. 'staircase10' or 'full3x3'."""
-    text = resources.files(__package__).joinpath("fixtures").joinpath(f"{name}.json").read_text()
-    return Ladder.from_json(text)
+    """A bundled ladder fixture by name, e.g. 'staircase10' or 'full3x3'.
+
+    The fixtures are read beside this file: `importlib.resources` would
+    load `inspect` at import on Python 3.12 and later."""
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", f"{name}.json"), encoding="utf-8") as fh:
+        return Ladder.from_json(fh.read())
 

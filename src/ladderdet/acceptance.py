@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from itertools import product
 from math import comb
 
@@ -49,6 +48,7 @@ from .oracle import (
     symbolic_fsplit_certificate,
 )
 from .poly import time_limit
+from .record import Record, set_field
 
 DEFAULT_SEED = 0
 
@@ -346,13 +346,16 @@ def criterion_poset_schubert(seed: int = DEFAULT_SEED):
 # Runner
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    key: str
-    title: str
-    passed: bool
-    seconds: float
-    details: tuple[str, ...] = field(default_factory=tuple)
+class CriterionResult(Record):
+    __slots__ = ("key", "title", "passed", "seconds", "details")
+
+    def __init__(self, key: str, title: str, passed: bool, seconds: float,
+                 details: tuple[str, ...] = ()):
+        set_field(self, "key", key)
+        set_field(self, "title", title)
+        set_field(self, "passed", passed)
+        set_field(self, "seconds", seconds)
+        set_field(self, "details", details)
 
     def summary_line(self) -> str:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.key}: {self.title} ({self.seconds:.1f}s)"

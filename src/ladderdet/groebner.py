@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations_with_replacement, zip_longest
 from math import prod
 
@@ -105,6 +104,7 @@ from .poly import (
     mono_radical,
     poly_to_str,
 )
+from .record import Record, set_field
 
 
 # ---------------------------------------------------------------------------
@@ -699,22 +699,31 @@ def is_groebner_basis(gens, order: TermOrder = ANTIDIAG) -> bool:
 _SATURATION_STEPS = 50
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(Record):
     """A polynomial ring: coefficient field plus a descending variable tuple,
     whose `packing` lays out the exponent fields of its monomials."""
 
-    field: Field
-    variables: tuple[Variable, ...]
-    packing: Packing = dataclass_field(init=False, repr=False, compare=False)
+    __slots__ = ("field", "variables", "packing")
+    _fields = ("field", "variables")
 
-    def __post_init__(self):
-        keys = [v.key for v in self.variables]
+    def __init__(self, field: Field, variables: tuple[Variable, ...]):
+        keys = [v.key for v in variables]
         if any(a <= b for a, b in zip(keys, keys[1:])):
-            object.__setattr__(
-                self, "variables", tuple(sorted(set(self.variables), key=lambda v: v.key, reverse=True))
-            )
-        object.__setattr__(self, "packing", _packing(self.variables))
+            variables = tuple(sorted(set(variables), key=lambda v: v.key, reverse=True))
+        set_field(self, "field", field)
+        set_field(self, "variables", variables)
+        set_field(self, "packing", _packing(variables))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # The fields of two rings are most often one object, whose
+        # `Field.__eq__` is a Python call that `is` saves.
+        return self is other or (self.variables == other.variables
+                                 and (self.field is other.field or self.field == other.field))
+
+    def __hash__(self):
+        return hash((self.field, self.variables))
 
     @classmethod
     def for_grid(cls, field: Field, k: int, l: int) -> "Ring":
@@ -1045,13 +1054,25 @@ def _in_packing(m, packing: Packing) -> int:
     return m if type(m) is int else m.packed_in(packing)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """A monomial ideal by its minimal (antichain) generator tuple, each
-    generator packed in the ring's packing."""
+    generator packed in the ring's packing.  Its height and multiplicity
+    come from one cover search, kept in the `_lead` slot."""
 
-    ring: Ring
-    gens: tuple[int, ...]
+    __slots__ = ("ring", "gens", "_lead")
+    _fields = ("ring", "gens")
+
+    def __init__(self, ring: Ring, gens: tuple[int, ...]):
+        set_field(self, "ring", ring)
+        set_field(self, "gens", gens)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.gens) == (other.ring, other.gens)
+
+    def __hash__(self):
+        return hash((self.ring, self.gens))
 
     @classmethod
     def from_monomials(cls, ring: Ring, monos) -> "MonomialIdeal":
@@ -1097,10 +1118,19 @@ class MonomialIdeal:
         covers = minimal_covers(self.supports())
         return [frozenset(self.ring.packing.variables_of(c)) for c in covers]
 
+    def _hilbert_lead(self) -> tuple[int, int]:
+        """(h, e) of the radical, from the first call's cover search."""
+        try:
+            return self._lead
+        except AttributeError:
+            lead = min_cover_size(self.supports())
+            set_field(self, "_lead", lead)
+            return lead
+
     def height(self) -> int:
         if self.is_unit:
             raise ValueError("unit ideal has no height")
-        return min_cover_size(self.supports())
+        return self._hilbert_lead()[0]
 
     def dim(self) -> int:
         """Krull dimension of ring/ideal (number of variables minus height)."""
@@ -1110,12 +1140,13 @@ class MonomialIdeal:
         """Multiplicity (degree) of ring/ideal, for squarefree input: Q(1),
         where the Hilbert series numerator is N(t) = (1 - t)^height Q(t).
         It is read with the height from the pivot recursion on (h, e)
-        (`_height_and_multiplicity`), which never builds N."""
+        (`_height_and_multiplicity`), which never builds N, and which runs
+        once per ideal for `height`, `dim` and `multiplicity` together."""
         if not self.is_squarefree():
             raise ValueError("multiplicity is implemented for squarefree monomial ideals")
         if self.is_unit:
             raise ValueError("unit ideal has no multiplicity")
-        return _height_and_multiplicity(self.supports())[1]
+        return self._hilbert_lead()[1]
 
     def symbolic_power(self, n: int) -> "MonomialIdeal":
         """Intersection of the n-th powers of the minimal primes (squarefree
@@ -1399,9 +1430,10 @@ def _height_and_multiplicity(supports) -> tuple[int, int]:
     return h + len(masks) - len(rest), e
 
 
-def min_cover_size(supports) -> int:
-    """Exact minimum cover size: the height of the squarefree monomial ideal
-    with these supports, the order at t = 1 of its Hilbert series numerator
-    N(t), which the pivot recursion carries with N's leading coefficient
-    there and nothing else (`_height_and_multiplicity`)."""
-    return _height_and_multiplicity(supports)[0]
+def min_cover_size(supports) -> tuple[int, int]:
+    """Exact minimum cover size, with the number of covers of that size: the
+    height and multiplicity (h, e) of the squarefree monomial ideal with
+    these supports, which the pivot recursion carries in place of its
+    Hilbert series numerator (`_height_and_multiplicity`).  `MonomialIdeal`
+    keeps the pair, so that each of its cover searches is one call here."""
+    return _height_and_multiplicity(supports)

@@ -16,7 +16,6 @@ Every witness is a product of the antidiagonal squares det(Y_r) that
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
 
@@ -35,6 +34,7 @@ from .poly import (
     mono_is_squarefree,
     parse_polynomials,
 )
+from .record import Record, set_field
 
 
 def ladder_ring(field: Field, L: Ladder) -> Ring:
@@ -176,14 +176,17 @@ class GWitnessError(LadderError):
     pass
 
 
-@dataclass(frozen=True)
-class GWitnessData:
-    alpha: int
-    beta: int
-    y_minor: Minor
-    factors: tuple[Minor, ...]   # det(Y) first, then det(Y_r) for r in B'
-    lead: Monomial               # product of the factors' antidiagonals
-    count: int                   # combinatorial symbolic degree, = height - 1
+class GWitnessData(Record):
+    __slots__ = ("alpha", "beta", "y_minor", "factors", "lead", "count")
+
+    def __init__(self, alpha: int, beta: int, y_minor: Minor, factors: tuple[Minor, ...],
+                 lead: Monomial, count: int):
+        set_field(self, "alpha", alpha)
+        set_field(self, "beta", beta)
+        set_field(self, "y_minor", y_minor)
+        set_field(self, "factors", factors)  # det(Y) first, then det(Y_r) for r in B'
+        set_field(self, "lead", lead)  # product of the factors' antidiagonals
+        set_field(self, "count", count)  # combinatorial symbolic degree, = height - 1
 
 
 def g_witness_data(L: Ladder, t) -> GWitnessData:
@@ -245,24 +248,24 @@ def g_witness(L: Ladder, t, field: Field = QQ) -> Polynomial:
 # Matrix Schubert ideals
 
 
-@dataclass(frozen=True)
-class PartialPermutation:
+class PartialPermutation(Record):
     """A 0/1 matrix with at most one 1 in each row and column."""
 
-    shape: tuple[int, int]
-    ones: frozenset[tuple[int, int]]
+    __slots__ = ("shape", "ones")
 
-    def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(self.shape))
-        object.__setattr__(self, "ones", frozenset(map(tuple, self.ones)))
-        k, l = self.shape
+    def __init__(self, shape: tuple[int, int], ones: frozenset[tuple[int, int]]):
+        shape = tuple(shape)
+        ones = frozenset(map(tuple, ones))
+        set_field(self, "shape", shape)
+        set_field(self, "ones", ones)
+        k, l = shape
         if k < 1 or l < 1:
-            raise ValueError(f"bad shape {self.shape}")
-        rows = [i for i, _ in self.ones]
-        cols = [j for _, j in self.ones]
+            raise ValueError(f"bad shape {shape}")
+        rows = [i for i, _ in ones]
+        cols = [j for _, j in ones]
         if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
             raise ValueError("partial permutation has two ones in a row or column")
-        if any(not (1 <= i <= k and 1 <= j <= l) for i, j in self.ones):
+        if any(not (1 <= i <= k and 1 <= j <= l) for i, j in ones):
             raise ValueError("one outside the grid")
 
     def rank(self, r: int, s: int) -> int:
@@ -390,18 +393,17 @@ def omega_delta_ideal(k: int, l: int, delta: Minor, field: Field = QQ) -> Ideal:
     return minor_ideal(Ring.for_grid(field, k, l), minors)
 
 
-@dataclass(frozen=True)
-class PosetIdealSpec:
+class PosetIdealSpec(Record):
     """Either an explicit downward-closed set, a cogenerator list, or a
     generalized-ideal generator list."""
 
-    kind: str  # "explicit" | "cogenerators" | "generalized"
-    minors: tuple[Minor, ...]
+    __slots__ = ("kind", "minors")
 
-    def __post_init__(self):
-        if self.kind not in ("explicit", "cogenerators", "generalized"):
-            raise ValueError(f"unknown poset spec kind: {self.kind}")
-        object.__setattr__(self, "minors", tuple(self.minors))
+    def __init__(self, kind: str, minors: tuple[Minor, ...]):
+        if kind not in ("explicit", "cogenerators", "generalized"):
+            raise ValueError(f"unknown poset spec kind: {kind}")
+        set_field(self, "kind", kind)  # "explicit" | "cogenerators" | "generalized"
+        set_field(self, "minors", tuple(minors))
 
 
 def poset_ideal(k: int, l: int, spec: PosetIdealSpec, field: Field = QQ) -> Ideal:

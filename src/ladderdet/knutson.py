@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field as dc_field
 
 from .fields import QQ, Field, parse_field
 from .groebner import Ideal, Ring, is_groebner_basis
@@ -38,55 +37,75 @@ from .poly import (
     parse_polynomials,
     poly_to_str,
 )
+from .record import Record, set_field
 
 
 class DerivationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Leaf:
-    factor: Polynomial
-    kind: str = dc_field(default="leaf", init=False)
+class Leaf(Record):
+    __slots__ = ("factor",)
+    _fields = ("factor", "kind")
+    kind = "leaf"
+
+    def __init__(self, factor: Polynomial):
+        set_field(self, "factor", factor)
 
 
-@dataclass(frozen=True)
-class Sum:
-    children: tuple
-    kind: str = dc_field(default="sum", init=False)
+class Sum(Record):
+    __slots__ = ("children",)
+    _fields = ("children", "kind")
+    kind = "sum"
+
+    def __init__(self, children: tuple):
+        set_field(self, "children", children)
 
 
-@dataclass(frozen=True)
-class Intersect:
-    children: tuple
-    kind: str = dc_field(default="intersect", init=False)
+class Intersect(Record):
+    __slots__ = ("children",)
+    _fields = ("children", "kind")
+    kind = "intersect"
+
+    def __init__(self, children: tuple):
+        set_field(self, "children", children)
 
 
-@dataclass(frozen=True)
-class MinimalPrimeClaim:
-    child: object
-    claimed: tuple[Polynomial, ...]
-    # Optional recorded identity for eval(child):
-    #   ("intersect", other_gens): child equals Ideal(claimed) cap Ideal(other)
-    #   ("equal",): child equals the claimed ideal itself
-    identity: tuple | None = None
-    label: str = ""
-    kind: str = dc_field(default="min_prime", init=False)
+class MinimalPrimeClaim(Record):
+    __slots__ = ("child", "claimed", "identity", "label")
+    _fields = ("child", "claimed", "identity", "label", "kind")
+    kind = "min_prime"
+
+    def __init__(self, child, claimed: tuple[Polynomial, ...], identity: tuple | None = None,
+                 label: str = ""):
+        # Optional recorded identity for eval(child):
+        #   ("intersect", other_gens): child equals Ideal(claimed) cap Ideal(other)
+        #   ("equal",): child equals the claimed ideal itself
+        set_field(self, "child", child)
+        set_field(self, "claimed", claimed)
+        set_field(self, "identity", identity)
+        set_field(self, "label", label)
 
 
-@dataclass(frozen=True)
-class Colon:
-    child: object
-    divisor: tuple[Polynomial, ...]
-    kind: str = dc_field(default="colon", init=False)
+class Colon(Record):
+    __slots__ = ("child", "divisor")
+    _fields = ("child", "divisor", "kind")
+    kind = "colon"
+
+    def __init__(self, child, divisor: tuple[Polynomial, ...]):
+        set_field(self, "child", child)
+        set_field(self, "divisor", divisor)
 
 
-@dataclass(frozen=True)
-class KnutsonDerivation:
-    ring: Ring
-    f_factors: tuple[Polynomial, ...]
-    root: object
-    label: str = ""
+class KnutsonDerivation(Record):
+    __slots__ = ("ring", "f_factors", "root", "label")
+
+    def __init__(self, ring: Ring, f_factors: tuple[Polynomial, ...], root: object,
+                 label: str = ""):
+        set_field(self, "ring", ring)
+        set_field(self, "f_factors", f_factors)
+        set_field(self, "root", root)
+        set_field(self, "label", label)
 
     def eval(self) -> Ideal:
         return eval_node(self.root, self.ring, {})
@@ -144,18 +163,22 @@ def eval_node(node, ring: Ring, cache: dict) -> Ideal:
 # Verification
 
 
-@dataclass(frozen=True)
-class VerifyLine:
-    node: str
-    check: str
-    ok: bool
-    detail: str = ""
+class VerifyLine(Record):
+    __slots__ = ("node", "check", "ok", "detail")
+
+    def __init__(self, node: str, check: str, ok: bool, detail: str = ""):
+        set_field(self, "node", node)
+        set_field(self, "check", check)
+        set_field(self, "ok", ok)
+        set_field(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    ok: bool
-    lines: tuple[VerifyLine, ...]
+class VerifyReport(Record):
+    __slots__ = ("ok", "lines")
+
+    def __init__(self, ok: bool, lines: tuple[VerifyLine, ...]):
+        set_field(self, "ok", ok)
+        set_field(self, "lines", lines)
 
     def as_text(self) -> str:
         out = [f"verified={'yes' if self.ok else 'NO'} ({len(self.lines)} checks)"]

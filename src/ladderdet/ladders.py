@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
 from .poly import Minor, _check_deadline
+from .record import Record, set_field
 
 Cell = tuple[int, int]
 Span = tuple[int, int]  # (lo, hi) columns of one row; the row is empty when lo > hi
@@ -53,17 +53,20 @@ class ChamferError(LadderError):
     pass
 
 
-@dataclass(frozen=True)
-class Ladder:
-    shape: tuple[int, int]
-    upper: tuple[tuple[int, int], ...]  # (b, a): NE staircase corners
-    lower: tuple[tuple[int, int], ...]  # (d, c): SW staircase corners
+class Ladder(Record):
+    """The cells of the k x l grid between the upper corners (b, a) of the NE
+    staircase and the lower corners (d, c) of the SW one.  Its `spans` are
+    kept in the instance dict, which equality, hash and repr leave out."""
 
-    def __post_init__(self):
-        k, l = self.shape
-        object.__setattr__(self, "shape", (int(k), int(l)))
-        object.__setattr__(self, "upper", tuple((int(b), int(a)) for b, a in self.upper))
-        object.__setattr__(self, "lower", tuple((int(d), int(c)) for d, c in self.lower))
+    __slots__ = ("shape", "upper", "lower", "__dict__")
+    _fields = ("shape", "upper", "lower")
+
+    def __init__(self, shape: tuple[int, int], upper: tuple[tuple[int, int], ...],
+                 lower: tuple[tuple[int, int], ...]):
+        k, l = shape
+        set_field(self, "shape", (int(k), int(l)))
+        set_field(self, "upper", tuple((int(b), int(a)) for b, a in upper))
+        set_field(self, "lower", tuple((int(d), int(c)) for d, c in lower))
         if k < 1 or l < 1:
             raise LadderError(f"bad shape {self.shape}")
         if bool(self.upper) != bool(self.lower):
@@ -85,10 +88,20 @@ class Ladder:
         if any(self.lower[i] == self.lower[i + 1] for i in range(len(self.lower) - 1)):
             raise LadderError("consecutive lower corners coincide")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.shape, self.upper, self.lower) == (other.shape, other.upper, other.lower)
+
+    def __hash__(self):
+        return hash((self.shape, self.upper, self.lower))
+
     # -- membership
 
     @cached_property
     def spans(self) -> tuple[Span, ...]:
+        """The (lo, hi) columns of each row, read off the corners on first
+        use and then kept in the instance dict, where reads find it first."""
         return _spans(self.shape, self.upper, self.lower)
 
     @property
@@ -97,7 +110,10 @@ class Ladder:
                          for j in range(lo, hi + 1))
 
     def contains(self, i: int, j: int) -> bool:
-        return 1 <= i <= self.shape[0] and self.spans[i - 1][0] <= j <= self.spans[i - 1][1]
+        if not 1 <= i <= self.shape[0]:
+            return False
+        lo, hi = self.spans[i - 1]
+        return lo <= j <= hi
 
     def contains_minor(self, m: Minor) -> bool:
         """Whether every cell of the minor's block lies in the ladder: its
@@ -282,21 +298,26 @@ def size_vector(t, v: int) -> tuple[int, ...]:
 # Validation against the running assumptions
 
 
-@dataclass(frozen=True)
-class AssumptionCheck:
-    number: int
-    passed: bool
-    detail: str
+class AssumptionCheck(Record):
+    __slots__ = ("number", "passed", "detail")
+
+    def __init__(self, number: int, passed: bool, detail: str):
+        set_field(self, "number", number)
+        set_field(self, "passed", passed)
+        set_field(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class LadderReport:
-    valid: bool
-    spans_grid: bool
-    u: int
-    v: int
-    checks: tuple[AssumptionCheck, ...]
-    notes: tuple[str, ...] = ()
+class LadderReport(Record):
+    __slots__ = ("valid", "spans_grid", "u", "v", "checks", "notes")
+
+    def __init__(self, valid: bool, spans_grid: bool, u: int, v: int,
+                 checks: tuple[AssumptionCheck, ...], notes: tuple[str, ...] = ()):
+        set_field(self, "valid", valid)
+        set_field(self, "spans_grid", spans_grid)
+        set_field(self, "u", u)
+        set_field(self, "v", v)
+        set_field(self, "checks", checks)
+        set_field(self, "notes", notes)
 
     def as_text(self) -> str:
         lines = [f"valid={'yes' if self.valid else 'no'} u={self.u} v={self.v}"]
@@ -402,18 +423,20 @@ def height(L: Ladder, t) -> int:
     return span_size(L.interior_spans(t))
 
 
-@dataclass(frozen=True)
-class LevelData:
+class LevelData(Record):
     """One antidiagonal level r: its square Y_r has rows a..b and the
     columns r - b..r - a, gamma = b - a + 1 of each."""
 
-    r: int
-    w: int
-    p: int
-    a: int
-    b: int
-    gamma: int
-    count: int
+    __slots__ = ("r", "w", "p", "a", "b", "gamma", "count")
+
+    def __init__(self, r: int, w: int, p: int, a: int, b: int, gamma: int, count: int):
+        set_field(self, "r", r)
+        set_field(self, "w", w)
+        set_field(self, "p", p)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "gamma", gamma)
+        set_field(self, "count", count)
 
     @property
     def minor(self) -> Minor:
@@ -421,11 +444,14 @@ class LevelData:
         return Minor(tuple(range(self.a, self.b + 1)), tuple(range(self.r - self.b, self.r - self.a + 1)))
 
 
-@dataclass(frozen=True)
-class AntidiagonalProfile:
-    levels: tuple[LevelData, ...]       # one per antidiagonal level in A
-    witness: tuple[LevelData, ...]      # the levels of B: nonnegative count
-    interior_size: int
+class AntidiagonalProfile(Record):
+    __slots__ = ("levels", "witness", "interior_size")
+
+    def __init__(self, levels: tuple[LevelData, ...], witness: tuple[LevelData, ...],
+                 interior_size: int):
+        set_field(self, "levels", levels)  # one per antidiagonal level in A
+        set_field(self, "witness", witness)  # the levels of B: nonnegative count
+        set_field(self, "interior_size", interior_size)
 
     @property
     def witness_factors(self) -> tuple[Minor, ...]:
@@ -534,16 +560,19 @@ def _move_corner(L: Ladder, t, j: int, step: int) -> tuple[Ladder, tuple[int, ..
     return out, new_t
 
 
-@dataclass(frozen=True)
-class UnmixReduction:
+class UnmixReduction(Record):
     """Unchamfer trail from (L, t) to an unmixed pair, with replay data."""
 
-    original: Ladder
-    original_t: tuple[int, ...]
-    start: Ladder                  # unmixed ladder, inside the padded grid
-    start_t: tuple[int, ...]
-    moves: tuple[int, ...]         # chamfer corner indices, replay order
-    offset: tuple[int, int]        # translation used by the padded embedding
+    __slots__ = ("original", "original_t", "start", "start_t", "moves", "offset")
+
+    def __init__(self, original: Ladder, original_t: tuple[int, ...], start: Ladder,
+                 start_t: tuple[int, ...], moves: tuple[int, ...], offset: tuple[int, int]):
+        set_field(self, "original", original)
+        set_field(self, "original_t", original_t)
+        set_field(self, "start", start)  # unmixed ladder, inside the padded grid
+        set_field(self, "start_t", start_t)
+        set_field(self, "moves", moves)  # chamfer corner indices, replay order
+        set_field(self, "offset", offset)  # translation used by the padded embedding
 
     def replay(self) -> tuple[Ladder, tuple[int, ...]]:
         """Chamfer along `moves` from the start pair; returns (L, t)."""

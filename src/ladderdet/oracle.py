@@ -4,7 +4,6 @@ checks, and the initial-ideal comparison for symbolic powers."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .groebner import Ideal, MonomialIdeal, Ring
 from .ideals import antidiagonal_lead, mixed_ladder_ideal
@@ -18,6 +17,7 @@ from .poly import (
     mono_is_squarefree,
     mono_max_exponent,
 )
+from .record import Record, set_field
 
 
 # ---------------------------------------------------------------------------
@@ -28,18 +28,22 @@ class CertificateError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SymbolicCertificate:
+class SymbolicCertificate(Record):
     """Finite witness that the mixed ladder ideal is symbolic F-split:
     factors det(Y_r) with counts summing to the height, and a squarefree
     product of their antidiagonals as the leading monomial."""
 
-    ladder: Ladder
-    t: tuple[int, ...]
-    h: int
-    factors: tuple[tuple[Minor, int, int, int], ...]  # (Y_r, gamma_r, t_{p_r}, count)
-    lead: Monomial
-    checks: tuple[tuple[str, bool], ...]
+    __slots__ = ("ladder", "t", "h", "factors", "lead", "checks")
+
+    def __init__(self, ladder: Ladder, t: tuple[int, ...], h: int,
+                 factors: tuple[tuple[Minor, int, int, int], ...], lead: Monomial,
+                 checks: tuple[tuple[str, bool], ...]):
+        set_field(self, "ladder", ladder)
+        set_field(self, "t", t)
+        set_field(self, "h", h)
+        set_field(self, "factors", factors)  # (Y_r, gamma_r, t_{p_r}, count)
+        set_field(self, "lead", lead)
+        set_field(self, "checks", checks)
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -172,12 +176,15 @@ def fedder_check(I: Ideal, p: int, candidate: Polynomial) -> bool:
 # Initial ideals of symbolic powers
 
 
-@dataclass(frozen=True)
-class InitialCompareResult:
-    equal: bool
-    witness: Monomial | None   # a monomial in the gap, when not equal
-    left: MonomialIdeal        # in(I^(n)) via the saturation oracle
-    right: MonomialIdeal       # in(I)^(n) via monomial symbolic powers
+class InitialCompareResult(Record):
+    __slots__ = ("equal", "witness", "left", "right")
+
+    def __init__(self, equal: bool, witness: Monomial | None, left: MonomialIdeal,
+                 right: MonomialIdeal):
+        set_field(self, "equal", equal)
+        set_field(self, "witness", witness)  # a monomial in the gap, when not equal
+        set_field(self, "left", left)  # in(I^(n)) via the saturation oracle
+        set_field(self, "right", right)  # in(I)^(n) via monomial symbolic powers
 
 
 def initial_symbolic_compare(I: Ideal, n: int, *, strategy: Ideal) -> InitialCompareResult:

@@ -20,13 +20,13 @@ import re
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field as dataclass_field
 from functools import cache
 from itertools import chain, permutations
 from operator import lt
 from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from .fields import QQ, Field
+from .record import Record, set_field
 
 # ---------------------------------------------------------------------------
 # Time budgets
@@ -424,8 +424,7 @@ def mono_pow(a: int, n: int, guard: int) -> int:
 # Term orders
 
 
-@dataclass(frozen=True)
-class TermOrder:
+class TermOrder(Record):
     """antidiagonal-lex or graded reverse lex.
 
     Auxiliary variables always sit above the grid, so antidiagonal-lex
@@ -438,13 +437,22 @@ class TermOrder:
     antidiagonal-lex, whose greatest variable has the highest field.
     """
 
-    kind: str  # "antidiag-lex" | "grevlex"
-    is_native: bool = dataclass_field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "is_native")
+    _fields = ("kind",)  # "antidiag-lex" | "grevlex"
 
-    def __post_init__(self):
-        if self.kind not in ("antidiag-lex", "grevlex"):
-            raise ValueError(f"unknown term order kind: {self.kind}")
-        object.__setattr__(self, "is_native", self.kind != "grevlex")
+    def __init__(self, kind: str):
+        if kind not in ("antidiag-lex", "grevlex"):
+            raise ValueError(f"unknown term order kind: {kind}")
+        set_field(self, "kind", kind)
+        set_field(self, "is_native", kind != "grevlex")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind
+
+    def __hash__(self):
+        return hash((self.kind,))
 
     def key(self, m: int):
         return m if self.is_native else _grevlex_key(m)
@@ -738,27 +746,32 @@ class Polynomial:
 # Minors
 
 
-@dataclass(frozen=True)
-class Minor:
+class Minor(Record):
     """A determinant of the submatrix on `rows` x `cols` (1-based, increasing)."""
 
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
+    __slots__ = ("rows", "cols")
 
-    def __post_init__(self):
-        rows, cols = self.rows, self.cols
+    def __init__(self, rows: tuple[int, ...], cols: tuple[int, ...]):
         if type(rows) is not tuple:
             rows = tuple(rows)
-            object.__setattr__(self, "rows", rows)
         if type(cols) is not tuple:
             cols = tuple(cols)
-            object.__setattr__(self, "cols", cols)
         if len(rows) != len(cols) or not rows:
             raise ValueError(f"minor needs equally many rows and cols: {rows}|{cols}")
         if not (all(map(lt, rows, rows[1:])) and all(map(lt, cols, cols[1:]))):
             raise ValueError(f"minor indices must strictly increase: {rows}|{cols}")
         if rows[0] < 1 or cols[0] < 1:
             raise ValueError("minor indices are 1-based")
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows and self.cols == other.cols
+
+    def __hash__(self):
+        return hash((self.rows, self.cols))
 
     @property
     def size(self) -> int:

@@ -6,7 +6,6 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 lines, or `ladderdet accept run all` for the same suite from the CLI.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -93,7 +92,7 @@ def test_a_wrong_replay_fails_chamfer_descent_on_the_same_lines(monkeypatch):
 
     def wrong_replay(L, t):
         red = real(L, t)
-        return WrongReplay(**{f.name: getattr(red, f.name) for f in dataclasses.fields(red)})
+        return WrongReplay(**{name: getattr(red, name) for name in UnmixReduction.__slots__})
 
     monkeypatch.setattr(acceptance, "reduce_to_unmixed", wrong_replay)
     result = acceptance.run_criterion("chamfer-descent")

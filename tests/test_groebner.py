@@ -592,7 +592,7 @@ def _check_against_bruteforce(supports):
     masks = [_mask(s) for s in supports]
     assert minimal_covers(masks) == expected
     height = expected[0].bit_count()
-    assert min_cover_size(masks) == height
+    assert min_cover_size(masks)[0] == height
     # The multiplicity of a squarefree monomial ideal counts its minimal
     # primes of least height.
     M = MonomialIdeal.from_monomials(_RING_3X4, [m >> 8 for m in masks])
@@ -688,7 +688,7 @@ def test_covers_where_a_shrunk_support_swallows_another():
 
 
 def test_cover_edge_cases():
-    assert min_cover_size([]) == 0
+    assert min_cover_size([])[0] == 0
     assert minimal_covers([]) == [0]
     x = 1 << _bit(gv(1, 1))
     for search in (min_cover_size, minimal_covers):
@@ -733,7 +733,7 @@ def test_height_and_min_primes_read_the_supports_of_any_ideal():
         M = MonomialIdeal.from_monomials(ring, monos)
         not_squarefree += not M.is_squarefree()
         radical = M.radical().supports()
-        assert M.height() == min_cover_size(radical)
+        assert M.height() == min_cover_size(radical)[0]
         assert M.min_primes() == [frozenset(ring.packing.variables_of(c)) for c in minimal_covers(radical)]
     assert not_squarefree > 2500
 
@@ -782,6 +782,29 @@ def test_multiplicity_edge_cases():
         MonomialIdeal.from_monomials(ring, [mono((x, 2))]).multiplicity()
     with pytest.raises(ValueError):
         MonomialIdeal(ring, (MONO_ONE,)).multiplicity()
+
+
+def test_height_dim_and_multiplicity_share_one_cover_search(monkeypatch):
+    from ladderdet import groebner
+
+    calls = []
+    real = groebner._pivot_recursion
+
+    def counted(masks, base, join):
+        calls.append(len(masks))
+        return real(masks, base, join)
+
+    monkeypatch.setattr(groebner, "_pivot_recursion", counted)
+    for k, l, t in ((4, 5, 2), (5, 5, 3)):
+        M = _generic_initial_ideal(k, l, t)
+        before = len(calls)
+        assert M.dim() == k * l - (k - t + 1) * (l - t + 1)
+        assert M.multiplicity() == generic_multiplicity(k, l, t)
+        assert M.height() == (k - t + 1) * (l - t + 1)
+        assert len(calls) == before + 1
+        # The same answers as a fresh search, which runs the recursion again.
+        assert (M.height(), M.multiplicity()) == _height_and_multiplicity(M.supports())
+        assert len(calls) == before + 2
 
 
 def _antichain(supports):
@@ -1018,18 +1041,22 @@ def test_time_limit_nests_and_stays_in_its_thread():
     import threading
 
     ring = Ring.for_grid(QQ, 1, 2)
-    M = MonomialIdeal.from_monomials(ring, [mono((gv(1, 1), 1), (gv(1, 2), 1))])
+    gens = MonomialIdeal.from_monomials(ring, [mono((gv(1, 1), 1), (gv(1, 2), 1))]).gens
+
+    def dim():  # on a fresh ideal each time: an ideal keeps its first cover search
+        return MonomialIdeal(ring, gens).dim()
+
     with time_limit(1e-9):
         with time_limit(None):
-            assert M.dim() == 1  # the inner limit replaces the outer one
+            assert dim() == 1  # the inner limit replaces the outer one
         with pytest.raises(InstanceTooLarge):
-            M.dim()  # and the outer one is back
+            dim()  # and the outer one is back
         results = []
-        worker = threading.Thread(target=lambda: results.append(M.dim()))
+        worker = threading.Thread(target=lambda: results.append(dim()))
         worker.start()
         worker.join(timeout=10)
         assert not worker.is_alive() and results == [1]  # new threads start unlimited
-    assert M.dim() == 1
+    assert dim() == 1
 
 
 def _reference_list_dedupe(gens):

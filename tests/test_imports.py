@@ -1,7 +1,12 @@
-"""Module structure: imports sit at module top, and the package's modules
-import each other without cycles."""
+"""Module structure: imports sit at module top, the package's modules
+import each other without cycles, and importing the package loads neither
+`dataclasses` nor `inspect`."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -28,6 +33,35 @@ def test_only_fields_imports_fractions():
                     or isinstance(node, ast.ImportFrom) and node.module == "fractions"):
                 importers.add(path.name)
     assert importers == {"fields.py"}
+
+
+def test_no_module_imports_dataclasses():
+    # Records derive from `record.Record`: the dataclass decorator and the
+    # modules `dataclasses` pulls in cost a large share of the import.
+    importers = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"):
+                importers.add(path.name)
+    assert not importers
+
+
+# Prints the modules that importing the package and its command adds.
+NEW_MODULES = """
+import json, sys
+before = set(sys.modules)
+import ladderdet, ladderdet.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    out = subprocess.run([sys.executable, "-c", NEW_MODULES], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)}).stdout
+    added = set(json.loads(out))
+    assert "ladderdet.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_package_imports_are_acyclic():

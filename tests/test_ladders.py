@@ -1,7 +1,6 @@
 """Ladder combinatorics: membership, validation, interiors, profiles,
 chamfering and width descent."""
 
-import dataclasses
 import json
 import random
 import time
@@ -440,7 +439,7 @@ def test_profile_of_a_600x600_ladder_honours_time_limit():
 
 def test_profile_levels_build_their_square_on_demand():
     # A level keeps its rows a..b; Y_r takes the columns r - b..r - a.
-    assert "minor" not in {f.name for f in dataclasses.fields(LevelData)}
+    assert "minor" not in LevelData.__slots__
     rng = random.Random(26)
     for _ in range(30):
         L, t = random_valid_ladder(rng, 7, mixed=True)
