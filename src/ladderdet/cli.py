@@ -414,10 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized suites")
     parser.add_argument("--timeout", type=_positive_seconds, default=60.0,
                         help="positive time budget in seconds for the ladder row scans, minor "
-                             "enumerations, Groebner computations, Leibniz expansions, "
-                             "height/dimension recursions and minimal-prime searches "
-                             "of the command; accept gives each criterion its own "
-                             "budget and fails one that exceeds it")
+                             "enumerations, Groebner computations, Leibniz expansions "
+                             "and the pivot recursion that gives heights, dimensions "
+                             "and minimal primes of the command; accept gives each "
+                             "criterion its own budget and fails one that exceeds it")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
     sizes = argparse.ArgumentParser(add_help=False)

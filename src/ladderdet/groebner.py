@@ -5,9 +5,8 @@ Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar cube, please",
 ISSAC 1991: sugar first, then the order's key of the lcm, then the
 indices; coprime-lead and chain criteria via Gebauer-Moeller updates),
 ideal sums / intersections / colons / saturations, Frobenius bracket
-powers, and squarefree monomial-ideal combinatorics (minimal primes by a
-branching search that reaches each one once; height, dimension and
-multiplicity from the Hilbert series by a memoised pivot recursion;
+powers, and squarefree monomial-ideal combinatorics (minimal primes,
+height, dimension and multiplicity by one memoised pivot recursion;
 symbolic powers by one pass per minimal prime P, as (b) ∩ P^n =
 b · P^(max(0, n − deg_P b)) (Herzog, Hibi and Trung, Adv. Math. 210, 2007)).
 
@@ -44,22 +43,28 @@ reducer.  An `Ideal` keeps the reducer of each cached basis for its normal
 forms and membership tests.  Polynomials over different coefficient fields
 are refused with ValueError, as their arithmetic refuses them.
 
-Heights, dimensions and multiplicities of squarefree monomial ideals come
-from Bigatti's pivot recursion for the numerator N(t) of the Hilbert
-series (Bigatti, J. Pure Appl. Algebra 119, 1997), run on the support
-masks re-indexed densely (`_cover_bits`).  A node splits its supports in
-one pass into those without the pivot x and the quotients s - x of those
-with it.  The supports form an antichain, so the quotients do too and none
-is compared with another: the colon is the quotients plus the supports
-without x that contain none, built in one more pass.  The recursion
-(`_pivot_recursion`) takes the value it carries from its caller: a base
-value for pairwise coprime supports, and a join of the two children's
-values.  Heights, dimensions and multiplicities carry only (h, e), the
+Minimal primes, heights, dimensions and multiplicities of squarefree
+monomial ideals come from Bigatti's pivot recursion for the numerator N(t)
+of the Hilbert series (Bigatti, J. Pure Appl. Algebra 119, 1997), run on
+the support masks re-indexed densely (`_cover_bits`).  A node splits its
+supports in one pass into those without the pivot x and the quotients
+s - x of those with it.  The supports form an antichain, so the quotients
+do too and none is compared with another: the colon is the quotients plus
+the supports without x that contain none, built in one more pass.  The
+recursion (`_pivot_recursion`) takes the value it carries from its caller:
+a base value for pairwise coprime supports, and a join of the two
+children's values.  Heights, dimensions and multiplicities carry only (h, e), the
 order and the leading coefficient of N in u = 1 - t: a join keeps the
 lower order, and adds the two coefficients on a tie.  `_hilbert_numerator`
-carries the whole of N(t), with the same recursion.  The
-memo of subproblems is bounded by `_HILBERT_MEMO_ENTRIES`, and the budget
-is checked once per node and once per support the colon pass sweeps.
+carries the whole of N(t), and `minimal_covers` the list of minimal
+primes, with the same recursion: a prime without the pivot x is a prime of
+the colon, and one with x is x and a prime of the supports without x that
+misses some quotient.  The memo of subproblems is bounded by
+`_HILBERT_MEMO_ENTRIES` and by `_MEMO_ITEMS`, the items its values hold,
+and the budget is checked once per node, once per support the colon pass
+sweeps, once per factor of a coprime node's covers, once per cover a join
+tests against the quotients and once per cover `minimal_covers` maps back
+to the source bits.
 
 Monomials are the packed ints of `poly`.  Each ring fixes one `Packing`;
 an ideal re-packs its generators into it, so every monomial of one
@@ -72,7 +77,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-from itertools import combinations_with_replacement, zip_longest
+from itertools import combinations_with_replacement, compress, zip_longest
 from math import prod
 
 from .fields import Field
@@ -1112,7 +1117,8 @@ class MonomialIdeal(Record):
         return [mono_mask(g, packing) for g in self.gens]
 
     def min_primes(self) -> list[frozenset[Variable]]:
-        """Minimal primes (as variable sets) by recursive splitting."""
+        """Minimal primes (as variable sets), from the pivot recursion
+        (`minimal_covers`)."""
         if self.is_unit:
             raise ValueError("unit ideal has no minimal primes")
         covers = minimal_covers(self.supports())
@@ -1235,84 +1241,87 @@ def _cover_bits(supports) -> tuple[list[int], list[int]]:
     return positions, _minimal_masks(map(reindexed, sets))
 
 
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+_REVERSED_BYTES = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
 def minimal_covers(supports) -> list[int]:
-    """All minimal covers (minimal primes) of a set system, each found once.
+    """All minimal covers (minimal primes) of a set system, each once.
 
     Supports and covers are int bitmasks (for a monomial ideal, the support
-    masks of its generators).
-
-    The search branches on the free bits of the support with the fewest of
-    them, where a bit is free unless an earlier branch at some pivot tried
-    it: each branch bans the bits tried before it, so no cover is reached
-    twice, and a branch ends as soon as a support lies inside the banned
-    bits.  A cover is kept when each of its bits is the only one it has in
-    some support, which is exactly minimality.  Covers come out by size,
-    then by their ascending bits.
+    masks of its generators).  The covers are the third value type of
+    `_pivot_recursion`, next to N(t) and (h, e): a list of dense cover
+    masks.  A node with pairwise coprime supports takes one bit of each
+    (`_coprime_covers`), and a split on x joins its children by
+    Min(I) = {Y ∪ Q : Q ∈ Min(I : x less Y)} ⊔ {x ∪ Q : Q ∈ Min(J), Q misses
+    some quotient s − x}, where J is the supports without x and Y the
+    singleton quotients (`_join_covers`).  The recursion runs on the
+    supports other than the singletons, whose bits every cover holds.
+    Covers come out by size, then by their ascending bits.
     """
     positions, masks = _cover_bits(supports)
-    covers = []
+    rest = [s for s in masks if s & (s - 1)]
+    ones = sum(masks) - sum(rest)  # the singletons' bits, each in no other support
+    covers = _pivot_recursion(rest, _coprime_covers, _join_covers)
+    n, nbytes = len(positions), len(positions) + 7 >> 3
+    weights = [1 << b for b in reversed(positions)]  # highest dense bit first
 
-    def rec(remaining, chosen, banned):
-        # No support in `remaining` is hit by `chosen` or lies inside `banned`.
+    def key(c):
+        # Of two covers of one size, the one holding the lowest bit that
+        # only one of them has comes first: the larger bit-reversed mask.
+        reversed_c = int.from_bytes(c.to_bytes(nbytes, "little").translate(_REVERSED_BYTES), "big")
+        return (c.bit_count() << 8 * nbytes) - reversed_c
+
+    found = []
+    for c in sorted((ones | q for q in covers), key=key):
         _check_deadline()
-        if not remaining:
-            private = 0
-            for s in masks:
-                hit = s & chosen
-                if not hit & (hit - 1):
-                    private |= hit
-            if private == chosen:
-                covers.append(chosen)
-            return
-        allowed = ~banned
-        free = min((s & allowed for s in remaining), key=int.bit_count)
-        while free:
-            b = free & -free
-            free ^= b
-            rec([s for s in remaining if not s & b], chosen | b, banned)
-            banned |= b
-            allowed = ~banned
-            if any(not s & allowed for s in remaining if s & b):
-                return
-
-    rec(masks, 0, 0)
-
-    def indices(c):
-        return [i for i in range(c.bit_length()) if c >> i & 1]
-
-    # Ascending dense indices sort like the bits they stand for.
-    found = sorted((len(idx), idx) for idx in map(indices, covers))
-    return [sum(1 << positions[i] for i in idx) for _, idx in found]
+        # The cover's binary digits, as bytes 0 and 1, pick its source bits.
+        found.append(sum(compress(weights, f"{c:0{n}b}".encode().translate(_BINARY_DIGITS))))
+    return found
 
 
 # On in(I_3) of the generic 9x9 matrix the recursion visits 47k distinct
-# subproblems; carrying (h, e) (`_height_and_multiplicity`) under this bound
-# it peaks at 13.5 MB by tracemalloc, memo included.  The benchmark ladders
-# visit far fewer.
+# subproblems; carrying (h, e) (`_height_and_multiplicity`) under the entry
+# bound it peaks at 13.5 MB by tracemalloc, memo included.  A list of covers
+# can hold thousands of them (in(I_3) of the generic 8x8 matrix has 226,512
+# minimal primes), so the memo is also bounded by the items its values hold.
+# The benchmark ladders visit far fewer.
 _HILBERT_MEMO_ENTRIES = 1 << 14
+_MEMO_ITEMS = 1 << 16
 
 
 def _pivot_recursion(masks: list[int], base, join):
     """The value that Bigatti's pivot recursion gives the squarefree monomial
     ideal I with these minimal support masks (an antichain without
-    singletons), where `base` and `join` choose what a value is.
+    singletons), where `base` and `join` choose what a value is: the
+    Hilbert series numerator N(t), its order and leading coefficient
+    (h, e) at t = 1, or the list of minimal primes (covers) of I.
 
     A node whose supports are pairwise coprime takes `base(masks)`.  Any
     other node pivots on x, the variable in the most supports (ties to the
-    highest bit), and takes `join(a, c, k)`: a is the value of J, the
-    supports without x, so that I + (x) = J + (x); c is the value of the
-    colon I : x less its k singletons.  One pass splits the supports:
-    those with x form an antichain, so their quotients s - x do too, and
-    I : x keeps them and the supports without x that contain no quotient.
-    A singleton quotient {y} shares no variable with the rest of the colon,
-    so it is left to `join` as a factor.  Subproblems repeat across the two
-    branches, so their values are memoised for the call, keyed by their
-    sorted masks; the memo starts over once it holds
-    `_HILBERT_MEMO_ENTRIES` of them, which bounds its memory.
+    highest bit), and takes `join(a, c, x, singles, wide)`: a is the value
+    of J, the supports without x, so that I + (x) = J + (x); c is the value
+    of the colon I : x less its singletons {y}, whose bits are `singles`;
+    `wide` are the other quotients s - x.  One pass splits the supports:
+    those with x form an antichain, so their quotients do too, and I : x
+    keeps them and the supports without x that contain no quotient.  A
+    singleton quotient {y} shares no variable with the rest of the colon,
+    so it is left to `join` as a factor.  The minimal primes join by
+    Min(I) = {Y ∪ Q : Q ∈ Min(I : x less Y)} ⊔ {x ∪ Q : Q ∈ Min(J), Q misses
+    some quotient s − x}, Y the singletons: a minimal prime without x is
+    one of I : x, and one with x is x and a minimal cover Q of J that
+    leaves some support through x to x alone.  Subproblems repeat across
+    the two branches, so their values are memoised for the call, keyed by
+    their sorted masks; the memo starts over once it holds
+    `_HILBERT_MEMO_ENTRIES` values or `_MEMO_ITEMS` items in them (the
+    covers of a list, the coefficients of a numerator), which bounds its
+    memory.
     """
     memo: dict = {}
+    held = 0
 
     def rec(masks):
+        nonlocal held
         key = tuple(sorted(masks))
         value = memo.get(key)
         if value is not None:
@@ -1354,13 +1363,42 @@ def _pivot_recursion(masks: list[int], base, join):
                     else:
                         colon.append(s)
             a = rec(untouched)
-            value = join(a, rec(colon), singles.bit_count())
-        if len(memo) >= _HILBERT_MEMO_ENTRIES:
+            value = join(a, rec(colon), x, singles, wide)
+        held += len(value)
+        if len(memo) >= _HILBERT_MEMO_ENTRIES or held > _MEMO_ITEMS:
             memo.clear()
+            held = len(value)
         memo[key] = value
         return value
 
     return rec(masks)
+
+
+def _coprime_covers(masks: list[int]) -> list[int]:
+    """The minimal covers of pairwise coprime supports: one bit of each."""
+    covers = [0]
+    for s in masks:
+        _check_deadline()
+        bits = [1 << b for b in _bit_positions(s)]
+        covers = [c | b for c in covers for b in bits]
+    return covers
+
+
+def _join_covers(a: list[int], c: list[int], x: int, singles: int, wide: list[int]) -> list[int]:
+    """Min(I) from a = Min(J) and c = Min(I : x less its singletons): the
+    covers of c with the singletons' bits, and x with each cover of a that
+    misses some quotient, a singleton's bit or a whole wide one."""
+    covers = [singles | q for q in c] if singles else c.copy()
+    for q in a:
+        if singles & ~q:
+            covers.append(x | q)
+            continue
+        _check_deadline()
+        for r in wide:
+            if not r & q:
+                covers.append(x | q)
+                break
+    return covers
 
 
 def _times_one_minus_t(num: list[int], k: int) -> list[int]:
@@ -1380,9 +1418,11 @@ def _coprime_numerator(masks: list[int]) -> list[int]:
     return num
 
 
-def _join_numerators(a: list[int], c: list[int], k: int) -> list[int]:
-    """N(I) = N(I + (x)) + t N(I : x) = (1 - t) A + t (1 - t)^k C."""
-    c = _times_one_minus_t(c, k)
+def _join_numerators(a: list[int], c: list[int], x: int, singles: int,
+                     wide: list[int]) -> list[int]:
+    """N(I) = N(I + (x)) + t N(I : x) = (1 - t) A + t (1 - t)^k C, k the
+    number of singletons."""
+    c = _times_one_minus_t(c, singles.bit_count())
     # The coefficient of t^i is a_i - a_(i-1) + c_(i-1).
     return [p - q + r for p, q, r in zip_longest(a, [0] + a, [0] + c, fillvalue=0)]
 
@@ -1404,15 +1444,17 @@ def _coprime_lead(masks: list[int]) -> tuple[int, int]:
     return len(masks), prod(s.bit_count() for s in masks)
 
 
-def _join_leads(a: tuple[int, int], c: tuple[int, int], k: int) -> tuple[int, int]:
-    """(h, e) of (1 - t) A + t (1 - t)^k C, in u = 1 - t: u A + (1 - u) u^k C.
+def _join_leads(a: tuple[int, int], c: tuple[int, int], x: int, singles: int,
+                wide: list[int]) -> tuple[int, int]:
+    """(h, e) of (1 - t) A + t (1 - t)^k C, in u = 1 - t: u A + (1 - u) u^k C,
+    k the number of singletons.
 
     Each e is the multiplicity of a proper quotient, so it is positive and
     the two leading terms never cancel: the lower order wins, and on a tie
     the leading coefficients add."""
     (ha, ea), (hc, ec) = a, c
     ha += 1
-    hc += k
+    hc += singles.bit_count()
     if ha != hc:
         return (ha, ea) if ha < hc else (hc, ec)
     return ha, ea + ec

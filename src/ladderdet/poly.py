@@ -33,9 +33,9 @@ from .record import Record, set_field
 
 
 class InstanceTooLarge(RuntimeError):
-    """A ladder row scan, minor enumeration, Groebner task, height/dimension
-    recursion, minimal-prime search or minor expansion exceeded its time
-    budget, iteration cap or size cap."""
+    """A ladder row scan, minor enumeration, Groebner task, pivot recursion
+    (heights, dimensions, minimal primes) or minor expansion exceeded its
+    time budget, iteration cap or size cap."""
 
 
 _deadline: ContextVar[float | None] = ContextVar("ladderdet_deadline", default=None)
@@ -44,8 +44,8 @@ _deadline: ContextVar[float | None] = ContextVar("ladderdet_deadline", default=N
 @contextmanager
 def time_limit(seconds: float | None):
     """Bound the wall-clock time of ladder row scans, minor enumerations,
-    Groebner tasks, the height/dimension recursion, minimal-prime searches
-    and minor expansions in the current context (a new thread starts
+    Groebner tasks, the pivot recursion of heights, dimensions and minimal
+    primes, and minor expansions in the current context (a new thread starts
     without a limit).  None or inf sets no limit; NaN raises ValueError."""
     if seconds is not None and math.isnan(seconds):
         raise ValueError("time budget must be a number of seconds, not NaN")

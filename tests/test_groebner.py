@@ -934,6 +934,36 @@ def test_time_limit_reaches_inside_one_hilbert_node():
     assert time.monotonic() - start < 1.5
 
 
+def test_time_limit_reaches_inside_one_coprime_node():
+    # 21 disjoint pairs: one node of the pivot recursion, whose 2^21 minimal
+    # covers (one bit of each pair) take about 2 s to build, sort and map
+    # back on a 2-CPU machine with no budget check inside the node.
+    supports = [3 << 2 * i for i in range(21)]
+    start = time.monotonic()
+    with pytest.raises(InstanceTooLarge):
+        with time_limit(0.01):
+            minimal_covers(supports)
+    assert time.monotonic() - start < 0.5
+
+
+def test_time_limit_reaches_inside_one_cover_join():
+    # The root pivots on x, which is in 3,000 supports {x, y, w} and
+    # {x, z, w}, a fresh w in each.  J, the supports without x, is {y, b},
+    # {z, c} and 13 disjoint pairs: each of its 32,768 minimal covers is
+    # tested against the 3,000 quotients, and the quarter that holds y and
+    # z meets every one of them.  The join alone takes about 3 s on a 2-CPU
+    # machine with no budget check inside it.
+    x, y, z, b, c, *rest = [1 << i for i in range(3031)]
+    fresh, pairs = rest[:3000], rest[3000:]
+    supports = [x | y | w for w in fresh[:1500]] + [x | z | w for w in fresh[1500:]]
+    supports += [y | b, z | c] + [p | q for p, q in zip(pairs[::2], pairs[1::2])]
+    start = time.monotonic()
+    with pytest.raises(InstanceTooLarge):
+        with time_limit(0.3):
+            minimal_covers(supports)
+    assert time.monotonic() - start < 1.0
+
+
 def test_time_limit_bounds_dim():
     # dim of in(I_3) of the generic 9x9 matrix takes several seconds of
     # Hilbert-series recursion; a 1 s budget must stop it.
@@ -948,12 +978,44 @@ def test_time_limit_bounds_dim():
 def test_full_hilbert_memo_starts_over_with_the_same_answers(monkeypatch):
     from ladderdet import groebner
 
+    cases = [(4, 5, 2), (5, 5, 3), (6, 6, 3)]
+    monkeypatch.setattr(groebner, "_HILBERT_MEMO_ENTRIES", 1 << 40)
+    monkeypatch.setattr(groebner, "_MEMO_ITEMS", 1 << 40)
+    unbounded = [_generic_initial_ideal(k, l, t).min_primes() for k, l, t in cases]
     monkeypatch.setattr(groebner, "_HILBERT_MEMO_ENTRIES", 3)
-    for k, l, t in [(4, 5, 2), (5, 5, 3), (6, 6, 3)]:
+    for (k, l, t), primes in zip(cases, unbounded):
         M = _generic_initial_ideal(k, l, t)
         assert M.height() == (k - t + 1) * (l - t + 1)
         assert M.multiplicity() == generic_multiplicity(k, l, t)
+        assert M.min_primes() == primes
     test_covers_with_repeated_pivot_subproblems()
+    # The memo also starts over once its cover lists hold too many covers.
+    monkeypatch.setattr(groebner, "_HILBERT_MEMO_ENTRIES", 1 << 14)
+    monkeypatch.setattr(groebner, "_MEMO_ITEMS", 10)
+    for (k, l, t), primes in zip(cases, unbounded):
+        assert _generic_initial_ideal(k, l, t).min_primes() == primes
+
+
+def test_generic_min_primes_match_closed_form():
+    # in(I_t) of the generic 7x7 matrix is Cohen-Macaulay, so its minimal
+    # primes all have the height (8 - t)^2 of I_t, and they number its
+    # multiplicity: 924 at t = 2 and 19,404 at t = 3.
+    for t, count in ((2, 924), (3, 19404)):
+        primes = _generic_initial_ideal(7, 7, t).min_primes()
+        assert len(primes) == generic_multiplicity(7, 7, t) == count
+        assert len(set(primes)) == count
+        assert {len(p) for p in primes} == {(8 - t) ** 2}
+
+
+def test_time_limit_bounds_min_primes():
+    # in(I_3) of the generic 8x8 matrix has 226,512 minimal primes, about
+    # 9 s of pivot recursion on a 2-CPU machine; a 1 s budget must stop it.
+    M = _generic_initial_ideal(8, 8, 3)
+    start = time.monotonic()
+    with pytest.raises(InstanceTooLarge):
+        with time_limit(1.0):
+            M.min_primes()
+    assert time.monotonic() - start < 3.0
 
 
 _HEIGHT_MEMORY_CHILD = """
@@ -997,6 +1059,42 @@ def test_height_memory_stays_bounded():
     proc = subprocess.run([sys.executable, "-c", _HEIGHT_MEMORY_CHILD],
                           capture_output=True, text=True, check=True)
     assert int(proc.stdout) < 10 * 1024
+
+
+_COVER_MEMORY_CHILD = """
+from itertools import combinations
+from ladderdet.fields import QQ
+from ladderdet.groebner import MonomialIdeal, Ring, minimal_covers
+from ladderdet.poly import Minor
+
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+
+
+ring = Ring.for_grid(QQ, 7, 8)
+gens = sorted(Minor(r, c).antidiagonal_monomial().packed_in(ring.packing)
+              for r in combinations(range(1, 8), 3) for c in combinations(range(1, 9), 3))
+supports = MonomialIdeal(ring, tuple(gens)).supports()
+before = peak_kib()
+assert len(minimal_covers(supports)) == 60984
+print(peak_kib() - before)
+"""
+
+
+def test_cover_memory_stays_bounded():
+    # The 60,984 minimal primes of in(I_3) of the generic 7x8 matrix, about
+    # 2 s on a 2-CPU machine, raised the child's peak RSS by 10.6 MiB with
+    # the memo bounded by the covers it holds, and by 50 MiB when only its
+    # entries were bounded (Python 3.11), so 25 MiB tells the two apart.
+    if sys.platform != "linux":
+        pytest.skip("VmHWM is read from /proc/self/status on Linux only")
+    proc = subprocess.run([sys.executable, "-c", _COVER_MEMORY_CHILD],
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 25 * 1024
 
 
 def test_from_monomials_is_fast_on_an_antichain():
