@@ -30,13 +30,19 @@ by sugar from a heap that holds the keys of the pairs each update adds, and
 building one Polynomial per element it keeps.  An intersection J cap K is
 first read off the reduced bases of J and K: the elements of each that lie
 in the other ideal are a Groebner basis of it when their leads generate
-in(J) cap in(K), which contains in(J cap K).  Knutson's
-in(J cap K) = in(J) cap in(K) for compatibly split ideals ("Frobenius
-splitting, point-counting, and degeneration", arXiv:0911.4941) is why the
-paper's band intersections pass.  When the leads do not certify it, an
-auxiliary t is eliminated from t*J + (1-t)*K and only the aux-free entries
-are interreduced.  Whether the set a walk decided is a Groebner basis is
-recorded with its generator list, so `buchberger` and then
+in(J) cap in(K), which contains in(J cap K); only the leads that none of
+theirs divides are paired in that test.  Taken from one basis they are
+already reduced and are the answer as they are; taken from both they are
+interreduced.  Knutson's in(J cap K) = in(J) cap in(K) for compatibly
+split ideals ("Frobenius splitting, point-counting, and degeneration",
+arXiv:0911.4941) is why the paper's band intersections pass.  When the
+leads do not certify it, an auxiliary t is eliminated from t*J + (1-t)*K
+and only the aux-free entries are interreduced.  `Ideal.equal` reads
+equality with an ideal whose basis is cached off the other side's
+generators when, made monic, they are that basis: so the band identity
+left + right = wide cap inner costs the runs of wide and inner alone.
+Whether the set a walk decided is a Groebner basis is recorded with its
+generator list, so `buchberger` and then
 `is_groebner_basis` on the same generators reduce the S-pairs once, and
 `is_groebner_basis` answers the same polynomial objects before it builds a
 reducer.  An `Ideal` keeps the reducer of each cached basis for its normal
@@ -515,6 +521,12 @@ def _monic_terms(terms: dict, lm: int, field: Field) -> dict:
     return {m: div(c, lc) for m, c in terms.items()}
 
 
+def _monic_term_sets(polys) -> set:
+    """The term sets of the nonzero polynomials, of one packing, made monic
+    under ANTIDIAG."""
+    return {frozenset(_monic_terms(f.terms, max(f.terms), f.field).items()) for f in polys}
+
+
 def _monic_reducer(gens, order):
     """A `Reducer` whose entries are the generators, of one packing, made
     monic, in order; None when one of them is a nonzero constant."""
@@ -836,8 +848,21 @@ class Ideal:
         return len(basis) == 1 and basis[0].leading_term()[0] == MONO_ONE
 
     def equal(self, other: "Ideal") -> bool:
-        """Ideal equality via reduced-Groebner-basis comparison."""
+        """Ideal equality via reduced-Groebner-basis comparison under ANTIDIAG.
+
+        When one side has its basis B cached and the other has none, the
+        other's generators, made monic, are first compared with B as a set:
+        a generating set that is a reduced basis is the ideal's one reduced
+        basis, so if they match the ideals are equal and B is cached on the
+        other side, with no Buchberger run.  Otherwise both bases are
+        computed and compared."""
         self._require_same_ring(other)
+        for known, bare in ((self, other), (other, self)):
+            basis = known._cache.get(ANTIDIAG)
+            if (basis is not None and ANTIDIAG not in bare._cache
+                    and _monic_term_sets(bare.gens) == _monic_term_sets(basis)):
+                bare._cache[ANTIDIAG] = basis
+                return True
         return self.groebner_basis() == other.groebner_basis()
 
     def _require_same_ring(self, other: "Ideal"):
@@ -954,28 +979,37 @@ def _certified_intersection(I: Ideal, J: Ideal):
     of H divides lcm(a, b) for every lead a of G_I and b of G_J, then
     in(I cap J) <= in(I) cap in(J) <= (lm H) <= in(H) <= in(I cap J), as the
     lcms generate in(I) cap in(J); so H is a Groebner basis of I cap J, and
-    its reduced basis, being unique, is the elimination's.  If G_I = (1),
-    every element of G_J lies in I and lcm(1, b) = b, so H = G_J certifies
-    and the result is G_J itself.
+    its reduced basis, being unique, is the elimination's.  A lead of G_I or
+    G_J that a lead of H divides divides all of its lcms, so the lcm test
+    runs over the other leads only.  H drawn from one basis alone is part
+    of a reduced basis, so it is reduced: it is returned as it is, sorted
+    by lead; H drawn from both bases is interreduced.  If G_I = (1), every
+    element of G_J lies in I and lcm(1, b) = b, so H = G_J certifies and
+    the result is G_J itself.
     """
     packing = I.ring.packing
     guard = packing.guard
     RI, RJ = I._reducer(ANTIDIAG, packing), J._reducer(ANTIDIAG, packing)
-    H, index = [], {}
-    for R, other in ((RI, RJ), (RJ, RI)):
-        for entry in R.entries:
-            lm, lc, tail, mask = entry
-            if (_divisor(other.index, lm, mask, guard) is not None
-                    and not other.remainder(dict([(lm, lc), *tail]))):
-                H.append(entry)
-                _index_add(index, lm, mask, entry)
-    for a, *_ in RI.entries:
+    # (basis element, its reducer entry) for each element in the other ideal
+    HI, HJ = ([(g, entry) for g, entry in zip(basis, R.entries)
+               if _divisor(other.index, entry[0], entry[3], guard) is not None
+               and not other.remainder(dict([entry[:2], *entry[2]]))]
+              for basis, R, other in ((I.groebner_basis(), RI, RJ), (J.groebner_basis(), RJ, RI)))
+    index = {}
+    for _, entry in HI + HJ:
+        _index_add(index, entry[0], entry[3], entry)
+    A, B = ([lm for lm, _, _, mask in R.entries if _divisor(index, lm, mask, guard) is None]
+            for R in (RI, RJ))
+    for a in A:
         _check_deadline()
-        for b, *_ in RJ.entries:
+        for b in B:
             m = mono_lcm(a, b, guard)
             if _divisor(index, m, mono_mask(m, packing), guard) is None:
                 return None
-    return tuple(interreduce(H, ANTIDIAG, I.ring.field, packing))
+    if HI and HJ:
+        return tuple(interreduce([entry for _, entry in HI + HJ], ANTIDIAG, I.ring.field,
+                                 packing))
+    return tuple(g for g, entry in sorted(HI or HJ, key=lambda h: h[1][0]))
 
 
 def _eliminated_intersection(I: Ideal, J: Ideal) -> tuple[Polynomial, ...]:

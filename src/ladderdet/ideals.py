@@ -90,8 +90,17 @@ def _distinct(minors) -> list[Minor]:
 
 def minor_ideal(ring: Ring, minors) -> Ideal:
     """The ideal of the distinct minors, expanded in the ring, in (rows,
-    cols) order."""
-    return Ideal(ring, [expand_minor(m, ring.field, ring.packing) for m in _distinct(minors)])
+    cols) order.  The minors are made distinct here, once; their expansions
+    then go into the ideal as they are (`_ideal_of_distinct`)."""
+    return _ideal_of_distinct(ring, _distinct(minors))
+
+
+def _ideal_of_distinct(ring: Ring, minors) -> Ideal:
+    """The ideal of minors already distinct, expanded in the ring in the
+    order given.  Distinct minors have distinct supports, so their
+    expansions are distinct and the ideal skips `Ideal`'s term-set dedup."""
+    field, packing = ring.field, ring.packing
+    return Ideal._with_bases(ring, [expand_minor(m, field, packing) for m in minors], {})
 
 
 def minors_in_ladder(L: Ladder, t) -> list[Minor]:
@@ -104,8 +113,9 @@ def minors_in_ladder(L: Ladder, t) -> list[Minor]:
 
 
 def mixed_ladder_ideal(L: Ladder, t, field: Field = QQ, ring: Ring | None = None) -> Ideal:
-    """I_t(L): sum of the t_j-minor ideals of the subladders L_j."""
-    return minor_ideal(ring or ladder_ring(field, L), minors_in_ladder(L, t))
+    """I_t(L): sum of the t_j-minor ideals of the subladders L_j, on the
+    minors of `minors_in_ladder`, which are already distinct."""
+    return _ideal_of_distinct(ring or ladder_ring(field, L), minors_in_ladder(L, t))
 
 
 # ---------------------------------------------------------------------------

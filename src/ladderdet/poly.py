@@ -107,24 +107,25 @@ class Variable:
         return f"x[{self.i},{self.j}]"
 
 
-def _intern(table: dict, ident, make) -> Variable:
-    v = table.get(ident)
+def grid_var(i: int, j: int) -> Variable:
+    """The generic-matrix entry x[i,j] (1-based, interned): one dict lookup
+    once the cell is interned.  Only valid cells are ever interned, so the
+    indices are checked on a miss."""
+    v = _GRID.get((i, j))
     if v is None:
+        if i < 1 or j < 1:
+            raise ValueError(f"grid indices are 1-based: ({i},{j})")
         # setdefault keeps interning atomic under concurrent first use
-        v = table.setdefault(ident, make())
+        v = _GRID.setdefault((i, j), Variable("grid", i=i, j=j))
     return v
 
 
-def grid_var(i: int, j: int) -> Variable:
-    """The generic-matrix entry x[i,j] (1-based, interned)."""
-    if i < 1 or j < 1:
-        raise ValueError(f"grid indices are 1-based: ({i},{j})")
-    return _intern(_GRID, (i, j), lambda: Variable("grid", i=i, j=j))
-
-
 def aux_var(name: str = "t", rank: int = 0) -> Variable:
-    """An auxiliary variable sorting above all grid variables."""
-    return _intern(_AUX, (name, rank), lambda: Variable("aux", name=name, rank=rank))
+    """An auxiliary variable sorting above all grid variables (interned)."""
+    v = _AUX.get((name, rank))
+    if v is None:
+        v = _AUX.setdefault((name, rank), Variable("aux", name=name, rank=rank))
+    return v
 
 
 # ---------------------------------------------------------------------------

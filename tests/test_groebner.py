@@ -2264,6 +2264,114 @@ def test_a_unit_basis_certifies_the_other_sides_basis(monkeypatch):
         assert hidden.intersect(J).gens == J.groebner_basis() == J.intersect(again).gens
 
 
+def _band(field, k, l, t, delta, j):
+    """left, right, wide and inner of the band identity at column j of the
+    full k x l ladder: left + right = wide cap inner."""
+    L = Ladder.full(k, l)
+    ring = ladder_ring(field, L)
+    lo, hi = j, j + t + delta
+    return [mixed_ladder_ideal(L.band("cols", a, b), s, field, ring)
+            for a, b, s in ((lo, hi - 1, t), (lo + 1, hi, t), (lo, hi, t), (lo + 1, hi - 1, t - 1))]
+
+
+def _every_band():
+    """(k, l, t, delta, j) for every band with k <= 4, l <= 5, t in {2, 3}."""
+    for k in range(2, 5):
+        for l in range(2, 6):
+            for t in (2, 3):
+                for delta in (0, 1):
+                    for j in range(1, l - t - delta + 1):
+                        if t <= k:
+                            yield k, l, t, delta, j
+
+
+def _count_interreduce(monkeypatch):
+    from ladderdet import groebner
+
+    calls = []
+    real = groebner.interreduce
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "interreduce", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_band_identity_reads_equality_off_the_certified_basis(monkeypatch, field):
+    calls = _count_buchberger(monkeypatch)
+    for band in ((4, 4, 2, 1, 1), (3, 5, 2, 1, 2), (3, 4, 2, 0, 1), (4, 5, 3, 1, 1)):
+        for swap in (False, True):
+            left, right, wide, inner = _band(field, *band)
+            calls.clear()
+            total, K = left + right, wide.intersect(inner)
+            assert (K.equal(total) if swap else total.equal(K)) is True
+            assert calls == [ANTIDIAG, ANTIDIAG]  # wide and inner, no third run
+            assert total.groebner_basis() is K.gens
+            # Negative control: left's generators are part of the basis of
+            # left + right, so they fall back to a run of their own.
+            assert (K.equal(left) if swap else left.equal(K)) is False
+            assert len(calls) == 3
+            assert set(left.groebner_basis()) == {g.monic() for g in left.gens}
+
+
+def test_equality_with_part_of_a_cached_basis_falls_back(monkeypatch):
+    # (x^2 + y, x y) has the reduced basis x^2 + y, x y, y^2 (x = x[1,1],
+    # y = x[2,2]): a proper subset of a reduced basis may generate the ideal.
+    ring = Ring.for_grid(QQ, 2, 2)
+    gens = [P("x[1,1]^2 + x[2,2]"), P("x[1,1]*x[2,2]")]
+    known = Ideal(ring, gens)
+    basis = known.groebner_basis()
+    assert set(gens) < set(basis)
+    calls = _count_buchberger(monkeypatch)
+    for swap in (False, True):
+        part = Ideal(ring, gens)
+        assert (known.equal(part) if swap else part.equal(known)) is True
+    assert calls == [ANTIDIAG, ANTIDIAG]
+    smaller = Ideal(ring, [P("x[1,1]*x[2,2]"), P("x[2,2]^2")])
+    assert not smaller.equal(known) and not known.equal(Ideal(ring, smaller.gens))
+    assert len(calls) == 4
+    # The whole basis, scaled and repeated, is read off the cache.
+    scaled = Ideal(ring, [P("2*x[1,1]^2 + 2*x[2,2]"), P("-x[1,1]*x[2,2]"),
+                          P("x[1,1]*x[2,2]"), P("3*x[2,2]^2")])
+    assert scaled.equal(known) and len(calls) == 4
+    assert scaled.groebner_basis() is basis
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5), GF(7)], ids=str)
+def test_certified_band_intersections_match_the_elimination(monkeypatch, field):
+    # H lies in the basis of wide, so the certificate returns it as it is.
+    interreduced = _count_interreduce(monkeypatch)
+    for band in _every_band():
+        _, _, wide, inner = _band(field, *band)
+        wide.groebner_basis(), inner.groebner_basis()
+        interreduced.clear()
+        certified = _certified_intersection(wide, inner)
+        assert certified is not None and not interreduced, band
+        assert certified == _eliminated_intersection(wide, inner), band
+        assert all(g in wide.groebner_basis() for g in certified)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5), GF(7)], ids=str)
+def test_an_intersection_drawn_from_both_bases_is_interreduced(monkeypatch, field):
+    ring = Ring.for_grid(field, 3, 3)
+    I = Ideal(ring, [minor((1, 2), (1, 2), field), minor((2, 3), (2, 3), field),
+                     P("x[1,3]^2", field)])
+    # A and B share x[1,1]; B lies in A, so A cap B = B.
+    A = Ideal(ring, [P("x[1,1]", field), P("x[1,2]", field)])
+    B = Ideal(ring, [P("x[1,1]", field), P("x[1,2]*x[2,1]", field)])
+    _, _, wide, _ = _band(field, 3, 4, 2, 1, 1)
+    interreduced = _count_interreduce(monkeypatch)
+    for J, K, meet in ((I, I, I), (A, B, B), (B, A, B), (wide, wide, wide)):
+        J.groebner_basis(), K.groebner_basis()
+        interreduced.clear()
+        certified = _certified_intersection(J, K)
+        assert len(interreduced) == 1
+        assert certified == _eliminated_intersection(J, K) == meet.groebner_basis()
+
+
 @pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX], ids=str)
 def test_ideal_normal_form_on_the_kept_reducer(order):
     ring = Ring.for_grid(QQ, 2, 3)

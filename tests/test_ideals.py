@@ -3,6 +3,7 @@
 import random
 import time
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -60,6 +61,45 @@ def test_minors_brute_force_containment():
                     if all((i, j) in cells for i in rows for j in cols):
                         slow.add((rows, cols))
             assert fast == slow
+
+
+def _staircases(k, l):
+    """Every nonempty corner list strictly increasing in rows and columns."""
+    for u in range(1, min(k, l) + 1):
+        for rows in combinations(range(1, k + 1), u):
+            for cols in combinations(range(1, l + 1), u):
+                yield tuple(zip(rows, cols))
+
+
+def test_mixed_ladder_ideal_is_the_ideal_of_its_minors_on_every_small_ladder():
+    # A corner repeated in a row or a column bounds no more cells than its
+    # neighbour, so these corner lists give every ladder up to 4x4 (8,072).
+    ladders = {}
+    for k in range(1, 5):
+        for l in range(1, 5):
+            for upper in _staircases(k, l):
+                for lower in _staircases(k, l):
+                    L = Ladder((k, l), upper, lower)
+                    ladders.setdefault((L.shape, L.spans), L)
+    assert len(ladders) == 8072
+    for L in ladders.values():
+        ring = ladder_ring(QQ, L)
+        for t in range(1, min(L.shape) + 1):
+            built = mixed_ladder_ideal(L, t, QQ, ring)
+            expected = Ideal(ring, [expand_minor(m, QQ, ring.packing)
+                                    for m in minors_in_ladder(L, t)])
+            assert built.gens == expected.gens
+            assert [list(g.terms.items()) for g in built.gens] == [
+                list(g.terms.items()) for g in expected.gens]
+            assert not built._cache
+
+
+def test_grid_var_interns_only_valid_cells():
+    assert grid_var(2, 3) is grid_var(2, 3)
+    for _ in range(2):  # a refused cell is not interned, so it is refused again
+        for i, j in ((0, 1), (1, -2)):
+            with pytest.raises(ValueError, match="1-based"):
+                grid_var(i, j)
 
 
 def test_mixed_ladder_ideal_staircase10():
