@@ -14,10 +14,13 @@ b · P^(max(0, n − deg_P b)) (Herzog, Hibi and Trung, Adv. Math. 210, 2007)).
 (Gebauer and Moeller, J. Symbolic Comput. 6, 1988) on an index of the
 leads: a new lead forms lcms only with the leads that share a variable
 with it, a lead coprime to it acts only through one divisor search,
-skipped when no lead is coprime to it, and the initial build tests the
-chain criterion once per pair against the later leads.  Both form and
-reduce each S-pair on the terms of a reducer's entries, coefficients as
-the polynomials hold them.  The reducer, the pair update (its minimal
+skipped when no lead is coprime to it or when the quotient has fewer
+variables outside the new lead than any lead has, and the initial build
+tests the chain criterion once per pair against the later leads.  Both
+form and reduce each S-pair on the terms of a reducer's entries,
+coefficients as the polynomials hold them, and every remainder, of an
+S-pair or of a tail, comes from one reduction loop, `Reducer.remainders`,
+which sets up once per run.  The reducer, the pair update (its minimal
 quotients, its coprime leads and the initial build's later leads),
 `interreduce` and monomial minimalisation find divisors on one top-bit
 index (`_index_add`, `_divisor`).  Both first walk the initial pair set in
@@ -125,11 +128,14 @@ from .record import Record, set_field
 # Polynomial as they are: exact values, so over QQ most of them are ints,
 # since every basis element is monic and minors have coefficients +-1.
 # Division goes through `Field.div`.  A `Reducer` entry is (lead, lead
-# coefficient, tail terms, lead's support mask).  The Buchberger driver
-# forms each S-pair from two entries and reduces it on term dicts
-# (`s_polynomial`, `Reducer.remainder`), so no S-pair becomes a Polynomial;
-# `interreduce` moves the driver's entries as they are into the reducer on
-# which it reduces their tails.
+# coefficient, tail terms, lead's support mask).  There is one reduction
+# loop, `Reducer.remainders`: it binds the field, packing, order key and
+# index once and yields the remainder of each term dict it draws, on the
+# reducer as it stands at that draw.  The walk and the Buchberger loop each
+# feed one run the S-pairs, formed from two entries on term dicts
+# (`s_polynomial`), so no S-pair becomes a Polynomial; `interreduce` moves
+# the driver's entries as they are into a reducer and feeds one run their
+# tails; `Reducer.remainder` is the run of one dict.
 # A difference of two terms over QQ can be an integral Fraction; the
 # remainder coerces each of its terms back to the exact form.
 # "Which filed monomial divides m?" has one answer, the divisor index:
@@ -202,7 +208,9 @@ class Reducer:
     per basis element, in basis order.  `index` files the same entries by
     their leads (`_index_add`), and each term of the remainder takes the
     first entry `_divisor` finds there.  Every term that becomes the leading
-    term of the remainder is checked for an exponent past its field.
+    term of the remainder is checked for an exponent past its field.  All
+    reduction runs through `remainders`, a generator over term dicts, so a
+    batch pays the set-up once.
     """
 
     __slots__ = ("field", "order", "packing", "entries", "index")
@@ -243,29 +251,36 @@ class Reducer:
         return Polynomial(f.field, self.remainder(dict(f.terms)), packing)
 
     def remainder(self, work: dict) -> dict:
-        """The remainder of the terms `work`, which it consumes, as terms in
-        descending order: the leading term comes first."""
-        packing = self.packing
-        field = self.field
+        """The remainder of the terms `work`, which it consumes: `remainders`
+        of the one dict."""
+        return next(self.remainders((work,)))
+
+    def remainders(self, works):
+        """Yields the remainder of each term dict drawn from `works`, which it
+        consumes, on the reducer as it stands when the dict is drawn: its
+        terms in descending order, the leading term first.  The field,
+        packing, order key and index are bound once, on the first draw, so
+        entries added between two draws take part in the later remainders.
+        The budget is checked once per term taken."""
+        field, packing, index = self.field, self.packing, self.index
         p, div, coerce = field.p, field.div, field.coerce
         guard, low = packing.guard, packing.low
-        rem = {}
-        native = self.order.is_native
-        keyfn = self.order.key
-        index = self.index
-        while work:
-            _check_deadline()
-            m = max(work) if native else max(work, key=keyfn)
-            c = work.pop(m)
-            if m & guard:
-                raise _overflow()
-            hit = _divisor(index, m, (m + low) & guard, guard)
-            if hit is None:
-                rem[m] = coerce(c)
-                continue
-            lm, lc, tail, _ = hit
-            _sub_multiple(work, tail, mono_div(m, lm, guard), div(c, lc), p)
-        return rem
+        native, keyfn = self.order.is_native, self.order.key
+        for work in works:
+            rem = {}
+            while work:
+                _check_deadline()
+                m = max(work) if native else max(work, key=keyfn)
+                c = work.pop(m)
+                if m & guard:
+                    raise _overflow()
+                hit = _divisor(index, m, (m + low) & guard, guard)
+                if hit is None:
+                    rem[m] = coerce(c)
+                    continue
+                lm, lc, tail, _ = hit
+                _sub_multiple(work, tail, mono_div(m, lm, guard), div(c, lc), p)
+            yield rem
 
 
 def normal_form(f: Polynomial, basis, order: TermOrder = ANTIDIAG) -> Polynomial:
@@ -280,18 +295,19 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
     lcm/lm_a * a/lc_a - lcm/lm_b * b/lc_b.
 
     The two leads cancel, so only the scaled tails are formed, in one dict.
+    A lead coefficient of 1, as every monic entry has, is its own inverse.
     """
     lma, lca, taila, _ = a
     lmb, lcb, tailb, _ = b
     p = field.p
     ua = mono_div(lcm, lma, guard)
-    qa = field.inv(lca)
+    qa = 1 if lca == 1 else field.inv(lca)
     # The terms of one scaled tail are distinct and nonzero.
     if p is None:
         out = {mono_mul(tm, ua): tc * qa for tm, tc in taila}
     else:
         out = {mono_mul(tm, ua): tc * qa % p for tm, tc in taila}
-    _sub_multiple(out, tailb, mono_div(lcm, lmb, guard), field.inv(lcb), p)
+    _sub_multiple(out, tailb, mono_div(lcm, lmb, guard), 1 if lcb == 1 else field.inv(lcb), p)
     _check_fields(out, guard)
     return out
 
@@ -331,8 +347,9 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 #   lead's; that one test is the coprime-lead criterion F and the coprime
 #   part of M.
 # - No coprime search when none can exist: when every lead is near, as
-#   in an intersection, whose leads all hold the aux variable, the
-#   search is skipped.
+#   in an intersection, whose leads all hold the aux variable, or when a
+#   quotient has fewer variables outside the new lead than any lead has
+#   (`_Leads.least`), as for minors of one size, the search is skipped.
 # - B once per pair in the initial build: B_k drops the pair (i, j), made
 #   when j was added, exactly when a later lead k divides its lcm L and L
 #   differs from lcm(i, k) and from lcm(j, k), which depends on i, j and k
@@ -353,23 +370,28 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 class _Leads:
     """The leads of a basis, indexed for the pair update.
 
-    `masks` holds the support mask of each lead, and `index` files each
-    lead's number under the lead on the divisor index (`_index_add`).
+    `masks` holds the support mask of each lead, `index` files each lead's
+    number under the lead on the divisor index (`_index_add`), and `least`
+    and `most` are the smallest and largest support sizes among the leads:
+    no lead divides a monomial of fewer than `least` variables.
     """
 
-    __slots__ = ("guard", "low", "lms", "masks", "index")
+    __slots__ = ("guard", "low", "lms", "masks", "index", "least", "most")
 
     def __init__(self, packing: Packing):
         self.guard, self.low = packing.guard, packing.low
         self.lms: list[int] = []
         self.masks: list[int] = []
         self.index: dict = {}
+        self.least, self.most = len(packing.variables) + 1, 0
 
     def add(self, lm: int) -> None:
         mask = (lm + self.low) & self.guard
         _index_add(self.index, lm, mask, len(self.lms))
         self.lms.append(lm)
         self.masks.append(mask)
+        size = mask.bit_count()
+        self.least, self.most = min(self.least, size), max(self.most, size)
 
 
 def _near_pairs(leads: _Leads, lmf: int):
@@ -394,7 +416,11 @@ def _near_pairs(leads: _Leads, lmf: int):
       one test is the coprime-lead criterion and the coprime leads' part
       of the minimality.  It is one `_divisor` search of the leads' index
       with q's support outside lmf's: a lead whose support lies there is
-      coprime to lmf.
+      coprime to lmf.  The search is skipped when that support has fewer
+      variables than `leads.least`, the fewest any lead has, since no lead
+      then fits in it.  q's support outside lmf lies in that of the near
+      lead it came from, less a variable the two share, so when every lead
+      has the same support size, as minors of one size do, no q is searched.
     """
     lms, masks, guard, low = leads.lms, leads.masks, leads.guard, leads.low
     maskf = (lmf + low) & guard
@@ -416,11 +442,14 @@ def _near_pairs(leads: _Leads, lmf: int):
                 minimal.append(q)
                 _index_add(index, q, mask, q)
 
-    if len(near) < len(lms):  # some lead is coprime to lmf
+    least = leads.least
+    if len(near) < len(lms) and least < leads.most:  # a coprime lead may fit
         # A lead c coprime to lmf has lcm lm_c * lmf, and
-        # lm_c * lmf | L_i = lmf * q_i iff lm_c | q_i.
+        # lm_c * lmf | L_i = lmf * q_i iff lm_c | q_i; no lead has fewer
+        # than `least` variables.
         minimal = [q for q in minimal
-                   if _divisor(leads.index, q, (q + low) & guard & ~maskf, guard) is None]
+                   if (outside := (q + low) & guard & ~maskf).bit_count() < least
+                   or _divisor(leads.index, q, outside, guard) is None]
     return [(first[q + lmf], q + lmf) for q in minimal]
 
 
@@ -558,18 +587,21 @@ def _walk(reducer: Reducer, P: dict):
     """Reduces the S-pairs of the pair set P on `reducer` in P's order,
     deleting each whose remainder is zero, and stops at the first nonzero
     remainder: returns (that pair, its remainder terms), the pair still in
-    P, or None when P is left empty.  The budget is checked once per pair.
+    P, or None when P is left empty.  The S-polynomials are drawn one at a
+    time by one `Reducer.remainders` run.  The budget is checked once per
+    pair.
     """
     entries, field, guard = reducer.entries, reducer.field, reducer.packing.guard
     zero = []
-    for (i, j), lcm in P.items():
+    rems = reducer.remainders(s_polynomial(entries[i], entries[j], lcm, guard, field)
+                              for (i, j), lcm in P.items())
+    for ij, rem in zip(P, rems):
         _check_deadline()
-        rem = reducer.remainder(s_polynomial(entries[i], entries[j], lcm, guard, field))
         if rem:
-            for ij in zero:
-                del P[ij]
-            return (i, j), rem
-        zero.append((i, j))
+            for pair in zero:
+                del P[pair]
+            return ij, rem
+        zero.append(ij)
     P.clear()
     return None
 
@@ -588,8 +620,10 @@ def _buchberger_loop(gens, order):
     left go on a heap ordered by sugar, then by the order's key of the lcm,
     then by the indices; each update pushes the keys of the pairs it adds,
     and a popped pair the update has since dropped is skipped.  Each S-pair
-    is formed from two entries and reduced on term dicts; a nonzero
-    remainder becomes a new entry, still with no Polynomial built.
+    is formed from two entries and reduced on term dicts, all in one
+    `Reducer.remainders` run, which reduces each S-pair on the entries made
+    before it was popped; a nonzero remainder becomes a new entry, still
+    with no Polynomial built.
     Generators recorded as a Groebner basis are returned as they are.
     """
     global _verdict
@@ -614,26 +648,29 @@ def _buchberger_loop(gens, order):
     heap = [_pair_key(*pair, lcm, lmG, sugars, order) for pair, lcm in P.items()]
     heapq.heapify(heap)
 
+    def s_pairs():
+        """The S-polynomials of the live pairs as the heap pops them."""
+        nonlocal pair_sugar
+        while heap:
+            _check_deadline()
+            pair_sugar, _, i, j = heapq.heappop(heap)
+            lcm = P.pop((i, j), None)
+            if lcm is not None:  # else dropped by an update after it was pushed
+                yield s_polynomial(entries[i], entries[j], lcm, guard, field)
+
+    rems = reducer.remainders(s_pairs())
     while True:
         lmr = next(iter(rem))  # the remainder comes leading term first
         if lmr == MONO_ONE:
             return None
         new = _update_pairs(leads, P, lmr)  # appends lmr to lmG
         reducer.add_terms(lmr, _monic_terms(rem, lmr, field))
-        sugars.append(pair_sugar)
+        sugars.append(pair_sugar)  # the sugar of the pair rem came from
         for pair, lcm in new.items():
             heapq.heappush(heap, _pair_key(*pair, lcm, lmG, sugars, order))
-        while True:
-            if not heap:
-                return entries
-            _check_deadline()
-            pair_sugar, _, i, j = heapq.heappop(heap)
-            lcm = P.pop((i, j), None)
-            if lcm is None:  # dropped by an update after it was pushed
-                continue
-            rem = reducer.remainder(s_polynomial(entries[i], entries[j], lcm, guard, field))
-            if rem:
-                break
+        rem = next(filter(None, rems), None)
+        if rem is None:
+            return entries
 
 
 def interreduce(entries, order: TermOrder, field: Field, packing: Packing) -> list[Polynomial]:
@@ -642,16 +679,19 @@ def interreduce(entries, order: TermOrder, field: Field, packing: Packing) -> li
 
     Of entries that share a lead the first is kept.  In ascending lead
     order, an entry goes into one reducer as it is unless `_divisor` finds a
-    lead there dividing its own; each tail is then reduced on it: a lead
-    never divides a smaller term, so that is reducing it by the others.
+    lead there dividing its own; the tails are then reduced on it by one
+    `Reducer.remainders` run: a lead never divides a smaller term, so that
+    is reducing each by the others.
     """
     guard = packing.guard
     reducer = Reducer((), order, field, packing)
     for entry in sorted(entries, key=lambda e: order.key(e[0])):
         if _divisor(reducer.index, entry[0], entry[3], guard) is None:
             reducer.add_entry(entry)
-    return [Polynomial(field, {lm: lc, **reducer.remainder(dict(tail))}, packing)
-            for lm, lc, tail, _ in reducer.entries]
+    kept = reducer.entries
+    rems = reducer.remainders(dict(tail) for _, _, tail, _ in kept)
+    return [Polynomial(field, {lm: lc, **rem}, packing)
+            for (lm, lc, _, _), rem in zip(kept, rems)]
 
 
 def buchberger(gens, order: TermOrder = ANTIDIAG, below: int | None = None):

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import cache
 from itertools import chain, permutations
-from operator import lt
+from operator import getitem, lt
 from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from .fields import QQ, Field
@@ -832,26 +832,30 @@ def _parity_blocks(n: int, odd: int = 0):
 def expand_minor(m: Minor, field: Field = QQ, packing: Packing | None = None) -> Polynomial:
     """Signed Leibniz expansion of the minor as a polynomial, packed in
     `packing` (one with every cell of the minor), by default in the ring of
-    the minor's cells.  The signs come from the cached permutation
-    parities.
+    the minor's cells.  Each cell's bit is read off its interned variable's
+    shift, the signs 1 and -1 are written in the field's form from `field.p`,
+    and the sign of each permutation comes from the streamed parities.
 
     Checks the `time_limit` deadline once every 256 permutations.
     """
-    n = m.size
+    rows, cols = m.rows, m.cols
+    n = len(rows)
     if packing is None:
         # Row by row, columns right to left: the cells in descending order.
-        packing = _packing(tuple(grid_var(i, j) for i in m.rows for j in reversed(m.cols)))
-    try:
-        bit = [[1 << packing.shift[grid_var(i, j)] for j in m.cols] for i in m.rows]
+        packing = _packing(tuple(grid_var(i, j) for i in rows for j in reversed(cols)))
+    shift = packing.shift
+    try:  # a cell that is not interned has no variable in any packing
+        bit = [[1 << shift[_GRID[i, j]] for j in cols] for i in rows]
     except KeyError:
         raise ValueError(f"minor {m} has cells outside the ring") from None
-    sign = (field.coerce(1), field.coerce(-1))
+    p = field.p
+    sign = (1, -1 if p is None else p - 1)
     terms = {}
     odds = chain.from_iterable(_parity_blocks(n))
     for idx, (perm, odd) in enumerate(zip(permutations(range(n)), odds)):
         if not idx & 255:
             _check_deadline()
-        terms[sum(row[b] for row, b in zip(bit, perm))] = sign[odd]
+        terms[sum(map(getitem, bit, perm))] = sign[odd]
     return Polynomial(field, terms, packing)
 
 

@@ -1259,6 +1259,21 @@ def _seeded_leads(rng, variables):
     return leads
 
 
+def _small_support_leads(rng, variables):
+    """Seeded leads with the constant 1 or single variables put in at random
+    places: the smallest support size among them is 0 or 1, so the pair
+    update's search for a coprime lead dividing a quotient still runs."""
+    leads = _seeded_leads(rng, variables)
+    small = rng.choice([
+        [[]],
+        [[(rng.choice(variables), rng.randint(1, 2))] for _ in range(rng.randint(1, 3))],
+        [[], [(rng.choice(variables), 1)]],
+    ])
+    for lead in small:
+        leads.insert(rng.randint(0, len(leads)), lead)
+    return leads
+
+
 # Each order over grid leads, and antidiagonal-lex over leads that may also
 # hold an auxiliary variable on top, as an intersection's do.
 ORDER_CASES = [pytest.param(ANTIDIAG, False, id="antidiag-lex"),
@@ -1274,8 +1289,8 @@ def test_initial_pairs_match_set_based_reference(order, aux):
         variables.append(aux_var("t"))
     ring = Ring(QQ, tuple(variables))
     guard = ring.packing.guard
-    for _ in range(200):
-        leads = _seeded_leads(rng, variables)
+    for k in range(300):
+        leads = (_seeded_leads if k < 200 else _small_support_leads)(rng, variables)
         packed = [ring.packing.pack(pairs) for pairs in leads]
         _, P = _initial_pairs(packed, ring.packing)
         assert set(P) == _reference_initial_pairs([ref.tuple_mono(pairs) for pairs in leads], order)
@@ -1324,8 +1339,9 @@ def test_pair_update_matches_the_reference_update(order, aux):
     if aux:
         variables.append(aux_var("t"))
     packing = Ring(QQ, tuple(variables)).packing
-    for _ in range(300):
-        lmG = [packing.pack(pairs) for pairs in _seeded_leads(rng, variables)]
+    for k in range(450):
+        leads = (_seeded_leads if k < 300 else _small_support_leads)(rng, variables)
+        lmG = [packing.pack(pairs) for pairs in leads]
         _assert_updates_match_reference(lmG, order, packing, rng)
 
 
@@ -1464,6 +1480,37 @@ def test_pair_update_matches_the_reference_on_structured_leads(name):
     rng = random.Random(name)
     for lmG, packing in _STRUCTURED_LEADS[name](rng):
         _assert_updates_match_reference(lmG, ANTIDIAG, packing, rng)
+
+
+def test_leads_of_one_support_size_skip_the_coprime_lead_search(monkeypatch):
+    # Every minimal quotient of a new 3-minor lead has at most 2 variables
+    # outside it, and every lead has 3, so no lead can divide one: the pair
+    # update searches the leads' index for none of them.  With the smallest
+    # support size forced to 0 the search runs and drops nothing more.
+    from ladderdet import groebner
+
+    lmG, packing = _grid_minor_leads(6, 3)
+    searched = []
+
+    def counted(index, m, mask, guard):
+        searched.append(index)
+        return _divisor(index, m, mask, guard)
+
+    monkeypatch.setattr(groebner, "_divisor", counted)
+    for forced in (None, 0):
+        leads, pairs, searches = _Leads(packing), [], 0
+        for lm in lmG:
+            if forced is not None:
+                leads.least = forced
+            searched.clear()
+            pairs.append(groebner._near_pairs(leads, lm))
+            searches += sum(index is leads.index for index in searched)
+            leads.add(lm)
+        if forced is None:
+            assert leads.least == 3 and searches == 0
+            unforced = pairs
+        else:
+            assert searches > 0 and pairs == unforced
 
 
 def test_initial_pairs_respect_the_time_budget():
@@ -1929,6 +1976,52 @@ def test_exact_s_pair_remainder_is_the_normal_form_of_the_s_polynomial(field, or
         assert Polynomial(field, rem, packing) == normal_form(s, basis, order)
         keys = [order.key(m) for m in rem]
         assert keys == sorted(keys, reverse=True)  # leading term first
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7)], ids=str)
+@pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX], ids=str)
+def test_remainders_of_a_batch_are_the_remainders_one_at_a_time(field, order):
+    # One `remainders` run over a batch of term dicts, on a reducer that
+    # gains an entry between two draws as the Buchberger loop's does, gives
+    # what `remainder` gives on copies of the same dicts one at a time on a
+    # reducer grown at the same point: the same terms, leading term first.
+    rng = random.Random(6151)
+    variables = [gv(i, j) for i in (1, 2) for j in (1, 2, 3)]
+    packing = Ring(field, tuple(variables)).packing
+    grown = changed = 0
+    for _ in range(80):
+        basis, extra = ([f for f in (_random_polynomial(rng, field, packing, variables)
+                                     for _ in range(count))
+                         if f.leading_term(order)[0] != MONO_ONE]
+                        for count in (rng.randint(1, 4), 1))
+        works = [dict(_random_polynomial(rng, field, packing, variables).terms)
+                 for _ in range(rng.randint(1, 6))]
+        grow_at = rng.randrange(len(works) + 1)  # after the last draw: never
+        batch, single = (Reducer(basis, order, field, packing) for _ in range(2))
+
+        def draws():
+            for k, work in enumerate(works):
+                if k == grow_at and extra:
+                    batch.add(extra[0])
+                yield dict(work)
+
+        got = list(batch.remainders(draws()))
+        expected = []
+        for k, work in enumerate(works):
+            if k == grow_at and extra:
+                single.add(extra[0])
+                grown += 1
+            expected.append(single.remainder(dict(work)))
+        assert [list(rem.items()) for rem in got] == [list(rem.items()) for rem in expected]
+        for rem in got:
+            assert_exact_coefficients(rem.values())
+            keys = [order.key(m) for m in rem]
+            assert keys == sorted(keys, reverse=True)
+        # The entry added between draws takes part in the later remainders.
+        plain = Reducer(basis, order, field, packing)
+        changed += any(plain.remainder(dict(work)) != rem
+                       for work, rem in zip(works[grow_at:], got[grow_at:]))
+    assert grown and changed
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)

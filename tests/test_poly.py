@@ -1,5 +1,6 @@
 """Polynomial core: variable order, monomial comparison, minors, formats."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -275,16 +276,20 @@ def _inversion_count_expansion(m, field, packing):
 @pytest.mark.parametrize("block", [poly._PARITY_BLOCK, 3], ids=["whole", "in-blocks"])
 def test_expand_minor_matches_the_inversion_count_expansion(monkeypatch, block):
     # With blocks of 3! signs, sizes 4 to 6 walk their signs the way sizes
-    # above _PARITY_BLOCK do.
+    # above _PARITY_BLOCK do.  Over GF(2) both signs are 1.
     monkeypatch.setattr(poly, "_PARITY_BLOCK", block)
     rng = random.Random(720)
     packing = packing_of(gv(i, j) for i in range(1, 8) for j in range(1, 8))
     for n in range(1, 7):
-        for field in (QQ, GF(3)):
+        for field in (QQ, GF(2), GF(3), GF(5)):
             rows = tuple(sorted(rng.sample(range(1, 8), n)))
             cols = tuple(sorted(rng.sample(range(1, 8), n)))
             m = Minor(rows, cols)
-            assert expand_minor(m, field, packing) == _inversion_count_expansion(m, field, packing)
+            f = expand_minor(m, field, packing)
+            assert f == _inversion_count_expansion(m, field, packing)
+            assert len(f.terms) == math.factorial(n)
+            if field == GF(2):
+                assert set(f.terms.values()) == {1}
 
 
 def test_time_limit_is_shared_with_groebner():
