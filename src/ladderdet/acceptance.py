@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import product
+from itertools import chain, product
 from math import comb
 
 from . import load_fixture
@@ -13,7 +13,6 @@ from .fields import GF, QQ
 from .groebner import InstanceTooLarge, MonomialIdeal, is_groebner_basis
 from .ideals import (
     PartialPermutation,
-    f_of_matrix,
     f_witness,
     ladder_ring,
     minor_poset,
@@ -214,20 +213,14 @@ def criterion_intersection_identity(seed: int = DEFAULT_SEED):
 def criterion_fedder(seed: int = DEFAULT_SEED):
     """5. Fedder membership certifies F-purity at p = 2 on the three fixtures."""
     F2 = GF(2)
-
-    I_det = mixed_ladder_ideal(Ladder.full(2, 2), 2, F2)
-    good = fedder_check(I_det, 2, f_of_matrix(2, 2, F2))
-    yield good, f"(det X2x2): {good}"
-
-    L3 = Ladder.full(3, 3)
-    I3 = mixed_ladder_ideal(L3, 2, F2)
-    good = fedder_check(I3, 2, f_witness(L3, 2, F2))
-    yield good, f"I2(X3x3): {good}"
-
-    L44, _ = load_fixture("staircase_sub4x4")
-    I44 = mixed_ladder_ideal(L44, 2, F2)
-    good = fedder_check(I44, 2, f_witness(L44, 2, F2))
-    yield good, f"I2(4x4 sub-ladder): {good}"
+    # (name, ladder, the size of its witness f_witness(L, size)): the
+    # determinant's is f_of_matrix, the grid's witness at size 1.
+    cases = [("(det X2x2)", Ladder.full(2, 2), 1),
+             ("I2(X3x3)", Ladder.full(3, 3), 2),
+             ("I2(4x4 sub-ladder)", load_fixture("staircase_sub4x4")[0], 2)]
+    for name, L, size in cases:
+        good = fedder_check(mixed_ladder_ideal(L, 2, F2), 2, f_witness(L, size, F2))
+        yield good, f"{name}: {good}"
 
 
 def criterion_symbolic_initial(seed: int = DEFAULT_SEED):
@@ -243,20 +236,14 @@ def criterion_symbolic_initial(seed: int = DEFAULT_SEED):
 
 def criterion_knutson(seed: int = DEFAULT_SEED):
     """7. Ladder and corner derivations verify cleanly on the small fixtures."""
-    ladder_cases = [
+    ladders = [
         ("full2x2", Ladder.full(2, 2)),
         ("full2x3", Ladder.full(2, 3)),
         ("full3x3", Ladder.full(3, 3)),
         ("full3x4", Ladder.full(3, 4)),
         ("staircase_sub4x4", load_fixture("staircase_sub4x4")[0]),
     ]
-    for name, L in ladder_cases:
-        for t in _legal_unmixed_sizes(L):
-            deriv = ladder_derivation(L, t)
-            report = verify_derivation(deriv)
-            yield report.ok, (f"ladder {name} t={t}: {'pass' if report.ok else 'FAIL'} "
-                              f"({len(report.lines)} checks)")
-    corner_cases = [
+    corners = [
         (3, 3, 2, 2, 2, "nw"),
         (3, 4, 2, 2, 3, "nw"),
         (3, 4, 2, 2, 4, "nw"),   # s = l: row-band base case
@@ -265,11 +252,15 @@ def criterion_knutson(seed: int = DEFAULT_SEED):
         (4, 4, 2, 3, 3, "se"),
         (4, 4, 3, 3, 3, "nw"),
     ]
-    for k, l, t, r, s, which in corner_cases:
-        deriv = corner_derivation(k, l, t, r, s, which=which)
-        report = verify_derivation(deriv)
-        yield report.ok, (f"corner {k}x{l} t={t} r={r} s={s} {which}: "
-                          f"{'pass' if report.ok else 'FAIL'} ({len(report.lines)} checks)")
+    # (name, derivation builder, its arguments), drawn one at a time.
+    cases = chain(((f"ladder {name} t={t}", ladder_derivation, (L, t))
+                   for name, L in ladders for t in _legal_unmixed_sizes(L)),
+                  ((f"corner {k}x{l} t={t} r={r} s={s} {which}", corner_derivation,
+                    (k, l, t, r, s, QQ, which)) for k, l, t, r, s, which in corners))
+    for name, derive, args in cases:
+        report = verify_derivation(derive(*args))
+        yield report.ok, (f"{name}: {'pass' if report.ok else 'FAIL'} "
+                          f"({len(report.lines)} checks)")
 
 
 def criterion_chamfer_descent(seed: int = DEFAULT_SEED):

@@ -54,26 +54,29 @@ are refused with ValueError, as their arithmetic refuses them.
 
 Minimal primes, heights, dimensions and multiplicities of squarefree
 monomial ideals come from Bigatti's pivot recursion for the numerator N(t)
-of the Hilbert series (Bigatti, J. Pure Appl. Algebra 119, 1997), run on
-the support masks re-indexed densely (`_cover_bits`).  A node splits its
-supports in one pass into those without the pivot x and the quotients
-s - x of those with it.  The supports form an antichain, so the quotients
-do too and none is compared with another: the colon is the quotients plus
-the supports without x that contain none, built in one more pass.  The
-recursion (`_pivot_recursion`) takes the value it carries from its caller:
-a base value for pairwise coprime supports, and a join of the two
-children's values.  Heights, dimensions and multiplicities carry only (h, e), the
-order and the leading coefficient of N in u = 1 - t: a join keeps the
-lower order, and adds the two coefficients on a tie.  `_hilbert_numerator`
-carries the whole of N(t), and `minimal_covers` the list of minimal
-primes, with the same recursion: a prime without the pivot x is a prime of
-the colon, and one with x is x and a prime of the supports without x that
-misses some quotient.  The memo of subproblems is bounded by
-`_HILBERT_MEMO_ENTRIES` and by `_MEMO_ITEMS`, the items its values hold,
-and the budget is checked once per node, once per support the colon pass
-sweeps, once per factor of a coprime node's covers, once per cover a join
-tests against the quotients and once per cover `minimal_covers` maps back
-to the source bits.
+of the Hilbert series (Bigatti, J. Pure Appl. Algebra 119, 1997).  Each of
+its three value types takes supports and calls `_cover_bits` once, which
+re-indexes them densely, keeps the minimal ones and splits off the
+singletons; the recursion runs on the rest, and each value type folds the
+singletons back in: ORed into every cover, a factor (1 - t)^k of N(t), or
+k added to h.  A node splits its supports in one pass into those without
+the pivot x and the quotients s - x of those with it.  The supports form
+an antichain, so the quotients do too and none is compared with another:
+the colon is the quotients plus the supports without x that contain none,
+built in one more pass.  The recursion (`_pivot_recursion`) takes the
+value it carries from its caller: a base value for pairwise coprime
+supports, and a join of the two children's values.  Heights, dimensions
+and multiplicities carry only (h, e) (`min_cover_size`), the order and the
+leading coefficient of N in u = 1 - t: a join keeps the lower order, and
+adds the two coefficients on a tie.  `_hilbert_numerator` carries the
+whole of N(t), and `minimal_covers` the list of minimal primes, with the
+same recursion: a prime without the pivot x is a prime of the colon, and
+one with x is x and a prime of the supports without x that misses some
+quotient.  The memo of subproblems is bounded by `_HILBERT_MEMO_ENTRIES`
+and by `_MEMO_ITEMS`, the items its values hold, and the budget is checked
+once per node, once per support the colon pass sweeps, once per factor of
+a coprime node's covers, once per cover a join tests against the quotients
+and once per cover `minimal_covers` maps back to the source bits.
 
 Monomials are the packed ints of `poly`.  Each ring fixes one `Packing`;
 an ideal re-packs its generators into it, so every monomial of one
@@ -1184,9 +1187,11 @@ class MonomialIdeal(Record):
         return MonomialIdeal.from_monomials(self.ring, [mono_radical(g, packing) for g in self.gens])
 
     def supports(self) -> list[int]:
-        """The support mask of each generator (`mono_mask`).  The radical's
-        generators have the same masks, less repeats and masks holding
-        another one, which the cover search drops itself (`_cover_bits`)."""
+        """The support mask of each generator (`mono_mask`): the input of
+        every value type of the pivot recursion (`minimal_covers`,
+        `min_cover_size`, `_hilbert_numerator`).  The radical's generators
+        have the same masks, less repeats and masks holding another one,
+        which each of them drops through `_cover_bits`."""
         packing = self.ring.packing
         return [mono_mask(g, packing) for g in self.gens]
 
@@ -1220,8 +1225,8 @@ class MonomialIdeal(Record):
         """Multiplicity (degree) of ring/ideal, for squarefree input: Q(1),
         where the Hilbert series numerator is N(t) = (1 - t)^height Q(t).
         It is read with the height from the pivot recursion on (h, e)
-        (`_height_and_multiplicity`), which never builds N, and which runs
-        once per ideal for `height`, `dim` and `multiplicity` together."""
+        (`min_cover_size`), which never builds N, and which runs once per
+        ideal for `height`, `dim` and `multiplicity` together."""
         if not self.is_squarefree():
             raise ValueError("multiplicity is implemented for squarefree monomial ideals")
         if self.is_unit:
@@ -1286,14 +1291,19 @@ def _minimal_masks(masks) -> list[int]:
     return lower + level
 
 
-def _cover_bits(supports) -> tuple[list[int], list[int]]:
-    """The set system re-indexed densely: returns (positions, masks).
+def _cover_bits(supports) -> tuple[list[int], int, list[int]]:
+    """The set system re-indexed densely, its singletons split off: returns
+    (positions, ones, masks).
 
     Dense bit i stands for bit positions[i] of the supports, the i-th
     lowest bit any support has, so the re-indexing keeps the order of the
     bits.  Duplicate supports and supports that contain another one are
-    dropped: neither changes the minimal covers.  The masks come out as
-    `_minimal_masks` orders them, whatever the order of the supports.
+    dropped: neither changes the ideal.  Of the minimal masks left, a
+    singleton {y} shares no variable with another one, so its bit goes to
+    `ones`, which every value type folds in as a factor, and the others,
+    an antichain without singletons, are the input of `_pivot_recursion`.
+    They come out as `_minimal_masks` orders them, whatever the order of
+    the supports.
     """
     sets = set(supports)
     if 0 in sets:
@@ -1312,7 +1322,9 @@ def _cover_bits(supports) -> tuple[list[int], list[int]]:
             s ^= low
         return m
 
-    return positions, _minimal_masks(map(reindexed, sets))
+    masks = _minimal_masks(map(reindexed, sets))
+    rest = [s for s in masks if s & (s - 1)]
+    return positions, sum(masks) - sum(rest), rest
 
 
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
@@ -1329,14 +1341,12 @@ def minimal_covers(supports) -> list[int]:
     (`_coprime_covers`), and a split on x joins its children by
     Min(I) = {Y ∪ Q : Q ∈ Min(I : x less Y)} ⊔ {x ∪ Q : Q ∈ Min(J), Q misses
     some quotient s − x}, where J is the supports without x and Y the
-    singleton quotients (`_join_covers`).  The recursion runs on the
-    supports other than the singletons, whose bits every cover holds.
-    Covers come out by size, then by their ascending bits.
+    singleton quotients (`_join_covers`).  The supports go through
+    `_cover_bits`, and the singletons' bits it splits off are ORed into
+    every cover.  Covers come out by size, then by their ascending bits.
     """
-    positions, masks = _cover_bits(supports)
-    rest = [s for s in masks if s & (s - 1)]
-    ones = sum(masks) - sum(rest)  # the singletons' bits, each in no other support
-    covers = _pivot_recursion(rest, _coprime_covers, _join_covers)
+    positions, ones, masks = _cover_bits(supports)
+    covers = _pivot_recursion(masks, _coprime_covers, _join_covers)
     n, nbytes = len(positions), len(positions) + 7 >> 3
     weights = [1 << b for b in reversed(positions)]  # highest dense bit first
 
@@ -1355,7 +1365,7 @@ def minimal_covers(supports) -> list[int]:
 
 
 # On in(I_3) of the generic 9x9 matrix the recursion visits 47k distinct
-# subproblems; carrying (h, e) (`_height_and_multiplicity`) under the entry
+# subproblems; carrying (h, e) (`min_cover_size`) under the entry
 # bound it peaks at 13.5 MB by tracemalloc, memo included.  A list of covers
 # can hold thousands of them (in(I_3) of the generic 8x8 matrix has 226,512
 # minimal primes), so the memo is also bounded by the items its values hold.
@@ -1366,10 +1376,13 @@ _MEMO_ITEMS = 1 << 16
 
 def _pivot_recursion(masks: list[int], base, join):
     """The value that Bigatti's pivot recursion gives the squarefree monomial
-    ideal I with these minimal support masks (an antichain without
-    singletons), where `base` and `join` choose what a value is: the
-    Hilbert series numerator N(t), its order and leading coefficient
-    (h, e) at t = 1, or the list of minimal primes (covers) of I.
+    ideal I with these minimal support masks, where `base` and `join`
+    choose what a value is: the Hilbert series numerator N(t), its order
+    and leading coefficient (h, e) at t = 1, or the list of minimal primes
+    (covers) of I.  Each of the three value types (`_hilbert_numerator`,
+    `min_cover_size`, `minimal_covers`) takes supports, calls `_cover_bits`
+    once, runs this on the antichain without singletons it returns, and
+    folds the singletons' bits into the result in its own way.
 
     A node whose supports are pairwise coprime takes `base(masks)`.  Any
     other node pivots on x, the variable in the most supports (ties to the
@@ -1501,15 +1514,14 @@ def _join_numerators(a: list[int], c: list[int], x: int, singles: int,
     return [p - q + r for p, q, r in zip_longest(a, [0] + a, [0] + c, fillvalue=0)]
 
 
-def _hilbert_numerator(masks: list[int]) -> list[int]:
+def _hilbert_numerator(supports) -> list[int]:
     """Coefficients of N(t), where H(S/I, t) = N(t)/(1-t)^n for the
-    squarefree monomial ideal I with these minimal support masks (an
-    antichain): `_pivot_recursion` with N(t) as its value.  A singleton
-    support {y} shares no variable with the others, so it is stripped as a
-    factor (1 - t)."""
-    rest = [s for s in masks if s & (s - 1)]
-    num = _pivot_recursion(rest, _coprime_numerator, _join_numerators)
-    return _times_one_minus_t(num, len(masks) - len(rest))
+    squarefree monomial ideal I with these supports: `_pivot_recursion`
+    with N(t) as its value, on the masks of `_cover_bits`, times a factor
+    (1 - t) for each singleton it splits off."""
+    _, ones, masks = _cover_bits(supports)
+    num = _pivot_recursion(masks, _coprime_numerator, _join_numerators)
+    return _times_one_minus_t(num, ones.bit_count())
 
 
 def _coprime_lead(masks: list[int]) -> tuple[int, int]:
@@ -1534,22 +1546,15 @@ def _join_leads(a: tuple[int, int], c: tuple[int, int], x: int, singles: int,
     return ha, ea + ec
 
 
-def _height_and_multiplicity(supports) -> tuple[int, int]:
-    """(h, e) for the squarefree monomial ideal with these supports, where
-    its Hilbert series numerator is N(t) = (1 - t)^h Q(t) and e = Q(1):
-    the order and the leading coefficient of N in u = 1 - t, which
-    `_pivot_recursion` carries in place of N itself.  A singleton support
-    is a factor u of N."""
-    _, masks = _cover_bits(supports)
-    rest = [s for s in masks if s & (s - 1)]
-    h, e = _pivot_recursion(rest, _coprime_lead, _join_leads)
-    return h + len(masks) - len(rest), e
-
-
 def min_cover_size(supports) -> tuple[int, int]:
     """Exact minimum cover size, with the number of covers of that size: the
     height and multiplicity (h, e) of the squarefree monomial ideal with
-    these supports, which the pivot recursion carries in place of its
-    Hilbert series numerator (`_height_and_multiplicity`).  `MonomialIdeal`
-    keeps the pair, so that each of its cover searches is one call here."""
-    return _height_and_multiplicity(supports)
+    these supports, where its Hilbert series numerator is
+    N(t) = (1 - t)^h Q(t) and e = Q(1).  They are the order and the leading
+    coefficient of N in u = 1 - t, which `_pivot_recursion` carries in place
+    of N itself, on the masks of `_cover_bits`; each singleton it splits
+    off is a factor u of N and adds 1 to h.  `MonomialIdeal` keeps the
+    pair, so that each of its cover searches is one call here."""
+    _, ones, masks = _cover_bits(supports)
+    h, e = _pivot_recursion(masks, _coprime_lead, _join_leads)
+    return h + ones.bit_count(), e

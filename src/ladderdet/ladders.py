@@ -395,13 +395,11 @@ def validate(L: Ladder, t) -> LadderReport:
     for j, tj in enumerate(t, start=1):
         if L.subladder(j).max_square_in() < tj:
             nonempty.append(j)
-    ok3 = not bad and not nonempty
-    detail3 = "summands pairwise incomparable"
-    if bad:
-        detail3 = f"degenerate corner gaps at j={bad}"
+    failures = [f"degenerate corner gaps at j={bad}"] if bad else []
     if nonempty:
-        detail3 = (detail3 if not bad else detail3 + "; ") + f"no t_j-minor fits in L_j for j={nonempty}"
-    checks.append(AssumptionCheck(3, ok3, detail3))
+        failures.append(f"no t_j-minor fits in L_j for j={nonempty}")
+    checks.append(AssumptionCheck(3, not failures,
+                                  "; ".join(failures) or "summands pairwise incomparable"))
 
     # (4) the ladder spans its ambient grid
     rows = [i for i, (lo, hi) in enumerate(L.spans, start=1) if lo <= hi]

@@ -26,6 +26,24 @@ def test_ladder_validate_staircase10(capsys):
     assert "u=3 v=4" in out
 
 
+def test_ladder_validate_prints_failures_and_notes(capsys, tmp_path):
+    # L_1 has no room for t_1, and its lower corner (1, 1) is no cell.
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps({"shape": [3, 3], "upper": [[2, 3]], "lower": [[1, 1], [3, 2]],
+                                "t": [1, 1]}))
+    code, out = run_cli("ladder", "validate", str(path), capsys=capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "u=1 v=2",
+        "valid=no u=1 v=2",
+        "  (1) pass: all entries meet a generating minor",
+        "  (2) FAIL: corner cell missing from ladder",
+        "  (3) FAIL: no t_j-minor fits in L_j for j=[1]",
+        "  (4) FAIL: a border row or column of the grid is empty",
+        "  note: some listed corner is not a cell of the ladder",
+    ]
+
+
 def test_ladder_show_and_chamfer(capsys):
     code, out = run_cli("ladder", "show", str(FIXTURES / "full3x3.json"), capsys=capsys)
     assert code == 0 and "###" in out
@@ -329,6 +347,15 @@ def test_accept_single_criterion(capsys):
     assert "[PASS] chamfer-descent" in out
 
 
+def test_accept_verbose_prints_each_checked_line(capsys):
+    code, out = run_cli("accept", "run", "fedder", "--verbose", capsys=capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("[PASS] fedder: ")
+    assert lines[1:] == ["    (det X2x2): True", "    I2(X3x3): True",
+                         "    I2(4x4 sub-ladder): True", "1/1 criteria pass"]
+
+
 def test_accept_reports_failed_chamfer_descent(capsys):
     # Seed 200031 draws a ladder on which the greedy descent finds no legal
     # unchamfer: the criterion fails and names the ladder instead of aborting.
@@ -498,6 +525,21 @@ def test_ideal_sum_colon_saturate(capsys, tmp_path):
     assert code == 2  # missing second ideal
 
 
+def test_binary_ideal_command_moves_the_second_ideal_into_the_first_ring(capsys, tmp_path):
+    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    a.write_text(json.dumps({"shape": [2, 3], "gens": ["x[1,1]*x[2,2] - x[1,2]*x[2,1]",
+                                                       "x[1,2]*x[2,3] - x[1,3]*x[2,2]"]}))
+    # Over the 2x2 grid, whose cells all lie in the 2x3 one.
+    b.write_text(json.dumps({"shape": [2, 2], "gens": ["x[1,1]", "x[2,2]"]}))
+    code, out = run_cli("ideal", "sum", str(a), str(b), capsys=capsys)
+    assert code == 0
+    assert out.splitlines() == ["x[2,2]", "x[1,1]", "x[1,2]*x[2,1]", "x[1,2]*x[2,3]"]
+    # Over the 3x3 grid, with a variable the first ring lacks.
+    c.write_text(json.dumps({"shape": [3, 3], "gens": ["x[3,3]"]}))
+    code, out, err = _run_with_err(["ideal", "sum", str(a), str(c)], capsys)
+    assert code == 2 and out == "" and err == "error: polynomial uses variables outside the ring: x[3,3]\n"
+
+
 def test_ideal_member_without_poly_exits_2(capsys):
     code = main(["ideal", "member", str(FIXTURES / "full2x2.json"), "--t", "2"])
     assert code == 2
@@ -509,6 +551,25 @@ def test_accept_json_format(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload[0]["key"] == "poset-schubert" and payload[0]["passed"]
+
+
+def test_knutson_verify_reads_an_intersect_node(capsys, tmp_path):
+    # (x11) cap (det) = (x11 * det), whose lead x11*x12*x21 is squarefree.
+    det = "x[1,2]*x[2,1] - x[1,1]*x[2,2]"
+    path = tmp_path / "deriv.json"
+    path.write_text(json.dumps({
+        "field": "q", "cells": [[1, 1], [1, 2], [2, 1], [2, 2]], "f_factors": ["x[1,1]", det],
+        "label": "", "root": {"kind": "intersect", "children": [
+            {"kind": "leaf", "factor": "x[1,1]"}, {"kind": "leaf", "factor": det}]}}))
+    code, out = run_cli("--format", "json", "knutson", "verify", str(path), capsys=capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verified"] is True
+    assert payload["checks"][-1] == {"check": "squarefree-initial", "node": "intersect#2",
+                                     "ok": True}
+    code, out = run_cli("knutson", "verify", str(path), capsys=capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "  [ok ] intersect#2: squarefree-initial -- 1 lead monomials"
 
 
 def test_knutson_verify_flags_tampered_derivation(capsys, tmp_path):

@@ -2,14 +2,16 @@
 commands, compared byte for byte with `tests/golden/cli.json`.
 
 The set covers every bundled fixture (ladder, ideal, witness and Knutson
-commands) plus one run each of ideal intersect / colon / saturate / eq / sum /
-gens / member, grevlex bases and initial ideals, grevlex bases of a
-Schubert ideal and of a poset spec, an ideal with exponents above 1, a certificate over GF(3), Fedder, symbolic compare, Schubert
-generators and bases, poset checks, sum-formula bases and the three kinds
-of poset spec, one acceptance criterion, and three corner derivations (a
-verified square SE corner, a verified non-square SE corner whose D1 base
-case is wider than the grid has rows, and a NW corner as JSON only).  The generator lists of a
-mixed ladder and of a Schubert ideal are pinned in order.
+commands) plus one run each of ideal intersect / colon / saturate / eq /
+sum / gens / member, grevlex bases and initial ideals, grevlex bases of a
+Schubert ideal and of a poset spec, an ideal with exponents above 1, a
+certificate over GF(3), Fedder with the witness and with a given
+candidate, symbolic compare and symbolic power, Schubert generators and
+bases, poset checks, sum-formula bases and the three kinds of poset spec,
+one acceptance criterion, and three corner derivations (a verified square
+SE corner, a verified non-square SE corner whose D1 base case is wider
+than the grid has rows, and a NW corner as JSON only).  The generator
+lists of a mixed ladder and of a Schubert ideal are pinned in order.
 Refactors of the engine must leave every recorded output unchanged.
 
 Regenerate (only when an output change is intended) with
@@ -115,6 +117,12 @@ def _cases():
         ("knutson-corner-5x5", ["knutson", "derive", "--corner", "5,5,2,4,4"]),
         ("knutson-corner-se-3x5-verify",
          ["knutson", "derive", "--corner", "3,5,2,2,4,se", "--verify"]),
+        ("symbolic-power", ["--field", "fp:5", "symbolic", "power",
+                            "--ladder", "{fixtures}/full2x3.json", "--t", "2", "--n", "2"]),
+        ("fedder-candidate", ["fedder", "--ladder", "{fixtures}/full2x2.json", "--t", "2",
+                              "--p", "3", "--candidate",
+                              "x[1,1]^2*x[2,2]^2 - 2*x[1,1]*x[1,2]*x[2,1]*x[2,2]"
+                              " + x[1,2]^2*x[2,1]^2"]),
     ]
     return [(cid, ["--format", "json", *argv]) for cid, argv in cases]
 

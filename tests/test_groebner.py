@@ -25,7 +25,6 @@ from ladderdet.groebner import (
     _divisor,
     _eliminated_intersection,
     _exact_quotient,
-    _height_and_multiplicity,
     _hilbert_numerator,
     _index_add,
     _initial_pairs,
@@ -703,7 +702,8 @@ def test_cover_bits_do_not_depend_on_the_order_of_the_supports():
     keys = _GRID_KEYS
     supports = [1 << keys[i] | 1 << keys[i + 5] for i in range(7)]
     expected = _cover_bits(supports)
-    positions, masks = expected
+    positions, ones, masks = expected
+    assert ones == 0
     assert [m.bit_count() for m in masks] == sorted(m.bit_count() for m in masks)
     assert all(x < y for x, y in zip(masks, masks[1:]) if x.bit_count() == y.bit_count())
     for perm in permutations(supports):
@@ -803,7 +803,7 @@ def test_height_dim_and_multiplicity_share_one_cover_search(monkeypatch):
         assert M.height() == (k - t + 1) * (l - t + 1)
         assert len(calls) == before + 1
         # The same answers as a fresh search, which runs the recursion again.
-        assert (M.height(), M.multiplicity()) == _height_and_multiplicity(M.supports())
+        assert (M.height(), M.multiplicity()) == min_cover_size(M.supports())
         assert len(calls) == before + 2
 
 
@@ -883,6 +883,26 @@ def test_hilbert_numerator_matches_inclusion_exclusion():
     assert _strip_zeros(_hilbert_numerator([1, 2, 4, 24])) == [1, -3, 2, 2, -3, 1]
 
 
+def test_hilbert_numerator_takes_supports_like_its_sibling_value_types():
+    # Duplicate supports, supports holding another one and singletons, some
+    # of them inside larger supports: N(t) is that of their minimal
+    # antichain, as the covers and (h, e) are.
+    x0, x1, x2 = 1, 2, 4
+    # (x0x1, x1x2) has N = 1 - 2t^2 + t^3; x0x1x2 lies in it.
+    assert _strip_zeros(_hilbert_numerator([x0 | x1, x1 | x2, x0 | x1 | x2])) == [1, 0, -2, 1]
+    rng = random.Random(43)
+    for _ in range(150):
+        bits = rng.sample(range(40), rng.randint(2, 9))
+        masks = _random_masks(rng, bits, rng.randint(1, 7), 4)
+        supports = masks + rng.choices(masks, k=rng.randint(1, 3))
+        supports += [m | 1 << rng.choice(bits) for m in rng.choices(masks, k=rng.randint(1, 3))]
+        supports += [1 << b for b in rng.sample(bits, rng.randint(0, 2))]
+        rng.shuffle(supports)
+        expected = _inclusion_exclusion_numerator(_antichain(supports))
+        assert _strip_zeros(_hilbert_numerator(supports)) == expected, supports
+        assert min_cover_size(supports) == _order_and_lead(expected), supports
+
+
 def _order_and_lead(num):
     """(h, e) for N(t) = (1 - t)^h Q(t) with e = Q(1): the order of N at
     t = 1 and its leading coefficient in u = 1 - t."""
@@ -897,11 +917,11 @@ def test_height_and_multiplicity_match_inclusion_exclusion():
     for found in _hilbert_cases().values():
         for masks in found:
             expected = _order_and_lead(_inclusion_exclusion_numerator(masks))
-            assert _height_and_multiplicity(masks) == expected, masks
-            assert _height_and_multiplicity(masks[::-1]) == expected, masks
-    assert _height_and_multiplicity([]) == (0, 1)
+            assert min_cover_size(masks) == expected, masks
+            assert min_cover_size(masks[::-1]) == expected, masks
+    assert min_cover_size([]) == (0, 1)
     # u^3 (2 + O(u)) for {x}, {y}, {z}, {u, v}.
-    assert _height_and_multiplicity([1, 2, 4, 24]) == (4, 2)
+    assert min_cover_size([1, 2, 4, 24]) == (4, 2)
 
 
 def test_both_values_of_the_pivot_recursion_agree():
@@ -911,8 +931,8 @@ def test_both_values_of_the_pivot_recursion_agree():
               for k in range(2, 7) for l in range(k, 7) for t in range(2, k + 1)]
     ideals.append(_fixture_initial_ideal("staircase10"))
     for M in ideals:
-        _, masks = _cover_bits(M.supports())
-        assert _height_and_multiplicity(M.supports()) == _order_and_lead(_hilbert_numerator(masks))
+        supports = M.supports()
+        assert min_cover_size(supports) == _order_and_lead(_hilbert_numerator(supports))
 
 
 def test_time_limit_reaches_inside_one_hilbert_node():

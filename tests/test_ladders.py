@@ -600,6 +600,37 @@ def test_validate_reports_nonspanning():
     assert not report.checks[3].passed
 
 
+def test_validate_prints_only_the_failures_of_check_3():
+    # No degenerate corner gap, but L_1 has no room for t_1: the detail is
+    # that failure alone.
+    L, t = Ladder.from_obj({"shape": [3, 3], "upper": [[2, 3]], "lower": [[1, 1], [3, 2]],
+                            "t": [1, 1]})
+    check = validate(L, t).checks[2]
+    assert (check.passed, check.detail) == (False, "no t_j-minor fits in L_j for j=[1]")
+    # Both failures, joined by "; ".
+    check = validate(Ladder((3, 3), ((1, 3),), ((2, 1), (3, 2))), (1, 3)).checks[2]
+    assert (check.passed, check.detail) == (
+        False, "degenerate corner gaps at j=[1]; no t_j-minor fits in L_j for j=[2]")
+    check = validate(Ladder((3, 3), ((1, 3),), ((1, 1), (3, 2))), (1, 1)).checks[2]
+    assert (check.passed, check.detail) == (True, "summands pairwise incomparable")
+
+
+# Valid ladders on which the chamfer descent finds no legal unchamfer at a
+# minimal-size corner.  Both are disconnected and have a corner with t_j = 1.
+# A mend either makes `validate` refuse them or makes the descent reach an
+# unmixed ladder; either way these tests then pass and must lose the mark.
+@pytest.mark.xfail(strict=True, raises=ChamferError,
+                   reason="reduce_to_unmixed rejects some ladders that validate accepts")
+@pytest.mark.parametrize("spec", [
+    {"shape": [7, 7], "upper": [[1, 3], [5, 7]], "lower": [[2, 1], [7, 4]], "t": [2, 1]},
+    {"shape": [3, 4], "upper": [[1, 1], [2, 4]], "lower": [[1, 1], [3, 3]], "t": [1, 2]},
+], ids=["7x7", "3x4-five-cells"])
+def test_valid_ladders_reduce_to_unmixed(spec):
+    L, t = Ladder.from_obj(spec)
+    if validate(L, t).valid:
+        assert reduce_to_unmixed(L, t).replay() == (L, t)
+
+
 def test_bad_corner_lists_rejected():
     with pytest.raises(LadderError):
         Ladder((3, 3), ((1, 3), (2, 3)), ((3, 1),))  # repeated upper column
