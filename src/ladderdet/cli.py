@@ -148,9 +148,9 @@ def _cmd_ladder(args) -> int:
     if args.action == "validate":
         report = validate(ladder, 1 if t is None else t)
         _emit(args, {"valid": report.valid, "u": report.u, "v": report.v,
-                     "checks": [{"n": c.number, "pass": c.passed, "detail": c.detail}
-                                for c in report.checks]},
-              [f"u={report.u} v={report.v}", report.as_text()])
+                     "checks": [{"n": n, "pass": c.ok, "detail": c.detail}
+                                for n, c in enumerate(report.checks, start=1)]},
+              [report.as_text()])
         return 0 if report.valid else 1
     if args.action == "show":
         cells = span_size(ladder.spans)
@@ -272,8 +272,8 @@ def _verify_payload(deriv):
     `checks`."""
     report = verify_derivation(deriv)
     return report, {"verified": report.ok,
-                    "checks": [{"node": ln.node, "check": ln.check, "ok": ln.ok}
-                               for ln in report.lines]}
+                    "checks": [{"node": node, "check": c.name, "ok": c.ok}
+                               for node, c in report.lines]}
 
 
 def _cmd_knutson(args) -> int:

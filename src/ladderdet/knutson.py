@@ -7,10 +7,11 @@ verification share one post-order walk over the distinct nodes of a tree.
 The verifier checks, node by node: squarefree initial ideals, the
 Groebner-union property at sums, and containment plus height agreement at
 minimal-prime claims (primeness itself is an assumption recorded in the
-report, not re-proved).  Claims built by the ladder and corner constructors
-also carry the band intersection identity they rely on: it names only the
-other factor, the first being the claim itself, and the verifier recomputes
-child == claimed cap other.
+report, not re-proved).  Its report is a list of (node, `Check`) lines,
+and it verifies iff every check is ok.  Claims built by the ladder and
+corner constructors also carry the band intersection identity they rely
+on: it names only the other factor, the first being the claim itself, and
+the verifier recomputes child == claimed cap other.
 
 Every leaf is a witness factor det(Y_r) of `ladders.antidiagonal_profile`:
 the ladder's own for `ladder_derivation`, the full grid's at t = 1 for
@@ -37,7 +38,7 @@ from .poly import (
     parse_polynomials,
     poly_to_str,
 )
-from .record import Record, set_field
+from .record import Check, Record, set_field
 
 
 class DerivationError(ValueError):
@@ -163,37 +164,28 @@ def eval_node(node, ring: Ring, cache: dict) -> Ideal:
 # Verification
 
 
-class VerifyLine(Record):
-    __slots__ = ("node", "check", "ok", "detail")
-
-    def __init__(self, node: str, check: str, ok: bool, detail: str = ""):
-        set_field(self, "node", node)
-        set_field(self, "check", check)
-        set_field(self, "ok", ok)
-        set_field(self, "detail", detail)
-
-
 class VerifyReport(Record):
     __slots__ = ("ok", "lines")
 
-    def __init__(self, ok: bool, lines: tuple[VerifyLine, ...]):
+    def __init__(self, ok: bool, lines: tuple[tuple[str, Check], ...]):
         set_field(self, "ok", ok)
         set_field(self, "lines", lines)
 
     def as_text(self) -> str:
         out = [f"verified={'yes' if self.ok else 'NO'} ({len(self.lines)} checks)"]
-        for ln in self.lines:
-            mark = "ok " if ln.ok else "FAIL"
-            suffix = f" -- {ln.detail}" if ln.detail else ""
-            out.append(f"  [{mark}] {ln.node}: {ln.check}{suffix}")
+        for node, c in self.lines:
+            mark = "ok " if c.ok else "FAIL"
+            suffix = f" -- {c.detail}" if c.detail else ""
+            out.append(f"  [{mark}] {node}: {c.name}{suffix}")
         return "\n".join(out)
 
 
 def verify(deriv: KnutsonDerivation) -> VerifyReport:
-    """Run every structural check on every node of the derivation."""
+    """Run every structural check on every node of the derivation: one
+    (node, Check) line per check, and the report is ok iff every check is."""
     ring = deriv.ring
     cache: dict = {}
-    lines: list[VerifyLine] = []
+    lines: list[tuple[str, Check]] = []
     # The witness factors, monic and in the ring's packing, so that a leaf is
     # compared with them term by term.
     packing = ring.packing
@@ -205,30 +197,27 @@ def verify(deriv: KnutsonDerivation) -> VerifyReport:
             pass
 
     for index, node in enumerate(_post_order(deriv.root)):
-        name = f"{node.kind}#{index}"
         ideal = cache[id(node)] = _eval_step(node, ring, cache)
-
+        checks = []
         if ideal.is_zero:
-            lines.append(VerifyLine(name, "squarefree-initial", True, "zero ideal"))
+            checks.append(Check("squarefree-initial", True, "zero ideal"))
         else:
             init = ideal.initial_ideal(ANTIDIAG)
-            lines.append(
-                VerifyLine(name, "squarefree-initial", init.is_squarefree(),
-                           f"{len(init.gens)} lead monomials")
-            )
+            checks.append(Check("squarefree-initial", init.is_squarefree(),
+                                f"{len(init.gens)} lead monomials"))
 
         if node.kind == "leaf":
             ok = node.factor.repack(packing).monic(ANTIDIAG) in factors
-            lines.append(VerifyLine(name, "leaf-is-witness-factor", ok))
+            checks.append(Check("leaf-is-witness-factor", ok))
         elif node.kind == "sum":
             union = [g for ch in node.children for g in cache[id(ch)].groebner_basis(ANTIDIAG)]
             ok = is_groebner_basis(union, ANTIDIAG)
-            lines.append(VerifyLine(name, "groebner-union", ok, f"{len(union)} basis elements"))
+            checks.append(Check("groebner-union", ok, f"{len(union)} basis elements"))
         elif node.kind == "min_prime":
             child_ideal = cache[id(node.child)]
             claimed = ideal
             ok_containment = claimed.contains_ideal(child_ideal)
-            lines.append(VerifyLine(name, "claim-contains-child", ok_containment, node.label))
+            checks.append(Check("claim-contains-child", ok_containment, node.label))
             if node.identity is None:
                 # Complete-intersection style certificate: equal heights force
                 # the claimed prime down onto a minimal component (unmixedness
@@ -236,31 +225,24 @@ def verify(deriv: KnutsonDerivation) -> VerifyReport:
                 if ok_containment and not child_ideal.is_zero:
                     dim_child = child_ideal.initial_ideal(ANTIDIAG).dim()
                     dim_claim = claimed.initial_ideal(ANTIDIAG).dim()
-                    lines.append(
-                        VerifyLine(name, "height-equality", dim_child == dim_claim,
-                                   f"dim child={dim_child} claim={dim_claim}")
-                    )
+                    checks.append(Check("height-equality", dim_child == dim_claim,
+                                        f"dim child={dim_child} claim={dim_claim}"))
             elif node.identity[0] == "intersect":
                 # The child decomposes as claimed cap other; the claim is a
                 # minimal component iff the other factor does not sit inside it.
                 other = Ideal(ring, list(node.identity[1]))
-                lines.append(
-                    VerifyLine(name, "band-intersection-identity",
-                               child_ideal.equal(claimed.intersect(other)))
-                )
+                checks.append(Check("band-intersection-identity",
+                                    child_ideal.equal(claimed.intersect(other))))
                 minimal = (not claimed.contains_ideal(other)) or claimed.equal(other)
-                lines.append(
-                    VerifyLine(name, "claim-is-minimal-component", minimal,
-                               "other intersection factor not inside the claim")
-                )
+                checks.append(Check("claim-is-minimal-component", minimal,
+                                    "other intersection factor not inside the claim"))
             elif node.identity[0] == "equal":
-                lines.append(
-                    VerifyLine(name, "band-sum-equality", child_ideal.equal(claimed))
-                )
-            lines.append(VerifyLine(name, "primeness", True,
-                                    "assumed: ladder/corner determinantal ideals are prime"))
+                checks.append(Check("band-sum-equality", child_ideal.equal(claimed)))
+            checks.append(Check("primeness", True,
+                                "assumed: ladder/corner determinantal ideals are prime"))
+        lines += ((f"{node.kind}#{index}", c) for c in checks)
 
-    return VerifyReport(all(ln.ok for ln in lines), tuple(lines))
+    return VerifyReport(all(c.ok for _, c in lines), tuple(lines))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from functools import cached_property
 from itertools import islice
 
 from .poly import Minor, _check_deadline
-from .record import Record, set_field
+from .record import Check, Record, set_field
 
 Cell = tuple[int, int]
 Span = tuple[int, int]  # (lo, hi) columns of one row; the row is empty when lo > hi
@@ -298,22 +298,15 @@ def size_vector(t, v: int) -> tuple[int, ...]:
 # Validation against the running assumptions
 
 
-class AssumptionCheck(Record):
-    __slots__ = ("number", "passed", "detail")
-
-    def __init__(self, number: int, passed: bool, detail: str):
-        set_field(self, "number", number)
-        set_field(self, "passed", passed)
-        set_field(self, "detail", detail)
-
-
 class LadderReport(Record):
-    __slots__ = ("valid", "spans_grid", "u", "v", "checks", "notes")
+    """The running assumptions (1)-(4) of a ladder, one `Check` each in
+    order: check i is assumption (i)."""
 
-    def __init__(self, valid: bool, spans_grid: bool, u: int, v: int,
-                 checks: tuple[AssumptionCheck, ...], notes: tuple[str, ...] = ()):
+    __slots__ = ("valid", "u", "v", "checks", "notes")
+
+    def __init__(self, valid: bool, u: int, v: int, checks: tuple[Check, ...],
+                 notes: tuple[str, ...] = ()):
         set_field(self, "valid", valid)
-        set_field(self, "spans_grid", spans_grid)
         set_field(self, "u", u)
         set_field(self, "v", v)
         set_field(self, "checks", checks)
@@ -321,8 +314,8 @@ class LadderReport(Record):
 
     def as_text(self) -> str:
         lines = [f"valid={'yes' if self.valid else 'no'} u={self.u} v={self.v}"]
-        for c in self.checks:
-            lines.append(f"  ({c.number}) {'pass' if c.passed else 'FAIL'}: {c.detail}")
+        for n, c in enumerate(self.checks, start=1):
+            lines.append(f"  ({n}) {'pass' if c.ok else 'FAIL'}: {c.detail}")
         for n in self.notes:
             lines.append(f"  note: {n}")
         return "\n".join(lines)
@@ -354,14 +347,14 @@ def validate(L: Ladder, t) -> LadderReport:
     enumerates minors.
 
     (4), minimality of the ambient grid, is reported but kept out of the
-    overall verdict: bands, interiors and chamfer outputs legitimately sit
-    inside a larger grid and are read relative to their bounding box.
+    overall verdict, which is that (1)-(3) hold: bands, interiors and
+    chamfer outputs legitimately sit inside a larger grid and are read
+    relative to their bounding box.
     """
     checks = []
     notes = []
     if L.is_empty:
-        return LadderReport(False, False, 0, 0,
-                            (AssumptionCheck(1, False, "ladder has no cells"),))
+        return LadderReport(False, 0, 0, (Check("entries-covered", False, "ladder has no cells"),))
     t = size_vector(t, len(L.lower))
 
     corner_cells_ok = all(L.contains(b, a) for b, a in L.upper) and all(
@@ -373,16 +366,16 @@ def validate(L: Ladder, t) -> LadderReport:
     # (1) every entry appears in a generating minor (the covered rectangles)
     missing = list(islice(uncovered_cells(L, t), 6))
     checks.append(
-        AssumptionCheck(1, not missing,
-                        "all entries meet a generating minor" if not missing
-                        else f"uncovered entries: {missing[:5]}{'...' if len(missing) > 5 else ''}")
+        Check("entries-covered", not missing,
+              "all entries meet a generating minor" if not missing
+              else f"uncovered entries: {missing[:5]}{'...' if len(missing) > 5 else ''}")
     )
 
     # (2) corner sanity: constructor enforces monotonicity; upper corners
     # never share a row or column by strictness, consecutive corners differ.
-    checks.append(AssumptionCheck(2, corner_cells_ok,
-                                  "corners distinct and on the ladder" if corner_cells_ok
-                                  else "corner cell missing from ladder"))
+    checks.append(Check("corners-on-ladder", corner_cells_ok,
+                        "corners distinct and on the ladder" if corner_cells_ok
+                        else "corner cell missing from ladder"))
 
     # (3) pairwise non-inclusion of the summands, via the corner/size gaps
     bad = []
@@ -398,18 +391,18 @@ def validate(L: Ladder, t) -> LadderReport:
     failures = [f"degenerate corner gaps at j={bad}"] if bad else []
     if nonempty:
         failures.append(f"no t_j-minor fits in L_j for j={nonempty}")
-    checks.append(AssumptionCheck(3, not failures,
-                                  "; ".join(failures) or "summands pairwise incomparable"))
+    checks.append(Check("summands-incomparable", not failures,
+                        "; ".join(failures) or "summands pairwise incomparable"))
 
     # (4) the ladder spans its ambient grid
     rows = [i for i, (lo, hi) in enumerate(L.spans, start=1) if lo <= hi]
     spans = (rows[0], rows[-1], *L.columns) == (1, L.shape[0], 1, L.shape[1])
-    checks.append(AssumptionCheck(4, spans,
-                                  "ladder spans the ambient grid" if spans
-                                  else "a border row or column of the grid is empty"))
+    checks.append(Check("spans-grid", spans,
+                        "ladder spans the ambient grid" if spans
+                        else "a border row or column of the grid is empty"))
 
-    valid = corner_cells_ok and checks[0].passed and checks[2].passed
-    return LadderReport(valid, spans, len(L.upper), len(L.lower), tuple(checks), tuple(notes))
+    return LadderReport(all(c.ok for c in checks[:3]), len(L.upper), len(L.lower),
+                        tuple(checks), tuple(notes))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from .poly import (
     mono_is_squarefree,
     mono_max_exponent,
 )
-from .record import Record, set_field
+from .record import Check, Record, set_field
 
 
 # ---------------------------------------------------------------------------
@@ -31,13 +31,14 @@ class CertificateError(ValueError):
 class SymbolicCertificate(Record):
     """Finite witness that the mixed ladder ideal is symbolic F-split:
     factors det(Y_r) with counts summing to the height, and a squarefree
-    product of their antidiagonals as the leading monomial."""
+    product of their antidiagonals as the leading monomial.  `checks` holds
+    one `Check` per invariant."""
 
     __slots__ = ("ladder", "t", "h", "factors", "lead", "checks")
 
     def __init__(self, ladder: Ladder, t: tuple[int, ...], h: int,
                  factors: tuple[tuple[Minor, int, int, int], ...], lead: Monomial,
-                 checks: tuple[tuple[str, bool], ...]):
+                 checks: tuple[Check, ...]):
         set_field(self, "ladder", ladder)
         set_field(self, "t", t)
         set_field(self, "h", h)
@@ -59,7 +60,7 @@ class SymbolicCertificate(Record):
                     for m, g, tt, c in self.factors
                 ],
                 "lead": str(self.lead),
-                "checks": {name: ok for name, ok in self.checks},
+                "checks": {c.name: c.ok for c in self.checks},
             }
         )
 
@@ -80,13 +81,12 @@ def symbolic_fsplit_certificate(L: Ladder, t) -> SymbolicCertificate:
     factors = [(ld.minor, ld.gamma, t[ld.p - 1], ld.count) for ld in profile.witness]
     lead = antidiagonal_lead(m for m, _, _, _ in factors)
 
-    checks = []
-    total = sum(c for _, _, _, c in factors)
-    checks.append(("counts_sum_to_height", total == h))
-    checks.append(("lead_squarefree", mono_is_squarefree(lead.value)))
-    checks.append(("counts_nonnegative", all(c >= 0 for _, _, _, c in factors)))
-    cert = SymbolicCertificate(L, t, h, tuple(factors), lead, tuple(checks))
-    failed = [name for name, ok in checks if not ok]
+    counts = [c for _, _, _, c in factors]
+    checks = (Check("counts_sum_to_height", sum(counts) == h),
+              Check("lead_squarefree", mono_is_squarefree(lead.value)),
+              Check("counts_nonnegative", all(c >= 0 for c in counts)))
+    cert = SymbolicCertificate(L, t, h, tuple(factors), lead, checks)
+    failed = [c.name for c in checks if not c.ok]
     if failed:
         raise CertificateError(f"certificate invariants failed: {failed}")
     return cert

@@ -9,6 +9,12 @@ fields are equal, and a record never equals an object of another class;
 a record hashes as the tuple of its compared fields and prints as
 ``Name(field=value, ...)``.  Assigning or deleting an attribute raises
 AttributeError.
+
+`Check` is the one checked line of the package: a ladder's running
+assumptions, the splitting certificate's invariants, the node checks of a
+Knutson derivation and the lines of every acceptance criterion are each a
+`Check`.  Each report's verdict is that all of its checks are ok, except
+that a ladder's leaves out assumption (4).
 """
 
 from __future__ import annotations
@@ -55,3 +61,14 @@ class Record:
         # copy and pickle restore the slots through here, not `__setattr__`.
         for name, value in state[1].items():
             set_field(self, name, value)
+
+
+class Check(Record):
+    """One checked line: what was checked, whether it holds, and a detail."""
+
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        set_field(self, "name", name)
+        set_field(self, "ok", ok)
+        set_field(self, "detail", detail)

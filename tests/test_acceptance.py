@@ -14,6 +14,7 @@ from ladderdet import acceptance
 from ladderdet.groebner import InstanceTooLarge
 from ladderdet.ladders import Ladder, UnmixReduction
 from ladderdet.poly import time_limit
+from ladderdet.record import Check
 
 BUDGETS = {
     "groebner-squarefree": 120.0,
@@ -69,8 +70,8 @@ def test_unknown_criterion_rejected():
 
 def test_a_criterion_passes_iff_every_line_passes(monkeypatch):
     def stub(seed):
-        yield True, "a"
-        yield False, "b"
+        yield Check("first", True, "a")
+        yield Check("second", False, "b")
 
     monkeypatch.setitem(acceptance.CRITERIA, "stub", ("two lines", stub))
     result = acceptance.run_criterion("stub")
@@ -123,10 +124,11 @@ def test_polynomial_criteria_build_mixed_ladder_ideals():
     assert [name for name, _ in mixed[1:]] == [f"mixed{i}" for i in range(20)]
     assert all(len(set(t)) > 1 for _, t in mixed)
     assert draws >= 20
-    assert acceptance._mixed_line([True] * 21, draws) == (
-        True, f"mixed size vectors: 21/21 cases pass, 20 of them from {draws} random draws")
-    assert acceptance._mixed_line([True, False], draws)[0] is False
-    assert acceptance._mixed_line([], draws)[0] is False
+    assert acceptance._mixed_line([True] * 21, draws) == Check(
+        "mixed size vectors", True,
+        f"mixed size vectors: 21/21 cases pass, 20 of them from {draws} random draws")
+    assert acceptance._mixed_line([True, False], draws).ok is False
+    assert acceptance._mixed_line([], draws).ok is False
 
 
 def test_legal_unmixed_sizes_keeps_an_expired_budget():

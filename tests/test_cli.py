@@ -27,14 +27,14 @@ def test_ladder_validate_staircase10(capsys):
 
 
 def test_ladder_validate_prints_failures_and_notes(capsys, tmp_path):
-    # L_1 has no room for t_1, and its lower corner (1, 1) is no cell.
+    # L_1 has no room for t_1, and its lower corner (1, 1) is no cell.  u and
+    # v are printed once, on the report's first line.
     path = tmp_path / "ladder.json"
     path.write_text(json.dumps({"shape": [3, 3], "upper": [[2, 3]], "lower": [[1, 1], [3, 2]],
                                 "t": [1, 1]}))
     code, out = run_cli("ladder", "validate", str(path), capsys=capsys)
     assert code == 1
     assert out.splitlines() == [
-        "u=1 v=2",
         "valid=no u=1 v=2",
         "  (1) pass: all entries meet a generating minor",
         "  (2) FAIL: corner cell missing from ladder",

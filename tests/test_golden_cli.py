@@ -12,7 +12,9 @@ one acceptance criterion, and three corner derivations (a verified square
 SE corner, a verified non-square SE corner whose D1 base case is wider
 than the grid has rows, and a NW corner as JSON only).  The generator
 lists of a mixed ladder and of a Schubert ideal are pinned in order.
-Refactors of the engine must leave every recorded output unchanged.
+These run under `--format json`; three more pin the text renderings of a
+failing ladder validation, a corner derivation's verify report and
+`accept run --verbose`.  Refactors of the engine must leave every recorded output unchanged.
 
 Regenerate (only when an output change is intended) with
 `PYTHONPATH=src python tests/test_golden_cli.py --write`.
@@ -22,6 +24,7 @@ import contextlib
 import functools
 import io
 import json
+import re
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -55,6 +58,9 @@ INPUTS = {
                                               {"rows": [1, 2], "cols": [1, 2]},
                                               {"rows": [1, 2], "cols": [1, 3]},
                                               {"rows": [1, 2], "cols": [2, 3]}]},
+    # Fails (2), (3) and (4), with a note: the lower corner (1, 1) is not a cell.
+    "ladder_invalid.json": {"shape": [3, 3], "upper": [[2, 3]], "lower": [[1, 1], [3, 2]],
+                            "t": [1, 1]},
 }
 
 
@@ -124,12 +130,22 @@ def _cases():
                               "x[1,1]^2*x[2,2]^2 - 2*x[1,1]*x[1,2]*x[2,1]*x[2,2]"
                               " + x[1,2]^2*x[2,1]^2"]),
     ]
-    return [(cid, ["--format", "json", *argv]) for cid, argv in cases]
+    # The text renderings of the ladder report, the verify report and accept --verbose.
+    text = [
+        ("text/ladder-validate-invalid", ["ladder", "validate", "{inputs}/ladder_invalid.json"]),
+        ("text/knutson-corner-verify", ["knutson", "derive", "--corner", "3,3,2,2,2", "--verify"]),
+        ("text/accept-witness-certificate-verbose",
+         ["accept", "run", "witness-certificate", "--verbose"]),
+    ]
+    return [(cid, ["--format", "json", *argv]) for cid, argv in cases] + text
 
 
 def _normalize(argv, stdout: str) -> str:
-    """Drop the wall-clock `seconds` field from accept JSON."""
+    """Drop the wall-clock `seconds` field from accept JSON and the `(N.Ns)`
+    wall time from accept's text summary lines."""
     if "accept" in argv and stdout:
+        if "json" not in argv:
+            return re.sub(r" \(\d+\.\ds\)$", "", stdout, flags=re.MULTILINE)
         rows = json.loads(stdout)
         return json.dumps([{k: v for k, v in row.items() if k != "seconds"} for row in rows]) + "\n"
     return stdout

@@ -163,13 +163,13 @@ def test_verify_flags_wrong_claims():
     bad = MinimalPrimeClaim(Sum((Leaf(factors[0]), Leaf(factors[1]))), (factors[0],))
     report = verify(KnutsonDerivation(ring, tuple(factors), bad))
     assert not report.ok
-    assert any(ln.check == "claim-contains-child" and not ln.ok for ln in report.lines)
+    assert any(c.name == "claim-contains-child" and not c.ok for _, c in report.lines)
 
     # claim strictly bigger than a complete-intersection child: height mismatch
     bad2 = MinimalPrimeClaim(Leaf(factors[0]), tuple(wide))
     report2 = verify(KnutsonDerivation(ring, tuple(factors), bad2))
     assert not report2.ok
-    assert any(ln.check == "height-equality" and not ln.ok for ln in report2.lines)
+    assert any(c.name == "height-equality" and not c.ok for _, c in report2.lines)
 
 
 def test_verify_flags_foreign_leaf():
@@ -177,7 +177,7 @@ def test_verify_flags_foreign_leaf():
     foreign = Leaf(Polynomial.variable(QQ, grid_var(1, 1)))
     report = verify(KnutsonDerivation(ring, (det((1, 2), (1, 2)),), foreign))
     assert not report.ok
-    assert any(ln.check == "leaf-is-witness-factor" and not ln.ok for ln in report.lines)
+    assert any(c.name == "leaf-is-witness-factor" and not c.ok for _, c in report.lines)
 
 
 def test_leaf_check_compares_factors_in_the_ring():
@@ -190,7 +190,7 @@ def test_leaf_check_compares_factors_in_the_ring():
 
     def leaf_lines(factors, leaf):
         report = verify(KnutsonDerivation(ring, tuple(factors), Leaf(leaf)))
-        return [ln.ok for ln in report.lines if ln.check == "leaf-is-witness-factor"]
+        return [c.ok for _, c in report.lines if c.name == "leaf-is-witness-factor"]
 
     assert d.packing is not ring.packing
     assert leaf_lines([x33, d * QQ.coerce(-3)], d) == [True]

@@ -53,7 +53,7 @@ def test_staircase10_validates_with_expected_corners():
     L, t = staircase10()
     report = validate(L, t)
     assert report.valid and report.u == 3 and report.v == 4
-    assert all(c.passed for c in report.checks)
+    assert all(c.ok for c in report.checks)
 
 
 def test_full_matrix_any_t():
@@ -68,7 +68,7 @@ def test_nondegeneracy_example():
     assert validate(L, (2, 3)).valid
     report = validate(L, (2, 5))
     assert not report.valid
-    assert not report.checks[2].passed or not report.checks[0].passed
+    assert not report.checks[2].ok or not report.checks[0].ok
 
 
 def test_membership_closure_property():
@@ -595,9 +595,8 @@ def test_embed():
 def test_validate_reports_nonspanning():
     block = Ladder((3, 3), ((1, 3),), ((2, 2),))
     report = validate(block, (1,))
-    assert report.valid            # assumptions (1)-(3) hold
-    assert not report.spans_grid   # (4) fails and is reported
-    assert not report.checks[3].passed
+    assert report.valid               # assumptions (1)-(3) hold
+    assert not report.checks[3].ok    # (4) fails and is reported
 
 
 def test_validate_prints_only_the_failures_of_check_3():
@@ -606,13 +605,13 @@ def test_validate_prints_only_the_failures_of_check_3():
     L, t = Ladder.from_obj({"shape": [3, 3], "upper": [[2, 3]], "lower": [[1, 1], [3, 2]],
                             "t": [1, 1]})
     check = validate(L, t).checks[2]
-    assert (check.passed, check.detail) == (False, "no t_j-minor fits in L_j for j=[1]")
+    assert (check.ok, check.detail) == (False, "no t_j-minor fits in L_j for j=[1]")
     # Both failures, joined by "; ".
     check = validate(Ladder((3, 3), ((1, 3),), ((2, 1), (3, 2))), (1, 3)).checks[2]
-    assert (check.passed, check.detail) == (
+    assert (check.ok, check.detail) == (
         False, "degenerate corner gaps at j=[1]; no t_j-minor fits in L_j for j=[2]")
     check = validate(Ladder((3, 3), ((1, 3),), ((1, 1), (3, 2))), (1, 1)).checks[2]
-    assert (check.passed, check.detail) == (True, "summands pairwise incomparable")
+    assert (check.ok, check.detail) == (True, "summands pairwise incomparable")
 
 
 # Valid ladders on which the chamfer descent finds no legal unchamfer at a

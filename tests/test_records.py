@@ -1,10 +1,12 @@
 """The package's immutable records: construction, equality, hashing,
-immutability and repr, for each of the 24 record classes."""
+immutability and repr, for each of the 23 record classes; and `Check` as
+the one checked line of every report."""
 
 import copy
 
 import pytest
 
+from ladderdet import acceptance, oracle
 from ladderdet.acceptance import CriterionResult
 from ladderdet.fields import QQ, Field
 from ladderdet.groebner import MonomialIdeal, Ring
@@ -16,19 +18,25 @@ from ladderdet.knutson import (
     Leaf,
     MinimalPrimeClaim,
     Sum,
-    VerifyLine,
     VerifyReport,
+    verify,
 )
 from ladderdet.ladders import (
     AntidiagonalProfile,
-    AssumptionCheck,
     Ladder,
     LadderReport,
     LevelData,
     UnmixReduction,
+    validate,
 )
-from ladderdet.oracle import InitialCompareResult, SymbolicCertificate
+from ladderdet.oracle import (
+    CertificateError,
+    InitialCompareResult,
+    SymbolicCertificate,
+    symbolic_fsplit_certificate,
+)
 from ladderdet.poly import Minor, TermOrder, parse_polynomial
+from ladderdet.record import Check
 
 RING = Ring.for_grid(QQ, 2, 2)
 VARS = RING.variables  # x[1,2], x[1,1], x[2,2], x[2,1]
@@ -42,9 +50,10 @@ LADDER_TEXT = "Ladder((2, 2), upper=[(1, 2)], lower=[(2, 1)])"
 X11 = parse_polynomial("x[1,1]")
 LEAF = Leaf(X11)
 LEAF_TEXT = "Leaf(factor=x[1,1], kind='leaf')"
-CHECK = AssumptionCheck(1, True, "ok")
+CHECK = Check("covered", True, "ok")
+CHECK_TEXT = "Check(name='covered', ok=True, detail='ok')"
 LEVEL = LevelData(3, 2, 1, 1, 2, 2, 1)
-LINE = VerifyLine("root", "leaf", True)
+LINE = ("root", Check("leaf", False))
 
 # (record built positionally, keyword arguments that build it, the values
 # its equality and hash compare, its repr).  The keywords name every field
@@ -67,13 +76,12 @@ CASES = [
      ("explicit", (MINOR,)), f"PosetIdealSpec(kind='explicit', minors=({MINOR_TEXT},))"),
     (Ladder([2, 2], [[1, 2]], [[2, 1]]), dict(shape=(2, 2), upper=((1, 2),), lower=((2, 1),)),
      ((2, 2), ((1, 2),), ((2, 1),)), LADDER_TEXT),
-    (CHECK, dict(number=1, passed=True, detail="ok"), (1, True, "ok"),
-     "AssumptionCheck(number=1, passed=True, detail='ok')"),
-    (LadderReport(True, False, 1, 2, (CHECK,)),
-     dict(valid=True, spans_grid=False, u=1, v=2, checks=(CHECK,), notes=()),
-     (True, False, 1, 2, (CHECK,), ()),
-     "LadderReport(valid=True, spans_grid=False, u=1, v=2, "
-     "checks=(AssumptionCheck(number=1, passed=True, detail='ok'),), notes=())"),
+    (Check("leaf", False), dict(name="leaf", ok=False, detail=""), ("leaf", False, ""),
+     "Check(name='leaf', ok=False, detail='')"),
+    (LadderReport(True, 1, 2, (CHECK,)),
+     dict(valid=True, u=1, v=2, checks=(CHECK,), notes=()),
+     (True, 1, 2, (CHECK,), ()),
+     f"LadderReport(valid=True, u=1, v=2, checks=({CHECK_TEXT},), notes=())"),
     (LEVEL, dict(r=3, w=2, p=1, a=1, b=2, gamma=2, count=1), (3, 2, 1, 1, 2, 2, 1),
      "LevelData(r=3, w=2, p=1, a=1, b=2, gamma=2, count=1)"),
     (AntidiagonalProfile((LEVEL,), (), 4), dict(levels=(LEVEL,), witness=(), interior_size=4),
@@ -99,16 +107,14 @@ CASES = [
     (KnutsonDerivation(RING, (X11,), LEAF), dict(ring=RING, f_factors=(X11,), root=LEAF, label=""),
      (RING, (X11,), LEAF, ""),
      f"KnutsonDerivation(ring=Ring(QQ, 4 vars), f_factors=(x[1,1],), root={LEAF_TEXT}, label='')"),
-    (LINE, dict(node="root", check="leaf", ok=True, detail=""), ("root", "leaf", True, ""),
-     "VerifyLine(node='root', check='leaf', ok=True, detail='')"),
     (VerifyReport(False, (LINE,)), dict(ok=False, lines=(LINE,)), (False, (LINE,)),
-     "VerifyReport(ok=False, lines=(VerifyLine(node='root', check='leaf', ok=True, detail=''),))"),
-    (SymbolicCertificate(LADDER, (2,), 1, ((MINOR, 2, 2, 1),), MONO, (("c", True),)),
+     "VerifyReport(ok=False, lines=(('root', Check(name='leaf', ok=False, detail='')),))"),
+    (SymbolicCertificate(LADDER, (2,), 1, ((MINOR, 2, 2, 1),), MONO, (CHECK,)),
      dict(ladder=LADDER, t=(2,), h=1, factors=((MINOR, 2, 2, 1),), lead=MONO,
-          checks=(("c", True),)),
-     (LADDER, (2,), 1, ((MINOR, 2, 2, 1),), MONO, (("c", True),)),
+          checks=(CHECK,)),
+     (LADDER, (2,), 1, ((MINOR, 2, 2, 1),), MONO, (CHECK,)),
      f"SymbolicCertificate(ladder={LADDER_TEXT}, t=(2,), h=1, factors=(({MINOR_TEXT}, 2, 2, 1),), "
-     "lead=x[1,2]*x[2,1], checks=(('c', True),))"),
+     f"lead=x[1,2]*x[2,1], checks=({CHECK_TEXT},))"),
     (InitialCompareResult(True, None, IDEAL, IDEAL),
      dict(equal=True, witness=None, left=IDEAL, right=IDEAL), (True, None, IDEAL, IDEAL),
      f"InitialCompareResult(equal=True, witness=None, left={IDEAL_TEXT}, right={IDEAL_TEXT})"),
@@ -120,7 +126,7 @@ CASES = [
 
 
 def test_every_record_class_is_covered():
-    assert len({type(record) for record, *_ in CASES}) == len(CASES) == 24
+    assert len({type(record) for record, *_ in CASES}) == len(CASES) == 23
 
 
 @pytest.mark.parametrize("record, keywords, compared, text", CASES,
@@ -169,3 +175,44 @@ def test_rings_compare_their_fields_by_value():
     assert first.field is not second.field
     assert first == second and hash(first) == hash(second)
     assert first != Ring(Field(7), VARS) and first != RING and first != Ring(Field(5), VARS[:3])
+
+
+def test_every_checked_line_is_a_check_and_one_failure_flips_its_verdict(monkeypatch):
+    # The ladder report: one failing assumption among (1)-(3) makes it
+    # invalid; (4) alone stays outside the verdict.
+    L = Ladder((3, 3), ((1, 3),), ((2, 1), (3, 2)))
+    passing, failing = validate(L, (1, 1)), validate(L, (1, 2))
+    assert all(type(c) is Check for c in passing.checks + failing.checks)
+    assert passing.valid and all(c.ok for c in passing.checks)
+    assert [c.ok for c in failing.checks] == [True, True, False, True] and not failing.valid
+    block = validate(Ladder((3, 3), ((1, 3),), ((2, 2),)), (1,))
+    assert [c.ok for c in block.checks] == [True, True, True, False] and block.valid
+
+    # The certificate: it holds its invariants as checks and raises on one
+    # that fails.
+    cert = symbolic_fsplit_certificate(L, (1, 1))
+    assert all(type(c) is Check and c.ok for c in cert.checks)
+    with monkeypatch.context() as patch, \
+            pytest.raises(CertificateError, match=r"\['lead_squarefree'\]"):
+        patch.setattr(oracle, "mono_is_squarefree", lambda value: False)
+        symbolic_fsplit_certificate(L, (1, 1))
+
+    # The verify report: (node, Check) lines; one failing leaf check fails it.
+    ring = Ring.for_grid(QQ, 2, 2)
+    det = parse_polynomial("x[1,1]*x[2,2] - x[1,2]*x[2,1]")
+    good = verify(KnutsonDerivation(ring, (det,), Leaf(det)))
+    bad = verify(KnutsonDerivation(ring, (det,), LEAF))
+    for report in (good, bad):
+        assert all(type(node) is str and type(c) is Check for node, c in report.lines)
+    assert good.ok and [c.ok for _, c in bad.lines] == [True, False] and not bad.ok
+
+    # Every criterion yields checks; run_criterion fails it on one failing line.
+    for key, (title, criterion) in acceptance.CRITERIA.items():
+        lines = list(criterion(acceptance.DEFAULT_SEED))
+        assert lines and all(type(c) is Check and c.ok for c in lines), key
+        flipped = [Check(lines[0].name, False, lines[0].detail), *lines[1:]]
+        for replay, passed in ((lines, True), (flipped, False)):
+            monkeypatch.setitem(acceptance.CRITERIA, key, (title, lambda seed, r=replay: iter(r)))
+            result = acceptance.run_criterion(key)
+            assert result.passed is passed
+            assert result.details == tuple(c.detail for c in lines)
