@@ -51,7 +51,7 @@ from .oracle import (
     symbolic_fsplit_certificate,
 )
 from .poly import time_limit
-from .record import Check, Record, set_field
+from .record import Check, Record
 
 DEFAULT_SEED = 0
 
@@ -348,14 +348,7 @@ def criterion_poset_schubert(seed: int = DEFAULT_SEED):
 
 class CriterionResult(Record):
     __slots__ = ("key", "title", "passed", "seconds", "details")
-
-    def __init__(self, key: str, title: str, passed: bool, seconds: float,
-                 details: tuple[str, ...] = ()):
-        set_field(self, "key", key)
-        set_field(self, "title", title)
-        set_field(self, "passed", passed)
-        set_field(self, "seconds", seconds)
-        set_field(self, "details", details)
+    _defaults = {"details": ()}
 
     def summary_line(self) -> str:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.key}: {self.title} ({self.seconds:.1f}s)"

@@ -269,10 +269,10 @@ def _cmd_symbolic(args) -> int:
 
 def _verify_payload(deriv):
     """The verify report of a derivation, with its JSON keys `verified` and
-    `checks`."""
+    `checks`: a line's node, check, ok and detail."""
     report = verify_derivation(deriv)
     return report, {"verified": report.ok,
-                    "checks": [{"node": node, "check": c.name, "ok": c.ok}
+                    "checks": [{"node": node, "check": c.name, "ok": c.ok, "detail": c.detail}
                                for node, c in report.lines]}
 
 

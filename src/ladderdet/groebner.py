@@ -1142,19 +1142,6 @@ class MonomialIdeal(Record):
     come from one cover search, kept in the `_lead` slot."""
 
     __slots__ = ("ring", "gens", "_lead")
-    _fields = ("ring", "gens")
-
-    def __init__(self, ring: Ring, gens: tuple[int, ...]):
-        set_field(self, "ring", ring)
-        set_field(self, "gens", gens)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ring, self.gens) == (other.ring, other.gens)
-
-    def __hash__(self):
-        return hash((self.ring, self.gens))
 
     @classmethod
     def from_monomials(cls, ring: Ring, monos) -> "MonomialIdeal":

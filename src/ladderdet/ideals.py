@@ -62,7 +62,10 @@ def ideal_from_obj(obj, field: Field = QQ) -> Ideal:
     if "cells" in obj:
         ring = Ring.for_cells(field, cells_from_json(obj["cells"]))
     else:
-        ring = Ring.for_grid(field, *_int_pair(obj.get("shape"), "shape"))
+        k, l = _int_pair(obj.get("shape"), "shape")
+        if k < 1 or l < 1:
+            raise ValueError(f"bad shape {(k, l)}")
+        ring = Ring.for_grid(field, k, l)
     return Ideal(ring, parse_polynomials(obj.get("gens"), field))
 
 
@@ -187,16 +190,11 @@ class GWitnessError(LadderError):
 
 
 class GWitnessData(Record):
-    __slots__ = ("alpha", "beta", "y_minor", "factors", "lead", "count")
+    """The witness g = det(Y) * prod det(Y_r): `factors` lists det(Y) first,
+    then det(Y_r) for r in B'; `lead` is the product of the factors'
+    antidiagonals, and `count` the combinatorial symbolic degree, height - 1."""
 
-    def __init__(self, alpha: int, beta: int, y_minor: Minor, factors: tuple[Minor, ...],
-                 lead: Monomial, count: int):
-        set_field(self, "alpha", alpha)
-        set_field(self, "beta", beta)
-        set_field(self, "y_minor", y_minor)
-        set_field(self, "factors", factors)  # det(Y) first, then det(Y_r) for r in B'
-        set_field(self, "lead", lead)  # product of the factors' antidiagonals
-        set_field(self, "count", count)  # combinatorial symbolic degree, = height - 1
+    __slots__ = ("alpha", "beta", "y_minor", "factors", "lead", "count")
 
 
 def g_witness_data(L: Ladder, t) -> GWitnessData:

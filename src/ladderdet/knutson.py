@@ -38,7 +38,7 @@ from .poly import (
     parse_polynomials,
     poly_to_str,
 )
-from .record import Check, Record, set_field
+from .record import Check, Record
 
 
 class DerivationError(ValueError):
@@ -50,17 +50,11 @@ class Leaf(Record):
     _fields = ("factor", "kind")
     kind = "leaf"
 
-    def __init__(self, factor: Polynomial):
-        set_field(self, "factor", factor)
-
 
 class Sum(Record):
     __slots__ = ("children",)
     _fields = ("children", "kind")
     kind = "sum"
-
-    def __init__(self, children: tuple):
-        set_field(self, "children", children)
 
 
 class Intersect(Record):
@@ -68,24 +62,17 @@ class Intersect(Record):
     _fields = ("children", "kind")
     kind = "intersect"
 
-    def __init__(self, children: tuple):
-        set_field(self, "children", children)
-
 
 class MinimalPrimeClaim(Record):
+    """The claim that the ideal of `claimed` is a minimal prime of the
+    child's.  `identity` optionally records an identity for the child's
+    ideal: ("intersect", other) says it equals Ideal(claimed) cap
+    Ideal(other), and ("equal",) that it equals the claimed ideal itself."""
+
     __slots__ = ("child", "claimed", "identity", "label")
     _fields = ("child", "claimed", "identity", "label", "kind")
+    _defaults = {"identity": None, "label": ""}
     kind = "min_prime"
-
-    def __init__(self, child, claimed: tuple[Polynomial, ...], identity: tuple | None = None,
-                 label: str = ""):
-        # Optional recorded identity for eval(child):
-        #   ("intersect", other_gens): child equals Ideal(claimed) cap Ideal(other)
-        #   ("equal",): child equals the claimed ideal itself
-        set_field(self, "child", child)
-        set_field(self, "claimed", claimed)
-        set_field(self, "identity", identity)
-        set_field(self, "label", label)
 
 
 class Colon(Record):
@@ -93,20 +80,10 @@ class Colon(Record):
     _fields = ("child", "divisor", "kind")
     kind = "colon"
 
-    def __init__(self, child, divisor: tuple[Polynomial, ...]):
-        set_field(self, "child", child)
-        set_field(self, "divisor", divisor)
-
 
 class KnutsonDerivation(Record):
     __slots__ = ("ring", "f_factors", "root", "label")
-
-    def __init__(self, ring: Ring, f_factors: tuple[Polynomial, ...], root: object,
-                 label: str = ""):
-        set_field(self, "ring", ring)
-        set_field(self, "f_factors", f_factors)
-        set_field(self, "root", root)
-        set_field(self, "label", label)
+    _defaults = {"label": ""}
 
     def eval(self) -> Ideal:
         return eval_node(self.root, self.ring, {})
@@ -166,10 +143,6 @@ def eval_node(node, ring: Ring, cache: dict) -> Ideal:
 
 class VerifyReport(Record):
     __slots__ = ("ok", "lines")
-
-    def __init__(self, ok: bool, lines: tuple[tuple[str, Check], ...]):
-        set_field(self, "ok", ok)
-        set_field(self, "lines", lines)
 
     def as_text(self) -> str:
         out = [f"verified={'yes' if self.ok else 'NO'} ({len(self.lines)} checks)"]
@@ -421,6 +394,8 @@ def _node_from_obj(obj, field: Field):
     if kind == "sum":
         return Sum(tuple(_node_from_obj(ch, field) for ch in obj["children"]))
     if kind == "intersect":
+        if not obj["children"]:
+            raise DerivationError("an intersect node needs at least one child")
         return Intersect(tuple(_node_from_obj(ch, field) for ch in obj["children"]))
     if kind == "min_prime":
         ident = obj.get("identity")
@@ -428,8 +403,10 @@ def _node_from_obj(obj, field: Field):
         if ident:
             if ident["kind"] == "intersect":
                 identity = ("intersect", tuple(parse_polynomials(ident["b"], field)))
-            else:
+            elif ident["kind"] == "equal":
                 identity = ("equal",)
+            else:
+                raise DerivationError(f"unknown identity kind in JSON: {ident['kind']}")
         return MinimalPrimeClaim(
             _node_from_obj(obj["child"], field),
             tuple(parse_polynomials(obj["claimed"], field)),

@@ -59,7 +59,6 @@ class Ladder(Record):
     kept in the instance dict, which equality, hash and repr leave out."""
 
     __slots__ = ("shape", "upper", "lower", "__dict__")
-    _fields = ("shape", "upper", "lower")
 
     def __init__(self, shape: tuple[int, int], upper: tuple[tuple[int, int], ...],
                  lower: tuple[tuple[int, int], ...]):
@@ -87,14 +86,6 @@ class Ladder(Record):
             raise LadderError("lower corners must be nondecreasing in both coordinates")
         if any(self.lower[i] == self.lower[i + 1] for i in range(len(self.lower) - 1)):
             raise LadderError("consecutive lower corners coincide")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.shape, self.upper, self.lower) == (other.shape, other.upper, other.lower)
-
-    def __hash__(self):
-        return hash((self.shape, self.upper, self.lower))
 
     # -- membership
 
@@ -303,14 +294,7 @@ class LadderReport(Record):
     order: check i is assumption (i)."""
 
     __slots__ = ("valid", "u", "v", "checks", "notes")
-
-    def __init__(self, valid: bool, u: int, v: int, checks: tuple[Check, ...],
-                 notes: tuple[str, ...] = ()):
-        set_field(self, "valid", valid)
-        set_field(self, "u", u)
-        set_field(self, "v", v)
-        set_field(self, "checks", checks)
-        set_field(self, "notes", notes)
+    _defaults = {"notes": ()}
 
     def as_text(self) -> str:
         lines = [f"valid={'yes' if self.valid else 'no'} u={self.u} v={self.v}"]
@@ -420,15 +404,6 @@ class LevelData(Record):
 
     __slots__ = ("r", "w", "p", "a", "b", "gamma", "count")
 
-    def __init__(self, r: int, w: int, p: int, a: int, b: int, gamma: int, count: int):
-        set_field(self, "r", r)
-        set_field(self, "w", w)
-        set_field(self, "p", p)
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "gamma", gamma)
-        set_field(self, "count", count)
-
     @property
     def minor(self) -> Minor:
         """Y_r, built on demand: its index tuples have gamma entries each."""
@@ -436,13 +411,10 @@ class LevelData(Record):
 
 
 class AntidiagonalProfile(Record):
-    __slots__ = ("levels", "witness", "interior_size")
+    """The antidiagonal levels of a ladder: `levels` has one `LevelData` per
+    level in A, and `witness` the levels of B, those of nonnegative count."""
 
-    def __init__(self, levels: tuple[LevelData, ...], witness: tuple[LevelData, ...],
-                 interior_size: int):
-        set_field(self, "levels", levels)  # one per antidiagonal level in A
-        set_field(self, "witness", witness)  # the levels of B: nonnegative count
-        set_field(self, "interior_size", interior_size)
+    __slots__ = ("levels", "witness", "interior_size")
 
     @property
     def witness_factors(self) -> tuple[Minor, ...]:
@@ -552,18 +524,12 @@ def _move_corner(L: Ladder, t, j: int, step: int) -> tuple[Ladder, tuple[int, ..
 
 
 class UnmixReduction(Record):
-    """Unchamfer trail from (L, t) to an unmixed pair, with replay data."""
+    """Unchamfer trail from (L, t) to an unmixed pair, with replay data:
+    `start` is the unmixed ladder inside the padded grid, `moves` the
+    chamfer corner indices in replay order, and `offset` the translation of
+    the padded embedding."""
 
     __slots__ = ("original", "original_t", "start", "start_t", "moves", "offset")
-
-    def __init__(self, original: Ladder, original_t: tuple[int, ...], start: Ladder,
-                 start_t: tuple[int, ...], moves: tuple[int, ...], offset: tuple[int, int]):
-        set_field(self, "original", original)
-        set_field(self, "original_t", original_t)
-        set_field(self, "start", start)  # unmixed ladder, inside the padded grid
-        set_field(self, "start_t", start_t)
-        set_field(self, "moves", moves)  # chamfer corner indices, replay order
-        set_field(self, "offset", offset)  # translation used by the padded embedding
 
     def replay(self) -> tuple[Ladder, tuple[int, ...]]:
         """Chamfer along `moves` from the start pair; returns (L, t)."""

@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import json
 
-from .groebner import Ideal, MonomialIdeal, Ring
+from .groebner import Ideal, Ring
 from .ideals import antidiagonal_lead, mixed_ladder_ideal
 from .ladders import Ladder, antidiagonal_profile, size_vector
 from .poly import (
-    Minor,
     Monomial,
     Polynomial,
     check_variable_count,
@@ -17,7 +16,7 @@ from .poly import (
     mono_is_squarefree,
     mono_max_exponent,
 )
-from .record import Check, Record, set_field
+from .record import Check, Record
 
 
 # ---------------------------------------------------------------------------
@@ -31,20 +30,11 @@ class CertificateError(ValueError):
 class SymbolicCertificate(Record):
     """Finite witness that the mixed ladder ideal is symbolic F-split:
     factors det(Y_r) with counts summing to the height, and a squarefree
-    product of their antidiagonals as the leading monomial.  `checks` holds
-    one `Check` per invariant."""
+    product of their antidiagonals as the leading monomial.  Each of
+    `factors` is (Y_r, gamma_r, t_{p_r}, count); `checks` holds one `Check`
+    per invariant."""
 
     __slots__ = ("ladder", "t", "h", "factors", "lead", "checks")
-
-    def __init__(self, ladder: Ladder, t: tuple[int, ...], h: int,
-                 factors: tuple[tuple[Minor, int, int, int], ...], lead: Monomial,
-                 checks: tuple[Check, ...]):
-        set_field(self, "ladder", ladder)
-        set_field(self, "t", t)
-        set_field(self, "h", h)
-        set_field(self, "factors", factors)  # (Y_r, gamma_r, t_{p_r}, count)
-        set_field(self, "lead", lead)
-        set_field(self, "checks", checks)
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -177,14 +167,11 @@ def fedder_check(I: Ideal, p: int, candidate: Polynomial) -> bool:
 
 
 class InitialCompareResult(Record):
-    __slots__ = ("equal", "witness", "left", "right")
+    """in(I^(n)) against in(I)^(n): `left` is in(I^(n)) through the
+    saturation oracle, `right` is in(I)^(n) through monomial symbolic powers,
+    and `witness` is a monomial in the gap when they differ."""
 
-    def __init__(self, equal: bool, witness: Monomial | None, left: MonomialIdeal,
-                 right: MonomialIdeal):
-        set_field(self, "equal", equal)
-        set_field(self, "witness", witness)  # a monomial in the gap, when not equal
-        set_field(self, "left", left)  # in(I^(n)) via the saturation oracle
-        set_field(self, "right", right)  # in(I)^(n) via monomial symbolic powers
+    __slots__ = ("equal", "witness", "left", "right")
 
 
 def initial_symbolic_compare(I: Ideal, n: int, *, strategy: Ideal) -> InitialCompareResult:

@@ -1,10 +1,19 @@
 """Immutable records: the one base of the package's value classes.
 
-A record class lists the attributes it stores in `__slots__` and sets them
-in its own `__init__` through `set_field`, which bypasses the record's
-`__setattr__`.  Its compared fields are `_fields`, by default its own
-`__slots__`; a class names them itself when a slot is a cache or a field
-is a class constant.  Records of one class are equal when their compared
+A record class lists the attributes it stores in `__slots__`.  Its public
+slots, those whose names do not start with an underscore, are its fields,
+and `Record.__init__` is the one constructor: it binds positional and then
+keyword arguments to the fields in slot order, fills the trailing fields
+that are left out from the class's `_defaults` dict, and raises TypeError
+on a missing, unknown or repeated field.  A slot whose name starts with an
+underscore is a cache, filled later through `set_field`.  A class whose
+constructor normalises or validates its arguments keeps its own `__init__`
+and sets its slots through `set_field`, which bypasses the record's
+`__setattr__`.
+
+The compared fields are `_fields`, by default the fields; a class names
+them itself when a field is derived from the others or a class constant
+is compared too.  Records of one class are equal when their compared
 fields are equal, and a record never equals an object of another class;
 a record hashes as the tuple of its compared fields and prints as
 ``Name(field=value, ...)``.  Assigning or deleting an attribute raises
@@ -21,23 +30,57 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-# Sets a slot of a record in its `__init__`, or fills a cache slot later.
+# Sets a slot of a record in a normalising `__init__`, or fills a cache slot later.
 set_field = object.__setattr__
 
 
 class Record:
     __slots__ = ()
+    _params: tuple[str, ...] = ()
+    _setters: tuple = ()
+    _defaults: dict = {}
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = vars(cls)
-        fields = own.get("_fields") or own.get("__slots__")
-        if not fields:  # a subclass that stores nothing new compares as its parent
+        public = tuple(name for name in own.get("__slots__", ()) if name[0] != "_")
+        if not public:  # a subclass with no new field builds and compares as its parent
             return
-        cls._fields = fields = tuple(fields)
+        cls._params = params = cls._params + public
+        # The slots' own descriptor setters, bound once: the constructor's
+        # fast path calls them with no lookup by name.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in params)
+        cls._fields = fields = tuple(own.get("_fields") or params)
         values = attrgetter(*fields)
         cls._values = staticmethod(values if len(fields) > 1 else lambda r: (values(r),))
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for setter, value in zip(setters, args):
+            setter(self, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values in slot order: `args` first, then each later
+        field from `kwargs` or `_defaults`."""
+        params, name = cls._params, cls.__qualname__
+        if len(args) > len(params):
+            raise TypeError(f"{name}() takes {len(params)} fields, got {len(args)} positional")
+        values = list(args)
+        for field in params[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in cls._defaults:
+                values.append(cls._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing field {field!r}")
+        if kwargs:
+            field = next(iter(kwargs))
+            raise TypeError(f"{name}() got {'repeated' if field in params else 'unknown'} field {field!r}")
+        return values
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -67,8 +110,4 @@ class Check(Record):
     """One checked line: what was checked, whether it holds, and a detail."""
 
     __slots__ = ("name", "ok", "detail")
-
-    def __init__(self, name: str, ok: bool, detail: str = ""):
-        set_field(self, "name", name)
-        set_field(self, "ok", ok)
-        set_field(self, "detail", detail)
+    _defaults = {"detail": ""}

@@ -413,12 +413,22 @@ _DEEP_SUM = ('{"cells": [[1, 1]], "field": "q", "f_factors": ["x[1,1]"], "root":
     (["ideal", "member", "--poly=1/0*x[1,1]"],
      {"shape": [3, 3], "upper": [[1, 3]], "lower": [[3, 1]], "t": [2]}),
     (["--field", "fp:7", "ideal", "gb"], {"shape": [2, 2], "gens": ["1/7*x[1,1]"]}),
+    (["knutson", "verify"],
+     {"cells": [[1, 1]], "field": "q", "f_factors": ["x[1,1]"],
+      "root": {"kind": "intersect", "children": []}}),
+    (["knutson", "verify"],
+     {"cells": [[1, 1]], "field": "q", "f_factors": ["x[1,1]"],
+      "root": {"kind": "min_prime", "child": {"kind": "leaf", "factor": "x[1,1]"},
+               "claimed": ["x[1,1]"], "identity": {"kind": "bogus"}}}),
+    (["ideal", "gb"], {"shape": [0, 2], "gens": ["1"]}),
+    (["ideal", "gb"], {"shape": [2, -1], "gens": ["1"]}),
 ], ids=["knutson-verify", "poset-spec", "ideal-gb", "fedder-bad-t-entry", "ideal-gb-short-t",
         "ideal-gb-int-gen", "ideal-gb-float-cell", "knutson-verify-int-factor",
         "knutson-verify-int-claimed", "poset-spec-float-index", "knutson-verify-deep-sum",
         "ladder-validate-deep", "ideal-gb-deep", "poset-spec-deep", "schubert-deep",
         "poset-spec-outside-grid", "ideal-member-zero-denominator",
-        "ideal-gb-denominator-divisible-by-p"])
+        "ideal-gb-denominator-divisible-by-p", "knutson-verify-empty-intersect",
+        "knutson-verify-unknown-identity", "ideal-gb-empty-rows", "ideal-gb-negative-cols"])
 def test_malformed_loader_input_exits_2(argv, content, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(content if isinstance(content, str) else json.dumps(content))
@@ -566,7 +576,7 @@ def test_knutson_verify_reads_an_intersect_node(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["verified"] is True
     assert payload["checks"][-1] == {"check": "squarefree-initial", "node": "intersect#2",
-                                     "ok": True}
+                                     "ok": True, "detail": "1 lead monomials"}
     code, out = run_cli("knutson", "verify", str(path), capsys=capsys)
     assert code == 0
     assert out.splitlines()[-1] == "  [ok ] intersect#2: squarefree-initial -- 1 lead monomials"

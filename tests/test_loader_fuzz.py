@@ -9,7 +9,7 @@ import json
 import random
 
 from ladderdet.cli import main
-from ladderdet.knutson import derivation_to_json, ladder_derivation
+from ladderdet.knutson import corner_derivation, derivation_to_json, ladder_derivation
 from ladderdet.ladders import Ladder
 
 LADDERS = [
@@ -107,8 +107,25 @@ POSET_SPECS = [
     {"cogenerators": [{"rows": [1], "cols": [2]}]},
     {"generalized": [{"rows": [2], "cols": [1]}, {"rows": [1, 2], "cols": [1, 2]}]},
 ]
+DET = "x[1,2]*x[2,1] - x[1,1]*x[2,2]"
+X11 = {"kind": "leaf", "factor": "x[1,1]"}
+# The derive commands write no intersect or colon node, so this file holds
+# them, with both kinds of identity.
+HAND_WRITTEN = {
+    "field": "q", "cells": [[1, 1], [1, 2], [2, 1], [2, 2]], "f_factors": ["x[1,1]", DET],
+    "label": "hand-written", "root": {"kind": "sum", "children": [
+        {"kind": "intersect", "children": [X11, {"kind": "leaf", "factor": DET}]},
+        {"kind": "colon", "child": {"kind": "leaf", "factor": DET}, "divisor": ["x[1,2]", "x[2,1]"]},
+        {"kind": "min_prime", "child": X11, "claimed": ["x[1,1]"], "label": "equal",
+         "identity": {"kind": "equal"}},
+        {"kind": "min_prime", "child": {"kind": "intersect", "children": [X11, X11]},
+         "claimed": ["x[1,1]"], "label": "intersect",
+         "identity": {"kind": "intersect", "a": ["x[1,1]"], "b": ["x[1,1]", DET]}},
+    ]}}
 DERIVATIONS = [json.loads(derivation_to_json(ladder_derivation(Ladder.full(2, 3), 2))),
-               json.loads(derivation_to_json(ladder_derivation(Ladder.full(2, 2), 1)))]
+               json.loads(derivation_to_json(ladder_derivation(Ladder.full(2, 2), 1))),
+               json.loads(derivation_to_json(corner_derivation(3, 3, 1, 2, 2))),
+               json.loads(json.dumps(HAND_WRITTEN))]  # each leaf its own object
 TREE_JUNK = JUNK + ["x[1,1]", "x[9,9]", "1", "", "q", "fp:4", "leaf", "sum", [5], [[1, 1.5]],
                     ["x[1,1]", 5], {"kind": "leaf"}, {"kind": "colon", "child": {}, "divisor": 5}]
 TREE_CASES = 300

@@ -1,11 +1,15 @@
 """The package's immutable records: construction, equality, hashing,
-immutability and repr, for each of the 23 record classes; and `Check` as
-the one checked line of every report."""
+immutability and repr, for each of the 23 record classes; the one
+constructor `Record.__init__` of the 17 records that keep none of their
+own; and `Check` as the one checked line of every report."""
 
+import ast
 import copy
+from pathlib import Path
 
 import pytest
 
+import ladderdet
 from ladderdet import acceptance, oracle
 from ladderdet.acceptance import CriterionResult
 from ladderdet.fields import QQ, Field
@@ -151,6 +155,103 @@ def test_record_behaviour(record, keywords, compared, text):
             delattr(record, name)
     assert record == by_keyword
     assert repr(record) == text
+
+
+# The records built by `Record.__init__`: every class whose constructor
+# does not normalise or validate its arguments.
+GENERIC = [case for case in CASES if "__init__" not in vars(type(case[0]))]
+
+
+def test_seventeen_records_use_the_one_constructor():
+    assert len(GENERIC) == 17
+    assert MonomialIdeal._params == ("ring", "gens")  # the `_lead` cache slot is no field
+
+
+@pytest.mark.parametrize("record, keywords", [case[:2] for case in GENERIC],
+                         ids=[type(case[0]).__name__ for case in GENERIC])
+def test_generic_record_binds_its_fields(record, keywords):
+    cls = type(record)
+    names, values = list(keywords), list(keywords.values())
+    assert tuple(names) == cls._params
+    # Positionally, by keyword, and a positional head with a keyword tail.
+    for split in range(len(names) + 1):
+        assert cls(*values[:split], **dict(zip(names[split:], values[split:]))) == record
+    # The fields with a default trail the others, and may be left out.
+    required = len(names) - len(cls._defaults)
+    assert set(names[required:]) == set(cls._defaults)
+    assert cls(*values[:required]) == cls(**dict(zip(names[:required], values))) == record
+    with pytest.raises(TypeError, match=f"missing field {names[required - 1]!r}"):
+        cls(*values[:required - 1])
+    with pytest.raises(TypeError, match=f"missing field {names[0]!r}"):
+        cls(**dict(zip(names[1:], values[1:])))
+    with pytest.raises(TypeError, match=f"takes {len(names)} fields, got {len(names) + 1}"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match="unknown field 'nosuch'"):
+        cls(*values, nosuch=None)
+    with pytest.raises(TypeError, match="unknown field 'nosuch'"):
+        cls(**keywords, nosuch=None)
+    with pytest.raises(TypeError, match=f"repeated field {names[0]!r}"):
+        cls(*values, **{names[0]: values[0]})
+
+
+SOURCE = Path(ladderdet.__file__).parent
+
+
+def _stores_only_its_parameters(init: ast.FunctionDef) -> bool:
+    """Whether each statement of the constructor, past a docstring, stores a
+    parameter into the slot of its name: `set_field(self, "x", x)`,
+    `object.__setattr__(self, "x", x)` or `self.x = x`."""
+    params = {arg.arg for arg in init.args.args[1:] + init.args.kwonlyargs}
+    body = init.body[1:] if ast.get_docstring(init) is not None else init.body
+
+    def stores(stmt) -> bool:
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+            args = stmt.value.args
+            return (len(args) == 3 and isinstance(args[1], ast.Constant)
+                    and isinstance(args[2], ast.Name) and args[1].value == args[2].id in params)
+        return (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Attribute) and isinstance(stmt.value, ast.Name)
+                and stmt.targets[0].attr == stmt.value.id in params)
+
+    return bool(body) and all(map(stores, body))
+
+
+def _set_field_owners(node, owner=""):
+    """(qualified name of the enclosing class or function, call) for every
+    `set_field` call under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from _set_field_owners(child, f"{owner}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "set_field":
+            yield owner, child
+        yield from _set_field_owners(child, owner)
+
+
+def test_no_constructor_only_stores_its_parameters():
+    # Such a constructor is `Record.__init__` spelled out again.
+    found = [f"{path.name}:{cls.name}"
+             for path in sorted(SOURCE.glob("*.py"))
+             for cls in ast.walk(ast.parse(path.read_text())) if isinstance(cls, ast.ClassDef)
+             for item in cls.body
+             if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+             and _stores_only_its_parameters(item)]
+    assert not found
+
+
+def test_set_field_sets_fields_only_in_normalising_constructors():
+    # Outside `record.py`, `set_field` sets a field only in a constructor
+    # that normalises or validates its arguments; elsewhere it fills a cache
+    # slot, whose name starts with an underscore.
+    owners = set()
+    for path in SOURCE.glob("*.py"):
+        if path.name == "record.py":
+            continue
+        for owner, call in _set_field_owners(ast.parse(path.read_text())):
+            if not call.args[1].value.startswith("_"):
+                owners.add(owner)
+    assert owners == {"Ladder.__init__", "Minor.__init__", "Ring.__init__", "TermOrder.__init__",
+                      "PartialPermutation.__init__", "PosetIdealSpec.__init__"}
 
 
 def test_records_of_two_classes_with_equal_fields_differ():
