@@ -12,40 +12,42 @@ b · P^(max(0, n − deg_P b)) (Herzog, Hibi and Trung, Adv. Math. 210, 2007)).
 
 `buchberger` and `is_groebner_basis` build the Gebauer-Moeller pair set
 (Gebauer and Moeller, J. Symbolic Comput. 6, 1988) on an index of the
-leads: a new lead forms lcms only with the leads that share a variable
-with it, a lead coprime to it acts only through one divisor search,
-skipped when no lead is coprime to it or when the quotient has fewer
-variables outside the new lead than any lead has, and the initial build
-tests the chain criterion once per pair against the later leads.  Both
-form and reduce each S-pair on the terms of a reducer's entries,
-coefficients as the polynomials hold them, and every remainder, of an
-S-pair or of a tail, comes from one reduction loop, `Reducer.remainders`,
-which sets up once per run.  The reducer, the pair update (its minimal
-quotients, its coprime leads and the initial build's later leads),
-`interreduce` and monomial minimalisation find divisors on one top-bit
-index (`_index_add`, `_divisor`).  Both first walk the initial pair set in
-the order it was built, up to the first nonzero remainder (`_walk`); most
-generator sets the engine meets, minors under an antidiagonal order, are
-already bases, and for them the walk is the whole run.  `buchberger` then
-runs the Buchberger loop from that remainder, which selects the pairs left
-by sugar from a heap that holds the keys of the pairs each update adds, and
-`interreduce` finishes the reduced basis on the loop's own entries,
-building one Polynomial per element it keeps.  An intersection J cap K is
-first read off the reduced bases of J and K: the elements of each that lie
-in the other ideal are a Groebner basis of it when their leads generate
-in(J) cap in(K), which contains in(J cap K); only the leads that none of
-theirs divides are paired in that test.  Taken from one basis they are
-already reduced and are the answer as they are; taken from both they are
-interreduced.  Knutson's in(J cap K) = in(J) cap in(K) for compatibly
-split ideals ("Frobenius splitting, point-counting, and degeneration",
-arXiv:0911.4941) is why the paper's band intersections pass.  When the
-leads do not certify it, an auxiliary t is eliminated from t*J + (1-t)*K
-and only the aux-free entries are interreduced.  `Ideal.equal` reads
-equality with an ideal whose basis is cached off the other side's
-generators when, made monic, they are that basis: so the band identity
-left + right = wide cap inner costs the runs of wide and inner alone.
-Whether the set a walk decided is a Groebner basis is recorded with its
-generator list, so `buchberger` and then
+leads: a new lead forms lcms only with the leads that share a variable with
+it, a lead coprime to it acts only through one divisor search, skipped when
+no lead is coprime to it or when the quotient has fewer variables outside
+the new lead than any lead has, and the initial build tests the chain
+criterion once per pair against the later leads, but not for a pair whose
+lcm is lm_j times one variable when no later lead is of lower degree than
+lm_j, which it cannot drop.  Both form and reduce each S-pair on the terms
+of a reducer's entries, coefficients as the polynomials hold them, and
+every remainder, of an S-pair or of a tail, comes from one reduction loop,
+`Reducer.remainders`, which sets up once per run, reading the deadline too.
+The reducer, the pair update (its minimal quotients, its coprime leads and
+the initial build's later leads), `interreduce` and monomial minimalisation
+find divisors on one top-bit index (`_index_add`, `_divisor`).  Both first
+walk the initial pair set in the order it was built, up to the first
+nonzero remainder (`_walk`); most generator sets the engine meets, minors
+under an antidiagonal order, are already bases, and for them the walk is
+the whole run.  `buchberger` then runs the Buchberger loop from that
+remainder, which selects the pairs left by sugar from a heap that holds the
+keys of the pairs each update adds, and `interreduce` finishes the reduced
+basis on the loop's own entries, building one Polynomial per element it
+keeps; a tail none of whose terms is a kept lead or above the least kept
+lead's degree is kept as it is.  An intersection J cap K is first read off
+the reduced bases of J and K: the elements of each that lie in the other
+ideal are a Groebner basis of it when their leads generate in(J) cap in(K),
+which contains in(J cap K); only the leads that none of theirs divides are
+paired in that test.  Taken from one basis they are already reduced and are
+the answer as they are; taken from both they are interreduced.  Knutson's
+in(J cap K) = in(J) cap in(K) for compatibly split ideals ("Frobenius
+splitting, point-counting, and degeneration", arXiv:0911.4941) is why the
+paper's band intersections pass.  When the leads do not certify it, an
+auxiliary t is eliminated from t*J + (1-t)*K and only the aux-free entries
+are interreduced.  `Ideal.equal` reads equality with an ideal whose basis
+is cached off the other side's generators when, made monic, they are that
+basis: so the band identity left + right = wide cap inner costs the runs of
+wide and inner alone.  Whether the set a walk decided is a Groebner basis
+is recorded with its generator list, so `buchberger` and then
 `is_groebner_basis` on the same generators reduce the S-pairs once, and
 `is_groebner_basis` answers the same polynomial objects before it builds a
 reducer.  An `Ideal` keeps the reducer of each cached basis for its normal
@@ -89,7 +91,8 @@ from __future__ import annotations
 
 import heapq
 import operator
-from itertools import combinations_with_replacement, compress, zip_longest
+import time
+from itertools import accumulate, combinations_with_replacement, compress, zip_longest
 from math import prod
 
 from .fields import Field
@@ -105,6 +108,7 @@ from .poly import (
     Variable,
     _check_deadline,
     _check_fields,
+    _current_deadline,
     _overflow,
     _packing,
     aux_var,
@@ -132,10 +136,10 @@ from .record import Record, set_field
 # since every basis element is monic and minors have coefficients +-1.
 # Division goes through `Field.div`.  A `Reducer` entry is (lead, lead
 # coefficient, tail terms, lead's support mask).  There is one reduction
-# loop, `Reducer.remainders`: it binds the field, packing, order key and
-# index once and yields the remainder of each term dict it draws, on the
-# reducer as it stands at that draw.  The walk and the Buchberger loop each
-# feed one run the S-pairs, formed from two entries on term dicts
+# loop, `Reducer.remainders`: it binds the field, packing, order key, index
+# and deadline once and yields the remainder of each term dict it draws, on
+# the reducer as it stands at that draw.  The walk and the Buchberger loop
+# each feed one run the S-pairs, formed from two entries on term dicts
 # (`s_polynomial`), so no S-pair becomes a Polynomial; `interreduce` moves
 # the driver's entries as they are into a reducer and feeds one run their
 # tails; `Reducer.remainder` is the run of one dict.
@@ -166,7 +170,7 @@ def _sub_multiple(work: dict, tail, u: int, q, p) -> None:
     """work -= q * u * tail, in place; `tail` holds (monomial, coefficient) pairs."""
     if p is None:
         for tm, tc in tail:
-            mm = mono_mul(tm, u)
+            mm = tm + u  # mono_mul, inline
             v = work.get(mm, 0) - tc * q
             if v:
                 work[mm] = v
@@ -174,7 +178,7 @@ def _sub_multiple(work: dict, tail, u: int, q, p) -> None:
                 del work[mm]
     else:
         for tm, tc in tail:
-            mm = mono_mul(tm, u)
+            mm = tm + u
             v = (work.get(mm, 0) - tc * q) % p
             if v:
                 work[mm] = v
@@ -262,17 +266,19 @@ class Reducer:
         """Yields the remainder of each term dict drawn from `works`, which it
         consumes, on the reducer as it stands when the dict is drawn: its
         terms in descending order, the leading term first.  The field,
-        packing, order key and index are bound once, on the first draw, so
-        entries added between two draws take part in the later remainders.
-        The budget is checked once per term taken."""
+        packing, order key, index and deadline are bound once, on the first
+        draw, so entries added between two draws take part in the later
+        remainders.  The budget is checked once per term taken."""
         field, packing, index = self.field, self.packing, self.index
         p, div, coerce = field.p, field.div, field.coerce
         guard, low = packing.guard, packing.low
         native, keyfn = self.order.is_native, self.order.key
+        deadline = _current_deadline()
         for work in works:
             rem = {}
             while work:
-                _check_deadline()
+                if deadline is not None and time.monotonic() > deadline:
+                    _check_deadline()  # raises: the deadline has passed
                 m = max(work) if native else max(work, key=keyfn)
                 c = work.pop(m)
                 if m & guard:
@@ -282,7 +288,7 @@ class Reducer:
                     rem[m] = coerce(c)
                     continue
                 lm, lc, tail, _ = hit
-                _sub_multiple(work, tail, mono_div(m, lm, guard), div(c, lc), p)
+                _sub_multiple(work, tail, m - lm, div(c, lc), p)
             yield rem
 
 
@@ -359,8 +365,10 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 #   alone.  `_initial_pairs` tests each pair it makes once, by descending
 #   j, against the later leads filed on a divisor index of their own, and
 #   its dict equals, in order too, the one that adding the leads one at a
-#   time by `_update_pairs` gives.  The driver's `_update_pairs` cannot
-#   know the later leads, so it scans the pair set for each new lead.
+#   time by `_update_pairs` gives.  A pair of lcm lm_j * x, x a variable,
+#   is not tested when no later lead is of lower degree than lm_j.  In the
+#   Buchberger loop `_update_pairs` cannot know the later leads, so it
+#   scans the pair set for each new lead.
 # - No build for a decided set: `is_groebner_basis` on generators whose
 #   verdict is recorded, and `buchberger` on generators recorded as a
 #   basis, build no pair set (`_verdict`).  `is_groebner_basis` on the very
@@ -499,7 +507,11 @@ def _initial_pairs(lmG, packing: Packing):
     `_divisor` does, but only those that hold a lead, and on past a divisor
     of L that fails the cofactor test.  Deleting the pairs it drops leaves
     the others in order.  The build checks the budget once per lead, the
-    B pass once per j whose pairs meet later leads.
+    B pass once per j whose pairs it walks.
+
+    No walk is needed when L = lm_j * x, x one variable, and no lead after
+    j has a lower degree than lm_j: if lm_k | L, lcm(lm_j, lm_k) is L, or
+    lm_j, and then lm_k | lm_j forces lm_k = lm_j and lcm(lm_i, lm_k) = L.
     """
     leads = _Leads(packing)
     P: dict = {}
@@ -508,13 +520,20 @@ def _initial_pairs(lmG, packing: Packing):
         for i, L in _near_pairs(leads, lm):
             P[i, j] = L
         leads.add(lm)
+    if not P:
+        return leads, P
     lms, masks, guard, low = leads.lms, leads.masks, leads.guard, leads.low
+    degrees = list(map(mono_degree, lms))
+    least = list(accumulate(reversed(degrees), min))[::-1]  # least[j]: from lead j on
+    ones = guard >> FIELD_BITS
     later: dict = {}  # the leads k >= filed, on the divisor index
     tops = 0  # the top bits of their masks: the buckets that hold a lead
     gone, filed = [], len(lms)
     for ij, L in reversed(P.items()):  # grouped by j, descending
         i, j = ij
-        if filed > j + 1:  # j's first pair: file the leads after j
+        if degrees[j] == least[j] and (q := L - lms[j]) & ones and q.bit_count() == 1:
+            continue
+        if filed > j + 1:  # j's first walked pair: file the leads after j
             _check_deadline()
             for k in range(j + 1, filed):
                 _index_add(later, lms[k], masks[k], k)
@@ -684,7 +703,9 @@ def interreduce(entries, order: TermOrder, field: Field, packing: Packing) -> li
     order, an entry goes into one reducer as it is unless `_divisor` finds a
     lead there dividing its own; the tails are then reduced on it by one
     `Reducer.remainders` run: a lead never divides a smaller term, so that
-    is reducing each by the others.
+    is reducing each by the others.  A tail is kept as it is, its terms
+    sorted, when no term is a kept lead or has a degree above the least
+    kept lead's: a lead can divide such a term only by being it.
     """
     guard = packing.guard
     reducer = Reducer((), order, field, packing)
@@ -692,9 +713,17 @@ def interreduce(entries, order: TermOrder, field: Field, packing: Packing) -> li
         if _divisor(reducer.index, entry[0], entry[3], guard) is None:
             reducer.add_entry(entry)
     kept = reducer.entries
-    rems = reducer.remainders(dict(tail) for _, _, tail, _ in kept)
-    return [Polynomial(field, {lm: lc, **rem}, packing)
-            for (lm, lc, _, _), rem in zip(kept, rems)]
+    leads = {e[0] for e in kept}
+    least = min(map(mono_degree, leads), default=0)
+    settled = [all(m not in leads and mono_degree(m) <= least for m, _ in tail)
+               for _, _, tail, _ in kept]
+    rems = reducer.remainders(dict(e[2]) for e, done in zip(kept, settled) if not done)
+    key = operator.itemgetter(0) if order.is_native else lambda t: order.key(t[0])
+    out = []
+    for (lm, lc, tail, _), done in zip(kept, settled):
+        rem = dict(sorted(tail, key=key, reverse=True)) if done else next(rems)
+        out.append(Polynomial(field, {lm: lc, **rem}, packing))
+    return out
 
 
 def buchberger(gens, order: TermOrder = ANTIDIAG, below: int | None = None):

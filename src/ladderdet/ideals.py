@@ -47,9 +47,9 @@ def ladder_ring(field: Field, L: Ladder) -> Ring:
 
 
 def cells_from_json(cells) -> list[tuple[int, int]]:
-    """A JSON list of [i, j] cells, each a pair of integers."""
-    if not isinstance(cells, list):
-        raise ValueError(f"cells must be a list of [i, j] pairs, got {cells!r}")
+    """A nonempty JSON list of [i, j] cells, each a pair of integers."""
+    if not isinstance(cells, list) or not cells:
+        raise ValueError(f"cells must be a nonempty list of [i, j] pairs, got {cells!r}")
     return [_int_pair(cell, "cell") for cell in cells]
 
 

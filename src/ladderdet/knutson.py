@@ -391,12 +391,11 @@ def _node_from_obj(obj, field: Field):
     kind = obj["kind"]
     if kind == "leaf":
         return Leaf(parse_polynomial(obj["factor"], field))
-    if kind == "sum":
-        return Sum(tuple(_node_from_obj(ch, field) for ch in obj["children"]))
-    if kind == "intersect":
+    if kind in ("sum", "intersect"):
         if not obj["children"]:
-            raise DerivationError("an intersect node needs at least one child")
-        return Intersect(tuple(_node_from_obj(ch, field) for ch in obj["children"]))
+            raise DerivationError(f"{kind} node needs at least one child")
+        return (Sum if kind == "sum" else Intersect)(
+            tuple(_node_from_obj(ch, field) for ch in obj["children"]))
     if kind == "min_prime":
         ident = obj.get("identity")
         identity = None

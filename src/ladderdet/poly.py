@@ -56,6 +56,14 @@ def time_limit(seconds: float | None):
         _deadline.reset(token)
 
 
+def _current_deadline() -> float | None:
+    """The `time.monotonic()` reading past which the current context's
+    budget has run out, or None: for a loop that compares it inline, as
+    `groebner.Reducer.remainders` does per term, and calls
+    `_check_deadline` to raise."""
+    return _deadline.get()
+
+
 def _check_deadline():
     deadline = _deadline.get()
     if deadline is not None and time.monotonic() > deadline:

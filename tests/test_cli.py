@@ -422,13 +422,18 @@ _DEEP_SUM = ('{"cells": [[1, 1]], "field": "q", "f_factors": ["x[1,1]"], "root":
                "claimed": ["x[1,1]"], "identity": {"kind": "bogus"}}}),
     (["ideal", "gb"], {"shape": [0, 2], "gens": ["1"]}),
     (["ideal", "gb"], {"shape": [2, -1], "gens": ["1"]}),
+    (["ideal", "gb"], {"cells": [], "gens": ["1"]}),
+    (["knutson", "verify"],
+     {"cells": [[1, 1]], "field": "q", "f_factors": ["x[1,1]"],
+      "root": {"kind": "sum", "children": []}}),
 ], ids=["knutson-verify", "poset-spec", "ideal-gb", "fedder-bad-t-entry", "ideal-gb-short-t",
         "ideal-gb-int-gen", "ideal-gb-float-cell", "knutson-verify-int-factor",
         "knutson-verify-int-claimed", "poset-spec-float-index", "knutson-verify-deep-sum",
         "ladder-validate-deep", "ideal-gb-deep", "poset-spec-deep", "schubert-deep",
         "poset-spec-outside-grid", "ideal-member-zero-denominator",
         "ideal-gb-denominator-divisible-by-p", "knutson-verify-empty-intersect",
-        "knutson-verify-unknown-identity", "ideal-gb-empty-rows", "ideal-gb-negative-cols"])
+        "knutson-verify-unknown-identity", "ideal-gb-empty-rows", "ideal-gb-negative-cols",
+        "ideal-gb-no-cells", "knutson-verify-empty-sum"])
 def test_malformed_loader_input_exits_2(argv, content, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(content if isinstance(content, str) else json.dumps(content))

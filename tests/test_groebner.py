@@ -1320,6 +1320,33 @@ def test_initial_pairs_match_set_based_reference(order, aux):
         assert all(masks[i] & masks[j] for i, j in P)
 
 
+def test_initial_pairs_walk_b_unless_the_skip_is_exact():
+    # B drops the pair (0, 1) in each case.  In the first its lcm xyz is
+    # lm_1 * x, one variable, but the later lead y is of lower degree; in
+    # the others no later lead is of lower degree than lm_1, but the lcm is
+    # lm_1 * x^2 or lm_1 * xw.
+    ring = Ring(QQ, (gv(1, 1), gv(1, 2), gv(1, 3), gv(2, 1)))
+    x, y, z, w = ring.variables
+    for leads in [[[x, y], [y, z], [y]], [[x, x, z], [y, z], [x, z]],
+                  [[x, w, z], [y, z], [x, z]]]:
+        lmG = [ring.packing.pack((v, 1) for v in lead) for lead in leads]
+        _, P = _initial_pairs(lmG, ring.packing)
+        assert (0, 1) in _initial_pairs(lmG[:2], ring.packing)[1] and (0, 1) not in P
+        assert P == reference_pairs.initial_pairs(lmG, ANTIDIAG, ring.packing)
+
+
+def _mixed_degree_leads(rng, variables):
+    """Squarefree and other leads of degree 1 to 4, in ascending,
+    descending or random order of degree: so the least degree after a lead
+    is sometimes below its own and sometimes not."""
+    leads = [[(rng.choice(variables), 1) for _ in range(rng.randint(1, 4))]
+             for _ in range(rng.randint(3, 12))]
+    how = rng.randrange(3)
+    if how < 2:
+        leads.sort(key=len, reverse=bool(how))
+    return leads
+
+
 # -- the pair update against the packed-int updates it replaced
 # -- (tests/reference_pairs.py): the same pair dicts, and against the
 # -- all-leads scan the lead index replaced, the same insertion order
@@ -1359,8 +1386,9 @@ def test_pair_update_matches_the_reference_update(order, aux):
     if aux:
         variables.append(aux_var("t"))
     packing = Ring(QQ, tuple(variables)).packing
-    for k in range(450):
-        leads = (_seeded_leads if k < 300 else _small_support_leads)(rng, variables)
+    for k in range(600):
+        leads = (_seeded_leads if k < 300 else _small_support_leads if k < 450
+                 else _mixed_degree_leads)(rng, variables)
         lmG = [packing.pack(pairs) for pairs in leads]
         _assert_updates_match_reference(lmG, order, packing, rng)
 
@@ -2096,17 +2124,30 @@ def test_time_limit_stops_the_s_pair_loop(run):
             run(nine)
 
 
-def test_time_limit_reaches_the_pair_build():
-    # The 784 2-minors of the full 8 x 8 grid: building their pair set
-    # alone takes seconds, and no S-pair is reduced before it is built.
+def test_time_limit_reaches_the_pair_build(monkeypatch):
+    # The 784 2-minors of the full 8 x 8 grid.  The pair build checks the
+    # budget once per lead, so a budget that runs out at the 100th check
+    # stops it inside the build, before any S-pair is formed, however fast
+    # the build is.
+    from ladderdet import groebner
+
     ring = Ring.for_grid(QQ, 8, 8)
     rows = list(combinations(range(1, 9), 2))
     gens = [expand_minor(Minor(r, c), QQ, ring.packing) for r in rows for c in rows]
-    start = time.monotonic()
-    with pytest.raises(InstanceTooLarge):
-        with time_limit(0.2):
-            is_groebner_basis(gens)
-    assert time.monotonic() - start < 1.5
+    calls = 0
+
+    def check():
+        nonlocal calls
+        calls += 1
+        if calls == 100:
+            raise InstanceTooLarge("instance too large: time budget exceeded")
+
+    monkeypatch.setattr(groebner, "_verdict", None)
+    monkeypatch.setattr(groebner, "_check_deadline", check)
+    with pytest.raises(InstanceTooLarge) as raised:
+        is_groebner_basis(gens)
+    assert [entry.name for entry in raised.traceback[-2:]] == ["_initial_pairs", "check"]
+    assert groebner._verdict is None
 
 
 def test_s_pair_step_raises_past_the_exponent_field():
@@ -2168,6 +2209,33 @@ def test_interreduce_produces_monic_antichain():
                 assert not mono_divides(mi, mj, guard)
 
 
+def test_interreduce_reduces_each_tail_term_a_kept_lead_divides():
+    # Under ANTIDIAG x[1,3] > x[1,2] > x[1,1].  A tail is kept as it is
+    # only when no term is a kept lead or above the least kept lead's
+    # degree; here the tail term x[1,2] is a kept lead, and x[1,2]^2 is of
+    # higher degree and divided by one.
+    for gens, expected in [(["x[1,3] - x[1,2]", "x[1,2] - x[1,1]"], "x[1,3] - x[1,1]"),
+                           (["x[1,3] - x[1,2]^2", "x[1,2] - x[1,1]"], "x[1,3] - x[1,1]^2")]:
+        gens = _one_packing(P(g) for g in gens)
+        basis = [P("x[1,2] - x[1,1]"), P(expected)]
+        assert interreduce(Reducer(gens).entries, ANTIDIAG, QQ, gens[0].packing) == basis
+        assert buchberger(gens) == basis
+
+
+def test_interreduce_keeps_a_settled_tail_in_remainder_order():
+    # The first generator's tail terms are neither a lead nor above degree
+    # one, the least lead degree, so its tail takes no remainder; its
+    # terms still come out in descending order, as a remainder has them,
+    # though the generator lists them in another order.
+    gens = _one_packing([P("x[1,1] + x[1,2] + x[1,3]"), P("x[2,1]*x[2,2] + x[2,3]*x[2,4]")])
+    entries = Reducer(gens).entries
+    assert [m for m, _ in entries[0][2]] != [m for m, _ in gens[0].sorted_terms(ANTIDIAG)][1:]
+    reduced = interreduce(entries, ANTIDIAG, QQ, gens[0].packing)
+    assert sorted(reduced, key=str) == sorted(gens, key=str)
+    assert [list(h.terms) for h in reduced] == [[m for m, _ in h.sorted_terms(ANTIDIAG)]
+                                                for h in reduced]
+
+
 def _reference_interreduce(G, order):
     """Reduced basis from a Groebner basis given as Polynomials, as
     `interreduce` built it before it took the driver's entries."""
@@ -2225,7 +2293,8 @@ def test_interreduce_of_driver_entries_matches_the_polynomial_reference(field, o
         reduced = interreduce(entries, order, field, packing)
         expected = _reference_interreduce(entry_polys, order)
         assert reduced == expected
-        assert [g.terms for g in reduced] == [g.terms for g in expected]
+        assert [list(g.terms.items()) for g in reduced] == [list(g.terms.items())
+                                                             for g in expected]
         assert reduced == buchberger(gens, order)
         dropped += len(reduced) < len(entries)
     assert checked >= 20 and shared >= 10 and dropped >= 10
