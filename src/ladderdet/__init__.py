@@ -60,13 +60,9 @@ from .oracle import (
     symbolic_power_saturation,
 )
 from .poly import (
-    ANTIDIAG,
-    GREVLEX,
     ExponentOverflow,
     Minor,
     Polynomial,
-    TermOrder,
-    compare_monomials,
     expand_minor,
     grid_var,
     parse_polynomial,

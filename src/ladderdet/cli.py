@@ -48,7 +48,7 @@ from .oracle import (
     symbolic_fsplit_certificate,
     symbolic_power_saturation,
 )
-from .poly import Minor, mono_to_str, parse_order, parse_polynomial, poly_to_str, time_limit
+from .poly import Minor, mono_to_str, parse_polynomial, poly_to_str, time_limit
 
 
 class UsageError(ValueError):
@@ -131,15 +131,15 @@ def _emit(args, payload: dict, text_lines):
 
 
 def _emit_basis(args, ideal, extra=()):
-    """The reduced basis of `ideal` under `args.order`, a line per element and
-    per key=value of `extra`; in JSON, {"basis": [...]} and the `extra` keys."""
-    basis = ideal.canonical_strings(args.order)
+    """The reduced basis of `ideal`, a line per element and per key=value of
+    `extra`; in JSON, {"basis": [...]} and the `extra` keys."""
+    basis = ideal.canonical_strings()
     _emit(args, {"basis": basis, **dict(extra)}, basis + [f"{k}={v}" for k, v in extra])
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns the exit status; `main` has parsed
-# `args.field` and `args.order`.
+# `args.field`.
 
 
 def _cmd_ladder(args) -> int:
@@ -180,7 +180,7 @@ def _cmd_ideal(args) -> int:
         if J.ring != I.ring:
             J = Ideal(I.ring, J.gens)
     if args.action == "gens":
-        gens = [poly_to_str(g, args.order) for g in I.gens]
+        gens = [poly_to_str(g) for g in I.gens]
         _emit(args, {"gens": gens}, gens)
         return 0
     if args.action == "eq":
@@ -194,7 +194,7 @@ def _cmd_ideal(args) -> int:
         _emit(args, {"member": member}, [f"member={member}"])
         return 0 if member else 1
     if args.action == "initial":
-        init = I.initial_ideal(args.order)
+        init = I.initial_ideal()
         monos = [mono_to_str(m, I.ring.packing) for m in init.gens]
         _emit(args, {"initial": monos, "squarefree": init.is_squarefree()},
               monos + [f"squarefree={init.is_squarefree()}"])
@@ -220,7 +220,7 @@ def _cmd_witness(args) -> int:
         _emit(args, json.loads(cert.to_json()), [cert.to_json()])
         return 0
     build = f_witness if args.action == "f" else g_witness
-    witness = poly_to_str(build(ladder, t, args.field), args.order)
+    witness = poly_to_str(build(ladder, t, args.field))
     _emit(args, {args.action: witness}, [witness])
     return 0
 
@@ -292,7 +292,6 @@ def _cmd_knutson(args) -> int:
         deriv = ladder_derivation(ladder, t, args.field)
     else:
         raise UsageError("knutson derive needs --ladder or --corner")
-    # The derivation JSON is a file format: always in antidiagonal order.
     obj = derivation_to_obj(deriv)
     text = json.dumps(obj)
     if args.out:
@@ -319,10 +318,10 @@ def _cmd_schubert(args) -> int:
     w = _load_file(args.perm, PartialPermutation.from_json, "partial permutation file")
     I = schubert_ideal(w, args.field)
     if not args.gb:
-        gens = [poly_to_str(g, args.order) for g in I.gens]
+        gens = [poly_to_str(g) for g in I.gens]
         _emit(args, {"gens": gens}, gens)
         return 0
-    squarefree = () if I.is_zero else [("squarefree", I.initial_ideal(args.order).is_squarefree())]
+    squarefree = () if I.is_zero else [("squarefree", I.initial_ideal().is_squarefree())]
     _emit_basis(args, I, squarefree)
     return 0
 
@@ -408,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="coefficient field: q (the default) or fp:<p>; fedder takes its "
                              "prime from --p and refuses q or another fp:<p>, and witness "
                              "certificate is combinatorial, so no field changes it")
-    parser.add_argument("--order", default="antidiag",
-                        help="term order of printed bases and generators: antidiag or grevlex")
     parser.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
                         help="seed for randomized suites")
     parser.add_argument("--timeout", type=_positive_seconds, default=60.0,
@@ -501,11 +498,10 @@ EXIT_BROKEN_PIPE = 128 + 13
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # Every command checks --field and --order, whether it reads them or
-        # not; fedder also needs to know whether --field was given.
+        # Every command checks --field, whether it reads it or not; fedder
+        # also needs to know whether --field was given.
         args.field_given = args.field is not None
         args.field = parse_field(args.field if args.field_given else "q")
-        args.order = parse_order(args.order)
         with time_limit(args.timeout):
             status = args.handler(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

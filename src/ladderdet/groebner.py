@@ -2,7 +2,7 @@
 
 Normal forms, reduced Groebner bases (sugar pair selection after
 Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar cube, please",
-ISSAC 1991: sugar first, then the order's key of the lcm, then the
+ISSAC 1991: sugar first, then the lcm, then the
 indices; coprime-lead and chain criteria via Gebauer-Moeller updates),
 ideal sums / intersections / colons / saturations, Frobenius bracket
 powers, and squarefree monomial-ideal combinatorics (minimal primes,
@@ -80,7 +80,8 @@ once per node, once per support the colon pass sweeps, once per factor of
 a coprime node's covers, once per cover a join tests against the quotients
 and once per cover `minimal_covers` maps back to the source bits.
 
-Monomials are the packed ints of `poly`.  Each ring fixes one `Packing`;
+Monomials are the packed ints of `poly`, and the term order is their int
+order, antidiagonal-lex: a lead is a `max`.  Each ring fixes one `Packing`;
 an ideal re-packs its generators into it, so every monomial of one
 Buchberger run shares a guard mask, and a function given polynomials of
 several packings first moves them into the packing of their joint
@@ -97,14 +98,12 @@ from math import prod
 
 from .fields import Field
 from .poly import (
-    ANTIDIAG,
     FIELD_BITS,
     MAX_EXPONENT,
     MONO_ONE,
     InstanceTooLarge,
     Packing,
     Polynomial,
-    TermOrder,
     Variable,
     _check_deadline,
     _check_fields,
@@ -136,8 +135,8 @@ from .record import Record, set_field
 # since every basis element is monic and minors have coefficients +-1.
 # Division goes through `Field.div`.  A `Reducer` entry is (lead, lead
 # coefficient, tail terms, lead's support mask).  There is one reduction
-# loop, `Reducer.remainders`: it binds the field, packing, order key, index
-# and deadline once and yields the remainder of each term dict it draws, on
+# loop, `Reducer.remainders`: it binds the field, packing, index and
+# deadline once and yields the remainder of each term dict it draws, on
 # the reducer as it stands at that draw.  The walk and the Buchberger loop
 # each feed one run the S-pairs, formed from two entries on term dicts
 # (`s_polynomial`), so no S-pair becomes a Polynomial; `interreduce` moves
@@ -220,13 +219,11 @@ class Reducer:
     batch pays the set-up once.
     """
 
-    __slots__ = ("field", "order", "packing", "entries", "index")
+    __slots__ = ("field", "packing", "entries", "index")
 
-    def __init__(self, basis=(), order: TermOrder = ANTIDIAG, field: Field | None = None,
-                 packing: Packing | None = None):
+    def __init__(self, basis=(), field: Field | None = None, packing: Packing | None = None):
         """The field and packing are those of the first basis element
         unless given."""
-        self.order = order
         self.entries: list = []
         self.index: dict = {}
         self.field = field
@@ -238,7 +235,7 @@ class Reducer:
         if self.packing is None:
             self.field, self.packing = g.field, g.packing
         g = g.repack(self.packing)
-        self.add_terms(g.leading_term(self.order)[0], g.terms)
+        self.add_terms(g.leading_term()[0], g.terms)
 
     def add_terms(self, lm: int, terms: dict) -> None:
         """Add the element with terms `terms` and leading monomial lm."""
@@ -266,20 +263,18 @@ class Reducer:
         """Yields the remainder of each term dict drawn from `works`, which it
         consumes, on the reducer as it stands when the dict is drawn: its
         terms in descending order, the leading term first.  The field,
-        packing, order key, index and deadline are bound once, on the first
-        draw, so entries added between two draws take part in the later
-        remainders.  The budget is checked once per term taken."""
+        packing, index and deadline are bound once, on the first draw, so
+        entries added between two draws take part in the later remainders.  The budget is checked once per term taken."""
         field, packing, index = self.field, self.packing, self.index
         p, div, coerce = field.p, field.div, field.coerce
         guard, low = packing.guard, packing.low
-        native, keyfn = self.order.is_native, self.order.key
         deadline = _current_deadline()
         for work in works:
             rem = {}
             while work:
                 if deadline is not None and time.monotonic() > deadline:
                     _check_deadline()  # raises: the deadline has passed
-                m = max(work) if native else max(work, key=keyfn)
+                m = max(work)
                 c = work.pop(m)
                 if m & guard:
                     raise _overflow()
@@ -292,10 +287,10 @@ class Reducer:
             yield rem
 
 
-def normal_form(f: Polynomial, basis, order: TermOrder = ANTIDIAG) -> Polynomial:
+def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of f on division by `basis` (no quotient bookkeeping)."""
     f, *basis = _one_packing([f, *basis])
-    return Reducer(basis, order).reduce(f)
+    return Reducer(basis).reduce(f)
 
 
 def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
@@ -335,10 +330,9 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 # work.  `buchberger` makes that remainder its first new element, then heaps
 # the keys of the pairs left and pushes the key of each pair an update adds,
 # ordered by the sugar strategy of Giovini et al. (ISSAC 1991): sugar first,
-# then the order's key of the lcm, then the indices.  A popped key whose
-# pair the update has since dropped is skipped.  On a lex order such as
-# ANTIDIAG this completes the basis in low sugar before it reduces
-# high-degree pairs.
+# then the lcm, then the indices.  A popped key whose pair the update has
+# since dropped is skipped.  On a lex order such as antidiagonal-lex this
+# completes the basis in low sugar before it reduces high-degree pairs.
 # Monomials are coprime iff their support masks (`mono_mask`) share no bit,
 # and one can divide another only if its mask lies inside the other's.
 #
@@ -372,8 +366,8 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 # - No build for a decided set: `is_groebner_basis` on generators whose
 #   verdict is recorded, and `buchberger` on generators recorded as a
 #   basis, build no pair set (`_verdict`).  `is_groebner_basis` on the very
-#   list the record holds, the same objects in the same order under the
-#   same term order, builds no monic reducer and no key either.
+#   list the record holds, the same objects in the same order, builds no
+#   monic reducer and no key either.
 # For a, b | L, lcm(a, b) = L iff the cofactors L - a and L - b share no
 # variable, so B takes three masks and no lcm.
 
@@ -557,10 +551,10 @@ def _initial_pairs(lmG, packing: Packing):
     return leads, P
 
 
-def _pair_key(i, j, lcm, lmG, sugars, order):
+def _pair_key(i, j, lcm, lmG, sugars):
     d = mono_degree(lcm)
     sugar = max(sugars[i] + d - mono_degree(lmG[i]), sugars[j] + d - mono_degree(lmG[j]))
-    return (sugar, order.key(lcm), i, j)
+    return (sugar, lcm, i, j)
 
 
 def _monic_terms(terms: dict, lm: int, field: Field) -> dict:
@@ -573,18 +567,17 @@ def _monic_terms(terms: dict, lm: int, field: Field) -> dict:
 
 
 def _monic_term_sets(polys) -> set:
-    """The term sets of the nonzero polynomials, of one packing, made monic
-    under ANTIDIAG."""
+    """The term sets of the nonzero polynomials, of one packing, made monic."""
     return {frozenset(_monic_terms(f.terms, max(f.terms), f.field).items()) for f in polys}
 
 
-def _monic_reducer(gens, order):
+def _monic_reducer(gens):
     """A `Reducer` whose entries are the generators, of one packing, made
     monic, in order; None when one of them is a nonzero constant."""
     field = gens[0].field
-    reducer = Reducer((), order, field, gens[0].packing)
+    reducer = Reducer((), field, gens[0].packing)
     for f in gens:
-        lm = f.leading_term(order)[0]
+        lm = f.leading_term()[0]
         if lm == MONO_ONE:
             return None
         reducer.add_terms(lm, _monic_terms(f.terms, lm, field))
@@ -599,9 +592,9 @@ def _monic_reducer(gens, order):
 _verdict = None
 
 
-def _verdict_key(reducer: Reducer, order: TermOrder):
+def _verdict_key(reducer: Reducer):
     """The record's key; the generators' order and repeats leave the verdict as it is."""
-    return (order, reducer.field, reducer.packing,
+    return (reducer.field, reducer.packing,
             frozenset((lm, frozenset(tail)) for lm, _, tail, _ in reducer.entries))
 
 
@@ -628,7 +621,7 @@ def _walk(reducer: Reducer, P: dict):
     return None
 
 
-def _buchberger_loop(gens, order):
+def _buchberger_loop(gens):
     """The Buchberger driver over generators of one packing.
 
     Returns the `Reducer` entries of a monic Groebner basis, generators
@@ -639,9 +632,9 @@ def _buchberger_loop(gens, order):
     it: when every S-pair reduces to zero the generators' entries are
     returned with no sugar computed.  Otherwise the first nonzero remainder
     becomes the first new element, with its pair's sugar, and the pairs
-    left go on a heap ordered by sugar, then by the order's key of the lcm,
-    then by the indices; each update pushes the keys of the pairs it adds,
-    and a popped pair the update has since dropped is skipped.  Each S-pair
+    left go on a heap ordered by sugar, then by the lcm, then by the
+    indices; each update pushes the keys of the pairs it adds, and a popped
+    pair the update has since dropped is skipped.  Each S-pair
     is formed from two entries and reduced on term dicts, all in one
     `Reducer.remainders` run, which reduces each S-pair on the entries made
     before it was popped; a nonzero remainder becomes a new entry, still
@@ -649,11 +642,11 @@ def _buchberger_loop(gens, order):
     Generators recorded as a Groebner basis are returned as they are.
     """
     global _verdict
-    reducer = _monic_reducer(gens, order)
+    reducer = _monic_reducer(gens)
     if reducer is None:
         return None
     entries = reducer.entries
-    key = _verdict_key(reducer, order)
+    key = _verdict_key(reducer)
     if _verdict is not None and _verdict[1:] == (key, True):
         return entries
     field, packing = reducer.field, reducer.packing
@@ -666,8 +659,8 @@ def _buchberger_loop(gens, order):
     (i, j), rem = walked
     lmG = leads.lms
     sugars = [f.degree() for f in gens]
-    pair_sugar = _pair_key(i, j, P.pop((i, j)), lmG, sugars, order)[0]
-    heap = [_pair_key(*pair, lcm, lmG, sugars, order) for pair, lcm in P.items()]
+    pair_sugar = _pair_key(i, j, P.pop((i, j)), lmG, sugars)[0]
+    heap = [_pair_key(*pair, lcm, lmG, sugars) for pair, lcm in P.items()]
     heapq.heapify(heap)
 
     def s_pairs():
@@ -689,13 +682,13 @@ def _buchberger_loop(gens, order):
         reducer.add_terms(lmr, _monic_terms(rem, lmr, field))
         sugars.append(pair_sugar)  # the sugar of the pair rem came from
         for pair, lcm in new.items():
-            heapq.heappush(heap, _pair_key(*pair, lcm, lmG, sugars, order))
+            heapq.heappush(heap, _pair_key(*pair, lcm, lmG, sugars))
         rem = next(filter(None, rems), None)
         if rem is None:
             return entries
 
 
-def interreduce(entries, order: TermOrder, field: Field, packing: Packing) -> list[Polynomial]:
+def interreduce(entries, field: Field, packing: Packing) -> list[Polynomial]:
     """Reduced basis from the monic `Reducer` entries of a Groebner basis in
     `packing`: the entries with minimal leads, sorted by lead, tails reduced.
 
@@ -708,8 +701,8 @@ def interreduce(entries, order: TermOrder, field: Field, packing: Packing) -> li
     kept lead's: a lead can divide such a term only by being it.
     """
     guard = packing.guard
-    reducer = Reducer((), order, field, packing)
-    for entry in sorted(entries, key=lambda e: order.key(e[0])):
+    reducer = Reducer((), field, packing)
+    for entry in sorted(entries, key=operator.itemgetter(0)):
         if _divisor(reducer.index, entry[0], entry[3], guard) is None:
             reducer.add_entry(entry)
     kept = reducer.entries
@@ -718,40 +711,37 @@ def interreduce(entries, order: TermOrder, field: Field, packing: Packing) -> li
     settled = [all(m not in leads and mono_degree(m) <= least for m, _ in tail)
                for _, _, tail, _ in kept]
     rems = reducer.remainders(dict(e[2]) for e, done in zip(kept, settled) if not done)
-    key = operator.itemgetter(0) if order.is_native else lambda t: order.key(t[0])
     out = []
     for (lm, lc, tail, _), done in zip(kept, settled):
-        rem = dict(sorted(tail, key=key, reverse=True)) if done else next(rems)
+        rem = dict(sorted(tail, key=operator.itemgetter(0), reverse=True)) if done else next(rems)
         out.append(Polynomial(field, {lm: lc, **rem}, packing))
     return out
 
 
-def buchberger(gens, order: TermOrder = ANTIDIAG, below: int | None = None):
+def buchberger(gens, below: int | None = None):
     """Reduced Groebner basis of the ideal generated by `gens`, in the
     packing of their joint variables.
 
     With `below`, a monomial of that packing, only the elements whose lead
-    is less than `below` are interreduced and returned.  Under ANTIDIAG
-    with `below` the auxiliary variable on top, they are the reduced basis
-    of the elimination ideal: ANTIDIAG is lex with the auxiliaries above the
-    grid, an elimination order for them, and the aux-free part of a Groebner
-    basis under an elimination order is a Groebner basis of the elimination
-    ideal.
+    is less than `below` are interreduced and returned.  With `below` the
+    auxiliary variable on top, they are the reduced basis of the elimination
+    ideal: antidiagonal-lex is lex with the auxiliaries above the grid, an
+    elimination order for them, and the aux-free part of a Groebner basis
+    under an elimination order is a Groebner basis of the elimination ideal.
     """
     gens = _one_packing(g for g in gens if not g.is_zero)
     if not gens:
         return []
     field, packing = gens[0].field, gens[0].packing
-    entries = _buchberger_loop(gens, order)
+    entries = _buchberger_loop(gens)
     if entries is None:
         return [Polynomial(field, {MONO_ONE: field.one}, packing)]
     if below is not None:
-        below = order.key(below)
-        entries = [e for e in entries if order.key(e[0]) < below]
-    return interreduce(entries, order, field, packing)
+        entries = [e for e in entries if e[0] < below]
+    return interreduce(entries, field, packing)
 
 
-def is_groebner_basis(gens, order: TermOrder = ANTIDIAG) -> bool:
+def is_groebner_basis(gens) -> bool:
     """True iff every S-polynomial of `gens` reduces to zero against `gens`.
 
     The basis never grows, so the order of the pairs cannot change the
@@ -760,21 +750,20 @@ def is_groebner_basis(gens, order: TermOrder = ANTIDIAG) -> bool:
     walked as the pair set lists them, up to the first nonzero remainder
     (`_walk`).  A set with a nonzero constant is a Groebner basis.  A set
     whose verdict is recorded is answered from the record: the recorded
-    generators themselves, in the same order and under the same term
-    order, with no reducer built, and any other list with the same monic
-    entries by the record's key.
+    generators themselves, in the same order, with no reducer built, and any
+    other list with the same monic entries by the record's key.
     """
     global _verdict
     gens = _one_packing(g for g in gens if not g.is_zero)
     if len(gens) <= 1:
         return True
-    recorded = _verdict[0] if _verdict is not None and _verdict[1][0] == order else ()
+    recorded = _verdict[0] if _verdict is not None else ()
     if len(recorded) == len(gens) and all(map(operator.is_, recorded, gens)):
         return _verdict[2]
-    reducer = _monic_reducer(gens, order)
+    reducer = _monic_reducer(gens)
     if reducer is None:
         return True
-    key = _verdict_key(reducer, order)
+    key = _verdict_key(reducer)
     if _verdict is None or _verdict[1] != key:
         _, P = _initial_pairs([e[0] for e in reducer.entries], reducer.packing)
         _verdict = (gens, key, _walk(reducer, P) is None)
@@ -841,8 +830,8 @@ class Ring(Record):
 
 
 class Ideal:
-    """An ideal given by generators, with cached reduced Groebner bases and
-    the reducers of those bases."""
+    """An ideal given by generators, with its cached reduced Groebner basis
+    and the reducers of that basis."""
 
     __slots__ = ("ring", "gens", "_cache", "_reducers")
 
@@ -859,48 +848,47 @@ class Ideal:
             g = g.repack(ring.packing)
             kept.setdefault(frozenset(g.terms.items()), g)
         self.gens = tuple(kept.values())
-        self._cache: dict[TermOrder, tuple[Polynomial, ...]] = {}
-        # order -> {packing: Reducer of the cached basis in that packing}
-        self._reducers: dict[TermOrder, dict[Packing, Reducer]] = {}
+        self._cache: tuple[Polynomial, ...] | None = None  # the reduced basis
+        # packing -> Reducer of the cached basis in that packing
+        self._reducers: dict[Packing, Reducer] = {}
 
     @classmethod
-    def _with_bases(cls, ring: Ring, gens, bases) -> "Ideal":
+    def _with_bases(cls, ring: Ring, gens, basis) -> "Ideal":
         """The ideal of generators that are already distinct, nonzero and
-        packed in the ring's packing, with their reduced Groebner bases
-        known: `bases` maps an order to its basis (internal)."""
+        packed in the ring's packing, with its reduced Groebner basis
+        `basis`, or None when it is not known (internal)."""
         out = cls.__new__(cls)
         out.ring = ring
         out.gens = tuple(gens)
-        out._cache = dict(bases)
+        out._cache = basis
         out._reducers = {}
         return out
 
     # -- basics
 
-    def groebner_basis(self, order: TermOrder = ANTIDIAG) -> tuple[Polynomial, ...]:
-        basis = self._cache.get(order)
+    def groebner_basis(self) -> tuple[Polynomial, ...]:
+        basis = self._cache
         if basis is None:
-            basis = self._cache.setdefault(order, tuple(buchberger(self.gens, order)))
+            basis = self._cache = tuple(buchberger(self.gens))
         return basis
 
-    def normal_form(self, f: Polynomial, order: TermOrder = ANTIDIAG) -> Polynomial:
+    def normal_form(self, f: Polynomial) -> Polynomial:
         """Remainder of f on division by the reduced basis, as
         `normal_form(f, basis)` gives it: in the packing of the joint
         variables of f and the ring, on the reducer kept for that packing.
         Raises ValueError when f is over another coefficient field."""
         if f.field != self.ring.field:
             raise ValueError(f"mixed coefficient fields: {f.field} vs {self.ring.field}")
-        if not self.groebner_basis(order):
+        if not self.groebner_basis():
             return f
-        return self._reducer(order, join_packings(f.packing, self.ring.packing)).reduce(f)
+        return self._reducer(join_packings(f.packing, self.ring.packing)).reduce(f)
 
-    def _reducer(self, order: TermOrder, packing: Packing) -> Reducer:
+    def _reducer(self, packing: Packing) -> Reducer:
         """The reducer of the reduced basis in `packing`, built on first use and kept."""
-        reducers = self._reducers.setdefault(order, {})
-        reducer = reducers.get(packing)
+        reducer = self._reducers.get(packing)
         if reducer is None:
-            reducer = reducers.setdefault(
-                packing, Reducer(self.groebner_basis(order), order, self.ring.field, packing))
+            reducer = self._reducers.setdefault(
+                packing, Reducer(self.groebner_basis(), self.ring.field, packing))
         return reducer
 
     def contains(self, f: Polynomial) -> bool:
@@ -920,7 +908,7 @@ class Ideal:
         return len(basis) == 1 and basis[0].leading_term()[0] == MONO_ONE
 
     def equal(self, other: "Ideal") -> bool:
-        """Ideal equality via reduced-Groebner-basis comparison under ANTIDIAG.
+        """Ideal equality via reduced-Groebner-basis comparison.
 
         When one side has its basis B cached and the other has none, the
         other's generators, made monic, are first compared with B as a set:
@@ -930,10 +918,10 @@ class Ideal:
         computed and compared."""
         self._require_same_ring(other)
         for known, bare in ((self, other), (other, self)):
-            basis = known._cache.get(ANTIDIAG)
-            if (basis is not None and ANTIDIAG not in bare._cache
+            basis = known._cache
+            if (basis is not None and bare._cache is None
                     and _monic_term_sets(bare.gens) == _monic_term_sets(basis)):
-                bare._cache[ANTIDIAG] = basis
+                bare._cache = basis
                 return True
         return self.groebner_basis() == other.groebner_basis()
 
@@ -959,7 +947,7 @@ class Ideal:
         return Ideal(self.ring, gens)
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """I cap J, with its reduced basis under ANTIDIAG cached.
+        """I cap J, with its reduced basis cached.
 
         The elements H of each reduced basis that lie in the other ideal
         generate I cap J, and are a Groebner basis of it, when a lead of H
@@ -974,7 +962,7 @@ class Ideal:
         kept = _certified_intersection(self, other)
         if kept is None:
             kept = _eliminated_intersection(self, other)
-        return Ideal._with_bases(self.ring, kept, {ANTIDIAG: kept})
+        return Ideal._with_bases(self.ring, kept, kept)
 
     def colon_poly(self, g: Polynomial) -> "Ideal":
         """(I : g) via intersect-with-principal and exact division by g."""
@@ -1023,27 +1011,27 @@ class Ideal:
         # Frobenius is flat over the polynomial ring: the bracket of a reduced
         # basis is again a reduced basis (q-th powers of terms, termwise).
         # It is injective over GF(p), so distinct generators stay distinct.
+        basis = self._cache
         return Ideal._with_bases(
             self.ring, [_frobenius_power(g, q) for g in self.gens],
-            {order: tuple(_frobenius_power(g, q) for g in basis)
-             for order, basis in self._cache.items()})
+            None if basis is None else tuple(_frobenius_power(g, q) for g in basis))
 
-    def initial_ideal(self, order: TermOrder = ANTIDIAG) -> "MonomialIdeal":
+    def initial_ideal(self) -> "MonomialIdeal":
         """The leads of the reduced basis, which are the minimal generators:
-        every cached basis is reduced."""
-        basis = self.groebner_basis(order)
-        return MonomialIdeal(self.ring, tuple(sorted(g.leading_term(order)[0] for g in basis)))
+        the cached basis is reduced."""
+        basis = self.groebner_basis()
+        return MonomialIdeal(self.ring, tuple(sorted(g.leading_term()[0] for g in basis)))
 
-    def canonical_strings(self, order: TermOrder = ANTIDIAG) -> list[str]:
+    def canonical_strings(self) -> list[str]:
         """Reduced basis in the textual format, sorted by leading monomial."""
-        return [poly_to_str(g, order) for g in self.groebner_basis(order)]
+        return [poly_to_str(g) for g in self.groebner_basis()]
 
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens over {self.ring.field})"
 
 
 def _certified_intersection(I: Ideal, J: Ideal):
-    """The reduced basis of I cap J under ANTIDIAG from the reduced bases
+    """The reduced basis of I cap J from the reduced bases
     G_I and G_J, or None when their leads do not certify it.
 
     H holds the elements of each basis that lie in the other ideal; one whose
@@ -1061,7 +1049,7 @@ def _certified_intersection(I: Ideal, J: Ideal):
     """
     packing = I.ring.packing
     guard = packing.guard
-    RI, RJ = I._reducer(ANTIDIAG, packing), J._reducer(ANTIDIAG, packing)
+    RI, RJ = I._reducer(packing), J._reducer(packing)
     # (basis element, its reducer entry) for each element in the other ideal
     HI, HJ = ([(g, entry) for g, entry in zip(basis, R.entries)
                if _divisor(other.index, entry[0], entry[3], guard) is not None
@@ -1079,13 +1067,12 @@ def _certified_intersection(I: Ideal, J: Ideal):
             if _divisor(index, m, mono_mask(m, packing), guard) is None:
                 return None
     if HI and HJ:
-        return tuple(interreduce([entry for _, entry in HI + HJ], ANTIDIAG, I.ring.field,
-                                 packing))
+        return tuple(interreduce([entry for _, entry in HI + HJ], I.ring.field, packing))
     return tuple(g for g, entry in sorted(HI or HJ, key=lambda h: h[1][0]))
 
 
 def _eliminated_intersection(I: Ideal, J: Ideal) -> tuple[Polynomial, ...]:
-    """The reduced basis of I cap J under ANTIDIAG: (t*I + (1-t)*J) cap R,
+    """The reduced basis of I cap J: (t*I + (1-t)*J) cap R,
     eliminating a fresh auxiliary t."""
     ring = I.ring
     aux = ring.fresh_aux()
@@ -1095,11 +1082,11 @@ def _eliminated_intersection(I: Ideal, J: Ideal) -> tuple[Polynomial, ...]:
     t = 1 << packing.shift[aux]
     gens = [g.repack(packing).mul_term(t, 1) for g in I.gens]
     gens += [h - h.mul_term(t, 1) for h in (h.repack(packing) for h in J.gens)]
-    # ANTIDIAG is lex with the auxiliaries on top, so an element whose lead
-    # is below t has no aux in any term; only those are interreduced, and
-    # they are the reduced basis of the intersection.
+    # Antidiagonal-lex is lex with the auxiliaries on top, so an element
+    # whose lead is below t has no aux in any term; only those are
+    # interreduced, and they are the reduced basis of the intersection.
     return tuple(Polynomial(ring.field, b.terms, ring.packing)
-                 for b in buchberger(gens, ANTIDIAG, below=t))
+                 for b in buchberger(gens, below=t))
 
 
 def _exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:
@@ -1108,7 +1095,7 @@ def _exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:
     field = g.field
     p, div, coerce = field.p, field.div, field.coerce
     guard = g.packing.guard
-    lm = g.leading_term(ANTIDIAG)[0]
+    lm = g.leading_term()[0]
     terms = dict(g.terms)
     lc = terms.pop(lm)
     tail = list(terms.items())

@@ -103,7 +103,7 @@ def _ideal_of_distinct(ring: Ring, minors) -> Ideal:
     order given.  Distinct minors have distinct supports, so their
     expansions are distinct and the ideal skips `Ideal`'s term-set dedup."""
     field, packing = ring.field, ring.packing
-    return Ideal._with_bases(ring, [expand_minor(m, field, packing) for m in minors], {})
+    return Ideal._with_bases(ring, [expand_minor(m, field, packing) for m in minors], None)
 
 
 def minors_in_ladder(L: Ladder, t) -> list[Minor]:

@@ -1,4 +1,4 @@
-"""Sparse exact polynomials with matrix-indexed variables and term orders.
+"""Sparse exact polynomials with matrix-indexed variables.
 
 Variables are interned once per session and ordered so that grid variables
 run ``x[1,l] > ... > x[1,1] > x[2,l] > ... > x[k,1]``, auxiliaries above all
@@ -430,76 +430,6 @@ def mono_pow(a: int, n: int, guard: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Term orders
-
-
-class TermOrder(Record):
-    """antidiagonal-lex or graded reverse lex.
-
-    Auxiliary variables always sit above the grid, so antidiagonal-lex
-    compares the auxiliary block lexicographically first, then the grid
-    part: it is an elimination order for the auxiliaries, and
-    `Ideal.intersect` eliminates under it.
-
-    `is_native` is true when packed monomials compare as plain ints under
-    the order, so that `key` is the identity.  That holds for
-    antidiagonal-lex, whose greatest variable has the highest field.
-    """
-
-    __slots__ = ("kind", "is_native")
-    _fields = ("kind",)  # "antidiag-lex" | "grevlex"
-
-    def __init__(self, kind: str):
-        if kind not in ("antidiag-lex", "grevlex"):
-            raise ValueError(f"unknown term order kind: {kind}")
-        set_field(self, "kind", kind)
-        set_field(self, "is_native", kind != "grevlex")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.kind == other.kind
-
-    def __hash__(self):
-        return hash((self.kind,))
-
-    def key(self, m: int):
-        return m if self.is_native else _grevlex_key(m)
-
-    def __str__(self):
-        return self.kind
-
-
-def _grevlex_key(m: int):
-    """Degree, then the negated exponents from the smallest variable up."""
-    rev = []
-    while m:
-        rev.append(-(m & _FIELD))
-        m >>= _W
-    return (-sum(rev), tuple(rev))
-
-
-ANTIDIAG = TermOrder("antidiag-lex")
-GREVLEX = TermOrder("grevlex")
-
-_ORDER_NAMES = {"antidiag": ANTIDIAG, "antidiag-lex": ANTIDIAG, "grevlex": GREVLEX}
-
-
-def parse_order(name: str) -> TermOrder:
-    try:
-        return _ORDER_NAMES[name.strip().lower()]
-    except KeyError:
-        raise ValueError(f"unknown term order: {name!r}") from None
-
-
-def compare_monomials(order: TermOrder, a: int, b: int) -> int:
-    """Total comparison under `order` of two monomials of one packing:
-    -1, 0 or 1."""
-    ka, kb = order.key(a), order.key(b)
-    return (ka > kb) - (ka < kb)
-
-
-# ---------------------------------------------------------------------------
 # Polynomials
 
 
@@ -571,22 +501,21 @@ class Polynomial:
             return -1
         return max(mono_degree(m) for m in self.terms)
 
-    def leading_term(self, order: TermOrder = ANTIDIAG):
+    def leading_term(self):
         """(monomial, coefficient) of the maximal term; error on zero."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms) if order.is_native else max(self.terms, key=order.key)
+        m = max(self.terms)
         return m, self.terms[m]
 
-    def sorted_terms(self, order: TermOrder = ANTIDIAG):
-        """Terms sorted decreasingly under `order` (canonical iteration)."""
-        keys = sorted(self.terms, key=order.key, reverse=True)
-        return [(m, self.terms[m]) for m in keys]
+    def sorted_terms(self):
+        """Terms sorted decreasingly (canonical iteration)."""
+        return [(m, self.terms[m]) for m in sorted(self.terms, reverse=True)]
 
-    def monic(self, order: TermOrder = ANTIDIAG) -> "Polynomial":
+    def monic(self) -> "Polynomial":
         if not self.terms:
             return self
-        _, c = self.leading_term(order)
+        _, c = self.leading_term()
         if c == 1:
             return self
         div = self.field.div
@@ -875,11 +804,11 @@ def mono_to_str(m: int, packing: Packing) -> str:
     return str(Monomial(packing, m))
 
 
-def poly_to_str(f: Polynomial, order: TermOrder = ANTIDIAG) -> str:
+def poly_to_str(f: Polynomial) -> str:
     if f.is_zero:
         return "0"
     out = []
-    for m, c in f.sorted_terms(order):
+    for m, c in f.sorted_terms():
         sign = ""
         if f.field.p is None and c < 0:
             sign, c = "-", -c

@@ -10,9 +10,9 @@ later leads that divide its lcm.  Two references check it:
 
 - `update_pairs` / `initial_pairs`: the update two rewrites back.  Its B_k
   scan tests a support-mask inclusion before calling `mono_divides`, the
-  lcm groups are always sorted with the order's key and each is compared
-  with every minimal one before it, and the coprime-lead criterion is
-  checked on the groups' members after the minimal lcms are known.  It
+  lcm groups are always sorted and each is compared with every minimal
+  one before it, and the coprime-lead criterion is checked on the groups'
+  members after the minimal lcms are known.  It
   returns a new pair dict; its insertion order differs, so it checks keys
   and lcms.
 - `scan_update_pairs` / `scan_initial_pairs`: the update the lead index
@@ -26,7 +26,7 @@ later leads that divide its lcm.  Two references check it:
 from ladderdet.poly import FIELD_BITS, MONO_ONE, mono_divides, mono_lcm, mono_mask
 
 
-def update_pairs(lmG, masks, P, lmf, order, packing):
+def update_pairs(lmG, masks, P, lmf, packing):
     n = len(lmG)
     guard = packing.guard
     maskf = mono_mask(lmf, packing)
@@ -46,7 +46,7 @@ def update_pairs(lmG, masks, P, lmf, order, packing):
     for i, L in enumerate(lcms):
         lcm_groups.setdefault(L, []).append(i)
     minimal = []
-    for L in sorted(lcm_groups, key=order.key):
+    for L in sorted(lcm_groups):
         mask_L = maskf | masks[lcm_groups[L][0]]
         for Lmin, mask in minimal:
             if not mask & ~mask_L and mono_divides(Lmin, L, guard):
@@ -61,11 +61,11 @@ def update_pairs(lmG, masks, P, lmf, order, packing):
     return kept
 
 
-def initial_pairs(lmG, order, packing):
+def initial_pairs(lmG, packing):
     masks = [mono_mask(lm, packing) for lm in lmG]
     P: dict = {}
     for n, lm in enumerate(lmG):
-        P = update_pairs(lmG[:n], masks, P, lm, order, packing)
+        P = update_pairs(lmG[:n], masks, P, lm, packing)
     return P
 
 

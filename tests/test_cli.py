@@ -219,32 +219,6 @@ def test_schubert_and_poset_commands(capsys, tmp_path):
     assert code == 0 and "formula_matches_bruteforce=True" in out
 
 
-def test_order_reaches_schubert_bases(capsys, tmp_path):
-    perm = tmp_path / "w.json"
-    perm.write_text(json.dumps({"shape": [3, 3], "ones": [[1, 2], [2, 1]]}))
-    code, out = run_cli("--format", "json", "schubert", "--perm", str(perm), capsys=capsys)
-    assert code == 0
-    ideal = tmp_path / "ideal.json"
-    ideal.write_text(json.dumps({"shape": [3, 3], "gens": json.loads(out)["gens"]}))
-    schubert = ["schubert", "--perm", str(perm), "--gb"]
-    _, antidiag = run_cli(*schubert, capsys=capsys)
-    code, grevlex = run_cli("--order", "grevlex", *schubert, capsys=capsys)
-    assert code == 0 and grevlex != antidiag
-    # The determinant, led by the main diagonal under grevlex.
-    assert grevlex.splitlines()[1].startswith("x[1,2]*x[2,1]*x[3,3] - ")
-    assert antidiag.splitlines()[1].startswith("x[1,3]*x[2,2]*x[3,1] - ")
-    *basis, squarefree = grevlex.splitlines()
-    assert squarefree.startswith("squarefree=")
-    code, out = run_cli("--order", "grevlex", "ideal", "gb", str(ideal), capsys=capsys)
-    assert code == 0 and out.splitlines() == basis
-
-
-def test_order_reaches_witnesses(capsys):
-    code, out = run_cli("--order", "grevlex", "witness", "f", "--ladder",
-                        str(FIXTURES / "full2x2.json"), "--t", "2", capsys=capsys)
-    assert code == 0 and out.strip() == "x[1,1]*x[2,2] - x[1,2]*x[2,1]"
-
-
 def _run_with_err(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -310,7 +284,7 @@ def test_symbolic_power_without_a_ladder_exits_2(capsys):
 _F22 = str(FIXTURES / "full2x2.json")
 
 
-@pytest.mark.parametrize("argv", [
+_EVERY_COMMAND = pytest.mark.parametrize("argv", [
     ["ladder", "validate", _F22, "--t", "2"],
     ["ideal", "gb", _F22, "--t", "2"],
     ["witness", "certificate", "--ladder", _F22, "--t", "2"],
@@ -321,12 +295,26 @@ _F22 = str(FIXTURES / "full2x2.json")
     ["poset", "--shape", "2,2", "--delta", "1|1"],
     ["accept", "run", "poset-schubert"],
 ], ids=lambda argv: argv[0])
+
+
+@_EVERY_COMMAND
 @pytest.mark.parametrize("flags,message", [
     (["--field", "fp:4"], "modulus is not prime: 4"),
-    (["--order", "lex"], "unknown term order: 'lex'"),
-], ids=["field", "order"])
-def test_field_and_order_are_checked_for_every_command(argv, flags, message, capsys):
+], ids=["field"])
+def test_field_is_checked_for_every_command(argv, flags, message, capsys):
     assert _run_with_err([*flags, *argv], capsys) == (2, "", f"error: {message}\n")
+
+
+@_EVERY_COMMAND
+def test_the_removed_order_flag_is_a_usage_error(argv, capsys):
+    # There is one term order, so --order is no option: argparse refuses
+    # it with its usage message and status 2, before any command runs.
+    with pytest.raises(SystemExit) as exc:
+        main(["--order", "grevlex", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: ladderdet ") and "ladderdet: error: " in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -426,6 +414,8 @@ _DEEP_SUM = ('{"cells": [[1, 1]], "field": "q", "f_factors": ["x[1,1]"], "root":
     (["knutson", "verify"],
      {"cells": [[1, 1]], "field": "q", "f_factors": ["x[1,1]"],
       "root": {"kind": "sum", "children": []}}),
+    (["knutson", "verify"],
+     {"field": "q", "cells": [[1, 1]], "f_factors": ["1"], "root": {"kind": "leaf", "factor": "1"}}),
 ], ids=["knutson-verify", "poset-spec", "ideal-gb", "fedder-bad-t-entry", "ideal-gb-short-t",
         "ideal-gb-int-gen", "ideal-gb-float-cell", "knutson-verify-int-factor",
         "knutson-verify-int-claimed", "poset-spec-float-index", "knutson-verify-deep-sum",
@@ -433,7 +423,7 @@ _DEEP_SUM = ('{"cells": [[1, 1]], "field": "q", "f_factors": ["x[1,1]"], "root":
         "poset-spec-outside-grid", "ideal-member-zero-denominator",
         "ideal-gb-denominator-divisible-by-p", "knutson-verify-empty-intersect",
         "knutson-verify-unknown-identity", "ideal-gb-empty-rows", "ideal-gb-negative-cols",
-        "ideal-gb-no-cells", "knutson-verify-empty-sum"])
+        "ideal-gb-no-cells", "knutson-verify-empty-sum", "knutson-verify-constant-factor"])
 def test_malformed_loader_input_exits_2(argv, content, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(content if isinstance(content, str) else json.dumps(content))

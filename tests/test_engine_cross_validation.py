@@ -9,18 +9,22 @@ coefficient, int and Fraction, and leading coefficients other than 1.
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
 from ladderdet.fields import GF, QQ
-from ladderdet.groebner import Ideal, Ring, buchberger
-from ladderdet.poly import (ANTIDIAG, GREVLEX, MONO_ONE, Minor, Monomial, Polynomial,
-                            expand_minor, grid_var, packing_of)
+from ladderdet.groebner import Ideal, Ring, buchberger, is_groebner_basis
+from ladderdet.ideals import mixed_ladder_ideal
+from ladderdet.ladders import Ladder
+from ladderdet.poly import (MONO_ONE, Minor, Monomial, Polynomial, expand_minor, grid_var,
+                            packing_of)
 from test_groebner import assert_exact_coefficients
 
 SCALARS = (-2, -1, 1, 3, Fraction(2, 3), Fraction(-1, 2))
+FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ladderdet" / "fixtures"
 PAIRS = [(1, 2), (1, 3), (2, 3)]
 
 
@@ -110,10 +114,9 @@ def _sympy_basis_as_sets(basis, nvars, modulus=None):
     return out
 
 
-@pytest.mark.parametrize("order_name", ["lex", "grevlex"])
+@pytest.mark.parametrize("order_name", ["lex"])
 def test_random_ideals_match_sympy(order_name):
-    rng = random.Random(42 if order_name == "lex" else 43)
-    my_order = ANTIDIAG if order_name == "lex" else GREVLEX
+    rng = random.Random(42)
     for trial in range(12):
         k, l = 2, 2
         variables = [grid_var(i, j) for i in range(1, k + 1) for j in range(l, 0, -1)]
@@ -129,7 +132,7 @@ def test_random_ideals_match_sympy(order_name):
         from sympy.polys.groebnertools import groebner as sympy_groebner
 
         expected = sympy_groebner(sympy_gens, sring)
-        got = buchberger(gens, my_order)
+        got = buchberger(gens)
         _assert_exact_basis(got)
         assert _basis_as_sets(got, variables) == _sympy_basis_as_sets(expected, len(variables))
 
@@ -147,9 +150,28 @@ def test_determinantal_bases_match_sympy():
     from sympy.polys.groebnertools import groebner as sympy_groebner
 
     expected = sympy_groebner([_to_sympy(g, variables, symbols, sring) for g in gens], sring)
-    got = buchberger(gens, ANTIDIAG)
+    got = buchberger(gens)
     _assert_exact_basis(got)
     assert _basis_as_sets(got, variables) == _sympy_basis_as_sets(expected, len(variables))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=str)
+@pytest.mark.parametrize("name", ["full2x2", "full2x3", "full3x3", "full3x4",
+                                  "staircase_sub4x4", "staircase10"])
+def test_ladder_minor_bases_match_sympy(name, field):
+    """The generating minors of each bundled ladder (mixed sizes on
+    staircase10) are a Groebner basis under antidiagonal-lex, and their
+    reduced basis is sympy's reduced lex basis with the ladder ring's
+    variables in its order.  Over GF(2) the minors are permanents."""
+    L, t = Ladder.from_json((FIXTURES / f"{name}.json").read_text())
+    I = mixed_ladder_ideal(L, t or 2, field)
+    variables = list(I.ring.variables)
+    assert is_groebner_basis(I.gens)
+    got = buchberger(I.gens)
+    domain, modulus = (sympy.QQ, None) if field is QQ else (sympy.GF(field.p), field.p)
+    expected = _sympy_groebner(I.gens, variables, domain, "lex")
+    assert _basis_as_sets(got, variables) == _sympy_basis_as_sets(expected, len(variables),
+                                                                  modulus)
 
 
 def test_modular_bases_match_sympy():
@@ -168,19 +190,18 @@ def test_modular_bases_match_sympy():
         from sympy.polys.groebnertools import groebner as sympy_groebner
 
         expected = sympy_groebner([_to_sympy(g, variables, symbols, sring) for g in gens], sring)
-        got = buchberger(gens, ANTIDIAG)
+        got = buchberger(gens)
         assert _basis_as_sets(got, variables) == _sympy_basis_as_sets(expected, len(variables), p)
 
 
-@pytest.mark.parametrize("order_name", ["lex", "grevlex"])
+@pytest.mark.parametrize("order_name", ["lex"])
 def test_rational_3x3_bases_match_sympy(order_name):
-    rng = random.Random(45 if order_name == "lex" else 46)
-    my_order = ANTIDIAG if order_name == "lex" else GREVLEX
+    rng = random.Random(45)
     variables = _grid3_variables()
     non_integral = 0
     for _ in range(8):
         gens = _minors_plus_noise(rng, variables, QQ)
-        got = buchberger(gens, my_order)
+        got = buchberger(gens)
         _assert_exact_basis(got)
         non_integral += sum(c.denominator != 1 for g in got for c in g.terms.values())
         expected = _sympy_groebner(gens, variables, sympy.QQ, order_name)
@@ -194,7 +215,7 @@ def test_modular_3x3_bases_match_sympy():
     variables = _grid3_variables()
     for _ in range(8):
         gens = _minors_plus_noise(rng, variables, GF(p))
-        got = buchberger(gens, ANTIDIAG)
+        got = buchberger(gens)
         expected = _sympy_groebner(gens, variables, sympy.GF(p), "lex")
         assert _basis_as_sets(got, variables) == _sympy_basis_as_sets(expected, len(variables), p)
 
@@ -218,21 +239,21 @@ def _elimination_case(rng, field, coeffs):
     return ring, I, J, (aux,) + ring.variables, gens
 
 
-@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7)], ids=["QQ", "GF2", "GF3", "GF7"])
 def test_elimination_bases_match_sympy(field):
-    """ANTIDIAG is lex with the auxiliary on top: buchberger under it must give
+    """Antidiagonal-lex is lex with the auxiliary on top: buchberger must give
     sympy's reduced lex basis of t*I + (1 - t)*J, and `Ideal.intersect`
     the t-free part of that basis."""
     rng = random.Random(48 if field is QQ else 49)
     modulus = None if field is QQ else field.p
     domain = sympy.QQ if field is QQ else sympy.GF(field.p)
-    coeffs = SCALARS if field is QQ else (-3, -2, -1, 1, 2, 3)
+    coeffs = SCALARS if field is QQ else tuple(c for c in (-3, -2, -1, 1, 2, 3) if c % field.p)
     compared = proper = 0
     for _ in range(14):
         ring, I, J, variables, gens = _elimination_case(rng, field, coeffs)
         if not I.gens or not J.gens:
             continue
-        got = buchberger(gens, ANTIDIAG)
+        got = buchberger(gens)
         expected = _sympy_basis_as_sets(_sympy_groebner(gens, variables, domain, "lex"),
                                         len(variables), modulus)
         assert _basis_as_sets(got, variables) == expected

@@ -3,18 +3,19 @@ commands, compared byte for byte with `tests/golden/cli.json`.
 
 The set covers every bundled fixture (ladder, ideal, witness and Knutson
 commands) plus one run each of ideal intersect / colon / saturate / eq /
-sum / gens / member, grevlex bases and initial ideals, grevlex bases of a
-Schubert ideal and of a poset spec, an ideal with exponents above 1, a
-certificate over GF(3), Fedder with the witness and with a given
-candidate, symbolic compare and symbolic power, Schubert generators and
-bases, poset checks, sum-formula bases and the three kinds of poset spec,
-one acceptance criterion, and three corner derivations (a verified square
-SE corner, a verified non-square SE corner whose D1 base case is wider
-than the grid has rows, and a NW corner as JSON only).  The generator
-lists of a mixed ladder and of a Schubert ideal are pinned in order.
-These run under `--format json`; three more pin the text renderings of a
-failing ladder validation, a corner derivation's verify report and
-`accept run --verbose`.  Refactors of the engine must leave every recorded output unchanged.
+sum / gens / member, the basis and initial ideal of a small ideal, a
+basis over GF(2), the basis and initial ideal of an ideal with exponents
+above 1, a certificate over GF(3), Fedder with the witness and with a
+given candidate, symbolic compare and symbolic power, Schubert generators
+and bases, poset checks, sum-formula bases and the three kinds of poset
+spec, one acceptance criterion, and three corner derivations (a verified
+square SE corner, a verified non-square SE corner whose D1 base case is
+wider than the grid has rows, and a NW corner as JSON only).  The
+generator lists of a mixed ladder and of a Schubert ideal are pinned in
+order.  These run under `--format json`; three more pin the text
+renderings of a failing ladder validation, a corner derivation's verify
+report and `accept run --verbose`.
+Refactors of the engine must leave every recorded output unchanged.
 
 Regenerate (only when an output change is intended) with
 `PYTHONPATH=src python tests/test_golden_cli.py --write`.
@@ -82,9 +83,8 @@ def _cases():
     a, b, c = ("{inputs}/ideal_a.json", "{inputs}/ideal_b.json", "{inputs}/ideal_c.json")
     full3x3 = ["{fixtures}/full3x3.json", "--t", "2"]
     for action in ("gb", "initial"):
-        cases.append((f"full3x3/grevlex-ideal-{action}",
-                      ["--order", "grevlex", "ideal", action, *full3x3]))
-        cases.append((f"grevlex-ideal-{action}", ["--order", "grevlex", "ideal", action, a]))
+        cases.append((f"ideal-{action}", ["ideal", action, a]))
+    cases.append(("full3x3/ideal-gb-fp2", ["--field", "fp:2", "ideal", "gb", *full3x3]))
     for name, path in (("a", a), ("b", b)):
         cases.append((f"ideal-gens-{name}", ["ideal", "gens", path]))
     cases.append(("staircase10/ideal-gens", ["ideal", "gens", "{fixtures}/staircase10.json"]))
@@ -97,6 +97,7 @@ def _cases():
         ("full3x4/witness-certificate-fp3", ["--field", "fp:3", "witness", "certificate",
                                              "--ladder", "{fixtures}/full3x4.json", "--t", "2"]),
         ("ideal-gb-exponents", ["ideal", "gb", "{inputs}/ideal_d.json"]),
+        ("ideal-initial-exponents", ["ideal", "initial", "{inputs}/ideal_d.json"]),
     ]
     cases += [
         ("ideal-intersect", ["ideal", "intersect", a, b]),
@@ -106,17 +107,13 @@ def _cases():
         ("symbolic-compare", ["--field", "fp:5", "symbolic", "compare",
                               "--ladder", "{fixtures}/full2x3.json", "--t", "2", "--n", "2"]),
         ("schubert-gb", ["schubert", "--perm", "{inputs}/perm.json", "--gb"]),
-        ("grevlex-schubert-gb",
-         ["--order", "grevlex", "schubert", "--perm", "{inputs}/perm.json", "--gb"]),
         ("schubert-gens-4x4", ["schubert", "--perm", "{inputs}/perm4.json"]),
+        ("schubert-gb-4x4", ["schubert", "--perm", "{inputs}/perm4.json", "--gb"]),
         ("poset-check", ["poset", "--shape", "3,3", "--delta", "12|12", "--check"]),
         ("poset-delta-3x4", ["poset", "--shape", "3,4", "--delta", "13|24"]),
         *[(f"poset-spec-{kind}",
            ["poset", "--shape", "3,3", "--spec", f"{{inputs}}/spec_{kind}.json"])
           for kind in ("explicit", "cogenerators", "generalized")],
-        ("grevlex-poset-spec-cogenerators",
-         ["--order", "grevlex", "poset", "--shape", "3,3",
-          "--spec", "{inputs}/spec_cogenerators.json"]),
         ("accept-poset-schubert", ["accept", "run", "poset-schubert"]),
         ("knutson-corner-se-verify",
          ["knutson", "derive", "--corner", "4,4,2,3,3,se", "--verify"]),

@@ -41,8 +41,6 @@ from ladderdet.groebner import (
 from ladderdet.ideals import ladder_ring, minors_in_ladder, mixed_ladder_ideal
 from ladderdet.ladders import Ladder
 from ladderdet.poly import (
-    ANTIDIAG,
-    GREVLEX,
     Minor,
     Polynomial,
     aux_var,
@@ -279,9 +277,9 @@ def _count_buchberger(monkeypatch):
     calls = []
     real = groebner.buchberger
 
-    def counted(gens, order=ANTIDIAG, **kwargs):
-        calls.append(order)
-        return real(gens, order, **kwargs)
+    def counted(gens, **kwargs):
+        calls.append(len(gens))
+        return real(gens, **kwargs)
 
     monkeypatch.setattr(groebner, "buchberger", counted)
     return calls
@@ -293,7 +291,7 @@ def test_intersect_runs_one_elimination(monkeypatch):
     J = Ideal(ring, [P("x[1,2]"), P("x[2,2]")])
     calls = _count_buchberger(monkeypatch)
     _eliminated_intersection(I, J)
-    assert calls == [ANTIDIAG]
+    assert len(calls) == 1
 
 
 def test_intersect_with_unit_ideal():
@@ -311,7 +309,7 @@ def test_intersect_with_unit_ideal():
             for unit_first in (True, False):
                 X = Ideal(ring, gens)
                 if cached:
-                    assert X.is_unit()  # caches the basis (1) under antidiag-lex
+                    assert X.is_unit()  # caches the basis (1)
                 K = X.intersect(J) if unit_first else J.intersect(X)
                 assert K.gens == reduced
 
@@ -320,7 +318,7 @@ def test_band_intersection_s_pair_count(monkeypatch):
     """wide cap inner on the full 4x4 grid at t = 2, delta = 1, j = 1 over
     GF(5), as in the `intersection-identity` criterion.  Counted with this
     wrapper: sugar-first selection reduces 288 S-pairs here, and normal
-    selection (the order's key of the lcm first, sugar as a tie-break)
+    selection (the lcm first, sugar as a tie-break)
     908, so a return to normal selection fails the bound."""
     from ladderdet import groebner
 
@@ -1235,7 +1233,7 @@ def test_time_limit_bounds_power():
 # -- replaced, on the tuple monomials that the packed ints replaced
 
 
-def _reference_update_pairs(lmG, P, lmf, order):
+def _reference_update_pairs(lmG, P, lmf):
     n = len(lmG)
     kept = set()
     for (i, j) in P:
@@ -1250,7 +1248,7 @@ def _reference_update_pairs(lmG, P, lmf, order):
     for i in range(n):
         lcm_groups.setdefault(ref.mono_lcm(lmG[i], lmf), []).append(i)
     minimal = []
-    for L in sorted(lcm_groups, key=ref.order_key(order)):
+    for L in sorted(lcm_groups):
         if all(not ref.mono_divides(Lmin, L) for Lmin in minimal):
             minimal.append(L)
     for L in minimal:
@@ -1261,10 +1259,10 @@ def _reference_update_pairs(lmG, P, lmf, order):
     return kept
 
 
-def _reference_initial_pairs(lmG, order):
+def _reference_initial_pairs(lmG):
     P: set = set()
     for n, lm in enumerate(lmG):
-        P = _reference_update_pairs(lmG[:n], P, lm, order)
+        P = _reference_update_pairs(lmG[:n], P, lm)
     return P
 
 
@@ -1294,15 +1292,14 @@ def _small_support_leads(rng, variables):
     return leads
 
 
-# Each order over grid leads, and antidiagonal-lex over leads that may also
-# hold an auxiliary variable on top, as an intersection's do.
-ORDER_CASES = [pytest.param(ANTIDIAG, False, id="antidiag-lex"),
-               pytest.param(GREVLEX, False, id="grevlex"),
-               pytest.param(ANTIDIAG, True, id="antidiag-lex-aux-on-top")]
+# Grid leads, and leads that may also hold an auxiliary variable on top, as
+# an intersection's do.
+AUX_CASES = [pytest.param(False, id="antidiag-lex"),
+             pytest.param(True, id="antidiag-lex-aux-on-top")]
 
 
-@pytest.mark.parametrize("order,aux", ORDER_CASES)
-def test_initial_pairs_match_set_based_reference(order, aux):
+@pytest.mark.parametrize("aux", AUX_CASES)
+def test_initial_pairs_match_set_based_reference(aux):
     rng = random.Random(2025)
     variables = [gv(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
     if aux:
@@ -1313,7 +1310,7 @@ def test_initial_pairs_match_set_based_reference(order, aux):
         leads = (_seeded_leads if k < 200 else _small_support_leads)(rng, variables)
         packed = [ring.packing.pack(pairs) for pairs in leads]
         _, P = _initial_pairs(packed, ring.packing)
-        assert set(P) == _reference_initial_pairs([ref.tuple_mono(pairs) for pairs in leads], order)
+        assert set(P) == _reference_initial_pairs([ref.tuple_mono(pairs) for pairs in leads])
         assert all(lcm == mono_lcm(packed[i], packed[j], guard) for (i, j), lcm in P.items())
         # No pair of coprime leads: their S-polynomial reduces to zero.
         masks = [mono_mask(lm, ring.packing) for lm in packed]
@@ -1332,7 +1329,7 @@ def test_initial_pairs_walk_b_unless_the_skip_is_exact():
         lmG = [ring.packing.pack((v, 1) for v in lead) for lead in leads]
         _, P = _initial_pairs(lmG, ring.packing)
         assert (0, 1) in _initial_pairs(lmG[:2], ring.packing)[1] and (0, 1) not in P
-        assert P == reference_pairs.initial_pairs(lmG, ANTIDIAG, ring.packing)
+        assert P == reference_pairs.initial_pairs(lmG, ring.packing)
 
 
 def _mixed_degree_leads(rng, variables):
@@ -1352,7 +1349,7 @@ def _mixed_degree_leads(rng, variables):
 # -- all-leads scan the lead index replaced, the same insertion order
 
 
-def _assert_updates_match_reference(lmG, order, packing, rng):
+def _assert_updates_match_reference(lmG, packing, rng):
     # Step by step on one pair set, which the update edits in place, with
     # live pairs dropped at random between steps as the Buchberger driver
     # pops them.  The update returns the pairs it added: those of the new
@@ -1362,7 +1359,7 @@ def _assert_updates_match_reference(lmG, order, packing, rng):
     P: dict = {}
     scanned: dict = {}
     for n, lm in enumerate(lmG):
-        expected = reference_pairs.update_pairs(lmG[:n], masks, P, lm, order, packing)
+        expected = reference_pairs.update_pairs(lmG[:n], masks, P, lm, packing)
         reference_pairs.scan_update_pairs(lmG[:n], scanned, lm, packing)
         new = _update_pairs(leads, P, lm)
         assert P == expected
@@ -1375,12 +1372,12 @@ def _assert_updates_match_reference(lmG, order, packing, rng):
                 del scanned[pair]
     leads, initial = _initial_pairs(lmG, packing)
     assert leads.lms == lmG
-    assert initial == reference_pairs.initial_pairs(lmG, order, packing)
+    assert initial == reference_pairs.initial_pairs(lmG, packing)
     assert list(initial.items()) == list(reference_pairs.scan_initial_pairs(lmG, packing).items())
 
 
-@pytest.mark.parametrize("order,aux", ORDER_CASES)
-def test_pair_update_matches_the_reference_update(order, aux):
+@pytest.mark.parametrize("aux", AUX_CASES)
+def test_pair_update_matches_the_reference_update(aux):
     rng = random.Random(4049)
     variables = [gv(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
     if aux:
@@ -1390,7 +1387,7 @@ def test_pair_update_matches_the_reference_update(order, aux):
         leads = (_seeded_leads if k < 300 else _small_support_leads if k < 450
                  else _mixed_degree_leads)(rng, variables)
         lmG = [packing.pack(pairs) for pairs in leads]
-        _assert_updates_match_reference(lmG, order, packing, rng)
+        _assert_updates_match_reference(lmG, packing, rng)
 
 
 def _grid_minor_leads(k, t):
@@ -1527,7 +1524,7 @@ _STRUCTURED_LEADS = {
 def test_pair_update_matches_the_reference_on_structured_leads(name):
     rng = random.Random(name)
     for lmG, packing in _STRUCTURED_LEADS[name](rng):
-        _assert_updates_match_reference(lmG, ANTIDIAG, packing, rng)
+        _assert_updates_match_reference(lmG, packing, rng)
 
 
 def test_leads_of_one_support_size_skip_the_coprime_lead_search(monkeypatch):
@@ -1660,9 +1657,9 @@ def _count_monic_reducers(monkeypatch):
     built = []
     real = groebner._monic_reducer
 
-    def counted(gens, order):
-        built.append(order)
-        return real(gens, order)
+    def counted(gens):
+        built.append(len(gens))
+        return real(gens)
 
     monkeypatch.setattr(groebner, "_monic_reducer", counted)
     return built
@@ -1687,7 +1684,7 @@ def test_a_decided_list_is_answered_before_any_reducer(monkeypatch, verdict):
     assert not built and not calls
     assert is_groebner_basis(gens[::-1]) is verdict
     assert is_groebner_basis(gens + gens[:1]) is verdict
-    assert built == [ANTIDIAG, ANTIDIAG] and not calls
+    assert len(built) == 2 and not calls
 
 
 def test_a_replaced_record_answers_the_first_list_by_pairs(monkeypatch):
@@ -1702,21 +1699,7 @@ def test_a_replaced_record_answers_the_first_list_by_pairs(monkeypatch):
     calls.clear()
     built.clear()
     assert is_groebner_basis(first)
-    assert built == [ANTIDIAG] and calls
-
-
-def test_an_antidiag_record_does_not_answer_a_grevlex_call(monkeypatch):
-    # A basis under antidiagonal-lex only, in one packing: the GREVLEX
-    # call on the same objects must walk its own pairs.
-    gens = _one_packing([P("x[1,2] - x[1,1]^2"), P("x[1,1]^2 - x[1,1]")])
-    calls = _count_s_pairs(monkeypatch)
-    assert is_groebner_basis(gens, ANTIDIAG)
-    calls.clear()
-    assert not is_groebner_basis(gens, GREVLEX)
-    assert calls
-    calls.clear()
-    assert not is_groebner_basis(gens, GREVLEX)
-    assert not calls
+    assert len(built) == 1 and calls
 
 
 @pytest.mark.parametrize("case", ["first", "late"])
@@ -1755,7 +1738,7 @@ def test_a_non_basis_completes_from_the_walks_remainder(monkeypatch, case):
         return walked
 
     monkeypatch.setattr(groebner, "_walk", walk)
-    assert [poly_to_str(g, ANTIDIAG) for g in buchberger(gens)] == expected
+    assert [poly_to_str(g) for g in buchberger(gens)] == expected
     if case == "first":
         assert stops == [1]
     else:
@@ -1770,12 +1753,9 @@ def test_a_recorded_basis_answers_for_no_other_set(monkeypatch):
     is none, with the same leads where a set can have them.
 
     The monic GF(5) minors, read over QQ, have the recorded entries in
-    another field.  A set with the leads of a basis under another order is
-    a basis there too (its initial ideals under the two orders then
-    agree), and the same terms read in another packing reduce alike, so
-    the order case takes a set whose leads the orders choose differently,
-    and the packing case the set with one tail coefficient changed, in a
-    wider grid's packing.
+    another field.  The same terms read in another packing reduce alike,
+    so the packing case takes the set with one tail coefficient changed, in
+    a wider grid's packing.
     """
     calls = _count_s_pairs(monkeypatch)
     cells = list(combinations((1, 2, 3), 2))
@@ -1783,24 +1763,22 @@ def test_a_recorded_basis_answers_for_no_other_set(monkeypatch):
     F = GF(5)
     gf5 = [minor(r, c, F) for r in cells for c in cells]
     monic_over_qq = [
-        Polynomial(QQ, {m: F.div(c, g.leading_term(ANTIDIAG)[1]) for m, c in g.terms.items()},
+        Polynomial(QQ, {m: F.div(c, g.leading_term()[1]) for m, c in g.terms.items()},
                    g.packing) for g in gf5]
     f = grid[0]
-    lm = f.leading_term(ANTIDIAG)[0]
+    lm = f.leading_term()[0]
     tail_varied = [Polynomial(QQ, {m: c if m == lm else 2 * c for m, c in f.terms.items()},
                               f.packing)] + grid[1:]
     wide = Ring.for_grid(QQ, 3, 4).packing
-    lex_basis = [P("x[1,2] - x[1,1]^2"), P("x[1,1]^2 - x[1,1]")]
     cases = [
-        (grid, ANTIDIAG, tail_varied, ANTIDIAG),
-        (gf5, ANTIDIAG, monic_over_qq, ANTIDIAG),
-        (lex_basis, ANTIDIAG, lex_basis, GREVLEX),
-        (grid, ANTIDIAG, [g.repack(wide) for g in tail_varied], ANTIDIAG),
+        (grid, tail_varied),
+        (gf5, monic_over_qq),
+        (grid, [g.repack(wide) for g in tail_varied]),
     ]
-    for basis, order, other, other_order in cases:
-        assert is_groebner_basis(basis, order)
+    for basis, other in cases:
+        assert is_groebner_basis(basis)
         calls.clear()
-        assert not is_groebner_basis(other, other_order)
+        assert not is_groebner_basis(other)
         assert calls
 
 
@@ -1880,8 +1858,7 @@ def test_driver_pops_live_pairs_by_sugar_first(monkeypatch):
     already pushed.  The loop first walks the initial pair set in build
     order: the walked pairs must be exactly the prefix that reduces to zero
     on the generators, then the pair that does not.  After the walk each
-    S-pair must be the live pair of least (sugar, order's key of the lcm,
-    indices); a new element must take the sugar of the pair it came from;
+    S-pair must be the live pair of least (sugar, lcm, indices); a new element must take the sugar of the pair it came from;
     and a pair an update drops must never be reduced."""
     from ladderdet import groebner
 
@@ -1910,9 +1887,9 @@ def test_driver_pops_live_pairs_by_sugar_first(monkeypatch):
         events.append(("spair", a, b, lcm))
         return real_spoly(a, b, lcm, guard, field)
 
-    def loop(gens, order):
-        entries = real_loop(gens, order)
-        runs.append((gens, order, entries))
+    def loop(gens):
+        entries = real_loop(gens)
+        runs.append((gens, entries))
         return entries
 
     F = GF(5)
@@ -1928,7 +1905,7 @@ def test_driver_pops_live_pairs_by_sugar_first(monkeypatch):
     monkeypatch.setattr(groebner, "_buchberger_loop", loop)
     _eliminated_intersection(left, right)
 
-    [(gens, order, entries)] = runs
+    [(gens, entries)] = runs
     index = {id(e): k for k, e in enumerate(entries)}
     lmG = [e[0] for e in entries]
     packing = gens[0].packing
@@ -1937,7 +1914,7 @@ def test_driver_pops_live_pairs_by_sugar_first(monkeypatch):
     # S-polynomial has a nonzero remainder on the generators.
     assert events[0][0] == "initial"
     initial_pairs = list(events[0][1].items())
-    on_gens = Reducer((), order, F, packing)
+    on_gens = Reducer((), F, packing)
     for entry in entries[:len(gens)]:
         on_gens.add_entry(entry)
     prefix = 0
@@ -1956,7 +1933,7 @@ def test_driver_pops_live_pairs_by_sugar_first(monkeypatch):
         i, j = ij
         d = mono_degree(L_ij)
         sugar = max(sugars[i] + d - mono_degree(lmG[i]), sugars[j] + d - mono_degree(lmG[j]))
-        return (sugar, order.key(L_ij), i, j)
+        return (sugar, L_ij, i, j)
 
     sugars = [f.degree() for f in gens]
     live = dict(initial_pairs[prefix + 1:])
@@ -2001,9 +1978,8 @@ def _random_polynomial(rng, field, packing, variables):
     return Polynomial(field, terms, packing)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
-@pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX], ids=str)
-def test_exact_s_pair_remainder_is_the_normal_form_of_the_s_polynomial(field, order):
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7)], ids=str)
+def test_exact_s_pair_remainder_is_the_normal_form_of_the_s_polynomial(field):
     rng = random.Random(7127)
     variables = [gv(i, j) for i in (1, 2) for j in (1, 2, 3)]
     packing = Ring(field, tuple(variables)).packing
@@ -2012,23 +1988,21 @@ def test_exact_s_pair_remainder_is_the_normal_form_of_the_s_polynomial(field, or
         f, g = (_random_polynomial(rng, field, packing, variables) for _ in range(2))
         basis = [_random_polynomial(rng, field, packing, variables)
                  for _ in range(rng.randint(0, 3))]
-        basis = [b for b in basis if b.leading_term(order)[0] != MONO_ONE]
-        (lmf, lcf), (lmg, lcg) = f.leading_term(order), g.leading_term(order)
+        basis = [b for b in basis if b.leading_term()[0] != MONO_ONE]
+        (lmf, lcf), (lmg, lcg) = f.leading_term(), g.leading_term()
         lcm = mono_lcm(lmf, lmg, guard)
-        a, b = Reducer([f, g], order).entries
+        a, b = Reducer([f, g]).entries
         s = (f.mul_term(mono_div(lcm, lmf, guard), field.inv(lcf))
              - g.mul_term(mono_div(lcm, lmg, guard), field.inv(lcg)))
-        rem = Reducer(basis, order, field, packing).remainder(
+        rem = Reducer(basis, field, packing).remainder(
             s_polynomial(a, b, lcm, guard, field))
         assert_exact_coefficients(rem.values())
-        assert Polynomial(field, rem, packing) == normal_form(s, basis, order)
-        keys = [order.key(m) for m in rem]
-        assert keys == sorted(keys, reverse=True)  # leading term first
+        assert Polynomial(field, rem, packing) == normal_form(s, basis)
+        assert list(rem) == sorted(rem, reverse=True)  # leading term first
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7)], ids=str)
-@pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX], ids=str)
-def test_remainders_of_a_batch_are_the_remainders_one_at_a_time(field, order):
+def test_remainders_of_a_batch_are_the_remainders_one_at_a_time(field):
     # One `remainders` run over a batch of term dicts, on a reducer that
     # gains an entry between two draws as the Buchberger loop's does, gives
     # what `remainder` gives on copies of the same dicts one at a time on a
@@ -2040,12 +2014,12 @@ def test_remainders_of_a_batch_are_the_remainders_one_at_a_time(field, order):
     for _ in range(80):
         basis, extra = ([f for f in (_random_polynomial(rng, field, packing, variables)
                                      for _ in range(count))
-                         if f.leading_term(order)[0] != MONO_ONE]
+                         if f.leading_term()[0] != MONO_ONE]
                         for count in (rng.randint(1, 4), 1))
         works = [dict(_random_polynomial(rng, field, packing, variables).terms)
                  for _ in range(rng.randint(1, 6))]
         grow_at = rng.randrange(len(works) + 1)  # after the last draw: never
-        batch, single = (Reducer(basis, order, field, packing) for _ in range(2))
+        batch, single = (Reducer(basis, field, packing) for _ in range(2))
 
         def draws():
             for k, work in enumerate(works):
@@ -2063,18 +2037,16 @@ def test_remainders_of_a_batch_are_the_remainders_one_at_a_time(field, order):
         assert [list(rem.items()) for rem in got] == [list(rem.items()) for rem in expected]
         for rem in got:
             assert_exact_coefficients(rem.values())
-            keys = [order.key(m) for m in rem]
-            assert keys == sorted(keys, reverse=True)
+            assert list(rem) == sorted(rem, reverse=True)
         # The entry added between draws takes part in the later remainders.
-        plain = Reducer(basis, order, field, packing)
+        plain = Reducer(basis, field, packing)
         changed += any(plain.remainder(dict(work)) != rem
                        for work, rem in zip(works[grow_at:], got[grow_at:]))
     assert grown and changed
 
 
-@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
-@pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX], ids=str)
-def test_is_groebner_basis_agrees_with_buchberger_on_perturbed_minors(field, order):
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(7)], ids=str)
+def test_is_groebner_basis_agrees_with_buchberger_on_perturbed_minors(field):
     # A generating set is a Groebner basis iff its leads generate the
     # initial ideal of its reduced basis.
     rng = random.Random(31337)
@@ -2094,13 +2066,13 @@ def test_is_groebner_basis_agrees_with_buchberger_on_perturbed_minors(field, ord
             gens[k] = gens[k] + extra
         gens = [g for g in gens if not g.is_zero]
         leads = MonomialIdeal.from_monomials(
-            ring, [g.repack(ring.packing).leading_term(order)[0] for g in gens])
-        reduced = buchberger(gens, order)
+            ring, [g.repack(ring.packing).leading_term()[0] for g in gens])
+        reduced = buchberger(gens)
         initial = MonomialIdeal.from_monomials(
-            ring, [g.repack(ring.packing).leading_term(order)[0] for g in reduced])
-        verdict = is_groebner_basis(gens, order)
+            ring, [g.repack(ring.packing).leading_term()[0] for g in reduced])
+        verdict = is_groebner_basis(gens)
         assert verdict == (leads == initial)
-        assert is_groebner_basis(reduced, order)
+        assert is_groebner_basis(reduced)
         verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -2186,20 +2158,20 @@ def test_rational_results_hold_exact_coefficients():
                  - g.mul_term(mono_div(lcm, lmg, packing.guard), QQ.inv(lcg)))
 
 
-def _driver_entries(gens, order):
+def _driver_entries(gens):
     """The generators in one packing, and the monic `Reducer` entries the
     Buchberger driver ends with on them."""
     gens = _one_packing(g for g in gens if not g.is_zero)
-    return gens, _buchberger_loop(gens, order)
+    return gens, _buchberger_loop(gens)
 
 
 def test_interreduce_produces_monic_antichain():
     gens = [minor((1, 2), (1, 2)), P("2*x[1,1]"), P("x[1,1]*x[2,2] + x[1,1]")]
-    gens, entries = _driver_entries(gens, ANTIDIAG)
-    reduced = interreduce(entries, ANTIDIAG, QQ, gens[0].packing)
+    gens, entries = _driver_entries(gens)
+    reduced = interreduce(entries, QQ, gens[0].packing)
     assert len(reduced) < len(entries)
     assert reduced == buchberger(gens)
-    leads = [g.leading_term(ANTIDIAG) for g in reduced]
+    leads = [g.leading_term() for g in reduced]
     assert all(c == 1 for _, c in leads)
     guard = reduced[0].packing.guard
     assert all(g.packing is reduced[0].packing for g in reduced)
@@ -2210,7 +2182,7 @@ def test_interreduce_produces_monic_antichain():
 
 
 def test_interreduce_reduces_each_tail_term_a_kept_lead_divides():
-    # Under ANTIDIAG x[1,3] > x[1,2] > x[1,1].  A tail is kept as it is
+    # Under antidiagonal-lex x[1,3] > x[1,2] > x[1,1].  A tail is kept as it is
     # only when no term is a kept lead or above the least kept lead's
     # degree; here the tail term x[1,2] is a kept lead, and x[1,2]^2 is of
     # higher degree and divided by one.
@@ -2218,7 +2190,7 @@ def test_interreduce_reduces_each_tail_term_a_kept_lead_divides():
                            (["x[1,3] - x[1,2]^2", "x[1,2] - x[1,1]"], "x[1,3] - x[1,1]^2")]:
         gens = _one_packing(P(g) for g in gens)
         basis = [P("x[1,2] - x[1,1]"), P(expected)]
-        assert interreduce(Reducer(gens).entries, ANTIDIAG, QQ, gens[0].packing) == basis
+        assert interreduce(Reducer(gens).entries, QQ, gens[0].packing) == basis
         assert buchberger(gens) == basis
 
 
@@ -2229,38 +2201,38 @@ def test_interreduce_keeps_a_settled_tail_in_remainder_order():
     # though the generator lists them in another order.
     gens = _one_packing([P("x[1,1] + x[1,2] + x[1,3]"), P("x[2,1]*x[2,2] + x[2,3]*x[2,4]")])
     entries = Reducer(gens).entries
-    assert [m for m, _ in entries[0][2]] != [m for m, _ in gens[0].sorted_terms(ANTIDIAG)][1:]
-    reduced = interreduce(entries, ANTIDIAG, QQ, gens[0].packing)
+    assert [m for m, _ in entries[0][2]] != [m for m, _ in gens[0].sorted_terms()][1:]
+    reduced = interreduce(entries, QQ, gens[0].packing)
     assert sorted(reduced, key=str) == sorted(gens, key=str)
-    assert [list(h.terms) for h in reduced] == [[m for m, _ in h.sorted_terms(ANTIDIAG)]
+    assert [list(h.terms) for h in reduced] == [[m for m, _ in h.sorted_terms()]
                                                 for h in reduced]
 
 
-def _reference_interreduce(G, order):
+def _reference_interreduce(G):
     """Reduced basis from a Groebner basis given as Polynomials, as
     `interreduce` built it before it took the driver's entries."""
-    G = [g.monic(order) for g in _one_packing(G) if not g.is_zero]
+    G = [g.monic() for g in _one_packing(G) if not g.is_zero]
     if not G:
         return []
-    G.sort(key=lambda g: order.key(g.leading_term(order)[0]))
+    G.sort(key=lambda g: g.leading_term()[0])
     packing = G[0].packing
     minimal = []
     leads = []
     for g in G:
-        lm = g.leading_term(order)[0]
+        lm = g.leading_term()[0]
         mask = mono_mask(lm, packing)
         if not any(not mh & ~mask and mono_divides(h, lm, packing.guard) for h, mh in leads):
             minimal.append(g)
             leads.append((lm, mask))
-    reducer = Reducer(minimal, order)
+    reducer = Reducer(minimal)
     field = reducer.field
     return [Polynomial(field, {lm: lc, **reducer.remainder(dict(tail))}, packing)
             for lm, lc, tail, _ in reducer.entries]
 
 
-@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
-@pytest.mark.parametrize("order,aux", ORDER_CASES)
-def test_interreduce_of_driver_entries_matches_the_polynomial_reference(field, order, aux):
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5), GF(7)], ids=str)
+@pytest.mark.parametrize("aux", AUX_CASES)
+def test_interreduce_of_driver_entries_matches_the_polynomial_reference(field, aux):
     rng = random.Random(9173)
     variables = [gv(i, j) for i in (1, 2) for j in (1, 2)]
     if aux:
@@ -2279,23 +2251,23 @@ def test_interreduce_of_driver_entries_matches_the_polynomial_reference(field, o
         # A generator that shares its lead with another, by a variable
         # below that lead.
         g = gens[0]
-        lm = g.leading_term(order)[0]
-        below = [u for u in units if order.key(u) < order.key(lm)]
+        lm = g.leading_term()[0]
+        below = [u for u in units if u < lm]
         if below:
             gens.append(g.mul_term(MONO_ONE, 2) + Polynomial(field, {rng.choice(below): 1}, packing))
-        gens, entries = _driver_entries(gens, order)
+        gens, entries = _driver_entries(gens)
         if entries is None:  # the unit ideal
             continue
         checked += 1
         shared += len({e[0] for e in entries[:len(gens)]}) < len(gens)
         entry_polys = [Polynomial(field, {lm: lc, **dict(tail)}, packing)
                        for lm, lc, tail, _ in entries]
-        reduced = interreduce(entries, order, field, packing)
-        expected = _reference_interreduce(entry_polys, order)
+        reduced = interreduce(entries, field, packing)
+        expected = _reference_interreduce(entry_polys)
         assert reduced == expected
         assert [list(g.terms.items()) for g in reduced] == [list(g.terms.items())
                                                              for g in expected]
-        assert reduced == buchberger(gens, order)
+        assert reduced == buchberger(gens)
         dropped += len(reduced) < len(entries)
     assert checked >= 20 and shared >= 10 and dropped >= 10
 
@@ -2315,7 +2287,7 @@ def _small_random_ideal(rng, ring):
     return Ideal(ring, gens)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=str)
 def test_intersect_is_the_aux_free_slice_of_the_full_elimination(field):
     rng = random.Random(6151)
     ring = Ring.for_grid(field, 2, 2)
@@ -2334,9 +2306,9 @@ def test_intersect_is_the_aux_free_slice_of_the_full_elimination(field):
         t = 1 << packing.shift[aux]
         gens = [g.repack(packing).mul_term(t, 1) for g in I.gens]
         gens += [h - h.mul_term(t, 1) for h in (h.repack(packing) for h in J.gens)]
-        full = buchberger(gens, ANTIDIAG)
+        full = buchberger(gens)
         expected = [Polynomial(field, b.terms, ring.packing)
-                    for b in full if b.leading_term(ANTIDIAG)[0] < t]
+                    for b in full if b.leading_term()[0] < t]
         kept = _eliminated_intersection(I, J)
         assert list(kept) == expected
         assert [g.terms for g in kept] == [g.terms for g in expected]
@@ -2409,9 +2381,9 @@ def test_a_certified_intersection_eliminates_nothing(monkeypatch):
     packings = []
     real = groebner.buchberger
 
-    def recorded(gens, order=ANTIDIAG, **kwargs):
+    def recorded(gens, **kwargs):
         packings.extend(g.packing for g in gens)
-        return real(gens, order, **kwargs)
+        return real(gens, **kwargs)
 
     def refused(I, J):
         raise AssertionError("eliminated a certified intersection")
@@ -2490,7 +2462,7 @@ def test_band_identity_reads_equality_off_the_certified_basis(monkeypatch, field
             calls.clear()
             total, K = left + right, wide.intersect(inner)
             assert (K.equal(total) if swap else total.equal(K)) is True
-            assert calls == [ANTIDIAG, ANTIDIAG]  # wide and inner, no third run
+            assert len(calls) == 2  # wide and inner, no third run
             assert total.groebner_basis() is K.gens
             # Negative control: left's generators are part of the basis of
             # left + right, so they fall back to a run of their own.
@@ -2511,7 +2483,7 @@ def test_equality_with_part_of_a_cached_basis_falls_back(monkeypatch):
     for swap in (False, True):
         part = Ideal(ring, gens)
         assert (known.equal(part) if swap else part.equal(known)) is True
-    assert calls == [ANTIDIAG, ANTIDIAG]
+    assert len(calls) == 2
     smaller = Ideal(ring, [P("x[1,1]*x[2,2]"), P("x[2,2]^2")])
     assert not smaller.equal(known) and not known.equal(Ideal(ring, smaller.gens))
     assert len(calls) == 4
@@ -2554,8 +2526,7 @@ def test_an_intersection_drawn_from_both_bases_is_interreduced(monkeypatch, fiel
         assert certified == _eliminated_intersection(J, K) == meet.groebner_basis()
 
 
-@pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX], ids=str)
-def test_ideal_normal_form_on_the_kept_reducer(order):
+def test_ideal_normal_form_on_the_kept_reducer():
     ring = Ring.for_grid(QQ, 2, 3)
     I = Ideal(ring, [minor((1, 2), c) for c in [(1, 2), (1, 3), (2, 3)]] + [P("x[1,1]^2")])
     inside = [P("x[1,1]*x[2,2]"), P("x[1,2]*x[2,3] + 3*x[1,1]"),
@@ -2565,25 +2536,25 @@ def test_ideal_normal_form_on_the_kept_reducer(order):
 
     def check(ideal, basis):
         for f in inside + outside + inside:
-            got, expected = ideal.normal_form(f, order), normal_form(f, basis, order)
+            got, expected = ideal.normal_form(f), normal_form(f, basis)
             assert got == expected and got.packing is expected.packing
             assert ideal.contains(f) == expected.is_zero
 
-    basis = I.groebner_basis(order)
+    basis = I.groebner_basis()
     check(I, basis)
-    reducers = I._reducers[order]
+    reducers = I._reducers
     assert ring.packing in reducers and len(reducers) == 1 + len(outside)
     kept = dict(reducers)
     check(I, basis)
-    assert all(I._reducers[order][k] is r for k, r in kept.items())  # reused, not rebuilt
+    assert all(I._reducers[k] is r for k, r in kept.items())  # reused, not rebuilt
     # An ideal built on a known basis starts with no reducers and reduces
     # on that basis.
-    other = Ideal(ring, [P("x[1,1]"), P("x[2,2] - x[1,3]")]).groebner_basis(order)
-    J = Ideal._with_bases(ring, other, {order: other})
+    other = Ideal(ring, [P("x[1,1]"), P("x[2,2] - x[1,3]")]).groebner_basis()
+    J = Ideal._with_bases(ring, other, other)
     assert not J._reducers
     check(J, other)
-    assert J.initial_ideal(order) == MonomialIdeal.from_monomials(
-        ring, [g.leading_term(order)[0] for g in other])
+    assert J.initial_ideal() == MonomialIdeal.from_monomials(
+        ring, [g.leading_term()[0] for g in other])
 
 
 def test_golden_reduced_basis_strings():

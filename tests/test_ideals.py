@@ -34,7 +34,7 @@ from ladderdet.ideals import (
 )
 from ladderdet.ladders import (Ladder, LadderError, antidiagonal_profile, height,
                                random_valid_ladder, validate)
-from ladderdet.poly import (ANTIDIAG, Minor, Monomial, Polynomial, expand_minor, grid_var, mono,
+from ladderdet.poly import (Minor, Monomial, Polynomial, expand_minor, grid_var, mono,
                             mono_is_squarefree, time_limit)
 
 
@@ -137,7 +137,7 @@ def test_f_witness_examples():
     f23 = f_witness(Ladder.full(2, 3), (2,))
     factors23 = antidiagonal_profile(Ladder.full(2, 3), (2,)).witness_factors
     assert [str(m) for m in factors23] == ["[12|12]", "[12|23]"]
-    lead = f23.leading_term(ANTIDIAG)[0]
+    lead = f23.leading_term()[0]
     assert mono_is_squarefree(lead)
 
 
@@ -171,7 +171,7 @@ def test_f_of_matrix_lead_is_every_variable():
     for k in (2, 3, 4):
         for l in (2, 3, 4):
             f = f_of_matrix(k, l)
-            lead = f.leading_term(ANTIDIAG)[0]
+            lead = f.leading_term()[0]
             assert mono_is_squarefree(lead) and len(Monomial(f.packing, lead).exponents()) == k * l
 
 

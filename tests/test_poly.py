@@ -1,10 +1,12 @@
 """Polynomial core: variable order, monomial comparison, minors, formats."""
 
+import ast
 import math
 import random
 import time
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +14,6 @@ from ladderdet import poly
 from ladderdet.fields import GF, QQ
 import tuple_monomials as ref
 from ladderdet.poly import (
-    ANTIDIAG,
-    GREVLEX,
     MAX_EXPONENT,
     MONO_ONE,
     ExponentOverflow,
@@ -21,9 +21,7 @@ from ladderdet.poly import (
     Minor,
     Monomial,
     Polynomial,
-    TermOrder,
     aux_var,
-    compare_monomials,
     expand_minor,
     grid_var,
     mono,
@@ -52,7 +50,7 @@ def P(text, field=QQ):
 
 def lead(f):
     """The antidiagonal-lex leading monomial of f, read in its packing."""
-    return Monomial(f.packing, f.leading_term(ANTIDIAG)[0])
+    return Monomial(f.packing, f.leading_term()[0])
 
 
 # -- independent oracle: cofactor expansion along the first row
@@ -76,39 +74,26 @@ def test_displayed_variable_order():
     assert sorted(vs, key=lambda v: v.key, reverse=True) == vs
 
 
-def compare(order, a, b):
-    """compare_monomials on two `mono`s, packed in their joint ring."""
+def compare(a, b):
+    """-1, 0 or 1: two `mono`s packed in their joint ring, compared as ints."""
     packing = packing_of(v for m in (a, b) for v, _ in m.exponents())
-    return compare_monomials(order, packing.pack(a.exponents()), packing.pack(b.exponents()))
+    pa, pb = packing.pack(a.exponents()), packing.pack(b.exponents())
+    return (pa > pb) - (pa < pb)
 
 
 def test_compare_monomials_examples():
     a = mono((gv(1, 2), 1))
     b = mono((gv(1, 1), 1))
-    assert compare(ANTIDIAG, a, b) == 1
-    assert compare(ANTIDIAG, a, a) == 0
+    assert compare(a, b) == 1
+    assert compare(a, a) == 0
     lead = mono((gv(1, 2), 1), (gv(2, 1), 1))
     tail = mono((gv(1, 1), 1), (gv(2, 2), 1))
-    assert compare(ANTIDIAG, lead, tail) == 1
+    assert compare(lead, tail) == 1
 
 
 def test_aux_above_grid():
     t = aux_var("t")
-    assert compare(ANTIDIAG, mono((t, 1)), mono((gv(1, 9), 5))) == 1
-
-
-def test_grevlex_classics():
-    x, y, z = gv(1, 3), gv(1, 2), gv(1, 1)  # x > y > z
-    assert compare(GREVLEX, mono((x, 2)), mono((x, 1), (y, 1))) == 1
-    assert compare(GREVLEX, mono((x, 1), (y, 1)), mono((z, 2))) == 1
-    assert compare(GREVLEX, mono((x, 3)), mono((x, 1), (y, 1))) == 1  # degree first
-
-
-def test_grevlex_differs_from_lex():
-    x, y, z = gv(1, 3), gv(1, 2), gv(1, 1)
-    a, b = mono((x, 1), (z, 1)), mono((y, 2))
-    assert compare(ANTIDIAG, a, b) == 1   # lex looks at x first
-    assert compare(GREVLEX, a, b) == -1   # grevlex punishes the z
+    assert compare(mono((t, 1)), mono((gv(1, 9), 5))) == 1
 
 
 def test_elimination_order_blocks():
@@ -116,9 +101,21 @@ def test_elimination_order_blocks():
     t = aux_var("t")
     with_aux = mono((t, 1), (gv(2, 2), 1))
     without = mono((gv(1, 3), 4), (gv(1, 1), 4))
-    assert compare(ANTIDIAG, with_aux, without) == 1
-    with pytest.raises(ValueError, match="unknown term order kind"):
-        TermOrder("elim")
+    assert compare(with_aux, without) == 1
+
+
+def test_no_engine_function_takes_a_term_order():
+    # Antidiagonal-lex is the one term order, and packed monomials compare
+    # under it as plain ints: no function of the package takes an `order`.
+    source = Path(poly.__file__).parent
+    found = [f"{path.name}:{node.lineno}:{node.name}"
+             for path in sorted(source.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+                         node.args.vararg, node.args.kwarg)
+             if arg is not None and arg.arg == "order"]
+    assert not found
 
 
 def _reference_block_key(m):
@@ -148,25 +145,20 @@ def _random_pairs(rng, count, top=3):
 
 
 def test_elim_antidiag_sorts_as_native_ints():
-    assert ANTIDIAG.is_native
-    assert not GREVLEX.is_native
     pairs = _random_pairs(random.Random(11), 500)
     tuples = [ref.tuple_mono(p) for p in pairs]
     packed = [_PACKING.pack(p) for p in pairs]
     assert sum(1 for m in tuples if m and m[0][0][0] == 1) > 100  # plenty with aux
     expected = sorted(tuples, key=_reference_block_key)
     assert [tuples[i] for i in sorted(range(500), key=packed.__getitem__)] == expected
-    by_key = sorted(range(500), key=lambda i: ANTIDIAG.key(packed[i]))
-    assert [tuples[i] for i in by_key] == expected
     rng = random.Random(12)
     for _ in range(500):
         a, b = rng.randrange(500), rng.randrange(500)
         ka, kb = _reference_block_key(tuples[a]), _reference_block_key(tuples[b])
-        assert compare_monomials(ANTIDIAG, packed[a], packed[b]) == (ka > kb) - (ka < kb)
+        assert (packed[a] > packed[b]) - (packed[a] < packed[b]) == (ka > kb) - (ka < kb)
 
 
-@pytest.mark.parametrize("order", [ANTIDIAG, GREVLEX], ids=str)
-def test_packed_operations_match_tuple_reference(order):
+def test_packed_operations_match_tuple_reference():
     # Exponents up to the field limit, over grid and auxiliary variables.
     rng = random.Random(31)
     guard = _PACKING.guard
@@ -174,7 +166,6 @@ def test_packed_operations_match_tuple_reference(order):
     pairs += [[(v, rng.randint(1, 2)) for v, _ in p] for p in _random_pairs(rng, 100)]
     tuples = [ref.tuple_mono(p) for p in pairs]
     packed = [_PACKING.pack(p) for p in pairs]
-    ref_key = ref.order_key(order)
 
     def pack(t):
         return _PACKING.pack((v, e) for v in _VARIABLES for k, e in t if k == v.key)
@@ -193,8 +184,7 @@ def test_packed_operations_match_tuple_reference(order):
         assert mono_div(a, b, guard) == (None if quotient is None else pack(quotient))
         assert mono_degree(a) == ref.mono_degree(ta)
         assert (not mono_mask(a, _PACKING) & mono_mask(b, _PACKING)) == ref.coprime(ta, tb)
-        ka, kb = ref_key(ta), ref_key(tb)
-        assert compare_monomials(order, a, b) == (ka > kb) - (ka < kb)
+        assert (a > b) - (a < b) == (ta > tb) - (ta < tb)
 
 
 def test_exponents_past_the_field_raise():
@@ -335,7 +325,7 @@ def test_minor_antidiagonal_lead_property():
         cols = tuple(sorted(rng.sample(range(1, 7), size)))
         m = Minor(rows, cols)
         f = expand_minor(m)
-        coeff = f.leading_term(ANTIDIAG)[1]
+        coeff = f.leading_term()[1]
         assert lead(f) == m.antidiagonal_monomial()
         assert coeff == Fraction(-1) ** (size * (size - 1) // 2)
 
@@ -394,9 +384,9 @@ def test_packed_in_moves_each_field_to_its_variable():
 
 def test_leading_term_examples():
     one = Polynomial.one(QQ)
-    assert one.leading_term(ANTIDIAG) == (MONO_ONE, Fraction(1))
+    assert one.leading_term() == (MONO_ONE, Fraction(1))
     with pytest.raises(ValueError):
-        Polynomial.zero(QQ).leading_term(ANTIDIAG)
+        Polynomial.zero(QQ).leading_term()
     prod = expand_minor(Minor((1, 2), (1, 2))) * expand_minor(Minor((2, 3), (2, 3)))
     assert str(lead(prod)) == "x[1,2]*x[2,3]*x[2,1]*x[3,2]"
 
@@ -408,9 +398,9 @@ def test_lead_multiplicativity():
              for _ in range(6)]
     f = Polynomial.from_terms(QQ, [(m, rng.randint(1, 5)) for m in monos[:3]], packing)
     g = Polynomial.from_terms(QQ, [(m, rng.randint(-5, -1)) for m in monos[3:]], packing)
-    fm, fc = f.leading_term(ANTIDIAG)
-    gm, gc = g.leading_term(ANTIDIAG)
-    pm, pc = (f * g).leading_term(ANTIDIAG)
+    fm, fc = f.leading_term()
+    gm, gc = g.leading_term()
+    pm, pc = (f * g).leading_term()
     assert pm == mono_mul(fm, gm)
     assert pc == fc * gc
 

@@ -1,5 +1,5 @@
 """The package's immutable records: construction, equality, hashing,
-immutability and repr, for each of the 23 record classes; the one
+immutability and repr, for each of the 22 record classes; the one
 constructor `Record.__init__` of the 17 records that keep none of their
 own; and `Check` as the one checked line of every report."""
 
@@ -39,7 +39,7 @@ from ladderdet.oracle import (
     SymbolicCertificate,
     symbolic_fsplit_certificate,
 )
-from ladderdet.poly import Minor, TermOrder, parse_polynomial
+from ladderdet.poly import Minor, parse_polynomial
 from ladderdet.record import Check
 
 RING = Ring.for_grid(QQ, 2, 2)
@@ -64,7 +64,6 @@ LINE = ("root", Check("leaf", False))
 # the constructor takes, defaults included; the positional forms leave the
 # defaults out.
 CASES = [
-    (TermOrder("grevlex"), dict(kind="grevlex"), ("grevlex",), "TermOrder(kind='grevlex')"),
     (Minor((1, 2), (2, 3)), dict(rows=[1, 2], cols=(2, 3)), ((1, 2), (2, 3)),
      "Minor(rows=(1, 2), cols=(2, 3))"),
     (Ring(QQ, VARS[::-1]), dict(field=QQ, variables=VARS), (QQ, VARS), "Ring(QQ, 4 vars)"),
@@ -130,7 +129,7 @@ CASES = [
 
 
 def test_every_record_class_is_covered():
-    assert len({type(record) for record, *_ in CASES}) == len(CASES) == 23
+    assert len({type(record) for record, *_ in CASES}) == len(CASES) == 22
 
 
 @pytest.mark.parametrize("record, keywords, compared, text", CASES,
@@ -250,7 +249,7 @@ def test_set_field_sets_fields_only_in_normalising_constructors():
         for owner, call in _set_field_owners(ast.parse(path.read_text())):
             if not call.args[1].value.startswith("_"):
                 owners.add(owner)
-    assert owners == {"Ladder.__init__", "Minor.__init__", "Ring.__init__", "TermOrder.__init__",
+    assert owners == {"Ladder.__init__", "Minor.__init__", "Ring.__init__",
                       "PartialPermutation.__init__", "PosetIdealSpec.__init__"}
 
 
@@ -263,7 +262,6 @@ def test_derived_and_cached_attributes_stay_out_of_equality_and_repr():
     fresh = Ladder((2, 2), ((1, 2),), ((2, 1),))
     assert fresh.spans == ((1, 2), (1, 2))
     assert fresh == LADDER and hash(fresh) == hash(LADDER) and repr(fresh) == LADDER_TEXT
-    assert TermOrder("antidiag-lex").is_native and not TermOrder("grevlex").is_native
     assert RING.packing is Ring(QQ, VARS).packing
     ideal = MonomialIdeal.from_monomials(RING, [MONO])
     assert ideal.dim() == 3 and ideal.multiplicity() == 2

@@ -109,17 +109,3 @@ def mono_degree(a: tuple) -> int:
 def coprime(a: tuple, b: tuple) -> bool:
     """No variable in common: what the support masks test."""
     return not {k for k, _ in a} & {k for k, _ in b}
-
-
-def grevlex_key(m: tuple):
-    deg = 0
-    rev = []
-    for k, e in reversed(m):
-        deg += e
-        rev.append((k, -e))
-    return (deg, tuple(rev))
-
-
-def order_key(order):
-    """The sort key of a term order on tuple monomials."""
-    return (lambda m: m) if order.is_native else grevlex_key
