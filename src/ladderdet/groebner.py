@@ -56,29 +56,30 @@ are refused with ValueError, as their arithmetic refuses them.
 
 Minimal primes, heights, dimensions and multiplicities of squarefree
 monomial ideals come from Bigatti's pivot recursion for the numerator N(t)
-of the Hilbert series (Bigatti, J. Pure Appl. Algebra 119, 1997).  Each of
-its three value types takes supports and calls `_cover_bits` once, which
-re-indexes them densely, keeps the minimal ones and splits off the
-singletons; the recursion runs on the rest, and each value type folds the
-singletons back in: ORed into every cover, a factor (1 - t)^k of N(t), or
-k added to h.  A node splits its supports in one pass into those without
-the pivot x and the quotients s - x of those with it.  The supports form
-an antichain, so the quotients do too and none is compared with another:
-the colon is the quotients plus the supports without x that contain none,
-built in one more pass.  The recursion (`_pivot_recursion`) takes the
-value it carries from its caller: a base value for pairwise coprime
-supports, and a join of the two children's values.  Heights, dimensions
-and multiplicities carry only (h, e) (`min_cover_size`), the order and the
-leading coefficient of N in u = 1 - t: a join keeps the lower order, and
-adds the two coefficients on a tie.  `_hilbert_numerator` carries the
-whole of N(t), and `minimal_covers` the list of minimal primes, with the
-same recursion: a prime without the pivot x is a prime of the colon, and
-one with x is x and a prime of the supports without x that misses some
-quotient.  The memo of subproblems is bounded by `_HILBERT_MEMO_ENTRIES`
-and by `_MEMO_ITEMS`, the items its values hold, and the budget is checked
-once per node, once per support the colon pass sweeps, once per factor of
-a coprime node's covers, once per cover a join tests against the quotients
-and once per cover `minimal_covers` maps back to the source bits.
+of the Hilbert series (Bigatti, J. Pure Appl. Algebra 119, 1997).  Its
+supports carry one bit per ring variable (`MonomialIdeal.supports`), and
+every cover comes back in those bits.  Each of its three value types takes
+supports and calls `_cover_bits` once, which keeps the minimal ones and
+splits off the singletons; the recursion runs on the rest, and each value
+type folds the singletons back in: ORed into every cover, a factor
+(1 - t)^k of N(t), or k added to h.  A node splits its supports in one
+pass into those without the pivot x and the quotients s - x of those with
+it.  The supports form an antichain, so the quotients do too and none is
+compared with another: the colon is the quotients plus the supports
+without x that contain none, built in one more pass.  The recursion
+(`_pivot_recursion`) takes the value it carries from its caller: a base
+value for pairwise coprime supports, and a join of the two children's
+values.  Heights, dimensions and multiplicities carry only (h, e)
+(`min_cover_size`), the order and the leading coefficient of N in
+u = 1 - t: a join keeps the lower order, and adds the two coefficients on
+a tie.  `_hilbert_numerator` carries the whole of N(t), and
+`minimal_covers` the list of minimal primes, with the same recursion: a
+prime without the pivot x is a prime of the colon, and one with x is x and
+a prime of the supports without x that misses some quotient.  The memo of
+subproblems is bounded by `_HILBERT_MEMO_ENTRIES` and by `_MEMO_ITEMS`,
+the items its values hold, and the budget is checked once per node, once
+per support the colon pass sweeps, once per factor of a coprime node's
+covers and once per cover a join tests against the quotients.
 
 Monomials are the packed ints of `poly`, and the term order is their int
 order, antidiagonal-lex: a lead is a `max`.  Each ring fixes one `Packing`;
@@ -93,7 +94,7 @@ from __future__ import annotations
 import heapq
 import operator
 import time
-from itertools import accumulate, combinations_with_replacement, compress, zip_longest
+from itertools import accumulate, combinations_with_replacement, zip_longest
 from math import prod
 
 from .fields import Field
@@ -105,6 +106,7 @@ from .poly import (
     Packing,
     Polynomial,
     Variable,
+    _W,
     _check_deadline,
     _check_fields,
     _current_deadline,
@@ -1190,21 +1192,26 @@ class MonomialIdeal(Record):
         return MonomialIdeal.from_monomials(self.ring, [mono_radical(g, packing) for g in self.gens])
 
     def supports(self) -> list[int]:
-        """The support mask of each generator (`mono_mask`): the input of
-        every value type of the pivot recursion (`minimal_covers`,
-        `min_cover_size`, `_hilbert_numerator`).  The radical's generators
-        have the same masks, less repeats and masks holding another one,
-        which each of them drops through `_cover_bits`."""
+        """The support of each generator, one bit per ring variable: bit f
+        is field f of the ring's packing, the variable
+        ``ring.variables[-1 - f]``.  They are the input of every value type
+        of the pivot recursion (`minimal_covers`, `min_cover_size`,
+        `_hilbert_numerator`), whose covers come back in these bits.  The
+        radical's generators have the same supports, less repeats and
+        supports holding another one, which each of them drops through
+        `_cover_bits`."""
         packing = self.ring.packing
-        return [mono_mask(g, packing) for g in self.gens]
+        # The radical's bits _W * f are every _W-th binary digit from its top one.
+        return [int(f"{mono_radical(g, packing):b}"[::_W], 2) for g in self.gens]
 
     def min_primes(self) -> list[frozenset[Variable]]:
         """Minimal primes (as variable sets), from the pivot recursion
-        (`minimal_covers`)."""
+        (`minimal_covers`): bit f of a cover is ``ring.variables[-1 - f]``."""
         if self.is_unit:
             raise ValueError("unit ideal has no minimal primes")
-        covers = minimal_covers(self.supports())
-        return [frozenset(self.ring.packing.variables_of(c)) for c in covers]
+        variables = self.ring.variables
+        return [frozenset(variables[-1 - f] for f in reversed(_bit_positions(c)))
+                for c in minimal_covers(self.supports())]
 
     def _hilbert_lead(self) -> tuple[int, int]:
         """(h, e) of the radical, from the first call's cover search."""
@@ -1249,8 +1256,7 @@ class MonomialIdeal(Record):
             raise _overflow()
         gens = (MONO_ONE,)
         for cover in minimal_covers(self.supports()):
-            # The cover's guard bit 9f + 8 marks field f, whose variable is 1 << 9f.
-            prime = [1 << b - FIELD_BITS for b in _bit_positions(cover)]
+            prime = [1 << _W * f for f in _bit_positions(cover)]  # bit f: field f
             fields = sum(prime) * MAX_EXPONENT  # the exponent bits of P's variables
             products = []
             for b in gens:
@@ -1294,64 +1300,46 @@ def _minimal_masks(masks) -> list[int]:
     return lower + level
 
 
-def _cover_bits(supports) -> tuple[list[int], int, list[int]]:
-    """The set system re-indexed densely, its singletons split off: returns
-    (positions, ones, masks).
+def _cover_bits(supports) -> tuple[int, list[int]]:
+    """The minimal supports, their singletons split off: returns
+    (ones, masks), in the supports' own bits.
 
-    Dense bit i stands for bit positions[i] of the supports, the i-th
-    lowest bit any support has, so the re-indexing keeps the order of the
-    bits.  Duplicate supports and supports that contain another one are
-    dropped: neither changes the ideal.  Of the minimal masks left, a
-    singleton {y} shares no variable with another one, so its bit goes to
-    `ones`, which every value type folds in as a factor, and the others,
-    an antichain without singletons, are the input of `_pivot_recursion`.
-    They come out as `_minimal_masks` orders them, whatever the order of
-    the supports.
+    Duplicate supports and supports that contain another one are dropped:
+    neither changes the ideal.  Of the minimal masks left, a singleton {y}
+    shares no variable with another one, so its bit goes to `ones`, which
+    every value type folds in as a factor, and the others, an antichain
+    without singletons, are the input of `_pivot_recursion`.  They come out
+    as `_minimal_masks` orders them, whatever the order of the supports.
     """
     sets = set(supports)
     if 0 in sets:
         raise ValueError("empty support: ideal contains a unit")
-    union = 0
-    for s in sets:
-        union |= s
-    positions = _bit_positions(union)
-    dense = {1 << b: 1 << i for i, b in enumerate(positions)}  # source bit -> dense bit
-
-    def reindexed(s):
-        m = 0
-        while s:
-            low = s & -s
-            m |= dense[low]
-            s ^= low
-        return m
-
-    masks = _minimal_masks(map(reindexed, sets))
+    masks = _minimal_masks(sets)
     rest = [s for s in masks if s & (s - 1)]
-    return positions, sum(masks) - sum(rest), rest
+    return sum(masks) - sum(rest), rest
 
 
-_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
 _REVERSED_BYTES = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
 def minimal_covers(supports) -> list[int]:
     """All minimal covers (minimal primes) of a set system, each once.
 
-    Supports and covers are int bitmasks (for a monomial ideal, the support
-    masks of its generators).  The covers are the third value type of
-    `_pivot_recursion`, next to N(t) and (h, e): a list of dense cover
-    masks.  A node with pairwise coprime supports takes one bit of each
-    (`_coprime_covers`), and a split on x joins its children by
+    Supports and covers are int bitmasks (for a monomial ideal, its
+    `supports`, one bit per variable), the covers in the supports' own
+    bits.  They are the third value type of `_pivot_recursion`, next to
+    N(t) and (h, e): a list of cover masks.  A node with pairwise coprime
+    supports takes one bit of each (`_coprime_covers`), and a split on x
+    joins its children by
     Min(I) = {Y ∪ Q : Q ∈ Min(I : x less Y)} ⊔ {x ∪ Q : Q ∈ Min(J), Q misses
     some quotient s − x}, where J is the supports without x and Y the
     singleton quotients (`_join_covers`).  The supports go through
     `_cover_bits`, and the singletons' bits it splits off are ORed into
     every cover.  Covers come out by size, then by their ascending bits.
     """
-    positions, ones, masks = _cover_bits(supports)
-    covers = _pivot_recursion(masks, _coprime_covers, _join_covers)
-    n, nbytes = len(positions), len(positions) + 7 >> 3
-    weights = [1 << b for b in reversed(positions)]  # highest dense bit first
+    ones, masks = _cover_bits(supports)
+    covers = [ones | q for q in _pivot_recursion(masks, _coprime_covers, _join_covers)]
+    nbytes = max(covers).bit_length() + 7 >> 3
 
     def key(c):
         # Of two covers of one size, the one holding the lowest bit that
@@ -1359,12 +1347,7 @@ def minimal_covers(supports) -> list[int]:
         reversed_c = int.from_bytes(c.to_bytes(nbytes, "little").translate(_REVERSED_BYTES), "big")
         return (c.bit_count() << 8 * nbytes) - reversed_c
 
-    found = []
-    for c in sorted((ones | q for q in covers), key=key):
-        _check_deadline()
-        # The cover's binary digits, as bytes 0 and 1, pick its source bits.
-        found.append(sum(compress(weights, f"{c:0{n}b}".encode().translate(_BINARY_DIGITS))))
-    return found
+    return sorted(covers, key=key)
 
 
 # On in(I_3) of the generic 9x9 matrix the recursion visits 47k distinct
@@ -1385,7 +1368,9 @@ def _pivot_recursion(masks: list[int], base, join):
     (covers) of I.  Each of the three value types (`_hilbert_numerator`,
     `min_cover_size`, `minimal_covers`) takes supports, calls `_cover_bits`
     once, runs this on the antichain without singletons it returns, and
-    folds the singletons' bits into the result in its own way.
+    folds the singletons' bits into the result in its own way.  Pivots and
+    covers are bits of the supports as given: for a monomial ideal, one bit
+    per ring variable.
 
     A node whose supports are pairwise coprime takes `base(masks)`.  Any
     other node pivots on x, the variable in the most supports (ties to the
@@ -1522,7 +1507,7 @@ def _hilbert_numerator(supports) -> list[int]:
     squarefree monomial ideal I with these supports: `_pivot_recursion`
     with N(t) as its value, on the masks of `_cover_bits`, times a factor
     (1 - t) for each singleton it splits off."""
-    _, ones, masks = _cover_bits(supports)
+    ones, masks = _cover_bits(supports)
     num = _pivot_recursion(masks, _coprime_numerator, _join_numerators)
     return _times_one_minus_t(num, ones.bit_count())
 
@@ -1558,6 +1543,6 @@ def min_cover_size(supports) -> tuple[int, int]:
     of N itself, on the masks of `_cover_bits`; each singleton it splits
     off is a factor u of N and adds 1 to h.  `MonomialIdeal` keeps the
     pair, so that each of its cover searches is one call here."""
-    _, ones, masks = _cover_bits(supports)
+    ones, masks = _cover_bits(supports)
     h, e = _pivot_recursion(masks, _coprime_lead, _join_leads)
     return h + ones.bit_count(), e

@@ -12,7 +12,6 @@ from .poly import (
     Monomial,
     Polynomial,
     check_variable_count,
-    join_packings,
     mono_is_squarefree,
     mono_max_exponent,
 )
@@ -149,7 +148,6 @@ def fedder_check(I: Ideal, p: int, candidate: Polynomial) -> bool:
         raise ValueError("candidate polynomial is over the wrong field")
     if candidate.is_zero:
         return False
-    candidate = candidate.repack(join_packings(candidate.packing, I.ring.packing))
     # Membership in the colon, generator by generator: c*g in I^[p] for all g.
     # c and its normal form r modulo I^[p] differ by an element of I^[p], so
     # c*g lies in I^[p] exactly when r*g does: c is reduced once, and each

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import accumulate, combinations, combinations_with_replacement, permutations
+from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -504,8 +504,7 @@ def _reference_symbolic_power(M, n):
     ring, guard = M.ring, M.ring.packing.guard
     result = None
     for cover in minimal_covers(M.supports()):
-        # The cover's guard bit 9f + 8 marks the variable 1 << 9f.
-        prime = [1 << b - 8 for b in range(cover.bit_length()) if cover >> b & 1]
+        prime = [mono((v, 1)) for v in _cover_variables(ring, cover)]
         power = monomial_power(MonomialIdeal.from_monomials(ring, prime), n)
         result = power if result is None else MonomialIdeal.from_monomials(
             ring, [mono_lcm(a, b, guard) for a in result.gens for b in power.gens])
@@ -570,6 +569,12 @@ def _mask(bits):
     return sum(1 << b for b in bits)
 
 
+def _cover_variables(ring, cover):
+    """The variables of a cover of `MonomialIdeal.supports`: bit f is the
+    variable ``ring.variables[-1 - f]``."""
+    return [ring.variables[-1 - f] for f in range(cover.bit_length()) if cover >> f & 1]
+
+
 def _brute_minimal_covers(supports):
     """Minimal covers by trying every subset of the bits, in output order."""
     universe = sorted(set().union(*supports))
@@ -582,18 +587,27 @@ def _brute_minimal_covers(supports):
 _RING_3X4 = Ring.for_grid(QQ, 3, 4)
 
 
+def _fields(mask):
+    """A mask of guard bits 9f + 8 with bit f in place of each."""
+    return _mask((b - 8) // 9 for b in range(mask.bit_length()) if mask >> b & 1)
+
+
 def _check_against_bruteforce(supports):
-    """Supports are sets of bit positions, here the guard bits of the 3x4
-    grid's packing (the support masks of its variables)."""
+    """Supports are sets of bit positions, here the guard bits 9f + 8 of
+    the 3x4 grid's packing (the `mono_mask` of its variables)."""
     expected = _brute_minimal_covers(supports)
     masks = [_mask(s) for s in supports]
     assert minimal_covers(masks) == expected
     height = expected[0].bit_count()
     assert min_cover_size(masks)[0] == height
+    # The ideal's own supports hold bit f for the guard bit 9f + 8, and its
+    # covers are those above with their bits compacted the same way, in the
+    # same order.
+    M = MonomialIdeal.from_monomials(_RING_3X4, [m >> 8 for m in masks])
+    assert M.supports() == sorted(set(M.supports())) and set(M.supports()) <= set(map(_fields, masks))
+    assert minimal_covers(M.supports()) == list(map(_fields, expected))
     # The multiplicity of a squarefree monomial ideal counts its minimal
     # primes of least height.
-    M = MonomialIdeal.from_monomials(_RING_3X4, [m >> 8 for m in masks])
-    assert M.supports() == sorted(set(M.supports())) and set(M.supports()) <= set(masks)
     assert M.multiplicity() == sum(1 for c in expected if c.bit_count() == height)
 
 
@@ -700,7 +714,7 @@ def test_cover_bits_do_not_depend_on_the_order_of_the_supports():
     keys = _GRID_KEYS
     supports = [1 << keys[i] | 1 << keys[i + 5] for i in range(7)]
     expected = _cover_bits(supports)
-    positions, ones, masks = expected
+    ones, masks = expected
     assert ones == 0
     assert [m.bit_count() for m in masks] == sorted(m.bit_count() for m in masks)
     assert all(x < y for x, y in zip(masks, masks[1:]) if x.bit_count() == y.bit_count())
@@ -732,8 +746,42 @@ def test_height_and_min_primes_read_the_supports_of_any_ideal():
         not_squarefree += not M.is_squarefree()
         radical = M.radical().supports()
         assert M.height() == min_cover_size(radical)[0]
-        assert M.min_primes() == [frozenset(ring.packing.variables_of(c)) for c in minimal_covers(radical)]
+        assert M.min_primes() == [frozenset(_cover_variables(ring, c)) for c in minimal_covers(radical)]
     assert not_squarefree > 2500
+
+
+def _brute_min_primes(edges):
+    """The minimal vertex covers of edges (sets of variables): the minimal
+    sets among those that take one variable of each edge."""
+    picks = {frozenset(p) for p in product(*edges)}
+    return {p for p in picks if not any(q < p for q in picks)}
+
+
+def test_supports_carry_one_bit_per_ring_variable():
+    # staircase10's 44 cells, not a full grid: bit f of a support is the
+    # variable ring.variables[-1 - f], and the minimal primes and the second
+    # symbolic power read covers back by that map.  The references work on
+    # sets of `Variable`s, so a wrong bit-to-variable map fails them.
+    L, _ = ladderdet.load_fixture("staircase10")
+    ring = ladder_ring(QQ, L)
+    bit = {v: 1 << f for f, v in enumerate(reversed(ring.variables))}
+    rng = random.Random(48)
+    for _ in range(200):
+        pool = rng.sample(ring.variables, rng.randint(2, 12))
+        edges = {frozenset(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+                 for _ in range(rng.randint(1, 6))}
+        M = MonomialIdeal.from_monomials(ring, [mono(*((v, 1) for v in e)) for e in edges])
+        minimal = [e for e in edges if not any(o < e for o in edges)]
+        assert sorted(M.supports()) == sorted(sum(map(bit.get, e)) for e in minimal)
+        primes = _brute_min_primes(minimal)
+        assert len(M.min_primes()) == len(primes) and set(M.min_primes()) == primes
+        squares = None
+        for P in primes:
+            power = MonomialIdeal.from_monomials(
+                ring, [mono((v, 1), (w, 1)) for v, w in combinations_with_replacement(P, 2)])
+            squares = power if squares is None else MonomialIdeal.from_monomials(
+                ring, [mono_lcm(a, b, ring.packing.guard) for a in squares.gens for b in power.gens])
+        assert M.symbolic_power(2).gens == squares.gens
 
 
 def _generic_antidiagonals(k, l, t):
@@ -954,8 +1002,8 @@ def test_time_limit_reaches_inside_one_hilbert_node():
 
 def test_time_limit_reaches_inside_one_coprime_node():
     # 21 disjoint pairs: one node of the pivot recursion, whose 2^21 minimal
-    # covers (one bit of each pair) take about 2 s to build, sort and map
-    # back on a 2-CPU machine with no budget check inside the node.
+    # covers (one bit of each pair) take about 2.4 s to build and sort on a
+    # 2-CPU machine with no budget check inside the node.
     supports = [3 << 2 * i for i in range(21)]
     start = time.monotonic()
     with pytest.raises(InstanceTooLarge):
