@@ -1206,11 +1206,11 @@ class MonomialIdeal(Record):
 
     def min_primes(self) -> list[frozenset[Variable]]:
         """Minimal primes (as variable sets), from the pivot recursion
-        (`minimal_covers`): bit f of a cover is ``ring.variables[-1 - f]``."""
+        (`minimal_covers`), in its order."""
         if self.is_unit:
             raise ValueError("unit ideal has no minimal primes")
         variables = self.ring.variables
-        return [frozenset(variables[-1 - f] for f in reversed(_bit_positions(c)))
+        return [frozenset(variables[-1 - f] for f in _bit_positions(c))
                 for c in minimal_covers(self.supports())]
 
     def _hilbert_lead(self) -> tuple[int, int]:
@@ -1335,7 +1335,8 @@ def minimal_covers(supports) -> list[int]:
     some quotient s − x}, where J is the supports without x and Y the
     singleton quotients (`_join_covers`).  The supports go through
     `_cover_bits`, and the singletons' bits it splits off are ORed into
-    every cover.  Covers come out by size, then by their ascending bits.
+    every cover.  Covers come out by size, then by their ascending bits;
+    computing their sort keys checks the budget once per cover.
     """
     ones, masks = _cover_bits(supports)
     covers = [ones | q for q in _pivot_recursion(masks, _coprime_covers, _join_covers)]
@@ -1344,6 +1345,7 @@ def minimal_covers(supports) -> list[int]:
     def key(c):
         # Of two covers of one size, the one holding the lowest bit that
         # only one of them has comes first: the larger bit-reversed mask.
+        _check_deadline()
         reversed_c = int.from_bytes(c.to_bytes(nbytes, "little").translate(_REVERSED_BYTES), "big")
         return (c.bit_count() << 8 * nbytes) - reversed_c
 

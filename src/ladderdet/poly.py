@@ -797,7 +797,12 @@ def expand_minor(m: Minor, field: Field = QQ, packing: Packing | None = None) ->
 
 
 # ---------------------------------------------------------------------------
-# Canonical textual format: `3*x[1,2]^2*x[3,1]`, auxiliaries by bare name.
+# Canonical textual format: `3*x[1,2]^2*x[3,1] - t + 1/4`, auxiliaries by
+# bare name.  A polynomial is terms joined by ` + ` and ` - ` (the first may
+# carry `-`); a term is factors joined by `*`; a factor is an integer, a
+# fraction `a/b`, or `x[i,j]` or a name `[A-Za-z_][A-Za-z_0-9]*`, the
+# variable optionally raised to `^n`.  `parse_polynomial` reads exactly this
+# grammar, with spaces allowed around any token.
 
 
 def mono_to_str(m: int, packing: Packing) -> str:
@@ -824,78 +829,42 @@ def poly_to_str(f: Polynomial) -> str:
     return " ".join(out)
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<grid>x\[\s*(?P<i>\d+)\s*,\s*(?P<j>\d+)\s*\])"
-    r"|(?P<num>\d+(?:/\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[\^\*\+\-]))"
+_FACTOR = re.compile(
+    r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)"
+    r"|(?:x\[\s*(?P<i>[0-9]+)\s*,\s*(?P<j>[0-9]+)\s*\]|(?P<name>[A-Za-z_][A-Za-z_0-9]*))"
+    r"(?:\s*\^\s*(?P<exp>[0-9]+))?)\s*"
 )
+_SIGN = re.compile(r"([+-])")
 
 
 def parse_polynomial(text: str, field: Field = QQ) -> Polynomial:
-    """Parse the canonical textual polynomial grammar into the ring of the
-    variables it uses."""
+    """Parse the grammar `poly_to_str` prints into the ring of the variables
+    it uses: terms joined by ``+`` or ``-`` (the first may carry a sign),
+    each a ``*``-product of factors, each an integer, a fraction ``a/b``, or
+    ``x[i,j]`` or a name, the variable optionally raised to ``^n``.  Spaces
+    may surround any token.  Coefficients multiply in the rationals and are
+    coerced into `field`; a repeated variable adds its exponents.  Any other
+    text raises ValueError naming the factor it could not read."""
     if not isinstance(text, str):
         raise ValueError(f"a polynomial is a string, got {text!r}")
-    tokens = []
-    pos = 0
-    text = text.strip()
-    while pos < len(text):
-        mt = _TOKEN.match(text, pos)
-        if not mt:
-            raise ValueError(f"bad polynomial syntax at offset {pos}: {text[pos:pos+20]!r}")
-        tokens.append(mt)
-        pos = mt.end()
-
-    # Coefficients are read as rationals and coerced into `field` at the end.
+    head, *rest = _SIGN.split(text)
+    signed = list(zip(rest[::2], rest[1::2]))
+    if head.strip() or not signed:
+        signed.insert(0, ("+", head))
     terms: list[tuple[list, object]] = []
-    sign = 1
-    factors: list[tuple[Variable, int]] = []
-    coeff = 1
-    have_term = False
-
-    def flush():
-        nonlocal factors, coeff, have_term, sign
-        if have_term:
-            terms.append((factors, sign * coeff))
-        factors, coeff, have_term, sign = [], 1, False, 1
-
-    idx = 0
-    while idx < len(tokens):
-        tk = tokens[idx]
-        kind = tk.lastgroup
-        if kind == "op" and tk.group("op") in "+-":
-            flush()
-            sign = 1 if tk.group("op") == "+" else -1
-            idx += 1
-            continue
-        if kind == "op" and tk.group("op") == "*":
-            idx += 1
-            continue
-        if kind == "num":
-            coeff = QQ.mul(coeff, QQ.coerce(tk.group("num")))
-            have_term = True
-            idx += 1
-            continue
-        if kind in ("grid", "name"):
-            if kind == "grid":
-                v = grid_var(int(tk.group("i")), int(tk.group("j")))
+    for sign, term in signed:
+        coeff, factors = -1 if sign == "-" else 1, []
+        for factor in term.split("*"):
+            mt = _FACTOR.fullmatch(factor)
+            if mt is None:
+                what = f"cannot read factor {factor.strip()!r}" if factor.strip() else "empty factor"
+                raise ValueError(f"bad polynomial {text!r}: {what}")
+            if mt["num"]:
+                coeff = QQ.mul(coeff, QQ.coerce(mt["num"]))
             else:
-                v = aux_var(tk.group("name"))
-            exp = 1
-            if idx + 2 < len(tokens) and tokens[idx + 1].lastgroup == "op" and tokens[idx + 1].group("op") == "^":
-                if tokens[idx + 2].lastgroup != "num" or "/" in tokens[idx + 2].group("num"):
-                    raise ValueError("exponent must be a nonnegative integer")
-                exp = int(tokens[idx + 2].group("num"))
-                idx += 2
-            factors.append((v, exp))
-            have_term = True
-            idx += 1
-            continue
-        raise ValueError(f"unexpected token {tk.group()!r}")
-    flush()
-    if not terms:
-        raise ValueError("empty polynomial text")
+                v = aux_var(mt["name"]) if mt["name"] else grid_var(int(mt["i"]), int(mt["j"]))
+                factors.append((v, int(mt["exp"] or 1)))
+        terms.append((factors, coeff))
     packing = packing_of(v for factors, _ in terms for v, e in factors if e)
     return Polynomial.from_terms(field, ((packing.pack(factors), c) for factors, c in terms),
                                  packing)

@@ -416,6 +416,13 @@ _DEEP_SUM = ('{"cells": [[1, 1]], "field": "q", "f_factors": ["x[1,1]"], "root":
       "root": {"kind": "sum", "children": []}}),
     (["knutson", "verify"],
      {"field": "q", "cells": [[1, 1]], "f_factors": ["1"], "root": {"kind": "leaf", "factor": "1"}}),
+    (["ideal", "gb"], {"shape": [2, 2], "gens": ["x[1,1]**2"]}),
+    (["ideal", "member", "--poly=x[1,1]*-x[2,2]"],
+     {"shape": [3, 3], "upper": [[1, 3]], "lower": [[3, 1]], "t": [2]}),
+    (["knutson", "verify"],
+     {"cells": [[1, 1]], "field": "q", "f_factors": ["x[1,1]"],
+      "root": {"kind": "min_prime", "child": {"kind": "leaf", "factor": "x[1,1]"},
+               "claimed": ["x[1,1] x[1,1]"]}}),
 ], ids=["knutson-verify", "poset-spec", "ideal-gb", "fedder-bad-t-entry", "ideal-gb-short-t",
         "ideal-gb-int-gen", "ideal-gb-float-cell", "knutson-verify-int-factor",
         "knutson-verify-int-claimed", "poset-spec-float-index", "knutson-verify-deep-sum",
@@ -423,7 +430,8 @@ _DEEP_SUM = ('{"cells": [[1, 1]], "field": "q", "f_factors": ["x[1,1]"], "root":
         "poset-spec-outside-grid", "ideal-member-zero-denominator",
         "ideal-gb-denominator-divisible-by-p", "knutson-verify-empty-intersect",
         "knutson-verify-unknown-identity", "ideal-gb-empty-rows", "ideal-gb-negative-cols",
-        "ideal-gb-no-cells", "knutson-verify-empty-sum", "knutson-verify-constant-factor"])
+        "ideal-gb-no-cells", "knutson-verify-empty-sum", "knutson-verify-constant-factor",
+        "ideal-gb-double-star", "ideal-member-signed-factor", "knutson-verify-juxtaposed-claim"])
 def test_malformed_loader_input_exits_2(argv, content, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(content if isinstance(content, str) else json.dumps(content))

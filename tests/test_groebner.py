@@ -1012,6 +1012,30 @@ def test_time_limit_reaches_inside_one_coprime_node():
     assert time.monotonic() - start < 0.5
 
 
+def test_time_limit_reaches_the_sort_of_the_covers(monkeypatch):
+    # Once the recursion has returned, only the ordering of its covers is
+    # left: a budget that runs out then must still stop the call.
+    from ladderdet import groebner
+
+    real = groebner._pivot_recursion
+    armed = []
+
+    def recursion(masks, base, join):
+        covers = real(masks, base, join)
+        armed.append(len(covers))
+        return covers
+
+    def check_deadline():
+        if armed:
+            raise InstanceTooLarge("instance too large: time budget exceeded")
+
+    monkeypatch.setattr(groebner, "_pivot_recursion", recursion)
+    monkeypatch.setattr(groebner, "_check_deadline", check_deadline)
+    with pytest.raises(InstanceTooLarge):
+        minimal_covers([3 << 2 * i for i in range(4)])
+    assert armed == [16]
+
+
 def test_time_limit_reaches_inside_one_cover_join():
     # The root pivots on x, which is in 3,000 supports {x, y, w} and
     # {x, z, w}, a fresh w in each.  J, the supports without x, is {y, b},

@@ -145,14 +145,33 @@ def _positions(doc, out):
     return out
 
 
+def _edit_text(rng, text):
+    """`text` with one `*`, `+`, `-`, `^` or space inserted, deleted or
+    doubled."""
+    op = rng.choice("*+-^ ")
+    at = [i for i, ch in enumerate(text) if ch == op]
+    how = rng.randrange(3)
+    if how == 0 or not at:
+        i = rng.randrange(len(text) + 1)
+        return text[:i] + op + text[i:]
+    i = rng.choice(at)
+    return text[:i] + ("" if how == 1 else op * 2) + text[i + 1:]
+
+
 def _damage(rng, doc):
     """One random damage anywhere in a JSON tree: a slot replaced by junk,
-    deleted, or a number in it nudged off the integers."""
+    deleted, or a number in it nudged off the integers, or a polynomial
+    string edited in place (`_edit_text`)."""
     slots = _positions(doc, [])
     if not slots or rng.random() < 0.05:
         return rng.choice([[doc], 5, "x", None])
+    kind = rng.randrange(4)
+    texts = [(c, k) for c, k in slots if isinstance(c[k], str) and "x[" in c[k]]
+    if kind == 3 and texts:
+        container, key = rng.choice(texts)
+        container[key] = _edit_text(rng, container[key])
+        return doc
     container, key = rng.choice(slots)
-    kind = rng.randrange(3)
     if kind == 0:
         container[key] = copy.deepcopy(rng.choice(TREE_JUNK))
     elif kind == 1:

@@ -3,6 +3,7 @@
 import ast
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -428,6 +429,24 @@ def test_pow_and_scalars():
     assert (x ** 0) == Polynomial.one(QQ)
 
 
+_NAMES = [aux_var(name) for name in ("s", "t", "y_2", "Alpha")]
+
+
+def _random_polynomial(rng, field):
+    """A seeded polynomial over grid variables and names, exponents up to
+    `MAX_EXPONENT`, and (over QQ) negative and fractional coefficients."""
+    variables = rng.sample([gv(i, j) for i in range(1, 4) for j in range(1, 12)] + _NAMES,
+                           rng.randint(1, 6))
+    packing = packing_of(variables)
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        exponents = [(v, rng.choice([0, 1, 2, 3, rng.randint(4, MAX_EXPONENT)]))
+                     for v in rng.sample(variables, rng.randint(0, len(variables)))]
+        coeff = Fraction(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 7]) if field == QQ else 1)
+        terms.append((packing.pack(exponents), coeff))
+    return Polynomial.from_terms(field, terms, packing)
+
+
 def test_text_roundtrip():
     f = 3 * expand_minor(Minor((1, 2), (1, 2))) + Polynomial.constant(QQ, Fraction(1, 2))
     assert parse_polynomial(poly_to_str(f)) == f
@@ -435,6 +454,16 @@ def test_text_roundtrip():
     assert poly_to_str(g) == "-t + 3*x[1,2]^2*x[3,1] + 1/4"
     assert parse_polynomial(poly_to_str(g)) == g
     assert poly_to_str(Polynomial.zero(QQ)) == "0"
+    # Seeded polynomials read back to themselves, in the ring of the
+    # variables they use.
+    rng = random.Random(49)
+    for field in (QQ, GF(2), GF(5)):
+        for _ in range(300):
+            f = _random_polynomial(rng, field)
+            g = parse_polynomial(poly_to_str(f), field)
+            assert g == f and poly_to_str(g) == poly_to_str(f)
+            used = {v for m in f.terms for v, _ in Monomial(f.packing, m).exponents()}
+            assert g.packing.variables == packing_of(used).variables
 
 
 def test_parse_rejects_garbage():
@@ -442,6 +471,34 @@ def test_parse_rejects_garbage():
         parse_polynomial("x[1,2] %% 3")
     with pytest.raises(ValueError):
         parse_polynomial("")
+    # Text outside the printed grammar, which a reader that skips every `*`
+    # and starts a term at every sign would misread: the error names the
+    # factor it could not read, or says that a factor is empty.
+    for text, factor in [("x[1,1]**2", None), ("x[1,1]*-x[1,2]", None), ("--x[1,1]", None),
+                         ("+-x[1,1]", None), ("x[1,1]+", None), ("*x[1,1]", None),
+                         ("x[1,1]*", None), ("2x[1,1]", "2x[1,1]"),
+                         ("x[1,1] x[2,2]", "x[1,1] x[2,2]"), ("1e5", "1e5"), ("tē", "tē")]:
+        named = "empty factor" if factor is None else f"cannot read factor {factor!r}"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            parse_polynomial(text)
+
+
+def test_operator_soup_is_refused_or_read_in_the_printed_grammar():
+    # Random strings of factors and operators: each is refused, or read as
+    # a polynomial that its printed text reads back to.
+    rng = random.Random(4949)
+    pieces = ["x[1,1]", "x[2,3]", "t", "s", "2", "1/3", "0", "*", "*", "+", "-", "^", "^2",
+              " ", "**", "x", "[", "1"]
+    read = 0
+    for _ in range(3000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 8)))
+        try:
+            f = parse_polynomial(text)
+        except ValueError:
+            continue
+        read += 1
+        assert parse_polynomial(poly_to_str(f)) == f, text
+    assert read > 100
 
 
 def test_field_arithmetic_and_inverse():
