@@ -11,20 +11,23 @@ symbolic powers by one pass per minimal prime P, as (b) ∩ P^n =
 b · P^(max(0, n − deg_P b)) (Herzog, Hibi and Trung, Adv. Math. 210, 2007)).
 
 `buchberger` and `is_groebner_basis` build the Gebauer-Moeller pair set
-(Gebauer and Moeller, J. Symbolic Comput. 6, 1988) on an index of the
-leads: a new lead forms lcms only with the leads that share a variable with
-it, a lead coprime to it acts only through one divisor search, skipped when
-no lead is coprime to it or when the quotient has fewer variables outside
-the new lead than any lead has, and the initial build tests the chain
-criterion once per pair against the later leads, but not for a pair whose
-lcm is lm_j times one variable when no later lead is of lower degree than
-lm_j, which it cannot drop.  Both form and reduce each S-pair on the terms
-of a reducer's entries, coefficients as the polynomials hold them, and
-every remainder, of an S-pair or of a tail, comes from one reduction loop,
-`Reducer.remainders`, which sets up once per run, reading the deadline too.
-The reducer, the pair update (its minimal quotients, its coprime leads and
-the initial build's later leads), `interreduce` and monomial minimalisation
-find divisors on one top-bit index (`_index_add`, `_divisor`).  Both first
+(Gebauer and Moeller, J. Symbolic Comput. 6, 1988) on the run's `Reducer`,
+whose index files each lead once for the reduction and the pair update
+alike: a new lead forms lcms only with the leads that share a variable with
+it, a lead coprime to it acts only through one divisor search of that
+index, skipped when no lead is coprime to it or when the quotient has fewer
+variables outside the new lead than any lead has, and the initial build
+tests the chain criterion once per pair against the later leads, but not
+for a pair whose lcm is lm_j times one variable when no later lead is of
+lower degree than lm_j, which it cannot drop.  Both form and reduce each
+S-pair on the terms of the reducer's entries, coefficients as the
+polynomials hold them, and every remainder, of an S-pair or of a tail,
+comes from one reduction loop, `Reducer.remainders`, which sets up once per
+run, reading the deadline too.  Divisors are found on one top-bit index
+(`_index_add`, `_divisor`), and the minimal ones of a set of monomials, be
+they the pair update's quotients, a monomial ideal's generators or the
+supports of the cover search, come from one degree-ordered pass over it
+(`_minimal`).  Both first
 walk the initial pair set in the order it was built, up to the first
 nonzero remainder (`_walk`); most generator sets the engine meets, minors
 under an antidiagonal order, are already bases, and for them the walk is
@@ -101,6 +104,7 @@ from .fields import Field
 from .poly import (
     FIELD_BITS,
     MAX_EXPONENT,
+    MAX_VARIABLES,
     MONO_ONE,
     InstanceTooLarge,
     Packing,
@@ -187,6 +191,12 @@ def _sub_multiple(work: dict, tail, u: int, q, p) -> None:
                 del work[mm]
 
 
+def _entry(lm: int, terms: dict, packing: Packing):
+    """The `Reducer` entry of the element with terms `terms` and leading
+    monomial lm, in `packing`."""
+    return lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm], mono_mask(lm, packing)
+
+
 def _index_add(index: dict, m: int, mask: int, item) -> None:
     """Files `item`, of monomial m and support mask `mask`, in the divisor
     index under the mask's top bit: the constant 1, of mask 0, under 0."""
@@ -209,25 +219,56 @@ def _divisor(index: dict, m: int, mask: int, guard: int):
         bits ^= 1 << top - 1
 
 
+def _minimal(items, guard: int) -> list[int]:
+    """The monomials of the (degree, monomial, support mask) items that the
+    monomial of no other item divides, each once, by ascending degree and,
+    within a degree, ascending int.
+
+    A proper divisor has lower degree, so the items go by degree, each
+    looked up (`_divisor`) among the kept ones of lower degree, which are
+    filed as each degree starts; while none is filed, none is looked up.
+    Repeats are adjacent in that order, and only the first is taken.  Under
+    guard 0 a bit mask is a monomial of its own: its degree is its
+    popcount, and it divides the masks that hold its bits.
+    """
+    index, kept, filed, degree, last = {}, [], 0, 0, None  # kept[:filed] is in the index
+    for item in sorted(items):
+        if item == last:
+            continue
+        _check_deadline()
+        d, m, mask = last = item
+        if d > degree:
+            degree = d
+            for _, g, gmask in kept[filed:]:
+                _index_add(index, g, gmask, g)
+            filed = len(kept)
+        if not index or _divisor(index, m, mask, guard) is None:
+            kept.append(item)
+    return [m for _, m, _ in kept]
+
+
 class Reducer:
     """Divisor table for repeated normal forms against a (growing) basis.
 
     `entries` holds one (lead, lead coefficient, tail terms, support mask)
     per basis element, in basis order.  `index` files the same entries by
     their leads (`_index_add`), and each term of the remainder takes the
-    first entry `_divisor` finds there.  Every term that becomes the leading
-    term of the remainder is checked for an exponent past its field.  All
+    first entry `_divisor` finds there.  `least` and `most` are the fewest
+    and the most variables a lead has: no lead divides a monomial of fewer
+    than `least` variables.  Every term that becomes the leading term of
+    the remainder is checked for an exponent past its field.  All
     reduction runs through `remainders`, a generator over term dicts, so a
     batch pays the set-up once.
     """
 
-    __slots__ = ("field", "packing", "entries", "index")
+    __slots__ = ("field", "packing", "entries", "index", "least", "most")
 
     def __init__(self, basis=(), field: Field | None = None, packing: Packing | None = None):
         """The field and packing are those of the first basis element
         unless given."""
         self.entries: list = []
         self.index: dict = {}
+        self.least, self.most = MAX_VARIABLES + 1, 0
         self.field = field
         self.packing = packing
         for g in basis:
@@ -241,13 +282,17 @@ class Reducer:
 
     def add_terms(self, lm: int, terms: dict) -> None:
         """Add the element with terms `terms` and leading monomial lm."""
-        mask = mono_mask(lm, self.packing)
-        self.add_entry((lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm], mask))
+        self.add_entry(_entry(lm, terms, self.packing))
 
     def add_entry(self, entry) -> None:
         """Add an entry of another reducer of the same packing as it is."""
         self.entries.append(entry)
         _index_add(self.index, entry[0], entry[3], entry)
+        size = entry[3].bit_count()
+        if size < self.least:
+            self.least = size
+        if size > self.most:
+            self.most = size
 
     def reduce(self, f: Polynomial) -> Polynomial:
         packing = self.packing
@@ -338,23 +383,23 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 # Monomials are coprime iff their support masks (`mono_mask`) share no bit,
 # and one can divide another only if its mask lies inside the other's.
 #
-# The pairs are made on a `_Leads` index of the basis's leads: their
-# support masks and the leads filed on the divisor index (`_index_add`).
-# It saves work in four ways:
+# The pairs are made on the run's `Reducer`, whose entries hold the leads
+# and their support masks and whose index files the leads (`_index_add`):
+# each lead is filed once, for the reduction and the pair update alike.
+# The update saves work in four ways:
 # - M and F, near leads only (`_near_pairs`): a new lead's lcms and
 #   quotients are formed only with the leads that share a variable with
-#   it, found by one scan of the masks, and the minimal quotients on a
-#   divisor index of their own (`_divisor`).  A lead c coprime to it
-#   matters only through division: lm_c times the new lead divides the lcm
-#   L_i of lead i exactly when lm_c divides the quotient q_i.  So a minimal
-#   quotient is dropped when `_divisor` finds a lead dividing it on the
-#   leads' index, searched with the quotient's support outside the new
-#   lead's; that one test is the coprime-lead criterion F and the coprime
-#   part of M.
+#   it, found by one scan of the masks, and the minimal quotients are kept
+#   by `_minimal`.  A lead c coprime to it matters only through division:
+#   lm_c times the new lead divides the lcm L_i of lead i exactly when
+#   lm_c divides the quotient q_i.  So a minimal quotient is dropped when
+#   `_divisor` finds a lead dividing it on the reducer's index, searched
+#   with the quotient's support outside the new lead's; that one test is
+#   the coprime-lead criterion F and the coprime part of M.
 # - No coprime search when none can exist: when every lead is near, as
 #   in an intersection, whose leads all hold the aux variable, or when a
 #   quotient has fewer variables outside the new lead than any lead has
-#   (`_Leads.least`), as for minors of one size, the search is skipped.
+#   (`Reducer.least`), as for minors of one size, the search is skipped.
 # - B once per pair in the initial build: B_k drops the pair (i, j), made
 #   when j was added, exactly when a later lead k divides its lcm L and L
 #   differs from lcm(i, k) and from lcm(j, k), which depends on i, j and k
@@ -367,43 +412,16 @@ def s_polynomial(a, b, lcm: int, guard: int, field: Field) -> dict:
 #   scans the pair set for each new lead.
 # - No build for a decided set: `is_groebner_basis` on generators whose
 #   verdict is recorded, and `buchberger` on generators recorded as a
-#   basis, build no pair set (`_verdict`).  `is_groebner_basis` on the very
-#   list the record holds, the same objects in the same order, builds no
-#   monic reducer and no key either.
+#   basis, build no pair set and no reducer (`_verdict`).
+#   `is_groebner_basis` on the very list the record holds, the same
+#   objects in the same order, builds no monic entries and no key either.
 # For a, b | L, lcm(a, b) = L iff the cofactors L - a and L - b share no
 # variable, so B takes three masks and no lcm.
 
-
-class _Leads:
-    """The leads of a basis, indexed for the pair update.
-
-    `masks` holds the support mask of each lead, `index` files each lead's
-    number under the lead on the divisor index (`_index_add`), and `least`
-    and `most` are the smallest and largest support sizes among the leads:
-    no lead divides a monomial of fewer than `least` variables.
-    """
-
-    __slots__ = ("guard", "low", "lms", "masks", "index", "least", "most")
-
-    def __init__(self, packing: Packing):
-        self.guard, self.low = packing.guard, packing.low
-        self.lms: list[int] = []
-        self.masks: list[int] = []
-        self.index: dict = {}
-        self.least, self.most = len(packing.variables) + 1, 0
-
-    def add(self, lm: int) -> None:
-        mask = (lm + self.low) & self.guard
-        _index_add(self.index, lm, mask, len(self.lms))
-        self.lms.append(lm)
-        self.masks.append(mask)
-        size = mask.bit_count()
-        self.least, self.most = min(self.least, size), max(self.most, size)
-
-
-def _near_pairs(leads: _Leads, lmf: int):
-    """M and F for a new lead lmf after the leads of `leads`: the new pairs
-    as (first index of L, L), in the order they enter the pair set.
+def _near_pairs(reducer: Reducer, lmf: int):
+    """M and F for a new lead lmf after the leads of the reducer's entries:
+    the new pairs as (first index of L, L), in the order they enter the
+    pair set.
 
     The new pairs are (first index of L, n) for each minimal lcm L of lmf
     with a lead, unless a lead of L's group is coprime to lmf.  Each such L
@@ -414,27 +432,25 @@ def _near_pairs(leads: _Leads, lmf: int):
     - else a quotient that is one variable to the first power is minimal,
       and every other quotient with that variable is a multiple of it, which
       one AND with the mask `units` of those variables finds;
-    - the remaining quotients are taken in ascending int order, in which a
-      proper divisor comes first, and each is kept unless `_divisor` finds
-      a divisor of it among the kept ones, filed as it goes;
+    - `_minimal` keeps the minimal ones of the remaining quotients, which
+      are then taken in ascending int order;
     - a minimal quotient q is dropped when a lead c coprime to lmf divides
       it.  c's own quotient is lm_c, so a group holds c exactly when
       q = lm_c, and lm_c | q otherwise makes q no minimal quotient: that
       one test is the coprime-lead criterion and the coprime leads' part
-      of the minimality.  It is one `_divisor` search of the leads' index
-      with q's support outside lmf's: a lead whose support lies there is
-      coprime to lmf.  The search is skipped when that support has fewer
-      variables than `leads.least`, the fewest any lead has, since no lead
-      then fits in it.  q's support outside lmf lies in that of the near
-      lead it came from, less a variable the two share, so when every lead
-      has the same support size, as minors of one size do, no q is searched.
+      of the minimality.  It is one `_divisor` search of the reducer's
+      index with q's support outside lmf's: a lead whose support lies there
+      is coprime to lmf.  The search is skipped when that support has fewer
+      variables than `reducer.least`, the fewest any lead has, since no
+      lead then fits in it.  q's support outside lmf lies in that of the
+      near lead it came from, less a variable the two share, so when every
+      lead has the same support size, as minors of one size do, no q is
+      searched.
     """
-    lms, masks, guard, low = leads.lms, leads.masks, leads.guard, leads.low
+    entries, guard, low = reducer.entries, reducer.packing.guard, reducer.packing.low
     maskf = (lmf + low) & guard
-    near = [i for i, mask in enumerate(masks) if mask & maskf]
-    lcms = [mono_lcm(lms[i], lmf, guard) for i in near]
-
-    first = dict(zip(reversed(lcms), reversed(near)))  # lcm -> its first index
+    near = [(mono_lcm(e[0], lmf, guard), i) for i, e in enumerate(entries) if e[3] & maskf]
+    first = dict(reversed(near))  # lcm -> its first index
     if lmf in first:
         minimal = [MONO_ONE]
     else:
@@ -442,29 +458,26 @@ def _near_pairs(leads: _Leads, lmf: int):
         quotients = [L - lmf for L in first]
         minimal = [q for q in quotients if q.bit_count() == 1 and q & ones]
         units = sum(minimal) << FIELD_BITS  # the guard bits of their variables
-        index: dict = {}  # the kept quotients of the sorted pass
-        for q in sorted([q for q in quotients if not (q + low) & units]):
-            mask = (q + low) & guard
-            if _divisor(index, q, mask, guard) is None:
-                minimal.append(q)
-                _index_add(index, q, mask, q)
+        minimal += sorted(_minimal([(mono_degree(q), q, mask) for q in quotients
+                                    if not (mask := (q + low) & guard) & units], guard))
 
-    least = leads.least
-    if len(near) < len(lms) and least < leads.most:  # a coprime lead may fit
+    least = reducer.least
+    if len(near) < len(entries) and least < reducer.most:  # a coprime lead may fit
         # A lead c coprime to lmf has lcm lm_c * lmf, and
         # lm_c * lmf | L_i = lmf * q_i iff lm_c | q_i; no lead has fewer
         # than `least` variables.
         minimal = [q for q in minimal
                    if (outside := (q + low) & guard & ~maskf).bit_count() < least
-                   or _divisor(leads.index, q, outside, guard) is None]
+                   or _divisor(reducer.index, q, outside, guard) is None]
     return [(first[q + lmf], q + lmf) for q in minimal]
 
 
-def _update_pairs(leads: _Leads, P: dict, lmf: int) -> dict:
+def _update_pairs(reducer: Reducer, P: dict, lmf: int) -> dict:
     """Gebauer-Moeller pair update, in place: makes the pair set P that of
-    the basis with the leads of `leads` after adding an element with lead
-    monomial lmf, adds lmf to `leads`, and returns the pairs it added, a
-    dict of its own.  The new pairs come from `_near_pairs`.
+    the basis of the reducer's entries after adding an element with lead
+    monomial lmf, and returns the pairs it added, a dict of its own.  The
+    new pairs come from `_near_pairs`; the caller then adds the element to
+    the reducer.
 
     B_k(i, j) drops a pair of P when lmf | L = lcm_ij and L differs from
     both lcm(lm_i, lmf) and lcm(lm_j, lmf).  lmf | L is tested inline: no
@@ -475,31 +488,31 @@ def _update_pairs(leads: _Leads, P: dict, lmf: int) -> dict:
     leads still to come are unknown.
     """
     _check_deadline()
-    pairs = _near_pairs(leads, lmf)
-    lms, guard, low = leads.lms, leads.guard, leads.low
-    n = len(lms)
+    pairs = _near_pairs(reducer, lmf)
+    entries, guard, low = reducer.entries, reducer.packing.guard, reducer.packing.low
+    n = len(entries)
     for ij, L in [(ij, L) for ij, L in P.items() if not (L - lmf) & guard]:
         i, j = ij
         cof = (L - lmf + low) & guard
-        if (L - lms[i] + low) & cof and (L - lms[j] + low) & cof:
+        if (L - entries[i][0] + low) & cof and (L - entries[j][0] + low) & cof:
             del P[ij]
     new = {(i, n): L for i, L in pairs}
     P.update(new)
-    leads.add(lmf)
     return new
 
 
-def _initial_pairs(lmG, packing: Packing):
-    """The lead index of lead monomials lmG, in `packing`, and their pair
-    set: the same dict, in the same order, as the updates `_update_pairs`
-    makes adding them one at a time.  Returns (index, pair set), which
-    `_buchberger_loop` edits in place.
+def _initial_pairs(entries, field: Field, packing: Packing):
+    """The reducer of the `Reducer` entries `entries`, in `packing` over
+    `field`, and their pair set: the same dict, in the same order, as the
+    updates `_update_pairs` makes adding them one at a time.  Returns
+    (reducer, pair set), which `_buchberger_loop` goes on with.
 
-    The pairs each lead makes come from `_near_pairs`.  B is then tested
-    once per pair (i, j), as in `_update_pairs`, against the later leads
-    k > j.  The pass takes the pairs by descending j and files the leads
-    after j on a fresh divisor index just before j's pairs, so the index
-    holds exactly those leads.  It walks the index's buckets itself, as
+    The reducer is built entry by entry, and the pairs each lead makes come
+    from `_near_pairs` on the entries before it.  B is then tested once
+    per pair (i, j), as in `_update_pairs`, against the later leads k > j.
+    The pass takes the pairs by descending j and files the leads after j
+    on a fresh divisor index just before j's pairs, so the index holds
+    exactly those leads.  It walks the index's buckets itself, as
     `_divisor` does, but only those that hold a lead, and on past a divisor
     of L that fails the cofactor test.  Deleting the pairs it drops leaves
     the others in order.  The build checks the budget once per lead, the
@@ -509,16 +522,17 @@ def _initial_pairs(lmG, packing: Packing):
     j has a lower degree than lm_j: if lm_k | L, lcm(lm_j, lm_k) is L, or
     lm_j, and then lm_k | lm_j forces lm_k = lm_j and lcm(lm_i, lm_k) = L.
     """
-    leads = _Leads(packing)
+    reducer = Reducer((), field, packing)
     P: dict = {}
-    for j, lm in enumerate(lmG):
+    for j, entry in enumerate(entries):
         _check_deadline()
-        for i, L in _near_pairs(leads, lm):
+        for i, L in _near_pairs(reducer, entry[0]):
             P[i, j] = L
-        leads.add(lm)
+        reducer.add_entry(entry)
     if not P:
-        return leads, P
-    lms, masks, guard, low = leads.lms, leads.masks, leads.guard, leads.low
+        return reducer, P
+    guard, low = packing.guard, packing.low
+    lms = [e[0] for e in entries]
     degrees = list(map(mono_degree, lms))
     least = list(accumulate(reversed(degrees), min))[::-1]  # least[j]: from lead j on
     ones = guard >> FIELD_BITS
@@ -531,9 +545,9 @@ def _initial_pairs(lmG, packing: Packing):
             continue
         if filed > j + 1:  # j's first walked pair: file the leads after j
             _check_deadline()
-            for k in range(j + 1, filed):
-                _index_add(later, lms[k], masks[k], k)
-                tops |= 1 << masks[k].bit_length() >> 1
+            for lmk, _, _, mask in entries[j + 1:filed]:
+                _index_add(later, lmk, mask, lmk)
+                tops |= 1 << mask.bit_length() >> 1
             filed = j + 1
         lmi, lmj, bits = lms[i], lms[j], (L + low) & tops
         while True:  # the buckets of L's bits, top down, then bucket 0
@@ -550,12 +564,13 @@ def _initial_pairs(lmG, packing: Packing):
             bits ^= 1 << top - 1
     for ij in gone:
         del P[ij]
-    return leads, P
+    return reducer, P
 
 
-def _pair_key(i, j, lcm, lmG, sugars):
+def _pair_key(i, j, lcm, entries, sugars):
     d = mono_degree(lcm)
-    sugar = max(sugars[i] + d - mono_degree(lmG[i]), sugars[j] + d - mono_degree(lmG[j]))
+    sugar = max(sugars[i] + d - mono_degree(entries[i][0]),
+                sugars[j] + d - mono_degree(entries[j][0]))
     return (sugar, lcm, i, j)
 
 
@@ -573,17 +588,17 @@ def _monic_term_sets(polys) -> set:
     return {frozenset(_monic_terms(f.terms, max(f.terms), f.field).items()) for f in polys}
 
 
-def _monic_reducer(gens):
-    """A `Reducer` whose entries are the generators, of one packing, made
-    monic, in order; None when one of them is a nonzero constant."""
-    field = gens[0].field
-    reducer = Reducer((), field, gens[0].packing)
+def _monic_entries(gens):
+    """The `Reducer` entries of the generators, of one packing, made monic,
+    in order; None when one of them is a nonzero constant."""
+    field, packing = gens[0].field, gens[0].packing
+    entries = []
     for f in gens:
         lm = f.leading_term()[0]
         if lm == MONO_ONE:
             return None
-        reducer.add_terms(lm, _monic_terms(f.terms, lm, field))
-    return reducer
+        entries.append(_entry(lm, _monic_terms(f.terms, lm, field), packing))
+    return entries
 
 
 # The verdict record: (generators, key, whether they are a Groebner basis)
@@ -594,10 +609,10 @@ def _monic_reducer(gens):
 _verdict = None
 
 
-def _verdict_key(reducer: Reducer):
-    """The record's key; the generators' order and repeats leave the verdict as it is."""
-    return (reducer.field, reducer.packing,
-            frozenset((lm, frozenset(tail)) for lm, _, tail, _ in reducer.entries))
+def _verdict_key(field: Field, packing: Packing, entries):
+    """The record's key of the monic entries of generators over `field` in
+    `packing`; the generators' order and repeats leave the verdict as it is."""
+    return field, packing, frozenset((lm, frozenset(tail)) for lm, _, tail, _ in entries)
 
 
 def _walk(reducer: Reducer, P: dict):
@@ -644,25 +659,24 @@ def _buchberger_loop(gens):
     Generators recorded as a Groebner basis are returned as they are.
     """
     global _verdict
-    reducer = _monic_reducer(gens)
-    if reducer is None:
+    entries = _monic_entries(gens)
+    if entries is None:
         return None
-    entries = reducer.entries
-    key = _verdict_key(reducer)
+    field, packing = gens[0].field, gens[0].packing
+    key = _verdict_key(field, packing, entries)
     if _verdict is not None and _verdict[1:] == (key, True):
         return entries
-    field, packing = reducer.field, reducer.packing
     guard = packing.guard
-    leads, P = _initial_pairs([e[0] for e in entries], packing)
+    reducer, P = _initial_pairs(entries, field, packing)
+    entries = reducer.entries  # the same entries, which the loop extends
     walked = _walk(reducer, P)
     _verdict = (gens, key, walked is None)
     if walked is None:
         return entries
     (i, j), rem = walked
-    lmG = leads.lms
     sugars = [f.degree() for f in gens]
-    pair_sugar = _pair_key(i, j, P.pop((i, j)), lmG, sugars)[0]
-    heap = [_pair_key(*pair, lcm, lmG, sugars) for pair, lcm in P.items()]
+    pair_sugar = _pair_key(i, j, P.pop((i, j)), entries, sugars)[0]
+    heap = [_pair_key(*pair, lcm, entries, sugars) for pair, lcm in P.items()]
     heapq.heapify(heap)
 
     def s_pairs():
@@ -680,11 +694,11 @@ def _buchberger_loop(gens):
         lmr = next(iter(rem))  # the remainder comes leading term first
         if lmr == MONO_ONE:
             return None
-        new = _update_pairs(leads, P, lmr)  # appends lmr to lmG
+        new = _update_pairs(reducer, P, lmr)
         reducer.add_terms(lmr, _monic_terms(rem, lmr, field))
         sugars.append(pair_sugar)  # the sugar of the pair rem came from
         for pair, lcm in new.items():
-            heapq.heappush(heap, _pair_key(*pair, lcm, lmG, sugars))
+            heapq.heappush(heap, _pair_key(*pair, lcm, entries, sugars))
         rem = next(filter(None, rems), None)
         if rem is None:
             return entries
@@ -762,12 +776,13 @@ def is_groebner_basis(gens) -> bool:
     recorded = _verdict[0] if _verdict is not None else ()
     if len(recorded) == len(gens) and all(map(operator.is_, recorded, gens)):
         return _verdict[2]
-    reducer = _monic_reducer(gens)
-    if reducer is None:
+    entries = _monic_entries(gens)
+    if entries is None:
         return True
-    key = _verdict_key(reducer)
+    field, packing = gens[0].field, gens[0].packing
+    key = _verdict_key(field, packing, entries)
     if _verdict is None or _verdict[1] != key:
-        _, P = _initial_pairs([e[0] for e in reducer.entries], reducer.packing)
+        reducer, P = _initial_pairs(entries, field, packing)
         _verdict = (gens, key, _walk(reducer, P) is None)
     return _verdict[2]
 
@@ -1128,27 +1143,6 @@ def _frobenius_power(g: Polynomial, q: int) -> Polynomial:
 # Monomial ideals
 
 
-def _minimalize_monomials(monos, packing: Packing):
-    """The minimal monomials under divisibility, sorted.
-
-    A proper divisor has lower degree, so the monomials go by degree, each
-    looked up (`_divisor`) among the kept ones of lower degree, which are
-    filed as each degree starts; while none is filed, none is looked up.
-    """
-    guard, low = packing.guard, packing.low
-    index, kept, filed, degree = {}, [], 0, 0  # kept[:filed] is in the index
-    for d, m in sorted((mono_degree(m), m) for m in set(monos)):
-        _check_deadline()
-        if d > degree:
-            degree = d
-            for g in kept[filed:]:
-                _index_add(index, g, (g + low) & guard, g)
-            filed = len(kept)
-        if not index or _divisor(index, m, (m + low) & guard, guard) is None:
-            kept.append(m)
-    return tuple(sorted(kept))
-
-
 def _in_packing(m, packing: Packing) -> int:
     """An int monomial as it is, a `Monomial` re-packed into `packing`."""
     return m if type(m) is int else m.packed_in(packing)
@@ -1166,7 +1160,10 @@ class MonomialIdeal(Record):
         """Minimal generators of the ideal of `monos`: ints already packed in
         the ring, or `Monomial`s, which are re-packed into it."""
         packing = ring.packing
-        return cls(ring, _minimalize_monomials([_in_packing(m, packing) for m in monos], packing))
+        guard, low = packing.guard, packing.low
+        monos = [_in_packing(m, packing) for m in monos]
+        return cls(ring, tuple(sorted(_minimal([(mono_degree(m), m, (m + low) & guard)
+                                                for m in monos], guard))))
 
     @property
     def is_zero(self) -> bool:
@@ -1254,17 +1251,17 @@ class MonomialIdeal(Record):
             return self
         if n > MAX_EXPONENT:
             raise _overflow()
-        gens = (MONO_ONE,)
+        power = MonomialIdeal(self.ring, (MONO_ONE,))
         for cover in minimal_covers(self.supports()):
             prime = [1 << _W * f for f in _bit_positions(cover)]  # bit f: field f
             fields = sum(prime) * MAX_EXPONENT  # the exponent bits of P's variables
             products = []
-            for b in gens:
+            for b in power.gens:
                 _check_deadline()
                 r = max(n - mono_degree(b & fields), 0)
                 products += (b + sum(m) for m in combinations_with_replacement(prime, r))
-            gens = _minimalize_monomials(products, self.ring.packing)
-        return MonomialIdeal(self.ring, gens)
+            power = MonomialIdeal.from_monomials(self.ring, products)
+        return power
 
 
 def _bit_positions(mask: int) -> list[int]:
@@ -1277,29 +1274,6 @@ def _bit_positions(mask: int) -> list[int]:
     return out
 
 
-def _minimal_masks(masks) -> list[int]:
-    """The distinct masks that contain no other one, in ascending popcount,
-    masks of one popcount in ascending order.
-
-    A mask can only contain one of lower popcount, so each is tested only
-    against the kept masks of lower popcount.  The order does not depend
-    on the order of the input.
-    """
-    lower, level, size = [], [], 0
-    for m in sorted(sorted(set(masks)), key=int.bit_count):
-        _check_deadline()
-        if m.bit_count() > size:
-            size = m.bit_count()
-            lower += level
-            level = []
-        for t in lower:
-            if t & m == t:
-                break
-        else:
-            level.append(m)
-    return lower + level
-
-
 def _cover_bits(supports) -> tuple[int, list[int]]:
     """The minimal supports, their singletons split off: returns
     (ones, masks), in the supports' own bits.
@@ -1308,13 +1282,14 @@ def _cover_bits(supports) -> tuple[int, list[int]]:
     neither changes the ideal.  Of the minimal masks left, a singleton {y}
     shares no variable with another one, so its bit goes to `ones`, which
     every value type folds in as a factor, and the others, an antichain
-    without singletons, are the input of `_pivot_recursion`.  They come out
-    as `_minimal_masks` orders them, whatever the order of the supports.
+    without singletons, are the input of `_pivot_recursion`.  The minimal
+    masks come from `_minimal`, each mask its own monomial under guard 0, so
+    they come out by popcount, then ascending, whatever the order of the
+    supports.
     """
-    sets = set(supports)
-    if 0 in sets:
+    masks = _minimal([(s.bit_count(), s, s) for s in supports], 0)
+    if masks == [0]:  # the empty support divides every other one
         raise ValueError("empty support: ideal contains a unit")
-    masks = _minimal_masks(sets)
     rest = [s for s in masks if s & (s - 1)]
     return sum(masks) - sum(rest), rest
 

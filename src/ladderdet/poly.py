@@ -111,7 +111,7 @@ class Variable:
 
     def __str__(self):
         if self.kind == "aux":
-            return self.name if self.rank == 0 else f"{self.name}{self.rank}"
+            return self.name if self.rank == 0 else f"{self.name}[{self.rank}]"
         return f"x[{self.i},{self.j}]"
 
 
@@ -798,11 +798,12 @@ def expand_minor(m: Minor, field: Field = QQ, packing: Packing | None = None) ->
 
 # ---------------------------------------------------------------------------
 # Canonical textual format: `3*x[1,2]^2*x[3,1] - t + 1/4`, auxiliaries by
-# bare name.  A polynomial is terms joined by ` + ` and ` - ` (the first may
-# carry `-`); a term is factors joined by `*`; a factor is an integer, a
-# fraction `a/b`, or `x[i,j]` or a name `[A-Za-z_][A-Za-z_0-9]*`, the
-# variable optionally raised to `^n`.  `parse_polynomial` reads exactly this
-# grammar, with spaces allowed around any token.
+# name, one of rank r >= 1 as `name[r]` (`t[1]`).  A polynomial is terms
+# joined by ` + ` and ` - ` (the first may carry `-`); a term is factors
+# joined by `*`; a factor is an integer, a fraction `a/b`, or `x[i,j]` or a
+# name `[A-Za-z_][A-Za-z_0-9]*` with an optional rank `[r]`, the variable
+# optionally raised to `^n`.  `parse_polynomial` reads exactly this grammar,
+# with spaces allowed around any token.
 
 
 def mono_to_str(m: int, packing: Packing) -> str:
@@ -831,7 +832,8 @@ def poly_to_str(f: Polynomial) -> str:
 
 _FACTOR = re.compile(
     r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)"
-    r"|(?:x\[\s*(?P<i>[0-9]+)\s*,\s*(?P<j>[0-9]+)\s*\]|(?P<name>[A-Za-z_][A-Za-z_0-9]*))"
+    r"|(?:x\[\s*(?P<i>[0-9]+)\s*,\s*(?P<j>[0-9]+)\s*\]"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)(?:\s*\[\s*(?P<rank>[0-9]+)\s*\])?)"
     r"(?:\s*\^\s*(?P<exp>[0-9]+))?)\s*"
 )
 _SIGN = re.compile(r"([+-])")
@@ -841,7 +843,8 @@ def parse_polynomial(text: str, field: Field = QQ) -> Polynomial:
     """Parse the grammar `poly_to_str` prints into the ring of the variables
     it uses: terms joined by ``+`` or ``-`` (the first may carry a sign),
     each a ``*``-product of factors, each an integer, a fraction ``a/b``, or
-    ``x[i,j]`` or a name, the variable optionally raised to ``^n``.  Spaces
+    ``x[i,j]`` or a name, which may carry a rank ``name[r]`` (the auxiliary
+    ``aux_var(name, r)``), the variable optionally raised to ``^n``.  Spaces
     may surround any token.  Coefficients multiply in the rationals and are
     coerced into `field`; a repeated variable adds its exponents.  Any other
     text raises ValueError naming the factor it could not read."""
@@ -862,7 +865,8 @@ def parse_polynomial(text: str, field: Field = QQ) -> Polynomial:
             if mt["num"]:
                 coeff = QQ.mul(coeff, QQ.coerce(mt["num"]))
             else:
-                v = aux_var(mt["name"]) if mt["name"] else grid_var(int(mt["i"]), int(mt["j"]))
+                v = (aux_var(mt["name"], int(mt["rank"] or 0)) if mt["name"]
+                     else grid_var(int(mt["i"]), int(mt["j"])))
                 factors.append((v, int(mt["exp"] or 1)))
         terms.append((factors, coeff))
     packing = packing_of(v for factors, _ in terms for v, e in factors if e)

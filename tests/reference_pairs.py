@@ -1,12 +1,13 @@
 """Reference Gebauer-Moeller pair updates, for checking the one in groebner.
 
-`ladderdet.groebner` builds pairs from an index of the leads
-(`_Leads`): the lcms and quotients of a new lead are formed only with the
-leads that share a variable with it, a lead coprime to it acts only
-through one divisor search on the top-bit divisor index of the leads
-(which is skipped when the new lead shares a variable with every lead),
-and the initial build tests B once per pair, by descending j, against the
-later leads that divide its lcm.  Two references check it:
+`ladderdet.groebner` builds pairs on the run's `Reducer`, whose entries
+hold the leads and whose top-bit divisor index files them: the lcms and
+quotients of a new lead are formed only with the leads that share a
+variable with it, a lead coprime to it acts only through one divisor
+search of that index (which is skipped when the new lead shares a variable
+with every lead), and the initial build tests B once per pair, by
+descending j, against the later leads that divide its lcm.  Two references
+check it:
 
 - `update_pairs` / `initial_pairs`: the update two rewrites back.  Its B_k
   scan tests a support-mask inclusion before calling `mono_divides`, the

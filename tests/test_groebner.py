@@ -18,7 +18,6 @@ from ladderdet.groebner import (
     MonomialIdeal,
     Reducer,
     Ring,
-    _Leads,
     _buchberger_loop,
     _certified_intersection,
     _cover_bits,
@@ -28,6 +27,7 @@ from ladderdet.groebner import (
     _hilbert_numerator,
     _index_add,
     _initial_pairs,
+    _minimal,
     _one_packing,
     _update_pairs,
     buchberger,
@@ -722,6 +722,41 @@ def test_cover_bits_do_not_depend_on_the_order_of_the_supports():
         assert _cover_bits(list(perm)) == expected
 
 
+def _brute_minimal(monos, divides):
+    """The distinct monomials that no other one divides."""
+    distinct = set(monos)
+    return {m for m in distinct if not any(d != m and divides(d, m) for d in distinct)}
+
+
+def test_minimal_keeps_what_a_brute_force_filter_keeps():
+    # Packed monomials with exponents up to 3 and an auxiliary on top; then
+    # bit masks under guard 0, each its own support mask and of its
+    # popcount's degree, with repeats and masks nested in others.  The
+    # kept monomials come out once each, by degree, then by int.
+    rng = random.Random(5050)
+    variables = [gv(i, j) for i in (1, 2, 3) for j in (1, 2, 3)] + [aux_var("t")]
+    packing = Ring(QQ, tuple(variables)).packing
+    guard = packing.guard
+    for _ in range(300):
+        monos = [packing.pack((rng.choice(variables), rng.randint(1, 3))
+                              for _ in range(rng.randint(0, 3)))
+                 for _ in range(rng.randint(0, 25))]
+        kept = _minimal([(mono_degree(m), m, mono_mask(m, packing)) for m in monos], guard)
+        assert set(kept) == _brute_minimal(monos, lambda d, m: mono_divides(d, m, guard))
+        keys = [(mono_degree(m), m) for m in kept]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+    for _ in range(300):
+        masks = [rng.getrandbits(12) for _ in range(rng.randint(0, 20))]
+        masks += [m | rng.getrandbits(12) for m in masks[:rng.randint(0, len(masks))]]
+        masks += [m & rng.getrandbits(12) for m in masks[:rng.randint(0, 3)]]
+        masks += rng.choices(masks, k=rng.randint(0, 5)) if masks else []
+        rng.shuffle(masks)
+        kept = _minimal([(m.bit_count(), m, m) for m in masks], 0)
+        assert set(kept) == _brute_minimal(masks, lambda d, m: d & m == d)
+        keys = [(m.bit_count(), m) for m in kept]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_radical_of_squarefree_ideal_is_itself():
     ring = Ring.for_grid(QQ, 2, 2)
     x, y, z = gv(1, 1), gv(1, 2), gv(2, 1)
@@ -1305,6 +1340,11 @@ def test_time_limit_bounds_power():
 # -- replaced, on the tuple monomials that the packed ints replaced
 
 
+def _lead_entries(lmG, packing):
+    """Monic `Reducer` entries with the leads lmG and no tails."""
+    return [(lm, 1, [], mono_mask(lm, packing)) for lm in lmG]
+
+
 def _reference_update_pairs(lmG, P, lmf):
     n = len(lmG)
     kept = set()
@@ -1381,7 +1421,7 @@ def test_initial_pairs_match_set_based_reference(aux):
     for k in range(300):
         leads = (_seeded_leads if k < 200 else _small_support_leads)(rng, variables)
         packed = [ring.packing.pack(pairs) for pairs in leads]
-        _, P = _initial_pairs(packed, ring.packing)
+        _, P = _initial_pairs(_lead_entries(packed, ring.packing), QQ, ring.packing)
         assert set(P) == _reference_initial_pairs([ref.tuple_mono(pairs) for pairs in leads])
         assert all(lcm == mono_lcm(packed[i], packed[j], guard) for (i, j), lcm in P.items())
         # No pair of coprime leads: their S-polynomial reduces to zero.
@@ -1399,8 +1439,9 @@ def test_initial_pairs_walk_b_unless_the_skip_is_exact():
     for leads in [[[x, y], [y, z], [y]], [[x, x, z], [y, z], [x, z]],
                   [[x, w, z], [y, z], [x, z]]]:
         lmG = [ring.packing.pack((v, 1) for v in lead) for lead in leads]
-        _, P = _initial_pairs(lmG, ring.packing)
-        assert (0, 1) in _initial_pairs(lmG[:2], ring.packing)[1] and (0, 1) not in P
+        entries = _lead_entries(lmG, ring.packing)
+        _, P = _initial_pairs(entries, QQ, ring.packing)
+        assert (0, 1) in _initial_pairs(entries[:2], QQ, ring.packing)[1] and (0, 1) not in P
         assert P == reference_pairs.initial_pairs(lmG, ring.packing)
 
 
@@ -1425,25 +1466,28 @@ def _assert_updates_match_reference(lmG, packing, rng):
     # Step by step on one pair set, which the update edits in place, with
     # live pairs dropped at random between steps as the Buchberger driver
     # pops them.  The update returns the pairs it added: those of the new
-    # lead, index n.
+    # lead, index n.  It leaves the reducer as it is; the driver then adds
+    # the new element to it.
     masks = [mono_mask(lm, packing) for lm in lmG]
-    leads = _Leads(packing)
+    entries = _lead_entries(lmG, packing)
+    reducer = Reducer((), QQ, packing)
     P: dict = {}
     scanned: dict = {}
     for n, lm in enumerate(lmG):
         expected = reference_pairs.update_pairs(lmG[:n], masks, P, lm, packing)
         reference_pairs.scan_update_pairs(lmG[:n], scanned, lm, packing)
-        new = _update_pairs(leads, P, lm)
+        new = _update_pairs(reducer, P, lm)
         assert P == expected
         assert list(P.items()) == list(scanned.items())
         assert new == {pair: lcm for pair, lcm in P.items() if pair[1] == n}
-        assert leads.lms == lmG[:n + 1]
+        assert reducer.entries == entries[:n]
+        reducer.add_entry(entries[n])
         for pair in expected:
             if rng.random() >= 0.8:
                 del P[pair]
                 del scanned[pair]
-    leads, initial = _initial_pairs(lmG, packing)
-    assert leads.lms == lmG
+    reducer, initial = _initial_pairs(entries, QQ, packing)
+    assert reducer.entries == entries
     assert initial == reference_pairs.initial_pairs(lmG, packing)
     assert list(initial.items()) == list(reference_pairs.scan_initial_pairs(lmG, packing).items())
 
@@ -1615,16 +1659,16 @@ def test_leads_of_one_support_size_skip_the_coprime_lead_search(monkeypatch):
 
     monkeypatch.setattr(groebner, "_divisor", counted)
     for forced in (None, 0):
-        leads, pairs, searches = _Leads(packing), [], 0
-        for lm in lmG:
+        reducer, pairs, searches = Reducer((), QQ, packing), [], 0
+        for entry in _lead_entries(lmG, packing):
             if forced is not None:
-                leads.least = forced
+                reducer.least = forced
             searched.clear()
-            pairs.append(groebner._near_pairs(leads, lm))
-            searches += sum(index is leads.index for index in searched)
-            leads.add(lm)
+            pairs.append(groebner._near_pairs(reducer, entry[0]))
+            searches += sum(index is reducer.index for index in searched)
+            reducer.add_entry(entry)
         if forced is None:
-            assert leads.least == 3 and searches == 0
+            assert reducer.least == 3 and searches == 0
             unforced = pairs
         else:
             assert searches > 0 and pairs == unforced
@@ -1635,7 +1679,7 @@ def test_initial_pairs_respect_the_time_budget():
     start = time.monotonic()
     with pytest.raises(InstanceTooLarge):
         with time_limit(0.01):
-            _initial_pairs(lmG, packing)
+            _initial_pairs(_lead_entries(lmG, packing), QQ, packing)
     assert time.monotonic() - start < 0.5
 
 
@@ -1667,9 +1711,9 @@ def test_buchberger_then_is_groebner_basis_reduces_the_pairs_once(monkeypatch):
     gens = list(mixed_ladder_ideal(L, t).gens)
     near_calls = []
 
-    def near(leads, lmf):
+    def near(reducer, lmf):
         near_calls.append(lmf)
-        return real_near(leads, lmf)
+        return real_near(reducer, lmf)
 
     real_near = groebner._near_pairs
     monkeypatch.setattr(groebner, "_near_pairs", near)
@@ -1721,19 +1765,19 @@ def test_ideal_membership_refuses_another_field(entry):
         getattr(ideal, entry)(arg)
 
 
-def _count_monic_reducers(monkeypatch):
-    """Routes `_monic_reducer` through a counter; returns the list the
-    counter appends to, once per reducer built."""
+def _count_monic_entries(monkeypatch):
+    """Routes `_monic_entries` through a counter; returns the list the
+    counter appends to, once per list of monic entries built."""
     from ladderdet import groebner
 
     built = []
-    real = groebner._monic_reducer
+    real = groebner._monic_entries
 
     def counted(gens):
         built.append(len(gens))
         return real(gens)
 
-    monkeypatch.setattr(groebner, "_monic_reducer", counted)
+    monkeypatch.setattr(groebner, "_monic_entries", counted)
     return built
 
 
@@ -1749,7 +1793,7 @@ def test_a_decided_list_is_answered_before_any_reducer(monkeypatch, verdict):
         gens = _one_packing([minor((1, 2), (1, 2)), minor((1, 2), (1, 3))])
     calls = _count_s_pairs(monkeypatch)
     buchberger(gens)
-    built = _count_monic_reducers(monkeypatch)
+    built = _count_monic_entries(monkeypatch)
     calls.clear()
     assert is_groebner_basis(list(gens)) is verdict
     assert is_groebner_basis(tuple(gens)) is verdict
@@ -1765,7 +1809,7 @@ def test_a_replaced_record_answers_the_first_list_by_pairs(monkeypatch):
     other = [minor((1, 2), (1, 2)), minor((1, 2), (1, 3))]
     calls = _count_s_pairs(monkeypatch)
     assert is_groebner_basis(first)
-    built = _count_monic_reducers(monkeypatch)
+    built = _count_monic_entries(monkeypatch)
     assert is_groebner_basis(first) and not built  # answered by identity
     assert not is_groebner_basis(other)  # replaces the record
     calls.clear()
@@ -1915,10 +1959,10 @@ def test_pair_update_edge_cases():
          {(0, 2): a + b, (1, 2): b + c}, {(0, 2): a + b, (1, 2): b + c}),
     ]
     for lmG, pairs, lmf, added, after in cases:
-        leads = _Leads(packing)
+        reducer = Reducer((), QQ, packing)
         for lm in lmG:
-            leads.add(lm)
-        assert _update_pairs(leads, pairs, lmf) == added
+            reducer.add_terms(lm, {lm: 1})
+        assert _update_pairs(reducer, pairs, lmf) == added
         assert pairs == after
 
 
@@ -1939,19 +1983,19 @@ def test_driver_pops_live_pairs_by_sugar_first(monkeypatch):
         groebner._initial_pairs, groebner._walk, groebner._update_pairs,
         groebner.s_polynomial, groebner._buchberger_loop)
 
-    def initial(lmG, packing):
-        leads, pairs = real_initial(lmG, packing)
+    def initial(entries, field, packing):
+        reducer, pairs = real_initial(entries, field, packing)
         events.append(("initial", dict(pairs)))
-        return leads, pairs
+        return reducer, pairs
 
     def walk(reducer, pairs):
         walked = real_walk(reducer, pairs)
         events.append(("walked", walked))
         return walked
 
-    def update(leads, pairs, lmf):
-        before, n = list(pairs), len(leads.lms)
-        added = real_update(leads, pairs, lmf)
+    def update(reducer, pairs, lmf):
+        before, n = list(pairs), len(reducer.entries)
+        added = real_update(reducer, pairs, lmf)
         events.append(("update", n, [ij for ij in before if ij not in pairs], added))
         return added
 
@@ -2034,6 +2078,64 @@ def test_driver_pops_live_pairs_by_sugar_first(monkeypatch):
     # Sugar exceeds degree for some new elements, so inheriting the pair's
     # sugar is not taking the lead's or the lcm's degree.
     assert any(s > mono_degree(lm) for s, lm in zip(sugars[len(gens):], lmG[len(gens):]))
+
+
+def test_one_buchberger_run_files_its_leads_on_one_reducer(monkeypatch):
+    """The run of `test_driver_pops_live_pairs_by_sugar_first`, on a
+    non-basis: the reducer `_initial_pairs` builds is the one the walk, every
+    pair update and every remainder of the run use, its entries are the
+    run's result, and its index files each of them once."""
+    from ladderdet import groebner
+
+    events = []
+    real_initial, real_walk, real_update, real_remainders, real_loop = (
+        groebner._initial_pairs, groebner._walk, groebner._update_pairs,
+        groebner.Reducer.remainders, groebner._buchberger_loop)
+
+    def initial(entries, field, packing):
+        reducer, pairs = real_initial(entries, field, packing)
+        events.append(("initial", reducer))
+        return reducer, pairs
+
+    def walk(reducer, pairs):
+        events.append(("walk", reducer))
+        return real_walk(reducer, pairs)
+
+    def update(reducer, pairs, lmf):
+        events.append(("update", reducer))
+        return real_update(reducer, pairs, lmf)
+
+    def remainders(self, works):
+        events.append(("remainders", self))
+        return real_remainders(self, works)
+
+    def loop(gens):
+        entries = real_loop(gens)
+        events.append(("result", entries))
+        return entries
+
+    F = GF(5)
+    L = Ladder.full(4, 4)
+    ring = ladder_ring(F, L)
+    left = mixed_ladder_ideal(L.band("cols", 1, 2), 2, F, ring)
+    right = mixed_ladder_ideal(L.band("cols", 2, 4), 2, F, ring)
+    monkeypatch.setattr(groebner, "_verdict", None)
+    monkeypatch.setattr(groebner, "_initial_pairs", initial)
+    monkeypatch.setattr(groebner, "_walk", walk)
+    monkeypatch.setattr(groebner, "_update_pairs", update)
+    monkeypatch.setattr(groebner.Reducer, "remainders", remainders)
+    monkeypatch.setattr(groebner, "_buchberger_loop", loop)
+    _eliminated_intersection(left, right)
+
+    (kind, reducer), *run = events[:[kind for kind, _ in events].index("result") + 1]
+    assert kind == "initial"
+    *used, (_, entries) = run
+    kinds = [kind for kind, _ in used]
+    assert kinds[0] == "walk" and "update" in kinds and kinds.count("remainders") == 2
+    assert all(r is reducer for _, r in used)
+    assert entries is reducer.entries and len(entries) > len(left.gens) + len(right.gens)
+    filed = [id(e) for bucket in reducer.index.values() for _, _, e in bucket]
+    assert sorted(filed) == sorted(map(id, entries))
 
 
 def _random_polynomial(rng, field, packing, variables):

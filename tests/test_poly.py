@@ -429,7 +429,9 @@ def test_pow_and_scalars():
     assert (x ** 0) == Polynomial.one(QQ)
 
 
-_NAMES = [aux_var(name) for name in ("s", "t", "y_2", "Alpha")]
+# Names, and auxiliaries of rank 1 and above, which print as `name[r]`.
+_NAMES = [aux_var(name) for name in ("s", "t", "y_2", "Alpha")] + [aux_var("t", 1),
+                                                                   aux_var("s", 12)]
 
 
 def _random_polynomial(rng, field):
@@ -454,6 +456,12 @@ def test_text_roundtrip():
     assert poly_to_str(g) == "-t + 3*x[1,2]^2*x[3,1] + 1/4"
     assert parse_polynomial(poly_to_str(g)) == g
     assert poly_to_str(Polynomial.zero(QQ)) == "0"
+    # An auxiliary of rank 1 prints with its rank in brackets, so it is not
+    # read back as another name, `t1`, of rank 0 and below `z`.
+    h = Polynomial.variable(QQ, aux_var("t", 1)) + Polynomial.variable(QQ, aux_var("z"))
+    assert poly_to_str(h) == "t[1] + z"
+    assert parse_polynomial(poly_to_str(h)) == h
+    assert parse_polynomial("t [ 1 ]^2 - t[0]") == parse_polynomial("t[1]^2 - t")
     # Seeded polynomials read back to themselves, in the ring of the
     # variables they use.
     rng = random.Random(49)
