@@ -398,11 +398,8 @@ def _corner(text: str):
         raise argparse.ArgumentTypeError(f"not k,l,t,r,s[,nw|se]: {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ladderdet",
-        description="Exact computations with ladder determinantal ideals.",
-    )
+def _global_options(parser: argparse.ArgumentParser) -> None:
+    """The options that go before the command."""
     parser.add_argument("--field",
                         help="coefficient field: q (the default) or fp:<p>; fedder takes its "
                              "prime from --p and refuses q or another fp:<p>, and witness "
@@ -416,6 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "and minimal primes of the command; accept gives each "
                              "criterion its own budget and fails one that exceeds it")
     parser.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ladderdet",
+        description="Exact computations with ladder determinantal ideals.",
+    )
+    _global_options(parser)
     sub = parser.add_subparsers(dest="command", required=True)
     sizes = argparse.ArgumentParser(add_help=False)
     sizes.add_argument("--t", type=int, nargs="+", help="minor sizes, one per lower corner")
@@ -487,8 +492,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses: built on first use, then kept for the process."""
-    return build_parser()
+    """The parser `main` uses: built on first use, then kept for the
+    process.  It raises the errors of its own arguments, for `main` to
+    report."""
+    parser = build_parser()
+    parser.exit_on_error = False
+    return parser
+
+
+class _Front(argparse.ArgumentParser):
+    """The options before the command, then the rest of the command line
+    as it is; its errors are reported as `_parser` reports its own."""
+
+    def error(self, message):
+        _parser().error(message)
+
+
+@functools.cache
+def _front() -> _Front:
+    front = _Front(prog="ladderdet", add_help=False)
+    _global_options(front)
+    front.add_argument("rest", nargs=argparse.REMAINDER)
+    return front
 
 
 # The status of a process that SIGPIPE ends, as a shell reports it.
@@ -496,7 +521,14 @@ EXIT_BROKEN_PIPE = 128 + 13
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        # After an option unknown before the command, argparse takes the
+        # next word for the command: name the option instead.
+        unknown = _front().parse_known_args(argv)[1]
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}" if unknown else str(exc))
     try:
         # Every command checks --field, whether it reads it or not; fedder
         # also needs to know whether --field was given.

@@ -14,8 +14,9 @@ b · P^(max(0, n − deg_P b)) (Herzog, Hibi and Trung, Adv. Math. 210, 2007)).
 (Gebauer and Moeller, J. Symbolic Comput. 6, 1988) on the run's `Reducer`,
 whose index files each lead once for the reduction and the pair update
 alike: a new lead forms lcms only with the leads that share a variable with
-it, a lead coprime to it acts only through one divisor search of that
-index, skipped when no lead is coprime to it or when the quotient has fewer
+it, found by one newest-first scan that keys each lcm to its first index, a
+lead coprime to it acts only through one divisor search of that index,
+skipped when no lead is coprime to it or when the quotient has fewer
 variables outside the new lead than any lead has, and the initial build
 tests the chain criterion once per pair against the later leads, but not
 for a pair whose lcm is lm_j times one variable when no later lead is of
@@ -23,7 +24,8 @@ lower degree than lm_j, which it cannot drop.  Both form and reduce each
 S-pair on the terms of the reducer's entries, coefficients as the
 polynomials hold them, and every remainder, of an S-pair or of a tail,
 comes from one reduction loop, `Reducer.remainders`, which sets up once per
-run, reading the deadline too.  Divisors are found on one top-bit index
+run, reading the deadline too, and divides by no lead coefficient of 1, as
+every monic entry's is.  Divisors are found on one top-bit index
 (`_index_add`, `_divisor`), and the minimal ones of a set of monomials, be
 they the pair update's quotients, a monomial ideal's generators or the
 supports of the cover search, come from one degree-ordered pass over it
@@ -311,7 +313,10 @@ class Reducer:
         consumes, on the reducer as it stands when the dict is drawn: its
         terms in descending order, the leading term first.  The field,
         packing, index and deadline are bound once, on the first draw, so
-        entries added between two draws take part in the later remainders.  The budget is checked once per term taken."""
+        entries added between two draws take part in the later remainders.
+        A term's coefficient is divided by its reducer's lead coefficient
+        only when that is not 1, as it is for every monic entry.  The
+        budget is checked once per term taken."""
         field, packing, index = self.field, self.packing, self.index
         p, div, coerce = field.p, field.div, field.coerce
         guard, low = packing.guard, packing.low
@@ -330,7 +335,7 @@ class Reducer:
                     rem[m] = coerce(c)
                     continue
                 lm, lc, tail, _ = hit
-                _sub_multiple(work, tail, m - lm, div(c, lc), p)
+                _sub_multiple(work, tail, m - lm, c if lc == 1 else div(c, lc), p)
             yield rem
 
 
@@ -427,13 +432,17 @@ def _near_pairs(reducer: Reducer, lmf: int):
     with a lead, unless a lead of L's group is coprime to lmf.  Each such L
     is lmf times the quotient q = L - lmf, and L | L' iff q | q', so the
     minimal lcms are those of the minimal quotients.  Only the near leads,
-    those sharing a variable with lmf, are grouped:
+    those sharing a variable with lmf, are grouped, by one scan of the
+    entries, newest first, that keys each near lead's quotient to its index:
+    the last index written is the first, and the keys come in the order of
+    the newest lead of each, the order the new pairs enter in.
     - q = 1 (L = lmf) divides every quotient, so it is then the only one;
     - else a quotient that is one variable to the first power is minimal,
       and every other quotient with that variable is a multiple of it, which
-      one AND with the mask `units` of those variables finds;
+      one AND with the mask `units` of those variables finds; one pass
+      splits these off;
     - `_minimal` keeps the minimal ones of the remaining quotients, which
-      are then taken in ascending int order;
+      are then taken in ascending int order; one left is minimal as it is;
     - a minimal quotient q is dropped when a lead c coprime to lmf divides
       it.  c's own quotient is lm_c, so a group holds c exactly when
       q = lm_c, and lm_c | q otherwise makes q no minimal quotient: that
@@ -449,27 +458,36 @@ def _near_pairs(reducer: Reducer, lmf: int):
     """
     entries, guard, low = reducer.entries, reducer.packing.guard, reducer.packing.low
     maskf = (lmf + low) & guard
-    near = [(mono_lcm(e[0], lmf, guard), i) for i, e in enumerate(entries) if e[3] & maskf]
-    first = dict(reversed(near))  # lcm -> its first index
-    if lmf in first:
+    first = {}  # the quotient L - lmf of each near lead's lcm L -> its first index
+    far = False  # whether a lead is coprime to lmf
+    for i in range(len(entries) - 1, -1, -1):
+        e = entries[i]
+        if e[3] & maskf:
+            first[mono_lcm(e[0], lmf, guard) - lmf] = i
+        else:
+            far = True
+    if MONO_ONE in first:
         minimal = [MONO_ONE]
     else:
         ones = guard >> FIELD_BITS
-        quotients = [L - lmf for L in first]
-        minimal = [q for q in quotients if q.bit_count() == 1 and q & ones]
+        minimal, rest = [], []
+        for q in first:
+            (minimal if q & ones and q.bit_count() == 1 else rest).append(q)
         units = sum(minimal) << FIELD_BITS  # the guard bits of their variables
-        minimal += sorted(_minimal([(mono_degree(q), q, mask) for q in quotients
-                                    if not (mask := (q + low) & guard) & units], guard))
+        rest = [q for q in rest if not (q + low) & guard & units]
+        if len(rest) > 1:
+            rest = sorted(_minimal([(mono_degree(q), q, (q + low) & guard) for q in rest], guard))
+        minimal += rest
 
     least = reducer.least
-    if len(near) < len(entries) and least < reducer.most:  # a coprime lead may fit
+    if far and least < reducer.most:  # a coprime lead may fit
         # A lead c coprime to lmf has lcm lm_c * lmf, and
         # lm_c * lmf | L_i = lmf * q_i iff lm_c | q_i; no lead has fewer
         # than `least` variables.
         minimal = [q for q in minimal
                    if (outside := (q + low) & guard & ~maskf).bit_count() < least
                    or _divisor(reducer.index, q, outside, guard) is None]
-    return [(first[q + lmf], q + lmf) for q in minimal]
+    return [(first[q], q + lmf) for q in minimal]
 
 
 def _update_pairs(reducer: Reducer, P: dict, lmf: int) -> dict:

@@ -738,6 +738,9 @@ class Minor(Record):
 # Permutation parities are cached whole up to this size, 8! bytes at most;
 # larger sizes are walked in blocks of the cached ones.
 _PARITY_BLOCK = 8
+# Sizes up to this one read their permutations and parities from one cached
+# table of 6! pairs at most (`_leibniz`); larger ones stream them.
+_LEIBNIZ_TABLE = 6
 _FLIP = bytes([1, 0]) + bytes(range(2, 256))  # bytes.translate table: 0 <-> 1
 
 
@@ -755,6 +758,12 @@ def _parities(n: int) -> tuple[bytes, bytes]:
     return even, even.translate(_FLIP)
 
 
+@cache
+def _leibniz(n: int) -> tuple:
+    """The (permutation, parity) pairs of `permutations(range(n))`, in order."""
+    return tuple(zip(permutations(range(n)), _parities(n)[0]))
+
+
 def _parity_blocks(n: int, odd: int = 0):
     """The parities of `permutations(range(n))`, in order, flipped when
     `odd`, in blocks of at most `_PARITY_BLOCK`! bytes: no block grows with
@@ -770,10 +779,12 @@ def expand_minor(m: Minor, field: Field = QQ, packing: Packing | None = None) ->
     """Signed Leibniz expansion of the minor as a polynomial, packed in
     `packing` (one with every cell of the minor), by default in the ring of
     the minor's cells.  Each cell's bit is read off its interned variable's
-    shift, the signs 1 and -1 are written in the field's form from `field.p`,
-    and the sign of each permutation comes from the streamed parities.
-
-    Checks the `time_limit` deadline once every 256 permutations.
+    shift, and the signs 1 and -1 are written in the field's form from
+    `field.p`.  A minor of size at most `_LEIBNIZ_TABLE` reads its
+    permutations and their parities from one cached table, in one dict
+    comprehension, and checks the `time_limit` deadline once; a larger one
+    streams them, the parities in blocks, and checks it once every 256
+    permutations.
     """
     rows, cols = m.rows, m.cols
     n = len(rows)
@@ -787,6 +798,10 @@ def expand_minor(m: Minor, field: Field = QQ, packing: Packing | None = None) ->
         raise ValueError(f"minor {m} has cells outside the ring") from None
     p = field.p
     sign = (1, -1 if p is None else p - 1)
+    if n <= _LEIBNIZ_TABLE:
+        _check_deadline()
+        terms = {sum(map(getitem, bit, perm)): sign[odd] for perm, odd in _leibniz(n)}
+        return Polynomial(field, terms, packing)
     terms = {}
     odds = chain.from_iterable(_parity_blocks(n))
     for idx, (perm, odd) in enumerate(zip(permutations(range(n)), odds)):

@@ -308,13 +308,35 @@ def test_field_is_checked_for_every_command(argv, flags, message, capsys):
 @_EVERY_COMMAND
 def test_the_removed_order_flag_is_a_usage_error(argv, capsys):
     # There is one term order, so --order is no option: argparse refuses
-    # it with its usage message and status 2, before any command runs.
+    # it with its usage message and status 2, before any command runs, and
+    # names the option rather than taking its value for the command.
     with pytest.raises(SystemExit) as exc:
         main(["--order", "grevlex", *argv])
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
-    assert captured.err.startswith("usage: ladderdet ") and "ladderdet: error: " in captured.err
+    assert captured.err.startswith("usage: ladderdet ")
+    assert captured.err.endswith("ladderdet: error: unrecognized arguments: --order\n")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--order=grevlex"], "unrecognized arguments: --order=grevlex"),
+    (["--f", "json"], "ambiguous option: --f could match --field, --format"),
+    (["--timeout", "0"], "argument --timeout: not a positive number of seconds: '0'"),
+], ids=["joined-value", "ambiguous", "bad-value"])
+def test_bad_options_before_the_command_keep_argparse_messages(flags, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*flags, "ladder", "validate", str(FIXTURES / "full2x2.json")])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: ladderdet [-h] ")
+    assert captured.err.endswith(f"ladderdet: error: {message}\n")
+
+
+def test_options_before_the_command_take_abbreviations(capsys):
+    code, out = run_cli("--form", "json", "--fi", "fp:5", "ideal", "gb",
+                        str(FIXTURES / "full2x2.json"), "--t", "2", capsys=capsys)
+    assert code == 0 and json.loads(out) == {"basis": ["x[1,2]*x[2,1] + 4*x[1,1]*x[2,2]"]}
 
 
 @pytest.mark.parametrize("argv", [

@@ -1643,6 +1643,48 @@ def test_pair_update_matches_the_reference_on_structured_leads(name):
         _assert_updates_match_reference(lmG, packing, rng)
 
 
+def _shared_lcm_leads(rng, packing):
+    """Leads in groups, each of which shares one lcm with lmf, returned
+    last: a group is two to four divisors of lmf, each near it, times one
+    quotient in the variables outside lmf.  The quotient alone, a lead
+    coprime to lmf of the same lcm, sometimes joins its group."""
+    inside = rng.sample(packing.variables, rng.randint(2, 4))
+    outside = [v for v in packing.variables if v not in inside]
+    exps = {v: rng.randint(1, 2) for v in inside}
+    leads = []
+    for _ in range(rng.randint(1, 4)):
+        quotient = rng.choice([[], [(rng.choice(outside), 1)], [(rng.choice(outside), 2)],
+                               [(v, 1) for v in rng.sample(outside, 2)]])
+        for _ in range(rng.randint(2, 4)):
+            near = rng.choice(inside)
+            leads.append(packing.pack([(v, rng.randint(v is near, e)) for v, e in exps.items()]
+                                      + quotient))
+        if quotient and rng.random() < 0.3:
+            leads.append(packing.pack(quotient))
+    rng.shuffle(leads)
+    return leads, packing.pack(exps.items())
+
+
+def test_near_pairs_match_the_reference_where_near_leads_share_an_lcm():
+    # The new pairs in content and order, each with the first index of its
+    # lcm, as the all-leads scan of tests/reference_pairs.py makes them.
+    from ladderdet import groebner
+
+    rng = random.Random(51)
+    packing = Ring.for_grid(QQ, 3, 3).packing
+    for _ in range(400):
+        leads, lmf = _shared_lcm_leads(rng, packing)
+        maskf = mono_mask(lmf, packing)
+        near = [mono_lcm(lm, lmf, packing.guard) for lm in leads
+                if mono_mask(lm, packing) & maskf]
+        assert len(set(near)) < len(near)
+        reducer = Reducer((), QQ, packing)
+        for entry in _lead_entries(leads, packing):
+            reducer.add_entry(entry)
+        new = reference_pairs.scan_update_pairs(leads, {}, lmf, packing)
+        assert groebner._near_pairs(reducer, lmf) == [(i, L) for (i, _), L in new.items()]
+
+
 def test_leads_of_one_support_size_skip_the_coprime_lead_search(monkeypatch):
     # Every minimal quotient of a new 3-minor lead has at most 2 variables
     # outside it, and every lead has 3, so no lead can divide one: the pair
@@ -1698,6 +1740,32 @@ def _count_s_pairs(monkeypatch):
     monkeypatch.setattr(groebner, "_verdict", None)
     monkeypatch.setattr(groebner, "s_polynomial", counted)
     return calls
+
+
+def test_a_groebner_run_calls_the_counted_monomial_operations(monkeypatch):
+    # perfbench counts these calls per layer by rebinding every name in
+    # ladderdet bound to them; a run that inlined one of them would count 0.
+    from ladderdet import poly
+
+    s_pairs = _count_s_pairs(monkeypatch)
+    counts = {}
+    for real in (poly.mono_lcm, poly.mono_mul, poly.mono_div):
+        counts[real.__name__] = 0
+
+        def counted(*args, real=real):
+            counts[real.__name__] += 1
+            return real(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ladderdet":
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, counted)
+    packing = Ring.for_grid(QQ, 4, 4).packing
+    minors = [expand_minor(Minor(r, c), QQ, packing)
+              for r in combinations(range(1, 5), 2) for c in combinations(range(1, 5), 2)]
+    assert is_groebner_basis(minors)
+    assert s_pairs and all(counts.values()), counts
 
 
 def test_buchberger_then_is_groebner_basis_reduces_the_pairs_once(monkeypatch):

@@ -232,6 +232,16 @@ def test_expand_minor_honours_time_limit():
         assert time.monotonic() - start < 0.5
 
 
+@pytest.mark.parametrize("n", range(1, poly._LEIBNIZ_TABLE + 1))
+def test_expand_minor_from_the_table_checks_the_budget(n):
+    # A minor read off the cached table checks the budget once, before its
+    # first term, however few terms it has.
+    minor = Minor(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
+    with time_limit(-1):
+        with pytest.raises(InstanceTooLarge):
+            expand_minor(minor)
+
+
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
 def test_products_honour_time_limit(field):
     # The product of three row sums of a 3 x 12 grid has 1,728 terms, each
@@ -264,10 +274,15 @@ def _inversion_count_expansion(m, field, packing):
     return Polynomial(field, terms, packing)
 
 
-@pytest.mark.parametrize("block", [poly._PARITY_BLOCK, 3], ids=["whole", "in-blocks"])
-def test_expand_minor_matches_the_inversion_count_expansion(monkeypatch, block):
-    # With blocks of 3! signs, sizes 4 to 6 walk their signs the way sizes
-    # above _PARITY_BLOCK do.  Over GF(2) both signs are 1.
+@pytest.mark.parametrize("table,block", [
+    (poly._LEIBNIZ_TABLE, poly._PARITY_BLOCK), (0, poly._PARITY_BLOCK), (0, 3),
+], ids=["table", "whole", "in-blocks"])
+def test_expand_minor_matches_the_inversion_count_expansion(monkeypatch, table, block):
+    # Sizes up to _LEIBNIZ_TABLE read their signs from the cached table;
+    # with no table they stream them, and with blocks of 3! signs sizes 4
+    # to 6 walk them the way sizes above _PARITY_BLOCK do.  Over GF(2) both
+    # signs are 1.
+    monkeypatch.setattr(poly, "_LEIBNIZ_TABLE", table)
     monkeypatch.setattr(poly, "_PARITY_BLOCK", block)
     rng = random.Random(720)
     packing = packing_of(gv(i, j) for i in range(1, 8) for j in range(1, 8))
