@@ -21,7 +21,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import cache
-from itertools import chain, permutations
+from numbers import Rational
 from operator import getitem, lt
 from weakref import WeakKeyDictionary, WeakValueDictionary
 
@@ -659,9 +659,15 @@ class Polynomial:
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
+            if not isinstance(other, Rational):
+                return NotImplemented
             if self.terms and (len(self.terms) > 1 or MONO_ONE not in self.terms):
                 return False
-            return self.terms.get(MONO_ONE, 0) == self.field.coerce(other)
+            try:
+                c = self.field.coerce(other)
+            except ValueError:  # a rational with no image in GF(p), as 1/3 in GF(3)
+                return False
+            return self.terms.get(MONO_ONE, 0) == c
         if self.field != other.field or len(self.terms) != len(other.terms):
             return False
         if self.packing is other.packing:
@@ -735,44 +741,40 @@ class Minor(Record):
         return f"[{r}|{c}]"
 
 
-# Permutation parities are cached whole up to this size, 8! bytes at most;
-# larger sizes are walked in blocks of the cached ones.
-_PARITY_BLOCK = 8
-# Sizes up to this one read their permutations and parities from one cached
-# table of 6! pairs at most (`_leibniz`); larger ones stream them.
-_LEIBNIZ_TABLE = 6
-_FLIP = bytes([1, 0]) + bytes(range(2, 256))  # bytes.translate table: 0 <-> 1
-
-
-@cache
-def _parities(n: int) -> tuple[bytes, bytes]:
-    """The parities of `permutations(range(n))`, in order, one byte each,
-    and the same flipped.  A permutation that starts with k has k
-    inversions with its first entry, and its other entries run through the
-    permutations of the rest in order."""
-    if n <= 1:
-        even = b"\0"
-    else:
-        e, o = _parities(n - 1)
-        even = b"".join(o if k & 1 else e for k in range(n))
-    return even, even.translate(_FLIP)
+# Minors up to this size read their permutations and parities from one
+# cached table of 6! pairs at most (`_leibniz`); a larger one is a Laplace
+# sum along its first row, down to blocks of this size.
+_LEIBNIZ_BLOCK = 6
 
 
 @cache
 def _leibniz(n: int) -> tuple:
-    """The (permutation, parity) pairs of `permutations(range(n))`, in order."""
-    return tuple(zip(permutations(range(n)), _parities(n)[0]))
+    """The (permutation, parity) pairs of `permutations(range(n))`, in
+    order.  A permutation that starts with k has k inversions with its first
+    entry, and its other entries run through the permutations of the rest
+    in order."""
+    if not n:
+        return (((), 0),)
+    return tuple(((k, *[c + (c >= k) for c in perm]), odd ^ (k & 1))
+                 for k in range(n) for perm, odd in _leibniz(n - 1))
 
 
-def _parity_blocks(n: int, odd: int = 0):
-    """The parities of `permutations(range(n))`, in order, flipped when
-    `odd`, in blocks of at most `_PARITY_BLOCK`! bytes: no block grows with
-    n, so a budget check between them still bounds the memory."""
-    if n <= _PARITY_BLOCK:
-        yield _parities(n)[odd]
-    else:
-        for k in range(n):
-            yield from _parity_blocks(n - 1, odd ^ (k & 1))
+def _determinant(bit: list, sign: tuple, base: int = 0) -> dict:
+    """The terms of `base` times the determinant of the matrix of cell bits
+    `bit`, with the signs `sign` (even, odd), in the order of
+    `permutations(range(len(bit)))`.  A block of at most `_LEIBNIZ_BLOCK`
+    rows reads `_leibniz` and checks the `time_limit` deadline once, before
+    its first term; a larger one is the Laplace sum along its first row."""
+    n = len(bit)
+    if n <= _LEIBNIZ_BLOCK:
+        _check_deadline()
+        return {sum(map(getitem, bit, perm), base): sign[odd] for perm, odd in _leibniz(n)}
+    terms = {}
+    first, rest, flipped = bit[0], bit[1:], sign[::-1]
+    for j in range(n):
+        terms |= _determinant([row[:j] + row[j + 1:] for row in rest],
+                              flipped if j & 1 else sign, base + first[j])
+    return terms
 
 
 def expand_minor(m: Minor, field: Field = QQ, packing: Packing | None = None) -> Polynomial:
@@ -780,14 +782,10 @@ def expand_minor(m: Minor, field: Field = QQ, packing: Packing | None = None) ->
     `packing` (one with every cell of the minor), by default in the ring of
     the minor's cells.  Each cell's bit is read off its interned variable's
     shift, and the signs 1 and -1 are written in the field's form from
-    `field.p`.  A minor of size at most `_LEIBNIZ_TABLE` reads its
-    permutations and their parities from one cached table, in one dict
-    comprehension, and checks the `time_limit` deadline once; a larger one
-    streams them, the parities in blocks, and checks it once every 256
-    permutations.
+    `field.p`.  The terms come in the order of `permutations`, from
+    `_determinant`.
     """
     rows, cols = m.rows, m.cols
-    n = len(rows)
     if packing is None:
         # Row by row, columns right to left: the cells in descending order.
         packing = _packing(tuple(grid_var(i, j) for i in rows for j in reversed(cols)))
@@ -798,17 +796,7 @@ def expand_minor(m: Minor, field: Field = QQ, packing: Packing | None = None) ->
         raise ValueError(f"minor {m} has cells outside the ring") from None
     p = field.p
     sign = (1, -1 if p is None else p - 1)
-    if n <= _LEIBNIZ_TABLE:
-        _check_deadline()
-        terms = {sum(map(getitem, bit, perm)): sign[odd] for perm, odd in _leibniz(n)}
-        return Polynomial(field, terms, packing)
-    terms = {}
-    odds = chain.from_iterable(_parity_blocks(n))
-    for idx, (perm, odd) in enumerate(zip(permutations(range(n)), odds)):
-        if not idx & 255:
-            _check_deadline()
-        terms[sum(map(getitem, bit, perm))] = sign[odd]
-    return Polynomial(field, terms, packing)
+    return Polynomial(field, _determinant(bit, sign), packing)
 
 
 # ---------------------------------------------------------------------------

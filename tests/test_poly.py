@@ -219,10 +219,11 @@ def test_exponents_past_the_field_raise():
 
 
 def test_expand_minor_honours_time_limit():
-    # At n = 8 the signs come from one table; at n = 12 they come in
-    # blocks: a table of all 12! of them would take 479 MB before the first
-    # budget check.  The whole 8 x 8 expansion takes about 0.05 s on a
-    # 2-CPU machine, ten times the budget.
+    # Above the table size a minor is a Laplace sum of table blocks, and
+    # each block checks the budget before its first term: at n = 12 the
+    # first check comes after six rows of cofactor choices, not after a
+    # list of all 12! terms.  The whole 8 x 8 expansion takes about 0.05 s
+    # on a 2-CPU machine, ten times the budget.
     for n in (8, 12):
         minor = Minor(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
         start = time.monotonic()
@@ -232,10 +233,11 @@ def test_expand_minor_honours_time_limit():
         assert time.monotonic() - start < 0.5
 
 
-@pytest.mark.parametrize("n", range(1, poly._LEIBNIZ_TABLE + 1))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_expand_minor_from_the_table_checks_the_budget(n):
     # A minor read off the cached table checks the budget once, before its
-    # first term, however few terms it has.
+    # first term, however few terms it has; a larger one checks it before
+    # the first term of its first table block.
     minor = Minor(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
     with time_limit(-1):
         with pytest.raises(InstanceTooLarge):
@@ -274,28 +276,30 @@ def _inversion_count_expansion(m, field, packing):
     return Polynomial(field, terms, packing)
 
 
-@pytest.mark.parametrize("table,block", [
-    (poly._LEIBNIZ_TABLE, poly._PARITY_BLOCK), (0, poly._PARITY_BLOCK), (0, 3),
-], ids=["table", "whole", "in-blocks"])
-def test_expand_minor_matches_the_inversion_count_expansion(monkeypatch, table, block):
-    # Sizes up to _LEIBNIZ_TABLE read their signs from the cached table;
-    # with no table they stream them, and with blocks of 3! signs sizes 4
-    # to 6 walk them the way sizes above _PARITY_BLOCK do.  Over GF(2) both
-    # signs are 1.
-    monkeypatch.setattr(poly, "_LEIBNIZ_TABLE", table)
-    monkeypatch.setattr(poly, "_PARITY_BLOCK", block)
+@pytest.mark.parametrize("block", [poly._LEIBNIZ_BLOCK, 1, 3], ids=["table", "block-1", "block-3"])
+def test_expand_minor_matches_the_inversion_count_expansion(monkeypatch, block):
+    # Sizes up to _LEIBNIZ_BLOCK read their signs from the cached table, and
+    # larger ones are Laplace sums along the first row down to blocks of
+    # that size: with blocks of 1 or 3 rows, sizes 2 to 6 take that path
+    # too, and at the real size so do one minor of size 7 and one of 8.  The
+    # terms come in the order of `permutations`.  Over GF(2) both signs
+    # are 1.
+    monkeypatch.setattr(poly, "_LEIBNIZ_BLOCK", block)
     rng = random.Random(720)
-    packing = packing_of(gv(i, j) for i in range(1, 8) for j in range(1, 8))
-    for n in range(1, 7):
-        for field in (QQ, GF(2), GF(3), GF(5)):
-            rows = tuple(sorted(rng.sample(range(1, 8), n)))
-            cols = tuple(sorted(rng.sample(range(1, 8), n)))
-            m = Minor(rows, cols)
-            f = expand_minor(m, field, packing)
-            assert f == _inversion_count_expansion(m, field, packing)
-            assert len(f.terms) == math.factorial(n)
-            if field == GF(2):
-                assert set(f.terms.values()) == {1}
+    packing = packing_of(gv(i, j) for i in range(1, 10) for j in range(1, 10))
+    cases = [(n, field) for n in range(1, 7) for field in (QQ, GF(2), GF(3), GF(5))]
+    if block == poly._LEIBNIZ_BLOCK:
+        cases += [(7, QQ), (8, GF(3))]
+    for n, field in cases:
+        rows = tuple(sorted(rng.sample(range(1, 10), n)))
+        cols = tuple(sorted(rng.sample(range(1, 10), n)))
+        m = Minor(rows, cols)
+        f = expand_minor(m, field, packing)
+        expected = _inversion_count_expansion(m, field, packing)
+        assert f == expected and list(f.terms) == list(expected.terms)
+        assert len(f.terms) == math.factorial(n)
+        if field == GF(2):
+            assert set(f.terms.values()) == {1}
 
 
 def test_time_limit_is_shared_with_groebner():
@@ -597,3 +601,19 @@ def test_equality_and_hash_do_not_depend_on_the_packing():
     assert P("x[1,1]") != P("x[2,2]")
     with pytest.raises(ValueError):
         P("x[3,3]").repack(f.packing)
+
+
+@pytest.mark.parametrize("other", [None, "abc", "3", [1], object()],
+                         ids=["None", "abc", "str-3", "list", "object"])
+def test_a_polynomial_is_unequal_to_what_is_not_a_number(other):
+    # Only a polynomial or a rational number can equal a polynomial: a
+    # constant is not its decimal string, and no comparison raises.
+    for f in (P("3"), Polynomial.zero(QQ), P("x[1,1] + 3")):
+        assert not f == other and f != other
+        assert f not in [other]
+    three = P("3")
+    assert three == 3 and three == Fraction(3) and three != Fraction(1, 3)
+    assert Polynomial.zero(GF(3)) == 0 == Polynomial.constant(GF(3), 3)
+    # 1/3 has no image in GF(3), so no element there equals it.
+    for f in (Polynomial.zero(GF(3)), Polynomial.constant(GF(3), 1)):
+        assert not f == Fraction(1, 3) and f != Fraction(1, 3)
