@@ -69,9 +69,6 @@ class Field:
     def mul(self, a, b):
         return _exact(a * b) if self.p is None else (a * b) % self.p
 
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
-
     def div(self, a, b):
         """a / b for b nonzero: a itself when b is 1."""
         if b == 1:

@@ -116,6 +116,7 @@ from .poly import (
     _check_deadline,
     _check_fields,
     _current_deadline,
+    _monic_terms,
     _overflow,
     _packing,
     aux_var,
@@ -592,15 +593,6 @@ def _pair_key(i, j, lcm, entries, sugars):
     return (sugar, lcm, i, j)
 
 
-def _monic_terms(terms: dict, lm: int, field: Field) -> dict:
-    """The terms divided by the coefficient of lm."""
-    lc = terms[lm]
-    if lc == 1:
-        return terms
-    div = field.div
-    return {m: div(c, lc) for m, c in terms.items()}
-
-
 def _monic_term_sets(polys) -> set:
     """The term sets of the nonzero polynomials, of one packing, made monic."""
     return {frozenset(_monic_terms(f.terms, max(f.terms), f.field).items()) for f in polys}
@@ -826,17 +818,6 @@ class Ring(Record):
         set_field(self, "field", field)
         set_field(self, "variables", variables)
         set_field(self, "packing", _packing(variables))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # The fields of two rings are most often one object, whose
-        # `Field.__eq__` is a Python call that `is` saves.
-        return self is other or (self.variables == other.variables
-                                 and (self.field is other.field or self.field == other.field))
-
-    def __hash__(self):
-        return hash((self.field, self.variables))
 
     @classmethod
     def for_grid(cls, field: Field, k: int, l: int) -> "Ring":

@@ -16,7 +16,12 @@ as in ladders whose first two lower corners sit in the same column).
 Sub-regions are cut out by their corners: the subladder L_j keeps the
 upper corners and the lower corner (d_j, c_j) alone, and a band clips
 every corner to the band.  Their corner lists need not be minimal, so
-ladders are compared by their cells, never by their corners.
+two ladders with the same cells can differ as records: a `Ladder` is a
+`Record`, and `==` compares its shape and both corner lists.  The replay
+checks of chamfer descent (`ladder reduce` and the `chamfer-descent`
+criterion) rely on that stricter equality: a replayed or inverted move
+must give back the very corners it started from.  Compare `Ladder.cells`
+to ask whether two ladders are one region.
 
 Corner lemma: a block with rows R and columns C lies in L iff its NE cell
 (min R, max C) meets some upper corner (b, a) and its SW cell (max R, min C)
@@ -487,8 +492,11 @@ def chamfer(L: Ladder, t, j: int) -> tuple[Ladder, tuple[int, ...]]:
 def unchamfer(L: Ladder, t, j: int) -> tuple[Ladder, tuple[int, ...]]:
     """Inverse move: corner j one step SW, minor size grown by one.
 
-    Guaranteed to succeed for some j with t_j minimal; may need a larger
-    ambient grid (see `reduce_to_unmixed`, which pre-embeds with a margin).
+    May need a larger ambient grid (see `reduce_to_unmixed`, which
+    pre-embeds with a margin).  It can fail at every j with t_j minimal:
+    on some valid ladders with two connected components, every such move
+    yields an invalid ladder, and `reduce_to_unmixed` raises ChamferError
+    (ROADMAP item 31 splits such a ladder into its components).
     """
     return _move_corner(L, t, j, +1)
 
@@ -555,8 +563,11 @@ def unmix_distance(t) -> int:
 def reduce_to_unmixed(L: Ladder, t) -> UnmixReduction:
     """Unchamfer at minimal-size corners until the size vector is constant.
 
-    Terminates in unmix_distance(t) <= total_width(t) moves.  The ladder
-    is first embedded with a margin so corner moves never leave the grid.
+    An unchamfer at a minimal corner raises that t_j by one and drops no
+    corner, so max(t) stays and each move lowers `unmix_distance` by
+    exactly one: the trail has unmix_distance(t) <= total_width(t) moves.
+    The ladder is first embedded with a margin so corner moves never leave
+    the grid.
     """
     t = size_vector(t, len(L.lower))
     margin = max(t) - min(t)
@@ -570,8 +581,6 @@ def reduce_to_unmixed(L: Ladder, t) -> UnmixReduction:
             try:
                 nxt, nxt_t = unchamfer(cur, cur_t, j)
             except ChamferError:
-                continue
-            if unmix_distance(nxt_t) >= unmix_distance(cur_t):
                 continue
             cur, cur_t = nxt, nxt_t
             moves.append(j)

@@ -21,6 +21,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import cache
+from itertools import chain
 from numbers import Rational
 from operator import getitem, lt
 from weakref import WeakKeyDictionary, WeakValueDictionary
@@ -440,6 +441,17 @@ def _check_fields(monos, guard: int) -> None:
             raise _overflow()
 
 
+def _monic_terms(terms: dict, lm: int, field: Field) -> dict:
+    """The monic rule: the terms divided by the coefficient of lm, or the
+    dict itself when that coefficient is 1.  `Polynomial.monic` and the
+    Groebner core's monic entries and term sets all make terms monic here."""
+    lc = terms[lm]
+    if lc == 1:
+        return terms
+    div = field.div
+    return {m: div(c, lc) for m, c in terms.items()}
+
+
 class Polynomial:
     """Immutable sparse polynomial over QQ or GF(p): a dict from packed
     monomials to nonzero coefficients, with the packing they are read in.
@@ -513,14 +525,12 @@ class Polynomial:
         return [(m, self.terms[m]) for m in sorted(self.terms, reverse=True)]
 
     def monic(self) -> "Polynomial":
+        """This polynomial divided by its lead coefficient (`_monic_terms`):
+        itself when that coefficient is 1, and the zero polynomial too."""
         if not self.terms:
             return self
-        _, c = self.leading_term()
-        if c == 1:
-            return self
-        div = self.field.div
-        return Polynomial(self.field, {m: div(v, c) for m, v in self.terms.items()},
-                          self.packing)
+        terms = _monic_terms(self.terms, max(self.terms), self.field)
+        return self if terms is self.terms else Polynomial(self.field, terms, self.packing)
 
     # -- packings
 
@@ -566,25 +576,17 @@ class Polynomial:
         return Polynomial.constant(self.field, other)
 
     def __add__(self, other):
+        """The sum, by `from_terms` over both term dicts in one packing."""
         other = self._coerce_other(other)
         if other.packing is not self.packing:
             return Polynomial.__add__(*self._aligned(other))
-        field = self.field
-        terms = dict(self.terms)
-        add = field.add
-        for m, c in other.terms.items():
-            v = add(terms.get(m, 0), c)
-            if v:
-                terms[m] = v
-            elif m in terms:
-                del terms[m]
-        return Polynomial(field, terms, self.packing)
+        return Polynomial.from_terms(self.field, chain(self.terms.items(), other.terms.items()),
+                                     self.packing)
 
     __radd__ = __add__
 
     def __neg__(self):
-        neg = self.field.neg
-        return Polynomial(self.field, {m: neg(c) for m, c in self.terms.items()}, self.packing)
+        return self.mul_term(MONO_ONE, -1)
 
     def __sub__(self, other):
         return self + (-self._coerce_other(other))
@@ -593,13 +595,9 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product; a scalar multiplies by `mul_term`."""
         if not isinstance(other, Polynomial):
-            c = self.field.coerce(other)
-            if not c:
-                return Polynomial.zero(self.field)
-            mul = self.field.mul
-            return Polynomial(self.field, {m: mul(v, c) for m, v in self.terms.items()},
-                              self.packing)
+            return self.mul_term(MONO_ONE, other)
         other = self._coerce_other(other)
         if other.packing is not self.packing:
             return Polynomial.__mul__(*self._aligned(other))
@@ -646,13 +644,16 @@ class Polynomial:
         return result
 
     def mul_term(self, m: int, c) -> "Polynomial":
-        """Multiply by the single term c*m (m packed like this polynomial)."""
+        """Multiply by the single term c*m (m packed like this polynomial):
+        the one term loop of negation and of scalar products too, with
+        m = `MONO_ONE`, which leaves every exponent field as it is."""
         c = self.field.coerce(c)
         if not c:
             return Polynomial.zero(self.field)
         mul = self.field.mul
         terms = {tm + m: mul(tc, c) for tm, tc in self.terms.items()}
-        _check_fields(terms, self.packing.guard)
+        if m != MONO_ONE:
+            _check_fields(terms, self.packing.guard)
         return Polynomial(self.field, terms, self.packing)
 
     # -- comparisons
@@ -708,14 +709,6 @@ class Minor(Record):
             raise ValueError("minor indices are 1-based")
         set_field(self, "rows", rows)
         set_field(self, "cols", cols)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols
-
-    def __hash__(self):
-        return hash((self.rows, self.cols))
 
     @property
     def size(self) -> int:

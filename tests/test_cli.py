@@ -305,6 +305,35 @@ def test_field_is_checked_for_every_command(argv, flags, message, capsys):
     assert _run_with_err([*flags, *argv], capsys) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("tag,message", [
+    ("fp:0", "modulus out of range [2, 2^31): 0"),
+    ("fp:1", "modulus out of range [2, 2^31): 1"),
+    ("fp:9", "modulus is not prime: 9"),
+    ("fp:15", "modulus is not prime: 15"),
+    ("fp:2147483648", "modulus out of range [2, 2^31): 2147483648"),
+    ("fp:11", None),
+    ("fp:2147483647", None),
+])
+def test_field_modulus_is_a_prime_below_two_to_the_31(tag, message, capsys):
+    # 9 and 15 have odd divisors only; 2^31 - 1 is the greatest prime taken.
+    argv = ["--field", tag, "symbolic", "degree", "--minors", "12|12", "--t", "2"]
+    if message is None:
+        assert _run_with_err(argv, capsys) == (0, "degree=1\n", "")
+    else:
+        assert _run_with_err(argv, capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["symbolic", "degree", "--minors", "1,2|1,3 12|12", "--t", "2"], (0, "degree=2\n", "")),
+    (["poset", "--shape", "2,2", "--delta", "12"],
+     (2, "", "error: bad minor '12'; expected rows|cols like 12|13 or 1,2|1,3\n")),
+    (["poset", "--shape", "2,2", "--delta", "1a|12"],
+     (2, "", "error: bad minor '1a|12': invalid literal for int() with base 10: 'a'\n")),
+], ids=["comma-form", "no-bar", "not-a-number"])
+def test_minor_flags_read_both_index_forms_and_refuse_bad_minors(argv, expected, capsys):
+    assert _run_with_err(argv, capsys) == expected
+
+
 @_EVERY_COMMAND
 def test_the_removed_order_flag_is_a_usage_error(argv, capsys):
     # There is one term order, so --order is no option: argparse refuses

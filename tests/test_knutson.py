@@ -86,6 +86,21 @@ def test_ladder_derivation_whole_ladder_base():
     assert verify(deriv).ok
 
 
+def test_ladder_derivation_skips_a_band_whose_narrow_window_vanishes():
+    # The bands cols[1,4] and cols[2,5] each have one narrow window with no
+    # 3-minor, so each derives as its other window: the root sums the bases
+    # cols[1,3] and cols[3,5], with no node for either four-column band.
+    L, t = Ladder.from_json('{"shape": [6, 5], "upper": [[1, 3], [4, 5]], '
+                            '"lower": [[5, 1], [6, 3]], "t": [3, 3]}')
+    deriv = ladder_derivation(L, t)
+    root = deriv.root
+    assert root.label == "I_3(cols[1,5])"
+    assert [child.label for child in root.child.children] == ["I_3(cols[1,3]) base",
+                                                              "I_3(cols[3,5]) base"]
+    report = verify(deriv)
+    assert report.ok and len(report.lines) == 25
+
+
 def test_ladder_derivation_root_ideal():
     L = Ladder.full(3, 3)
     deriv = ladder_derivation(L, 2)

@@ -488,6 +488,21 @@ def test_chamfer_errors():
         chamfer(L3, (2,), 5)
 
 
+def test_chamfer_drops_a_corner_of_size_one_only_when_the_rest_stays_valid():
+    # t_1 = 1: the corner goes with its summand.  The last corner covers
+    # every cell on its own in the first ladder, but not in the second.
+    L, t = Ladder.from_json('{"shape": [4, 3], "upper": [[1, 3]], "lower": [[2, 1], [4, 3]], '
+                            '"t": [1, 1]}')
+    out, out_t = chamfer(L, t, 1)
+    assert json.loads(out.to_json(out_t)) == {"shape": [4, 3], "upper": [[1, 3]],
+                                              "lower": [[4, 3]], "t": [1]}
+    L, t = Ladder.from_json('{"shape": [2, 4], "upper": [[1, 2], [2, 4]], '
+                            '"lower": [[1, 1], [2, 4]], "t": [1, 1]}')
+    assert validate(L, t).valid
+    with pytest.raises(ChamferError, match="yields an invalid ladder"):
+        chamfer(L, t, 1)
+
+
 def test_reduce_to_unmixed_contract():
     L3 = Ladder.full(3, 3)
     red = reduce_to_unmixed(L3, (2,))
@@ -499,7 +514,8 @@ def test_reduce_to_unmixed_contract():
 
     L, t = staircase10()
     red3 = reduce_to_unmixed(L, t)
-    assert 0 < len(red3.moves) <= total_width(t)
+    # Each unchamfer at a minimal corner lowers the distance by exactly one.
+    assert 0 < len(red3.moves) == unmix_distance(t) <= total_width(t)
     assert len(set(red3.start_t)) == 1
     replayed, rt = red3.replay()
     assert replayed == L and rt == t

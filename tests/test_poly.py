@@ -468,6 +468,53 @@ def _random_polynomial(rng, field):
     return Polynomial.from_terms(field, terms, packing)
 
 
+def _typed(terms):
+    """The nonzero terms, each coefficient with its type."""
+    return {key: (type(c), c) for key, c in terms.items() if c}
+
+
+def _by_exponents(f):
+    """f's terms keyed by their exponent vectors, so that polynomials in two
+    packings compare, each coefficient with its type."""
+    return _typed({frozenset(Monomial(f.packing, m).exponents()): c for m, c in f.terms.items()})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=str)
+def test_sums_negation_scalars_and_monic_match_a_term_by_term_reference(field):
+    # The reference works term by term with `Field.add`, `mul` and `div`.
+    # Over QQ an integral coefficient is an int, so types are compared too;
+    # `c - f` runs `__rsub__`.
+    rng = random.Random(53)
+
+    def plus(*term_dicts):
+        acc = {}
+        for terms in term_dicts:
+            for key, (_, c) in terms.items():
+                acc[key] = field.add(acc.get(key, 0), c)
+        return _typed(acc)
+
+    def scaled(terms, c, op=field.mul):
+        return _typed({key: op(v, c) for key, (_, v) in terms.items()})
+
+    for _ in range(200):
+        f, g = _random_polynomial(rng, field), _random_polynomial(rng, field)
+        c = field.coerce(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3]) if field == QQ else 1))
+        tf, tg = _by_exponents(f), _by_exponents(g)
+        minus_f = scaled(tf, field.coerce(-1))
+        assert _by_exponents(f + g) == plus(tf, tg)
+        assert _by_exponents(f - g) == plus(tf, scaled(tg, field.coerce(-1)))
+        assert _by_exponents(-f) == minus_f
+        assert _by_exponents(c * f) == _by_exponents(f * c) == scaled(tf, c)
+        assert _by_exponents(c - f) == plus(_typed({frozenset(): c}), minus_f)
+        if f.is_zero:
+            assert f.monic() is f
+            continue
+        lc = f.leading_term()[1]
+        monic = f.monic()
+        assert _by_exponents(monic) == scaled(tf, lc, field.div)
+        assert monic.packing is f.packing and (monic is f) == (lc == 1)
+
+
 def test_text_roundtrip():
     f = 3 * expand_minor(Minor((1, 2), (1, 2))) + Polynomial.constant(QQ, Fraction(1, 2))
     assert parse_polynomial(poly_to_str(f)) == f

@@ -253,6 +253,31 @@ def test_set_field_sets_fields_only_in_normalising_constructors():
                       "PartialPermutation.__init__", "PosetIdealSpec.__init__"}
 
 
+def test_no_record_subclass_defines_its_own_equality_or_hash():
+    # A record compares and hashes by `Record`'s one rule, over its
+    # `_fields`; a subclass that names `__eq__` or `__hash__` (by a def or
+    # an assignment) is a second equality path.
+    classes = [cls for path in sorted(SOURCE.glob("*.py"))
+               for cls in ast.walk(ast.parse(path.read_text())) if isinstance(cls, ast.ClassDef)]
+    records = {"Record"}
+    while True:
+        more = {cls.name for cls in classes
+                if any(getattr(base, "id", None) in records for base in cls.bases)}
+        if more <= records:
+            break
+        records |= more
+    found = []
+    for cls in classes:
+        if cls.name not in records - {"Record"}:
+            continue
+        for item in cls.body:
+            names = ([item.name] if isinstance(item, ast.FunctionDef)
+                     else [t.id for t in getattr(item, "targets", ()) if isinstance(t, ast.Name)])
+            found += [f"{cls.name}.{name}" for name in names if name in ("__eq__", "__hash__")]
+    assert "Minor" in records and "Ring" in records and "Check" in records
+    assert not found
+
+
 def test_records_of_two_classes_with_equal_fields_differ():
     assert Sum((LEAF,)) != Intersect((LEAF,))
     assert PosetIdealSpec("explicit", ()) != VerifyReport("explicit", ())
