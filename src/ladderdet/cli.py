@@ -106,18 +106,21 @@ def _load_ideal(path: str, field, t_flag=None):
 
 def _parse_minor(text: str) -> Minor:
     text = text.strip().strip("[]")
+    malformed = UsageError(f"bad minor {text!r}; expected rows|cols like 12|13 or 1,2|1,3")
     if "|" not in text:
-        raise UsageError(f"bad minor {text!r}; expected rows|cols like 12|13 or 1,2|1,3")
+        raise malformed
     rows_s, cols_s = text.split("|", 1)
 
     def indices(s):
         s = s.strip()
-        if "," in s:
-            return tuple(int(x) for x in s.split(","))
-        return tuple(int(ch) for ch in s)
+        return tuple(int(x) for x in (s.split(",") if "," in s else s))
 
     try:
-        return Minor(indices(rows_s), indices(cols_s))
+        rows, cols = indices(rows_s), indices(cols_s)
+    except ValueError:
+        raise malformed from None
+    try:
+        return Minor(rows, cols)
     except ValueError as exc:
         raise UsageError(f"bad minor {text!r}: {exc}") from None
 

@@ -112,6 +112,11 @@ def parse_field(tag: str) -> Field:
     tag = tag.strip().lower()
     if tag in ("q", "qq"):
         return QQ
-    if tag.startswith("fp:"):
-        return GF(int(tag[3:]))
-    raise ValueError(f"unknown field tag: {tag!r} (expected 'q' or 'fp:<p>')")
+    unknown = ValueError(f"unknown field tag: {tag!r} (expected 'q' or 'fp:<p>')")
+    if not tag.startswith("fp:"):
+        raise unknown
+    try:
+        p = int(tag[3:])
+    except ValueError:
+        raise unknown from None
+    return GF(p)

@@ -410,6 +410,18 @@ def mono_max_exponent(a: int) -> int:
     return top
 
 
+def mono_min_exponent(a: int) -> int:
+    """The least nonzero exponent of a, or `MAX_EXPONENT` + 1 for a = 1."""
+    if a and not a & _HIGH_BITS:  # squarefree
+        return 1
+    least = MAX_EXPONENT + 1
+    while a:
+        if a & _FIELD:
+            least = min(least, a & _FIELD)
+        a >>= _W
+    return least
+
+
 def mono_mask(a: int, packing: Packing) -> int:
     """Support mask: the guard bit of each variable of `a`.
 

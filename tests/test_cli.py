@@ -313,9 +313,12 @@ def test_field_is_checked_for_every_command(argv, flags, message, capsys):
     ("fp:2147483648", "modulus out of range [2, 2^31): 2147483648"),
     ("fp:11", None),
     ("fp:2147483647", None),
+    *((tag, f"unknown field tag: {tag!r} (expected 'q' or 'fp:<p>')")
+      for tag in ("fp:abc", "fp:", "fp:5.0")),
 ])
 def test_field_modulus_is_a_prime_below_two_to_the_31(tag, message, capsys):
-    # 9 and 15 have odd divisors only; 2^31 - 1 is the greatest prime taken.
+    # 9 and 15 have odd divisors only; 2^31 - 1 is the greatest prime taken;
+    # a modulus that is no integer makes the tag unknown.
     argv = ["--field", tag, "symbolic", "degree", "--minors", "12|12", "--t", "2"]
     if message is None:
         assert _run_with_err(argv, capsys) == (0, "degree=1\n", "")
@@ -328,7 +331,7 @@ def test_field_modulus_is_a_prime_below_two_to_the_31(tag, message, capsys):
     (["poset", "--shape", "2,2", "--delta", "12"],
      (2, "", "error: bad minor '12'; expected rows|cols like 12|13 or 1,2|1,3\n")),
     (["poset", "--shape", "2,2", "--delta", "1a|12"],
-     (2, "", "error: bad minor '1a|12': invalid literal for int() with base 10: 'a'\n")),
+     (2, "", "error: bad minor '1a|12'; expected rows|cols like 12|13 or 1,2|1,3\n")),
 ], ids=["comma-form", "no-bar", "not-a-number"])
 def test_minor_flags_read_both_index_forms_and_refuse_bad_minors(argv, expected, capsys):
     assert _run_with_err(argv, capsys) == expected

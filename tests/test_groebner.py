@@ -23,6 +23,7 @@ from ladderdet.groebner import (
     _cover_bits,
     _divisor,
     _eliminated_intersection,
+    _frobenius_power,
     _exact_quotient,
     _hilbert_numerator,
     _index_add,
@@ -46,6 +47,8 @@ from ladderdet.poly import (
     aux_var,
     expand_minor,
     grid_var,
+    FIELD_BITS,
+    MAX_EXPONENT,
     MONO_ONE,
     ExponentOverflow,
     Monomial,
@@ -208,6 +211,161 @@ def test_divisor_index_matches_a_linear_scan():
             assert _divisor({}, m, mask_of(m), guard) is None
             if MONO_ONE in filed_monos and guard:
                 assert found is not None
+
+
+def _remainder_by_max(entries, work, field, guard):
+    """The remainder of the terms `work` on the `Reducer` entries, as a list
+    of terms in the order the reduction emits them: each step takes
+    `max(work)` and the first entry whose lead divides it in `_divisor`'s
+    search order under the support mask (`_first_divisor_by_scan`)."""
+    filed = [(e[0], e[3], e) for e in entries]
+    rem = []
+    while work:
+        m = max(work)
+        c = work.pop(m)
+        hit = _first_divisor_by_scan(filed, m, guard)
+        if hit is None:
+            rem.append((m, field.coerce(c)))
+            continue
+        lm, lc, tail, _ = hit
+        q = field.div(c, lc)
+        for tm, tc in tail:
+            mm = tm + m - lm
+            v = field.add(work.get(mm, 0), -field.mul(tc, q))
+            if v:
+                work[mm] = v
+            else:
+                work.pop(mm, None)
+    return rem
+
+
+_REMAINDER_CELLS = [(i, j) for i in range(1, 4) for j in range(1, 5)]
+
+
+def _random_terms(rng, field, packing, count, exponents, degree=3):
+    """`count` random terms of at most `degree` variables, each exponent
+    drawn from `exponents`, with nonzero coefficients."""
+    terms = []
+    for _ in range(count):
+        cells = rng.sample(_REMAINDER_CELLS, rng.randint(1, degree))
+        m = mono(*((gv(*cell), rng.choice(exponents)) for cell in cells)).packed_in(packing)
+        c = rng.randint(1, 40) if field.p is None or rng.random() < 0.5 else rng.randrange(1, field.p)
+        terms.append((m, c if field.p is not None or rng.random() < 0.7 else Fraction(c, 3)))
+    return terms
+
+
+def _random_reducer_basis(rng, field, packing, kind):
+    """A random basis: the bracket g^[p] of polynomials with squarefree
+    terms ("bracket", every lead exponent p), or polynomials whose terms
+    have exponents 2 and 3 ("mixed", least lead exponent 2 or 3), or 1 to 3
+    ("any")."""
+    exponents = {"bracket": [1], "mixed": [2, 3], "any": [1, 2, 3]}[kind]
+    basis = []
+    for _ in range(rng.randint(2, 8)):
+        g = Polynomial.from_terms(field, _random_terms(rng, field, packing, rng.randint(1, 4),
+                                                       exponents), packing)
+        if not g.is_zero and g.leading_term()[0] != MONO_ONE:
+            basis.append(_frobenius_power(g, field.p) if kind == "bracket" else g)
+    return basis
+
+
+def _random_work(rng, field, packing, basis, size):
+    """About `size` terms: products of basis elements by random terms, and
+    random terms of exponents up to 2p, so that many of them reduce."""
+    top = 2 * (field.p or 2)
+    work = Polynomial.from_terms(field, _random_terms(rng, field, packing, size // 2,
+                                                      list(range(1, top + 1))), packing)
+    while len(work.terms) < size:
+        m, c = _random_terms(rng, field, packing, 1, [1, 2])[0]
+        work = work + rng.choice(basis).mul_term(m, c)
+    return dict(work.terms)
+
+
+@pytest.mark.parametrize("field,kind", [(field, kind) for field in (GF(2), GF(3), GF(5), QQ)
+                                        for kind in ("bracket", "mixed", "any")
+                                        if field.p or kind != "bracket"], ids=str)
+def test_remainders_equal_the_reduction_by_max_term_for_term(field, kind):
+    # Both sides of the heap rule: dicts of at most `heap_above` terms take
+    # max(work), larger ones a heap.  The remainders must agree in value and
+    # in the order of their terms.
+    rng = random.Random(5400 + 7 * (field.p or 0) + len(kind))
+    packing = Ring.for_cells(field, _REMAINDER_CELLS).packing
+    guard, sides = packing.guard, set()
+    for _ in range(12):
+        reducer = Reducer(_random_reducer_basis(rng, field, packing, kind), field, packing)
+        if not reducer.entries:
+            continue
+        assert kind != "bracket" or reducer.exponent == field.p
+        works = [_random_work(rng, field, packing, [Polynomial(field, {e[0]: e[1], **dict(e[2])},
+                                                               packing) for e in reducer.entries],
+                              size)
+                 for size in (rng.randint(1, 40), rng.randint(90, 160), rng.randint(1, 8))]
+        sides.update(len(w) > reducer.heap_above for w in works)
+        expected = [_remainder_by_max(reducer.entries, dict(w), field, guard) for w in works]
+        assert [list(rem.items()) for rem in reducer.remainders(works)] == expected
+    assert sides == {False, True}
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["max", "heap"])
+def test_a_squarefree_entry_added_between_draws_lowers_the_mask_of_the_later_draw(large):
+    # The Buchberger loop adds entries between two draws of one run.  Once
+    # a squarefree lead is in, the least lead exponent is 1, and a term whose
+    # exponent in that lead's variable is below p must still find it.
+    field = GF(3)
+    rng = random.Random(5401 + large)
+    packing = Ring.for_cells(field, _REMAINDER_CELLS).packing
+    guard = packing.guard
+    basis = []
+    while len(basis) < 4:
+        basis = _random_reducer_basis(rng, field, packing, "bracket")
+    reducer = Reducer(basis, field, packing)
+    assert reducer.exponent == 3
+    size = 150 if large else 20
+    first, second = (_random_work(rng, field, packing, basis, size) for _ in range(2))
+    squarefree = P("x[1,1]*x[2,3] + x[3,4]^2", field).repack(packing)
+    lead = squarefree.leading_term()[0]
+    second[lead + mono((gv(2, 2), 2)).packed_in(packing)] = 1
+    run = reducer.remainders(iter([dict(first), dict(second)]))
+    assert list(next(run).items()) == _remainder_by_max(reducer.entries, first, field, guard)
+    reducer.add(squarefree)
+    assert (reducer.exponent, reducer.at_least) == (1, packing.low)
+    assert (len(second) > reducer.heap_above) is large
+    rem = list(next(run).items())
+    assert rem == _remainder_by_max(reducer.entries, second, field, guard)
+    assert not any(mono_divides(lead, m, guard) for m, _ in rem)
+
+
+def test_divisor_under_the_least_exponent_mask_finds_what_the_support_mask_finds():
+    rng = random.Random(5402)
+    packing = Ring.for_grid(QQ, 3, 3).packing
+    guard = packing.guard
+    variables = [gv(i, j) for i in range(1, 4) for j in range(1, 4)]
+
+    def random_mono(exponents, most=4):
+        return mono(*((v, rng.choice(exponents))
+                      for v in rng.sample(variables, rng.randint(0, most)))).packed_in(packing)
+
+    for _ in range(400):
+        # The leads' exponents: all p (a bracket), at least 2, or any; a
+        # lead of a lower exponent may come after others.
+        exponents = rng.choice([[2], [3], [5], [2, 3], [3, 4, 7], [1, 2, 3], [2, 2, 2, 1]])
+        leads = [random_mono(exponents, 3) for _ in range(rng.randint(0, 10))]
+        reducer = Reducer((), QQ, packing)
+        for lm in leads:
+            reducer.add_entry((lm, 1, [], mono_mask(lm, packing)))
+        nonzero = [x for lm in leads for _, x in Monomial(packing, lm).exponents()]
+        e = min(nonzero, default=MAX_EXPONENT + 1)
+        assert reducer.exponent == e
+        decides = len(set(nonzero)) <= 1  # every lead exponent is e
+        for m in [random_mono(list(range(1, 9)), 6) for _ in range(25)] + leads:
+            mask = (m + reducer.at_least) & guard
+            assert mask == sum(1 << packing.shift[v] + FIELD_BITS
+                               for v, x in Monomial(packing, m).exponents() if x >= e)
+            assert _divisor(reducer.index, m, mask, guard) is \
+                _divisor(reducer.index, m, mono_mask(m, packing), guard)
+            if decides:
+                for entry in reducer.entries:
+                    assert (not entry[3] & ~mask) == mono_divides(entry[0], m, guard)
 
 
 def test_buchberger_examples():
